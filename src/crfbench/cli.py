@@ -29,8 +29,6 @@ import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
 from .hypercomplex import DIM, HNumber
 from .polycalc import (HPoly, compat_pbar, dbar_system, fueter_d, fueter_dbar,
@@ -121,6 +119,8 @@ def _load_payload(path):
 def _load_function_surface(path):
     payload = _load_payload(path)
     f = HPoly.from_json(payload["f"])
+    if f.algebra != "H" or f.n != 2:
+        raise ValueError("f must be quaternionic in two variables")
     S = hsur.Hypersurface(HPoly.from_json(payload["surface"]["rho"]))
     return payload, f, S
 

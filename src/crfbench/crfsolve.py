@@ -280,34 +280,14 @@ def regular_kernel_basis(algebra, n, degree, max_unknowns=200000):
 # rho-adic tools for affine hypersurfaces
 # ---------------------------------------------------------------------------
 
-def _affine_data(S):
-    """(pivot index, pivot coefficient, substitution data) for affine S."""
-    if not S.is_affine:
-        raise ValueError("extension problems are implemented for affine "
-                         "hypersurfaces")
-    coeffs = [Fraction(0)] * 8
-    const = Fraction(0)
-    for exp, coef in S.rho.terms.items():
-        if sum(exp) == 0:
-            const = coef.coeffs[0]
-        else:
-            coeffs[exp.index(1)] = coef.coeffs[0]
-    piv = max(range(8), key=lambda i: abs(coeffs[i]))
-    if coeffs[piv] == 0:
-        raise ValueError("degenerate affine surface")
-    sub = [-c / coeffs[piv] for c in coeffs]
-    sub[piv] = Fraction(0)
-    return piv, coeffs[piv], (sub, -const / coeffs[piv])
-
-
-def _divmod_affine(poly, S, affine=None):
+def _divmod_affine(poly, S):
     """(quotient, remainder) with poly = rho * quotient + remainder and the
     remainder free of the pivot coordinate."""
-    piv, c_piv, (sub, sub_const) = affine or _affine_data(S)
-    remainder = poly.substitute_linear(piv, sub, sub_const)
+    grad, piv, sub, const = S.affine_form()
+    remainder = poly.substitute_linear(piv, sub, const)
     diff = poly - remainder
     quotient = HPoly.zero(poly.algebra, poly.n)
-    inv = Fraction(1) / c_piv
+    inv = Fraction(1) / grad[piv]
     while not diff.is_zero():
         deg = max(e[piv] for e in diff.terms)
         if deg == 0:
@@ -324,13 +304,58 @@ def _divmod_affine(poly, S, affine=None):
 def rho_adic_digits(poly, S, count):
     """First ``count`` digits of the rho-adic expansion of poly on affine S:
     poly = d_0 + rho d_1 + rho^2 d_2 + ... with pivot-free digits."""
-    affine = _affine_data(S)
     digits = []
     cur = poly
     for _ in range(count):
-        cur, rem = _divmod_affine(cur, S, affine)
+        cur, rem = _divmod_affine(cur, S)
         digits.append(rem)
     return digits
+
+
+def _nonzero_coefficients(poly):
+    """(exponent, unit index, coefficient) for every nonzero coefficient."""
+    for exp, coef in poly.terms.items():
+        for gamma, c in enumerate(coef.coeffs):
+            if c != 0:
+                yield exp, gamma, c
+
+
+def _extend(f, S, budget, max_unknowns, conditions):
+    """F = f + rho P with deg P < budget and ``conditions(F)`` empty, or None
+    when no such P exists.
+
+    ``conditions`` maps a polynomial to its nonzero linear conditions,
+    {row key: Fraction}; it must be linear in the polynomial.
+    """
+    if f.algebra != "H" or f.n != 2:
+        raise ValueError("extension problems live on two quaternionic "
+                         "variables")
+    if not S.is_affine:
+        raise ValueError("extension problems are implemented for affine "
+                         "hypersurfaces")
+    base = conditions(f)
+    # columns: monomial/unit coefficients of P with deg(rho * P) <= budget
+    columns = [(mu, beta) for k in range(budget)
+               for mu in _monomials_of_degree(8, k) for beta in range(4)]
+    if len(columns) > max_unknowns:
+        raise BudgetExceeded(f"extension needs {len(columns)} unknowns")
+    row_map = {}
+    for j, (mu, beta) in enumerate(columns):
+        basis_poly = S.rho * HPoly("H", 2, {mu: HNumber.unit("H", beta)})
+        for key, c in conditions(basis_poly).items():
+            row_map.setdefault(key, {})[j] = c
+    keys = sorted(set(row_map) | set(base))
+    rows = [row_map.get(k, {}) for k in keys]
+    rhs = [-base.get(k, Fraction(0)) for k in keys]
+    sol = solve_sparse(rows, rhs, len(columns))
+    if sol is None:
+        return None
+    coeffs = {}
+    for (mu, beta), c in zip(columns, sol):
+        if c != 0:
+            coeffs.setdefault(mu, [Fraction(0)] * 4)[beta] = c
+    P = HPoly("H", 2, {mu: HNumber("H", cs) for mu, cs in coeffs.items()})
+    return f + S.rho * P
 
 
 def crf_extend(f, S, m=2, budget=None, max_unknowns=200000):
@@ -343,60 +368,24 @@ def crf_extend(f, S, m=2, budget=None, max_unknowns=200000):
     infeasible within the budget.  m = 2 is feasible exactly for admissible
     boundary data; m = 1 for tangentially CRF data.
     """
-    if f.algebra != "H" or f.n != 2:
-        raise ValueError("extension problems live on two quaternionic "
-                         "variables")
     if m < 1:
         raise ValueError("vanishing order m must be at least 1")
     if budget is None:
         budget = max(f.degree(), 0) + 2
-    _affine_data(S)   # validates that S is affine and nondegenerate
 
     def digit_conditions(poly):
-        """(h, exponent, gamma) -> Fraction rows for digits 0..m-1 of the
-        conjugate-Fueter image of poly."""
-        conditions = {}
-        for h in range(2):
-            img = fueter_dbar(poly, h)
-            for j, digit in enumerate(rho_adic_digits(img, S, m)):
-                for exp, coef in digit.terms.items():
-                    for gamma, c in enumerate(coef.coeffs):
-                        if c != 0:
-                            conditions[(h, j, exp, gamma)] = c
-        return conditions
+        """(h, digit, exponent, gamma) -> Fraction rows for digits 0..m-1 of
+        the conjugate-Fueter image of poly."""
+        return {(h, j, exp, gamma): c
+                for h in range(2)
+                for j, digit in enumerate(
+                    rho_adic_digits(fueter_dbar(poly, h), S, m))
+                for exp, gamma, c in _nonzero_coefficients(digit)}
 
-    base = digit_conditions(f)
-    # columns: monomial/unit coefficients of P with deg(rho * P) <= budget
-    width = 8
-    pdeg = budget - 1
-    columns = []
-    for k in range(pdeg + 1):
-        for mu in _monomials_of_degree(width, k):
-            for beta in range(4):
-                columns.append((mu, beta))
-    if len(columns) > max_unknowns:
-        raise BudgetExceeded(f"extension needs {len(columns)} unknowns")
-    row_map = {}
-    for j, (mu, beta) in enumerate(columns):
-        coeffs = [Fraction(0)] * 4
-        coeffs[beta] = Fraction(1)
-        basis_poly = S.rho * HPoly("H", 2, {mu: HNumber("H", coeffs)})
-        for key, c in digit_conditions(basis_poly).items():
-            row_map.setdefault(key, {})[j] = c
-    keys = sorted(set(row_map) | set(base))
-    rows = [row_map.get(k, {}) for k in keys]
-    rhs = [-base.get(k, Fraction(0)) for k in keys]
-    sol = solve_sparse(rows, rhs, len(columns))
-    if sol is None:
+    F = _extend(f, S, budget, max_unknowns, digit_conditions)
+    if F is None:
         raise NoPolynomialExtensionWithinBudget(
             f"no extension with vanishing order {m} and degree <= {budget}")
-    P = HPoly.zero("H", 2)
-    for (mu, beta), c in zip(columns, sol):
-        if c != 0:
-            coeffs = [Fraction(0)] * 4
-            coeffs[beta] = c
-            P = P + HPoly("H", 2, {mu: HNumber("H", coeffs)})
-    F = f + S.rho * P
     for h in range(2):
         digits = rho_adic_digits(fueter_dbar(F, h), S, m)
         if any(not dgt.is_zero() for dgt in digits):
@@ -414,48 +403,18 @@ def jump_split(f, S, budget=None, max_unknowns=200000):
     """
     if budget is None:
         budget = max(f.degree(), 0) + 2
-    _affine_data(S)   # validates that S is affine and nondegenerate
-    width = 8
 
-    def exact_conditions(poly):
-        conditions = {}
-        for h in range(2):
-            img = fueter_dbar(poly, h)
-            for exp, coef in img.terms.items():
-                for gamma, c in enumerate(coef.coeffs):
-                    if c != 0:
-                        conditions[(h, exp, gamma)] = c
-        return conditions
+    def image_conditions(poly):
+        """(h, exponent, gamma) -> Fraction rows for the conjugate-Fueter
+        image of poly."""
+        return {(h, exp, gamma): c
+                for h in range(2)
+                for exp, gamma, c in _nonzero_coefficients(fueter_dbar(poly, h))}
 
-    base = exact_conditions(f)
-    columns = []
-    for k in range(budget):
-        for mu in _monomials_of_degree(width, k):
-            for beta in range(4):
-                columns.append((mu, beta))
-    if len(columns) > max_unknowns:
-        raise BudgetExceeded(f"jump problem needs {len(columns)} unknowns")
-    row_map = {}
-    for j, (mu, beta) in enumerate(columns):
-        coeffs = [Fraction(0)] * 4
-        coeffs[beta] = Fraction(1)
-        basis_poly = S.rho * HPoly("H", 2, {mu: HNumber("H", coeffs)})
-        for key, c in exact_conditions(basis_poly).items():
-            row_map.setdefault(key, {})[j] = c
-    keys = sorted(set(row_map) | set(base))
-    rows = [row_map.get(k, {}) for k in keys]
-    rhs = [-base.get(k, Fraction(0)) for k in keys]
-    sol = solve_sparse(rows, rhs, len(columns))
-    if sol is None:
+    F = _extend(f, S, budget, max_unknowns, image_conditions)
+    if F is None:
         raise NotAdmissibleOrBudget(
             f"no regular polynomial extension with degree <= {budget}")
-    P = HPoly.zero("H", 2)
-    for (mu, beta), c in zip(columns, sol):
-        if c != 0:
-            coeffs = [Fraction(0)] * 4
-            coeffs[beta] = c
-            P = P + HPoly("H", 2, {mu: HNumber("H", coeffs)})
-    F = f + S.rho * P
     u1, u2 = dbar_system(F)
     if not (u1.is_zero() and u2.is_zero()):
         raise AssertionError("internal error: jump solution not regular")

@@ -263,11 +263,6 @@ class HNumber:
     def real(self):
         return self.coeffs[0]
 
-    def imag_part(self):
-        """The purely imaginary part as an HNumber."""
-        c = (0 * self.coeffs[0],) + self.coeffs[1:]
-        return HNumber(self.algebra, c, self.backend)
-
     # -- comparison / hashing ------------------------------------------------
 
     def __eq__(self, other):

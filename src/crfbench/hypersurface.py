@@ -46,6 +46,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,8 +79,18 @@ def _pack(vals, backend):
     return HNumber("H", vals, backend)
 
 
+class AffineForm(NamedTuple):
+    """Data of an affine rho = sum_i gradient[i] x_i + c.  On S the pivot
+    coordinate (largest |gradient[i]|, first on ties) is
+    x_pivot = sum_j sub[j] x_j + const, with sub[pivot] = 0."""
+    gradient: tuple
+    pivot: int
+    sub: tuple
+    const: Fraction
+
+
 class Hypersurface:
-    """Zero set of a real-coefficient scalar polynomial on R^8."""
+    """Zero set of a real-coefficient, nonconstant scalar polynomial on R^8."""
 
     def __init__(self, rho):
         if not isinstance(rho, HPoly):
@@ -89,10 +100,21 @@ class Hypersurface:
         for coef in rho.terms.values():
             if any(c != 0 for c in coef.coeffs[1:]):
                 raise ValueError("rho must be scalar (real-valued)")
+        if rho.degree() < 1:
+            raise ValueError("rho must be nonconstant")
         self.rho = rho
         self.gradient = [rho.partial_flat(i) for i in range(8)]
         self._hess = [[self.gradient[i].partial_flat(j) for j in range(8)]
                       for i in range(8)]
+        self._affine = None
+        if self.is_affine:
+            origin = (0,) * 8
+            grad = tuple(g.coefficient(origin).coeffs[0] for g in self.gradient)
+            piv = max(range(8), key=lambda i: abs(grad[i]))
+            sub = tuple(Fraction(0) if i == piv else -c / grad[piv]
+                        for i, c in enumerate(grad))
+            const = -rho.coefficient(origin).coeffs[0] / grad[piv]
+            self._affine = AffineForm(grad, piv, sub, const)
 
     # -- basic geometry ------------------------------------------------------
 
@@ -100,21 +122,17 @@ class Hypersurface:
     def is_affine(self):
         return self.rho.degree() <= 1
 
+    def affine_form(self):
+        """The :class:`AffineForm` of an affine surface."""
+        if self._affine is None:
+            raise ValueError("the surface is not affine")
+        return self._affine
+
     def value_at(self, p):
         return self.rho.evaluate(p).coeffs[0]
 
-    def on_surface(self, p, tol=0):
-        v = self.value_at(p)
-        if isinstance(v, float) or tol:
-            return abs(float(v)) <= (tol or 1e-12)
-        return v == 0
-
     def gradient_at(self, p):
         return [g.evaluate(p).coeffs[0] for g in self.gradient]
-
-    def grad_norm_sq_at(self, p):
-        g = self.gradient_at(p)
-        return sum(c * c for c in g)
 
     def hessian_at(self, p):
         return np.array(
@@ -194,21 +212,11 @@ class Hypersurface:
         floats otherwise."""
         rng = random.Random(seed)
         if self.is_affine:
-            coeffs = [Fraction(0)] * 8
-            const = Fraction(0)
-            for exp, coef in self.rho.terms.items():
-                deg = sum(exp)
-                if deg == 0:
-                    const = coef.coeffs[0]
-                else:
-                    coeffs[exp.index(1)] = coef.coeffs[0]
-            piv = max(range(8), key=lambda i: abs(coeffs[i]))
+            _, piv, sub, const = self.affine_form()
             out = []
             for _ in range(count):
                 p = [Fraction(rng.randint(-span * 4, span * 4), 4) for _ in range(8)]
-                p[piv] = 0
-                rest = sum(c * x for c, x in zip(coeffs, p)) + const
-                p[piv] = -rest / coeffs[piv]
+                p[piv] = sum(c * x for c, x in zip(sub, p)) + const
                 out.append(tuple(p))
             return out
         out = []
@@ -338,6 +346,17 @@ def dbar_b(f, S, p):
     return (-td.f_qbar[0], -td.f_qbar[1])
 
 
+def _affine_pairing(f, S):
+    """(g, g_1, g_2, <g, Df>, 1/|g|^2) for the constant gradient g of an
+    affine S, with g_1, g_2 its quaternion blocks."""
+    g = S.affine_form().gradient
+    g1 = _pack(g[:4], "exact")
+    g2 = _pack(g[4:], "exact")
+    pairing = fueter_dbar(f, 0).mul_const_left(g1.conj()) + \
+        fueter_dbar(f, 1).mul_const_left(g2.conj())
+    return g, g1, g2, pairing, Fraction(1) / sum(c * c for c in g)
+
+
 def derived_polys(f, S):
     """The eight tangential coordinate derivatives as ambient polynomials.
 
@@ -345,34 +364,14 @@ def derived_polys(f, S):
     global polynomials whose restrictions to S are the derived functions.
     Returns a dict keyed by coordinate name.
     """
-    if not S.is_affine:
-        raise ValueError("global derived polynomials need an affine surface")
-    g = [gi.coefficient((0,) * 8).coeffs[0] for gi in S.gradient]
-    nsq = sum(c * c for c in g)
-    if nsq == 0:
-        raise ZeroDivisionError("degenerate affine surface")
-    g1 = _pack(g[:4], "exact")
-    g2 = _pack(g[4:], "exact")
-    pairing = fueter_dbar(f, 0).mul_const_left(g1.conj()) + \
-        fueter_dbar(f, 1).mul_const_left(g2.conj())
-    inv = Fraction(1) / nsq
-    out = {}
-    for i, name in enumerate(COORD_NAMES):
-        out[name] = f.partial_flat(i) - pairing.scale(g[i] * inv)
-    return out
+    g, _, _, pairing, inv = _affine_pairing(f, S)
+    return {name: f.partial_flat(i) - pairing.scale(g[i] * inv)
+            for i, name in enumerate(COORD_NAMES)}
 
 
 def tangential_qbar_polys(f, S):
     """f_(qbar_1), f_(qbar_2) as ambient polynomials (affine S)."""
-    if not S.is_affine:
-        raise ValueError("global tangential polynomials need an affine surface")
-    g = [gi.coefficient((0,) * 8).coeffs[0] for gi in S.gradient]
-    nsq = sum(c * c for c in g)
-    g1 = _pack(g[:4], "exact")
-    g2 = _pack(g[4:], "exact")
-    pairing = fueter_dbar(f, 0).mul_const_left(g1.conj()) + \
-        fueter_dbar(f, 1).mul_const_left(g2.conj())
-    inv = Fraction(1) / nsq
+    _, g1, g2, pairing, inv = _affine_pairing(f, S)
     return (
         fueter_dbar(f, 0) - pairing.mul_const_left(g1).scale(inv),
         fueter_dbar(f, 1) - pairing.mul_const_left(g2).scale(inv),
@@ -382,17 +381,8 @@ def tangential_qbar_polys(f, S):
 def _reduce_mod_affine(poly, S):
     """Substitute the surface equation into a polynomial (affine S): the
     result vanishes identically iff poly|_S = 0."""
-    coeffs = [Fraction(0)] * 8
-    const = Fraction(0)
-    for exp, coef in S.rho.terms.items():
-        if sum(exp) == 0:
-            const = coef.coeffs[0]
-        else:
-            coeffs[exp.index(1)] = coef.coeffs[0]
-    piv = max(range(8), key=lambda i: abs(coeffs[i]))
-    sub = [-c / coeffs[piv] for c in coeffs]
-    sub[piv] = Fraction(0)
-    return poly.substitute_linear(piv, sub, -const / coeffs[piv])
+    _, piv, sub, const = S.affine_form()
+    return poly.substitute_linear(piv, sub, const)
 
 
 # ---------------------------------------------------------------------------
@@ -547,10 +537,6 @@ def is_admissible(f, S, samples=None, tol=1e-6):
 # ---------------------------------------------------------------------------
 # rank condition
 # ---------------------------------------------------------------------------
-
-def _c(re, im):
-    return (Fraction(re), Fraction(im))
-
 
 def _cadd(a, b):
     return (a[0] + b[0], a[1] + b[1])

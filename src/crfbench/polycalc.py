@@ -381,44 +381,39 @@ class HPoly:
 # Fueter operators
 # ---------------------------------------------------------------------------
 
-def fueter_dbar(p, h):
-    """Conjugate-Fueter derivative in variable h:  sum_a i_a * dp/dx_{h,a}."""
+def _fueter(p, h, conjugate, right):
+    """sum_a u_a * dp/dx_{h,a} with u_a = i_a, or conj(i_a) when ``conjugate``;
+    ``right`` multiplies u_a on the right (quaternionic only)."""
+    if right and p.algebra != "H":
+        raise ValueError("right-module operators are quaternionic only")
     out = HPoly.zero(p.algebra, p.n)
     for alpha in range(p.dim):
-        out = out + p.partial(h, alpha).mul_const_left(
-            HNumber.unit(p.algebra, alpha))
+        u = HNumber.unit(p.algebra, alpha)
+        if conjugate:
+            u = u.conj()
+        part = p.partial(h, alpha)
+        out = out + (part.mul_const_right(u) if right else part.mul_const_left(u))
     return out
+
+
+def fueter_dbar(p, h):
+    """Conjugate-Fueter derivative in variable h:  sum_a i_a * dp/dx_{h,a}."""
+    return _fueter(p, h, conjugate=False, right=False)
 
 
 def fueter_d(p, h):
     """Fueter derivative in variable h:  sum_a conj(i_a) * dp/dx_{h,a}."""
-    out = HPoly.zero(p.algebra, p.n)
-    for alpha in range(p.dim):
-        u = HNumber.unit(p.algebra, alpha)
-        out = out + p.partial(h, alpha).mul_const_left(u.conj())
-    return out
+    return _fueter(p, h, conjugate=True, right=False)
 
 
 def fueter_dbar_right(p, h):
     """Right-module variant  sum_a dp/dx_{h,a} * i_a  (quaternionic only)."""
-    if p.algebra != "H":
-        raise ValueError("right-module operators are quaternionic only")
-    out = HPoly.zero(p.algebra, p.n)
-    for alpha in range(p.dim):
-        out = out + p.partial(h, alpha).mul_const_right(
-            HNumber.unit(p.algebra, alpha))
-    return out
+    return _fueter(p, h, conjugate=False, right=True)
 
 
 def fueter_d_right(p, h):
     """Right-module variant  sum_a dp/dx_{h,a} * conj(i_a)  (quaternionic only)."""
-    if p.algebra != "H":
-        raise ValueError("right-module operators are quaternionic only")
-    out = HPoly.zero(p.algebra, p.n)
-    for alpha in range(p.dim):
-        u = HNumber.unit(p.algebra, alpha)
-        out = out + p.partial(h, alpha).mul_const_right(u.conj())
-    return out
+    return _fueter(p, h, conjugate=True, right=True)
 
 
 def laplacian(p, h):

@@ -230,6 +230,21 @@ def test_jump_feasible_and_infeasible(tmp_path, capsys):
 # error handling
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("command", ["check", "extend", "jump"])
+@pytest.mark.parametrize("f, rho", [
+    (coord(0, 1), HPoly.constant("H", 2, 3)),
+    (coord(0, 1), HPoly.zero("H", 2)),
+    (HPoly.coordinate("H", 1, 0, 1), coord(1, 3)),
+    (HPoly.coordinate("O", 2, 0, 1), coord(1, 3)),
+], ids=["constant-rho", "zero-rho", "one-variable-f", "octonionic-f"])
+def test_malformed_function_surface(tmp_path, capsys, command, f, rho):
+    path = write_function_surface(tmp_path / "bad.json", f, rho)
+    code, _, err = run(capsys, [command, "--input", path])
+    assert code == 2
+    assert err.startswith("error: invalid input")
+    assert "Traceback" not in err
+
+
 def test_missing_input_file(capsys):
     code, _, err = run(capsys, ["check", "--input", "/nonexistent.json"])
     assert code == 2

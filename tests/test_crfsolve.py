@@ -272,6 +272,12 @@ def test_extend_validation(flat):
     sphere = Hypersurface(rho - HPoly.constant("H", 2, 4))
     with pytest.raises(ValueError):
         cs.crf_extend(HPoly.constant("H", 2, 1), sphere)
+    with pytest.raises(ValueError):
+        cs.jump_split(HPoly.constant("H", 1, 1), flat)
+    with pytest.raises(ValueError):
+        cs.jump_split(HPoly.constant("H", 2, 1), sphere)
+    with pytest.raises(ValueError):
+        cs.jump_split(HPoly.coordinate("O", 2, 0, 1), flat)
 
 
 # ---------------------------------------------------------------------------

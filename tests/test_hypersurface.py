@@ -99,8 +99,11 @@ def random_poly(rng, deg=2, terms=5):
 # ---------------------------------------------------------------------------
 
 def test_rho_must_be_scalar():
-    with pytest.raises(ValueError):
-        hs.Hypersurface(coord(0, 0).mul_const_left(unit(1)))
+    """Non-scalar, zero and constant rho are all rejected."""
+    for rho in (coord(0, 0).mul_const_left(unit(1)), HPoly.zero("H", 2),
+                HPoly.constant("H", 2, 3)):
+        with pytest.raises(ValueError):
+            hs.Hypersurface(rho)
 
 
 def test_sample_points_lie_on_surface(flat, mixed, sphere):
