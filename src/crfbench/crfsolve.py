@@ -28,12 +28,12 @@ budget (the two causes are indistinguishable without raising the budget).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .hypercomplex import DIM, HNumber
 from .linalg import nullspace_sparse, solve_sparse
-from .polycalc import HPoly, compat_pbar, dbar_system, fueter_dbar
+from .polycalc import (HPoly, compat_pbar, dbar_images, dbar_system,
+                       fueter_dbar, monomials)
 
 
 class CompatibilityViolation(ValueError):
@@ -55,85 +55,40 @@ class NotAdmissibleOrBudget(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# homogeneous graded solve in the divided-power basis
+# sparse assembly
 # ---------------------------------------------------------------------------
 
-def _monomials_of_degree(width, k):
-    """All exponent tuples of total degree k, lexicographic order."""
-    if k == 0:
-        return [(0,) * width]
-    out = []
+def _assemble(images, rhs):
+    """Sparse rows, in sorted row-key order, of the system whose column j has
+    image ``images[j]`` ({row key: value}); also the matching right-hand side
+    values from ``rhs`` ({row key: value}, missing keys are 0)."""
+    row_map = {}
+    for j, image in enumerate(images):
+        for key, c in image.items():
+            row_map.setdefault(key, {})[j] = c
+    for key in rhs:
+        row_map.setdefault(key, {})
+    keys = sorted(row_map)
+    return [row_map[k] for k in keys], [rhs.get(k, 0) for k in keys]
 
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, slots - 1)
 
-    rec((), k, width)
-    return out
+def _nonzero_coefficients(poly):
+    """(exponent, unit index, coefficient) for every nonzero coefficient."""
+    for exp, coef in poly.terms.items():
+        for gamma, c in enumerate(coef.coeffs):
+            if c != 0:
+                yield exp, gamma, c
 
+
+# ---------------------------------------------------------------------------
+# homogeneous graded solve in the divided-power basis
+# ---------------------------------------------------------------------------
 
 def _factorial_prod(exp):
     p = 1
     for e in exp:
         p *= math.factorial(e)
     return p
-
-
-@dataclass
-class GradedSystem:
-    """One homogeneous slice of the conjugate-Fueter equations.
-
-    Unknowns are coefficients of u in the divided-power basis x^[mu] i_beta
-    (x^[mu] = x^mu / mu!), listed in ``columns`` order; equations are keyed by
-    (component h, target exponent, target unit).  In this basis every matrix
-    entry is -1, 0, or +1.
-    """
-    algebra: str
-    n: int
-    degree: int                       # degree of the unknown u
-    columns: list = field(default_factory=list)   # (mu, beta)
-    rows: list = field(default_factory=list)      # dict col_index -> Fraction
-    row_keys: list = field(default_factory=list)  # (h, nu, gamma)
-
-    def entry_values(self):
-        vals = set()
-        for row in self.rows:
-            vals.update(row.values())
-        return vals
-
-
-def _build_graded_system(algebra, n, candidates):
-    """Rows of the operator on the span of the given (mu, beta) columns."""
-    from .hypercomplex import MUL_TABLE
-    d = DIM[algebra]
-    table = MUL_TABLE[algebra]
-    columns = sorted(candidates)
-    col_index = {c: j for j, c in enumerate(columns)}
-    row_map = {}
-    for (mu, beta), j in col_index.items():
-        for h in range(n):
-            for alpha in range(d):
-                i = d * h + alpha
-                if mu[i] == 0:
-                    continue
-                nu = list(mu)
-                nu[i] -= 1
-                gamma, sign = table[alpha][beta]
-                key = (h, tuple(nu), gamma)
-                row = row_map.setdefault(key, {})
-                row[j] = row.get(j, Fraction(0)) + sign
-                if row[j] == 0:
-                    del row[j]
-    degree = sum(columns[0][0]) if columns else 0
-    sys_rows = []
-    row_keys = []
-    for key in sorted(row_map):
-        sys_rows.append(row_map[key])
-        row_keys.append(key)
-    return GradedSystem(algebra, n, degree, columns, sys_rows, row_keys)
 
 
 def _poly_from_columns(algebra, n, columns, values):
@@ -149,25 +104,12 @@ def _poly_from_columns(algebra, n, columns, values):
     return HPoly(algebra, n, {m: c for m, c in terms.items() if not c.is_zero()})
 
 
-def _rhs_divided(g_slice, row_keys):
-    """Right-hand side in the divided-power row basis (missing keys are 0)."""
-    out = []
-    for (h, nu, gamma) in row_keys:
-        coef = g_slice[h].terms.get(nu)
-        val = coef.coeffs[gamma] if coef is not None else Fraction(0)
-        out.append(val * _factorial_prod(nu))
-    return out
-
-
-def _rhs_is_covered(g_slice, row_keys):
-    """Every nonzero coefficient of the slice appears among the row keys."""
-    keys = set(row_keys)
-    for h, gh in enumerate(g_slice):
-        for nu, coef in gh.terms.items():
-            for gamma, c in enumerate(coef.coeffs):
-                if c != 0 and (h, nu, gamma) not in keys:
-                    return False
-    return True
+def _rhs_divided(g_slice):
+    """Right-hand side keyed like the rows of ``dbar_images``:
+    x^nu = nu! x^[nu]."""
+    return {(h, nu, gamma): c * _factorial_prod(nu)
+            for h, gh in enumerate(g_slice)
+            for nu, gamma, c in _nonzero_coefficients(gh)}
 
 
 def _homogeneous_slice(g, k):
@@ -180,34 +122,28 @@ def _solve_homogeneous(g_slice, k, algebra, n, max_unknowns):
     """Solve dbar u = g_slice with u homogeneous of degree k + 1, or None."""
     width = DIM[algebra] * n
     d = DIM[algebra]
-    # support-restricted candidates: shifts of the right-hand-side support
-    support = set()
-    for gh in g_slice:
-        support.update(gh.terms)
-    candidates = set()
-    for nu in support:
-        for i in range(width):
-            mu = list(nu)
-            mu[i] += 1
-            for beta in range(d):
-                candidates.add((tuple(mu), beta))
+    # support-restricted candidates: shifts of the right-hand-side support.
+    # They cover every rhs row (h, nu, gamma): alpha = 0 maps the column
+    # (nu + e_{d*h}, gamma) onto it.
+    candidates = {(nu[:i] + (nu[i] + 1,) + nu[i + 1:], beta)
+                  for gh in g_slice for nu in gh.terms
+                  for i in range(width) for beta in range(d)}
     attempts = [candidates]
-    full = {(mu, beta) for mu in _monomials_of_degree(width, k + 1)
+    full = {(mu, beta) for mu in monomials(width, k + 1)
             for beta in range(d)}
     if candidates != full:
         attempts.append(full)
+    rhs = _rhs_divided(g_slice)
     for cand in attempts:
         if len(cand) > max_unknowns:
             raise BudgetExceeded(
                 f"homogeneous solve needs {len(cand)} unknowns "
                 f"(cap {max_unknowns})")
-        system = _build_graded_system(algebra, n, cand)
-        if not _rhs_is_covered(g_slice, system.row_keys):
-            continue
-        rhs = _rhs_divided(g_slice, system.row_keys)
-        sol = solve_sparse(system.rows, rhs, len(system.columns))
+        columns = sorted(cand)
+        rows, values = _assemble(dbar_images(algebra, n, columns), rhs)
+        sol = solve_sparse(rows, values, len(columns))
         if sol is not None:
-            return _poly_from_columns(algebra, n, system.columns, sol)
+            return _poly_from_columns(algebra, n, columns, sol)
     return None
 
 
@@ -258,17 +194,15 @@ def regular_kernel_basis(algebra, n, degree, max_unknowns=200000):
     conjugate-Fueter operator.  Deterministic order."""
     width = DIM[algebra] * n
     d = DIM[algebra]
-    candidates = {(mu, beta)
-                  for k in range(degree + 1)
-                  for mu in _monomials_of_degree(width, k)
-                  for beta in range(d)}
-    if len(candidates) > max_unknowns:
-        raise BudgetExceeded(f"kernel basis needs {len(candidates)} unknowns")
-    system = _build_graded_system(algebra, n, candidates)
-    basis_vectors = nullspace_sparse(system.rows, len(system.columns))
-    out = []
-    for vec in basis_vectors:
-        out.append(_poly_from_columns(algebra, n, system.columns, vec))
+    columns = sorted((mu, beta)
+                     for k in range(degree + 1)
+                     for mu in monomials(width, k)
+                     for beta in range(d))
+    if len(columns) > max_unknowns:
+        raise BudgetExceeded(f"kernel basis needs {len(columns)} unknowns")
+    rows, _ = _assemble(dbar_images(algebra, n, columns), {})
+    out = [_poly_from_columns(algebra, n, columns, vec)
+           for vec in nullspace_sparse(rows, len(columns))]
     for p in out:
         for h in range(n):
             if not fueter_dbar(p, h).is_zero():
@@ -312,14 +246,6 @@ def rho_adic_digits(poly, S, count):
     return digits
 
 
-def _nonzero_coefficients(poly):
-    """(exponent, unit index, coefficient) for every nonzero coefficient."""
-    for exp, coef in poly.terms.items():
-        for gamma, c in enumerate(coef.coeffs):
-            if c != 0:
-                yield exp, gamma, c
-
-
 def _extend(f, S, budget, max_unknowns, conditions):
     """F = f + rho P with deg P < budget and ``conditions(F)`` empty, or None
     when no such P exists.
@@ -336,17 +262,12 @@ def _extend(f, S, budget, max_unknowns, conditions):
     base = conditions(f)
     # columns: monomial/unit coefficients of P with deg(rho * P) <= budget
     columns = [(mu, beta) for k in range(budget)
-               for mu in _monomials_of_degree(8, k) for beta in range(4)]
+               for mu in monomials(8, k) for beta in range(4)]
     if len(columns) > max_unknowns:
         raise BudgetExceeded(f"extension needs {len(columns)} unknowns")
-    row_map = {}
-    for j, (mu, beta) in enumerate(columns):
-        basis_poly = S.rho * HPoly("H", 2, {mu: HNumber.unit("H", beta)})
-        for key, c in conditions(basis_poly).items():
-            row_map.setdefault(key, {})[j] = c
-    keys = sorted(set(row_map) | set(base))
-    rows = [row_map.get(k, {}) for k in keys]
-    rhs = [-base.get(k, Fraction(0)) for k in keys]
+    images = (conditions(S.rho * HPoly("H", 2, {mu: HNumber.unit("H", beta)}))
+              for mu, beta in columns)
+    rows, rhs = _assemble(images, {k: -c for k, c in base.items()})
     sol = solve_sparse(rows, rhs, len(columns))
     if sol is None:
         return None

@@ -224,23 +224,22 @@ class Hypersurface:
         while len(out) < count:
             attempts += 1
             if attempts > 200 * count:
-                raise RuntimeError("sampling failed to converge")
+                raise ValueError("sampling failed to converge: S may have "
+                                 "no real points")
             p = np.array([rng.uniform(-span, span) for _ in range(8)])
-            ok = True
             for _ in range(80):
                 val = float(self.rho.evaluate(tuple(p)).coeffs[0])
-                if abs(val) < 1e-13:
-                    break
                 g = np.array([float(c) for c in self.gradient_at(tuple(p))])
                 nsq = float(g @ g)
+                if abs(val) < 1e-13:
+                    if nsq < 1e-12:
+                        raise ValueError("rho is singular at a point of S: "
+                                         "its gradient vanishes")
+                    out.append(tuple(float(x) for x in p))
+                    break
                 if nsq < 1e-12:
-                    ok = False
                     break
                 p = p - val * g / nsq
-            else:
-                ok = False
-            if ok and abs(float(self.rho.evaluate(tuple(p)).coeffs[0])) < 1e-12:
-                out.append(tuple(float(x) for x in p))
         return out
 
     # -- serialization --------------------------------------------------------------

@@ -104,12 +104,9 @@ class Echelon:
         self.back_substitute()
         sol = [Fraction(0)] * ncols
         for lead, row in self.pivots.items():
-            rhs = row.get(_RHS, Fraction(0))
             # after RREF the only non-pivot columns left in the row are free;
             # free variables are zero, so the pivot value is just rhs.
-            extra = sum(row[c] * sol[c] for c in row
-                        if c not in (_RHS, lead) and c not in self.pivots)
-            sol[lead] = rhs - extra
+            sol[lead] = row.get(_RHS, Fraction(0))
         return sol
 
     def nullspace(self, ncols):

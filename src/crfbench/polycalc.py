@@ -32,8 +32,9 @@ family is equivalent to vanishing of the other.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
-from .hypercomplex import ALGEBRAS, DIM, AlgebraMismatch, HNumber
+from .hypercomplex import ALGEBRAS, DIM, MUL_TABLE, AlgebraMismatch, HNumber
 
 SCHEMA_VERSION = 1
 
@@ -427,6 +428,46 @@ def laplacian(p, h):
 def dbar_system(u):
     """The overdetermined conjugate-Fueter system: [dbar_h u for all h]."""
     return [fueter_dbar(u, h) for h in range(u.n)]
+
+
+# ---------------------------------------------------------------------------
+# the conjugate-Fueter stencil in the divided-power basis
+# ---------------------------------------------------------------------------
+
+def monomials(width, k):
+    """Exponent tuples of total degree k in ``width`` coordinates, in
+    decreasing lexicographic order."""
+    out = []
+    for combo in combinations_with_replacement(range(width), k):
+        exp = [0] * width
+        for i in combo:
+            exp[i] += 1
+        out.append(tuple(exp))
+    return out
+
+
+def dbar_images(algebra, n, columns):
+    """Image of each column (mu, beta) under the conjugate-Fueter system,
+    generated lazily in column order.
+
+    Column (mu, beta) is x^[mu] i_beta in the divided-power basis
+    x^[mu] = x^mu / mu!, where d/dx_i x^[mu] = x^[mu - e_i].  Its image is
+    {(h, nu, gamma): sign}: dbar_h x^[mu] i_beta has coefficient sign on
+    x^[nu] i_gamma, with nu = mu - e_{d*h + alpha} and
+    i_alpha * i_beta = sign * i_gamma.  Distinct alpha give distinct nu, so
+    entries never collide and every one is -1 or +1.
+    """
+    d = DIM[algebra]
+    table = MUL_TABLE[algebra]
+    for mu, beta in columns:
+        image = {}
+        for h in range(n):
+            for alpha in range(d):
+                i = d * h + alpha
+                if mu[i]:
+                    gamma, sign = table[alpha][beta]
+                    image[(h, mu[:i] + (mu[i] - 1,) + mu[i + 1:], gamma)] = sign
+        yield image
 
 
 def compat_pbar(g):

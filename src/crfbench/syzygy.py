@@ -25,16 +25,19 @@ syzygy rows mechanically:
   published P-bar operators.
 
 ``syzygy_dim`` counts all degree-k syzygies by exact linear algebra over Q.
+The equations v . M = 0 are the transpose of dbar on degree k+1: the
+coefficient of d^mu in column beta of v . M is the image of x^[mu] i_beta
+under :func:`crfbench.polycalc.dbar_images`, read with row (h, nu, gamma)
+as the unknown "coefficient of d^nu in v[(h, gamma)]".
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from .hypercomplex import DIM, MUL_TABLE, HNumber
 from .linalg import Echelon, rank_of
-from .polycalc import HPoly, compat_pbar
+from .polycalc import HPoly, compat_pbar, dbar_images, monomials
 
 
 class ResourceBudget(Exception):
@@ -271,17 +274,6 @@ def verify_syzygy(row, matrix):
 # graded dimension count
 # ---------------------------------------------------------------------------
 
-def _monomials(nsyms, k):
-    """Degree-k exponent tuples in deterministic (lexicographic) order."""
-    out = []
-    for combo in combinations_with_replacement(range(nsyms), k):
-        exp = [0] * nsyms
-        for i in combo:
-            exp[i] += 1
-        out.append(tuple(exp))
-    return out
-
-
 def row_coefficient_vector(row, k, mono_index):
     """Flatten a degree-k syzygy row into a sparse coefficient vector."""
     nmono = len(mono_index)
@@ -301,47 +293,35 @@ def syzygy_dim(algebra, n, k, max_unknowns=None):
 
     Pure exact linear algebra: unknowns are the coefficients of the n*d row
     entries on degree-k monomials; equations say each column of row . matrix
-    vanishes coefficientwise.  ``max_unknowns`` guards runaway sizes (raises
-    :class:`ResourceBudget`).
+    vanishes coefficientwise.  The equation system is the transpose of dbar
+    on degree k+1: equation (beta, mu) is the image of the column
+    (mu, beta), and its entry (h, nu, gamma) is the unknown at index
+    (d*h + gamma) * len(monomials) + index(nu).  ``max_unknowns`` guards
+    runaway sizes (raises :class:`ResourceBudget`).
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
     d = DIM[algebra]
     nsyms = d * n
-    monos = _monomials(nsyms, k)
+    monos = monomials(nsyms, k)
     mono_index = {e: i for i, e in enumerate(monos)}
     nunknowns = n * d * len(monos)
     if max_unknowns is not None and nunknowns > max_unknowns:
         raise ResourceBudget(
             f"{nunknowns} unknowns exceed budget {max_unknowns}")
-    matrix = build_dbar_matrix(algebra, n)
-    # equations indexed by (column beta, degree-(k+1) monomial)
-    equations = {}
-    for j in range(n * d):
-        for beta in range(d):
-            entry = matrix[j][beta]
-            for s_exp, c in entry.terms.items():
-                s = next(i for i, e in enumerate(s_exp) if e)
-                for mi, mu in enumerate(monos):
-                    mu_s = mu[:s] + (mu[s] + 1,) + mu[s + 1:]
-                    key = (beta, mu_s)
-                    row = equations.get(key)
-                    if row is None:
-                        row = equations[key] = {}
-                    col = j * len(monos) + mi
-                    row[col] = row.get(col, Fraction(0)) + c
+    targets = sorted(monomials(nsyms, k + 1))
+    equations = ((mu, beta) for beta in range(d) for mu in targets)
     ech = Echelon()
-    for key in sorted(equations):
-        row = {c: v for c, v in equations[key].items() if v}
-        if row:
-            ech.add_row(row)
+    for image in dbar_images(algebra, n, equations):
+        ech.add_row({(d * h + gamma) * len(monos) + mono_index[nu]: sign
+                     for (h, nu, gamma), sign in image.items()})
     return nunknowns - ech.rank
 
 
 def compat_rows_rank(algebra, n, k=2):
     """Rank of the compat syzygy rows as degree-k coefficient vectors."""
     d = DIM[algebra]
-    monos = _monomials(d * n, k)
+    monos = monomials(d * n, k)
     mono_index = {e: i for i, e in enumerate(monos)}
     vecs = [row_coefficient_vector(r, k, mono_index) for r in all_compat_rows(algebra, n)]
     return rank_of(vecs)

@@ -1,12 +1,15 @@
 """Command-line interface: reports, formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import crfbench
 from crfbench.cli import main
 from crfbench.hypercomplex import HNumber
 from crfbench.polycalc import HPoly, dbar_system
@@ -236,7 +239,9 @@ def test_jump_feasible_and_infeasible(tmp_path, capsys):
     (coord(0, 1), HPoly.zero("H", 2)),
     (HPoly.coordinate("H", 1, 0, 1), coord(1, 3)),
     (HPoly.coordinate("O", 2, 0, 1), coord(1, 3)),
-], ids=["constant-rho", "zero-rho", "one-variable-f", "octonionic-f"])
+    (coord(0, 1), coord(0, 0) * coord(0, 0)),
+], ids=["constant-rho", "zero-rho", "one-variable-f", "octonionic-f",
+        "singular-rho"])
 def test_malformed_function_surface(tmp_path, capsys, command, f, rho):
     path = write_function_surface(tmp_path / "bad.json", f, rho)
     code, _, err = run(capsys, [command, "--input", path])
@@ -267,7 +272,11 @@ def test_wrong_schema_version(tmp_path, capsys):
 
 
 def test_console_script_runs():
+    # the child imports the same crfbench as this process
+    src = str(Path(crfbench.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "crfbench.cli", "--version"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0

@@ -1,5 +1,6 @@
 """Exact solvers: graded conjugate-Fueter solve, kernels, extensions, jumps."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crfbench.hypercomplex import DIM, HNumber
-from crfbench.polycalc import HPoly, dbar_system, fueter_dbar
+from crfbench.polycalc import (HPoly, dbar_images, dbar_system, fueter_dbar,
+                               monomials)
 from crfbench.hypersurface import Hypersurface, _reduce_mod_affine, is_admissible
 from crfbench import crfsolve as cs
 
@@ -30,6 +32,10 @@ def rand_poly(rng, algebra, n, deg=3, terms=5):
 
 def coord(h, a):
     return HPoly.coordinate("H", 2, h, a)
+
+
+def factorial_prod(exp):
+    return math.prod(math.factorial(e) for e in exp)
 
 
 @pytest.fixture(scope="module")
@@ -143,14 +149,23 @@ def test_round_trip_property(seed):
 
 def test_divided_power_entries_are_units():
     """In the divided-power basis the operator matrix has entries in
-    {-1, 0, +1} (zeros are never stored)."""
+    {-1, 0, +1} (zeros are never stored), and each column's image is
+    fueter_dbar of x^mu/mu! i_beta read in the x^[nu] = x^nu/nu! basis."""
     for algebra in ("H", "O"):
         width = DIM[algebra] * 2
-        cand = {(mu, beta)
-                for mu in cs._monomials_of_degree(width, 3)[:40]
-                for beta in range(DIM[algebra])}
-        system = cs._build_graded_system(algebra, 2, cand)
-        assert system.entry_values() <= {Fraction(-1), Fraction(1)}
+        columns = [(mu, beta)
+                   for mu in monomials(width, 3)[:40]
+                   for beta in range(DIM[algebra])]
+        for (mu, beta), image in zip(columns,
+                                     dbar_images(algebra, 2, columns)):
+            assert set(image.values()) <= {Fraction(-1), Fraction(1)}
+            u = HPoly(algebra, 2, {mu: HNumber.unit(algebra, beta).scale(
+                Fraction(1, factorial_prod(mu)))})
+            expected = {(h, nu, gamma): c * factorial_prod(nu)
+                        for h in range(2)
+                        for nu, coef in fueter_dbar(u, h).terms.items()
+                        for gamma, c in enumerate(coef.coeffs) if c}
+            assert image == expected
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,12 @@ def test_rho_must_be_scalar():
             hs.Hypersurface(rho)
 
 
+def test_sampling_rejects_a_surface_without_real_points():
+    S = hs.Hypersurface(coord(0, 0) * coord(0, 0) + const(1))
+    with pytest.raises(ValueError, match="no real points"):
+        S.sample_points(1)
+
+
 def test_sample_points_lie_on_surface(flat, mixed, sphere):
     for S in (flat, mixed):
         for p in S.sample_points(10, seed=3):
