@@ -13,10 +13,14 @@ rationals:
   find an extension F = f + rho P whose conjugate-Fueter image vanishes to
   order m on S (m = 1 recovers tangential CRF, m = 2 is the admissibility
   order).  Feasibility at m = 2 characterizes admissible boundary functions.
+  Vanishing order is read off rho-adic digits, which on an affine S are
+  Taylor coefficients in the pivot coordinate.
 
 * ``jump_split``: produce a two-sided regular decomposition (F+, F-) of a
   boundary function that admits a global polynomial regular extension; the
-  pair returned is (F, 0) with dbar F = 0 exactly.
+  pair returned is (F, 0) with dbar F = 0 exactly.  This is the extension to
+  full order: deg dbar F < max(deg f, budget), so vanishing to that order
+  means dbar F = 0.
 
 Failures are reported honestly: incompatible right-hand sides raise
 :class:`CompatibilityViolation`, resource caps raise :class:`BudgetExceeded`,
@@ -30,7 +34,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .hypercomplex import DIM, HNumber
+from .hypercomplex import DIM, MUL_TABLE, HNumber
 from .linalg import nullspace_sparse, solve_sparse
 from .polycalc import (HPoly, compat_pbar, dbar_images, dbar_system,
                        fueter_dbar, monomials)
@@ -214,68 +218,64 @@ def regular_kernel_basis(algebra, n, degree, max_unknowns=200000):
 # rho-adic tools for affine hypersurfaces
 # ---------------------------------------------------------------------------
 
-def _divmod_affine(poly, S):
-    """(quotient, remainder) with poly = rho * quotient + remainder and the
-    remainder free of the pivot coordinate."""
-    grad, piv, sub, const = S.affine_form()
-    remainder = poly.substitute_linear(piv, sub, const)
-    diff = poly - remainder
-    quotient = HPoly.zero(poly.algebra, poly.n)
-    inv = Fraction(1) / grad[piv]
-    while not diff.is_zero():
-        deg = max(e[piv] for e in diff.terms)
-        if deg == 0:
-            raise AssertionError("internal error: nonzero pivot-free residue")
-        lead = {e: c for e, c in diff.terms.items() if e[piv] == deg}
-        part = HPoly(poly.algebra, poly.n,
-                     {tuple(v - (1 if i == piv else 0) for i, v in enumerate(e)): c.scale(inv)
-                      for e, c in lead.items()})
-        quotient = quotient + part
-        diff = diff - S.rho * part
-    return quotient, remainder
-
-
 def rho_adic_digits(poly, S, count):
     """First ``count`` digits of the rho-adic expansion of poly on affine S:
-    poly = d_0 + rho d_1 + rho^2 d_2 + ... with pivot-free digits."""
+    poly = d_0 + rho d_1 + rho^2 d_2 + ... with pivot-free digits.
+
+    With rho = g_p (x_p - s(x)) and s free of the pivot x_p, the digits are
+    Taylor coefficients in x_p about s: d_j = (d_p^j poly)(x_p = s) / (j! g_p^j).
+    """
+    grad, piv, sub, const = S.affine_form()
     digits = []
-    cur = poly
-    for _ in range(count):
-        cur, rem = _divmod_affine(cur, S)
-        digits.append(rem)
+    cur = poly      # d_p^j poly / (j! g_p^j)
+    for j in range(count):
+        digits.append(cur.substitute_linear(piv, sub, const))
+        cur = cur.partial_flat(piv).scale(Fraction(1, j + 1) / grad[piv])
     return digits
 
 
-def _extend(f, S, budget, max_unknowns, conditions):
-    """F = f + rho P with deg P < budget and ``conditions(F)`` empty, or None
-    when no such P exists.
+def _dbar_digits(poly, S, m):
+    """{(h, digit, exponent, gamma): Fraction} for the nonzero coefficients of
+    rho-adic digits 0..m-1 of dbar_h poly, h = 0, 1."""
+    return {(h, j, exp, gamma): c
+            for h in range(2)
+            for j, digit in enumerate(rho_adic_digits(fueter_dbar(poly, h), S, m))
+            for exp, gamma, c in _nonzero_coefficients(digit)}
 
-    ``conditions`` maps a polynomial to its nonzero linear conditions,
-    {row key: Fraction}; it must be linear in the polynomial.
-    """
+
+def _extend(f, S, m, budget, max_unknowns):
+    """F = f + rho P with deg P < budget and dbar F vanishing to order m on
+    S (zero rho-adic digits 0..m-1), or None when no such P exists."""
     if f.algebra != "H" or f.n != 2:
         raise ValueError("extension problems live on two quaternionic "
                          "variables")
     if not S.is_affine:
         raise ValueError("extension problems are implemented for affine "
                          "hypersurfaces")
-    base = conditions(f)
-    # columns: monomial/unit coefficients of P with deg(rho * P) <= budget
-    columns = [(mu, beta) for k in range(budget)
-               for mu in monomials(8, k) for beta in range(4)]
-    if len(columns) > max_unknowns:
-        raise BudgetExceeded(f"extension needs {len(columns)} unknowns")
-    images = (conditions(S.rho * HPoly("H", 2, {mu: HNumber.unit("H", beta)}))
-              for mu, beta in columns)
-    rows, rhs = _assemble(images, {k: -c for k, c in base.items()})
-    sol = solve_sparse(rows, rhs, len(columns))
+    # unknowns: the coefficient of x^mu i_beta in P, deg(rho * P) <= budget
+    monos = [mu for k in range(budget) for mu in monomials(8, k)]
+    if 4 * len(monos) > max_unknowns:
+        raise BudgetExceeded(f"extension needs {4 * len(monos)} unknowns")
+    table = MUL_TABLE["H"]
+
+    def images():
+        # dbar and the digits are right H-linear, so the image of
+        # rho x^mu i_beta is that of rho x^mu with i_gamma -> i_gamma i_beta.
+        for mu in monos:
+            image = _dbar_digits(S.rho * HPoly("H", 2, {mu: HNumber.one("H")}),
+                                 S, m)
+            for beta in range(4):
+                yield {(h, j, exp, table[gamma][beta][0]):
+                       c * table[gamma][beta][1]
+                       for (h, j, exp, gamma), c in image.items()}
+
+    rhs = {k: -c for k, c in _dbar_digits(f, S, m).items()}
+    rows, values = _assemble(images(), rhs)
+    sol = solve_sparse(rows, values, 4 * len(monos))
     if sol is None:
         return None
-    coeffs = {}
-    for (mu, beta), c in zip(columns, sol):
-        if c != 0:
-            coeffs.setdefault(mu, [Fraction(0)] * 4)[beta] = c
-    P = HPoly("H", 2, {mu: HNumber("H", cs) for mu, cs in coeffs.items()})
+    P = HPoly("H", 2, {mu: HNumber("H", sol[4 * i:4 * i + 4])
+                       for i, mu in enumerate(monos)})
     return f + S.rho * P
 
 
@@ -287,28 +287,21 @@ def crf_extend(f, S, m=2, budget=None, max_unknowns=200000):
     caps deg F (default: deg f + 2).  Raises
     :class:`NoPolynomialExtensionWithinBudget` when the linear problem is
     infeasible within the budget.  m = 2 is feasible exactly for admissible
-    boundary data; m = 1 for tangentially CRF data.
+    boundary data; m = 1 for tangentially CRF data.  Any m at or above
+    max(deg f, budget) asks for dbar F = 0, the problem of :func:`jump_split`.
     """
     if m < 1:
         raise ValueError("vanishing order m must be at least 1")
     if budget is None:
         budget = max(f.degree(), 0) + 2
-
-    def digit_conditions(poly):
-        """(h, digit, exponent, gamma) -> Fraction rows for digits 0..m-1 of
-        the conjugate-Fueter image of poly."""
-        return {(h, j, exp, gamma): c
-                for h in range(2)
-                for j, digit in enumerate(
-                    rho_adic_digits(fueter_dbar(poly, h), S, m))
-                for exp, gamma, c in _nonzero_coefficients(digit)}
-
-    F = _extend(f, S, budget, max_unknowns, digit_conditions)
+    # deg dbar F < max(deg f, budget), so higher digits are identically zero
+    order = min(m, max(f.degree(), budget))
+    F = _extend(f, S, order, budget, max_unknowns)
     if F is None:
         raise NoPolynomialExtensionWithinBudget(
             f"no extension with vanishing order {m} and degree <= {budget}")
     for h in range(2):
-        digits = rho_adic_digits(fueter_dbar(F, h), S, m)
+        digits = rho_adic_digits(fueter_dbar(F, h), S, order)
         if any(not dgt.is_zero() for dgt in digits):
             raise AssertionError("internal error: extension failed verification")
     return F
@@ -318,21 +311,15 @@ def jump_split(f, S, budget=None, max_unknowns=200000):
     """Two-sided regular splitting (F+, F-) of f across affine S.
 
     Seeks a global polynomial F with F = f on S and dbar F = 0 exactly; the
-    splitting is then (F, 0).  Raises :class:`NotAdmissibleOrBudget` if no
-    such polynomial exists within the degree budget: the data is either not
-    admissible, or admissible with no polynomial realization this small.
+    splitting is then (F, 0).  Since deg dbar F < max(deg f, budget), this is
+    the extension to order max(deg f, budget).  Raises
+    :class:`NotAdmissibleOrBudget` if no such polynomial exists within the
+    degree budget: the data is either not admissible, or admissible with no
+    polynomial realization this small.
     """
     if budget is None:
         budget = max(f.degree(), 0) + 2
-
-    def image_conditions(poly):
-        """(h, exponent, gamma) -> Fraction rows for the conjugate-Fueter
-        image of poly."""
-        return {(h, exp, gamma): c
-                for h in range(2)
-                for exp, gamma, c in _nonzero_coefficients(fueter_dbar(poly, h))}
-
-    F = _extend(f, S, budget, max_unknowns, image_conditions)
+    F = _extend(f, S, max(f.degree(), budget), budget, max_unknowns)
     if F is None:
         raise NotAdmissibleOrBudget(
             f"no regular polynomial extension with degree <= {budget}")

@@ -223,7 +223,7 @@ class Hypersurface:
         attempts = 0
         while len(out) < count:
             attempts += 1
-            if attempts > 200 * count:
+            if attempts > 200 * (len(out) + 1):
                 raise ValueError("sampling failed to converge: S may have "
                                  "no real points")
             p = np.array([rng.uniform(-span, span) for _ in range(8)])

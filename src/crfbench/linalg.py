@@ -101,12 +101,13 @@ class Echelon:
         """
         if not self.track_rhs:
             raise ValueError("echelon built without rhs tracking")
-        self.back_substitute()
         sol = [Fraction(0)] * ncols
-        for lead, row in self.pivots.items():
-            # after RREF the only non-pivot columns left in the row are free;
-            # free variables are zero, so the pivot value is just rhs.
-            sol[lead] = row.get(_RHS, Fraction(0))
+        # back-substitution in decreasing pivot order; free variables are
+        # zero, so only later pivot columns contribute.
+        for lead in sorted(self.pivots, reverse=True):
+            row = self.pivots[lead]
+            sol[lead] = row.get(_RHS, Fraction(0)) - sum(
+                v * sol[c] for c, v in row.items() if c > lead and sol[c])
         return sol
 
     def nullspace(self, ncols):

@@ -240,8 +240,9 @@ def test_jump_feasible_and_infeasible(tmp_path, capsys):
     (HPoly.coordinate("H", 1, 0, 1), coord(1, 3)),
     (HPoly.coordinate("O", 2, 0, 1), coord(1, 3)),
     (coord(0, 1), coord(0, 0) * coord(0, 0)),
+    (coord(0, 1), coord(0, 0) * coord(0, 0) + HPoly.constant("H", 2, 1)),
 ], ids=["constant-rho", "zero-rho", "one-variable-f", "octonionic-f",
-        "singular-rho"])
+        "singular-rho", "no-real-points"])
 def test_malformed_function_surface(tmp_path, capsys, command, f, rho):
     path = write_function_surface(tmp_path / "bad.json", f, rho)
     code, _, err = run(capsys, [command, "--input", path])

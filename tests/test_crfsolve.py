@@ -215,9 +215,12 @@ def test_divmod_affine_identity(flat):
     rng = random.Random(47)
     for _ in range(6):
         p = rand_poly(rng, "H", 2, deg=3, terms=5)
-        q, r = cs._divmod_affine(p, flat)
-        assert flat.rho * q + r == p
-        assert all(e[7] == 0 for e in r.terms)
+        digits = cs.rho_adic_digits(p, flat, p.degree() + 1)
+        rebuilt = HPoly.zero("H", 2)
+        for j, d in enumerate(digits):
+            rebuilt = rebuilt + flat.rho ** j * d
+            assert all(e[7] == 0 for e in d.terms)
+        assert rebuilt == p
 
 
 def test_rho_adic_digits_golden(flat):
@@ -265,6 +268,8 @@ def test_admissible_data_extends_to_order_two(flat):
         for h in range(2):
             digits = cs.rho_adic_digits(fueter_dbar(F, h), flat, 2)
             assert all(d.is_zero() for d in digits)
+        # orders above max(deg f, budget) add no condition
+        assert cs.crf_extend(f, flat, m=10 ** 6) == F
 
 
 def test_extend_on_tilted_surface():
@@ -307,6 +312,22 @@ def test_jump_split_of_extendable_data(flat):
     u1, u2 = dbar_system(Fp)
     assert u1.is_zero() and u2.is_zero()
     assert _reduce_mod_affine(Fp - f, flat).is_zero()
+
+
+def test_jump_is_the_extension_to_full_order(flat, counterexample):
+    """At the default budget deg f + 2, full order is max(deg f, budget)
+    = deg f + 2."""
+    tilted = Hypersurface(
+        coord(0, 0) + coord(1, 1).scale(2) - HPoly.constant("H", 2, 1))
+    rng = random.Random(51)
+    for S in (flat, tilted):
+        f = regular_poly(rng) + S.rho * rand_poly(rng, "H", 2, deg=1, terms=3)
+        assert cs.jump_split(f, S)[0] == \
+            cs.crf_extend(f, S, m=f.degree() + 2)
+        with pytest.raises(cs.NotAdmissibleOrBudget):
+            cs.jump_split(counterexample, S)
+        with pytest.raises(cs.NoPolynomialExtensionWithinBudget):
+            cs.crf_extend(counterexample, S, m=counterexample.degree() + 2)
 
 
 def test_jump_split_rejects_counterexample(flat, counterexample):

@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from crfbench.linalg import Echelon, Inconsistent, nullspace_sparse, rank_of, solve_sparse
+from crfbench.linalg import (_RHS, Echelon, Inconsistent, nullspace_sparse,
+                             rank_of, solve_sparse)
 
 
 def dense_to_rows(mat):
@@ -68,3 +69,21 @@ def test_free_variables_are_zero_in_particular_solution():
     # x + y = 2 with free y: solution must be (2, 0)
     sol = solve_sparse([{0: Fraction(1), 1: Fraction(1)}], [Fraction(2)], 2)
     assert sol == [Fraction(2), Fraction(0)]
+    # the random consistent systems: back-substitution is zero off the
+    # pivots and agrees with the read-out of the reduced row echelon form
+    rng = random.Random(101)
+    for _ in range(50):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+        b = [sum(Fraction(mat[i][j]) * x[j] for j in range(n)) for i in range(m)]
+        ech = Echelon(track_rhs=True)
+        for row, rhs in zip(dense_to_rows(mat), b):
+            ech.add_row(row, rhs)
+        sol = ech.solution(n)
+        assert all(sol[c] == 0 for c in range(n) if c not in ech.pivots)
+        ech.back_substitute()
+        rref = [Fraction(0)] * n
+        for lead, row in ech.pivots.items():
+            rref[lead] = row.get(_RHS, Fraction(0))
+        assert sol == rref
