@@ -219,11 +219,10 @@ def cmd_verify_identities(args):
 def cmd_check(args):
     payload, f, S = _load_function_surface(args.input)
     checks = []
-    crf = hsur.is_crf(f, S, tol=args.tol)
+    rep = hsur.is_admissible(f, S, tol=args.tol)
+    crf = rep.crf
     backend = crf.backend
     checks.append(_check("tangentially_crf", crf.holds, backend=backend))
-    rep = hsur.is_admissible(f, S, tol=max(args.tol, 1e-6) if not S.is_affine
-                             else args.tol)
     checks.append(_check("admissible", rep.admissible, backend=backend))
     bad = sorted(name for name, sub in rep.derived.items() if not sub.holds)
     result = {"derived_failures": bad}

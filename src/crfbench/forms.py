@@ -35,7 +35,7 @@ import math
 from fractions import Fraction
 
 from .hypercomplex import DIM, HNumber
-from .polycalc import HPoly, fueter_dbar
+from .polycalc import HPoly, _fueter, fueter_dbar
 
 SCHEMA_VERSION = 1
 
@@ -68,10 +68,7 @@ class PoleRingElement:
             raise ValueError("pole point required when m > 0")
         self.num = num
         self.m = m if not num.is_zero() else 0
-        if self.m == 0:
-            self.pole = tuple(Fraction(p) for p in pole) if pole is not None else None
-        else:
-            self.pole = tuple(Fraction(p) for p in pole)
+        self.pole = tuple(Fraction(p) for p in pole) if pole is not None else None
 
     @classmethod
     def from_poly(cls, p):
@@ -621,22 +618,12 @@ def cf_kernel_quaternion(q0):
 
 def pole_fueter_dbar(g, h=0):
     """Conjugate-Fueter derivative of a pole-ring element (left units)."""
-    d = DIM[g.algebra]
-    out = None
-    for alpha in range(d):
-        term = HNumber.unit(g.algebra, alpha) * g.partial_flat(d * h + alpha)
-        out = term if out is None else out + term
-    return out
+    return _fueter(g, h, conjugate=False, right=False)
 
 
 def pole_fueter_dbar_right(g, h=0):
     """Right-module variant (quaternionic)."""
-    d = DIM[g.algebra]
-    out = None
-    for alpha in range(d):
-        term = g.partial_flat(d * h + alpha) * HNumber.unit(g.algebra, alpha)
-        out = term if out is None else out + term
-    return out
+    return _fueter(g, h, conjugate=False, right=True)
 
 
 #: Scalar normalization of the two-variable kernel form: 1 / (8 pi^4).

@@ -19,7 +19,12 @@ derivatives pack them with left units:
 
     f_(qbar_h) = sum_a i_a f_(x_{h,a}) = dbar_h f - g_h <g, Df> / |g|^2,
 
-with g_h the quaternion packing of gradient block h.  f is CRF on S iff both
+with g_h the quaternion packing of gradient block h, and the normal component
+is f_perp = sum_i nu_i f_(xi_i).  One helper, ``_tangential``, forms
+<g, Df> and this projection from the eight partials of f, on every route:
+exact and float points (``derived_at``), ambient polynomials on affine S
+(``derived_polys``, ``tangential_qbar_polys``) and finite differences of the
+derived functions on curved S (``is_admissible``).  f is CRF on S iff both
 vanish identically on S; f is *admissible* iff moreover all eight derived
 functions f_(xi_i) are CRF on S.
 
@@ -46,12 +51,14 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
 
 from .hypercomplex import HNumber
-from .polycalc import HPoly, fueter_dbar
+from .polycalc import HPoly
 
 SCHEMA_VERSION = 1
 
@@ -157,17 +164,6 @@ class Hypersurface:
         vals = [c * inv for c in gn]
         return (_pack(vals[:4], "float"), _pack(vals[4:], "float"))
 
-    def gradient_quaternions(self, p):
-        """Gradient blocks packed as quaternions (unnormalized), plus |g|^2."""
-        g = self.gradient_at(p)
-        nsq = sum(c * c for c in g)
-        if any(isinstance(c, float) for c in g):
-            g = [float(c) for c in g]
-            backend = "float"
-        else:
-            backend = "exact"
-        return _pack(g[:4], backend), _pack(g[4:], backend), nsq
-
     # -- frames and orientation ------------------------------------------------
 
     def omega_value(self, p, frame):
@@ -269,9 +265,32 @@ class TangentialData:
     f_qbar: tuple                 # (f_(qbar_1), f_(qbar_2))
 
 
-def _pairing_value(g1, g2, v1, v2):
-    """<(g1, g2), (v1, v2)> = conj(g1) v1 + conj(g2) v2."""
-    return g1.conj() * v1 + g2.conj() * v2
+def _tangential(partials, g):
+    """The one projection of Df off the gradient g (eight real scalars).
+
+    ``partials`` are the eight d f/d xi_i: HNumbers at a point (float exactly
+    when g is) or HPolys when g is constant.  Returns the tangential
+    coordinate derivatives f_(xi_i) and the tangential pair
+    (f_(qbar_1), f_(qbar_2)).
+    """
+    backend = "float" if any(isinstance(c, float) for c in g) else "exact"
+    units = [HNumber.unit("H", a, backend) for a in range(4)]
+    dbar = [reduce(add, (units[a] * partials[4 * h + a] for a in range(4)))
+            for h in range(2)]
+    g1, g2 = _pack(g[:4], backend), _pack(g[4:], backend)
+    pairing = g1.conj() * dbar[0] + g2.conj() * dbar[1]          # <g, Df>
+    inv = 1 / sum(c * c for c in g)
+    f_coord = tuple(d - pairing.scale(c * inv) for d, c in zip(partials, g))
+    f_qbar = (dbar[0] - g1 * pairing.scale(inv),
+              dbar[1] - g2 * pairing.scale(inv))
+    return f_coord, f_qbar
+
+
+def _dot(coeffs, vals):
+    """sum_i coeffs[i] vals[i], in floats when the coefficients are floats."""
+    if any(isinstance(c, float) for c in coeffs):
+        vals = [v.to_float() for v in vals]
+    return reduce(add, (v.scale(c) for v, c in zip(vals, coeffs)))
 
 
 def derived_at(f, S, p):
@@ -280,41 +299,12 @@ def derived_at(f, S, p):
     Exact at rational points; ``f_perp`` (and the normal) fall back to floats
     when |grad rho|^2 is not a perfect square.
     """
-    exact = _is_exact_point(p) and True
     pt = tuple(p)
-    g1, g2, nsq = S.gradient_quaternions(pt)
-    if g1.backend == "float":
-        exact = False
-    partials = [f.partial_flat(i).evaluate(pt) for i in range(8)]
-    dbar1 = fueter_dbar(f, 0).evaluate(pt)
-    dbar2 = fueter_dbar(f, 1).evaluate(pt)
-    if not exact:
-        partials = [v.to_float() for v in partials]
-        dbar1, dbar2 = dbar1.to_float(), dbar2.to_float()
-        g1, g2 = g1.to_float(), g2.to_float()
-        nsq = float(nsq)
-    pairing = _pairing_value(g1, g2, dbar1, dbar2)          # <g, Df>
-    inv_nsq = (Fraction(1) / nsq) if exact else (1.0 / nsq)
-    gvals = list(g1.coeffs) + list(g2.coeffs)
-    f_coord = tuple(
-        partials[i] - (pairing.scale(gvals[i] * inv_nsq)) for i in range(8))
-    f_qbar1 = dbar1 - g1 * pairing.scale(inv_nsq)
-    f_qbar2 = dbar2 - g2 * pairing.scale(inv_nsq)
-    # normal component: needs |g| itself
-    directional = None
-    for i in range(8):
-        t = partials[i].scale(gvals[i])
-        directional = t if directional is None else directional + t
-    root = _exact_sqrt(nsq) if exact else None
-    if root is not None:
-        inv_norm = Fraction(1) / root
-        f_perp = (directional - pairing).scale(inv_norm)
-        nu1, nu2 = g1.scale(inv_norm), g2.scale(inv_norm)
-    else:
-        inv_norm = 1.0 / math.sqrt(float(nsq))
-        f_perp = (directional - pairing).to_float().scale(inv_norm)
-        nu1, nu2 = g1.to_float().scale(inv_norm), g2.to_float().scale(inv_norm)
-    return TangentialData(pt, (nu1, nu2), f_perp, f_coord, (f_qbar1, f_qbar2))
+    f_coord, f_qbar = _tangential(
+        [f.partial_flat(i).evaluate(pt) for i in range(8)], S.gradient_at(pt))
+    normal = S.normal_at(pt)
+    f_perp = _dot(normal[0].coeffs + normal[1].coeffs, f_coord)
+    return TangentialData(pt, normal, f_perp, f_coord, f_qbar)
 
 
 def f_perp(f, S, p):
@@ -322,38 +312,14 @@ def f_perp(f, S, p):
 
 
 def f_perp_scaled(f, S, p):
-    """|grad rho| * f_perp: always exact at exact points."""
-    pt = tuple(p)
-    g1, g2, _ = S.gradient_quaternions(pt)
-    partials = [f.partial_flat(i).evaluate(pt) for i in range(8)]
-    dbar1 = fueter_dbar(f, 0).evaluate(pt)
-    dbar2 = fueter_dbar(f, 1).evaluate(pt)
-    if g1.backend == "float":
-        partials = [v.to_float() for v in partials]
-        dbar1, dbar2 = dbar1.to_float(), dbar2.to_float()
-    gvals = list(g1.coeffs) + list(g2.coeffs)
-    directional = None
-    for i in range(8):
-        t = partials[i].scale(gvals[i])
-        directional = t if directional is None else directional + t
-    return directional - _pairing_value(g1, g2, dbar1, dbar2)
+    """|grad rho| * f_perp = sum_i g_i f_(xi_i): always exact at exact points."""
+    return _dot(S.gradient_at(tuple(p)), derived_at(f, S, p).f_coord)
 
 
 def dbar_b(f, S, p):
     """Boundary conjugate-Fueter pair (-f_(qbar_1), -f_(qbar_2)) at p."""
     td = derived_at(f, S, p)
     return (-td.f_qbar[0], -td.f_qbar[1])
-
-
-def _affine_pairing(f, S):
-    """(g, g_1, g_2, <g, Df>, 1/|g|^2) for the constant gradient g of an
-    affine S, with g_1, g_2 its quaternion blocks."""
-    g = S.affine_form().gradient
-    g1 = _pack(g[:4], "exact")
-    g2 = _pack(g[4:], "exact")
-    pairing = fueter_dbar(f, 0).mul_const_left(g1.conj()) + \
-        fueter_dbar(f, 1).mul_const_left(g2.conj())
-    return g, g1, g2, pairing, Fraction(1) / sum(c * c for c in g)
 
 
 def derived_polys(f, S):
@@ -363,18 +329,15 @@ def derived_polys(f, S):
     global polynomials whose restrictions to S are the derived functions.
     Returns a dict keyed by coordinate name.
     """
-    g, _, _, pairing, inv = _affine_pairing(f, S)
-    return {name: f.partial_flat(i) - pairing.scale(g[i] * inv)
-            for i, name in enumerate(COORD_NAMES)}
+    g = S.affine_form().gradient
+    f_coord, _ = _tangential([f.partial_flat(i) for i in range(8)], g)
+    return dict(zip(COORD_NAMES, f_coord))
 
 
 def tangential_qbar_polys(f, S):
     """f_(qbar_1), f_(qbar_2) as ambient polynomials (affine S)."""
-    _, g1, g2, pairing, inv = _affine_pairing(f, S)
-    return (
-        fueter_dbar(f, 0) - pairing.mul_const_left(g1).scale(inv),
-        fueter_dbar(f, 1) - pairing.mul_const_left(g2).scale(inv),
-    )
+    g = S.affine_form().gradient
+    return _tangential([f.partial_flat(i) for i in range(8)], g)[1]
 
 
 def _reduce_mod_affine(poly, S):
@@ -409,6 +372,11 @@ class AdmissibilityReport:
         return self.admissible
 
 
+def _max_abs(pair):
+    """Largest absolute component of a quaternion pair, as a float."""
+    return max(abs(c) for v in pair for c in v.to_float().coeffs)
+
+
 def is_crf(f, S, samples=None, tol=1e-10):
     """Does f satisfy the tangential conjugate-Fueter system on S?
 
@@ -431,12 +399,9 @@ def is_crf(f, S, samples=None, tol=1e-10):
     if samples is None:
         samples = S.sample_points(25, seed=20240602)
     for p in samples:
-        td = derived_at(f, S, p)
-        v1, v2 = td.f_qbar
-        if v1.backend == "float" or v2.backend == "float":
-            err = max(max(abs(c) for c in v1.to_float().coeffs),
-                      max(abs(c) for c in v2.to_float().coeffs))
-            if err > tol:
+        v1, v2 = derived_at(f, S, p).f_qbar
+        if v1.backend == "float":
+            if _max_abs((v1, v2)) > tol:
                 return CrfResult(False, p, (v1, v2), backend="float")
         elif not (v1.is_zero() and v2.is_zero()):
             return CrfResult(False, p, (v1, v2))
@@ -444,92 +409,47 @@ def is_crf(f, S, samples=None, tol=1e-10):
     return CrfResult(True, backend=backend)
 
 
-def _derived_value_functions(f, S):
-    """Ambient extensions of the eight derived functions as callables
-    (float evaluation), for non-affine surfaces."""
-    dbar_polys = [fueter_dbar(f, 0), fueter_dbar(f, 1)]
-    partial_polys = [f.partial_flat(i) for i in range(8)]
-
-    def value(i, pt):
-        g = [float(c) for c in S.gradient_at(pt)]
-        nsq = sum(c * c for c in g)
-        g1 = _pack(g[:4], "float")
-        g2 = _pack(g[4:], "float")
-        d1 = dbar_polys[0].evaluate(pt).to_float()
-        d2 = dbar_polys[1].evaluate(pt).to_float()
-        pairing = _pairing_value(g1, g2, d1, d2)
-        return partial_polys[i].evaluate(pt).to_float() - \
-            pairing.scale(g[i] / nsq)
-
-    return value
-
-
-def _numeric_tangential_qbar(value_fn, i, S, p, step=1e-4):
-    """Tangential conjugate-Fueter pair of the i-th derived function at p,
-    via central finite differences of its ambient extension."""
-    pt = tuple(float(c) for c in p)
-    partials = []
-    for j in range(8):
-        hi = list(pt)
-        lo = list(pt)
-        hi[j] += step
-        lo[j] -= step
-        partials.append(
-            (value_fn(i, tuple(hi)) - value_fn(i, tuple(lo))).scale(1.0 / (2 * step)))
-    g = [float(c) for c in S.gradient_at(pt)]
-    nsq = sum(c * c for c in g)
-    g1 = _pack(g[:4], "float")
-    g2 = _pack(g[4:], "float")
-    d1 = None
-    d2 = None
-    for a in range(4):
-        u = HNumber.unit("H", a).to_float()
-        t1 = u * partials[a]
-        t2 = u * partials[4 + a]
-        d1 = t1 if d1 is None else d1 + t1
-        d2 = t2 if d2 is None else d2 + t2
-    pairing = _pairing_value(g1, g2, d1, d2)
-    return (d1 - g1 * pairing.scale(1.0 / nsq),
-            d2 - g2 * pairing.scale(1.0 / nsq))
-
-
-def is_admissible(f, S, samples=None, tol=1e-6):
+def is_admissible(f, S, samples=None, tol=1e-10):
     """CRF plus CRF of all eight derived functions.
 
     Affine surfaces: fully exact (global derived polynomials, identical
-    reduction).  General surfaces: the derived functions' tangential pairs
-    are formed with second-order central differences of their ambient
-    extensions and compared against ``tol`` on sampled points.
+    reduction).  General surfaces: CRF is judged at ``tol``; the derived
+    functions' tangential pairs are formed with second-order central
+    differences of their ambient extensions (one ``derived_at`` per stencil
+    point serves all eight) and compared against ``max(tol, 1e-6)`` on
+    sampled points.
     """
-    crf = is_crf(f, S, samples=samples)
+    crf = is_crf(f, S, samples=samples, tol=tol)
     report = AdmissibilityReport(admissible=bool(crf), crf=crf)
     if not crf.holds:
         return report
     if S.is_affine and samples is None:
         for name, g in derived_polys(f, S).items():
-            sub = is_crf(g, S)
-            report.derived[name] = sub
-            if not sub.holds:
-                report.admissible = False
-        return report
-    if samples is None:
-        samples = S.sample_points(10, seed=20240603)
-    value_fn = _derived_value_functions(f, S)
-    for i, name in enumerate(COORD_NAMES):
-        ok = True
-        witness = None
-        values = None
+            report.derived[name] = is_crf(g, S)
+    else:
+        if samples is None:
+            samples = S.sample_points(10, seed=20240603)
+        step = 1e-4
+        pairs = []            # per sample: the eight derived functions' pairs
         for p in samples:
-            v1, v2 = _numeric_tangential_qbar(value_fn, i, S, p)
-            err = max(max(abs(c) for c in v1.coeffs),
-                      max(abs(c) for c in v2.coeffs))
-            if err > tol:
-                ok = False
-                witness, values = p, (v1, v2)
-                break
-        report.derived[name] = CrfResult(ok, witness, values, backend="float")
-        if not ok:
-            report.admissible = False
+            pt = tuple(float(c) for c in p)
+            partials = [[] for _ in range(8)]    # partials[i][j] = d_j f_(xi_i)
+            for j in range(8):
+                hi, lo = list(pt), list(pt)
+                hi[j] += step
+                lo[j] -= step
+                for i, (a, b) in enumerate(zip(derived_at(f, S, hi).f_coord,
+                                               derived_at(f, S, lo).f_coord)):
+                    partials[i].append((a - b).scale(1.0 / (2 * step)))
+            g = S.gradient_at(pt)
+            pairs.append((p, [_tangential(d, g)[1] for d in partials]))
+        for i, name in enumerate(COORD_NAMES):
+            bad = [(p, pr[i]) for p, pr in pairs
+                   if _max_abs(pr[i]) > max(tol, 1e-6)]
+            witness, values = bad[0] if bad else (None, None)
+            report.derived[name] = CrfResult(not bad, witness, values,
+                                             backend="float")
+    report.admissible = all(report.derived.values())
     return report
 
 

@@ -313,27 +313,22 @@ class HPoly:
         coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != self.width or coeffs[i] != 0:
             raise ValueError("bad substitution data")
-        const = Fraction(const)
-        repl = HPoly.constant(self.algebra, self.n, const)
+        out = HPoly.zero(self.algebra, self.n)
+        if not self.terms:
+            return out
+        width = self.width
+        repl = {(0,) * width: Fraction(const)}
         for j, c in enumerate(coeffs):
             if c:
-                repl = repl + HPoly(
-                    self.algebra, self.n,
-                    {tuple(1 if t == j else 0 for t in range(self.width)):
-                     HNumber.from_real(self.algebra, c)})
-        out = HPoly.zero(self.algebra, self.n)
-        powers = {0: HPoly.constant(self.algebra, self.n, 1)}
+                repl[tuple(1 if t == j else 0 for t in range(width))] = c
+        powers = [None, HPoly(self.algebra, self.n, repl)]   # repl^k, k >= 1
         for exp, coef in self.terms.items():
             e = exp[i]
-            if e not in powers:
-                p = max(k for k in powers if k < e)
-                cur = powers[p]
-                for k in range(p, e):
-                    cur = cur * repl
-                    powers[k + 1] = cur
+            while len(powers) <= e:
+                powers.append(powers[-1] * powers[1])
             rest = exp[:i] + (0,) + exp[i + 1:]
             mono = HPoly(self.algebra, self.n, {rest: coef})
-            out = out + mono * powers[e]
+            out = out + (mono * powers[e] if e else mono)
         return out
 
     # -- comparison / io ------------------------------------------------------------
@@ -384,16 +379,19 @@ class HPoly:
 
 def _fueter(p, h, conjugate, right):
     """sum_a u_a * dp/dx_{h,a} with u_a = i_a, or conj(i_a) when ``conjugate``;
-    ``right`` multiplies u_a on the right (quaternionic only)."""
+    ``right`` multiplies u_a on the right (quaternionic only).  ``p`` is any
+    operand with ``algebra``, ``partial_flat`` and products with units."""
     if right and p.algebra != "H":
         raise ValueError("right-module operators are quaternionic only")
-    out = HPoly.zero(p.algebra, p.n)
-    for alpha in range(p.dim):
+    d = DIM[p.algebra]
+    out = None
+    for alpha in range(d):
         u = HNumber.unit(p.algebra, alpha)
         if conjugate:
             u = u.conj()
-        part = p.partial(h, alpha)
-        out = out + (part.mul_const_right(u) if right else part.mul_const_left(u))
+        part = p.partial_flat(d * h + alpha)
+        term = part * u if right else u * part
+        out = term if out is None else out + term
     return out
 
 

@@ -167,6 +167,29 @@ def test_check_admissible_data(tmp_path, capsys):
     assert json.loads(out)["status"] == "pass"
 
 
+def test_check_judges_crf_once_at_the_given_tolerance(tmp_path, capsys):
+    """On the unit sphere f = x1 - x0 i + 1e-8 x0 is CRF up to about 1e-8:
+    --tol 1e-6 passes every check, the default 1e-10 fails CRF and admissibility."""
+    rho = HPoly.constant("H", 2, -1)
+    for h in range(2):
+        for a in range(4):
+            rho = rho + coord(h, a) * coord(h, a)
+    f = coord(0, 1) - coord(0, 0).mul_const_left(HNumber.unit("H", 1)) + \
+        coord(0, 0).scale(Fraction(1, 10 ** 8))
+    path = write_function_surface(tmp_path / "fs.json", f, rho)
+    code, out, _ = run(capsys, ["check", "--input", path, "--tol", "1e-6"])
+    assert code == 0
+    rep = json.loads(out)
+    assert [(c["name"], c["status"]) for c in rep["checks"]] == [
+        ("tangentially_crf", "pass"), ("admissible", "pass"),
+        ("pointwise_rank_condition", "pass")]
+    code, out, _ = run(capsys, ["check", "--input", path])
+    assert code == 1
+    by_name = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    assert by_name["tangentially_crf"] == "fail"
+    assert by_name["admissible"] == "fail"
+
+
 # ---------------------------------------------------------------------------
 # solve / extend / jump
 # ---------------------------------------------------------------------------

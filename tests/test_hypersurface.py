@@ -226,10 +226,18 @@ def test_extension_independence(flat, mixed, counterexample):
 
 def test_derived_polys_match_pointwise_values(mixed, counterexample):
     polys = hs.derived_polys(counterexample, mixed)
+    qbar = hs.tangential_qbar_polys(counterexample, mixed)
     for p in mixed.sample_points(4, seed=31):
         td = hs.derived_at(counterexample, mixed, p)
         for i, name in enumerate(hs.COORD_NAMES):
             assert polys[name].evaluate(p) == td.f_coord[i]
+        for h in range(2):
+            assert qbar[h].evaluate(p) == td.f_qbar[h]
+            # f_(qbar_h) = sum_a i_a f_(x_{h,a})
+            packed = HNumber.zero("H")
+            for a in range(4):
+                packed = packed + unit(a) * td.f_coord[4 * h + a]
+            assert packed == td.f_qbar[h]
 
 
 def test_derived_polys_require_affine(sphere, counterexample):
