@@ -281,6 +281,8 @@ def cmd_jump(args):
 
 def cmd_syzygy(args):
     inputs = {"algebra": args.algebra, "n": args.n, "degree": args.degree}
+    if args.degree < 0:
+        raise ValueError("degree must be nonnegative")
     dims = []
     for k in range(args.degree + 1):
         dims.append(sz.syzygy_dim(args.algebra, args.n, k,

@@ -132,13 +132,18 @@ def _solve_homogeneous(g_slice, k, algebra, n, max_unknowns):
     candidates = {(nu[:i] + (nu[i] + 1,) + nu[i + 1:], beta)
                   for gh in g_slice for nu in gh.terms
                   for i in range(width) for beta in range(d)}
-    attempts = [candidates]
-    full = {(mu, beta) for mu in monomials(width, k + 1)
-            for beta in range(d)}
-    if candidates != full:
-        attempts.append(full)
+
+    def attempts():
+        yield candidates
+        # then the full monomial space, built only when the candidates fail.
+        # The candidates are a subset of it, so they are all of it exactly
+        # when their count matches.
+        if len(candidates) < d * math.comb(width + k, k + 1):
+            yield {(mu, beta) for mu in monomials(width, k + 1)
+                   for beta in range(d)}
+
     rhs = _rhs_divided(g_slice)
-    for cand in attempts:
+    for cand in attempts():
         if len(cand) > max_unknowns:
             raise BudgetExceeded(
                 f"homogeneous solve needs {len(cand)} unknowns "

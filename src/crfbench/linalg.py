@@ -1,32 +1,67 @@
 """Exact sparse linear algebra over the rationals.
 
-Rows are dicts mapping column index -> nonzero Fraction.  The core object is
-an incremental row-echelon accumulator: rows are reduced against the stored
-pivots in increasing column order, normalized to leading coefficient 1, and
-stored under their pivot column.  Everything is deterministic: the result
-depends only on the rows fed in and their order.
+Rows are dicts mapping column index -> nonzero rational (``int`` or
+``Fraction``).  The core object is an incremental row-echelon accumulator
+that eliminates fraction-free (Bareiss 1968, *Math. Comp.* 22): a fed row is
+cleared of denominators, reduced against the stored pivots in increasing
+column order with integer updates, made primitive (gcd 1, positive leading
+entry) and stored under its pivot column.  ``Fraction`` appears only at
+read-out, in :meth:`Echelon.solution` and :meth:`Echelon.back_substitute`.
+Everything is deterministic: the pivot columns depend only on the rows fed
+in and their order, and the read-outs are the unique exact answers.
 
-For solving, right-hand sides ride along as extra entries under negative
-pseudo-columns, so inconsistency (a zero row with nonzero rhs) is detected
-the moment it appears.
+For solving, the right-hand side rides along as an extra entry under a
+pseudo-column that sorts after every real column, so inconsistency (a row
+whose leading entry is its right-hand side: 0 = nonzero) is detected the
+moment it appears.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, inf, lcm
 
-_RHS = -1  # pseudo-column index for the right-hand side
+_RHS = inf  # pseudo-column of the right-hand side, after every real column
 
 
 class Inconsistent(Exception):
     """A row reduced to 0 = nonzero."""
 
 
+def _eliminate(row, piv, col):
+    """Cancel ``row[col]`` in place: row <- b*row - a*piv, where a/b is
+    row[col]/piv[col] in lowest terms (b > 0), so integer rows stay integer."""
+    a, b = row[col], piv[col]
+    if b != 1:
+        g = gcd(a, b)
+        a //= g
+        b //= g
+        if b != 1:
+            for c in row:
+                row[c] *= b
+    for c, v in piv.items():
+        nv = row.get(c, 0) - a * v
+        if nv:
+            row[c] = nv
+        else:
+            del row[c]      # nv == 0 needs c in row, since a * v != 0
+
+
+def _primitive(row, lead):
+    """``row`` divided by the gcd of its entries, signed so row[lead] > 0."""
+    g = gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    if g == 1:
+        return row
+    return {c: v // g for c, v in row.items()}
+
+
 class Echelon:
-    """Incremental sparse row echelon form over Q."""
+    """Incremental sparse row echelon form over Q, on integer rows."""
 
     def __init__(self, track_rhs=False):
-        self.pivots = {}          # col -> normalized row dict (may carry _RHS)
+        self.pivots = {}    # col -> primitive integer row (may carry _RHS)
         self.track_rhs = track_rhs
 
     @property
@@ -34,64 +69,57 @@ class Echelon:
         return len(self.pivots)
 
     def _reduce(self, row):
-        """Reduce a row dict in place against stored pivots; return it."""
-        while True:
-            cols = [c for c in row if c != _RHS]
-            if not cols:
-                return row
-            lead = min(cols)
-            piv = self.pivots.get(lead)
+        """Reduce an integer row dict in place against the stored pivots.
+
+        Returns its leading column afterwards (``_RHS`` for 0 = nonzero), or
+        None when the row vanished.
+        """
+        pivots = self.pivots
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
             if piv is None:
-                return row
-            factor = row[lead]
-            for c, v in piv.items():
-                if c in row:
-                    nv = row[c] - factor * v
-                    if nv:
-                        row[c] = nv
-                    else:
-                        del row[c]
-                else:
-                    row[c] = -factor * v
-        # not reached
+                return lead
+            _eliminate(row, piv, lead)
+        return None
 
     def add_row(self, row, rhs=None):
-        """Feed one row (dict col->Fraction).  Returns True if rank grew.
+        """Feed one row (dict col->rational).  Returns True if rank grew.
 
         Raises Inconsistent when rhs tracking is on and the row reduces to
         an impossible equation.
         """
-        work = {c: Fraction(v) for c, v in row.items() if v}
+        work = {c: v for c, v in row.items() if v}
         if self.track_rhs and rhs:
-            work[_RHS] = Fraction(rhs)
-        work = self._reduce(work)
-        cols = [c for c in work if c != _RHS]
-        if not cols:
-            if self.track_rhs and work.get(_RHS):
-                raise Inconsistent("0 = nonzero after reduction")
+            work[_RHS] = rhs
+        den = lcm(*(v.denominator for v in work.values()))
+        work = {c: v.numerator * (den // v.denominator)
+                for c, v in work.items()}
+        lead = self._reduce(work)
+        if lead is None:
             return False
-        lead = min(cols)
-        inv = Fraction(1) / work[lead]
-        self.pivots[lead] = {c: v * inv for c, v in work.items()}
+        if lead == _RHS:
+            raise Inconsistent("0 = nonzero after reduction")
+        self.pivots[lead] = _primitive(work, lead)
         return True
 
     def back_substitute(self):
-        """Fully reduce the pivot rows against each other (RREF)."""
-        for lead in sorted(self.pivots, reverse=True):
-            piv = self.pivots[lead]
-            for other_lead, other in self.pivots.items():
-                if other_lead >= lead or lead not in other:
-                    continue
-                factor = other[lead]
-                for c, v in piv.items():
-                    if c in other:
-                        nv = other[c] - factor * v
-                        if nv:
-                            other[c] = nv
-                        else:
-                            del other[c]
-                    else:
-                        other[c] = -factor * v
+        """Fully reduce the pivot rows against each other (RREF).
+
+        The reduction runs in integers; afterwards every row is divided by
+        its leading entry, so the pivot rows hold ``Fraction``s with leading
+        coefficient 1.  This is a read-out: feed no rows after it.
+        """
+        pivots = self.pivots
+        for lead in sorted(pivots, reverse=True):
+            # earlier steps may have scaled this row; drop the common factor
+            piv = pivots[lead] = _primitive(pivots[lead], lead)
+            for other_lead, other in pivots.items():
+                if other_lead < lead and lead in other:
+                    _eliminate(other, piv, lead)
+        self.pivots = {lead: {c: Fraction(v, row[lead])
+                              for c, v in row.items()}
+                       for lead, row in pivots.items()}
 
     def solution(self, ncols):
         """Particular solution with all free variables set to zero.
@@ -103,11 +131,13 @@ class Echelon:
             raise ValueError("echelon built without rhs tracking")
         sol = [Fraction(0)] * ncols
         # back-substitution in decreasing pivot order; free variables are
-        # zero, so only later pivot columns contribute.
+        # zero, so only later pivot columns contribute (sol[lead] itself is
+        # still zero when its row is read).
         for lead in sorted(self.pivots, reverse=True):
             row = self.pivots[lead]
-            sol[lead] = row.get(_RHS, Fraction(0)) - sum(
-                v * sol[c] for c, v in row.items() if c > lead and sol[c])
+            acc = row.get(_RHS, 0) - sum(
+                v * sol[c] for c, v in row.items() if c != _RHS and sol[c])
+            sol[lead] = Fraction(acc, row[lead])
         return sol
 
     def nullspace(self, ncols):

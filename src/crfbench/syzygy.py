@@ -301,6 +301,8 @@ def syzygy_dim(algebra, n, k, max_unknowns=None):
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
+    if n < 1:
+        raise ValueError("need at least one variable")
     d = DIM[algebra]
     nsyms = d * n
     monos = monomials(nsyms, k)

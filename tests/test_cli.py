@@ -113,6 +113,16 @@ def test_syzygy_quaternionic_report(capsys):
     assert rep["result"]["compat_rows_span_degree_two"] is True
 
 
+@pytest.mark.parametrize("argv", [["--n", "0"], ["--n", "-1"],
+                                  ["--n", "2", "--degree", "-1"]])
+def test_syzygy_rejects_invalid_sizes(capsys, argv):
+    code, out, err = run(capsys, ["syzygy", "--algebra", "H"] + argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid input")
+    assert "Traceback" not in err
+
+
 def test_syzygy_resource_exit(capsys):
     code, _, err = run(capsys, ["syzygy", "--algebra", "O", "--n", "2",
                                 "--degree", "2", "--max-unknowns", "10"])

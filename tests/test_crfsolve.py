@@ -94,6 +94,18 @@ def test_solution_is_deterministic():
     assert a == b
 
 
+def test_full_monomial_space_is_listed_only_when_candidates_fail(monkeypatch):
+    # these right-hand sides are solved on the shifts of their own support,
+    # so the full degree-(k+1) monomial space is never enumerated
+    def no_full_space(*args):
+        raise AssertionError("full monomial space enumerated")
+    monkeypatch.setattr(cs, "monomials", no_full_space)
+    rng = random.Random(42)
+    for _ in range(4):
+        g = dbar_system(rand_poly(rng, "H", 2))
+        assert list(dbar_system(cs.solve_crf(g))) == list(g)
+
+
 def test_constant_right_hand_side():
     g = [HPoly.constant("H", 2, 1), HPoly.zero("H", 2)]
     u = cs.solve_crf(g)

@@ -1,5 +1,6 @@
 """Exact elimination engine: rank, solve, nullspace."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -87,3 +88,105 @@ def test_free_variables_are_zero_in_particular_solution():
         for lead, row in ech.pivots.items():
             rref[lead] = row.get(_RHS, Fraction(0))
         assert sol == rref
+
+
+# ---------------------------------------------------------------------------
+# rational input: rows scaled by rationals, entries a mix of int and Fraction
+# ---------------------------------------------------------------------------
+
+def scaled_rows(rng, mat):
+    """Each row of the integer matrix times a random nonzero rational; an
+    entry that comes out integral is fed as an ``int`` half the time."""
+    rows = []
+    for row in mat:
+        scale = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                         rng.randint(1, 12))
+        out = {}
+        for j, v in enumerate(row):
+            if v:
+                q = scale * v
+                out[j] = int(q) if q.denominator == 1 and rng.random() < 0.5 \
+                    else q
+        rows.append(out)
+    return rows
+
+
+def random_matrix(rng, m, n):
+    return [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+
+
+def assert_primitive_integer_pivots(ech):
+    for lead, row in ech.pivots.items():
+        assert all(type(v) is int and v for v in row.values())
+        assert min(row) == lead and row[lead] > 0
+        assert math.gcd(*row.values()) == 1
+
+
+def test_rank_of_rational_rows_matches_numpy():
+    rng = random.Random(103)
+    for _ in range(50):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        mat = random_matrix(rng, m, n)
+        want = np.linalg.matrix_rank(np.array(mat, dtype=float))
+        assert rank_of(scaled_rows(rng, mat)) == want
+
+
+def test_solve_rational_rows_exact_and_zero_off_pivots():
+    rng = random.Random(104)
+    for _ in range(50):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        rows = scaled_rows(rng, random_matrix(rng, m, n))
+        x = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)]
+        b = [sum(v * x[j] for j, v in row.items()) for row in rows]
+        b = [int(v) if v.denominator == 1 and rng.random() < 0.5 else v
+             for v in map(Fraction, b)]
+        sol = solve_sparse(rows, b, n)
+        assert sol is not None
+        for row, rhs in zip(rows, b):
+            assert sum(v * sol[j] for j, v in row.items()) == rhs
+        ech = Echelon(track_rhs=True)
+        for row, rhs in zip(rows, b):
+            ech.add_row(row, rhs)
+        assert ech.solution(n) == sol
+        assert all(sol[c] == 0 for c in range(n) if c not in ech.pivots)
+        assert all(type(v) is Fraction for v in sol)
+
+
+def test_nullspace_of_rational_rows_annihilates():
+    rng = random.Random(105)
+    for _ in range(30):
+        m, n = rng.randint(1, 6), rng.randint(2, 8)
+        mat = random_matrix(rng, m, n)
+        rows = scaled_rows(rng, mat)
+        basis = nullspace_sparse(rows, n)
+        rank = np.linalg.matrix_rank(np.array(mat, dtype=float))
+        assert len(basis) == n - rank
+        for vec in basis:
+            for row in rows:
+                assert sum(v * vec[j] for j, v in row.items()) == 0
+
+
+def test_inconsistency_with_rational_rhs():
+    # x + y/2 = 1/3 and 2x + y = 3/4 contradict each other
+    rows = [{0: 1, 1: Fraction(1, 2)}, {0: Fraction(2), 1: 1}]
+    assert solve_sparse(rows, [Fraction(1, 3), Fraction(3, 4)], 2) is None
+    ech = Echelon(track_rhs=True)
+    ech.add_row(rows[0], Fraction(1, 3))
+    with pytest.raises(Inconsistent):
+        ech.add_row(rows[1], Fraction(3, 4))
+    # the consistent right-hand side 2/3 is accepted
+    assert ech.add_row(rows[1], Fraction(2, 3)) is False
+
+
+def test_pivot_rows_are_primitive_integer_dicts():
+    rng = random.Random(106)
+    for _ in range(50):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        rows = scaled_rows(rng, random_matrix(rng, m, n))
+        for track in (False, True):
+            ech = Echelon(track_rhs=track)
+            x = [Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+                 for _ in range(n)]
+            for row in rows:
+                ech.add_row(row, sum(v * x[j] for j, v in row.items()))
+                assert_primitive_integer_pivots(ech)

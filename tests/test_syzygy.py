@@ -188,6 +188,12 @@ def test_resource_budget_guard():
         syzygy_dim("O", 3, 3, max_unknowns=10_000)
 
 
+@pytest.mark.parametrize("n, k", [(0, 1), (-1, 0), (2, -1)])
+def test_syzygy_dim_rejects_invalid_sizes(n, k):
+    with pytest.raises(ValueError):
+        syzygy_dim("H", n, k)
+
+
 # ---------------------------------------------------------------------------
 # independence witness tables
 # ---------------------------------------------------------------------------
