@@ -153,6 +153,8 @@ def _rand_poly(rng, algebra, n, deg=3, terms=5):
 
 def cmd_verify_identities(args):
     algebras = ["H", "O"] if args.algebra == "both" else [args.algebra]
+    if args.count < 1:
+        raise ValueError("count must be at least 1")
     rng = random.Random(args.seed)
     checks = []
     count = args.count
@@ -305,6 +307,8 @@ def cmd_syzygy(args):
 def cmd_cf_integral(args):
     inputs = {"order": args.order, "radius": args.radius,
               "points": args.points, "tol": args.tol}
+    if args.points < 1:
+        raise ValueError("points must be at least 1")
     rng = random.Random(args.seed)
     rule = ig.sphere_rule((0, 0, 0, 0), args.radius, args.order)
     checks = []
@@ -321,20 +325,21 @@ def cmd_cf_integral(args):
     for b in basis:
         F = F + b.mul_const_right(
             HNumber("H", [Fraction(rng.randint(-3, 3)) for _ in range(4)]))
+    vals = ig.batch_evaluate(F, rule.nodes)
     worst = 0.0
     for _ in range(args.points):
         while True:
             q0 = [rng.uniform(-0.45, 0.45) * args.radius for _ in range(4)]
             if math.sqrt(sum(c * c for c in q0)) <= 0.45 * args.radius:
                 break
-        got = ig.cauchy_fueter_eval(F, rule, q0)
+        got = ig.cauchy_fueter_eval(vals, rule, q0)
         want = F.evaluate(tuple(q0)).to_float()
         worst = max(worst, max(abs(a - b)
                                for a, b in zip(got.coeffs, want.coeffs)))
     checks.append(_check("interior_reproduction", worst < args.tol,
                          value=worst, tol=args.tol, backend="float"))
     q_out = (2.0 * args.radius, 0.0, 0.5 * args.radius, 0.0)
-    ext = ig.cauchy_fueter_raw(F, rule, q_out)
+    ext = ig.cauchy_fueter_raw(vals, rule, q_out)
     ext_err = max(abs(c) for c in ext.coeffs)
     checks.append(_check("exterior_vanishing", ext_err < args.tol,
                          value=ext_err, tol=args.tol, backend="float"))

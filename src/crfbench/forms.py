@@ -616,14 +616,32 @@ def cf_kernel_quaternion(q0):
     return PoleRingElement(acc, tuple(Fraction(c) for c in q0), 2)
 
 
+def _pole_fueter(g, h, right):
+    """sum_a i_a * d(N / r^2m)/dx_{h,a} (units on the right when ``right``)
+    by the quotient rule on the numerator: d(r^2)/dx_{h,a} = 2 (x_{h,a} -
+    p_{h,a}) is real, so with s = q_h - p_h = sum_a (x_{h,a} - p_{h,a}) i_a
+    the result is (dbar_h N * r^2 - 2m s N) / r^(2m+2), and N s for right
+    units."""
+    dn = _fueter(g.num, h, conjugate=False, right=right)
+    if g.m == 0:
+        return PoleRingElement(dn, g.pole, 0)
+    algebra, n = g.algebra, g.n
+    d = DIM[algebra]
+    s = HPoly.variable(algebra, n, h) - HPoly.constant(
+        algebra, n, HNumber(algebra, g.pole[d * h:d * h + d]))
+    lin = g.num * s if right else s * g.num
+    num = dn * _r_squared(g.pole, algebra, n) - lin.scale(2 * g.m)
+    return PoleRingElement(num, g.pole, g.m + 1)
+
+
 def pole_fueter_dbar(g, h=0):
     """Conjugate-Fueter derivative of a pole-ring element (left units)."""
-    return _fueter(g, h, conjugate=False, right=False)
+    return _pole_fueter(g, h, right=False)
 
 
 def pole_fueter_dbar_right(g, h=0):
     """Right-module variant (quaternionic)."""
-    return _fueter(g, h, conjugate=False, right=True)
+    return _pole_fueter(g, h, right=True)
 
 
 #: Scalar normalization of the two-variable kernel form: 1 / (8 pi^4).

@@ -16,11 +16,18 @@ octonion table restricted to indices 0..3 is asserted by the test suite.
 Scalars are kept exact (``fractions.Fraction``) by default.  A float backend
 with identical semantics exists for quadrature and other numeric work; the
 two never mix silently.
+
+Exact products clear each operand's denominators with one lcm, accumulate
+the d^2 signed products through ``MUL_TABLE`` in Python ints and build one
+``Fraction`` per output component.  The public ``HNumber(...)`` validates
+its components; arithmetic results (``+ - neg * scale conj``) are built by a
+trusted constructor and skip that re-validation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 ALGEBRAS = ("H", "O")
 
@@ -86,8 +93,27 @@ MUL_TABLE = {
 
 DIM = {"H": 4, "O": 8}
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _split_rows(table, transpose=False):
+    """Per alpha, the pairs (beta, gamma) with i_alpha i_beta = +i_gamma and
+    those with i_alpha i_beta = -i_gamma (i_beta i_alpha under ``transpose``)."""
+    rows = []
+    for alpha in range(len(table)):
+        pos, neg = [], []
+        for beta in range(len(table)):
+            gamma, sign = table[beta][alpha] if transpose else table[alpha][beta]
+            (pos if sign > 0 else neg).append((beta, gamma))
+        rows.append((tuple(pos), tuple(neg)))
+    return tuple(rows)
+
+
+#: SPLIT_TABLE[algebra][alpha] == (pos, neg): ``MUL_TABLE`` split by sign.
+SPLIT_TABLE = {a: _split_rows(MUL_TABLE[a]) for a in ALGEBRAS}
+
+#: Shared Fractions for small integers: integral results are looked up here
+#: instead of being constructed.
+_SMALL = 64
+_INT_FRACTIONS = tuple(Fraction(v) for v in range(-_SMALL, _SMALL + 1))
 
 
 def _as_fraction(x):
@@ -98,6 +124,26 @@ def _as_fraction(x):
     if isinstance(x, float):
         raise TypeError("float component in exact backend; pass backend='float'")
     return Fraction(x)
+
+
+def _numerators(coeffs, den):
+    """Integer numerators of exact components over the common denominator
+    ``den`` (a multiple of every component's denominator)."""
+    if den == 1:
+        return [c.numerator for c in coeffs]
+    return [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def _mul_into(rows, x, y, acc):
+    """acc += x * y on integer component lists; ``rows`` is the algebra's
+    ``SPLIT_TABLE`` entry."""
+    for alpha, xa in enumerate(x):
+        if xa:
+            pos, neg = rows[alpha]
+            for beta, gamma in pos:
+                acc[gamma] += xa * y[beta]
+            for beta, gamma in neg:
+                acc[gamma] -= xa * y[beta]
 
 
 class AlgebraMismatch(ValueError):
@@ -173,7 +219,7 @@ class HNumber:
             )
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def to_float(self):
         if self.backend == "float":
@@ -186,24 +232,21 @@ class HNumber:
         if not isinstance(other, HNumber):
             return NotImplemented
         self._check_compatible(other)
-        return HNumber(
-            self.algebra,
-            [a + b for a, b in zip(self.coeffs, other.coeffs)],
-            self.backend,
-        )
+        return _trusted(self.algebra,
+                        tuple([a + b for a, b in zip(self.coeffs, other.coeffs)]),
+                        self.backend)
 
     def __sub__(self, other):
         if not isinstance(other, HNumber):
             return NotImplemented
         self._check_compatible(other)
-        return HNumber(
-            self.algebra,
-            [a - b for a, b in zip(self.coeffs, other.coeffs)],
-            self.backend,
-        )
+        return _trusted(self.algebra,
+                        tuple([a - b for a, b in zip(self.coeffs, other.coeffs)]),
+                        self.backend)
 
     def __neg__(self):
-        return HNumber(self.algebra, [-a for a in self.coeffs], self.backend)
+        return _trusted(self.algebra, tuple([-a for a in self.coeffs]),
+                        self.backend)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -215,11 +258,16 @@ class HNumber:
         if not isinstance(other, HNumber):
             return NotImplemented
         self._check_compatible(other)
-        table = MUL_TABLE[self.algebra]
         if self.backend == "exact":
-            acc = [_ZERO] * self.dim
-        else:
-            acc = [0.0] * self.dim
+            x, y = self.coeffs, other.coeffs
+            dx = lcm(*[c.denominator for c in x])
+            dy = lcm(*[c.denominator for c in y])
+            acc = [0] * len(x)
+            _mul_into(SPLIT_TABLE[self.algebra], _numerators(x, dx),
+                      _numerators(y, dy), acc)
+            return _from_ints(self.algebra, acc, dx * dy)
+        table = MUL_TABLE[self.algebra]
+        acc = [0.0] * self.dim
         for a_idx, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -232,7 +280,7 @@ class HNumber:
                     acc[gamma] += a * b
                 else:
                     acc[gamma] -= a * b
-        return HNumber(self.algebra, acc, self.backend)
+        return _trusted(self.algebra, tuple(acc), "float")
 
     def __rmul__(self, other):
         # scalar * HNumber (real scalars are central, so order is immaterial)
@@ -243,11 +291,16 @@ class HNumber:
         return NotImplemented
 
     def scale(self, s):
-        return HNumber(self.algebra, [c * s for c in self.coeffs], self.backend)
+        coeffs = [c * s for c in self.coeffs]
+        if type(s) is int or type(s) is Fraction or (
+                type(s) is float and self.backend == "float"):
+            return _trusted(self.algebra, tuple(coeffs), self.backend)
+        return HNumber(self.algebra, coeffs, self.backend)
 
     def conj(self):
         c = self.coeffs
-        return HNumber(self.algebra, (c[0],) + tuple(-x for x in c[1:]), self.backend)
+        return _trusted(self.algebra, (c[0],) + tuple([-x for x in c[1:]]),
+                        self.backend)
 
     def norm_sq(self):
         return sum(c * c for c in self.coeffs)
@@ -310,6 +363,27 @@ class HNumber:
         if comps and isinstance(comps[0], float):
             return cls(algebra, comps, "float")
         return cls(algebra, comps, "exact")
+
+
+def _trusted(algebra, coeffs, backend):
+    """An ``HNumber`` without validation, for arithmetic results: ``coeffs``
+    is already a tuple of ``DIM[algebra]`` Fractions (exact backend) or
+    floats (float backend)."""
+    out = object.__new__(HNumber)
+    out.algebra = algebra
+    out.coeffs = coeffs
+    out.backend = backend
+    return out
+
+
+def _from_ints(algebra, ints, den):
+    """The exact ``HNumber`` with components ints[i] / den."""
+    if den == 1:
+        coeffs = tuple([_INT_FRACTIONS[v + _SMALL] if -_SMALL <= v <= _SMALL
+                        else Fraction(v) for v in ints])
+    else:
+        coeffs = tuple([Fraction(v, den) for v in ints])
+    return _trusted(algebra, coeffs, "exact")
 
 
 def unit_product(algebra, alpha, beta):

@@ -35,21 +35,19 @@ class PointOutsideDomain(ValueError):
     """Evaluation point is not strictly inside the integration sphere."""
 
 
-def _structure_tensor():
-    """T[gamma, alpha, beta] = sign of e_gamma in e_alpha e_beta (H)."""
-    T = np.zeros((4, 4, 4))
-    for alpha in range(4):
-        for beta in range(4):
-            gamma, sign = MUL_TABLE["H"][alpha][beta]
-            T[gamma, alpha, beta] = float(sign)
-    return T
-
-_H_TENSOR = _structure_tensor()
-
-
 def quaternion_batch_mul(a, b):
-    """Componentwise quaternion product of (N, 4) arrays."""
-    return np.einsum("gab,na,nb->ng", _H_TENSOR, a, b)
+    """Componentwise quaternion product of (N, 4) arrays: the 16 column
+    products of ``MUL_TABLE["H"]`` with their fixed signs, accumulated
+    alpha-major (the summation order of the former structure-tensor
+    ``einsum``, so results agree bit for bit)."""
+    out = np.zeros((a.shape[0], 4))
+    for alpha, row in enumerate(MUL_TABLE["H"]):
+        for beta, (gamma, sign) in enumerate(row):
+            if sign > 0:
+                out[:, gamma] += a[:, alpha] * b[:, beta]
+            else:
+                out[:, gamma] -= a[:, alpha] * b[:, beta]
+    return out
 
 
 def quaternion_batch_conj(a):
@@ -124,6 +122,13 @@ def sphere_rule(center, radius, order):
 
 
 def _values_on_nodes(F, rule):
+    """F on the rule's nodes as an (N, 4) array.  F is an ``HPoly``, a
+    callable of a node tuple, or already that array (so a caller that
+    integrates one F against many kernels evaluates it once)."""
+    if isinstance(F, np.ndarray):
+        if F.shape != (rule.size, 4):
+            raise ValueError("node values must have shape (rule.size, 4)")
+        return F
     if isinstance(F, HPoly):
         return batch_evaluate(F, rule.nodes)
     vals = np.empty((rule.size, 4))
@@ -148,8 +153,9 @@ def cauchy_fueter_raw(F, rule, q0):
     """The reproducing integral without any location check on q0.
 
     Returns (2 pi^2)^{-1} sum w_i G(node_i - q0) nu_i F(node_i) as a float
-    quaternion.  For q0 strictly inside and F left-regular this reproduces
-    F(q0); for q0 strictly outside it tends to zero.
+    quaternion; F is taken as in ``_values_on_nodes``.  For q0 strictly
+    inside and F left-regular this reproduces F(q0); for q0 strictly outside
+    it tends to zero.
     """
     q0 = np.asarray(q0, dtype=float)
     diff = rule.nodes - q0[None, :]

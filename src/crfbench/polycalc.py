@@ -33,8 +33,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
+from operator import add
 
-from .hypercomplex import ALGEBRAS, DIM, MUL_TABLE, AlgebraMismatch, HNumber
+from .hypercomplex import (ALGEBRAS, DIM, MUL_TABLE, SPLIT_TABLE,
+                           AlgebraMismatch, HNumber, _from_ints, _mul_into,
+                           _numerators, _split_rows)
 
 SCHEMA_VERSION = 1
 
@@ -175,9 +179,7 @@ class HPoly:
                     terms[exp] = s
             else:
                 terms[exp] = coef
-        out = HPoly.__new__(HPoly)
-        out.algebra, out.n, out.terms = self.algebra, self.n, terms
-        return out
+        return _poly(self.algebra, self.n, terms)
 
     def __sub__(self, other):
         if not isinstance(other, HPoly):
@@ -185,13 +187,14 @@ class HPoly:
         return self + (-other)
 
     def __neg__(self):
-        out = HPoly.__new__(HPoly)
-        out.algebra, out.n = self.algebra, self.n
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return _poly(self.algebra, self.n, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        """Polynomial product; coefficients multiply in left-to-right order."""
+        """Polynomial product; coefficients multiply in left-to-right order.
+
+        Each side's coefficients are cleared to integers over one common
+        denominator, and every term product accumulates through
+        ``MUL_TABLE`` in ints."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if isinstance(other, HNumber):
@@ -199,19 +202,19 @@ class HPoly:
         if not isinstance(other, HPoly):
             return NotImplemented
         self._check(other)
+        den1, a = _int_terms(self.terms)
+        den2, b = _int_terms(other.terms)
+        rows = SPLIT_TABLE[self.algebra]
+        d = self.dim
         acc = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                if e in acc:
-                    acc[e] = acc[e] + c
-                else:
-                    acc[e] = c
-        out = HPoly.__new__(HPoly)
-        out.algebra, out.n = self.algebra, self.n
-        out.terms = {e: c for e, c in acc.items() if not c.is_zero()}
-        return out
+        for e1, x in a.items():
+            for e2, y in b.items():
+                e = tuple(map(add, e1, e2))
+                row = acc.get(e)
+                if row is None:
+                    row = acc[e] = [0] * d
+                _mul_into(rows, x, y, row)
+        return _from_int_terms(self.algebra, self.n, acc, den1 * den2)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -229,26 +232,24 @@ class HPoly:
         return out
 
     def scale(self, s):
-        out = HPoly.__new__(HPoly)
-        out.algebra, out.n = self.algebra, self.n
-        out.terms = {e: c.scale(s) for e, c in self.terms.items()} if s else {}
-        return out
+        terms = {e: c.scale(s) for e, c in self.terms.items()} if s else {}
+        return _poly(self.algebra, self.n, terms)
 
     def mul_const_left(self, c):
         """c * p, multiplying every coefficient by c on the left."""
-        out = {e: c * a for e, a in self.terms.items()}
-        return HPoly(self.algebra, self.n, out)
+        out = ((e, c * a) for e, a in self.terms.items())
+        return _poly(self.algebra, self.n,
+                     {e: a for e, a in out if not a.is_zero()})
 
     def mul_const_right(self, c):
         """p * c, multiplying every coefficient by c on the right."""
-        out = {e: a * c for e, a in self.terms.items()}
-        return HPoly(self.algebra, self.n, out)
+        out = ((e, a * c) for e, a in self.terms.items())
+        return _poly(self.algebra, self.n,
+                     {e: a for e, a in out if not a.is_zero()})
 
     def conj(self):
-        out = HPoly.__new__(HPoly)
-        out.algebra, out.n = self.algebra, self.n
-        out.terms = {e: c.conj() for e, c in self.terms.items()}
-        return out
+        return _poly(self.algebra, self.n,
+                     {e: c.conj() for e, c in self.terms.items()})
 
     # -- calculus -----------------------------------------------------------------
 
@@ -256,18 +257,12 @@ class HPoly:
         """d/d xi_i for a flat real-coordinate index."""
         if not (0 <= i < self.width):
             raise IndexError("coordinate index out of range")
-        acc = {}
+        terms = {}
         for exp, coef in self.terms.items():
             e = exp[i]
-            if e == 0:
-                continue
-            nexp = exp[:i] + (e - 1,) + exp[i + 1:]
-            c = coef.scale(e)
-            acc[nexp] = acc[nexp] + c if nexp in acc else c
-        out = HPoly.__new__(HPoly)
-        out.algebra, out.n = self.algebra, self.n
-        out.terms = {e: c for e, c in acc.items() if not c.is_zero()}
-        return out
+            if e:   # distinct exponents stay distinct, so nothing collides
+                terms[exp[:i] + (e - 1,) + exp[i + 1:]] = coef.scale(e)
+        return _poly(self.algebra, self.n, terms)
 
     def partial(self, h, alpha):
         """d/d x_{h,alpha}."""
@@ -327,7 +322,7 @@ class HPoly:
             while len(powers) <= e:
                 powers.append(powers[-1] * powers[1])
             rest = exp[:i] + (0,) + exp[i + 1:]
-            mono = HPoly(self.algebra, self.n, {rest: coef})
+            mono = _poly(self.algebra, self.n, {rest: coef})
             out = out + (mono * powers[e] if e else mono)
         return out
 
@@ -373,26 +368,76 @@ class HPoly:
         return cls(algebra, n, terms)
 
 
+def _poly(algebra, n, terms):
+    """An ``HPoly`` without validation, for results whose ``terms`` already
+    map exponents of the right width to nonzero exact coefficients."""
+    out = HPoly.__new__(HPoly)
+    out.algebra, out.n, out.terms = algebra, n, terms
+    return out
+
+
+def _int_terms(terms):
+    """(den, {exp: integer numerators}): every coefficient component over
+    one common denominator ``den``."""
+    den = lcm(*[c.denominator for coef in terms.values() for c in coef.coeffs])
+    return den, {e: _numerators(coef.coeffs, den) for e, coef in terms.items()}
+
+
+def _from_int_terms(algebra, n, acc, den):
+    """The polynomial with coefficients acc[exp][i] / den; zero rows drop."""
+    return _poly(algebra, n, {e: _from_ints(algebra, v, den)
+                              for e, v in acc.items() if any(v)})
+
+
 # ---------------------------------------------------------------------------
 # Fueter operators
 # ---------------------------------------------------------------------------
 
+def _stencil(algebra, conjugate, right):
+    """Per alpha, ``MUL_TABLE`` split by sign for u_alpha c (c u_alpha when
+    ``right``), with u_alpha = i_alpha, or conj(i_alpha) = -i_alpha for
+    alpha > 0 when ``conjugate``."""
+    rows = _split_rows(MUL_TABLE[algebra], transpose=right)
+    if conjugate:
+        rows = rows[:1] + tuple((neg, pos) for pos, neg in rows[1:])
+    return rows
+
+
+_STENCILS = {(algebra, conjugate, right): _stencil(algebra, conjugate, right)
+             for algebra in ALGEBRAS
+             for conjugate in (False, True) for right in (False, True)}
+
+
 def _fueter(p, h, conjugate, right):
     """sum_a u_a * dp/dx_{h,a} with u_a = i_a, or conj(i_a) when ``conjugate``;
-    ``right`` multiplies u_a on the right (quaternionic only).  ``p`` is any
-    operand with ``algebra``, ``partial_flat`` and products with units."""
+    ``right`` multiplies u_a on the right (quaternionic only).
+
+    The term c x^exp with e = exp[i] > 0, i = d*h + alpha, adds e * u_alpha c
+    to x^(exp - e_i), in ints over the common denominator of p's
+    coefficients.  The loop runs alpha by alpha, as the sum is written."""
     if right and p.algebra != "H":
         raise ValueError("right-module operators are quaternionic only")
+    if not 0 <= h < p.n:
+        raise IndexError("variable index out of range")
     d = DIM[p.algebra]
-    out = None
+    stencil = _STENCILS[p.algebra, conjugate, right]
+    den, ints = _int_terms(p.terms)
+    acc = {}
     for alpha in range(d):
-        u = HNumber.unit(p.algebra, alpha)
-        if conjugate:
-            u = u.conj()
-        part = p.partial_flat(d * h + alpha)
-        term = part * u if right else u * part
-        out = term if out is None else out + term
-    return out
+        i = d * h + alpha
+        pos, neg = stencil[alpha]
+        for exp, c in ints.items():
+            e = exp[i]
+            if e:
+                nexp = exp[:i] + (e - 1,) + exp[i + 1:]
+                row = acc.get(nexp)
+                if row is None:
+                    row = acc[nexp] = [0] * d
+                for beta, gamma in pos:
+                    row[gamma] += e * c[beta]
+                for beta, gamma in neg:
+                    row[gamma] -= e * c[beta]
+    return _from_int_terms(p.algebra, p.n, acc, den)
 
 
 def fueter_dbar(p, h):
@@ -416,11 +461,26 @@ def fueter_d_right(p, h):
 
 
 def laplacian(p, h):
-    """Coordinate Laplacian in variable h."""
-    out = HPoly.zero(p.algebra, p.n)
-    for alpha in range(p.dim):
-        out = out + p.partial(h, alpha).partial(h, alpha)
-    return out
+    """Coordinate Laplacian in variable h, accumulated like ``_fueter``."""
+    if not 0 <= h < p.n:
+        raise IndexError("variable index out of range")
+    d = p.dim
+    den, ints = _int_terms(p.terms)
+    acc = {}
+    for alpha in range(d):
+        i = d * h + alpha
+        for exp, c in ints.items():
+            e = exp[i]
+            if e > 1:
+                nexp = exp[:i] + (e - 2,) + exp[i + 1:]
+                k = e * (e - 1)
+                row = acc.get(nexp)
+                if row is None:
+                    acc[nexp] = [k * v for v in c]
+                else:
+                    for beta in range(d):
+                        row[beta] += k * c[beta]
+    return _from_int_terms(p.algebra, p.n, acc, den)
 
 
 def dbar_system(u):

@@ -123,6 +123,20 @@ def test_syzygy_rejects_invalid_sizes(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-identities", "--count", "0"],
+    ["verify-identities", "--count", "-1"],
+    ["cf-integral", "--points", "0"],
+    ["cf-integral", "--points", "-1"],
+])
+def test_degenerate_counts_are_invalid_input(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid input")
+    assert "Traceback" not in err
+
+
 def test_syzygy_resource_exit(capsys):
     code, _, err = run(capsys, ["syzygy", "--algebra", "O", "--n", "2",
                                 "--degree", "2", "--max-unknowns", "10"])

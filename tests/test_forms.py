@@ -263,6 +263,25 @@ def test_cf_kernel_two_sided_regular():
         assert pole_fueter_dbar_right(G).is_zero()
 
 
+def test_pole_fueter_matches_definition():
+    # the quotient rule on the numerator equals sum_a u_a * d/dx_a computed
+    # through the pole ring's own partial derivative
+    rng = random.Random(308)
+    for m in (0, 1, 2):
+        for _ in range(3):
+            pole = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                         for _ in range(4))
+            g = PoleRingElement(rand_poly(rng, 1, 2, 4), pole, m)
+            left = right = PoleRingElement.from_poly(HPoly.zero("H", 1))
+            for alpha in range(4):
+                u = HNumber.unit("H", alpha)
+                part = g.partial_flat(alpha)
+                left = left + u * part
+                right = right + part * u
+            assert pole_fueter_dbar(g) == left
+            assert pole_fueter_dbar_right(g) == right
+
+
 def test_omega2_structure():
     assert len(OMEGA2_COMPLEX_MONOMIALS) == 2
     assert abs(OMEGA2_PREFACTOR - 1.0 / (8 * math.pi ** 4)) < 1e-18

@@ -178,6 +178,54 @@ def test_quaternion_associativity_hypothesis(ca, cb, cc):
 
 
 # ---------------------------------------------------------------------------
+# exact products against plain Fraction sums
+# ---------------------------------------------------------------------------
+
+def product_by_table(a, b):
+    """Components of a * b as plain Fraction sums over MUL_TABLE."""
+    acc = [Fraction(0)] * DIM[a.algebra]
+    for alpha, x in enumerate(a.coeffs):
+        for beta, y in enumerate(b.coeffs):
+            gamma, sign = MUL_TABLE[a.algebra][alpha][beta]
+            acc[gamma] += sign * x * y
+    return acc
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_product_matches_fraction_reference(algebra):
+    rng = random.Random(20240508)
+    d = DIM[algebra]
+    samples = []
+    for _ in range(300):
+        samples.append(rand_hnumber(rng, algebra, span=9))
+        # integral components, small ones and ones whose products leave the
+        # small-integer range
+        samples.append(HNumber(algebra, [rng.randint(-3, 3) for _ in range(d)]))
+        samples.append(HNumber(algebra, [rng.randint(-3000, 3000)
+                                         for _ in range(d)]))
+    samples.append(HNumber.zero(algebra))
+    for a, b in zip(samples, reversed(samples)):
+        got = a * b
+        want = product_by_table(a, b)
+        assert list(got.coeffs) == want
+        assert all(type(c) is Fraction for c in got.coeffs)
+        assert got.to_json()["c"] == [str(c) for c in want]
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_arithmetic_results_keep_fraction_components(algebra):
+    rng = random.Random(20240509)
+    for _ in range(100):
+        a = rand_hnumber(rng, algebra)
+        b = rand_hnumber(rng, algebra)
+        for r in (a + b, a - b, -a, a * b, a.scale(3), a.scale(Fraction(2, 7)),
+                  a.conj(), 5 * a):
+            assert r.backend == "exact"
+            assert len(r.coeffs) == DIM[algebra]
+            assert all(type(c) is Fraction for c in r.coeffs)
+
+
+# ---------------------------------------------------------------------------
 # error handling and serialization
 # ---------------------------------------------------------------------------
 
@@ -189,6 +237,28 @@ def test_mixed_algebra_raises():
 def test_mixed_backend_raises():
     with pytest.raises(AlgebraMismatch):
         HNumber.one("H") * HNumber.one("H", backend="float")
+    exact, flt = HNumber.one("O"), HNumber.one("O", backend="float")
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(AlgebraMismatch):
+            op(exact, flt)
+        with pytest.raises(AlgebraMismatch):
+            op(flt, exact)
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(TypeError):
+        HNumber("H", (0.5, 0, 0, 0))
+    with pytest.raises(ValueError):
+        HNumber("H", (1, 0, 0))
+    with pytest.raises(ValueError):
+        HNumber("O", (1, 0, 0, 0))
+    with pytest.raises(ValueError):
+        HNumber("X", (1, 0, 0, 0))
+    with pytest.raises(ValueError):
+        HNumber("H", (1, 0, 0, 0), backend="decimal")
+    # a float scalar cannot slip into the exact backend through scale
+    with pytest.raises(TypeError):
+        HNumber.one("H").scale(0.5)
 
 
 def test_zero_inverse_raises():

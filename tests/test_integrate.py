@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from crfbench.hypercomplex import HNumber
+from crfbench.hypercomplex import MUL_TABLE, HNumber
 from crfbench.polycalc import HPoly, fueter_dbar
 from crfbench.forms import cf_kernel_quaternion
 from crfbench import integrate as ig
@@ -95,6 +95,26 @@ def test_batch_mul_matches_scalar():
         assert max(abs(x - y) for x, y in zip(got[i], want)) < 1e-13
 
 
+def test_batch_mul_is_bitwise_the_structure_tensor_contraction():
+    # the column products sum alpha-major, as the einsum over the structure
+    # tensor T[gamma, alpha, beta] does, so every bit (and sign of zero) agrees
+    T = np.zeros((4, 4, 4))
+    for alpha in range(4):
+        for beta in range(4):
+            gamma, sign = MUL_TABLE["H"][alpha][beta]
+            T[gamma, alpha, beta] = sign
+    rng = np.random.default_rng(6)
+    for scale in (1e-6, 1.0, 1e6):
+        A = rng.standard_normal((500, 4)) * scale
+        B = rng.standard_normal((500, 4))
+        A[rng.random((500, 4)) < 0.2] = 0.0
+        B[rng.random((500, 4)) < 0.2] = -0.0
+        got = ig.quaternion_batch_mul(A, B)
+        want = np.einsum("gab,na,nb->ng", T, A, B)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_batch_evaluate_matches_scalar():
     rng = random.Random(6)
     poly = HPoly.zero("H", 1)
@@ -175,6 +195,11 @@ def test_callable_integrand_matches_polynomial():
     via_call = ig.cauchy_fueter_eval(
         lambda p: F.evaluate(p).to_float(), rule, q0)
     assert max_err(via_poly, via_call) < 1e-12
+    # values on the nodes, evaluated once, give the same bits
+    vals = ig.batch_evaluate(F, rule.nodes)
+    assert ig.cauchy_fueter_eval(vals, rule, q0) == via_poly
+    with pytest.raises(ValueError):
+        ig.cauchy_fueter_eval(vals[1:], rule, q0)
 
 
 def test_exterior_points_integrate_to_zero():

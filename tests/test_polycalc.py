@@ -165,6 +165,67 @@ def test_left_linearity_over_right_constants():
 
 
 # ---------------------------------------------------------------------------
+# stencil oracle: every operator against its definition
+# ---------------------------------------------------------------------------
+
+def rand_rational_poly(rng, algebra, n, max_deg=3, n_terms=6):
+    d = DIM[algebra]
+    terms = {}
+    for _ in range(n_terms):
+        exp = [0] * (d * n)
+        for _ in range(rng.randint(0, max_deg)):
+            exp[rng.randrange(d * n)] += 1
+        terms[tuple(exp)] = HNumber(algebra, [
+            Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d)])
+    return HPoly(algebra, n, terms)
+
+
+def fueter_by_definition(p, h, conjugate, right):
+    """sum_a u_a * dp/dx_{h,a} from partial_flat and unit products."""
+    d = DIM[p.algebra]
+    out = HPoly.zero(p.algebra, p.n)
+    for alpha in range(d):
+        u = HNumber.unit(p.algebra, alpha)
+        if conjugate:
+            u = u.conj()
+        part = p.partial_flat(d * h + alpha)
+        out = out + HPoly(p.algebra, p.n, {
+            e: (c * u if right else u * c) for e, c in part.terms.items()})
+    return out
+
+
+def laplacian_by_definition(p, h):
+    out = HPoly.zero(p.algebra, p.n)
+    for alpha in range(p.dim):
+        i = p.dim * h + alpha
+        out = out + p.partial_flat(i).partial_flat(i)
+    return out
+
+
+STENCIL_OPERATORS = {
+    "fueter_dbar": (fueter_dbar, False, False),
+    "fueter_d": (fueter_d, True, False),
+    "fueter_dbar_right": (fueter_dbar_right, False, True),
+    "fueter_d_right": (fueter_d_right, True, True),
+}
+
+
+@pytest.mark.parametrize("algebra", ["H", "O"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_operators_match_their_definition(algebra, n):
+    rng = random.Random(1000 + 10 * n + (algebra == "O"))
+    for _ in range(6):
+        p = rand_rational_poly(rng, algebra, n)
+        for h in range(n):
+            for name, (op, conjugate, right) in STENCIL_OPERATORS.items():
+                if right and algebra != "H":
+                    continue
+                assert op(p, h) == fueter_by_definition(
+                    p, h, conjugate, right), (name, h)
+            assert laplacian(p, h) == laplacian_by_definition(p, h)
+
+
+# ---------------------------------------------------------------------------
 # slice-function lift
 # ---------------------------------------------------------------------------
 
