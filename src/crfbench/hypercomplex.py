@@ -19,9 +19,10 @@ two never mix silently.
 
 Exact products clear each operand's denominators with one lcm, accumulate
 the d^2 signed products through ``MUL_TABLE`` in Python ints and build one
-``Fraction`` per output component.  The public ``HNumber(...)`` validates
-its components; arithmetic results (``+ - neg * scale conj``) are built by a
-trusted constructor and skip that re-validation.
+``Fraction`` per output component; float products run the same signed loop
+on the floats.  The public ``HNumber(...)`` validates its components;
+arithmetic results (``+ - neg * scale conj``) are built by a trusted
+constructor and skip that re-validation.
 """
 
 from __future__ import annotations
@@ -135,8 +136,8 @@ def _numerators(coeffs, den):
 
 
 def _mul_into(rows, x, y, acc):
-    """acc += x * y on integer component lists; ``rows`` is the algebra's
-    ``SPLIT_TABLE`` entry."""
+    """acc += x * y on component lists (ints, or floats for the float
+    backend); ``rows`` is the algebra's ``SPLIT_TABLE`` entry."""
     for alpha, xa in enumerate(x):
         if xa:
             pos, neg = rows[alpha]
@@ -258,28 +259,16 @@ class HNumber:
         if not isinstance(other, HNumber):
             return NotImplemented
         self._check_compatible(other)
+        rows = SPLIT_TABLE[self.algebra]
         if self.backend == "exact":
             x, y = self.coeffs, other.coeffs
             dx = lcm(*[c.denominator for c in x])
             dy = lcm(*[c.denominator for c in y])
             acc = [0] * len(x)
-            _mul_into(SPLIT_TABLE[self.algebra], _numerators(x, dx),
-                      _numerators(y, dy), acc)
+            _mul_into(rows, _numerators(x, dx), _numerators(y, dy), acc)
             return _from_ints(self.algebra, acc, dx * dy)
-        table = MUL_TABLE[self.algebra]
-        acc = [0.0] * self.dim
-        for a_idx, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            row = table[a_idx]
-            for b_idx, b in enumerate(other.coeffs):
-                if b == 0:
-                    continue
-                gamma, sign = row[b_idx]
-                if sign == 1:
-                    acc[gamma] += a * b
-                else:
-                    acc[gamma] -= a * b
+        acc = [0.0] * len(self.coeffs)
+        _mul_into(rows, self.coeffs, other.coeffs, acc)
         return _trusted(self.algebra, tuple(acc), "float")
 
     def __rmul__(self, other):

@@ -20,14 +20,19 @@ from crfbench.polycalc import (
 )
 
 
-def rand_poly(rng, algebra, n, max_deg, n_terms, span=3):
+def rand_poly(rng, algebra, n, max_deg, n_terms, span=3, den=1):
+    """Random terms with components p/q, |p| <= span, 1 <= q <= den."""
+    def component():
+        num = rng.randint(-span, span)
+        return Fraction(num, rng.randint(1, den)) if den > 1 else Fraction(num)
+
     d = DIM[algebra]
     terms = {}
     for _ in range(n_terms):
         exp = [0] * (d * n)
         for _ in range(rng.randint(0, max_deg)):
             exp[rng.randrange(d * n)] += 1
-        coef = HNumber(algebra, [Fraction(rng.randint(-span, span)) for _ in range(d)])
+        coef = HNumber(algebra, [component() for _ in range(d)])
         terms[tuple(exp)] = terms.get(tuple(exp), HNumber.zero(algebra)) + coef
     return HPoly(algebra, n, terms)
 
@@ -168,18 +173,6 @@ def test_left_linearity_over_right_constants():
 # stencil oracle: every operator against its definition
 # ---------------------------------------------------------------------------
 
-def rand_rational_poly(rng, algebra, n, max_deg=3, n_terms=6):
-    d = DIM[algebra]
-    terms = {}
-    for _ in range(n_terms):
-        exp = [0] * (d * n)
-        for _ in range(rng.randint(0, max_deg)):
-            exp[rng.randrange(d * n)] += 1
-        terms[tuple(exp)] = HNumber(algebra, [
-            Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d)])
-    return HPoly(algebra, n, terms)
-
-
 def fueter_by_definition(p, h, conjugate, right):
     """sum_a u_a * dp/dx_{h,a} from partial_flat and unit products."""
     d = DIM[p.algebra]
@@ -215,7 +208,7 @@ STENCIL_OPERATORS = {
 def test_operators_match_their_definition(algebra, n):
     rng = random.Random(1000 + 10 * n + (algebra == "O"))
     for _ in range(6):
-        p = rand_rational_poly(rng, algebra, n)
+        p = rand_poly(rng, algebra, n, 3, 6, span=5, den=4)
         for h in range(n):
             for name, (op, conjugate, right) in STENCIL_OPERATORS.items():
                 if right and algebra != "H":
