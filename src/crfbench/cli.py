@@ -111,6 +111,8 @@ def _exit_code(rep):
 def _load_payload(path):
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError("payload must be a JSON object")
     if payload.get("schema_version") != SCHEMA_VERSION:
         raise ValueError("unsupported or missing schema_version")
     return payload
@@ -121,16 +123,18 @@ def _load_function_surface(path):
     f = HPoly.from_json(payload["f"])
     if f.algebra != "H" or f.n != 2:
         raise ValueError("f must be quaternionic in two variables")
+    if not isinstance(payload["surface"], dict):
+        raise ValueError("surface must be a JSON object")
     S = hsur.Hypersurface(HPoly.from_json(payload["surface"]["rho"]))
     return payload, f, S
 
 
 def _load_system(path):
     payload = _load_payload(path)
-    g = [HPoly.from_json(item) for item in payload["g"]]
-    if not g:
-        raise ValueError("empty system")
-    return payload, g
+    g = payload["g"]
+    if not isinstance(g, list) or not g:
+        raise ValueError("g must be a nonempty list")
+    return payload, [HPoly.from_json(item) for item in g]
 
 
 def _rand_poly(rng, algebra, n, deg=3, terms=5):
@@ -171,7 +175,7 @@ def cmd_verify_identities(args):
         checks.append(_check(f"laplacian_factorization_{algebra}", ok))
         ok = True
         for _ in range(count):
-            u = _rand_poly(rng, algebra, 2) if n != 2 else _rand_poly(rng, algebra, n)
+            u = _rand_poly(rng, algebra, 2)
             residuals = compat_pbar(dbar_system(u))
             if any(not r.is_zero() for r in residuals):
                 ok = False

@@ -108,29 +108,26 @@ def _poly_from_columns(algebra, n, columns, values):
     return HPoly(algebra, n, {m: c for m, c in terms.items() if not c.is_zero()})
 
 
-def _rhs_divided(g_slice):
-    """Right-hand side keyed like the rows of ``dbar_images``:
-    x^nu = nu! x^[nu]."""
-    return {(h, nu, gamma): c * _factorial_prod(nu)
-            for h, gh in enumerate(g_slice)
-            for nu, gamma, c in _nonzero_coefficients(gh)}
+def _rhs_by_degree(g):
+    """Right-hand side keyed like the rows of ``dbar_images`` (x^nu =
+    nu! x^[nu]), grouped by the degree of nu: {k: {(h, nu, gamma): value}}."""
+    out = {}
+    for h, gh in enumerate(g):
+        for nu, gamma, c in _nonzero_coefficients(gh):
+            out.setdefault(sum(nu), {})[(h, nu, gamma)] = c * _factorial_prod(nu)
+    return out
 
 
-def _homogeneous_slice(g, k):
-    return [HPoly(gh.algebra, gh.n,
-                  {e: c for e, c in gh.terms.items() if sum(e) == k})
-            for gh in g]
-
-
-def _solve_homogeneous(g_slice, k, algebra, n, max_unknowns):
-    """Solve dbar u = g_slice with u homogeneous of degree k + 1, or None."""
+def _solve_homogeneous(rhs, k, algebra, n, max_unknowns):
+    """Solve dbar u = g with u homogeneous of degree k + 1, or None; ``rhs``
+    is g's degree-k part as one entry of :func:`_rhs_by_degree`."""
     width = DIM[algebra] * n
     d = DIM[algebra]
     # support-restricted candidates: shifts of the right-hand-side support.
     # They cover every rhs row (h, nu, gamma): alpha = 0 maps the column
     # (nu + e_{d*h}, gamma) onto it.
     candidates = {(nu[:i] + (nu[i] + 1,) + nu[i + 1:], beta)
-                  for gh in g_slice for nu in gh.terms
+                  for nu in {nu for _, nu, _ in rhs}
                   for i in range(width) for beta in range(d)}
 
     def attempts():
@@ -142,7 +139,6 @@ def _solve_homogeneous(g_slice, k, algebra, n, max_unknowns):
             yield {(mu, beta) for mu in monomials(width, k + 1)
                    for beta in range(d)}
 
-    rhs = _rhs_divided(g_slice)
     for cand in attempts():
         if len(cand) > max_unknowns:
             raise BudgetExceeded(
@@ -176,13 +172,10 @@ def solve_crf(g, max_unknowns=200000):
         if not res.is_zero():
             raise CompatibilityViolation(
                 f"compatibility residual #{idx} is nonzero")
-    degrees = sorted({sum(e) for gh in g for e in gh.terms})
+    rhs = _rhs_by_degree(g)
     u = HPoly.zero(algebra, n)
-    for k in degrees:
-        g_slice = _homogeneous_slice(g, k)
-        if all(gh.is_zero() for gh in g_slice):
-            continue
-        part = _solve_homogeneous(g_slice, k, algebra, n, max_unknowns)
+    for k in sorted(rhs):
+        part = _solve_homogeneous(rhs[k], k, algebra, n, max_unknowns)
         if part is None:
             raise CompatibilityViolation(
                 "right-hand side passes the pairwise residual check but hits "

@@ -104,17 +104,15 @@ class PoleRingElement:
         return a, b, pole, m
 
     def __add__(self, other):
-        if isinstance(other, HPoly):
-            other = PoleRingElement.from_poly(other)
-        if not isinstance(other, PoleRingElement):
+        other = _lift(other)
+        if other is None:
             return NotImplemented
         a, b, pole, m = self._common(other)
         return PoleRingElement(a + b, pole, m)
 
     def __sub__(self, other):
-        if isinstance(other, HPoly):
-            other = PoleRingElement.from_poly(other)
-        if not isinstance(other, PoleRingElement):
+        other = _lift(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
@@ -126,9 +124,8 @@ class PoleRingElement:
             return PoleRingElement(self.num.scale(other), self.pole, self.m)
         if isinstance(other, HNumber):
             return PoleRingElement(self.num.mul_const_right(other), self.pole, self.m)
-        if isinstance(other, HPoly):
-            other = PoleRingElement.from_poly(other)
-        if not isinstance(other, PoleRingElement):
+        other = _lift(other)
+        if other is None:
             return NotImplemented
         if self.m and other.m and self.pole != other.pole:
             raise ValueError("mixed poles")
@@ -167,9 +164,8 @@ class PoleRingElement:
         return v.scale(Fraction(1, 1) / den)
 
     def __eq__(self, other):
-        if isinstance(other, HPoly):
-            other = PoleRingElement.from_poly(other)
-        if not isinstance(other, PoleRingElement):
+        other = _lift(other)
+        if other is None:
             return NotImplemented
         try:
             a, b, _, _ = self._common(other)
@@ -184,6 +180,13 @@ class PoleRingElement:
         if self.m == 0:
             return f"PoleRingElement({self.num!r})"
         return f"PoleRingElement({self.num!r} / r^{2 * self.m} @ {self.pole})"
+
+
+def _lift(x):
+    """x as a pole-ring element when it is one or an ``HPoly``, else None."""
+    if isinstance(x, HPoly):
+        return PoleRingElement.from_poly(x)
+    return x if isinstance(x, PoleRingElement) else None
 
 
 class Form:
@@ -210,11 +213,10 @@ class Form:
                     raise IndexError("index out of range")
                 if list(idx) != sorted(set(idx)):
                     raise ValueError("indices must be strictly increasing")
+                if isinstance(coef, HNumber):
+                    coef = HPoly.constant(algebra, n, coef)
                 if isinstance(coef, HPoly):
                     coef = PoleRingElement.from_poly(coef)
-                if isinstance(coef, HNumber):
-                    coef = PoleRingElement.from_poly(
-                        HPoly.constant(algebra, n, coef))
                 if not coef.is_zero():
                     clean[idx] = clean[idx] + coef if idx in clean else coef
         self.terms = {i: c for i, c in clean.items() if not c.is_zero()}
@@ -229,8 +231,7 @@ class Form:
 
     @classmethod
     def coordinate_differential(cls, algebra, n, i):
-        one = HPoly.constant(algebra, n, 1)
-        return cls(algebra, n, 1, {(i,): PoleRingElement.from_poly(one)})
+        return _basis_form(algebra, n, (i,))
 
     def is_zero(self):
         return not self.terms
@@ -239,20 +240,19 @@ class Form:
         if (self.algebra, self.n, self.degree) != (other.algebra, other.n, other.degree):
             raise ValueError("form spaces differ")
 
+    def _map(self, fn):
+        """The form with every coefficient c replaced by fn(c)."""
+        return _form(self.algebra, self.n, self.degree,
+                     {i: fn(c) for i, c in self.terms.items()})
+
     def __add__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
         self._check(other)
         terms = dict(self.terms)
         for idx, coef in other.terms.items():
-            s = terms[idx] + coef if idx in terms else coef
-            if s.is_zero():
-                terms.pop(idx, None)
-            else:
-                terms[idx] = s
-        out = Form.__new__(Form)
-        out.algebra, out.n, out.degree, out.terms = self.algebra, self.n, self.degree, terms
-        return out
+            terms[idx] = terms[idx] + coef if idx in terms else coef
+        return _form(self.algebra, self.n, self.degree, terms)
 
     def __sub__(self, other):
         if not isinstance(other, Form):
@@ -260,33 +260,24 @@ class Form:
         return self + (-other)
 
     def __neg__(self):
-        out = Form.__new__(Form)
-        out.algebra, out.n, out.degree = self.algebra, self.n, self.degree
-        out.terms = {i: -c for i, c in self.terms.items()}
-        return out
+        return self._map(lambda c: -c)
 
     def scale(self, s):
-        out = Form.__new__(Form)
-        out.algebra, out.n, out.degree = self.algebra, self.n, self.degree
-        out.terms = {i: c * s for i, c in self.terms.items()}
-        return out
+        return self._map(lambda c: c * s)
 
     def mul_left(self, g):
         """g * omega: multiply every coefficient by g on the left."""
-        terms = {i: g * c for i, c in self.terms.items()}
-        return Form(self.algebra, self.n, self.degree, terms)
+        return self._map(lambda c: g * c)
 
     def mul_right(self, g):
         """omega * g: multiply every coefficient by g on the right."""
-        terms = {i: c * g for i, c in self.terms.items()}
-        return Form(self.algebra, self.n, self.degree, terms)
+        return self._map(lambda c: c * g)
 
     def wedge(self, other):
         if not isinstance(other, Form):
             raise TypeError("wedge needs a Form")
         if (self.algebra, self.n) != (other.algebra, other.n):
             raise ValueError("form spaces differ")
-        deg = self.degree + other.degree
         acc = {}
         for i1, c1 in self.terms.items():
             s1 = set(i1)
@@ -296,9 +287,7 @@ class Form:
                 merged, sign = _merge_sorted(i1, i2)
                 c = c1 * c2 if sign == 1 else -(c1 * c2)
                 acc[merged] = acc[merged] + c if merged in acc else c
-        out = Form(self.algebra, self.n, deg)
-        out.terms = {i: c for i, c in acc.items() if not c.is_zero()}
-        return out
+        return _form(self.algebra, self.n, self.degree + other.degree, acc)
 
     def exterior_d(self):
         acc = {}
@@ -313,9 +302,7 @@ class Form:
                 merged, sign = _merge_sorted((i,), idx)
                 c = dc if sign == 1 else -dc
                 acc[merged] = acc[merged] + c if merged in acc else c
-        out = Form(self.algebra, self.n, self.degree + 1)
-        out.terms = {i: c for i, c in acc.items() if not c.is_zero()}
-        return out
+        return _form(self.algebra, self.n, self.degree + 1, acc)
 
     def hodge_star(self):
         """Euclidean star for the positive orientation (0, 1, ..., width-1).
@@ -323,15 +310,11 @@ class Form:
         Acts on the index part only; coefficients ride along unchanged.
         """
         width = self.width
-        out = Form(self.algebra, self.n, width - self.degree)
         terms = {}
-        full = tuple(range(width))
         for idx, coef in self.terms.items():
-            comp = tuple(i for i in full if i not in idx)
-            sign = _permutation_sign(idx + comp)
-            terms[comp] = coef if sign == 1 else -coef
-        out.terms = {i: c for i, c in terms.items() if not c.is_zero()}
-        return out
+            comp = tuple(i for i in range(width) if i not in idx)
+            terms[comp] = coef if _merge_sorted(idx, comp)[1] == 1 else -coef
+        return _form(self.algebra, self.n, width - self.degree, terms)
 
     def pullback_at(self, frame, point):
         """Evaluate on tangent vectors at a point: sum_I c_I(point) det(frame_I).
@@ -401,6 +384,16 @@ class Form:
         return cls(obj["algebra"], obj["n"], obj["degree"], terms)
 
 
+def _form(algebra, n, degree, terms):
+    """A ``Form`` without validation, for results whose ``terms`` already
+    map strictly increasing index tuples to pole-ring elements; zero
+    coefficients drop."""
+    out = Form.__new__(Form)
+    out.algebra, out.n, out.degree = algebra, n, degree
+    out.terms = {i: c for i, c in terms.items() if not c.is_zero()}
+    return out
+
+
 def _merge_sorted(a, b):
     """Merge two disjoint ascending tuples; return (merged, sign) where sign
     is the parity of the permutation that sorts a + b."""
@@ -420,25 +413,6 @@ def _merge_sorted(a, b):
     merged.extend(a[i:])
     merged.extend(b[j:])
     return tuple(merged), sign
-
-
-def _permutation_sign(perm):
-    seen = [False] * len(perm)
-    pos = {v: i for i, v in enumerate(sorted(perm))}
-    sign = 1
-    norm = [pos[v] for v in perm]
-    for start in range(len(norm)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = norm[i]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def _det_exact(rows):
@@ -475,74 +449,69 @@ def _det_float(rows):
 # standard forms
 # ---------------------------------------------------------------------------
 
+def _basis_form(algebra, n, idx):
+    """The constant-coefficient form dx_idx (coefficient 1)."""
+    return Form(algebra, n, len(idx), {idx: HNumber.one(algebra)})
+
+
+def _block(algebra, h, skip=None):
+    """Flat indices of variable h in increasing order, without alpha = skip."""
+    d = DIM[algebra]
+    return tuple(d * h + a for a in range(d) if a != skip)
+
+
+def _units(algebra, conjugate):
+    """i_0, ..., i_{d-1}, or their conjugates."""
+    units = [HNumber.unit(algebra, a) for a in range(DIM[algebra])]
+    return [u.conj() for u in units] if conjugate else units
+
+
+def _dq(algebra, n, h, conjugate):
+    """sum_a u_a dx_{h,a} with u_a = i_a, or conj(i_a) when ``conjugate``."""
+    return Form(algebra, n, 1, {(i,): u for i, u in
+                                zip(_block(algebra, h), _units(algebra, conjugate))})
+
+
+def _Dq(algebra, n, h, conjugate):
+    """sum_a (-1)^a u_a dX_{h,a-hat} with u_a as in :func:`_dq`."""
+    units = _units(algebra, conjugate)
+    return Form(algebra, n, DIM[algebra] - 1,
+                {_block(algebra, h, a): -u if a % 2 else u
+                 for a, u in enumerate(units)})
+
+
 def dq_form(algebra, n, h):
     """sum_a i_a dx_{h,a}."""
-    d = DIM[algebra]
-    terms = {}
-    one = HPoly.constant(algebra, n, 1)
-    for alpha in range(d):
-        terms[(d * h + alpha,)] = PoleRingElement.from_poly(
-            one.mul_const_left(HNumber.unit(algebra, alpha)))
-    return Form(algebra, n, 1, terms)
+    return _dq(algebra, n, h, False)
 
 
 def dqbar_form(algebra, n, h):
     """sum_a conj(i_a) dx_{h,a}."""
-    d = DIM[algebra]
-    terms = {}
-    one = HPoly.constant(algebra, n, 1)
-    for alpha in range(d):
-        u = HNumber.unit(algebra, alpha).conj()
-        terms[(d * h + alpha,)] = PoleRingElement.from_poly(one.mul_const_left(u))
-    return Form(algebra, n, 1, terms)
+    return _dq(algebra, n, h, True)
 
 
 def volume_block_form(algebra, n, h):
     """dx_{h,0} ^ dx_{h,1} ^ dx_{h,2} ^ dx_{h,3} (one variable's volume)."""
-    d = DIM[algebra]
-    idx = tuple(d * h + a for a in range(d))
-    one = HPoly.constant(algebra, n, 1)
-    return Form(algebra, n, d, {idx: PoleRingElement.from_poly(one)})
+    return _basis_form(algebra, n, _block(algebra, h))
 
 
 def dq_hat_form(algebra, n, h, alpha):
     """The (d-1)-form dropping dx_{h,alpha} from the variable's volume."""
-    d = DIM[algebra]
-    idx = tuple(d * h + a for a in range(d) if a != alpha)
-    one = HPoly.constant(algebra, n, 1)
-    return Form(algebra, n, d - 1, {idx: PoleRingElement.from_poly(one)})
+    return _basis_form(algebra, n, _block(algebra, h, alpha))
 
 
 def Dq_form(algebra, n, h):
     """sum_a (-1)^a i_a dX_{h,a-hat}: the degree-3 kernel pairing form."""
-    d = DIM[algebra]
-    out = Form.zero(algebra, n, d - 1)
-    for alpha in range(d):
-        u = HNumber.unit(algebra, alpha)
-        if alpha % 2:
-            u = -u
-        out = out + dq_hat_form(algebra, n, h, alpha).mul_left(
-            HPoly.constant(algebra, n, u))
-    return out
+    return _Dq(algebra, n, h, False)
 
 
 def Dqbar_form(algebra, n, h):
     """Conjugate-coefficient variant of :func:`Dq_form`."""
-    d = DIM[algebra]
-    out = Form.zero(algebra, n, d - 1)
-    for alpha in range(d):
-        u = HNumber.unit(algebra, alpha).conj()
-        if alpha % 2:
-            u = -u
-        out = out + dq_hat_form(algebra, n, h, alpha).mul_left(
-            HPoly.constant(algebra, n, u))
-    return out
+    return _Dq(algebra, n, h, True)
 
 
 def full_volume_form(algebra, n):
-    width = DIM[algebra] * n
-    one = HPoly.constant(algebra, n, 1)
-    return Form(algebra, n, width, {tuple(range(width)): PoleRingElement.from_poly(one)})
+    return _basis_form(algebra, n, tuple(range(DIM[algebra] * n)))
 
 
 # ---------------------------------------------------------------------------
@@ -573,9 +542,7 @@ def identity_lub(F):
         raise ValueError("two quaternionic variables required")
     dx = volume_block_form("H", 2, 0)
     dy = volume_block_form("H", 2, 1)
-    dF = Form.zero("H", 2, 1)
-    for i in range(8):
-        dF = dF + Form.coordinate_differential("H", 2, i).mul_left(F.partial_flat(i))
+    dF = Form("H", 2, 1, {(i,): F.partial_flat(i) for i in range(8)})
     lhs = (
         dqbar_form("H", 2, 0).wedge(dq_form("H", 2, 0)).wedge(dy).wedge(dF)
         + dx.wedge(dqbar_form("H", 2, 1).wedge(dq_form("H", 2, 1)).wedge(dF))
@@ -593,27 +560,18 @@ def identity_lub(F):
 def cf_kernel(q0):
     """Components of the one-variable reproducing kernel
     G(q) = conj(q - q0) / |q - q0|^4 as pole-ring elements."""
-    q0 = tuple(Fraction(c) for c in q0)
-    if len(q0) != 4:
-        raise ValueError("kernel pole is a quaternion point")
-    comps = []
-    for beta in range(4):
-        exp = tuple(1 if i == beta else 0 for i in range(4))
-        lin = HPoly("H", 1, {exp: HNumber.one("H")}) - \
-            HPoly.constant("H", 1, q0[beta])
-        if beta:
-            lin = -lin
-        comps.append(PoleRingElement(lin, q0, 2))
-    return comps
+    K = cf_kernel_quaternion(q0)
+    return [PoleRingElement(K.num.component(b), K.pole, 2) for b in range(4)]
 
 
 def cf_kernel_quaternion(q0):
     """The kernel as a single quaternion-valued pole-ring element."""
-    comps = cf_kernel(q0)
-    acc = comps[0].num
-    for beta in range(1, 4):
-        acc = acc + comps[beta].num.mul_const_left(HNumber.unit("H", beta))
-    return PoleRingElement(acc, tuple(Fraction(c) for c in q0), 2)
+    q0 = tuple(Fraction(c) for c in q0)
+    if len(q0) != 4:
+        raise ValueError("kernel pole is a quaternion point")
+    num = HPoly.variable_conj("H", 1, 0) - HPoly.constant(
+        "H", 1, HNumber("H", q0).conj())
+    return PoleRingElement(num, q0, 2)
 
 
 def _pole_fueter(g, h, right):
@@ -667,11 +625,8 @@ _COMPLEX_DIFFERENTIALS = {
 def complex_differential(label):
     """dz = dx + i dy (or conjugate) in the span{1, i} coefficient engine."""
     re_idx, im_idx, sign = _COMPLEX_DIFFERENTIALS[label]
-    i_unit = HNumber.unit("H", 1)
-    re = Form.coordinate_differential("H", 2, re_idx)
-    im = Form.coordinate_differential("H", 2, im_idx).mul_left(
-        HPoly.constant("H", 2, i_unit if sign > 0 else -i_unit))
-    return re + im
+    return Form("H", 2, 1, {(re_idx,): HNumber.one("H"),
+                            (im_idx,): HNumber.unit("H", 1).scale(sign)})
 
 
 def omega2(pole):

@@ -345,13 +345,22 @@ class HNumber:
 
     @classmethod
     def from_json(cls, obj):
-        algebra = obj["algebra"]
+        """Inverse of :meth:`to_json`: KeyError for a missing key, ValueError
+        for any other malformed shape."""
+        if not isinstance(obj, dict) or not isinstance(obj.get("c"), list):
+            raise ValueError("a number is an object with a component list 'c'")
         comps = obj["c"]
-        if comps and isinstance(comps[0], str):
-            return cls(algebra, [Fraction(c) for c in comps], "exact")
         if comps and isinstance(comps[0], float):
-            return cls(algebra, comps, "float")
-        return cls(algebra, comps, "exact")
+            if not all(isinstance(c, (int, float)) for c in comps):
+                raise ValueError("float components must be numbers")
+            return cls(obj["algebra"], comps, "float")
+        if not all(isinstance(c, (str, int)) for c in comps):
+            raise ValueError("exact components are rational strings or integers")
+        try:
+            comps = [Fraction(c) for c in comps]
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in a component") from None
+        return cls(obj["algebra"], comps, "exact")
 
 
 def _trusted(algebra, coeffs, backend):

@@ -60,9 +60,8 @@ def _primitive(row, lead):
 class Echelon:
     """Incremental sparse row echelon form over Q, on integer rows."""
 
-    def __init__(self, track_rhs=False):
+    def __init__(self):
         self.pivots = {}    # col -> primitive integer row (may carry _RHS)
-        self.track_rhs = track_rhs
 
     @property
     def rank(self):
@@ -84,13 +83,13 @@ class Echelon:
         return None
 
     def add_row(self, row, rhs=None):
-        """Feed one row (dict col->rational).  Returns True if rank grew.
+        """Feed one row (dict col->rational) with its right-hand side ``rhs``
+        (None or 0 for a homogeneous row).  Returns True if rank grew.
 
-        Raises Inconsistent when rhs tracking is on and the row reduces to
-        an impossible equation.
+        Raises Inconsistent when the row reduces to an impossible equation.
         """
         work = {c: v for c, v in row.items() if v}
-        if self.track_rhs and rhs:
+        if rhs:
             work[_RHS] = rhs
         den = lcm(*(v.denominator for v in work.values()))
         work = {c: v.numerator * (den // v.denominator)
@@ -124,11 +123,9 @@ class Echelon:
     def solution(self, ncols):
         """Particular solution with all free variables set to zero.
 
-        Requires rhs tracking.  Call after feeding all rows; raises
-        Inconsistent from add_row, never here.
+        Call after feeding all rows; raises Inconsistent from add_row, never
+        here.
         """
-        if not self.track_rhs:
-            raise ValueError("echelon built without rhs tracking")
         sol = [Fraction(0)] * ncols
         # back-substitution in decreasing pivot order; free variables are
         # zero, so only later pivot columns contribute (sol[lead] itself is
@@ -175,7 +172,7 @@ def solve_sparse(rows, rhs_values, ncols):
     zero, which makes the answer the minimal one in the sense that every
     non-pivot coordinate (in increasing column order) vanishes.
     """
-    ech = Echelon(track_rhs=True)
+    ech = Echelon()
     try:
         for row, rhs in zip(rows, rhs_values):
             ech.add_row(row, rhs)

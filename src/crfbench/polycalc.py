@@ -118,15 +118,7 @@ class HPoly:
     @classmethod
     def variable_conj(cls, algebra, n, h):
         """conj(q_h) = x_{h,0} - sum_{a>0} x_{h,a} i_a."""
-        d = DIM[algebra]
-        width = d * n
-        terms = {}
-        for alpha in range(d):
-            exp = [0] * width
-            exp[d * h + alpha] = 1
-            u = HNumber.unit(algebra, alpha)
-            terms[tuple(exp)] = u if alpha == 0 else -u
-        return cls(algebra, n, terms)
+        return cls.variable(algebra, n, h).conj()
 
     # -- structure ------------------------------------------------------------
 
@@ -357,15 +349,27 @@ class HPoly:
 
     @classmethod
     def from_json(cls, obj):
-        algebra = obj["algebra"]
-        n = obj["n"]
+        """Inverse of :meth:`to_json`: KeyError for a missing key, ValueError
+        for any other malformed shape."""
+        if not isinstance(obj, dict):
+            raise ValueError("a polynomial is a JSON object")
+        n, items = obj["n"], obj["terms"]
+        if not isinstance(n, int):
+            raise ValueError("n must be an integer")
+        if not isinstance(items, list) or \
+                not all(isinstance(t, dict) for t in items):
+            raise ValueError("terms must be a list of objects")
         terms = {}
-        for t in obj["terms"]:
+        for t in items:
+            exp = t["exp"]
+            if not isinstance(exp, list) or \
+                    not all(isinstance(e, int) for e in exp):
+                raise ValueError("an exponent is a list of integers")
             coef = HNumber.from_json(t["coef"])
             if coef.backend != "exact":
                 raise ValueError("HPoly coefficients must be exact")
-            terms[tuple(t["exp"])] = coef
-        return cls(algebra, n, terms)
+            terms[tuple(exp)] = coef
+        return cls(obj["algebra"], n, terms)
 
 
 def _poly(algebra, n, terms):

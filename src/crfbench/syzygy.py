@@ -344,12 +344,6 @@ def independence_witness(a, b, algebra, n):
     residuals = compat_pbar(g)
     out = {}
     idx = 0
-    if algebra == "H":
-        # published pair order for the quaternionic system: (0,1), (1,0)
-        for l, m in ((0, 1), (1, 0)):
-            out[(l, m)] = residuals[idx]
-            idx += 1
-        return out
     for l in range(n):
         for m in range(n):
             if l != m:

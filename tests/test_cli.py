@@ -298,6 +298,41 @@ def test_malformed_function_surface(tmp_path, capsys, command, f, rho):
     assert "Traceback" not in err
 
 
+def _system(edit):
+    """A valid solve payload with ``edit`` applied to its first polynomial."""
+    g = [c.to_json() for c in dbar_system(HPoly.variable("H", 2, 0) ** 2)]
+    edit(g[0])
+    return {"schema_version": 1, "g": g}
+
+
+MALFORMED_PAYLOADS = {
+    "not-an-object": ("solve", []),
+    "g-not-a-list": ("solve", {"schema_version": 1, "g": {"a": 1}}),
+    "terms-null": ("solve", _system(lambda p: p.update(terms=None))),
+    "exp-not-a-list": ("solve", _system(
+        lambda p: p["terms"][0].update(exp=5))),
+    "fractional-exponent": ("solve", _system(
+        lambda p: p["terms"][0]["exp"].__setitem__(0, 1.5))),
+    "null-component": ("solve", _system(
+        lambda p: p["terms"][0]["coef"].update(c=[None, 0, 0, 0]))),
+    "n-a-string": ("solve", _system(lambda p: p.update(n="2"))),
+    "surface-a-list": ("check", {"schema_version": 1,
+                                 "f": coord(0, 1).to_json(), "surface": []}),
+}
+
+
+@pytest.mark.parametrize("command, payload", MALFORMED_PAYLOADS.values(),
+                         ids=MALFORMED_PAYLOADS.keys())
+def test_malformed_payload_shapes(tmp_path, capsys, command, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, [command, "--input", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid input")
+    assert "Traceback" not in err
+
+
 def test_missing_input_file(capsys):
     code, _, err = run(capsys, ["check", "--input", "/nonexistent.json"])
     assert code == 2

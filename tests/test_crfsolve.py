@@ -106,6 +106,25 @@ def test_full_monomial_space_is_listed_only_when_candidates_fail(monkeypatch):
         assert list(dbar_system(cs.solve_crf(g))) == list(g)
 
 
+def test_full_monomial_space_solves_what_the_candidates_cannot(monkeypatch):
+    # g = (j y1, -i x2) has no solution on the shifts of its own support;
+    # the full degree-2 space gives the one with free variables zero
+    listed = []
+
+    def spy(width, k):
+        listed.append((width, k))
+        return monomials(width, k)
+    monkeypatch.setattr(cs, "monomials", spy)
+    i, j, k = (HNumber.unit("H", a) for a in (1, 2, 3))
+    g = [coord(1, 1).mul_const_left(j), coord(0, 2).mul_const_left(-i)]
+    u = cs.solve_crf(g)
+    assert (8, 2) in listed
+    assert list(dbar_system(u)) == g
+    assert u == ((coord(0, 3) * coord(1, 3)).mul_const_left(-k)
+                 + (coord(0, 3) * coord(1, 1)).mul_const_left(i)
+                 + (coord(0, 2) * coord(1, 3)).mul_const_left(j))
+
+
 def test_constant_right_hand_side():
     g = [HPoly.constant("H", 2, 1), HPoly.zero("H", 2)]
     u = cs.solve_crf(g)
@@ -223,15 +242,23 @@ def test_kernel_budget_guard():
 # rho-adic tools
 # ---------------------------------------------------------------------------
 
-def test_divmod_affine_identity(flat):
+@pytest.mark.parametrize("rho, pivot, g_p", [
+    (coord(1, 3), 7, 1),
+    # s = (1 - x0)/2 and g_p = 2 exercise both scalings of the digits
+    (coord(0, 0) + coord(1, 1).scale(2) - HPoly.constant("H", 2, 1), 5, 2),
+], ids=["wall", "tilted"])
+def test_divmod_affine_identity(rho, pivot, g_p):
+    S = Hypersurface(rho)
+    grad, piv, _, _ = S.affine_form()
+    assert (piv, grad[piv]) == (pivot, g_p)
     rng = random.Random(47)
     for _ in range(6):
         p = rand_poly(rng, "H", 2, deg=3, terms=5)
-        digits = cs.rho_adic_digits(p, flat, p.degree() + 1)
+        digits = cs.rho_adic_digits(p, S, p.degree() + 1)
         rebuilt = HPoly.zero("H", 2)
         for j, d in enumerate(digits):
-            rebuilt = rebuilt + flat.rho ** j * d
-            assert all(e[7] == 0 for e in d.terms)
+            rebuilt = rebuilt + S.rho ** j * d
+            assert all(e[pivot] == 0 for e in d.terms)
         assert rebuilt == p
 
 

@@ -44,7 +44,7 @@ def test_solve_detects_inconsistency():
 
 
 def test_inconsistency_raised_incrementally():
-    ech = Echelon(track_rhs=True)
+    ech = Echelon()
     ech.add_row({0: Fraction(1)}, Fraction(2))
     with pytest.raises(Inconsistent):
         ech.add_row({0: Fraction(2)}, Fraction(5))
@@ -78,7 +78,7 @@ def test_free_variables_are_zero_in_particular_solution():
         mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
         x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
         b = [sum(Fraction(mat[i][j]) * x[j] for j in range(n)) for i in range(m)]
-        ech = Echelon(track_rhs=True)
+        ech = Echelon()
         for row, rhs in zip(dense_to_rows(mat), b):
             ech.add_row(row, rhs)
         sol = ech.solution(n)
@@ -144,7 +144,7 @@ def test_solve_rational_rows_exact_and_zero_off_pivots():
         assert sol is not None
         for row, rhs in zip(rows, b):
             assert sum(v * sol[j] for j, v in row.items()) == rhs
-        ech = Echelon(track_rhs=True)
+        ech = Echelon()
         for row, rhs in zip(rows, b):
             ech.add_row(row, rhs)
         assert ech.solution(n) == sol
@@ -170,7 +170,7 @@ def test_inconsistency_with_rational_rhs():
     # x + y/2 = 1/3 and 2x + y = 3/4 contradict each other
     rows = [{0: 1, 1: Fraction(1, 2)}, {0: Fraction(2), 1: 1}]
     assert solve_sparse(rows, [Fraction(1, 3), Fraction(3, 4)], 2) is None
-    ech = Echelon(track_rhs=True)
+    ech = Echelon()
     ech.add_row(rows[0], Fraction(1, 3))
     with pytest.raises(Inconsistent):
         ech.add_row(rows[1], Fraction(3, 4))
@@ -183,10 +183,11 @@ def test_pivot_rows_are_primitive_integer_dicts():
     for _ in range(50):
         m, n = rng.randint(1, 8), rng.randint(1, 8)
         rows = scaled_rows(rng, random_matrix(rng, m, n))
-        for track in (False, True):
-            ech = Echelon(track_rhs=track)
+        for with_rhs in (False, True):
+            ech = Echelon()
             x = [Fraction(rng.randint(-5, 5), rng.randint(1, 6))
                  for _ in range(n)]
             for row in rows:
-                ech.add_row(row, sum(v * x[j] for j, v in row.items()))
+                ech.add_row(row, sum(v * x[j] for j, v in row.items())
+                            if with_rhs else None)
                 assert_primitive_integer_pivots(ech)
