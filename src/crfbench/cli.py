@@ -159,6 +159,9 @@ def cmd_verify_identities(args):
     algebras = ["H", "O"] if args.algebra == "both" else [args.algebra]
     if args.count < 1:
         raise ValueError("count must be at least 1")
+    if args.n < 2 or ("H" in algebras and args.n != 2):
+        raise ValueError("the quaternionic compatibility pair needs n == 2, "
+                         "the octonionic residuals n >= 2")
     rng = random.Random(args.seed)
     checks = []
     count = args.count
@@ -175,7 +178,7 @@ def cmd_verify_identities(args):
         checks.append(_check(f"laplacian_factorization_{algebra}", ok))
         ok = True
         for _ in range(count):
-            u = _rand_poly(rng, algebra, 2)
+            u = _rand_poly(rng, algebra, n)
             residuals = compat_pbar(dbar_system(u))
             if any(not r.is_zero() for r in residuals):
                 ok = False

@@ -14,7 +14,7 @@ rationals:
   order m on S (m = 1 recovers tangential CRF, m = 2 is the admissibility
   order).  Feasibility at m = 2 characterizes admissible boundary functions.
   Vanishing order is read off rho-adic digits, which on an affine S are
-  Taylor coefficients in the pivot coordinate.
+  slices in rho after one change of coordinates.
 
 * ``jump_split``: produce a two-sided regular decomposition (F+, F-) of a
   boundary function that admits a global polynomial regular extension; the
@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .hypercomplex import DIM, MUL_TABLE, HNumber
 from .linalg import nullspace_sparse, solve_sparse
-from .polycalc import (HPoly, compat_pbar, dbar_images, dbar_system,
+from .polycalc import (HPoly, _poly, compat_pbar, dbar_images, dbar_system,
                        fueter_dbar, monomials)
 
 
@@ -220,16 +220,16 @@ def rho_adic_digits(poly, S, count):
     """First ``count`` digits of the rho-adic expansion of poly on affine S:
     poly = d_0 + rho d_1 + rho^2 d_2 + ... with pivot-free digits.
 
-    With rho = g_p (x_p - s(x)) and s free of the pivot x_p, the digits are
-    Taylor coefficients in x_p about s: d_j = (d_p^j poly)(x_p = s) / (j! g_p^j).
+    With rho = g_p (x_p - s(x)) and s free of x_p, x_p -> s + x_p / g_p turns
+    rho into x_p and fixes the digits: d_j is the x_p^j slice of the result.
     """
     grad, piv, sub, const = S.affine_form()
-    digits = []
-    cur = poly      # d_p^j poly / (j! g_p^j)
-    for j in range(count):
-        digits.append(cur.substitute_linear(piv, sub, const))
-        cur = cur.partial_flat(piv).scale(Fraction(1, j + 1) / grad[piv])
-    return digits
+    coeffs = sub[:piv] + (1 / grad[piv],) + sub[piv + 1:]
+    slices = [{} for _ in range(count)]
+    for exp, coef in poly.substitute_linear(piv, coeffs, const).terms.items():
+        if exp[piv] < count:
+            slices[exp[piv]][exp[:piv] + (0,) + exp[piv + 1:]] = coef
+    return [_poly(poly.algebra, poly.n, terms) for terms in slices]
 
 
 def _dbar_digits(poly, S, m):
@@ -250,6 +250,8 @@ def _extend(f, S, m, budget, max_unknowns):
     if not S.is_affine:
         raise ValueError("extension problems are implemented for affine "
                          "hypersurfaces")
+    if budget < 0:
+        raise ValueError("degree budget must be nonnegative")
     # unknowns: the coefficient of x^mu i_beta in P, deg(rho * P) <= budget
     monos = [mu for k in range(budget) for mu in monomials(8, k)]
     if 4 * len(monos) > max_unknowns:

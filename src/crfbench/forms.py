@@ -41,17 +41,20 @@ SCHEMA_VERSION = 1
 
 
 def _r_squared(pole, algebra, n):
-    """The squared distance polynomial to the pole point."""
+    """The squared distance polynomial to the pole point,
+    sum_i x_i^2 - 2 p_i x_i + |p|^2."""
     width = DIM[algebra] * n
     if len(pole) != width:
         raise ValueError("pole width mismatch")
-    out = HPoly.zero(algebra, n)
+    origin = (0,) * width
+    sq = sum(Fraction(p) ** 2 for p in pole)
+    terms = {}
     for i, p in enumerate(pole):
-        exp1 = tuple(1 if j == i else 0 for j in range(width))
-        mono = HPoly(algebra, n, {exp1: HNumber.one(algebra)})
-        lin = mono - HPoly.constant(algebra, n, Fraction(p))
-        out = out + lin * lin
-    return out
+        terms[origin[:i] + (2,) + origin[i + 1:]] = 1
+        if p:
+            terms[origin[:i] + (1,) + origin[i + 1:]] = -2 * Fraction(p)
+            terms.setdefault(origin, sq)
+    return HPoly(algebra, n, terms)
 
 
 class PoleRingElement:
@@ -493,11 +496,6 @@ def dqbar_form(algebra, n, h):
 def volume_block_form(algebra, n, h):
     """dx_{h,0} ^ dx_{h,1} ^ dx_{h,2} ^ dx_{h,3} (one variable's volume)."""
     return _basis_form(algebra, n, _block(algebra, h))
-
-
-def dq_hat_form(algebra, n, h, alpha):
-    """The (d-1)-form dropping dx_{h,alpha} from the variable's volume."""
-    return _basis_form(algebra, n, _block(algebra, h, alpha))
 
 
 def Dq_form(algebra, n, h):

@@ -111,8 +111,6 @@ class Hypersurface:
             raise ValueError("rho must be nonconstant")
         self.rho = rho
         self.gradient = [rho.partial_flat(i) for i in range(8)]
-        self._hess = [[self.gradient[i].partial_flat(j) for j in range(8)]
-                      for i in range(8)]
         self._affine = None
         if self.is_affine:
             origin = (0,) * 8
@@ -143,8 +141,8 @@ class Hypersurface:
 
     def hessian_at(self, p):
         return np.array(
-            [[float(self._hess[i][j].evaluate(p).coeffs[0]) for j in range(8)]
-             for i in range(8)])
+            [[float(g.partial_flat(j).evaluate(p).coeffs[0]) for j in range(8)]
+             for g in self.gradient])
 
     def normal_at(self, p):
         """Unit normal as a quaternion pair; exact when |grad|^2 is a perfect
@@ -203,15 +201,16 @@ class Hypersurface:
 
     # -- sampling ----------------------------------------------------------------
 
-    def sample_points(self, count, seed=0, span=2):
+    def sample_points(self, count, seed=0):
         """Points on S: exact rationals for affine surfaces, Newton-projected
-        floats otherwise."""
+        floats otherwise; an attempt fails where rho or its gradient is not
+        finite."""
         rng = random.Random(seed)
         if self.is_affine:
             _, piv, sub, const = self.affine_form()
             out = []
             for _ in range(count):
-                p = [Fraction(rng.randint(-span * 4, span * 4), 4) for _ in range(8)]
+                p = [Fraction(rng.randint(-8, 8), 4) for _ in range(8)]
                 p[piv] = sum(c * x for c, x in zip(sub, p)) + const
                 out.append(tuple(p))
             return out
@@ -222,20 +221,26 @@ class Hypersurface:
             if attempts > 200 * (len(out) + 1):
                 raise ValueError("sampling failed to converge: S may have "
                                  "no real points")
-            p = np.array([rng.uniform(-span, span) for _ in range(8)])
-            for _ in range(80):
-                val = float(self.rho.evaluate(tuple(p)).coeffs[0])
-                g = np.array([float(c) for c in self.gradient_at(tuple(p))])
-                nsq = float(g @ g)
-                if abs(val) < 1e-13:
-                    if nsq < 1e-12:
-                        raise ValueError("rho is singular at a point of S: "
-                                         "its gradient vanishes")
-                    out.append(tuple(float(x) for x in p))
-                    break
-                if nsq < 1e-12:
-                    break
-                p = p - val * g / nsq
+            p = np.array([rng.uniform(-2, 2) for _ in range(8)])
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    for _ in range(80):
+                        val = float(self.rho.evaluate(tuple(p)).coeffs[0])
+                        g = np.array([float(c) for c in self.gradient_at(tuple(p))])
+                        nsq = float(g @ g)
+                        if not (math.isfinite(val) and math.isfinite(nsq)):
+                            break
+                        if abs(val) < 1e-13:
+                            if nsq < 1e-12:
+                                raise ValueError("rho is singular at a point "
+                                                 "of S: its gradient vanishes")
+                            out.append(tuple(float(x) for x in p))
+                            break
+                        if nsq < 1e-12:
+                            break
+                        p = p - val * g / nsq
+            except (OverflowError, FloatingPointError):
+                pass
         return out
 
     # -- serialization --------------------------------------------------------------

@@ -38,7 +38,7 @@ from operator import add
 
 from .hypercomplex import (ALGEBRAS, DIM, MUL_TABLE, SPLIT_TABLE,
                            AlgebraMismatch, HNumber, _from_ints, _mul_into,
-                           _numerators, _split_rows)
+                           _numerators, _split_rows, _trusted)
 
 SCHEMA_VERSION = 1
 
@@ -292,30 +292,27 @@ class HPoly:
         return HNumber(self.algebra, acc)
 
     def substitute_linear(self, i, coeffs, const):
-        """Replace coordinate i by the affine form sum_j coeffs[j]*x_j + const.
-
-        ``coeffs`` is indexed by flat coordinate and must have ``coeffs[i] == 0``.
-        Used for reduction modulo affine hypersurface equations.
-        """
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) != self.width or coeffs[i] != 0:
+        """Compose with the affine map x_i -> sum_j coeffs[j]*x_j + const
+        (``coeffs`` by flat coordinate; ``coeffs[i]`` may be nonzero): terms
+        grouped by x_i-degree are summed by Horner's rule, one product with
+        the replacement per degree."""
+        if len(coeffs) != self.width:
             raise ValueError("bad substitution data")
-        out = HPoly.zero(self.algebra, self.n)
-        if not self.terms:
-            return out
-        width = self.width
-        repl = {(0,) * width: Fraction(const)}
-        for j, c in enumerate(coeffs):
-            if c:
-                repl[tuple(1 if t == j else 0 for t in range(width))] = c
-        powers = [None, HPoly(self.algebra, self.n, repl)]   # repl^k, k >= 1
+        algebra, n = self.algebra, self.n
+        groups = {}
         for exp, coef in self.terms.items():
-            e = exp[i]
-            while len(powers) <= e:
-                powers.append(powers[-1] * powers[1])
-            rest = exp[:i] + (0,) + exp[i + 1:]
-            mono = _poly(self.algebra, self.n, {rest: coef})
-            out = out + (mono * powers[e] if e else mono)
+            groups.setdefault(exp[i], {})[exp[:i] + (0,) + exp[i + 1:]] = coef
+        zeros = (Fraction(0),) * (self.dim - 1)
+        origin = (0,) * self.width
+        repl = {origin[:j] + (1,) + origin[j + 1:]: c
+                for j, c in enumerate(coeffs)}
+        repl[origin] = const
+        repl = _poly(algebra, n, {e: _trusted(algebra, (Fraction(c),) + zeros,
+                                              "exact")
+                                  for e, c in repl.items() if c})
+        out = _poly(algebra, n, {})
+        for e in range(max(groups, default=0), -1, -1):
+            out = out * repl + _poly(algebra, n, groups.get(e, {}))
         return out
 
     # -- comparison / io ------------------------------------------------------------

@@ -157,19 +157,6 @@ class OperatorPoly:
         return out
 
 
-def _conj_table(algebra):
-    """Structure constants of conj(i_alpha) * i_beta."""
-    d = DIM[algebra]
-    table = [[None] * d for _ in range(d)]
-    for alpha in range(d):
-        for beta in range(d):
-            gamma, sign = MUL_TABLE[algebra][alpha][beta]
-            if alpha != 0:
-                sign = -sign
-            table[alpha][beta] = (gamma, sign)
-    return table
-
-
 def _block(algebra, n, h, conj):
     """Realified d x d operator block for variable h.
 
@@ -178,11 +165,12 @@ def _block(algebra, n, h, conj):
     """
     d = DIM[algebra]
     nsyms = d * n
-    table = MUL_TABLE[algebra] if conj else _conj_table(algebra)
     rows = [[OperatorPoly.zero(nsyms) for _ in range(d)] for _ in range(d)]
     for alpha in range(d):
         for beta in range(d):
-            gamma, sign = table[alpha][beta]
+            gamma, sign = MUL_TABLE[algebra][alpha][beta]
+            if not conj and alpha:      # conj(i_alpha) = -i_alpha
+                sign = -sign
             rows[gamma][beta] = rows[gamma][beta] + OperatorPoly.symbol(
                 nsyms, d * h + alpha, sign)
     return rows
@@ -320,12 +308,12 @@ def syzygy_dim(algebra, n, k, max_unknowns=None):
     return nunknowns - ech.rank
 
 
-def compat_rows_rank(algebra, n, k=2):
-    """Rank of the compat syzygy rows as degree-k coefficient vectors."""
+def compat_rows_rank(algebra, n):
+    """Rank of the compat syzygy rows as degree-2 coefficient vectors."""
     d = DIM[algebra]
-    monos = monomials(d * n, k)
+    monos = monomials(d * n, 2)
     mono_index = {e: i for i, e in enumerate(monos)}
-    vecs = [row_coefficient_vector(r, k, mono_index) for r in all_compat_rows(algebra, n)]
+    vecs = [row_coefficient_vector(r, 2, mono_index) for r in all_compat_rows(algebra, n)]
     return rank_of(vecs)
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 import crfbench
 from crfbench.cli import main
 from crfbench.hypercomplex import HNumber
-from crfbench.polycalc import HPoly, dbar_system
+from crfbench.polycalc import HPoly, compat_pbar, dbar_system
 from crfbench.hypersurface import Hypersurface
 
 
@@ -126,6 +127,12 @@ def test_syzygy_rejects_invalid_sizes(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["verify-identities", "--count", "0"],
     ["verify-identities", "--count", "-1"],
+    # the quaternionic compatibility pair exists for n = 2 only, the
+    # octonionic residuals for n >= 2
+    ["verify-identities", "--algebra", "H", "--n", "3"],
+    ["verify-identities", "--algebra", "both", "--n", "3"],
+    ["verify-identities", "--algebra", "H", "--n", "1"],
+    ["verify-identities", "--algebra", "O", "--n", "1"],
     ["cf-integral", "--points", "0"],
     ["cf-integral", "--points", "-1"],
 ])
@@ -135,6 +142,22 @@ def test_degenerate_counts_are_invalid_input(capsys, argv):
     assert out == ""
     assert err.startswith("error: invalid input")
     assert "Traceback" not in err
+
+
+def test_verify_identities_compatibility_runs_on_n_variables(capsys,
+                                                            monkeypatch):
+    seen = []
+
+    def recording(g):
+        seen.append((len(g), {p.n for p in g}))
+        return compat_pbar(g)
+
+    monkeypatch.setattr("crfbench.cli.compat_pbar", recording)
+    code, out, _ = run(capsys, ["verify-identities", "--count", "2",
+                                "--algebra", "O", "--n", "3"])
+    assert code == 0
+    assert json.loads(out)["status"] == "pass"
+    assert seen == [(3, {3})] * 2
 
 
 def test_syzygy_resource_exit(capsys):
@@ -214,6 +237,21 @@ def test_check_judges_crf_once_at_the_given_tolerance(tmp_path, capsys):
     assert by_name["admissible"] == "fail"
 
 
+def test_check_survives_float_overflow_on_a_curved_surface(tmp_path, capsys):
+    """rho = x0^2000 - 1 overflows floats off the planes x0 = +-1: those
+    Newton attempts fail, and sampling goes on without a numpy warning."""
+    rho = coord(0, 0) ** 2000 - HPoly.constant("H", 2, 1)
+    path = write_function_surface(tmp_path / "fs.json", coord(0, 1), rho)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, ["check", "--input", path])
+    assert code == 0
+    rep = json.loads(out)
+    assert [(c["name"], c["status"]) for c in rep["checks"]] == [
+        ("tangentially_crf", "pass"), ("admissible", "pass"),
+        ("pointwise_rank_condition", "pass")]
+
+
 # ---------------------------------------------------------------------------
 # solve / extend / jump
 # ---------------------------------------------------------------------------
@@ -274,6 +312,21 @@ def test_jump_feasible_and_infeasible(tmp_path, capsys):
         tmp_path / "bad.json", counterexample_poly(), coord(1, 3))
     code, out, _ = run(capsys, ["jump", "--input", path])
     assert code == 1
+
+
+@pytest.mark.parametrize("command", ["extend", "jump"])
+@pytest.mark.parametrize("budget", ["-1", "-3"])
+@pytest.mark.parametrize("data", ["regular", "counterexample"])
+def test_negative_budget_is_invalid_input(tmp_path, capsys, command, budget,
+                                          data):
+    f = (coord(0, 1) - coord(0, 0).mul_const_left(HNumber.unit("H", 1))
+         if data == "regular" else counterexample_poly())
+    path = write_function_surface(tmp_path / "fs.json", f, coord(1, 3))
+    code, out, err = run(capsys, [command, "--input", path,
+                                  "--budget", budget])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid input")
 
 
 # ---------------------------------------------------------------------------

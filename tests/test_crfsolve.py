@@ -246,7 +246,12 @@ def test_kernel_budget_guard():
     (coord(1, 3), 7, 1),
     # s = (1 - x0)/2 and g_p = 2 exercise both scalings of the digits
     (coord(0, 0) + coord(1, 1).scale(2) - HPoly.constant("H", 2, 1), 5, 2),
-], ids=["wall", "tilted"])
+    # rational gradient entries in several coordinates, a negative
+    # non-unit g_p and a nonzero constant
+    (coord(0, 1).scale(Fraction(1, 2)) - coord(1, 0).scale(Fraction(7, 3))
+     + coord(1, 2).scale(Fraction(2, 3)) + HPoly.constant("H", 2, Fraction(5, 4)),
+     4, Fraction(-7, 3)),
+], ids=["wall", "tilted", "rational"])
 def test_divmod_affine_identity(rho, pivot, g_p):
     S = Hypersurface(rho)
     grad, piv, _, _ = S.affine_form()
@@ -260,6 +265,18 @@ def test_divmod_affine_identity(rho, pivot, g_p):
             rebuilt = rebuilt + S.rho ** j * d
             assert all(e[pivot] == 0 for e in d.terms)
         assert rebuilt == p
+
+
+def test_rho_adic_digits_is_one_change_of_coordinates(flat, monkeypatch):
+    calls = {"substitute_linear": 0, "partial_flat": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _orig=getattr(HPoly, name)):
+            calls[_name] += 1
+            return _orig(self, *args)
+        monkeypatch.setattr(HPoly, name, counted)
+    p = rand_poly(random.Random(46), "H", 2, deg=3, terms=5)
+    cs.rho_adic_digits(p, flat, 4)
+    assert calls == {"substitute_linear": 1, "partial_flat": 0}
 
 
 def test_rho_adic_digits_golden(flat):

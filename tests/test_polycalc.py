@@ -296,6 +296,21 @@ def test_substitute_linear_reduces_on_hyperplane():
     assert all(e[0] == 0 for e in sub.terms)
 
 
+def test_substitute_linear_composes_when_the_coordinate_stays():
+    # x_3 := 3 x_3 / 2 - x_6 + 2/3 (coeffs[3] != 0): p(x) = q(x') at the
+    # point x' whose coordinate 3 is the affine form's value at x
+    rng = random.Random(20)
+    p = rand_poly(rng, "H", 2, 4, 6, den=3)
+    coeffs = [0] * 8
+    coeffs[3], coeffs[6] = Fraction(3, 2), Fraction(-1)
+    q = p.substitute_linear(3, coeffs, Fraction(2, 3))
+    for _ in range(10):
+        pt = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(8)]
+        moved = list(pt)
+        moved[3] = Fraction(3, 2) * pt[3] - pt[6] + Fraction(2, 3)
+        assert q.evaluate(pt) == p.evaluate(moved)
+
+
 def test_json_roundtrip():
     rng = random.Random(19)
     p = rand_poly(rng, "O", 2, 3, 5)
