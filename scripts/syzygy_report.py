@@ -3,9 +3,8 @@
 
 Prints, per algebra, the degree-wise left syzygy dimensions of the stacked
 operator matrix and whether the second-order compatibility rows span the
-degree-two syzygy space.  The octonionic three-variable case (where the
-compatibility rows stop spanning) is behind --full because the degree-two
-solve there is a few seconds of exact arithmetic.
+degree-two syzygy space.  --full adds the octonionic degree-three count and
+the three-variable case, where the compatibility rows stop spanning.
 """
 
 import argparse

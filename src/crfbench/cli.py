@@ -226,6 +226,8 @@ def cmd_verify_identities(args):
 
 
 def cmd_check(args):
+    if args.samples < 1:
+        raise ValueError("samples must be at least 1")
     payload, f, S = _load_function_surface(args.input)
     checks = []
     rep = hsur.is_admissible(f, S, tol=args.tol)

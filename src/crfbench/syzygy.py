@@ -28,12 +28,19 @@ syzygy rows mechanically:
 The equations v . M = 0 are the transpose of dbar on degree k+1: the
 coefficient of d^mu in column beta of v . M is the image of x^[mu] i_beta
 under :func:`crfbench.polycalc.dbar_images`, read with row (h, nu, gamma)
-as the unknown "coefficient of d^nu in v[(h, gamma)]".
+as the unknown "coefficient of d^nu in v[(h, gamma)]".  Since
+i_a i_b = +-i_{a XOR b}, that system is block diagonal by
+:func:`block_key`, and ``syzygy_dim`` ranks one block per orbit of the
+variable permutations and of the class shifts certified by
+:func:`shift_certificate`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 from .hypercomplex import DIM, MUL_TABLE, HNumber
 from .linalg import Echelon, rank_of
@@ -45,7 +52,8 @@ class ResourceBudget(Exception):
 
 
 class OperatorPoly:
-    """Polynomial in commuting derivative symbols with rational coefficients."""
+    """Polynomial in commuting derivative symbols with rational coefficients
+    (integral ones are kept as ``int``)."""
 
     __slots__ = ("nsyms", "terms")
 
@@ -57,9 +65,10 @@ class OperatorPoly:
                 exp = tuple(exp)
                 if len(exp) != nsyms:
                     raise ValueError("exponent width mismatch")
-                c = Fraction(c)
+                if not isinstance(c, int):
+                    c = Fraction(c)
                 if c:
-                    clean[exp] = clean.get(exp, Fraction(0)) + c
+                    clean[exp] = clean.get(exp, 0) + c
         self.terms = {e: c for e, c in clean.items() if c}
 
     @classmethod
@@ -91,7 +100,7 @@ class OperatorPoly:
             return NotImplemented
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
+            s = terms.get(e, 0) + c
             if s:
                 terms[e] = s
             elif e in terms:
@@ -121,7 +130,7 @@ class OperatorPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
+                acc[e] = acc.get(e, 0) + c1 * c2
         out = OperatorPoly.__new__(OperatorPoly)
         out.nsyms = self.nsyms
         out.terms = {e: c for e, c in acc.items() if c}
@@ -276,6 +285,79 @@ def row_coefficient_vector(row, k, mono_index):
     return vec
 
 
+def block_key(d, mu, beta):
+    """Block of column (mu, beta): the multidegree (deg_0 mu, ..., deg_{n-1}
+    mu) and the class beta XOR (XOR of i mod d over the i with mu_i odd).
+
+    Under the index rule i_a i_b = +-i_{a XOR b}, ``dbar_images`` keeps it:
+    unknown (h, nu, gamma) has the key of column (nu + e_{d*h}, gamma).
+    """
+    return (tuple(sum(mu[i:i + d]) for i in range(0, len(mu), d)),
+            beta ^ _odd_xor(d, mu))
+
+
+def _odd_xor(d, mu):
+    x = 0
+    for i, e in enumerate(mu):
+        if e & 1:
+            x ^= i % d
+    return x
+
+
+def _block_columns(d, md, kappa):
+    """The columns of block (md, kappa), one per monomial mu of multidegree
+    md, in increasing mu."""
+    for parts in product(*(sorted(monomials(d, e)) for e in md)):
+        mu = sum(parts, ())
+        yield mu, kappa ^ _odd_xor(d, mu)
+
+
+def shift_certificate(algebra, c):
+    """Signs (v, eps) showing that class blocks kappa and kappa XOR c have
+    equal rank, or None.
+
+    They satisfy sigma(a, b XOR c) = sigma(a, b) (-1)^(v_a + v_0) eps(b)
+    eps(a XOR b) for all a, b, where i_a i_b = sigma(a, b) i_{a XOR b}.
+    Column (mu, b) then maps to (mu, b XOR c) with sign eps(b) (-1)^<v, mu>
+    and unknown (h, nu, g) to (h, nu, g XOR c) with sign eps(g)
+    (-1)^(v_0 + <v, nu>), where <v, mu> sums v_{i mod d} mu_i: a signed
+    permutation of the two blocks, for every n, k and multidegree.
+    """
+    return _certificate(MUL_TABLE[algebra], c)
+
+
+@lru_cache(maxsize=None)
+def _certificate(table, c):
+    # Multiplying eps by -1, or adding 1 to every v_a, keeps the equations,
+    # so v_0 = 0 and eps(0) = 1; as i_a 1 = i_a, the equations at b = 0
+    # then fix eps by v, and the search over v is exhaustive.
+    d = len(table)
+    sigma = [[sign for _, sign in row] for row in table]
+    for bits in range(0, 1 << d, 2):
+        flip = [(-1) ** (bits >> a & 1) for a in range(d)]    # (-1)^v_a
+        eps = [sigma[a][c] * flip[a] for a in range(d)]
+        if all(sigma[a][b ^ c] == sigma[a][b] * flip[a] * eps[b] * eps[a ^ b]
+               for a in range(d) for b in range(d)):
+            return tuple(bits >> a & 1 for a in range(d)), tuple(eps)
+    return None
+
+
+@lru_cache(maxsize=None)
+def _class_orbits(table):
+    """(representative classes, orbit size) under the certified shifts, or
+    None when ``table`` breaks the index rule and the system has no
+    blocks."""
+    d = len(table)
+    if any(table[a][b][0] != a ^ b for a in range(d) for b in range(d)):
+        return None
+    span = {0}
+    for c in range(1, d):
+        if c not in span and _certificate(table, c):
+            span |= {x ^ c for x in span}
+    classes = {min(kappa ^ x for x in span) for kappa in range(d)}
+    return sorted(classes), len(span)
+
+
 def syzygy_dim(algebra, n, k, max_unknowns=None):
     """Dimension of the space of degree-k syzygy rows of the realified matrix.
 
@@ -286,6 +368,12 @@ def syzygy_dim(algebra, n, k, max_unknowns=None):
     (mu, beta), and its entry (h, nu, gamma) is the unknown at index
     (d*h + gamma) * len(monomials) + index(nu).  ``max_unknowns`` guards
     runaway sizes (raises :class:`ResourceBudget`).
+
+    Each block of :func:`block_key` gets its own ``Echelon``.  Permuting
+    the variables permutes multidegrees, so only non-increasing ones are
+    ranked, weighted by their number of permutations; a class is ranked
+    once per orbit of the certified shifts, weighted by its size.  A table
+    breaking the index rule has no blocks: the whole system is ranked.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
@@ -299,13 +387,28 @@ def syzygy_dim(algebra, n, k, max_unknowns=None):
     if max_unknowns is not None and nunknowns > max_unknowns:
         raise ResourceBudget(
             f"{nunknowns} unknowns exceed budget {max_unknowns}")
-    targets = sorted(monomials(nsyms, k + 1))
-    equations = ((mu, beta) for beta in range(d) for mu in targets)
-    ech = Echelon()
-    for image in dbar_images(algebra, n, equations):
-        ech.add_row({(d * h + gamma) * len(monos) + mono_index[nu]: sign
-                     for (h, nu, gamma), sign in image.items()})
-    return nunknowns - ech.rank
+
+    def rank(columns):
+        ech = Echelon()
+        for image in dbar_images(algebra, n, columns):
+            ech.add_row({(d * h + gamma) * len(monos) + mono_index[nu]: sign
+                         for (h, nu, gamma), sign in image.items()})
+        return ech.rank
+
+    orbits = _class_orbits(MUL_TABLE[algebra])
+    if orbits is None:
+        targets = sorted(monomials(nsyms, k + 1))
+        return nunknowns - rank(
+            (mu, beta) for beta in range(d) for mu in targets)
+    classes, class_orbit = orbits
+    total = 0
+    md_orbits = Counter(tuple(sorted(md, reverse=True))
+                        for md in monomials(n, k + 1))
+    for md, md_orbit in md_orbits.items():
+        for kappa in classes:
+            total += md_orbit * class_orbit * rank(
+                _block_columns(d, md, kappa))
+    return nunknowns - total
 
 
 def compat_rows_rank(algebra, n):

@@ -135,9 +135,14 @@ def test_syzygy_rejects_invalid_sizes(capsys, argv):
     ["verify-identities", "--algebra", "O", "--n", "1"],
     ["cf-integral", "--points", "0"],
     ["cf-integral", "--points", "-1"],
+    # admissible data on the wall: zero samples would pass the rank check
+    ["check", "--input", "PAYLOAD", "--samples", "0"],
+    ["check", "--input", "PAYLOAD", "--samples", "-5"],
 ])
-def test_degenerate_counts_are_invalid_input(capsys, argv):
-    code, out, err = run(capsys, argv)
+def test_degenerate_counts_are_invalid_input(tmp_path, capsys, argv):
+    f = coord(0, 1) - coord(0, 0).mul_const_left(HNumber.unit("H", 1))
+    path = write_function_surface(tmp_path / "fs.json", f, coord(1, 3))
+    code, out, err = run(capsys, [path if a == "PAYLOAD" else a for a in argv])
     assert code == 2
     assert out == ""
     assert err.startswith("error: invalid input")

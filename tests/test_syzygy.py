@@ -6,17 +6,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from crfbench.hypercomplex import DIM, OCT_DBAR_MATRIX, HNumber
-from crfbench.polycalc import HPoly, compat_pbar, dbar_system
+from crfbench.hypercomplex import DIM, MUL_TABLE, OCT_DBAR_MATRIX, HNumber
+from crfbench.linalg import rank_of
+from crfbench.polycalc import (HPoly, compat_pbar, dbar_images, dbar_system,
+                               monomials)
 from crfbench.syzygy import (
     OperatorPoly,
     ResourceBudget,
     all_compat_rows,
+    block_key,
     build_dbar_matrix,
     compat_rows_rank,
     compat_syzygy_rows,
     independence_witness,
     laplace_operator,
+    shift_certificate,
     syzygy_dim,
     verify_syzygy,
 )
@@ -192,6 +196,109 @@ def test_resource_budget_guard():
 def test_syzygy_dim_rejects_invalid_sizes(n, k):
     with pytest.raises(ValueError):
         syzygy_dim("H", n, k)
+
+
+# ---------------------------------------------------------------------------
+# block decomposition of the degree-k system
+# ---------------------------------------------------------------------------
+
+def columns(algebra, n, k):
+    """Every column (mu, beta) of the degree-k syzygy system."""
+    d = DIM[algebra]
+    return [(mu, beta) for beta in range(d) for mu in monomials(d * n, k + 1)]
+
+
+def flat_dim(algebra, n, k):
+    """syzygy_dim by one elimination of the whole system."""
+    d = DIM[algebra]
+    rank = rank_of(dbar_images(algebra, n, columns(algebra, n, k)))
+    return n * d * len(monomials(d * n, k)) - rank
+
+
+def with_sign_flipped(table, a, b):
+    rows = [list(row) for row in table]
+    gamma, sign = rows[a][b]
+    rows[a][b] = (gamma, -sign)
+    return tuple(tuple(row) for row in rows)
+
+
+@pytest.mark.parametrize("algebra,n,k", [("H", 2, 4), ("H", 3, 3),
+                                         ("O", 2, 2), ("O", 3, 2)])
+def test_images_keep_their_block_key(algebra, n, k):
+    d = DIM[algebra]
+    cols = columns(algebra, n, k)
+    keys = set()
+    for (mu, beta), image in zip(cols, dbar_images(algebra, n, cols)):
+        key = block_key(d, mu, beta)
+        keys.add(key)
+        for h, nu, gamma in image:
+            # unknown (h, nu, gamma) carries the key of (nu + e_{d*h}, gamma)
+            up = nu[:d * h] + (nu[d * h] + 1,) + nu[d * h + 1:]
+            assert block_key(d, up, gamma) == key
+    assert len(keys) == d * len(monomials(n, k + 1))
+
+
+@pytest.mark.parametrize("algebra,n,k", [("H", 2, 3), ("O", 2, 2)])
+def test_certified_shifts_map_every_entry(algebra, n, k):
+    d = DIM[algebra]
+    cols = columns(algebra, n, k)
+    images = dict(zip(cols, dbar_images(algebra, n, cols)))
+    for c in range(1, d):
+        v, eps = shift_certificate(algebra, c)
+
+        def parity(mu):
+            return sum(v[i % d] * e for i, e in enumerate(mu)) % 2
+
+        for (mu, beta), image in images.items():
+            col_sign = eps[beta] * (-1) ** parity(mu)
+            assert images[(mu, beta ^ c)] == {
+                (h, nu, gamma ^ c):
+                    sign * col_sign * eps[gamma] * (-1) ** (v[0] + parity(nu))
+                for (h, nu, gamma), sign in image.items()}
+
+
+@pytest.mark.parametrize("algebra,n,k", [("H", 2, 3), ("H", 3, 2),
+                                         ("O", 2, 2), ("O", 3, 1)])
+def test_every_block_has_its_representatives_rank(algebra, n, k):
+    d = DIM[algebra]
+    blocks = {}
+    for mu, beta in columns(algebra, n, k):
+        blocks.setdefault(block_key(d, mu, beta), []).append((mu, beta))
+    ranks = {key: rank_of(dbar_images(algebra, n, cols))
+             for key, cols in blocks.items()}
+    for (md, kappa), rank in ranks.items():
+        assert rank == ranks[(tuple(sorted(md, reverse=True)), 0)]
+    assert syzygy_dim(algebra, n, k) == flat_dim(algebra, n, k) == \
+        n * d * len(monomials(d * n, k)) - sum(ranks.values())
+
+
+@pytest.mark.parametrize("algebra", ["H", "O"])
+def test_one_flipped_sign_leaves_no_shift_certified(monkeypatch, algebra):
+    d = DIM[algebra]
+    table = MUL_TABLE[algebra]
+    assert all(shift_certificate(algebra, c) for c in range(1, d))
+    for a in range(1, d):
+        for b in range(1, d):
+            monkeypatch.setitem(MUL_TABLE, algebra,
+                                with_sign_flipped(table, a, b))
+            assert not any(shift_certificate(algebra, c) for c in range(1, d))
+
+
+@pytest.mark.parametrize("algebra,a,b", [
+    ("H", a, b) for a in range(1, 4) for b in range(1, 4)] + [
+    ("O", 2, 5), ("O", 7, 7)])
+def test_corrupted_stencil_ranks_every_class(monkeypatch, algebra, a, b):
+    # the certified answer on the true table differs from this one
+    monkeypatch.setitem(MUL_TABLE, algebra,
+                        with_sign_flipped(MUL_TABLE[algebra], a, b))
+    assert syzygy_dim(algebra, 2, 2) == flat_dim(algebra, 2, 2)
+
+
+def test_table_breaking_the_index_rule_ranks_the_whole_system(monkeypatch):
+    rows = [list(row) for row in MUL_TABLE["H"]]
+    rows[1][2], rows[1][3] = rows[1][3], rows[1][2]
+    monkeypatch.setitem(MUL_TABLE, "H", tuple(tuple(row) for row in rows))
+    assert syzygy_dim("H", 2, 2) == flat_dim("H", 2, 2)
 
 
 # ---------------------------------------------------------------------------
