@@ -355,7 +355,7 @@ def _class_orbits(table):
         if c not in span and _certificate(table, c):
             span |= {x ^ c for x in span}
     classes = {min(kappa ^ x for x in span) for kappa in range(d)}
-    return sorted(classes), len(span)
+    return tuple(sorted(classes)), len(span)
 
 
 def syzygy_dim(algebra, n, k, max_unknowns=None):
