@@ -15,7 +15,8 @@ Reports are JSON (default) or aligned text via ``--format table``.  Default
 output is deterministic byte for byte for fixed inputs; ``--timings`` adds
 wall-clock data and waives that guarantee.  Exit codes: 0 all checks passed,
 1 a check failed or the problem is infeasible, 2 invalid input, 3 resource
-budget exhausted.
+budget exhausted, 4 an exact self-check of a computed answer failed (a
+program fault, never a verdict on the input).
 """
 
 from __future__ import annotations
@@ -113,11 +114,23 @@ def _load_payload(path):
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError("payload must be a JSON object")
-    if payload.get("schema_version") != SCHEMA_VERSION:
+    version = payload.get("schema_version")
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise ValueError("unsupported or missing schema_version")
     return payload
 
 
+def _loader(load):
+    """A payload loader that reports a missing key as invalid input."""
+    def wrapped(path):
+        try:
+            return load(path)
+        except KeyError as exc:
+            raise ValueError(f"missing key {exc}") from None
+    return wrapped
+
+
+@_loader
 def _load_function_surface(path):
     payload = _load_payload(path)
     f = HPoly.from_json(payload["f"])
@@ -129,6 +142,7 @@ def _load_function_surface(path):
     return payload, f, S
 
 
+@_loader
 def _load_system(path):
     payload = _load_payload(path)
     g = payload["g"]
@@ -445,9 +459,12 @@ def main(argv=None):
     except (cs.BudgetExceeded, sz.ResourceBudget) as exc:
         print(f"error: resource budget exhausted: {exc}", file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 4
     timings = {"total": time.perf_counter() - t0} if args.timings else None
     _emit(rep, args.format, timings)
     return _exit_code(rep)

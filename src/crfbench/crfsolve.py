@@ -34,8 +34,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .hypercomplex import DIM, MUL_TABLE, HNumber
-from .linalg import nullspace_sparse, solve_sparse
+from .hypercomplex import DIM, MUL_TABLE, HNumber, _trusted
+from .linalg import _assemble, nullspace_sparse, solve_sparse
 from .polycalc import (HPoly, _poly, compat_pbar, dbar_images, dbar_system,
                        fueter_dbar, monomials)
 
@@ -58,24 +58,6 @@ class NotAdmissibleOrBudget(RuntimeError):
     budget (the data may be non-admissible, or the budget too small)."""
 
 
-# ---------------------------------------------------------------------------
-# sparse assembly
-# ---------------------------------------------------------------------------
-
-def _assemble(images, rhs):
-    """Sparse rows, in sorted row-key order, of the system whose column j has
-    image ``images[j]`` ({row key: value}); also the matching right-hand side
-    values from ``rhs`` ({row key: value}, missing keys are 0)."""
-    row_map = {}
-    for j, image in enumerate(images):
-        for key, c in image.items():
-            row_map.setdefault(key, {})[j] = c
-    for key in rhs:
-        row_map.setdefault(key, {})
-    keys = sorted(row_map)
-    return [row_map[k] for k in keys], [rhs.get(k, 0) for k in keys]
-
-
 def _nonzero_coefficients(poly):
     """(exponent, unit index, coefficient) for every nonzero coefficient."""
     for exp, coef in poly.terms.items():
@@ -96,16 +78,16 @@ def _factorial_prod(exp):
 
 
 def _poly_from_columns(algebra, n, columns, values):
-    terms = {}
+    """The polynomial sum of values[j] x^[mu] i_beta over the columns
+    j = (mu, beta), which are sorted and distinct."""
+    zero = Fraction(0)
+    coeffs = {}
     for (mu, beta), c in zip(columns, values):
-        if c == 0:
-            continue
-        scale = Fraction(1, _factorial_prod(mu))
-        coeffs = [Fraction(0)] * DIM[algebra]
-        coeffs[beta] = c * scale
-        num = HNumber(algebra, coeffs)
-        terms[mu] = terms[mu] + num if mu in terms else num
-    return HPoly(algebra, n, {m: c for m, c in terms.items() if not c.is_zero()})
+        if c:
+            coeffs.setdefault(mu, [zero] * DIM[algebra])[beta] = \
+                c / _factorial_prod(mu)
+    return _poly(algebra, n, {mu: _trusted(algebra, tuple(cs), "exact")
+                              for mu, cs in coeffs.items()})
 
 
 def _rhs_by_degree(g):
@@ -183,7 +165,7 @@ def solve_crf(g, max_unknowns=200000):
         u = u + part
     for h in range(n):
         if fueter_dbar(u, h) != g[h]:
-            raise AssertionError("internal error: solution failed verification")
+            raise AssertionError("solution failed verification")
     return u
 
 
@@ -208,7 +190,7 @@ def regular_kernel_basis(algebra, n, degree, max_unknowns=200000):
     for p in out:
         for h in range(n):
             if not fueter_dbar(p, h).is_zero():
-                raise AssertionError("internal error: kernel vector not regular")
+                raise AssertionError("kernel vector not regular")
     return out
 
 
@@ -257,13 +239,13 @@ def _extend(f, S, m, budget, max_unknowns):
     if 4 * len(monos) > max_unknowns:
         raise BudgetExceeded(f"extension needs {4 * len(monos)} unknowns")
     table = MUL_TABLE["H"]
+    one = HNumber.one("H")
 
     def images():
         # dbar and the digits are right H-linear, so the image of
         # rho x^mu i_beta is that of rho x^mu with i_gamma -> i_gamma i_beta.
         for mu in monos:
-            image = _dbar_digits(S.rho * HPoly("H", 2, {mu: HNumber.one("H")}),
-                                 S, m)
+            image = _dbar_digits(S.rho * _poly("H", 2, {mu: one}), S, m)
             for beta in range(4):
                 yield {(h, j, exp, table[gamma][beta][0]):
                        c * table[gamma][beta][1]
@@ -303,7 +285,7 @@ def crf_extend(f, S, m=2, budget=None, max_unknowns=200000):
     for h in range(2):
         digits = rho_adic_digits(fueter_dbar(F, h), S, order)
         if any(not dgt.is_zero() for dgt in digits):
-            raise AssertionError("internal error: extension failed verification")
+            raise AssertionError("extension failed verification")
     return F
 
 
@@ -325,5 +307,5 @@ def jump_split(f, S, budget=None, max_unknowns=200000):
             f"no regular polynomial extension with degree <= {budget}")
     u1, u2 = dbar_system(F)
     if not (u1.is_zero() and u2.is_zero()):
-        raise AssertionError("internal error: jump solution not regular")
+        raise AssertionError("jump solution not regular")
     return F, HPoly.zero("H", 2)

@@ -351,10 +351,10 @@ class HNumber:
             raise ValueError("a number is an object with a component list 'c'")
         comps = obj["c"]
         if comps and isinstance(comps[0], float):
-            if not all(isinstance(c, (int, float)) for c in comps):
+            if not all(type(c) in (int, float) for c in comps):
                 raise ValueError("float components must be numbers")
             return cls(obj["algebra"], comps, "float")
-        if not all(isinstance(c, (str, int)) for c in comps):
+        if not all(type(c) in (str, int) for c in comps):   # no JSON true
             raise ValueError("exact components are rational strings or integers")
         try:
             comps = [Fraction(c) for c in comps]

@@ -13,7 +13,10 @@ in and their order, and the read-outs are the unique exact answers.
 For solving, the right-hand side rides along as an extra entry under a
 pseudo-column that sorts after every real column, so inconsistency (a row
 whose leading entry is its right-hand side: 0 = nonzero) is detected the
-moment it appears.
+moment it appears.  So a row with a right-hand side needs numeric column
+keys; a rank-only row may carry any mutually ordered keys.  Systems given as
+the image of each unknown enter elimination through one routine,
+:func:`_assemble`, which turns column images into rows.
 """
 
 from __future__ import annotations
@@ -155,6 +158,20 @@ class Echelon:
                     vec[lead] = -v
             basis.append(vec)
         return basis
+
+
+def _assemble(images, rhs):
+    """Sparse rows, in sorted row-key order, of the system whose column j has
+    image ``images[j]`` ({row key: value}); also the matching right-hand side
+    values from ``rhs`` ({row key: value}, missing keys are 0)."""
+    row_map = {}
+    for j, image in enumerate(images):
+        for key, c in image.items():
+            row_map.setdefault(key, {})[j] = c
+    for key in rhs:
+        row_map.setdefault(key, {})
+    keys = sorted(row_map)
+    return [row_map[k] for k in keys], [rhs.get(k, 0) for k in keys]
 
 
 def rank_of(rows):

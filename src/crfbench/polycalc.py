@@ -351,7 +351,7 @@ class HPoly:
         if not isinstance(obj, dict):
             raise ValueError("a polynomial is a JSON object")
         n, items = obj["n"], obj["terms"]
-        if not isinstance(n, int):
+        if type(n) is not int:      # a JSON true is not an integer
             raise ValueError("n must be an integer")
         if not isinstance(items, list) or \
                 not all(isinstance(t, dict) for t in items):
@@ -360,7 +360,7 @@ class HPoly:
         for t in items:
             exp = t["exp"]
             if not isinstance(exp, list) or \
-                    not all(isinstance(e, int) for e in exp):
+                    not all(type(e) is int for e in exp):
                 raise ValueError("an exponent is a list of integers")
             coef = HNumber.from_json(t["coef"])
             if coef.backend != "exact":

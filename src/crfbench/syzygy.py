@@ -24,12 +24,18 @@ syzygy rows mechanically:
 * quaternionic pair (l, m) uses the opposite overall sign, matching the
   published P-bar operators.
 
+The rows come from one pass over ``MUL_TABLE``: entry (gamma, beta) of
+A_l . B_m sums s1 s2 d_{l,a1} d_{m,a2} over the (a1, a2) with
+conj(i_a2) i_beta = s2 i_t and i_a1 i_t = s1 i_gamma.
+
 ``syzygy_dim`` counts all degree-k syzygies by exact linear algebra over Q.
 The equations v . M = 0 are the transpose of dbar on degree k+1: the
 coefficient of d^mu in column beta of v . M is the image of x^[mu] i_beta
 under :func:`crfbench.polycalc.dbar_images`, read with row (h, nu, gamma)
-as the unknown "coefficient of d^nu in v[(h, gamma)]".  Since
-i_a i_b = +-i_{a XOR b}, that system is block diagonal by
+as the unknown "coefficient of d^nu in v[(h, gamma)]".  A matrix and its
+transpose have equal rank, so ``linalg._assemble`` turns the images into
+one row per unknown and those rows are ranked.  Since
+i_a i_b = +-i_{a XOR b}, the system is block diagonal by
 :func:`block_key`, and ``syzygy_dim`` ranks one block per orbit of the
 variable permutations and of the class shifts certified by
 :func:`shift_certificate`.
@@ -41,9 +47,10 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import comb
 
-from .hypercomplex import DIM, MUL_TABLE, HNumber
-from .linalg import Echelon, rank_of
+from .hypercomplex import DIM, MUL_TABLE
+from .linalg import _assemble, rank_of
 from .polycalc import HPoly, compat_pbar, dbar_images, monomials
 
 
@@ -205,19 +212,34 @@ def laplace_operator(algebra, n, h):
     return out
 
 
-def _mat_mul(a, b):
-    rows, mid, cols = len(a), len(b), len(b[0])
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = OperatorPoly.zero(a[0][0].nsyms)
-            for t in range(mid):
-                if not a[i][t].is_zero() and not b[t][j].is_zero():
-                    acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
+def _compat_terms(l, m, algebra, n):
+    """The d rows of pair (l, m) as {slot: {exponent: coefficient}}, slot
+    d*h + beta for entry (h, beta); see the module docstring."""
+    if l == m or not (0 <= l < n and 0 <= m < n):
+        raise ValueError("need an ordered pair of distinct variable indices")
+    d = DIM[algebra]
+    table = MUL_TABLE[algebra]
+    sign = -1 if algebra == "H" else 1
+
+    def exponent(i, j):
+        exp = [0] * (d * n)
+        exp[i] += 1
+        exp[j] += 1
+        return tuple(exp)
+
+    lap_m = dict.fromkeys(laplace_operator(algebra, n, m).terms, sign)
+    rows = [{d * l + gamma: lap_m} for gamma in range(d)]
+    for beta in range(d):
+        slot = d * m + beta
+        for a2 in range(d):
+            t, s2 = table[a2][beta]
+            if a2:                      # conj(i_a2) = -i_a2
+                s2 = -s2
+            for a1 in range(d):
+                gamma, s1 = table[a1][t]
+                rows[gamma].setdefault(slot, {})[
+                    exponent(d * l + a1, d * m + a2)] = -sign * s1 * s2
+    return rows
 
 
 def compat_syzygy_rows(l, m, algebra, n):
@@ -227,31 +249,21 @@ def compat_syzygy_rows(l, m, algebra, n):
     Quaternionic rows carry the published P-bar sign (overall minus of the
     octonionic z-form); see the module docstring.
     """
-    if l == m or not (0 <= l < n and 0 <= m < n):
-        raise ValueError("need an ordered pair of distinct variable indices")
-    d = DIM[algebra]
-    nsyms = d * n
-    lap_m = laplace_operator(algebra, n, m)
-    prod = _mat_mul(_block(algebra, n, l, conj=True), _block(algebra, n, m, conj=False))
-    sign = -1 if algebra == "H" else 1
-    rows = []
-    for gamma in range(d):
-        row = [OperatorPoly.zero(nsyms) for _ in range(n * d)]
-        row[d * l + gamma] = lap_m * sign
-        for beta in range(d):
-            row[d * m + beta] = prod[gamma][beta] * (-sign)
-        rows.append(row)
-    return rows
+    nsyms = DIM[algebra] * n
+    return [[OperatorPoly(nsyms, row.get(slot)) for slot in range(nsyms)]
+            for row in _compat_terms(l, m, algebra, n)]
+
+
+def _ordered_pairs(n):
+    """Ordered pairs of distinct variables, lexicographic: the order of the
+    residuals of :func:`crfbench.polycalc.compat_pbar`."""
+    return [(l, m) for l in range(n) for m in range(n) if l != m]
 
 
 def all_compat_rows(algebra, n):
     """Compat syzygy rows for every ordered pair, lexicographic."""
-    rows = []
-    for l in range(n):
-        for m in range(n):
-            if l != m:
-                rows.extend(compat_syzygy_rows(l, m, algebra, n))
-    return rows
+    return [row for l, m in _ordered_pairs(n)
+            for row in compat_syzygy_rows(l, m, algebra, n)]
 
 
 def verify_syzygy(row, matrix):
@@ -270,20 +282,6 @@ def verify_syzygy(row, matrix):
 # ---------------------------------------------------------------------------
 # graded dimension count
 # ---------------------------------------------------------------------------
-
-def row_coefficient_vector(row, k, mono_index):
-    """Flatten a degree-k syzygy row into a sparse coefficient vector."""
-    nmono = len(mono_index)
-    vec = {}
-    for j, entry in enumerate(row):
-        if entry.is_zero():
-            continue
-        if not entry.is_homogeneous(k):
-            raise ValueError("row entry is not homogeneous of the right degree")
-        for exp, c in entry.terms.items():
-            vec[j * nmono + mono_index[exp]] = c
-    return vec
-
 
 def block_key(d, mu, beta):
     """Block of column (mu, beta): the multidegree (deg_0 mu, ..., deg_{n-1}
@@ -365,11 +363,12 @@ def syzygy_dim(algebra, n, k, max_unknowns=None):
     entries on degree-k monomials; equations say each column of row . matrix
     vanishes coefficientwise.  The equation system is the transpose of dbar
     on degree k+1: equation (beta, mu) is the image of the column
-    (mu, beta), and its entry (h, nu, gamma) is the unknown at index
-    (d*h + gamma) * len(monomials) + index(nu).  ``max_unknowns`` guards
-    runaway sizes (raises :class:`ResourceBudget`).
+    (mu, beta), with entry (h, nu, gamma) on the coefficient of d^nu in row
+    entry (h, gamma).  Each block is ranked as the rows of its column
+    images under ``_assemble``, the transpose of the equations.
+    ``max_unknowns`` guards runaway sizes (raises :class:`ResourceBudget`).
 
-    Each block of :func:`block_key` gets its own ``Echelon``.  Permuting
+    Each block of :func:`block_key` is ranked on its own.  Permuting
     the variables permutes multidegrees, so only non-increasing ones are
     ranked, weighted by their number of permutations; a class is ranked
     once per orbit of the certified shifts, weighted by its size.  A table
@@ -381,43 +380,33 @@ def syzygy_dim(algebra, n, k, max_unknowns=None):
         raise ValueError("need at least one variable")
     d = DIM[algebra]
     nsyms = d * n
-    monos = monomials(nsyms, k)
-    mono_index = {e: i for i, e in enumerate(monos)}
-    nunknowns = n * d * len(monos)
+    nunknowns = n * d * comb(nsyms + k - 1, k)
     if max_unknowns is not None and nunknowns > max_unknowns:
         raise ResourceBudget(
             f"{nunknowns} unknowns exceed budget {max_unknowns}")
 
-    def rank(columns):
-        ech = Echelon()
-        for image in dbar_images(algebra, n, columns):
-            ech.add_row({(d * h + gamma) * len(monos) + mono_index[nu]: sign
-                         for (h, nu, gamma), sign in image.items()})
-        return ech.rank
-
     orbits = _class_orbits(MUL_TABLE[algebra])
     if orbits is None:
         targets = sorted(monomials(nsyms, k + 1))
-        return nunknowns - rank(
-            (mu, beta) for beta in range(d) for mu in targets)
-    classes, class_orbit = orbits
-    total = 0
-    md_orbits = Counter(tuple(sorted(md, reverse=True))
-                        for md in monomials(n, k + 1))
-    for md, md_orbit in md_orbits.items():
-        for kappa in classes:
-            total += md_orbit * class_orbit * rank(
-                _block_columns(d, md, kappa))
-    return nunknowns - total
+        blocks = [(1, [(mu, beta) for beta in range(d) for mu in targets])]
+    else:
+        classes, class_orbit = orbits
+        md_orbits = Counter(tuple(sorted(md, reverse=True))
+                            for md in monomials(n, k + 1))
+        blocks = [(md_orbit * class_orbit, _block_columns(d, md, kappa))
+                  for md, md_orbit in md_orbits.items() for kappa in classes]
+    return nunknowns - sum(
+        weight * rank_of(_assemble(dbar_images(algebra, n, columns), {})[0])
+        for weight, columns in blocks)
 
 
 def compat_rows_rank(algebra, n):
-    """Rank of the compat syzygy rows as degree-2 coefficient vectors."""
-    d = DIM[algebra]
-    monos = monomials(d * n, 2)
-    mono_index = {e: i for i, e in enumerate(monos)}
-    vecs = [row_coefficient_vector(r, 2, mono_index) for r in all_compat_rows(algebra, n)]
-    return rank_of(vecs)
+    """Rank of the compat syzygy rows as degree-2 coefficient vectors, keyed
+    (slot, exponent)."""
+    return rank_of({(slot, exp): c
+                    for slot, entry in row.items() for exp, c in entry.items()}
+                   for l, m in _ordered_pairs(n)
+                   for row in _compat_terms(l, m, algebra, n))
 
 
 def independence_witness(a, b, algebra, n):
@@ -432,12 +421,4 @@ def independence_witness(a, b, algebra, n):
     g = [HPoly.zero(algebra, n) for _ in range(n)]
     x = HPoly.coordinate(algebra, n, b, 0)
     g[a] = x * x
-    residuals = compat_pbar(g)
-    out = {}
-    idx = 0
-    for l in range(n):
-        for m in range(n):
-            if l != m:
-                out[(l, m)] = residuals[idx]
-                idx += 1
-    return out
+    return dict(zip(_ordered_pairs(n), compat_pbar(g)))

@@ -1,14 +1,19 @@
 """Command-line interface: reports, formats, exit codes, determinism."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crfbench
 from crfbench.cli import main
@@ -376,6 +381,18 @@ MALFORMED_PAYLOADS = {
     "n-a-string": ("solve", _system(lambda p: p.update(n="2"))),
     "surface-a-list": ("check", {"schema_version": 1,
                                  "f": coord(0, 1).to_json(), "surface": []}),
+    "g-missing": ("solve", {"schema_version": 1}),
+    "surface-missing": ("check", {"schema_version": 1,
+                                  "f": coord(0, 1).to_json()}),
+    "rho-missing": ("check", {"schema_version": 1,
+                              "f": coord(0, 1).to_json(), "surface": {}}),
+    "terms-missing": ("solve", _system(lambda p: p.pop("terms"))),
+    "schema-version-true": ("solve", {**_system(lambda p: None),
+                                      "schema_version": True}),
+    "boolean-exponent": ("solve", _system(
+        lambda p: p["terms"][0]["exp"].__setitem__(0, True))),
+    "boolean-component": ("solve", _system(
+        lambda p: p["terms"][0]["coef"]["c"].__setitem__(0, True))),
 }
 
 
@@ -388,6 +405,101 @@ def test_malformed_payload_shapes(tmp_path, capsys, command, payload):
     assert code == 2
     assert out == ""
     assert err.startswith("error: invalid input")
+    assert "Traceback" not in err
+
+
+def _function_surface_payload():
+    return {"schema_version": 1, "f": coord(0, 1).to_json(),
+            "surface": {"rho": coord(1, 3).to_json()}}
+
+
+# the JSON type each required field must have, by key; "schema_version" is
+# required of the payload only, not of the polynomials in it
+_REQUIRED_TYPE = {"schema_version": int, "g": list, "f": dict,
+                  "surface": dict, "rho": dict, "algebra": str, "n": int,
+                  "terms": list, "exp": list, "coef": dict, "c": list}
+
+
+def _required_fields(node, path=()):
+    """Paths (tuples of keys and list indices) to every required field."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key in _REQUIRED_TYPE and (key != "schema_version"
+                                          or not path):
+                yield path + (key,)
+            yield from _required_fields(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _required_fields(value, path + (i,))
+
+
+_JSON_VALUES = {
+    type(None): st.none(), bool: st.booleans(),
+    int: st.integers(-3, 3) | st.floats(-3, 3, allow_nan=False),
+    str: st.text(max_size=3), list: st.lists(st.integers(-1, 1), max_size=3),
+    dict: st.dictionaries(st.sampled_from("ac"), st.integers(-1, 1),
+                          max_size=2)}
+
+
+@st.composite
+def _malformed_payloads(draw):
+    """(command, payload): a valid solve or check payload with one required
+    key deleted or one required field given a value of another JSON type
+    (JSON numbers are one type, so a number never replaces an integer)."""
+    command, payload = draw(st.sampled_from(
+        [("solve", _system(lambda p: None)),
+         ("check", _function_surface_payload())]))
+    *parents, key = draw(st.sampled_from(sorted(
+        _required_fields(payload), key=repr)))
+    node = payload
+    for step in parents:
+        node = node[step]
+    if draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = draw(st.one_of(*(
+            strategy for kind, strategy in _JSON_VALUES.items()
+            if kind is not _REQUIRED_TYPE[key])))
+    return command, payload
+
+
+@settings(max_examples=30, deadline=None)
+@given(_malformed_payloads())
+def test_malformed_payloads_are_invalid_input(case):
+    command, payload = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bad.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, "--input", path])
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: invalid input")
+    assert "Traceback" not in err.getvalue()
+
+
+def test_program_key_error_is_not_invalid_input(tmp_path, monkeypatch):
+    def broken(g, max_unknowns):
+        raise KeyError("a program fault")
+
+    monkeypatch.setattr("crfbench.crfsolve.solve_crf", broken)
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(_system(lambda p: None)))
+    with pytest.raises(KeyError):
+        main(["solve", "--input", str(path)])
+
+
+def test_failed_self_check_exits_4(tmp_path, capsys, monkeypatch):
+    # a corrupted operator makes solve_crf's exact re-verification fail
+    monkeypatch.setattr("crfbench.crfsolve.fueter_dbar", lambda p, h: p)
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(_system(lambda p: None)))
+    code, out, err = run(capsys, ["solve", "--input", str(path)])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: internal check failed: ")
     assert "Traceback" not in err
 
 

@@ -93,7 +93,8 @@ def test_matrix_row_against_polycalc():
 # compat rows are syzygies
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("algebra,n,count", [("H", 2, 8), ("O", 2, 16), ("O", 3, 48)])
+@pytest.mark.parametrize("algebra,n,count", [("H", 2, 8), ("O", 2, 16), ("O", 3, 48),
+                                             ("H", 3, 24)])
 def test_compat_rows_verify_exactly(algebra, n, count):
     m = build_dbar_matrix(algebra, n)
     rows = all_compat_rows(algebra, n)
@@ -103,9 +104,12 @@ def test_compat_rows_verify_exactly(algebra, n, count):
 
 
 def test_compat_rows_homogeneous_degree_two():
-    for row in all_compat_rows("O", 2):
-        for entry in row:
-            assert entry.is_homogeneous(2)
+    for algebra, n in (("H", 2), ("H", 3), ("O", 2), ("O", 3)):
+        for row in all_compat_rows(algebra, n):
+            assert len(row) == n * DIM[algebra]
+            for entry in row:
+                assert entry.nsyms == n * DIM[algebra]
+                assert entry.is_homogeneous(2)
 
 
 def test_perturbed_row_fails_verification():
@@ -118,22 +122,24 @@ def test_perturbed_row_fails_verification():
 
 def test_row_matches_compat_residual_on_random_g():
     # applying the row to an arbitrary g-stack reproduces the residual
-    # component from the polynomial calculus
+    # component from the polynomial calculus; compat_pbar lists the ordered
+    # pairs (l, m) lexicographically
     rng = random.Random(201)
-    for algebra in ("H", "O"):
+    for algebra, n in (("H", 2), ("O", 2), ("O", 3)):
         d = DIM[algebra]
-        var_of_sym = list(range(2 * d))
-        g = [rand_poly(rng, algebra, 2, 3, 3) for _ in range(2)]
+        var_of_sym = list(range(n * d))
+        g = [rand_poly(rng, algebra, n, 3, 3) for _ in range(n)]
         res = compat_pbar(g)
         comps = []
         for gh in g:
             comps.extend(gh.component(beta) for beta in range(d))
-        pair_of_index = {0: (0, 1), 1: (1, 0)}
-        for idx, (l, mm) in pair_of_index.items():
-            rows = compat_syzygy_rows(l, mm, algebra, 2)
+        pairs = [(l, mm) for l in range(n) for mm in range(n) if l != mm]
+        assert len(res) == len(pairs)
+        for idx, (l, mm) in enumerate(pairs):
+            rows = compat_syzygy_rows(l, mm, algebra, n)
             for gamma in range(d):
-                acc = HPoly.zero(algebra, 2)
-                for j in range(2 * d):
+                acc = HPoly.zero(algebra, n)
+                for j in range(n * d):
                     if not rows[gamma][j].is_zero():
                         acc = acc + rows[gamma][j].apply(comps[j], var_of_sym)
                 assert acc == res[idx].component(gamma)
@@ -168,6 +174,11 @@ def test_syzygy_dims_quaternion_n2():
     assert syzygy_dim("H", 2, 1) == 0
     assert syzygy_dim("H", 2, 2) == 8
     assert compat_rows_rank("H", 2) == 8
+
+
+def test_quaternion_three_variables_compat_rows_independent():
+    # the 24 quaternionic compat rows for n = 3 are independent
+    assert compat_rows_rank("H", 3) == 24
 
 
 def test_compat_rows_span_degree_two_octonion_n2():
