@@ -283,7 +283,7 @@ def cmd_extend(args):
         return _report("extend", payload, args.seed, checks)
     checks = [_check("extension_exists", True),
               _check("restriction_matches",
-                     hsur._reduce_mod_affine(F - f, S).is_zero())]
+                     cs.rho_adic_digits(F - f, S, 1)[0].is_zero())]
     return _report("extend", payload, args.seed, checks,
                    result={"F": F.to_json(), "m": args.order_m})
 

@@ -13,8 +13,8 @@ rationals:
   find an extension F = f + rho P whose conjugate-Fueter image vanishes to
   order m on S (m = 1 recovers tangential CRF, m = 2 is the admissibility
   order).  Feasibility at m = 2 characterizes admissible boundary functions.
-  Vanishing order is read off rho-adic digits, which on an affine S are
-  slices in rho after one change of coordinates.
+  Vanishing order is read off rho-adic digits, found by repeated synthetic
+  division by rho.
 
 * ``jump_split``: produce a two-sided regular decomposition (F+, F-) of a
   boundary function that admits a global polynomial regular extension; the
@@ -202,16 +202,29 @@ def rho_adic_digits(poly, S, count):
     """First ``count`` digits of the rho-adic expansion of poly on affine S:
     poly = d_0 + rho d_1 + rho^2 d_2 + ... with pivot-free digits.
 
-    With rho = g_p (x_p - s(x)) and s free of x_p, x_p -> s + x_p / g_p turns
-    rho into x_p and fixes the digits: d_j is the x_p^j slice of the result.
+    With rho = g_p (x_p - s), Horner's rule at x_p = s over the x_p-slices
+    of poly divides it by x_p - s: the last value is the remainder, and the
+    earlier ones are the slices of the quotient.  d_0 is the remainder, the
+    restriction of poly to S; d_j is the remainder of the j-th quotient,
+    over g_p^j.
     """
-    grad, piv, sub, const = S.affine_form()
-    coeffs = sub[:piv] + (1 / grad[piv],) + sub[piv + 1:]
-    slices = [{} for _ in range(count)]
-    for exp, coef in poly.substitute_linear(piv, coeffs, const).terms.items():
-        if exp[piv] < count:
-            slices[exp[piv]][exp[:piv] + (0,) + exp[piv + 1:]] = coef
-    return [_poly(poly.algebra, poly.n, terms) for terms in slices]
+    grad, piv, s = S.affine_form()
+    algebra, n = poly.algebra, poly.n
+    slices = {}
+    for exp, coef in poly.terms.items():
+        slices.setdefault(exp[piv], {})[exp[:piv] + (0,) + exp[piv + 1:]] = coef
+    quotient = [_poly(algebra, n, slices.get(k, {}))
+                for k in range(max(slices, default=-1) + 1)]
+    digits = []
+    for j in range(count):
+        values = quotient[-1:]
+        for a in reversed(quotient[:-1]):
+            values.append(values[-1] * s + a)
+        digit = values.pop() if values else HPoly.zero(algebra, n)
+        digits.append(digit.scale(grad[piv] ** -j) if j and grad[piv] != 1
+                      else digit)
+        quotient = values[::-1]
+    return digits
 
 
 def _dbar_digits(poly, S, m):
@@ -256,8 +269,9 @@ def _extend(f, S, m, budget, max_unknowns):
     sol = solve_sparse(rows, values, 4 * len(monos))
     if sol is None:
         return None
-    P = HPoly("H", 2, {mu: HNumber("H", sol[4 * i:4 * i + 4])
-                       for i, mu in enumerate(monos)})
+    blocks = ((mu, tuple(sol[4 * i:4 * i + 4])) for i, mu in enumerate(monos))
+    P = _poly("H", 2, {mu: _trusted("H", coeffs, "exact")
+                       for mu, coeffs in blocks if any(coeffs)})
     return f + S.rho * P
 
 

@@ -57,6 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .crfsolve import rho_adic_digits
 from .hypercomplex import HNumber
 from .polycalc import HPoly
 
@@ -87,13 +88,12 @@ def _pack(vals, backend):
 
 
 class AffineForm(NamedTuple):
-    """Data of an affine rho = sum_i gradient[i] x_i + c.  On S the pivot
-    coordinate (largest |gradient[i]|, first on ties) is
-    x_pivot = sum_j sub[j] x_j + const, with sub[pivot] = 0."""
+    """Data of an affine rho = g_p (x_p - s): the constant gradient, the
+    pivot p (largest |gradient[i]|, first on ties) and s, the value of x_p
+    on S as a polynomial free of x_p."""
     gradient: tuple
     pivot: int
-    sub: tuple
-    const: Fraction
+    s: HPoly
 
 
 class Hypersurface:
@@ -116,10 +116,9 @@ class Hypersurface:
             origin = (0,) * 8
             grad = tuple(g.coefficient(origin).coeffs[0] for g in self.gradient)
             piv = max(range(8), key=lambda i: abs(grad[i]))
-            sub = tuple(Fraction(0) if i == piv else -c / grad[piv]
-                        for i, c in enumerate(grad))
-            const = -rho.coefficient(origin).coeffs[0] / grad[piv]
-            self._affine = AffineForm(grad, piv, sub, const)
+            s = HPoly.coordinate("H", 2, piv // 4, piv % 4) - \
+                rho.scale(1 / grad[piv])
+            self._affine = AffineForm(grad, piv, s)
 
     # -- basic geometry ------------------------------------------------------
 
@@ -207,11 +206,11 @@ class Hypersurface:
         finite."""
         rng = random.Random(seed)
         if self.is_affine:
-            _, piv, sub, const = self.affine_form()
+            _, piv, s = self.affine_form()
             out = []
             for _ in range(count):
                 p = [Fraction(rng.randint(-8, 8), 4) for _ in range(8)]
-                p[piv] = sum(c * x for c, x in zip(sub, p)) + const
+                p[piv] = s.evaluate(p).coeffs[0]
                 out.append(tuple(p))
             return out
         out = []
@@ -345,13 +344,6 @@ def tangential_qbar_polys(f, S):
     return _tangential([f.partial_flat(i) for i in range(8)], g)[1]
 
 
-def _reduce_mod_affine(poly, S):
-    """Substitute the surface equation into a polynomial (affine S): the
-    result vanishes identically iff poly|_S = 0."""
-    _, piv, sub, const = S.affine_form()
-    return poly.substitute_linear(piv, sub, const)
-
-
 # ---------------------------------------------------------------------------
 # CRF and admissibility decisions
 # ---------------------------------------------------------------------------
@@ -385,14 +377,14 @@ def _max_abs(pair):
 def is_crf(f, S, samples=None, tol=1e-10):
     """Does f satisfy the tangential conjugate-Fueter system on S?
 
-    Affine S with no explicit samples: decided *identically* (exact reduction
-    of the tangential polynomials modulo the surface equation).  Otherwise the
+    Affine S with no explicit samples: decided *identically* (rho-adic digit
+    0 of the tangential polynomials, their restriction to S).  Otherwise the
     tangential pair is evaluated on the samples (default: 25 seeded points)
     and compared against ``tol`` (exact zero test for exact points).
     """
     if samples is None and S.is_affine:
         t1, t2 = tangential_qbar_polys(f, S)
-        if _reduce_mod_affine(t1, S).is_zero() and _reduce_mod_affine(t2, S).is_zero():
+        if all(rho_adic_digits(t, S, 1)[0].is_zero() for t in (t1, t2)):
             return CrfResult(True)
         pts = S.sample_points(50, seed=20240601)
         for p in pts:

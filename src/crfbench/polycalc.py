@@ -38,7 +38,7 @@ from operator import add
 
 from .hypercomplex import (ALGEBRAS, DIM, MUL_TABLE, SPLIT_TABLE,
                            AlgebraMismatch, HNumber, _from_ints, _mul_into,
-                           _numerators, _split_rows, _trusted)
+                           _numerators, _split_rows)
 
 SCHEMA_VERSION = 1
 
@@ -267,53 +267,21 @@ class HPoly:
         point = tuple(point)
         if len(point) != self.width:
             raise ValueError("point width mismatch")
-        is_float = any(isinstance(x, float) for x in point)
-        if is_float:
-            acc = [0.0] * self.dim
-            pt = [float(x) for x in point]
-            for exp, coef in self.terms.items():
-                m = 1.0
-                for x, e in zip(pt, exp):
-                    if e:
-                        m *= x ** e
-                for idx, c in enumerate(coef.coeffs):
-                    if c:
-                        acc[idx] += float(c) * m
-            return HNumber(self.algebra, acc, "float")
-        acc = [Fraction(0)] * self.dim
+        if any(isinstance(x, float) for x in point):
+            pt, zero, one, backend = [float(x) for x in point], 0.0, 1.0, "float"
+        else:
+            pt, zero, one = [Fraction(x) for x in point], Fraction(0), Fraction(1)
+            backend = "exact"
+        acc = [zero] * self.dim
         for exp, coef in self.terms.items():
-            m = Fraction(1)
-            for x, e in zip(point, exp):
+            m = one
+            for x, e in zip(pt, exp):
                 if e:
-                    m *= Fraction(x) ** e
+                    m *= x ** e
             for idx, c in enumerate(coef.coeffs):
                 if c:
-                    acc[idx] += c * m
-        return HNumber(self.algebra, acc)
-
-    def substitute_linear(self, i, coeffs, const):
-        """Compose with the affine map x_i -> sum_j coeffs[j]*x_j + const
-        (``coeffs`` by flat coordinate; ``coeffs[i]`` may be nonzero): terms
-        grouped by x_i-degree are summed by Horner's rule, one product with
-        the replacement per degree."""
-        if len(coeffs) != self.width:
-            raise ValueError("bad substitution data")
-        algebra, n = self.algebra, self.n
-        groups = {}
-        for exp, coef in self.terms.items():
-            groups.setdefault(exp[i], {})[exp[:i] + (0,) + exp[i + 1:]] = coef
-        zeros = (Fraction(0),) * (self.dim - 1)
-        origin = (0,) * self.width
-        repl = {origin[:j] + (1,) + origin[j + 1:]: c
-                for j, c in enumerate(coeffs)}
-        repl[origin] = const
-        repl = _poly(algebra, n, {e: _trusted(algebra, (Fraction(c),) + zeros,
-                                              "exact")
-                                  for e, c in repl.items() if c})
-        out = _poly(algebra, n, {})
-        for e in range(max(groups, default=0), -1, -1):
-            out = out * repl + _poly(algebra, n, groups.get(e, {}))
-        return out
+                    acc[idx] += c * m    # Fraction * float is float(c) * m
+        return HNumber(self.algebra, acc, backend)
 
     # -- comparison / io ------------------------------------------------------------
 

@@ -173,20 +173,14 @@ class OperatorPoly:
         return out
 
 
-def _block(algebra, n, h, conj):
-    """Realified d x d operator block for variable h.
-
-    ``conj=True`` gives the conjugate-Fueter (dbar) block, ``conj=False`` the
-    Fueter (d) block.
-    """
+def _block(algebra, n, h):
+    """Realified d x d conjugate-Fueter (dbar) operator block for variable h."""
     d = DIM[algebra]
     nsyms = d * n
     rows = [[OperatorPoly.zero(nsyms) for _ in range(d)] for _ in range(d)]
     for alpha in range(d):
         for beta in range(d):
             gamma, sign = MUL_TABLE[algebra][alpha][beta]
-            if not conj and alpha:      # conj(i_alpha) = -i_alpha
-                sign = -sign
             rows[gamma][beta] = rows[gamma][beta] + OperatorPoly.symbol(
                 nsyms, d * h + alpha, sign)
     return rows
@@ -197,7 +191,7 @@ def build_dbar_matrix(algebra, n):
     flat index d*h + gamma."""
     out = []
     for h in range(n):
-        out.extend(_block(algebra, n, h, conj=True))
+        out.extend(_block(algebra, n, h))
     return out
 
 

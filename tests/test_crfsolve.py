@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from crfbench.hypercomplex import DIM, HNumber
 from crfbench.polycalc import (HPoly, dbar_images, dbar_system, fueter_dbar,
                                monomials)
-from crfbench.hypersurface import Hypersurface, _reduce_mod_affine, is_admissible
+from crfbench.hypersurface import Hypersurface, is_admissible
 from crfbench import crfsolve as cs
 
 
@@ -254,9 +254,13 @@ def test_kernel_budget_guard():
 ], ids=["wall", "tilted", "rational"])
 def test_divmod_affine_identity(rho, pivot, g_p):
     S = Hypersurface(rho)
-    grad, piv, _, _ = S.affine_form()
+    grad, piv, s = S.affine_form()
     assert (piv, grad[piv]) == (pivot, g_p)
+    assert all(e[pivot] == 0 for e in s.terms)
+    x_p = HPoly.coordinate("H", 2, pivot // 4, pivot % 4)
+    assert (x_p - s).scale(g_p) == rho
     rng = random.Random(47)
+    points = S.sample_points(3, seed=5)
     for _ in range(6):
         p = rand_poly(rng, "H", 2, deg=3, terms=5)
         digits = cs.rho_adic_digits(p, S, p.degree() + 1)
@@ -265,10 +269,13 @@ def test_divmod_affine_identity(rho, pivot, g_p):
             rebuilt = rebuilt + S.rho ** j * d
             assert all(e[pivot] == 0 for e in d.terms)
         assert rebuilt == p
+        # digit 0 is the restriction to S
+        for q in points:
+            assert digits[0].evaluate(q) == p.evaluate(q)
 
 
 def test_rho_adic_digits_is_one_change_of_coordinates(flat, monkeypatch):
-    calls = {"substitute_linear": 0, "partial_flat": 0}
+    calls = {"partial_flat": 0}
     for name in calls:
         def counted(self, *args, _name=name, _orig=getattr(HPoly, name)):
             calls[_name] += 1
@@ -276,7 +283,7 @@ def test_rho_adic_digits_is_one_change_of_coordinates(flat, monkeypatch):
         monkeypatch.setattr(HPoly, name, counted)
     p = rand_poly(random.Random(46), "H", 2, deg=3, terms=5)
     cs.rho_adic_digits(p, flat, 4)
-    assert calls == {"substitute_linear": 1, "partial_flat": 0}
+    assert calls == {"partial_flat": 0}
 
 
 def test_rho_adic_digits_golden(flat):
@@ -300,7 +307,7 @@ def test_extend_order_one_iff_tangentially_crf(flat, counterexample):
     for h in range(2):
         digits = cs.rho_adic_digits(fueter_dbar(F, h), flat, 1)
         assert digits[0].is_zero()
-    assert _reduce_mod_affine(F - counterexample, flat).is_zero()
+    assert cs.rho_adic_digits(F - counterexample, flat, 1)[0].is_zero()
     with pytest.raises(cs.NoPolynomialExtensionWithinBudget):
         cs.crf_extend(HPoly.variable_conj("H", 2, 0), flat, m=1)
 
@@ -320,7 +327,7 @@ def test_admissible_data_extends_to_order_two(flat):
                                                      terms=3)
         assert is_admissible(f, flat).admissible
         F = cs.crf_extend(f, flat, m=2)
-        assert _reduce_mod_affine(F - f, flat).is_zero()
+        assert cs.rho_adic_digits(F - f, flat, 1)[0].is_zero()
         for h in range(2):
             digits = cs.rho_adic_digits(fueter_dbar(F, h), flat, 2)
             assert all(d.is_zero() for d in digits)
@@ -333,7 +340,7 @@ def test_extend_on_tilted_surface():
     rng = random.Random(49)
     f = regular_poly(rng) + S.rho * rand_poly(rng, "H", 2, deg=1, terms=2)
     F = cs.crf_extend(f, S, m=2)
-    assert _reduce_mod_affine(F - f, S).is_zero()
+    assert cs.rho_adic_digits(F - f, S, 1)[0].is_zero()
 
 
 def test_extend_validation(flat):
@@ -367,7 +374,7 @@ def test_jump_split_of_extendable_data(flat):
     assert Fm.is_zero()
     u1, u2 = dbar_system(Fp)
     assert u1.is_zero() and u2.is_zero()
-    assert _reduce_mod_affine(Fp - f, flat).is_zero()
+    assert cs.rho_adic_digits(Fp - f, flat, 1)[0].is_zero()
 
 
 def test_jump_is_the_extension_to_full_order(flat, counterexample):

@@ -120,6 +120,25 @@ def test_sample_points_lie_on_surface(flat, mixed, sphere):
         assert abs(S_val := float(sphere.value_at(p))) < 1e-11, S_val
 
 
+def test_affine_sample_points_golden(tilted):
+    """Seeded exact sampling: the draws and the pivot value are pinned."""
+    rational = hs.Hypersurface(
+        coord(0, 1).scale(Fraction(1, 2)) - coord(1, 0).scale(Fraction(7, 3))
+        + coord(1, 2).scale(Fraction(2, 3)) + const(Fraction(5, 4)))
+    want = {
+        tilted: ["-1/4 -1 3/4 7/4 -3/2 5/8 7/4 0",
+                 "-1/4 -1/2 7/4 7/4 1 5/8 -1/4 -1",
+                 "2 1 -2 -3/2 -3/4 -1/2 1/4 -2"],
+        rational: ["-1/4 -1 3/4 7/4 23/28 -2 7/4 0",
+                   "-1/4 -1/2 7/4 7/4 5/14 -1 -1/4 -1",
+                   "2 1 -2 -3/2 23/28 -7/4 1/4 -2"],
+    }
+    for S, points in want.items():
+        got = S.sample_points(3, seed=3)
+        assert all(type(x) is Fraction for p in got for x in p)
+        assert [" ".join(map(str, p)) for p in got] == points
+
+
 def test_exact_normal_iff_perfect_square(flat, mixed):
     p = flat.sample_points(1, seed=1)[0]
     nu1, nu2 = flat.normal_at(p)          # |grad| = 1

@@ -282,33 +282,26 @@ def test_evaluate_exact_and_float():
     assert abs(vf.coeffs[0] + 3) < 1e-14 and abs(vf.coeffs[1] - 4) < 1e-14
 
 
-def test_substitute_linear_reduces_on_hyperplane():
-    # substitute x_0 := 1 - 2 y_1 into a polynomial and check by evaluation
-    rng = random.Random(18)
-    p = rand_poly(rng, "H", 2, 3, 5)
-    coeffs = [0] * 8
-    coeffs[5] = Fraction(-2)
-    sub = p.substitute_linear(0, coeffs, 1)
-    for _ in range(10):
-        pt = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(8)]
-        pt[0] = 1 - 2 * pt[5]
-        assert p.evaluate(pt) == sub.evaluate(pt)
-    assert all(e[0] == 0 for e in sub.terms)
-
-
-def test_substitute_linear_composes_when_the_coordinate_stays():
-    # x_3 := 3 x_3 / 2 - x_6 + 2/3 (coeffs[3] != 0): p(x) = q(x') at the
-    # point x' whose coordinate 3 is the affine form's value at x
-    rng = random.Random(20)
-    p = rand_poly(rng, "H", 2, 4, 6, den=3)
-    coeffs = [0] * 8
-    coeffs[3], coeffs[6] = Fraction(3, 2), Fraction(-1)
-    q = p.substitute_linear(3, coeffs, Fraction(2, 3))
-    for _ in range(10):
-        pt = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(8)]
-        moved = list(pt)
-        moved[3] = Fraction(3, 2) * pt[3] - pt[6] + Fraction(2, 3)
-        assert q.evaluate(pt) == p.evaluate(moved)
+@pytest.mark.parametrize("algebra", ["H", "O"])
+def test_float_evaluation_is_the_insertion_order_sum(algebra):
+    """Float points sum float(c) * m over the terms in insertion order, bit
+    for bit."""
+    rng = random.Random(21)
+    for _ in range(50):
+        p = rand_poly(rng, algebra, 2, 4, 6, den=3)
+        pt = [rng.uniform(-2, 2) for _ in range(p.width)]
+        want = [0.0] * p.dim
+        for exp, coef in p.terms.items():
+            m = 1.0
+            for x, e in zip(pt, exp):
+                if e:
+                    m *= x ** e
+            for idx, c in enumerate(coef.coeffs):
+                if c:
+                    want[idx] += float(c) * m
+        got = p.evaluate(pt)
+        assert got.backend == "float"
+        assert [v.hex() for v in got.coeffs] == [v.hex() for v in want]
 
 
 def test_json_roundtrip():
