@@ -14,7 +14,8 @@ rationals:
   order m on S (m = 1 recovers tangential CRF, m = 2 is the admissibility
   order).  Feasibility at m = 2 characterizes admissible boundary functions.
   Vanishing order is read off rho-adic digits, found by repeated synthetic
-  division by rho.
+  division by rho; the columns of this system are digits of monomials,
+  written down by exponent arithmetic.
 
 * ``jump_split``: produce a two-sided regular decomposition (F+, F-) of a
   boundary function that admits a global polynomial regular extension; the
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .hypercomplex import DIM, MUL_TABLE, HNumber, _trusted
+from .hypercomplex import DIM, MUL_TABLE, _trusted
 from .linalg import _assemble, nullspace_sparse, solve_sparse
 from .polycalc import (HPoly, _poly, compat_pbar, dbar_images, dbar_system,
                        fueter_dbar, monomials)
@@ -236,9 +237,80 @@ def _dbar_digits(poly, S, m):
             for exp, gamma, c in _nonzero_coefficients(digit)}
 
 
+def _exact(c):
+    """c as an ``int`` when it is integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _extension_images(S, m, monos):
+    """Image of each column (mu, beta) of the extension system on affine S,
+    mu-major in the order of ``monos``, beta = 0..3: the nonzero coefficients
+    of the rho-adic digits 0..m-1 of dbar_h(rho x^mu i_beta), h = 0, 1, keyed
+    like :func:`_dbar_digits`, by the identities in :func:`_extend`.
+    Integral values are ``int``; i_beta multiplies on the right."""
+    grad, piv, s = S.affine_form()
+    grad = [_exact(g) for g in grad]
+    inv = 1 / Fraction(grad[piv])
+    powers = [HPoly.constant("H", 2, 1)]    # s^k
+    for _ in range(max((mu[piv] for mu in monos), default=0)):
+        powers.append(powers[-1] * s)
+    digits = {}     # (nu, j) -> the terms (exponent, value) of D_j(x^nu)
+
+    def digit(nu, j):
+        out = digits.get((nu, j))
+        if out is None:
+            e = nu[piv]
+            out = digits[nu, j] = []
+            if j <= e:
+                flat = nu[:piv] + (0,) + nu[piv + 1:]
+                scale = math.comb(e, j) * inv ** j
+                out += [(tuple(a + b for a, b in zip(exp, flat)),
+                         _exact(scale * coef.coeffs[0]))
+                        for exp, coef in powers[e - j].terms.items()]
+        return out
+
+    table = MUL_TABLE["H"]
+    for mu in monos:
+        image = {}
+        for h in range(2):
+            units = [(a, 4 * h + a) for a in range(4)]
+            for j in range(m):
+                # G_h D_j(x^mu) + sum_a mu_{4h+a} i_a D_{j-1}(x^(mu - e_{4h+a}))
+                own = digit(mu, j)
+                parts = [(grad[i], a, own) for a, i in units if grad[i]]
+                if j:
+                    parts += [(mu[i], a, digit(mu[:i] + (mu[i] - 1,) + mu[i + 1:],
+                                               j - 1))
+                              for a, i in units if mu[i]]
+                for k, a, terms in parts:
+                    for exp, c in terms:
+                        key = (h, j, exp, a)
+                        image[key] = image.get(key, 0) + k * c
+        image = {k: _exact(c) for k, c in image.items() if c}
+        # dbar and the digits are right H-linear, so the image of
+        # rho x^mu i_beta is that of rho x^mu with i_gamma -> i_gamma i_beta.
+        for beta in range(4):
+            yield {(h, j, exp, table[gamma][beta][0]):
+                   c if table[gamma][beta][1] > 0 else -c
+                   for (h, j, exp, gamma), c in image.items()}
+
+
 def _extend(f, S, m, budget, max_unknowns):
     """F = f + rho P with deg P < budget and dbar F vanishing to order m on
-    S (zero rho-adic digits 0..m-1), or None when no such P exists."""
+    S (zero rho-adic digits 0..m-1), or None when no such P exists.
+
+    Column (mu, beta) is the digits of dbar_h(rho x^mu i_beta), written down
+    by exponent arithmetic.  With rho = g_p (x_p - s), D_j the j-th digit
+    and dbar_h = sum_a i_a d/dx_{4h+a}:
+
+    * dbar_h(rho u) = G_h u + rho dbar_h u, with G_h = sum_a g_{4h+a} i_a;
+    * D_j(rho w) = D_{j-1}(w);
+    * D_j(x^nu) = C(e, j) g_p^-j s^(e-j) x^nu', with e = nu_p and nu' = nu
+      with its pivot entry set to 0.
+
+    The right-hand side and the callers' checks of the answer stay on the
+    polynomial route, independent of these identities.
+    """
     if f.algebra != "H" or f.n != 2:
         raise ValueError("extension problems live on two quaternionic "
                          "variables")
@@ -251,21 +323,8 @@ def _extend(f, S, m, budget, max_unknowns):
     monos = [mu for k in range(budget) for mu in monomials(8, k)]
     if 4 * len(monos) > max_unknowns:
         raise BudgetExceeded(f"extension needs {4 * len(monos)} unknowns")
-    table = MUL_TABLE["H"]
-    one = HNumber.one("H")
-
-    def images():
-        # dbar and the digits are right H-linear, so the image of
-        # rho x^mu i_beta is that of rho x^mu with i_gamma -> i_gamma i_beta.
-        for mu in monos:
-            image = _dbar_digits(S.rho * _poly("H", 2, {mu: one}), S, m)
-            for beta in range(4):
-                yield {(h, j, exp, table[gamma][beta][0]):
-                       c * table[gamma][beta][1]
-                       for (h, j, exp, gamma), c in image.items()}
-
     rhs = {k: -c for k, c in _dbar_digits(f, S, m).items()}
-    rows, values = _assemble(images(), rhs)
+    rows, values = _assemble(_extension_images(S, m, monos), rhs)
     sol = solve_sparse(rows, values, 4 * len(monos))
     if sol is None:
         return None

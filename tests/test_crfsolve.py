@@ -242,7 +242,7 @@ def test_kernel_budget_guard():
 # rho-adic tools
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("rho, pivot, g_p", [
+AFFINE_CASES = [
     (coord(1, 3), 7, 1),
     # s = (1 - x0)/2 and g_p = 2 exercise both scalings of the digits
     (coord(0, 0) + coord(1, 1).scale(2) - HPoly.constant("H", 2, 1), 5, 2),
@@ -251,7 +251,11 @@ def test_kernel_budget_guard():
     (coord(0, 1).scale(Fraction(1, 2)) - coord(1, 0).scale(Fraction(7, 3))
      + coord(1, 2).scale(Fraction(2, 3)) + HPoly.constant("H", 2, Fraction(5, 4)),
      4, Fraction(-7, 3)),
-], ids=["wall", "tilted", "rational"])
+]
+AFFINE_IDS = ["wall", "tilted", "rational"]
+
+
+@pytest.mark.parametrize("rho, pivot, g_p", AFFINE_CASES, ids=AFFINE_IDS)
 def test_divmod_affine_identity(rho, pivot, g_p):
     S = Hypersurface(rho)
     grad, piv, s = S.affine_form()
@@ -284,6 +288,25 @@ def test_rho_adic_digits_is_one_change_of_coordinates(flat, monkeypatch):
     p = rand_poly(random.Random(46), "H", 2, deg=3, terms=5)
     cs.rho_adic_digits(p, flat, 4)
     assert calls == {"partial_flat": 0}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("rho", [case[0] for case in AFFINE_CASES],
+                         ids=AFFINE_IDS)
+def test_extension_images_match_the_polynomial_route(rho, m):
+    """The closed-form column images of the extension system are the digits
+    of dbar_h(rho x^mu i_beta), for every mu of degree <= 2."""
+    S = Hypersurface(rho)
+    monos = [mu for k in range(3) for mu in monomials(8, k)]
+    images = cs._extension_images(S, m, monos)
+    for mu in monos:
+        for beta in range(4):
+            image = next(images)
+            column = HPoly("H", 2, {mu: HNumber.unit("H", beta)})
+            assert image == cs._dbar_digits(S.rho * column, S, m)
+            assert all(type(c) is int for c in image.values()
+                       if c.denominator == 1)
+    assert next(images, None) is None
 
 
 def test_rho_adic_digits_golden(flat):
@@ -341,6 +364,44 @@ def test_extend_on_tilted_surface():
     f = regular_poly(rng) + S.rho * rand_poly(rng, "H", 2, deg=1, terms=2)
     F = cs.crf_extend(f, S, m=2)
     assert cs.rho_adic_digits(F - f, S, 1)[0].is_zero()
+
+
+def test_extend_and_jump_on_rational_surface():
+    """A negative non-unit g_p, rational gradient entries and a nonzero
+    constant in rho."""
+    S = Hypersurface(AFFINE_CASES[2][0])
+    rng = random.Random(52)
+    f = regular_poly(rng) + S.rho * rand_poly(rng, "H", 2, deg=1, terms=3)
+    F = cs.crf_extend(f, S, m=2)
+    assert cs.rho_adic_digits(F - f, S, 1)[0].is_zero()
+    for h in range(2):
+        digits = cs.rho_adic_digits(fueter_dbar(F, h), S, 2)
+        assert all(d.is_zero() for d in digits)
+    Fp, Fm = cs.jump_split(f, S)
+    assert Fm.is_zero()
+    assert all(u.is_zero() for u in dbar_system(Fp))
+    assert cs.rho_adic_digits(Fp - f, S, 1)[0].is_zero()
+
+
+def test_extend_columns_make_no_polynomial_calls(flat, monkeypatch):
+    """``rho_adic_digits`` and ``fueter_dbar`` serve only the right-hand
+    side and the verification, so their call counts do not grow with the
+    budget."""
+    calls = {"rho_adic_digits": 0, "fueter_dbar": 0}
+    for name in calls:
+        def counted(*args, _name=name, _orig=getattr(cs, name)):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(cs, name, counted)
+    rng = random.Random(53)
+    f = regular_poly(rng) + flat.rho * rand_poly(rng, "H", 2, deg=1, terms=3)
+    seen = []
+    for budget in (3, 5):
+        calls.update(dict.fromkeys(calls, 0))
+        cs.crf_extend(f, flat, m=2, budget=budget)
+        seen.append(dict(calls))
+    # two each for the right-hand side and two each for the check
+    assert seen == [{"rho_adic_digits": 4, "fueter_dbar": 4}] * 2
 
 
 def test_extend_validation(flat):
