@@ -332,11 +332,17 @@ def cmd_cf_integral(args):
               "points": args.points, "tol": args.tol}
     if args.points < 1:
         raise ValueError("points must be at least 1")
+    try:
+        area = 2.0 * math.pi ** 2 * args.radius ** 3
+    except OverflowError:
+        area = math.inf
+    if not 0.0 < area < math.inf:
+        raise ValueError("radius must be finite and positive, with a finite "
+                         "nonzero sphere area 2 pi^2 r^3")
     rng = random.Random(args.seed)
     rule = ig.sphere_rule((0, 0, 0, 0), args.radius, args.order)
     checks = []
-    area = 2.0 * math.pi ** 2 * args.radius ** 3
-    werr = abs(math.fsum(rule.weights) - area) / area
+    werr = abs(ig._exact_sums(rule.weights[None, :].copy())[0] - area) / area
     checks.append(_check("weights_sum_to_area", werr < 1e-10,
                          value=werr, tol=1e-10, backend="float"))
     basis = [HPoly.constant("H", 1, 1)]
@@ -381,13 +387,20 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def tolerance(text):
+        value = float(text)
+        if not (math.isfinite(value) and value >= 0.0):
+            raise argparse.ArgumentTypeError(
+                f"tolerance must be finite and nonnegative: {text!r}")
+        return value
+
     def common(p, with_tol=True):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--timings", action="store_true",
                        help="include wall-clock timings (non-deterministic)")
         if with_tol:
-            p.add_argument("--tol", type=float, default=1e-10)
+            p.add_argument("--tol", type=tolerance, default=1e-10)
 
     p = sub.add_parser("verify-identities",
                        help="seeded operator and form identity suite")

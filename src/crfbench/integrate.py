@@ -13,9 +13,11 @@ The sphere is parameterized by hyperspherical angles (psi, theta, phi) with
 surface measure r^3 sin^2(psi) sin(theta); each angle carries a Gauss-Legendre
 rule, so the total weight is exactly the sphere area 2 pi^2 r^3 in the limit
 and to rule precision at finite order.  All quaternion arithmetic on nodes is
-vectorized through the same multiplication table as the scalar backend, and
-final sums are compensated and taken in a fixed node order, so results are
-reproducible bit-for-bit across runs.
+vectorized through the same multiplication table as the scalar backend, on
+component-major (Fortran-order) ``(N, 4)`` arrays whose columns are
+contiguous.  Final sums are correctly rounded (the bits of ``math.fsum``)
+and so independent of the node order, and results are reproducible
+bit-for-bit across runs.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ def quaternion_batch_mul(a, b):
     products of ``MUL_TABLE["H"]`` with their fixed signs, accumulated
     alpha-major (the summation order of the former structure-tensor
     ``einsum``, so results agree bit for bit)."""
-    out = np.zeros((a.shape[0], 4))
+    out = np.zeros((a.shape[0], 4), order="F")
     for alpha, row in enumerate(MUL_TABLE["H"]):
         for beta, (gamma, sign) in enumerate(row):
             if sign > 0:
@@ -51,7 +53,7 @@ def quaternion_batch_mul(a, b):
 
 
 def quaternion_batch_conj(a):
-    out = a.copy()
+    out = a.copy(order="F")
     out[:, 1:] = -out[:, 1:]
     return out
 
@@ -60,14 +62,15 @@ def batch_evaluate(poly, points):
     """Evaluate a one-variable quaternion polynomial on an (N, 4) array."""
     if poly.algebra != "H" or poly.n != 1:
         raise ValueError("batch evaluation wants a one-variable H polynomial")
-    out = np.zeros((points.shape[0], 4))
+    out = np.zeros((points.shape[0], 4), order="F")
     for exp in sorted(poly.terms):
         coef = poly.terms[exp]
         mono = np.ones(points.shape[0])
         for i, e in enumerate(exp):
             if e:
                 mono = mono * points[:, i] ** e
-        out += mono[:, None] * np.array([float(c) for c in coef.coeffs])
+        for c, value in enumerate(coef.coeffs):
+            out[:, c] += mono * float(value)
     return out
 
 
@@ -94,8 +97,8 @@ def sphere_rule(center, radius, order):
     """
     if order < 2:
         raise ValueError("order must be at least 2")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError("radius must be finite and positive")
     center = np.asarray(center, dtype=float)
     if center.shape != (4,):
         raise ValueError("center must have four components")
@@ -112,8 +115,9 @@ def sphere_rule(center, radius, order):
     sp, cp = np.sin(P), np.cos(P)
     st, ct = np.sin(T), np.cos(T)
     sf, cf = np.sin(F), np.cos(F)
+    # stacked component-first, so the transpose is a Fortran-order (N, 4)
     units = np.stack(
-        [cp, sp * ct, sp * st * cf, sp * st * sf], axis=-1).reshape(-1, 4)
+        [cp, sp * ct, sp * st * cf, sp * st * sf]).reshape(4, -1).T
     jac = (radius ** 3) * (sp ** 2) * st
     weights = (jac * WP * WT * WF).reshape(-1)
     nodes = center[None, :] + radius * units
@@ -131,7 +135,7 @@ def _values_on_nodes(F, rule):
         return F
     if isinstance(F, HPoly):
         return batch_evaluate(F, rule.nodes)
-    vals = np.empty((rule.size, 4))
+    vals = np.empty((rule.size, 4), order="F")
     for i in range(rule.size):
         v = F(tuple(rule.nodes[i]))
         if isinstance(v, HNumber):
@@ -141,12 +145,52 @@ def _values_on_nodes(F, rule):
     return vals
 
 
+def _exact_sums(rows):
+    """``math.fsum`` of each row of a 2-D float array, bit for bit, by
+    error-free extraction (Rump, Ogita & Oishi, *Accurate floating-point
+    summation, part I*, SIAM J. Sci. Comput. 31, 2008).  Overwrites ``rows``.
+
+    With 2^M >= n + 2 for rows of length n, a pass splits every entry r at
+    sigma = 2^(k+M), where max|r| < 2^k: q = (r + sigma) - sigma and r - q
+    are both exact, and the q are multiples of 2^-53 sigma whose absolute
+    sum stays below sigma, so they add exactly in any order.  Passes repeat
+    until the row is zero, and ``math.fsum`` rounds the exact partials once;
+    it rounds correctly, so the result is that of ``fsum`` on the row.
+    Rows with a non-finite entry, all-zero rows (``fsum`` decides their sign
+    of zero) and rows whose sigma would overflow go to ``fsum`` whole.
+    Extraction stops before 2^-53 sigma leaves the normal range and hands
+    the remainders to ``fsum``.
+    """
+    n = rows.shape[1]
+    M = (n + 1).bit_length()
+    buf = np.empty(n)
+    sums = []
+    for r in rows:
+        top = float(np.abs(r, out=buf).max()) if n else 0.0
+        if not math.isfinite(top) or top == 0.0 \
+                or math.frexp(top)[1] + M > 1023:
+            sums.append(math.fsum(r))
+            continue
+        partials = []
+        while top:
+            k = math.frexp(top)[1] + M
+            if k - 53 < -1022:
+                partials.extend(r[r != 0.0].tolist())
+                break
+            sigma = math.ldexp(1.0, k)
+            q = np.subtract(np.add(r, sigma, out=buf), sigma, out=buf)
+            partials.append(float(q.sum()))
+            np.subtract(r, q, out=r)
+            top = float(np.abs(r, out=buf).max())
+        sums.append(math.fsum(partials))
+    return sums
+
+
 def surface_integral(F, rule):
-    """Componentwise integral of F over the sphere (compensated sums)."""
+    """Componentwise integral of F over the sphere (correctly rounded)."""
     vals = _values_on_nodes(F, rule)
-    weighted = rule.weights[:, None] * vals
-    return HNumber(
-        "H", [math.fsum(weighted[:, c]) for c in range(4)], "float")
+    weighted = np.multiply(rule.weights[:, None], vals, order="F")
+    return HNumber("H", _exact_sums(weighted.T), "float")
 
 
 def cauchy_fueter_raw(F, rule, q0):
@@ -162,11 +206,13 @@ def cauchy_fueter_raw(F, rule, q0):
     nsq = np.sum(diff * diff, axis=1)
     if np.any(nsq == 0.0):
         raise ZeroDivisionError("q0 coincides with a quadrature node")
-    kernel = quaternion_batch_conj(diff) / (nsq * nsq)[:, None]
+    kernel = quaternion_batch_conj(diff)
+    kernel /= (nsq * nsq)[:, None]
     vals = _values_on_nodes(F, rule)
-    prod = quaternion_batch_mul(quaternion_batch_mul(kernel, rule.normals), vals)
-    weighted = rule.weights[:, None] * prod
-    sums = [math.fsum(weighted[:, c]) / TWO_PI_SQ for c in range(4)]
+    weighted = quaternion_batch_mul(
+        quaternion_batch_mul(kernel, rule.normals), vals)
+    weighted *= rule.weights[:, None]
+    sums = [s / TWO_PI_SQ for s in _exact_sums(weighted.T)]
     return HNumber("H", sums, "float")
 
 

@@ -199,6 +199,20 @@ def test_cf_integral_fail_at_impossible_tolerance(capsys):
     assert rep["status"] == "fail"
 
 
+@pytest.mark.parametrize("radius", ["nan", "inf", "1e200", "1e-200"])
+def test_cf_integral_rejects_radius_without_a_float_sphere(capsys, radius):
+    """nan never left the interior-point loop; 1e200 and 1e-200 overflow and
+    underflow the area 2 pi^2 r^3; inf failed only through a numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["cf-integral", "--order", "8",
+                                      "--radius", radius])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid input: radius")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
@@ -224,16 +238,22 @@ def test_check_admissible_data(tmp_path, capsys):
     assert json.loads(out)["status"] == "pass"
 
 
-def test_check_judges_crf_once_at_the_given_tolerance(tmp_path, capsys):
-    """On the unit sphere f = x1 - x0 i + 1e-8 x0 is CRF up to about 1e-8:
-    --tol 1e-6 passes every check, the default 1e-10 fails CRF and admissibility."""
+def near_crf_on_the_sphere(tmp_path):
+    """f = x1 - x0 i + 1e-8 x0 on the unit sphere of H^2: CRF up to about
+    1e-8, so it fails at the default tolerance."""
     rho = HPoly.constant("H", 2, -1)
     for h in range(2):
         for a in range(4):
             rho = rho + coord(h, a) * coord(h, a)
     f = coord(0, 1) - coord(0, 0).mul_const_left(HNumber.unit("H", 1)) + \
         coord(0, 0).scale(Fraction(1, 10 ** 8))
-    path = write_function_surface(tmp_path / "fs.json", f, rho)
+    return write_function_surface(tmp_path / "fs.json", f, rho)
+
+
+def test_check_judges_crf_once_at_the_given_tolerance(tmp_path, capsys):
+    """On the unit sphere f = x1 - x0 i + 1e-8 x0 is CRF up to about 1e-8:
+    --tol 1e-6 passes every check, the default 1e-10 fails CRF and admissibility."""
+    path = near_crf_on_the_sphere(tmp_path)
     code, out, _ = run(capsys, ["check", "--input", path, "--tol", "1e-6"])
     assert code == 0
     rep = json.loads(out)
@@ -245,6 +265,25 @@ def test_check_judges_crf_once_at_the_given_tolerance(tmp_path, capsys):
     by_name = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
     assert by_name["tangentially_crf"] == "fail"
     assert by_name["admissible"] == "fail"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-6"])
+@pytest.mark.parametrize("command", ["check", "cf-integral",
+                                     "verify-identities"])
+def test_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, command,
+                                                  tol):
+    """A nan or inf tolerance passed every check of the near-CRF data and
+    printed "tol": NaN or Infinity, which is not JSON."""
+    argv = [command, "--tol=" + tol]
+    if command == "check":
+        argv += ["--input", near_crf_on_the_sphere(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "argument --tol: tolerance must be finite and nonnegative" \
+        in out.err
 
 
 def test_check_survives_float_overflow_on_a_curved_surface(tmp_path, capsys):

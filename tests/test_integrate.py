@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crfbench.hypercomplex import MUL_TABLE, HNumber
 from crfbench.polycalc import HPoly, fueter_dbar
@@ -53,6 +55,12 @@ def test_rule_validation():
         ig.sphere_rule((0, 0, 0, 0), 0.0, 8)
     with pytest.raises(ValueError):
         ig.sphere_rule((0, 0, 0), 1.0, 8)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -1.0])
+def test_rule_rejects_a_radius_that_is_not_finite_and_positive(radius):
+    with pytest.raises(ValueError, match="finite and positive"):
+        ig.sphere_rule((0, 0, 0, 0), radius, 8)
 
 
 @pytest.mark.parametrize("radius", [1.0, 2.5])
@@ -262,3 +270,211 @@ def test_results_are_deterministic():
     a = ig.cauchy_fueter_eval(F, ig.sphere_rule((0, 0, 0, 0), 1.0, 16), q0)
     b = ig.cauchy_fueter_eval(F, ig.sphere_rule((0, 0, 0, 0), 1.0, 16), q0)
     assert a.coeffs == b.coeffs
+
+
+# ---------------------------------------------------------------------------
+# component-major arrays and correctly rounded sums
+# ---------------------------------------------------------------------------
+
+def fsum_outcome(values):
+    try:
+        return math.fsum(values).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def exact_sums_outcome(values):
+    try:
+        return ig._exact_sums(np.array(values, dtype=float)[None, :])[0].hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+TINY = 2.2250738585072014e-308          # smallest normal float
+HUGE = 1.7976931348623157e308           # largest finite float
+
+summands = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0),
+              st.integers(-997, 997)),                # 1e-300 .. 1e300
+    st.floats(-TINY, TINY),                             # subnormals
+    st.floats(1e307, HUGE) | st.floats(-HUGE, -1e307),  # near overflow
+    st.sampled_from([0.0, -0.0]),
+)
+
+
+@st.composite
+def rows_with_cancellation(draw, elements=summands):
+    """A row, often joined by its own negation plus small noise and shuffled,
+    so the exact sum cancels many binades below the largest entry."""
+    row = draw(st.lists(elements, max_size=60))
+    if draw(st.booleans()):
+        noise = draw(st.lists(st.floats(-1e-5, 1e-5), max_size=5))
+        row = row + [-x for x in row] + noise
+        draw(st.randoms(use_true_random=False)).shuffle(row)
+    return row
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows_with_cancellation())
+@example([])
+@example([-0.0])
+@example([-0.0, -0.0])
+@example([0.0, -0.0])
+@example([5e-324, 5e-324, -1e-323])
+@example([HUGE, HUGE, -HUGE])
+@example([HUGE, -HUGE, 1.0])
+@example([1e300, 1.0, -1e300, 1e-300])
+def test_exact_sums_has_the_bits_of_fsum(row):
+    assert exact_sums_outcome(row) == fsum_outcome(row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows_with_cancellation(
+    summands | st.sampled_from([math.inf, -math.inf, math.nan])))
+@example([math.inf, -math.inf])
+@example([math.nan, 1.0])
+@example([math.inf, 1.0, HUGE])
+def test_exact_sums_matches_fsum_on_non_finite_rows(row):
+    assert exact_sums_outcome(row) == fsum_outcome(row)
+
+
+def test_exact_sums_of_long_rows_in_one_call():
+    """Rows long enough for M = 17 and entries over 600 binades: several
+    extraction passes per row, one scratch buffer for all rows."""
+    rng = np.random.default_rng(14)
+    rows = rng.standard_normal((5, 85184)) * 10.0 ** rng.uniform(
+        -300, 300, (5, 85184))
+    rows[1] = np.abs(rows[1])
+    rows[2, ::2] = -rows[2, 1::2]
+    rows[3] = 0.0
+    rows[4, :100] = 5e-324
+    want = [math.fsum(r).hex() for r in rows]
+    assert [s.hex() for s in ig._exact_sums(rows)] == want
+
+
+def reference_rule(center, radius, order):
+    """Nodes, weights and normals as first built: stacked row-major."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    psi, w_psi = 0.5 * math.pi * (x + 1.0), 0.5 * math.pi * w
+    phi, w_phi = math.pi * (x + 1.0), math.pi * w
+    P, T, F = np.meshgrid(psi, psi, phi, indexing="ij")
+    WP, WT, WF = np.meshgrid(w_psi, w_psi, w_phi, indexing="ij")
+    sp, cp, st_, ct = np.sin(P), np.cos(P), np.sin(T), np.cos(T)
+    units = np.stack([cp, sp * ct, sp * st_ * np.cos(F),
+                      sp * st_ * np.sin(F)], axis=-1).reshape(-1, 4)
+    weights = ((radius ** 3) * (sp ** 2) * st_ * WP * WT * WF).reshape(-1)
+    return np.asarray(center, float)[None, :] + radius * units, weights, units
+
+
+def reference_mul(a, b):
+    out = np.zeros((a.shape[0], 4))
+    for alpha, row in enumerate(MUL_TABLE["H"]):
+        for beta, (gamma, sign) in enumerate(row):
+            if sign > 0:
+                out[:, gamma] += a[:, alpha] * b[:, beta]
+            else:
+                out[:, gamma] -= a[:, alpha] * b[:, beta]
+    return out
+
+
+def reference_evaluate(poly, points):
+    out = np.zeros((points.shape[0], 4))
+    for exp in sorted(poly.terms):
+        mono = np.ones(points.shape[0])
+        for i, e in enumerate(exp):
+            if e:
+                mono = mono * points[:, i] ** e
+        out += mono[:, None] * np.array(
+            [float(c) for c in poly.terms[exp].coeffs])
+    return out
+
+
+def reference_raw(vals, nodes, weights, normals, q0):
+    """The reproducing integral as first written: row-major (N, 4) arrays
+    and one math.fsum per component column."""
+    diff = nodes - np.asarray(q0, dtype=float)[None, :]
+    nsq = np.sum(diff * diff, axis=1)
+    conj = diff.copy()
+    conj[:, 1:] = -conj[:, 1:]
+    kernel = conj / (nsq * nsq)[:, None]
+    weighted = weights[:, None] * reference_mul(
+        reference_mul(kernel, normals), vals)
+    return [math.fsum(weighted[:, c]) / ig.TWO_PI_SQ for c in range(4)]
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+PIN_POINTS = [(0.2, -0.1, 0.05, 0.3), (-0.31, 0.12, 0.0, -0.27),
+              (2.0, 0.5, -0.3, 1.0), (0.0, 1.8, 0.0, 0.0)]
+
+
+@pytest.mark.parametrize("order", [8, 20])
+def test_reproducing_integral_keeps_the_bits_of_the_row_major_formula(order):
+    F = regular_degree_one(5)
+    rule = ig.sphere_rule((0, 0, 0, 0), 1.0, order)
+    nodes, weights, normals = reference_rule((0, 0, 0, 0), 1.0, order)
+    assert np.array_equal(rule.nodes, nodes)
+    assert np.array_equal(rule.weights, weights)
+    assert np.array_equal(rule.normals, normals)
+    vals = reference_evaluate(F, nodes)
+    assert np.array_equal(ig.batch_evaluate(F, rule.nodes), vals)
+    for q0 in PIN_POINTS:
+        want = hexes(reference_raw(vals, nodes, weights, normals, q0))
+        assert hexes(ig.cauchy_fueter_raw(F, rule, q0).coeffs) == want
+        assert hexes(ig.cauchy_fueter_raw(vals, rule, q0).coeffs) == want
+
+
+@pytest.mark.parametrize("order", [8, 20])
+def test_surface_integral_keeps_the_bits_of_the_row_major_formula(order):
+    rule = ig.sphere_rule((0.5, -1.0, 0.0, 2.0), 1.5, order)
+    nodes, weights, _ = reference_rule((0.5, -1.0, 0.0, 2.0), 1.5, order)
+    x0 = HPoly.coordinate("H", 1, 0, 0)
+    for F in (regular_degree_one(6), x0 ** 2, x0 ** 3 + regular_degree_one(2)):
+        vals = reference_evaluate(F, nodes)
+        weighted = weights[:, None] * vals
+        want = hexes(math.fsum(weighted[:, c]) for c in range(4))
+        assert hexes(ig.surface_integral(F, rule).coeffs) == want
+        assert hexes(ig.surface_integral(vals, rule).coeffs) == want
+
+
+def test_integrals_leave_the_callers_arrays_untouched():
+    F = regular_degree_one(9)
+    rule = ig.sphere_rule((0, 0, 0, 0), 1.0, 8)
+    row_major = reference_evaluate(F, np.ascontiguousarray(rule.nodes))
+    for vals in (row_major, ig.batch_evaluate(F, rule.nodes)):
+        before = [a.tobytes() for a in (vals, rule.weights, rule.nodes,
+                                        rule.normals)]
+        ig.surface_integral(vals, rule)
+        ig.cauchy_fueter_eval(vals, rule, PIN_POINTS[0])
+        ig.cauchy_fueter_raw(vals, rule, PIN_POINTS[2])
+        after = [a.tobytes() for a in (vals, rule.weights, rule.nodes,
+                                       rule.normals)]
+        assert after == before
+
+
+def test_node_arrays_are_component_major():
+    F = regular_degree_one(10)
+    rule = ig.sphere_rule((0, 0, 0, 0), 1.0, 8)
+    A = np.ones((5, 4))
+    for a in (rule.nodes, rule.normals, ig.batch_evaluate(F, rule.nodes),
+              ig.quaternion_batch_mul(A, A), ig.quaternion_batch_conj(A)):
+        assert a.flags.f_contiguous
+
+
+def test_reproducing_integral_sums_no_node_column_with_fsum(monkeypatch):
+    F = regular_degree_one(11)
+    rule = ig.sphere_rule((0, 0, 0, 0), 1.0, 20)
+    lengths = []
+    fsum = math.fsum
+
+    def counting_fsum(values):
+        values = list(values)
+        lengths.append(len(values))
+        return fsum(values)
+
+    monkeypatch.setattr(math, "fsum", counting_fsum)
+    ig.cauchy_fueter_raw(F, rule, PIN_POINTS[0])
+    assert lengths and max(lengths) < rule.size
