@@ -495,21 +495,18 @@ def _complex_rank(rows):
     return rank
 
 
-def _wirtinger(re_poly, im_poly, idx_re, idx_im, conjugate, pt):
-    """Value of the Wirtinger derivative of re + i*im at pt.
+def _wirtinger(d_a, d_b, conjugate):
+    """Value of the Wirtinger derivative of re + i*im along xi_a + i xi_b.
 
-    conjugate=False: 1/2 (d/dxi_re - i d/dxi_im); True flips the sign of i.
-    Returns a complex pair of exact scalars (pt must be exact).
+    ``d_a`` = (d re/d xi_a, d im/d xi_a) and ``d_b`` = (d re/d xi_b,
+    d im/d xi_b) are the partial pairs along the two real directions.
+    conjugate=False: 1/2 (d/dxi_a - i d/dxi_b); True flips the sign of i.
+    Returns a complex pair of exact scalars (the partials must be exact).
     """
     s = 1 if conjugate else -1
-    dre_r = re_poly.partial_flat(idx_re).evaluate(pt).coeffs[0]
-    dre_i = im_poly.partial_flat(idx_re).evaluate(pt).coeffs[0]
-    dim_r = re_poly.partial_flat(idx_im).evaluate(pt).coeffs[0]
-    dim_i = im_poly.partial_flat(idx_im).evaluate(pt).coeffs[0]
-    # (d_re + s*i*d_im)(re + i*im)/2
-    re = Fraction(dre_r - s * dim_i, 1) / 2
-    im = Fraction(dre_i + s * dim_r, 1) / 2
-    return (re, im)
+    # (d_a + s*i*d_b)(re + i*im)/2
+    return (Fraction(d_a[0] - s * d_b[1], 1) / 2,
+            Fraction(d_a[1] + s * d_b[0], 1) / 2)
 
 
 def rank_matrix(f, S, p):
@@ -519,34 +516,38 @@ def rank_matrix(f, S, p):
     derivatives of rho], rows indexed by the four complex directions.  The
     tangential system for f at p is solvable iff this matrix has rank < 3.
     Exact complex pairs at exact points.
+
+    Every entry comes from one gradient of f and one of rho at p: the eight
+    values of ``f.partial_flat(i)`` (component b is d f_b/d xi_i) and
+    ``S.gradient_at(p)``.  The tangential lane (``_tangential``) is not
+    used, so the two stay independent checks of each other.
     """
     pt = tuple(p)
     if not _is_exact_point(pt):
         raise ValueError("rank matrix wants exact rational points")
-    f0, f1, f2, f3 = (f.component(b) for b in range(4))
-    zero = HPoly.zero("H", 2)
-    rho = S.rho
-    # U = f0 + i f1, V = f2 + i f3, Vbar = f2 - i f3
-    def W(re, im, pair, conj):
-        idx_re, idx_im = pair
-        return _wirtinger(re, im, idx_re, idx_im, conj, pt)
+    df = [f.partial_flat(i).evaluate(pt).coeffs for i in range(8)]
+    # partial pairs of U = f0 + i f1, Vbar = f2 - i f3 and rho = rho + i 0
+    U = [(d[0], d[1]) for d in df]
+    Vb = [(d[2], -d[3]) for d in df]
+    rho = [(g, 0) for g in S.gradient_at(pt)]
+
+    def W(d, pair, conj):
+        return _wirtinger(d[pair[0]], d[pair[1]], conj)
 
     z1, w1, z2, w2 = (0, 1), (2, 3), (4, 5), (6, 7)
-    U = (f0, f1)
-    Vb = (f2, -f3)
     rows = [
-        [_csub(W(*U, z1, True), W(*Vb, w1, True)),
-         W(rho, zero, z1, True),
-         _csub((0, 0), W(rho, zero, w1, True))],
-        [_cadd(W(*Vb, z1, False), W(*U, w1, False)),
-         W(rho, zero, w1, False),
-         W(rho, zero, z1, False)],
-        [_csub(W(*U, z2, True), W(*Vb, w2, True)),
-         W(rho, zero, z2, True),
-         _csub((0, 0), W(rho, zero, w2, True))],
-        [_cadd(W(*Vb, z2, False), W(*U, w2, False)),
-         W(rho, zero, w2, False),
-         W(rho, zero, z2, False)],
+        [_csub(W(U, z1, True), W(Vb, w1, True)),
+         W(rho, z1, True),
+         _csub((0, 0), W(rho, w1, True))],
+        [_cadd(W(Vb, z1, False), W(U, w1, False)),
+         W(rho, w1, False),
+         W(rho, z1, False)],
+        [_csub(W(U, z2, True), W(Vb, w2, True)),
+         W(rho, z2, True),
+         _csub((0, 0), W(rho, w2, True))],
+        [_cadd(W(Vb, z2, False), W(U, w2, False)),
+         W(rho, w2, False),
+         W(rho, z2, False)],
     ]
     return rows
 

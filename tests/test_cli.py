@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -572,3 +573,106 @@ def test_console_script_runs():
         [sys.executable, "-m", "crfbench.cli", "--version"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
+
+
+# ---------------------------------------------------------------------------
+# one parser per process; the rank test's derivative count
+# ---------------------------------------------------------------------------
+
+def test_parser_is_built_once():
+    from crfbench import cli
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_parser_reuse_keeps_each_subcommands_defaults(tmp_path, capsys):
+    """cf-integral's subparser defaults tol to 1e-8; a later check without
+    --tol still judges at 1e-10."""
+    f = coord(0, 1) - coord(0, 0).mul_const_left(HNumber.unit("H", 1))
+    path = write_function_surface(tmp_path / "fs.json", f, coord(1, 3))
+    code, out, _ = run(capsys, ["cf-integral", "--order", "8",
+                                "--points", "1", "--tol", "1"])
+    assert json.loads(out)["inputs"]["tol"] == 1
+    code, out, _ = run(capsys, ["cf-integral", "--order", "8",
+                                "--points", "1"])
+    assert json.loads(out)["inputs"]["tol"] == 1e-8
+    code, out, _ = run(capsys, ["check", "--input", path])
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["pointwise_rank_condition"]["tol"] == 1e-10
+
+
+def test_repeated_argv_prints_the_same_bytes(tmp_path, capsys):
+    path = write_function_surface(
+        tmp_path / "fs.json", counterexample_poly(), coord(1, 3))
+    for argv in (["check", "--input", path],
+                 ["syzygy", "--algebra", "H", "--degree", "1"],
+                 ["check", "--input", path, "--format", "table"]):
+        first = run(capsys, argv)
+        assert run(capsys, argv) == first
+
+
+def test_bad_argument_exits_2_on_every_call(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["syzygy", "--algebra", "X"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
+def load_bench_workloads(monkeypatch):
+    """The benchmark's pool generators (``bench/workloads.py``)."""
+    import importlib.util
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)   # for dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_check_on_a_tilted_plane_item_counts_its_derivatives(
+        tmp_path, capsys, monkeypatch):
+    """One check of the benchmark's adm_tilted-0 payload: the rank test
+    takes eight partials per sample point, 168 ``partial_flat`` calls in
+    all (728 when each Wirtinger entry took its own four)."""
+    payload, admissible = load_bench_workloads(monkeypatch).rhoadic_item("adm_tilted", 0)
+    path = tmp_path / "fs.json"
+    path.write_text(json.dumps(payload))
+    original = HPoly.partial_flat
+    calls = [0]
+
+    def counted(self, i):
+        calls[0] += 1
+        return original(self, i)
+
+    monkeypatch.setattr(HPoly, "partial_flat", counted)
+    code, _, _ = run(capsys, ["check", "--input", str(path)])
+    assert admissible and code == 0
+    assert calls[0] <= 168
+
+
+@pytest.mark.parametrize("radius", ["1e-100", "1e100", "1e77"])
+def test_cf_integral_rejects_radius_whose_kernel_leaves_the_float_range(
+        capsys, radius):
+    """The kernel divides by |q - q0|^4.  At 1e-100 that underflowed to 0,
+    and interior_reproduction passed with 0.0 while exterior_vanishing
+    printed NaN; at 1e100 it overflowed, and exterior_vanishing passed with
+    0.0.  The sphere area 2 pi^2 r^3 is finite at all three radii."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["cf-integral", "--order", "8",
+                                      "--radius", radius, "--tol", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid input: radius")
+
+
+def test_non_finite_check_values_fail_as_json_strings():
+    from crfbench import cli
+    for value in (math.nan, math.inf):
+        entry = cli._check("x", True, value=value)
+        assert entry["status"] == "fail"
+        json.dumps(entry, allow_nan=False)
+    assert cli._check("x", True, value=0.5)["value"] == 0.5
+    assert math.isnan(cli._worst([0.0, math.nan, 1.0]))
+    assert cli._worst([0.0, 2.0, 1.0]) == 2.0

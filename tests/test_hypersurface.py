@@ -473,3 +473,109 @@ def test_levi_side_validation(sphere):
     p = sphere.sample_points(1, seed=2)[0]
     with pytest.raises(ValueError):
         hs.levi_h_convexity(sphere, p, side="inside")
+
+
+# ---------------------------------------------------------------------------
+# the rank matrix from one gradient per point
+# ---------------------------------------------------------------------------
+
+def wirtinger_from_scratch(re_poly, im_poly, pair, conjugate, pt):
+    """One Wirtinger entry built on its own, as a reference: four
+    ``partial_flat`` derivatives of the real and imaginary polynomials, each
+    evaluated at pt."""
+    s = 1 if conjugate else -1
+    (re_a, im_a), (re_b, im_b) = (
+        [poly.partial_flat(i).evaluate(pt).coeffs[0]
+         for poly in (re_poly, im_poly)] for i in pair)
+    return (Fraction(re_a - s * im_b, 1) / 2, Fraction(im_a + s * re_b, 1) / 2)
+
+
+def rank_matrix_from_scratch(f, S, pt):
+    """The 4x3 rank matrix with every entry built by its own derivatives."""
+    f0, f1, f2, f3 = (f.component(b) for b in range(4))
+    U, Vb, rho = (f0, f1), (f2, -f3), (S.rho, HPoly.zero("H", 2))
+
+    def W(polys, pair, conj):
+        return wirtinger_from_scratch(*polys, pair, conj, pt)
+
+    def sub(a, b):
+        return (a[0] - b[0], a[1] - b[1])
+
+    def add(a, b):
+        return (a[0] + b[0], a[1] + b[1])
+
+    z1, w1, z2, w2 = (0, 1), (2, 3), (4, 5), (6, 7)
+    return [
+        [sub(W(U, z1, True), W(Vb, w1, True)), W(rho, z1, True),
+         sub((0, 0), W(rho, w1, True))],
+        [add(W(Vb, z1, False), W(U, w1, False)), W(rho, w1, False),
+         W(rho, z1, False)],
+        [sub(W(U, z2, True), W(Vb, w2, True)), W(rho, z2, True),
+         sub((0, 0), W(rho, w2, True))],
+        [add(W(Vb, z2, False), W(U, w2, False)), W(rho, w2, False),
+         W(rho, z2, False)],
+    ]
+
+
+def unit_sphere():
+    rho = const(-1)
+    for h in range(2):
+        for a in range(4):
+            rho = rho + coord(h, a) ** 2
+    return hs.Hypersurface(rho)
+
+
+def test_rank_matrix_matches_entrywise_derivatives(flat, tilted,
+                                                   counterexample):
+    """Each of the 12 entries equals, value and type, the one built from its
+    own four derivatives: admissible f (regular plus a multiple of rho), the
+    counterexample and conj(q1), on the wall, the tilted plane and the unit
+    sphere at exact rational points."""
+    fr = Fraction
+    regular = coord(0, 1) - coord(0, 0).mul_const_left(unit(1))
+    qbar1 = HPoly.variable_conj("H", 2, 0)
+    sphere1 = unit_sphere()
+    cases = [
+        (flat, [(fr(3, 5), fr(4, 5)) + (0,) * 6,
+                (fr(1), fr(-2), fr(1, 3), fr(5), fr(-1, 2), fr(7), fr(2), 0)]
+         + flat.sample_points(3, seed=5)),
+        (tilted, [(fr(3, 5), fr(4, 5), 0, 0, 0, fr(1, 5), 0, 0)]
+         + tilted.sample_points(3, seed=5)),
+        (sphere1, [(fr(3, 5), fr(4, 5)) + (0,) * 6,
+                   (0,) * 4 + (fr(5, 13), 0, fr(12, 13), 0),
+                   (fr(1, 2),) * 4 + (0,) * 4]),
+    ]
+    seen = 0
+    for S, points in cases:
+        admissible = regular + S.rho * coord(0, 2).mul_const_left(unit(3))
+        for f in (admissible, counterexample, qbar1):
+            for p in points:
+                assert S.value_at(p) == 0
+                got = hs.rank_matrix(f, S, p)
+                want = rank_matrix_from_scratch(f, S, tuple(p))
+                assert got == want
+                assert [[tuple(map(type, e)) for e in row] for row in got] \
+                    == [[tuple(map(type, e)) for e in row] for row in want]
+                seen += 1
+    assert seen == 3 * (5 + 4 + 3)
+
+
+def test_rank_matrix_takes_one_gradient_of_f_per_point(flat, monkeypatch):
+    """Eight ``partial_flat`` calls per point, all of them on f: rho's
+    partials come from the surface's stored gradient."""
+    f = coord(0, 1) * coord(1, 0) + coord(0, 0).mul_const_left(unit(2))
+    cases = [(flat, p) for p in flat.sample_points(4, seed=3)]
+    cases.append((unit_sphere(), (Fraction(3, 5), Fraction(4, 5)) + (0,) * 6))
+    original = HPoly.partial_flat
+    calls = []
+
+    def counted(self, i):
+        calls.append(self)
+        return original(self, i)
+
+    monkeypatch.setattr(HPoly, "partial_flat", counted)
+    for S, p in cases:
+        calls.clear()
+        hs.rank_matrix(f, S, p)
+        assert len(calls) == 8
+        assert all(poly is f for poly in calls)
