@@ -7,7 +7,9 @@ rationals:
   polynomial u with dbar_h u = g_h for every h.  The pairwise compatibility
   residuals are checked first; the solve then proceeds one homogeneous degree
   at a time in the divided-power basis, where every matrix entry of the
-  operator is -1, 0, or +1.
+  operator is -1, 0, or +1.  Before assembly a presolve drops the candidate
+  monomials that equations with zero right-hand side force to 0 (singleton
+  rows, as in the presolve of sparse solvers), with the same answer.
 
 * ``crf_extend``: given a polynomial f and an affine hypersurface S = {rho=0},
   find an extension F = f + rho P whose conjugate-Fueter image vanishes to
@@ -101,33 +103,87 @@ def _rhs_by_degree(g):
     return out
 
 
+def _peel(monos, pinned, d, n):
+    """``monos`` less the monomials that zero right-hand sides force to 0.
+
+    Block (h, nu) is the d equations of dbar_h u on x^[nu] i_gamma, one per
+    gamma.  Its neighbours are the monomials nu + e_{d*h+alpha}, and the d
+    columns (mu, beta) of a neighbour mu enter it as a signed permutation.
+    So a block outside ``pinned`` (the blocks where the right-hand side is
+    nonzero) with one neighbour mu left forces mu's d coefficients to 0.
+    Removing mu lowers the neighbour counts of mu's own blocks; a worklist of
+    the blocks whose count drops to 1 repeats this until none is left.
+    """
+    def blocks(mu):
+        return [(i // d, mu[:i] + (mu[i] - 1,) + mu[i + 1:])
+                for i in range(d * n) if mu[i]]
+
+    count = {}
+    for mu in monos:
+        for block in blocks(mu):
+            count[block] = count.get(block, 0) + 1
+    left = set(monos)
+    work = [b for b, c in count.items() if c == 1 and b not in pinned]
+    while work:
+        h, nu = block = work.pop()
+        if count[block] != 1:
+            continue        # its one neighbour went through another block
+        for alpha in range(d):
+            i = d * h + alpha
+            mu = nu[:i] + (nu[i] + 1,) + nu[i + 1:]
+            if mu in left:
+                break
+        left.remove(mu)
+        for b in blocks(mu):
+            count[b] -= 1
+            if count[b] == 1 and b not in pinned:
+                work.append(b)
+    return left
+
+
 def _solve_homogeneous(rhs, k, algebra, n, max_unknowns):
     """Solve dbar u = g with u homogeneous of degree k + 1, or None; ``rhs``
-    is g's degree-k part as one entry of :func:`_rhs_by_degree`."""
+    is g's degree-k part as one entry of :func:`_rhs_by_degree`.
+
+    Each attempt (the shifts of the right-hand-side support, then the full
+    monomial space) is presolved by :func:`_peel`, and the answer is the one
+    the whole attempt gives.  (In the full space every block keeps all d
+    neighbours, so only the shifts lose monomials.)  Elimination returns the
+    solution whose free variables (the non-pivot columns) are zero, and its
+    pivot set P is the set of leading columns of the row space, right-hand
+    side included as the last column.  A column c forced by a singleton row
+    is in P, since e_c is in the row space.  That row space is span(e_c)
+    plus its vectors with a zero c entry, which are the row space of the
+    system with c and its forcing rows removed; so that system has pivot set
+    P - {c}, and its free-variables-zero solution is the old one without c,
+    which was 0.  It is consistent exactly when the whole attempt is, so the
+    fallback to the full space fires as before.  The unknown cap and the test
+    for the fallback count the monomials before the presolve.
+    """
     width = DIM[algebra] * n
     d = DIM[algebra]
+    pinned = {(h, nu) for h, nu, _ in rhs}
     # support-restricted candidates: shifts of the right-hand-side support.
     # They cover every rhs row (h, nu, gamma): alpha = 0 maps the column
     # (nu + e_{d*h}, gamma) onto it.
-    candidates = {(nu[:i] + (nu[i] + 1,) + nu[i + 1:], beta)
-                  for nu in {nu for _, nu, _ in rhs}
-                  for i in range(width) for beta in range(d)}
+    candidates = {nu[:i] + (nu[i] + 1,) + nu[i + 1:]
+                  for _, nu in pinned for i in range(width)}
 
     def attempts():
         yield candidates
         # then the full monomial space, built only when the candidates fail.
         # The candidates are a subset of it, so they are all of it exactly
         # when their count matches.
-        if len(candidates) < d * math.comb(width + k, k + 1):
-            yield {(mu, beta) for mu in monomials(width, k + 1)
-                   for beta in range(d)}
+        if len(candidates) < math.comb(width + k, k + 1):
+            yield monomials(width, k + 1)
 
-    for cand in attempts():
-        if len(cand) > max_unknowns:
+    for monos in attempts():
+        if d * len(monos) > max_unknowns:
             raise BudgetExceeded(
-                f"homogeneous solve needs {len(cand)} unknowns "
+                f"homogeneous solve needs {d * len(monos)} unknowns "
                 f"(cap {max_unknowns})")
-        columns = sorted(cand)
+        columns = [(mu, beta) for mu in sorted(_peel(monos, pinned, d, n))
+                   for beta in range(d)]
         rows, values = _assemble(dbar_images(algebra, n, columns), rhs)
         sol = solve_sparse(rows, values, len(columns))
         if sol is not None:

@@ -270,7 +270,8 @@ class HPoly:
         if any(isinstance(x, float) for x in point):
             pt, zero, one, backend = [float(x) for x in point], 0.0, 1.0, "float"
         else:
-            pt, zero, one = [Fraction(x) for x in point], Fraction(0), Fraction(1)
+            pt = [x if isinstance(x, Fraction) else Fraction(x) for x in point]
+            zero, one = Fraction(0), Fraction(1)
             backend = "exact"
         acc = [zero] * self.dim
         for exp, coef in self.terms.items():

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crfbench.hypercomplex import DIM, HNumber
-from crfbench.polycalc import (HPoly, dbar_images, dbar_system, fueter_dbar,
-                               monomials)
+from crfbench.linalg import Echelon, _assemble, solve_sparse
+from crfbench.polycalc import (HPoly, compat_pbar, dbar_images, dbar_system,
+                               fueter_dbar, monomials)
 from crfbench.hypersurface import Hypersurface, is_admissible
 from crfbench import crfsolve as cs
 
@@ -197,6 +198,156 @@ def test_divided_power_entries_are_units():
                         for nu, coef in fueter_dbar(u, h).terms.items()
                         for gamma, c in enumerate(coef.coeffs) if c}
             assert image == expected
+
+
+def rational_poly(rng, algebra, n, deg, terms):
+    """Random terms of degree <= deg with components p/q, |p| <= 3, q <= 3."""
+    width, d = DIM[algebra] * n, DIM[algebra]
+    out = HPoly.zero(algebra, n)
+    for _ in range(terms):
+        exp = [0] * width
+        for _ in range(rng.randint(0, deg)):
+            exp[rng.randrange(width)] += 1
+        c = HNumber(algebra, [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                              for _ in range(d)])
+        out = out + HPoly(algebra, n, {tuple(exp): c})
+    return out
+
+
+def unpeeled_solve(g):
+    """solve_crf without the presolve: for each degree the sorted shifts of
+    the right-hand-side support, then the full monomial space, each assembled
+    whole from dbar_images and eliminated by solve_sparse."""
+    algebra, n = g[0].algebra, g[0].n
+    width, d = DIM[algebra] * n, DIM[algebra]
+    for idx, res in enumerate(compat_pbar(g)):
+        if not res.is_zero():
+            raise cs.CompatibilityViolation(
+                f"compatibility residual #{idx} is nonzero")
+    u = HPoly.zero(algebra, n)
+    for k, rhs in sorted(cs._rhs_by_degree(g).items()):
+        candidates = sorted({(nu[:i] + (nu[i] + 1,) + nu[i + 1:], beta)
+                             for _, nu, _ in rhs for i in range(width)
+                             for beta in range(d)})
+        full = sorted((mu, beta) for mu in monomials(width, k + 1)
+                      for beta in range(d))
+        for columns in (candidates, full):
+            rows, values = _assemble(dbar_images(algebra, n, columns), rhs)
+            sol = solve_sparse(rows, values, len(columns))
+            if sol is not None:
+                u = u + cs._poly_from_columns(algebra, n, columns, sol)
+                break
+        else:
+            raise cs.CompatibilityViolation(
+                "right-hand side passes the pairwise residual check but hits "
+                f"a higher-order obstruction at degree {k}")
+    return u
+
+
+def outcome(solver, g):
+    try:
+        u = solver(g)
+    except cs.CompatibilityViolation as e:
+        return str(e)
+    return list(u.terms.items())
+
+
+def obstructed_o3(a, b):
+    """(0, a x_{0,2}, b x_{1,5} x_{0,2}) on (O, 3): its pairwise residuals
+    vanish for every pair of unit coefficients, and degree 2 is not in the
+    image of dbar."""
+    x = HPoly.coordinate
+    return [HPoly.zero("O", 3), x("O", 3, 0, 2).mul_const_left(a),
+            (x("O", 3, 1, 5) * x("O", 3, 0, 2)).mul_const_left(b)]
+
+
+@pytest.mark.parametrize("algebra,n", [("H", 2), ("O", 2), ("O", 3)])
+def test_presolve_gives_the_unpeeled_answer(algebra, n):
+    """The presolved solve returns the polynomial, term order included, or
+    the CompatibilityViolation that the whole candidate systems give."""
+    rng = random.Random(f"presolve/{algebra}{n}")
+    deg = 4 if n == 2 else 2
+    cases = []
+    for _ in range(8):
+        g = dbar_system(rational_poly(rng, algebra, n, deg, 4))
+        cases.append(g)
+        # a term added to one slot usually breaks a pairwise residual
+        h = rng.randrange(n)
+        cases.append([gh + rational_poly(rng, algebra, n, deg - 1, 1)
+                      if i == h else gh for i, gh in enumerate(g)])
+    if algebra == "O" and n == 3:
+        # higher-order obstructions, alone and on top of a solvable g
+        a, b = HNumber.unit("O", 6), HNumber.unit("O", 3)
+        cases.append(obstructed_o3(a.scale(Fraction(2, 3)), b))
+        solvable = dbar_system(rational_poly(rng, "O", 3, 2, 2))
+        cases.append([p + q for p, q in zip(
+            obstructed_o3(a, b.scale(Fraction(-1, 2))), solvable)])
+    kinds = set()
+    for g in cases:
+        want = outcome(unpeeled_solve, g)
+        assert outcome(cs.solve_crf, g) == want
+        kinds.add(want if isinstance(want, str) else "solved")
+    assert "solved" in kinds and len(kinds) > 1
+    if algebra == "O" and n == 3:
+        assert any("higher-order" in kind for kind in kinds)
+
+
+def test_budget_counts_the_candidates_before_the_presolve(monkeypatch):
+    """A cap between the presolved and the whole candidate count still
+    raises: the presolve saves work, not unknowns."""
+    counts = []
+    peel = cs._peel
+
+    def spy(monos, *args):
+        kept = peel(monos, *args)
+        counts.append((len(monos), len(kept)))
+        return kept
+    monkeypatch.setattr(cs, "_peel", spy)
+    rng = random.Random(47)
+    u = HPoly.zero("H", 2)
+    for _ in range(3):
+        c = rational_poly(rng, "H", 2, 0, 1)
+        for i in rng.sample(range(8), 3):
+            c = c * coord(i // 4, i % 4)
+        u = u + c
+    g = dbar_system(u)      # homogeneous of degree 2: one graded solve
+    assert list(dbar_system(cs.solve_crf(g))) == list(g)
+    [(whole, kept)] = counts
+    assert kept < whole
+    for cap in (4 * kept, 4 * whole - 1):
+        with pytest.raises(cs.BudgetExceeded):
+            cs.solve_crf(g, max_unknowns=cap)
+    assert list(dbar_system(cs.solve_crf(g, max_unknowns=4 * whole))) == g
+
+
+def test_presolve_counts_are_pinned(monkeypatch):
+    """Monomials kept by the presolve and rows fed to elimination for a fixed
+    (O, 2) right-hand side of degree 5, printed when the presolve went in;
+    without the presolve every candidate is kept and more rows are fed."""
+    counts, rows = [], [0]
+    peel, add_row = cs._peel, Echelon.add_row
+
+    def spy_peel(monos, *args):
+        out = peel(monos, *args)
+        counts.append((len(monos), len(out)))
+        return out
+
+    def spy_add_row(self, *args):
+        rows[0] += 1
+        return add_row(self, *args)
+    monkeypatch.setattr(cs, "_peel", spy_peel)
+    monkeypatch.setattr(Echelon, "add_row", spy_add_row)
+    rng = random.Random(48)
+    u = sum((rational_poly(rng, "O", 2, 6, 1) for _ in range(8)),
+            HPoly.zero("O", 2))
+    # x_{0,0} x_{1,7}^5 i_3 makes the degree exact
+    u = u + HPoly("O", 2, {(1,) + (0,) * 14 + (5,): HNumber.unit("O", 3)})
+    g = dbar_system(u)
+    assert max(gh.degree() for gh in g) == 5
+    assert list(dbar_system(cs.solve_crf(g))) == list(g)
+    # (candidates, kept) per degree 0..4, then the rows fed (8208 unpeeled)
+    assert counts == [(16, 16), (106, 23), (61, 1), (61, 1), (198, 3)]
+    assert rows[0] == 384
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,29 @@ def test_evaluate_exact_and_float():
 
 
 @pytest.mark.parametrize("algebra", ["H", "O"])
+def test_exact_evaluation_keeps_fractions_for_int_fraction_and_mixed_points(
+        algebra):
+    """Int, Fraction and mixed points give the same exact value, with
+    Fraction components, equal to the term-by-term Fraction sum."""
+    rng = random.Random(22)
+    for _ in range(20):
+        p = rand_poly(rng, algebra, 2, 4, 6, den=3)
+        ints = [rng.randint(-3, 3) for _ in range(p.width)]
+        fracs = [Fraction(x) for x in ints]
+        mixed = [x if i % 2 else Fraction(x) for i, x in enumerate(ints)]
+        want = [Fraction(0)] * p.dim
+        for exp, coef in p.terms.items():
+            m = math.prod(Fraction(x) ** e for x, e in zip(ints, exp))
+            for idx, c in enumerate(coef.coeffs):
+                want[idx] += c * m
+        for pt in (ints, fracs, mixed):
+            got = p.evaluate(pt)
+            assert got.backend == "exact"
+            assert list(got.coeffs) == want
+            assert all(type(c) is Fraction for c in got.coeffs)
+
+
+@pytest.mark.parametrize("algebra", ["H", "O"])
 def test_float_evaluation_is_the_insertion_order_sum(algebra):
     """Float points sum float(c) * m over the terms in insertion order, bit
     for bit."""
