@@ -33,8 +33,8 @@ from fractions import Fraction
 
 from . import __version__
 from .hypercomplex import DIM, HNumber
-from .polycalc import (HPoly, compat_pbar, dbar_system, fueter_d, fueter_dbar,
-                       laplacian)
+from .polycalc import (HPoly, _from_int_terms, compat_pbar, dbar_system,
+                       fueter_d, fueter_dbar, laplacian)
 from . import forms
 from . import hypersurface as hsur
 from . import integrate as ig
@@ -157,17 +157,27 @@ def _load_system(path):
 
 
 def _rand_poly(rng, algebra, n, deg=3, terms=5):
+    """A sum of ``terms`` random monomials of degree at most ``deg`` with
+    integer coefficients in [-2, 2]; a repeated monomial adds to the earlier
+    one, and a sum that cancels drops (a later draw of it comes last)."""
     width = DIM[algebra] * n
     d = DIM[algebra]
-    out = HPoly.zero(algebra, n)
+    acc = {}
     for _ in range(terms):
         exp = [0] * width
         for _ in range(rng.randint(0, deg)):
             exp[rng.randrange(width)] += 1
-        c = HNumber(algebra, [Fraction(rng.randint(-2, 2)) for _ in range(d)])
-        if not c.is_zero():
-            out = out + HPoly(algebra, n, {tuple(exp): c})
-    return out
+        ints = [rng.randint(-2, 2) for _ in range(d)]
+        if not any(ints):
+            continue
+        exp = tuple(exp)
+        if exp in acc:
+            ints = [a + b for a, b in zip(acc[exp], ints)]
+            if not any(ints):
+                del acc[exp]
+                continue
+        acc[exp] = ints
+    return _from_int_terms(algebra, n, acc, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ conjugate-Fueter derivatives with the Hodge star of dF).
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -516,6 +517,25 @@ def full_volume_form(algebra, n):
 # identities
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _lu1_frames(algebra):
+    """(Dq, dx) of ``identity_lu1``, built once per algebra; shared, so no
+    caller may mutate them (every ``Form`` operation returns a new form)."""
+    return Dq_form(algebra, 1, 0), volume_block_form(algebra, 1, 0)
+
+
+@functools.cache
+def _lub_frames():
+    """(dx, dy, dqbar_1 ^ dq_1 ^ dy, dqbar_2 ^ dq_2, Dqbar_1, Dqbar_2) of
+    ``identity_lub``, built once; shared like ``_lu1_frames``."""
+    dx = volume_block_form("H", 2, 0)
+    dy = volume_block_form("H", 2, 1)
+    return (dx, dy,
+            dqbar_form("H", 2, 0).wedge(dq_form("H", 2, 0)).wedge(dy),
+            dqbar_form("H", 2, 1).wedge(dq_form("H", 2, 1)),
+            Dqbar_form("H", 2, 0), Dqbar_form("H", 2, 1))
+
+
 def identity_lu1(F):
     """One-variable reproduction identity: d(Dq . F) = (dbar F) dx.
 
@@ -523,8 +543,9 @@ def identity_lu1(F):
     """
     if F.n != 1:
         raise ValueError("one-variable identity")
-    lhs = Dq_form(F.algebra, 1, 0).mul_right(F).exterior_d()
-    rhs = volume_block_form(F.algebra, 1, 0).mul_left(fueter_dbar(F, 0))
+    Dq, dx = _lu1_frames(F.algebra)
+    lhs = Dq.mul_right(F).exterior_d()
+    rhs = dx.mul_left(fueter_dbar(F, 0))
     return lhs, rhs
 
 
@@ -538,15 +559,12 @@ def identity_lub(F):
     """
     if F.algebra != "H" or F.n != 2:
         raise ValueError("two quaternionic variables required")
-    dx = volume_block_form("H", 2, 0)
-    dy = volume_block_form("H", 2, 1)
+    dx, dy, frame_1, frame_2, Dqbar_1, Dqbar_2 = _lub_frames()
     dF = Form("H", 2, 1, {(i,): F.partial_flat(i) for i in range(8)})
-    lhs = (
-        dqbar_form("H", 2, 0).wedge(dq_form("H", 2, 0)).wedge(dy).wedge(dF)
-        + dx.wedge(dqbar_form("H", 2, 1).wedge(dq_form("H", 2, 1)).wedge(dF))
-    ).scale(Fraction(1, 2))
-    term1 = Dqbar_form("H", 2, 0).mul_right(fueter_dbar(F, 0)).wedge(dy)
-    term2 = dx.wedge(Dqbar_form("H", 2, 1).mul_right(fueter_dbar(F, 1)))
+    lhs = (frame_1.wedge(dF)
+           + dx.wedge(frame_2.wedge(dF))).scale(Fraction(1, 2))
+    term1 = Dqbar_1.mul_right(fueter_dbar(F, 0)).wedge(dy)
+    term2 = dx.wedge(Dqbar_2.mul_right(fueter_dbar(F, 1)))
     rhs = -(term1 + term2) + dF.hodge_star()
     return lhs, rhs
 

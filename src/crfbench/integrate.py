@@ -15,8 +15,12 @@ rule, so the total weight is exactly the sphere area 2 pi^2 r^3 in the limit
 and to rule precision at finite order.  All quaternion arithmetic on nodes is
 vectorized through the same multiplication table as the scalar backend, on
 component-major (Fortran-order) ``(N, 4)`` arrays whose columns are
-contiguous.  Final sums are correctly rounded (the bits of ``math.fsum``)
-and so independent of the node order, and results are reproducible
+contiguous.  The reproducing integral walks the nodes in blocks of
+``_BLOCK`` through scratch rows allocated once per call, so its working set
+stays in cache instead of streaming whole-array temporaries; every node goes
+through the same elementwise operations whatever block it falls in.  Final
+sums are correctly rounded (the bits of ``math.fsum``) and so independent of
+the node order and of the block size, and results are reproducible
 bit-for-bit across runs.
 """
 
@@ -32,6 +36,10 @@ from .polycalc import HPoly
 
 TWO_PI_SQ = 2.0 * math.pi ** 2
 
+# nodes per block of the reproducing integral: its ten scratch rows (640 KiB)
+# and the block's slices of the input and output columns fit in a 2 MiB L2
+_BLOCK = 8192
+
 
 class PointOutsideDomain(ValueError):
     """Evaluation point is not strictly inside the integration sphere."""
@@ -43,19 +51,26 @@ def quaternion_batch_mul(a, b):
     alpha-major (the summation order of the former structure-tensor
     ``einsum``, so results agree bit for bit)."""
     out = np.zeros((a.shape[0], 4), order="F")
+    _mul_into(a.T, b.T, out.T, np.empty(a.shape[0]))
+    return out
+
+
+def _mul_into(a, b, out, tmp, conj_a=False):
+    """Add a * b, or conj(a) * b, into ``out``: quaternions stored as the
+    four rows of a, b and out, with ``tmp`` one row of scratch.
+
+    Each of the 16 column products of ``MUL_TABLE["H"]`` is added to or
+    subtracted from its row of ``out`` alpha-major.  Conjugating a flips
+    the sign of its alpha > 0 terms, which is exact: (-x) y = -(x y), and
+    IEEE defines u - v as u + (-v), signs of zero included."""
     for alpha, row in enumerate(MUL_TABLE["H"]):
+        flip = conj_a and alpha > 0
         for beta, (gamma, sign) in enumerate(row):
-            if sign > 0:
-                out[:, gamma] += a[:, alpha] * b[:, beta]
+            np.multiply(a[alpha], b[beta], out=tmp)
+            if (sign > 0) != flip:
+                np.add(out[gamma], tmp, out=out[gamma])
             else:
-                out[:, gamma] -= a[:, alpha] * b[:, beta]
-    return out
-
-
-def quaternion_batch_conj(a):
-    out = a.copy(order="F")
-    out[:, 1:] = -out[:, 1:]
-    return out
+                np.subtract(out[gamma], tmp, out=out[gamma])
 
 
 def batch_evaluate(poly, points):
@@ -110,16 +125,21 @@ def sphere_rule(center, radius, order):
     phi = math.pi * (x + 1.0)
     w_phi = math.pi * w
 
-    P, T, F = np.meshgrid(psi, theta, phi, indexing="ij")
-    WP, WT, WF = np.meshgrid(w_psi, w_theta, w_phi, indexing="ij")
-    sp, cp = np.sin(P), np.cos(P)
-    st, ct = np.sin(T), np.cos(T)
-    sf, cf = np.sin(F), np.cos(F)
-    # stacked component-first, so the transpose is a Fortran-order (N, 4)
-    units = np.stack(
-        [cp, sp * ct, sp * st * cf, sp * st * sf]).reshape(4, -1).T
-    jac = (radius ** 3) * (sp ** 2) * st
-    weights = (jac * WP * WT * WF).reshape(-1)
+    # the angles broadcast as (psi, theta, phi) axes of an order**3 grid
+    sp, cp = np.sin(psi), np.cos(psi)
+    st, ct = np.sin(theta), np.cos(theta)
+    sf, cf = np.sin(phi), np.cos(phi)
+    spst = (sp[:, None] * st)[:, :, None]
+    # filled component-first, so the transpose is a Fortran-order (N, 4)
+    units = np.empty((4, order, order, order))
+    units[0] = cp[:, None, None]
+    units[1] = (sp[:, None] * ct)[:, :, None]
+    units[2] = spst * cf
+    units[3] = spst * sf
+    units = units.reshape(4, -1).T
+    jac = ((radius ** 3) * (sp ** 2))[:, None] * st
+    weights = ((jac * w_psi[:, None] * w_theta)[:, :, None]
+               * w_phi).reshape(-1)
     nodes = center[None, :] + radius * units
     return SphereRule(center=center, radius=float(radius), order=int(order),
                       nodes=nodes, weights=weights, normals=units)
@@ -200,20 +220,53 @@ def cauchy_fueter_raw(F, rule, q0):
     quaternion; F is taken as in ``_values_on_nodes``.  For q0 strictly
     inside and F left-regular this reproduces F(q0); for q0 strictly outside
     it tends to zero.
+
+    The weighted products are formed ``_BLOCK`` nodes at a time (see
+    ``_cf_block``) into one (4, N) array, which ``_exact_sums`` adds once.
+    Each node sees the same elementwise operations in any block and the
+    sums are correctly rounded, so the bits do not depend on the block size.
     """
     q0 = np.asarray(q0, dtype=float)
-    diff = rule.nodes - q0[None, :]
-    nsq = np.sum(diff * diff, axis=1)
-    if np.any(nsq == 0.0):
-        raise ZeroDivisionError("q0 coincides with a quadrature node")
-    kernel = quaternion_batch_conj(diff)
-    kernel /= (nsq * nsq)[:, None]
+    if q0.shape != (4,):
+        raise ValueError("q0 must have four components")
     vals = _values_on_nodes(F, rule)
-    weighted = quaternion_batch_mul(
-        quaternion_batch_mul(kernel, rule.normals), vals)
-    weighted *= rule.weights[:, None]
-    sums = [s / TWO_PI_SQ for s in _exact_sums(weighted.T)]
+    size = rule.size
+    weighted = np.empty((4, size))
+    buf = np.empty((10, min(size, _BLOCK)))
+    for start in range(0, size, _BLOCK):
+        stop = min(start + _BLOCK, size)
+        _cf_block(rule.nodes[start:stop], rule.normals[start:stop],
+                  vals[start:stop], rule.weights[start:stop], q0,
+                  weighted[:, start:stop], buf[:, :stop - start])
+    sums = [s / TWO_PI_SQ for s in _exact_sums(weighted)]
     return HNumber("H", sums, "float")
+
+
+def _cf_block(nodes, normals, vals, weights, q0, out, buf):
+    """w_i G(node_i - q0) nu_i F_i for one block of nodes into the rows of
+    ``out`` (4, b), in the scratch rows of ``buf`` (10, b).
+
+    These are the operations of the whole-array formula, node by node:
+    diff = node - q0, nsq = d0^2 + d1^2 + d2^2 + d3^2 in that order, the
+    kernel conj(diff) / nsq^2 (the conj folded into the first product),
+    the two products as ``quaternion_batch_mul`` forms them (zero start,
+    alpha-major, so signs of zero agree) and the weight.
+    """
+    diff, prod, nsq, tmp = buf[0:4], buf[4:8], buf[8], buf[9]
+    for c in range(4):
+        np.subtract(nodes[:, c], q0[c], out=diff[c])
+    np.multiply(diff[0], diff[0], out=nsq)
+    for c in (1, 2, 3):
+        np.add(nsq, np.multiply(diff[c], diff[c], out=tmp), out=nsq)
+    if not nsq.all():
+        raise ZeroDivisionError("q0 coincides with a quadrature node")
+    np.multiply(nsq, nsq, out=nsq)
+    np.divide(diff, nsq, out=diff)
+    prod[:] = 0.0
+    _mul_into(diff, normals.T, prod, tmp, conj_a=True)
+    out[:] = 0.0
+    _mul_into(prod, vals.T, out, tmp)
+    np.multiply(out, weights, out=out)
 
 
 def cauchy_fueter_eval(F, rule, q0):

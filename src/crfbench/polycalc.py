@@ -483,18 +483,27 @@ def dbar_images(algebra, n, columns):
     {(h, nu, gamma): sign}: dbar_h x^[mu] i_beta has coefficient sign on
     x^[nu] i_gamma, with nu = mu - e_{d*h + alpha} and
     i_alpha * i_beta = sign * i_gamma.  Distinct alpha give distinct nu, so
-    entries never collide and every one is -1 or +1.
+    entries never collide and every one is -1 or +1.  The shifted
+    exponents (h, alpha, nu) of a monomial serve every consecutive column
+    with that mu.
     """
     d = DIM[algebra]
     table = MUL_TABLE[algebra]
+    last = shifts = None
     for mu, beta in columns:
+        if mu != last:
+            last = mu
+            shifts = []
+            for h in range(n):
+                for alpha in range(d):
+                    i = d * h + alpha
+                    if mu[i]:
+                        shifts.append(
+                            (h, alpha, mu[:i] + (mu[i] - 1,) + mu[i + 1:]))
         image = {}
-        for h in range(n):
-            for alpha in range(d):
-                i = d * h + alpha
-                if mu[i]:
-                    gamma, sign = table[alpha][beta]
-                    image[(h, mu[:i] + (mu[i] - 1,) + mu[i + 1:], gamma)] = sign
+        for h, alpha, nu in shifts:
+            gamma, sign = table[alpha][beta]
+            image[(h, nu, gamma)] = sign
         yield image
 
 

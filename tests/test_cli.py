@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crfbench
-from crfbench.cli import main
+from crfbench.cli import _rand_poly, main
 from crfbench.hypercomplex import HNumber
 from crfbench.polycalc import HPoly, compat_pbar, dbar_system
 from crfbench.hypersurface import Hypersurface
@@ -676,3 +677,45 @@ def test_non_finite_check_values_fail_as_json_strings():
     assert cli._check("x", True, value=0.5)["value"] == 0.5
     assert math.isnan(cli._worst([0.0, math.nan, 1.0]))
     assert cli._worst([0.0, 2.0, 1.0]) == 2.0
+
+
+# terms (exponent, integer components) in dict order, and the next
+# rng.random(), as drawn before the polynomial was built from integer rows;
+# seed 323 cancels a constant term and draws it again, which puts it last
+RAND_POLY_PINS = [
+    ((1, "H", 2, 3, 5), [
+        ((0, 1, 0, 0, 0, 0, 0, 0), [0, -2, 1, 1]),
+        ((0, 1, 0, 1, 0, 0, 1, 0), [1, -2, 1, 1]),
+        ((0, 0, 0, 0, 0, 0, 0, 0), [2, -3, -2, -2])], 0.5276294143623982),
+    ((2, "O", 3, 3, 5), [
+        ((0,) * 24, [0, -3, 1, 0, 2, 0, 4, 0]),
+        ((1, 1) + (0,) * 22, [0, 1, 0, 1, 1, 2, -1, 2]),
+        ((0,) * 7 + (1,) + (0,) * 16, [-1, -2, -1, 0, -1, -1, 2, 2]),
+        ((0,) * 16 + (1, 0, 0, 0, 0, 1, 0, 0), [2, -1, 1, 1, 2, 0, 2, 0])],
+     0.3618863819612307),
+    ((3, "H", 1, 3, 5), [
+        ((0, 1, 0, 0), [1, 4, 3, 3]), ((0, 0, 0, 0), [2, -2, 1, 0]),
+        ((0, 3, 0, 0), [2, 1, -2, -2]), ((1, 0, 0, 0), [0, -2, 0, 1])],
+     0.594749515643894),
+    ((4, "H", 2, 2, 4), [
+        ((0, 0, 0, 0, 0, 0, 0, 0), [-2, -4, -1, 2]),
+        ((1, 0, 0, 0, 1, 0, 0, 0), [-1, 2, 2, 0]),
+        ((0, 0, 1, 0, 0, 0, 0, 0), [-2, 0, -1, -2])], 0.8289200487784194),
+    ((323, "H", 1, 1, 8), [
+        ((0, 0, 1, 0), [-1, 0, 2, 2]), ((1, 0, 0, 0), [2, 1, 0, -2]),
+        ((0, 0, 0, 0), [2, -1, -3, 0]), ((0, 0, 0, 1), [-1, -1, -2, 0])],
+     0.4837037262578354),
+]
+
+
+@pytest.mark.parametrize("args, terms, after", RAND_POLY_PINS,
+                         ids=[str(pin[0][0]) for pin in RAND_POLY_PINS])
+def test_rand_poly_terms_and_draws_are_pinned(args, terms, after):
+    seed, algebra, n, deg, count = args
+    rng = random.Random(seed)
+    p = _rand_poly(rng, algebra, n, deg=deg, terms=count)
+    assert [(e, list(c.coeffs)) for e, c in p.terms.items()] == terms
+    assert all(type(x) is Fraction for c in p.terms.values()
+               for x in c.coeffs)
+    assert p == HPoly(algebra, n, {e: HNumber(algebra, v) for e, v in terms})
+    assert rng.random() == after

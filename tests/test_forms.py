@@ -8,6 +8,7 @@ import pytest
 
 from crfbench.hypercomplex import HNumber
 from crfbench.polycalc import HPoly, fueter_dbar
+from crfbench import forms
 from crfbench.forms import (
     OMEGA2_COMPLEX_MONOMIALS,
     OMEGA2_PREFACTOR,
@@ -237,6 +238,22 @@ def test_identity_lub_regular_reduces_to_star():
         dF = dF + Form.coordinate_differential("H", 2, i).mul_left(F.partial_flat(i))
     assert lhs == dF.hodge_star()
 
+
+def test_identity_frames_are_shared_and_stay_the_fresh_products():
+    rng = random.Random(307)
+    for _ in range(2):
+        identity_lu1(rand_poly(rng, 1, 3, 4))
+        identity_lub(rand_poly(rng, 2, 2, 4))
+    assert forms._lu1_frames("H") is forms._lu1_frames("H")
+    assert forms._lu1_frames("H") == (Dq_form("H", 1, 0),
+                                      volume_block_form("H", 1, 0))
+    dy = volume_block_form("H", 2, 1)
+    assert forms._lub_frames() is forms._lub_frames()
+    assert forms._lub_frames() == (
+        volume_block_form("H", 2, 0), dy,
+        dqbar_form("H", 2, 0).wedge(dq_form("H", 2, 0)).wedge(dy),
+        dqbar_form("H", 2, 1).wedge(dq_form("H", 2, 1)),
+        Dqbar_form("H", 2, 0), Dqbar_form("H", 2, 1))
 
 # ---------------------------------------------------------------------------
 # kernels

@@ -427,6 +427,78 @@ def test_reproducing_integral_keeps_the_bits_of_the_row_major_formula(order):
         assert hexes(ig.cauchy_fueter_raw(vals, rule, q0).coeffs) == want
 
 
+# orders whose node count order**3 is below the block size, not a multiple
+# of it and an exact multiple of it (8**3 = 512, 21**3 = 9261, 32**3 = 32768)
+BLOCK_ORDERS = [8, 21, 32]
+
+
+def test_block_orders_cover_every_block_layout():
+    sizes = [order ** 3 for order in BLOCK_ORDERS]
+    assert sizes[0] < ig._BLOCK
+    assert sizes[1] > ig._BLOCK and sizes[1] % ig._BLOCK
+    assert sizes[2] > ig._BLOCK and sizes[2] % ig._BLOCK == 0
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.35])
+@pytest.mark.parametrize("order", BLOCK_ORDERS)
+def test_sphere_rule_keeps_the_bits_of_the_meshgrid_construction(order,
+                                                                  radius):
+    center = (0.5, -1.0, 0.0, 2.0)
+    rule = ig.sphere_rule(center, radius, order)
+    want = reference_rule(center, radius, order)
+    for got, ref in zip((rule.nodes, rule.weights, rule.normals), want):
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+    assert rule.nodes.flags.f_contiguous and rule.normals.flags.f_contiguous
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.35])
+@pytest.mark.parametrize("order", BLOCK_ORDERS)
+def test_blocked_reproducing_integral_keeps_the_bits_of_the_formula(order,
+                                                                     radius):
+    rule = ig.sphere_rule((0, 0, 0, 0), radius, order)
+    nodes, weights, normals = reference_rule((0, 0, 0, 0), radius, order)
+    rng = np.random.default_rng(order)
+    vals = rng.standard_normal((rule.size, 4))
+    vals[rng.random(vals.shape) < 0.1] = 0.0
+    vals[rng.random(vals.shape) < 0.1] = -0.0
+    F = regular_degree_one(order)
+    poly_vals = reference_evaluate(F, nodes)
+    for q0 in [tuple(radius * c for c in p) for p in PIN_POINTS]:
+        for arg, ref in ((vals, vals), (F, poly_vals)):
+            want = hexes(reference_raw(ref, nodes, weights, normals, q0))
+            assert hexes(ig.cauchy_fueter_raw(arg, rule, q0).coeffs) == want
+
+
+@pytest.mark.parametrize("block", [7, 500, 576, 4096])
+def test_reproducing_integral_bits_do_not_depend_on_the_block_size(
+        monkeypatch, block):
+    rule = ig.sphere_rule((0, 0, 0, 0), 0.7, 12)
+    F = regular_degree_one(12)
+    want = [hexes(ig.cauchy_fueter_raw(F, rule, q0).coeffs)
+            for q0 in PIN_POINTS]
+    monkeypatch.setattr(ig, "_BLOCK", block)
+    assert [hexes(ig.cauchy_fueter_raw(F, rule, q0).coeffs)
+            for q0 in PIN_POINTS] == want
+
+
+def test_coinciding_node_raises_in_any_block(monkeypatch):
+    monkeypatch.setattr(ig, "_BLOCK", 100)
+    rule = ig.sphere_rule((0, 0, 0, 0), 1.0, 8)
+    one = HPoly.constant("H", 1, 1)
+    for i in (0, 99, 100, 250, rule.size - 1):
+        with pytest.raises(ZeroDivisionError):
+            ig.cauchy_fueter_raw(one, rule, tuple(rule.nodes[i]))
+
+
+def test_q0_needs_four_components():
+    rule = ig.sphere_rule((0, 0, 0, 0), 1.0, 8)
+    one = HPoly.constant("H", 1, 1)
+    for q0 in ((0.1,), (0.1, 0.2, 0.0, 0.0, 0.0)):
+        with pytest.raises(ValueError):
+            ig.cauchy_fueter_raw(one, rule, q0)
+
+
 @pytest.mark.parametrize("order", [8, 20])
 def test_surface_integral_keeps_the_bits_of_the_row_major_formula(order):
     rule = ig.sphere_rule((0.5, -1.0, 0.0, 2.0), 1.5, order)
@@ -460,7 +532,7 @@ def test_node_arrays_are_component_major():
     rule = ig.sphere_rule((0, 0, 0, 0), 1.0, 8)
     A = np.ones((5, 4))
     for a in (rule.nodes, rule.normals, ig.batch_evaluate(F, rule.nodes),
-              ig.quaternion_batch_mul(A, A), ig.quaternion_batch_conj(A)):
+              ig.quaternion_batch_mul(A, A)):
         assert a.flags.f_contiguous
 
 
