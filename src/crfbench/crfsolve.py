@@ -168,20 +168,18 @@ def _solve_homogeneous(rhs, k, algebra, n, max_unknowns):
     # (nu + e_{d*h}, gamma) onto it.
     candidates = {nu[:i] + (nu[i] + 1,) + nu[i + 1:]
                   for _, nu in pinned for i in range(width)}
-
-    def attempts():
-        yield candidates
-        # then the full monomial space, built only when the candidates fail.
-        # The candidates are a subset of it, so they are all of it exactly
-        # when their count matches.
-        if len(candidates) < math.comb(width + k, k + 1):
-            yield monomials(width, k + 1)
-
-    for monos in attempts():
-        if d * len(monos) > max_unknowns:
+    # the attempts: the candidates, then the full monomial space, listed
+    # only when the candidates fail and its count passes the cap.  The
+    # candidates are a subset of it, so they are all of it exactly when
+    # their count matches.
+    full = math.comb(width + k, k + 1)
+    sizes = [len(candidates)] + ([full] if len(candidates) < full else [])
+    for attempt, size in enumerate(sizes):
+        if d * size > max_unknowns:
             raise BudgetExceeded(
-                f"homogeneous solve needs {d * len(monos)} unknowns "
+                f"homogeneous solve needs {d * size} unknowns "
                 f"(cap {max_unknowns})")
+        monos = monomials(width, k + 1) if attempt else candidates
         columns = [(mu, beta) for mu in sorted(_peel(monos, pinned, d, n))
                    for beta in range(d)]
         rows, values = _assemble(dbar_images(algebra, n, columns), rhs)
@@ -235,12 +233,14 @@ def regular_kernel_basis(algebra, n, degree, max_unknowns=200000):
     conjugate-Fueter operator.  Deterministic order."""
     width = DIM[algebra] * n
     d = DIM[algebra]
+    # the monomials of degree <= degree number C(width + degree, degree)
+    size = d * math.comb(width + degree, degree)
+    if size > max_unknowns:
+        raise BudgetExceeded(f"kernel basis needs {size} unknowns")
     columns = sorted((mu, beta)
                      for k in range(degree + 1)
                      for mu in monomials(width, k)
                      for beta in range(d))
-    if len(columns) > max_unknowns:
-        raise BudgetExceeded(f"kernel basis needs {len(columns)} unknowns")
     rows, _ = _assemble(dbar_images(algebra, n, columns), {})
     out = [_poly_from_columns(algebra, n, columns, vec)
            for vec in nullspace_sparse(rows, len(columns))]
@@ -375,10 +375,12 @@ def _extend(f, S, m, budget, max_unknowns):
                          "hypersurfaces")
     if budget < 0:
         raise ValueError("degree budget must be nonnegative")
-    # unknowns: the coefficient of x^mu i_beta in P, deg(rho * P) <= budget
+    # unknowns: the coefficient of x^mu i_beta in P, deg(rho * P) <= budget;
+    # the monomials of degree < budget number C(budget + 7, 8)
+    size = 4 * math.comb(budget + 7, 8)
+    if size > max_unknowns:
+        raise BudgetExceeded(f"extension needs {size} unknowns")
     monos = [mu for k in range(budget) for mu in monomials(8, k)]
-    if 4 * len(monos) > max_unknowns:
-        raise BudgetExceeded(f"extension needs {4 * len(monos)} unknowns")
     rhs = {k: -c for k, c in _dbar_digits(f, S, m).items()}
     rows, values = _assemble(_extension_images(S, m, monos), rhs)
     sol = solve_sparse(rows, values, 4 * len(monos))

@@ -38,8 +38,6 @@ from fractions import Fraction
 from .hypercomplex import DIM, HNumber
 from .polycalc import HPoly, _fueter, fueter_dbar
 
-SCHEMA_VERSION = 1
-
 
 def _r_squared(pole, algebra, n):
     """The squared distance polynomial to the pole point,
@@ -233,10 +231,6 @@ class Form:
     def zero(cls, algebra, n, degree):
         return cls(algebra, n, degree)
 
-    @classmethod
-    def coordinate_differential(cls, algebra, n, i):
-        return _basis_form(algebra, n, (i,))
-
     def is_zero(self):
         return not self.terms
 
@@ -360,33 +354,6 @@ class Form:
         keys = sorted(self.terms)
         return f"Form(deg={self.degree}, {len(keys)} terms: {keys[:4]}...)"
 
-    def to_json(self):
-        terms = []
-        for idx in sorted(self.terms):
-            c = self.terms[idx]
-            terms.append({
-                "idx": list(idx),
-                "num": c.num.to_json(),
-                "pole": [str(p) for p in c.pole] if c.pole is not None else None,
-                "m": c.m,
-            })
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "algebra": self.algebra,
-            "n": self.n,
-            "degree": self.degree,
-            "terms": terms,
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        terms = {}
-        for t in obj["terms"]:
-            pole = [Fraction(p) for p in t["pole"]] if t["pole"] is not None else None
-            terms[tuple(t["idx"])] = PoleRingElement(
-                HPoly.from_json(t["num"]), pole, t["m"])
-        return cls(obj["algebra"], obj["n"], obj["degree"], terms)
-
 
 def _form(algebra, n, degree, terms):
     """A ``Form`` without validation, for results whose ``terms`` already
@@ -509,10 +476,6 @@ def Dqbar_form(algebra, n, h):
     return _Dq(algebra, n, h, True)
 
 
-def full_volume_form(algebra, n):
-    return _basis_form(algebra, n, tuple(range(DIM[algebra] * n)))
-
-
 # ---------------------------------------------------------------------------
 # identities
 # ---------------------------------------------------------------------------
@@ -573,15 +536,9 @@ def identity_lub(F):
 # reproducing kernels
 # ---------------------------------------------------------------------------
 
-def cf_kernel(q0):
-    """Components of the one-variable reproducing kernel
-    G(q) = conj(q - q0) / |q - q0|^4 as pole-ring elements."""
-    K = cf_kernel_quaternion(q0)
-    return [PoleRingElement(K.num.component(b), K.pole, 2) for b in range(4)]
-
-
 def cf_kernel_quaternion(q0):
-    """The kernel as a single quaternion-valued pole-ring element."""
+    """The one-variable reproducing kernel G(q) = conj(q - q0) / |q - q0|^4
+    as a quaternion-valued pole-ring element."""
     q0 = tuple(Fraction(c) for c in q0)
     if len(q0) != 4:
         raise ValueError("kernel pole is a quaternion point")

@@ -302,9 +302,6 @@ class HNumber:
             return self.conj().scale(Fraction(1, 1) / n)
         return self.conj().scale(1.0 / n)
 
-    def real(self):
-        return self.coeffs[0]
-
     # -- comparison / hashing ------------------------------------------------
 
     def __eq__(self, other):
@@ -382,8 +379,3 @@ def _from_ints(algebra, ints, den):
     else:
         coeffs = tuple([Fraction(v, den) for v in ints])
     return _trusted(algebra, coeffs, "exact")
-
-
-def unit_product(algebra, alpha, beta):
-    """(gamma, sign) with i_alpha * i_beta = sign * i_gamma."""
-    return MUL_TABLE[algebra][alpha][beta]

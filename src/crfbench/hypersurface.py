@@ -28,9 +28,9 @@ derived functions on curved S (``is_admissible``).  f is CRF on S iff both
 vanish identically on S; f is *admissible* iff moreover all eight derived
 functions f_(xi_i) are CRF on S.
 
-Everything is exact at rational points (the scaled quantities only ever
-divide by |g|^2); the unit normal and f_perp are exact exactly when |g|^2 is
-a perfect rational square.
+Everything is exact at rational points (the tangential derivatives only
+ever divide by |g|^2); the unit normal and f_perp are exact exactly when
+|g|^2 is a perfect rational square.
 
 Orientation.  S carries the volume form
 
@@ -60,8 +60,6 @@ import numpy as np
 from .crfsolve import rho_adic_digits
 from .hypercomplex import HNumber
 from .polycalc import HPoly
-
-SCHEMA_VERSION = 1
 
 COORD_NAMES = ("x0", "x1", "x2", "x3", "y0", "y1", "y2", "y3")
 
@@ -131,9 +129,6 @@ class Hypersurface:
         if self._affine is None:
             raise ValueError("the surface is not affine")
         return self._affine
-
-    def value_at(self, p):
-        return self.rho.evaluate(p).coeffs[0]
 
     def gradient_at(self, p):
         return [g.evaluate(p).coeffs[0] for g in self.gradient]
@@ -242,15 +237,6 @@ class Hypersurface:
                 pass
         return out
 
-    # -- serialization --------------------------------------------------------------
-
-    def to_json(self):
-        return {"schema_version": SCHEMA_VERSION, "rho": self.rho.to_json()}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(HPoly.from_json(obj["rho"]))
-
     def __repr__(self):
         return f"Hypersurface({self.rho!r})"
 
@@ -313,17 +299,6 @@ def derived_at(f, S, p):
 
 def f_perp(f, S, p):
     return derived_at(f, S, p).f_perp
-
-
-def f_perp_scaled(f, S, p):
-    """|grad rho| * f_perp = sum_i g_i f_(xi_i): always exact at exact points."""
-    return _dot(S.gradient_at(tuple(p)), derived_at(f, S, p).f_coord)
-
-
-def dbar_b(f, S, p):
-    """Boundary conjugate-Fueter pair (-f_(qbar_1), -f_(qbar_2)) at p."""
-    td = derived_at(f, S, p)
-    return (-td.f_qbar[0], -td.f_qbar[1])
 
 
 def derived_polys(f, S):
@@ -633,12 +608,3 @@ def levi_h_convexity(S, p, side="negative", tol=1e-9):
     else:
         cls = "negative-definite"
     return LeviResult(cls, tuple(float(e) for e in eigs), (v1, v2), side)
-
-
-def is_nondegenerate(S, points, side="negative", tol=1e-9):
-    """True when the restricted form is definite (either sign) at every point."""
-    for p in points:
-        cls = levi_h_convexity(S, p, side=side, tol=tol).classification
-        if cls not in ("positive-definite", "negative-definite"):
-            return False
-    return True

@@ -206,13 +206,6 @@ def _exact_sums(rows):
     return sums
 
 
-def surface_integral(F, rule):
-    """Componentwise integral of F over the sphere (correctly rounded)."""
-    vals = _values_on_nodes(F, rule)
-    weighted = np.multiply(rule.weights[:, None], vals, order="F")
-    return HNumber("H", _exact_sums(weighted.T), "float")
-
-
 def cauchy_fueter_raw(F, rule, q0):
     """The reproducing integral without any location check on q0.
 

@@ -256,12 +256,6 @@ class HPoly:
                 terms[exp[:i] + (e - 1,) + exp[i + 1:]] = coef.scale(e)
         return _poly(self.algebra, self.n, terms)
 
-    def partial(self, h, alpha):
-        """d/d x_{h,alpha}."""
-        if not (0 <= h < self.n):
-            raise IndexError("variable index out of range")
-        return self.partial_flat(self.dim * h + alpha)
-
     def evaluate(self, point):
         """Value at a point (flat coordinates); exact in, exact out."""
         point = tuple(point)
@@ -418,16 +412,6 @@ def fueter_dbar(p, h):
 def fueter_d(p, h):
     """Fueter derivative in variable h:  sum_a conj(i_a) * dp/dx_{h,a}."""
     return _fueter(p, h, conjugate=True, right=False)
-
-
-def fueter_dbar_right(p, h):
-    """Right-module variant  sum_a dp/dx_{h,a} * i_a  (quaternionic only)."""
-    return _fueter(p, h, conjugate=False, right=True)
-
-
-def fueter_d_right(p, h):
-    """Right-module variant  sum_a dp/dx_{h,a} * conj(i_a)  (quaternionic only)."""
-    return _fueter(p, h, conjugate=True, right=True)
 
 
 def laplacian(p, h):

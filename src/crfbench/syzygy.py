@@ -94,14 +94,6 @@ class OperatorPoly:
     def degree(self):
         return max((sum(e) for e in self.terms), default=-1)
 
-    def is_homogeneous(self, k=None):
-        degs = {sum(e) for e in self.terms}
-        if not degs:
-            return True
-        if len(degs) > 1:
-            return False
-        return k is None or degs == {k}
-
     def __add__(self, other):
         if not isinstance(other, OperatorPoly):
             return NotImplemented

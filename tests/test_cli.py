@@ -380,6 +380,17 @@ def test_negative_budget_is_invalid_input(tmp_path, capsys, command, budget,
     assert err.startswith("error: invalid input")
 
 
+def test_extend_budget_past_the_cap_is_a_resource_exit(tmp_path, capsys):
+    # the unknowns of --budget 1000 are counted, never listed
+    path = write_function_surface(tmp_path / "fs.json", coord(0, 1),
+                                  coord(1, 3))
+    code, out, err = run(capsys, ["extend", "--input", path,
+                                  "--budget", "1000"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: resource budget exhausted")
+
+
 # ---------------------------------------------------------------------------
 # error handling
 # ---------------------------------------------------------------------------

@@ -124,6 +124,12 @@ def test_full_monomial_space_solves_what_the_candidates_cannot(monkeypatch):
     assert u == ((coord(0, 3) * coord(1, 3)).mul_const_left(-k)
                  + (coord(0, 3) * coord(1, 1)).mul_const_left(i)
                  + (coord(0, 2) * coord(1, 3)).mul_const_left(j))
+    # a cap between the 15 candidates and the 36 monomials of degree 2 (four
+    # unknowns each) stops the solve before the full space is listed
+    listed.clear()
+    with pytest.raises(cs.BudgetExceeded, match="needs 144 unknowns"):
+        cs.solve_crf(g, max_unknowns=100)
+    assert (8, 2) not in listed
 
 
 def test_constant_right_hand_side():
@@ -387,6 +393,9 @@ def test_kernel_dimension_against_dense_rank():
 def test_kernel_budget_guard():
     with pytest.raises(cs.BudgetExceeded):
         cs.regular_kernel_basis("H", 2, 3, max_unknowns=10)
+    # far too many columns to list: the cap is checked on their count
+    with pytest.raises(cs.BudgetExceeded):
+        cs.regular_kernel_basis("O", 3, 40)
 
 
 # ---------------------------------------------------------------------------
@@ -613,3 +622,6 @@ def test_jump_split_rejects_counterexample(flat, counterexample):
 def test_jump_split_budget_guard(flat):
     with pytest.raises(cs.BudgetExceeded):
         cs.jump_split(HPoly.constant("H", 2, 1), flat, max_unknowns=2)
+    # far too many monomials to list: the cap is checked on their count
+    with pytest.raises(cs.BudgetExceeded):
+        cs.jump_split(HPoly.constant("H", 2, 1), flat, budget=1000)

@@ -14,7 +14,6 @@ from crfbench.hypercomplex import (
     OCT_DBAR_MATRIX,
     AlgebraMismatch,
     HNumber,
-    unit_product,
 )
 
 
@@ -55,9 +54,9 @@ def test_octonion_nonassociativity_witness():
 
 
 def test_unit_product_table_lookup():
-    assert unit_product("H", 1, 2) == (3, 1)
-    assert unit_product("O", 2, 5) == (7, 1)   # oriented triple (2,5,7)
-    assert unit_product("O", 5, 2) == (7, -1)
+    assert MUL_TABLE["H"][1][2] == (3, 1)
+    assert MUL_TABLE["O"][2][5] == (7, 1)   # oriented triple (2,5,7)
+    assert MUL_TABLE["O"][5][2] == (7, -1)
 
 
 def test_conj_and_norm_golden():

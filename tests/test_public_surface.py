@@ -1,0 +1,90 @@
+"""Every public name of crfbench has a caller outside its own unit tests.
+
+An AST scan: each public function, class, method and module constant of
+``src/crfbench`` must be referenced by name somewhere in ``src/``,
+``scripts/``, ``bench/`` or ``tests/test_acceptance.py``, besides its own
+definition.  A reference is a name that is read, an attribute, or an
+imported name.  The scan matches bare names, so a dead definition that
+shares its name with a live one goes unseen; it never flags a live one.
+``KEPT`` lists the names kept on purpose without such a caller.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "crfbench"
+CORPUS = [*sorted((ROOT / "src").rglob("*.py")),
+          *sorted((ROOT / "scripts").rglob("*.py")),
+          *sorted((ROOT / "bench").rglob("*.py")),
+          ROOT / "tests" / "test_acceptance.py"]
+
+# "module.qualified name" -> why it stays without a caller in the corpus
+KEPT = {
+    "syzygy.OperatorPoly.apply":
+        "the independent cross-check that the README's design constant keeps",
+    "integrate.quaternion_batch_mul":
+        "the bit reference of the blocked reproducing-integral tests",
+    "syzygy.block_key": "an oracle of the block-diagonal syzygy count",
+    "syzygy.shift_certificate": "an oracle of the block-diagonal syzygy count",
+    "hypersurface.levi_h_convexity":
+        "the Levi-convexity table of ROADMAP direction 3 calls it",
+    "hypersurface.tangent_h_line":
+        "the Levi-convexity table of ROADMAP direction 3 calls it",
+    "hypersurface.Hypersurface.hessian_at":
+        "the Levi-convexity table of ROADMAP direction 3 calls it",
+    "polycalc.HPoly.component":
+        "the independent rank_matrix_from_scratch oracle reads components",
+    "hypersurface.f_perp": "the normal component the acceptance tests check",
+    "forms.OMEGA2_PREFACTOR": "documents the kernel form's normalisation",
+}
+
+
+def public_definitions(path):
+    """(qualified name, bare name) of the module's public functions,
+    classes, methods and module constants."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if node.name.startswith("_"):
+                continue
+            yield node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef) \
+                            and not member.name.startswith("_"):
+                        yield f"{node.name}.{member.name}", member.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) \
+                        and not target.id.startswith("_"):
+                    yield target.id, target.id
+
+
+def references(path):
+    """Every name the file reads, every attribute and every imported name."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+
+
+def definitions():
+    return {f"{path.stem}.{qual}": bare
+            for path in sorted(PACKAGE.glob("*.py"))
+            for qual, bare in public_definitions(path)}
+
+
+def test_every_public_name_has_a_caller():
+    used = {name for path in CORPUS for name in references(path)}
+    orphans = [name for name, bare in definitions().items()
+               if bare not in used and name not in KEPT]
+    assert orphans == []
+
+
+def test_every_kept_name_is_still_defined():
+    assert sorted(set(KEPT) - set(definitions())) == []
