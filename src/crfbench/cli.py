@@ -15,8 +15,8 @@ Reports are JSON (default) or aligned text via ``--format table``.  Default
 output is deterministic byte for byte for fixed inputs; ``--timings`` adds
 wall-clock data and waives that guarantee.  Exit codes: 0 all checks passed,
 1 a check failed or the problem is infeasible, 2 invalid input, 3 resource
-budget exhausted, 4 an exact self-check of a computed answer failed (a
-program fault, never a verdict on the input).
+budget exhausted (an unknown cap, or memory), 4 an exact self-check of a
+computed answer failed (a program fault, never a verdict on the input).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from fractions import Fraction
 
 from . import __version__
 from .hypercomplex import DIM, HNumber
+from .linalg import BudgetExceeded
 from .polycalc import (HPoly, _from_int_terms, compat_pbar, dbar_system,
                        fueter_d, fueter_dbar, laplacian)
 from . import forms
@@ -502,7 +503,7 @@ def main(argv=None):
     t0 = time.perf_counter()
     try:
         rep = handler(args)
-    except (cs.BudgetExceeded, sz.ResourceBudget) as exc:
+    except (BudgetExceeded, MemoryError) as exc:
         print(f"error: resource budget exhausted: {exc}", file=sys.stderr)
         return 3
     except (OSError, json.JSONDecodeError, ValueError) as exc:

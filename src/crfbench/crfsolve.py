@@ -38,17 +38,14 @@ import math
 from fractions import Fraction
 
 from .hypercomplex import DIM, MUL_TABLE, _trusted
-from .linalg import _assemble, nullspace_sparse, solve_sparse
+from .linalg import (BudgetExceeded, _assemble, nullspace_sparse,
+                     solve_sparse)
 from .polycalc import (HPoly, _poly, compat_pbar, dbar_images, dbar_system,
                        fueter_dbar, monomials)
 
 
 class CompatibilityViolation(ValueError):
     """The right-hand side fails a necessary solvability condition."""
-
-
-class BudgetExceeded(RuntimeError):
-    """The exact solve would exceed the configured resource cap."""
 
 
 class NoPolynomialExtensionWithinBudget(RuntimeError):

@@ -36,7 +36,7 @@ import math
 from fractions import Fraction
 
 from .hypercomplex import DIM, HNumber
-from .polycalc import HPoly, _fueter, fueter_dbar
+from .polycalc import HPoly, fueter_d, fueter_dbar
 
 
 def _r_squared(pole, algebra, n):
@@ -548,12 +548,15 @@ def cf_kernel_quaternion(q0):
 
 
 def _pole_fueter(g, h, right):
-    """sum_a i_a * d(N / r^2m)/dx_{h,a} (units on the right when ``right``)
-    by the quotient rule on the numerator: d(r^2)/dx_{h,a} = 2 (x_{h,a} -
-    p_{h,a}) is real, so with s = q_h - p_h = sum_a (x_{h,a} - p_{h,a}) i_a
-    the result is (dbar_h N * r^2 - 2m s N) / r^(2m+2), and N s for right
-    units."""
-    dn = _fueter(g.num, h, conjugate=False, right=right)
+    """sum_a i_a * d(N / r^2m)/dx_{h,a} (units on the right when ``right``,
+    quaternionic only) by the quotient rule on the numerator: d(r^2)/dx_{h,a}
+    = 2 (x_{h,a} - p_{h,a}) is real, so with s = q_h - p_h = sum_a (x_{h,a} -
+    p_{h,a}) i_a the result is (dbar_h N * r^2 - 2m s N) / r^(2m+2), and N s
+    for right units, where sum_a dN/dx_{h,a} i_a = conj(fueter_d(conj N))
+    since conj(x y) = conj(y) conj(x)."""
+    if right and g.algebra != "H":
+        raise ValueError("right-module operators are quaternionic only")
+    dn = fueter_d(g.num.conj(), h).conj() if right else fueter_dbar(g.num, h)
     if g.m == 0:
         return PoleRingElement(dn, g.pole, 0)
     algebra, n = g.algebra, g.n

@@ -10,8 +10,8 @@ The octonion multiplication table is *derived*, not hand-written: the module
 stores the realified matrix of the one-variable conjugate-Fueter operator
 (rows gamma, columns beta hold ``sign * d/dx_alpha``) as literal data and
 reads off ``i_alpha * i_beta = sign * i_gamma`` from it at import time.  The
-quaternion table is the classical one (i*j = k); its consistency with the
-octonion table restricted to indices 0..3 is asserted by the test suite.
+quaternion table is that table on the units 0..3, which close under the
+product as 1, i, j, k with i*j = k; the test suite pins its 16 entries.
 
 Scalars are kept exact (``fractions.Fraction``) by default.  A float backend
 with identical semantics exists for quadrature and other numeric work; the
@@ -72,37 +72,25 @@ def _octonion_table_from_matrix(matrix):
     return tuple(tuple(row) for row in table)
 
 
-def _quaternion_table():
-    """Classical quaternion table: i*j = k, j*k = i, k*i = j."""
-    table = [[None] * 4 for _ in range(4)]
-    for beta in range(4):
-        table[0][beta] = (beta, 1)   # 1 * x = x
-        table[beta][0] = (beta, 1)   # x * 1 = x
-    for a in range(1, 4):
-        table[a][a] = (0, -1)        # i^2 = j^2 = k^2 = -1
-    for (a, b, c) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        table[a][b] = (c, 1)
-        table[b][a] = (c, -1)
-    return tuple(tuple(row) for row in table)
-
+_OCTONION_TABLE = _octonion_table_from_matrix(OCT_DBAR_MATRIX)
 
 #: MUL_TABLE[algebra][alpha][beta] == (gamma, sign)  with  i_alpha i_beta = sign i_gamma
 MUL_TABLE = {
-    "H": _quaternion_table(),
-    "O": _octonion_table_from_matrix(OCT_DBAR_MATRIX),
+    "H": tuple(row[:4] for row in _OCTONION_TABLE[:4]),
+    "O": _OCTONION_TABLE,
 }
 
 DIM = {"H": 4, "O": 8}
 
 
-def _split_rows(table, transpose=False):
+def _split_rows(table):
     """Per alpha, the pairs (beta, gamma) with i_alpha i_beta = +i_gamma and
-    those with i_alpha i_beta = -i_gamma (i_beta i_alpha under ``transpose``)."""
+    those with i_alpha i_beta = -i_gamma."""
     rows = []
     for alpha in range(len(table)):
         pos, neg = [], []
         for beta in range(len(table)):
-            gamma, sign = table[beta][alpha] if transpose else table[alpha][beta]
+            gamma, sign = table[alpha][beta]
             (pos if sign > 0 else neg).append((beta, gamma))
         rows.append((tuple(pos), tuple(neg)))
     return tuple(rows)

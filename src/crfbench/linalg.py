@@ -27,6 +27,10 @@ from math import gcd, inf, lcm
 _RHS = inf  # pseudo-column of the right-hand side, after every real column
 
 
+class BudgetExceeded(RuntimeError):
+    """An exact system would pass the caller's cap on its unknowns."""
+
+
 class Inconsistent(Exception):
     """A row reduced to 0 = nonzero."""
 

@@ -12,6 +12,8 @@ units, ``bar`` is conjugation):
 * ``fueter_d(p, h)``     =  sum_a conj(i_a) * d p / d x_{h,a}
 * ``laplacian(p, h)``    =  sum_a d^2 p / d x_{h,a}^2
 
+All three run through one private kernel, ``_derive``, on signed stencils
+read off ``SPLIT_TABLE``, the one multiplication table of the algebra.
 ``fueter_d`` and ``fueter_dbar`` on the same variable compose to the
 coordinate Laplacian in either order -- in the octonions this relies on the
 linearized alternative law, so nested applications are never reassociated.
@@ -32,13 +34,13 @@ family is equivalent to vanishing of the other.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from math import lcm
 from operator import add
 
 from .hypercomplex import (ALGEBRAS, DIM, MUL_TABLE, SPLIT_TABLE,
                            AlgebraMismatch, HNumber, _from_ints, _mul_into,
-                           _numerators, _split_rows)
+                           _numerators)
 
 SCHEMA_VERSION = 1
 
@@ -357,34 +359,33 @@ def _from_int_terms(algebra, n, acc, den):
 # Fueter operators
 # ---------------------------------------------------------------------------
 
-def _stencil(algebra, conjugate, right):
-    """Per alpha, ``MUL_TABLE`` split by sign for u_alpha c (c u_alpha when
-    ``right``), with u_alpha = i_alpha, or conj(i_alpha) = -i_alpha for
-    alpha > 0 when ``conjugate``."""
-    rows = _split_rows(MUL_TABLE[algebra], transpose=right)
-    if conjugate:
-        rows = rows[:1] + tuple((neg, pos) for pos, neg in rows[1:])
-    return rows
+def _stencils(dbar):
+    same = (tuple((beta, beta) for beta in range(len(dbar))), ())
+    return {"dbar": (1, dbar),
+            "d": (1, dbar[:1] + tuple((neg, pos) for pos, neg in dbar[1:])),
+            "lap": (2, (same,) * len(dbar))}
 
 
-_STENCILS = {(algebra, conjugate, right): _stencil(algebra, conjugate, right)
-             for algebra in ALGEBRAS
-             for conjugate in (False, True) for right in (False, True)}
+#: _STENCILS[algebra][op] == (k, rows): ``op`` lowers exponent d*h + alpha by
+#: k and adds component beta into gamma, with the sign, for each (beta, gamma)
+#: of rows[alpha] = (pos, neg).  dbar is ``SPLIT_TABLE`` itself (i_alpha c), d
+#: flips its signs for alpha > 0 (conj(i_alpha) = -i_alpha), the Laplacian
+#: adds each component to itself.  The right-module operator has no stencil:
+#: ``forms`` reaches it by conjugation.
+_STENCILS = {algebra: _stencils(SPLIT_TABLE[algebra]) for algebra in ALGEBRAS}
 
 
-def _fueter(p, h, conjugate, right):
-    """sum_a u_a * dp/dx_{h,a} with u_a = i_a, or conj(i_a) when ``conjugate``;
-    ``right`` multiplies u_a on the right (quaternionic only).
+def _derive(p, h, op):
+    """The operator ``op`` of ``_STENCILS`` in variable h.
 
-    The term c x^exp with e = exp[i] > 0, i = d*h + alpha, adds e * u_alpha c
-    to x^(exp - e_i), in ints over the common denominator of p's
-    coefficients.  The loop runs alpha by alpha, as the sum is written."""
-    if right and p.algebra != "H":
-        raise ValueError("right-module operators are quaternionic only")
+    The term c x^exp with e = exp[i] >= k, i = d*h + alpha, adds e * u_alpha c
+    (e(e-1) c for the Laplacian) to x^(exp - k e_i), in ints over the common
+    denominator of p's coefficients.  The loop runs alpha by alpha, as the
+    sum is written."""
     if not 0 <= h < p.n:
         raise IndexError("variable index out of range")
     d = DIM[p.algebra]
-    stencil = _STENCILS[p.algebra, conjugate, right]
+    k, stencil = _STENCILS[p.algebra][op]
     den, ints = _int_terms(p.terms)
     acc = {}
     for alpha in range(d):
@@ -392,49 +393,32 @@ def _fueter(p, h, conjugate, right):
         pos, neg = stencil[alpha]
         for exp, c in ints.items():
             e = exp[i]
-            if e:
-                nexp = exp[:i] + (e - 1,) + exp[i + 1:]
+            if e >= k:
+                f = e if k == 1 else e * (e - 1)
+                nexp = exp[:i] + (e - k,) + exp[i + 1:]
                 row = acc.get(nexp)
                 if row is None:
                     row = acc[nexp] = [0] * d
                 for beta, gamma in pos:
-                    row[gamma] += e * c[beta]
+                    row[gamma] += f * c[beta]
                 for beta, gamma in neg:
-                    row[gamma] -= e * c[beta]
+                    row[gamma] -= f * c[beta]
     return _from_int_terms(p.algebra, p.n, acc, den)
 
 
 def fueter_dbar(p, h):
     """Conjugate-Fueter derivative in variable h:  sum_a i_a * dp/dx_{h,a}."""
-    return _fueter(p, h, conjugate=False, right=False)
+    return _derive(p, h, "dbar")
 
 
 def fueter_d(p, h):
     """Fueter derivative in variable h:  sum_a conj(i_a) * dp/dx_{h,a}."""
-    return _fueter(p, h, conjugate=True, right=False)
+    return _derive(p, h, "d")
 
 
 def laplacian(p, h):
-    """Coordinate Laplacian in variable h, accumulated like ``_fueter``."""
-    if not 0 <= h < p.n:
-        raise IndexError("variable index out of range")
-    d = p.dim
-    den, ints = _int_terms(p.terms)
-    acc = {}
-    for alpha in range(d):
-        i = d * h + alpha
-        for exp, c in ints.items():
-            e = exp[i]
-            if e > 1:
-                nexp = exp[:i] + (e - 2,) + exp[i + 1:]
-                k = e * (e - 1)
-                row = acc.get(nexp)
-                if row is None:
-                    acc[nexp] = [k * v for v in c]
-                else:
-                    for beta in range(d):
-                        row[beta] += k * c[beta]
-    return _from_int_terms(p.algebra, p.n, acc, den)
+    """Coordinate Laplacian in variable h:  sum_a d^2 p / d x_{h,a}^2."""
+    return _derive(p, h, "lap")
 
 
 def dbar_system(u):
@@ -508,20 +492,15 @@ def compat_pbar(g):
     for comp in g:
         if comp.algebra != algebra or comp.n != n:
             raise AlgebraMismatch("mixed components")
-    if algebra == "H":
-        if n != 2:
-            raise ValueError("quaternionic residual pair is defined for n == 2")
-        p0 = fueter_dbar(fueter_d(g[1], 1), 0) - laplacian(g[0], 1)
-        p1 = fueter_dbar(fueter_d(g[0], 0), 1) - laplacian(g[1], 0)
-        return [p0, p1]
+    if algebra == "H" and n != 2:
+        raise ValueError("quaternionic residual pair is defined for n == 2")
     if n < 2:
         raise ValueError("need at least two variables")
+    dm = [fueter_d(g[m], m) for m in range(n)]
     out = []
-    for l in range(n):
-        for m in range(n):
-            if l == m:
-                continue
-            out.append(laplacian(g[l], m) - fueter_dbar(fueter_d(g[m], m), l))
+    for l, m in permutations(range(n), 2):
+        lap, dd = laplacian(g[l], m), fueter_dbar(dm[m], l)
+        out.append(dd - lap if algebra == "H" else lap - dd)
     return out
 
 

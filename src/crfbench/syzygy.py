@@ -8,8 +8,8 @@ The conjugate-Fueter system in n hypercomplex variables realifies to an
                             where  i_alpha * i_beta = sign * i_gamma.
 
 Block h of M is, entry for entry, the realified one-variable operator matrix
-(:data:`crfbench.hypercomplex.OCT_DBAR_MATRIX` for octonions, its quaternion
-analog for H).
+(:data:`crfbench.hypercomplex.OCT_DBAR_MATRIX` for octonions, its 4 x 4
+corner for H).
 
 A (left) syzygy of degree k is a row vector v of homogeneous degree-k
 operator polynomials with v . M = 0.  The compatibility operators yield
@@ -50,12 +50,8 @@ from itertools import product
 from math import comb
 
 from .hypercomplex import DIM, MUL_TABLE
-from .linalg import _assemble, rank_of
+from .linalg import BudgetExceeded, _assemble, rank_of
 from .polycalc import HPoly, compat_pbar, dbar_images, monomials
-
-
-class ResourceBudget(Exception):
-    """A computation would exceed the caller-supplied size budget."""
 
 
 class OperatorPoly:
@@ -352,7 +348,7 @@ def syzygy_dim(algebra, n, k, max_unknowns=None):
     (mu, beta), with entry (h, nu, gamma) on the coefficient of d^nu in row
     entry (h, gamma).  Each block is ranked as the rows of its column
     images under ``_assemble``, the transpose of the equations.
-    ``max_unknowns`` guards runaway sizes (raises :class:`ResourceBudget`).
+    ``max_unknowns`` guards runaway sizes (raises :class:`BudgetExceeded`).
 
     Each block of :func:`block_key` is ranked on its own.  Permuting
     the variables permutes multidegrees, so only non-increasing ones are
@@ -368,7 +364,7 @@ def syzygy_dim(algebra, n, k, max_unknowns=None):
     nsyms = d * n
     nunknowns = n * d * comb(nsyms + k - 1, k)
     if max_unknowns is not None and nunknowns > max_unknowns:
-        raise ResourceBudget(
+        raise BudgetExceeded(
             f"{nunknowns} unknowns exceed budget {max_unknowns}")
 
     orbits = _class_orbits(MUL_TABLE[algebra])

@@ -555,6 +555,19 @@ def test_failed_self_check_exits_4(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_memory_error_is_a_resource_exit(capsys, monkeypatch):
+    # a quadrature grid too large for memory, as numpy reports it
+    def exhausted(center, radius, order):
+        raise MemoryError("unable to allocate the quadrature grid")
+
+    monkeypatch.setattr("crfbench.integrate.sphere_rule", exhausted)
+    code, out, err = run(capsys, ["cf-integral", "--order", "400"])
+    assert code == 3
+    assert out == ""
+    assert err == ("error: resource budget exhausted: "
+                   "unable to allocate the quadrature grid\n")
+
+
 def test_missing_input_file(capsys):
     code, _, err = run(capsys, ["check", "--input", "/nonexistent.json"])
     assert code == 2

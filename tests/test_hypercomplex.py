@@ -86,9 +86,20 @@ def test_octonion_matrix_defines_total_product():
 
 
 def test_quaternion_table_is_octonion_restriction():
-    for a in range(4):
-        for b in range(4):
-            assert MUL_TABLE["H"][a][b] == MUL_TABLE["O"][a][b]
+    # the classical table, from literals: (gamma, sign) of i_a * i_b
+    one, i, j, k = range(4)
+    want = {}
+    for x in (one, i, j, k):
+        want[one, x] = want[x, one] = (x, 1)     # 1 is the identity
+    for x in (i, j, k):
+        want[x, x] = (one, -1)                   # i^2 = j^2 = k^2 = -1
+    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+        want[x, y] = (z, 1)                      # ij = k, jk = i, ki = j
+        want[y, x] = (z, -1)                     # ... and they anticommute
+    assert len(want) == 16
+    for (a, b), entry in want.items():
+        assert MUL_TABLE["H"][a][b] == entry
+    assert [len(row) for row in MUL_TABLE["H"]] == [4] * 4
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from crfbench.hypercomplex import DIM, MUL_TABLE, OCT_DBAR_MATRIX, HNumber
-from crfbench.linalg import rank_of
+from crfbench.linalg import BudgetExceeded, rank_of
 from crfbench.polycalc import (HPoly, compat_pbar, dbar_images, dbar_system,
                                monomials)
 from crfbench.syzygy import (
     OperatorPoly,
-    ResourceBudget,
     all_compat_rows,
     block_key,
     build_dbar_matrix,
@@ -199,7 +198,7 @@ def test_octonion_three_variables_compat_rows_do_not_span():
 
 
 def test_resource_budget_guard():
-    with pytest.raises(ResourceBudget):
+    with pytest.raises(BudgetExceeded):
         syzygy_dim("O", 3, 3, max_unknowns=10_000)
 
 
