@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from math import lcm
+from math import gcd, lcm
 from operator import add
 
 from .hypercomplex import (ALGEBRAS, DIM, MUL_TABLE, SPLIT_TABLE,
@@ -51,9 +51,13 @@ class HPoly:
     ``terms`` maps exponent tuples (length ``dim*n``) to nonzero ``HNumber``
     coefficients with exact backend.  Real scalars embed as coefficients with
     only component 0.
+
+    A polynomial is immutable: nothing writes ``terms`` after construction.
+    Its integer form (see ``_int_terms``) is therefore computed at most once
+    and cached; the integer kernels hand theirs to their results.
     """
 
-    __slots__ = ("algebra", "n", "terms")
+    __slots__ = ("algebra", "n", "terms", "_ints")
 
     def __init__(self, algebra, n, terms=None):
         if algebra not in ALGEBRAS:
@@ -80,6 +84,7 @@ class HPoly:
                 if not coef.is_zero():
                     clean[exp] = clean[exp] + coef if exp in clean else coef
         self.terms = {e: c for e, c in clean.items() if not c.is_zero()}
+        self._ints = None
 
     # -- constructors -------------------------------------------------------
 
@@ -186,9 +191,8 @@ class HPoly:
     def __mul__(self, other):
         """Polynomial product; coefficients multiply in left-to-right order.
 
-        Each side's coefficients are cleared to integers over one common
-        denominator, and every term product accumulates through
-        ``MUL_TABLE`` in ints."""
+        Each side's integer form (``_int_terms``) is read, and every term
+        product accumulates through ``MUL_TABLE`` in ints."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if isinstance(other, HNumber):
@@ -196,8 +200,8 @@ class HPoly:
         if not isinstance(other, HPoly):
             return NotImplemented
         self._check(other)
-        den1, a = _int_terms(self.terms)
-        den2, b = _int_terms(other.terms)
+        den1, a = _int_terms(self)
+        den2, b = _int_terms(other)
         rows = SPLIT_TABLE[self.algebra]
         d = self.dim
         acc = {}
@@ -338,21 +342,44 @@ def _poly(algebra, n, terms):
     """An ``HPoly`` without validation, for results whose ``terms`` already
     map exponents of the right width to nonzero exact coefficients."""
     out = HPoly.__new__(HPoly)
-    out.algebra, out.n, out.terms = algebra, n, terms
+    out.algebra, out.n, out.terms, out._ints = algebra, n, terms, None
     return out
 
 
-def _int_terms(terms):
-    """(den, {exp: integer numerators}): every coefficient component over
-    one common denominator ``den``."""
-    den = lcm(*[c.denominator for coef in terms.values() for c in coef.coeffs])
-    return den, {e: _numerators(coef.coeffs, den) for e, coef in terms.items()}
+def _int_terms(p):
+    """p's integer form (den, {exp: integer numerators}), cached on p.
+
+    The canonical pair: ``den`` is the lcm of the denominators of every
+    coefficient component (1 for the zero polynomial) and each row holds the
+    components of one term times ``den``.  Rows are shared with every later
+    caller, so they are read, never written."""
+    form = p._ints
+    if form is None:
+        terms = p.terms
+        den = lcm(*[c.denominator for coef in terms.values()
+                    for c in coef.coeffs])
+        form = p._ints = (den, {e: _numerators(coef.coeffs, den)
+                                for e, coef in terms.items()})
+    return form
 
 
 def _from_int_terms(algebra, n, acc, den):
-    """The polynomial with coefficients acc[exp][i] / den; zero rows drop."""
-    return _poly(algebra, n, {e: _from_ints(algebra, v, den)
-                              for e, v in acc.items() if any(v)})
+    """The polynomial with coefficients acc[exp][i] / den; zero rows drop.
+
+    The rows that stay, divided with ``den`` by their common gcd, become the
+    result's cached integer form: exactly the canonical pair ``_int_terms``
+    would compute from its coefficients.  The result owns those lists, so
+    the caller must not write ``acc`` afterwards."""
+    rows = {e: v for e, v in acc.items() if any(v)}
+    if den != 1:
+        g = gcd(den, *[x for v in rows.values() for x in v])
+        if g != 1:
+            den //= g
+            rows = {e: [x // g for x in v] for e, v in rows.items()}
+    out = _poly(algebra, n, {e: _from_ints(algebra, v, den)
+                             for e, v in rows.items()})
+    out._ints = (den, rows)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +406,14 @@ def _derive(p, h, op):
     """The operator ``op`` of ``_STENCILS`` in variable h.
 
     The term c x^exp with e = exp[i] >= k, i = d*h + alpha, adds e * u_alpha c
-    (e(e-1) c for the Laplacian) to x^(exp - k e_i), in ints over the common
-    denominator of p's coefficients.  The loop runs alpha by alpha, as the
-    sum is written."""
+    (e(e-1) c for the Laplacian) to x^(exp - k e_i), in ints over p's cached
+    integer form, whose rows it only reads.  The loop runs alpha by alpha, as
+    the sum is written."""
     if not 0 <= h < p.n:
         raise IndexError("variable index out of range")
     d = DIM[p.algebra]
     k, stencil = _STENCILS[p.algebra][op]
-    den, ints = _int_terms(p.terms)
+    den, ints = _int_terms(p)
     acc = {}
     for alpha in range(d):
         i = d * h + alpha

@@ -390,6 +390,17 @@ def test_kernel_dimension_against_dense_rank():
     assert mat.shape[1] - rank == 16
 
 
+@pytest.mark.parametrize("algebra,top", [("H", 4), ("O", 3)])
+def test_one_variable_kernel_dimensions_closed_form(algebra, top):
+    """Independent count: the regular homogeneous polynomials of degree k in
+    one variable number d * C(k + d - 2, d - 2)."""
+    d = DIM[algebra]
+    sizes = [0] + [len(cs.regular_kernel_basis(algebra, 1, k))
+                   for k in range(top + 1)]
+    for k in range(top + 1):
+        assert sizes[k + 1] - sizes[k] == d * math.comb(k + d - 2, d - 2)
+
+
 def test_kernel_budget_guard():
     with pytest.raises(cs.BudgetExceeded):
         cs.regular_kernel_basis("H", 2, 3, max_unknowns=10)

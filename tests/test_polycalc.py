@@ -6,10 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from crfbench import polycalc
+from crfbench.cli import _rand_poly
 from crfbench.forms import PoleRingElement, pole_fueter_dbar_right
 from crfbench.hypercomplex import DIM, HNumber
 from crfbench.polycalc import (
     HPoly,
+    _int_terms,
     compat_pbar,
     dbar_system,
     fueter_d,
@@ -339,3 +342,105 @@ def test_compat_pbar_input_validation():
         compat_pbar([HPoly.zero("H", 3)] * 3)  # quaternionic needs n == 2
     with pytest.raises(ValueError):
         compat_pbar([HPoly.zero("H", 2)])      # wrong length
+
+
+# ---------------------------------------------------------------------------
+# the cached integer form
+# ---------------------------------------------------------------------------
+
+def scratch_form(p):
+    """(den, rows) computed from p's Fraction coefficients alone: the lcm of
+    the component denominators and each term's components times it."""
+    den = math.lcm(*[c.denominator for coef in p.terms.values()
+                     for c in coef.coeffs])
+    return den, {e: [c.numerator * (den // c.denominator) for c in coef.coeffs]
+                 for e, coef in p.terms.items()}
+
+
+def assert_carries_form(p):
+    assert p._ints is not None, "result built without its integer form"
+    assert p._ints == scratch_form(p)
+
+
+@pytest.mark.parametrize("algebra", ["H", "O"])
+def test_kernel_results_carry_the_canonical_integer_form(algebra):
+    rng = random.Random(20)
+    n = 2
+    for _ in range(6):
+        p = rand_poly(rng, algebra, n, 3, 5, den=6)
+        q = rand_poly(rng, algebra, n, 2, 3, den=4)
+        for h in range(n):
+            for op in (fueter_dbar, fueter_d, laplacian):
+                assert_carries_form(op(p, h))
+            assert_carries_form(fueter_d(fueter_dbar(p, h), h))
+            assert_carries_form(fueter_dbar(fueter_d(p, h), h))
+            assert_carries_form(laplacian(fueter_dbar(p * q, h), 1 - h))
+        assert_carries_form(p * q)
+        assert_carries_form(q * p * q)
+        assert_carries_form(q ** 3)
+        assert_carries_form(_rand_poly(rng, algebra, n))
+        # operands keep theirs: the kernels only read cached rows
+        assert_carries_form(p)
+        assert_carries_form(q)
+
+
+@pytest.mark.parametrize("algebra,n", [("H", 2), ("O", 2), ("O", 3)])
+def test_compat_pbar_leaves_cached_forms_canonical(algebra, n):
+    rng = random.Random(21)
+    g = [rand_poly(rng, algebra, n, 3, 4, den=6) for _ in range(n)]
+    first = compat_pbar(g)
+    for comp in g:
+        assert_carries_form(comp)
+    for r in first:
+        assert _int_terms(r) == scratch_form(r)
+    # a second pass reads the cached forms and agrees with the first
+    assert compat_pbar(g) == first
+
+
+def test_derivative_dropping_every_fraction_normalises_the_form():
+    one, third = HNumber.one("H"), HNumber.from_real("H", Fraction(1, 3))
+    p = HPoly("H", 2, {(2, 0, 0, 0, 0, 0, 0, 0): one,
+                       (0, 0, 0, 0, 1, 0, 0, 0): third})
+    assert _int_terms(p)[0] == 3
+    out = fueter_dbar(p, 0)
+    assert out == HPoly.coordinate("H", 2, 0, 0).scale(2)
+    assert out._ints == (1, {(1, 0, 0, 0, 0, 0, 0, 0): [2, 0, 0, 0]})
+
+
+def test_derivative_cancelling_to_zero_has_the_zero_form():
+    # x1 - x0 i is left regular: dbar of a third of it cancels to 0
+    p = HPoly("H", 1, {(1, 0, 0, 0): HNumber("H", [0, Fraction(-1, 3), 0, 0]),
+                       (0, 1, 0, 0): HNumber("H", [Fraction(1, 3), 0, 0, 0])})
+    out = fueter_dbar(p, 0)
+    assert out.is_zero()
+    assert out._ints == (1, {})
+    lap = laplacian(p, 0)     # no term survives the shift at all
+    assert lap.is_zero()
+    assert lap._ints == (1, {})
+
+
+@pytest.mark.parametrize("algebra", ["H", "O"])
+def test_each_polynomial_is_converted_once(monkeypatch, algebra):
+    """One verify-identities trial converts p once; its derivatives carry
+    their integer forms, so the nested operators convert nothing."""
+    calls = []
+    numerators = polycalc._numerators
+
+    def counting(coeffs, den):
+        calls.append(coeffs)
+        return numerators(coeffs, den)
+
+    monkeypatch.setattr(polycalc, "_numerators", counting)
+    n = 3
+    p = rand_poly(random.Random(22), algebra, n, 3, 5, den=4)
+    for h in range(n):
+        lap = laplacian(p, h)
+        assert len(calls) == len(p.terms)
+        assert fueter_d(fueter_dbar(p, h), h) == lap
+        assert fueter_dbar(fueter_d(p, h), h) == lap
+    assert len(calls) == len(p.terms)
+    # a random polynomial of the CLI is born with its form
+    calls.clear()
+    u = _rand_poly(random.Random(23), algebra, n)
+    laplacian(u, 0)
+    assert calls == []

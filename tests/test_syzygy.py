@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
 
+from crfbench.crfsolve import regular_kernel_basis
 from crfbench.hypercomplex import DIM, MUL_TABLE, OCT_DBAR_MATRIX, HNumber
 from crfbench.linalg import BudgetExceeded, rank_of
 from crfbench.polycalc import (HPoly, compat_pbar, dbar_images, dbar_system,
@@ -173,6 +175,22 @@ def test_syzygy_dims_quaternion_n2():
     assert syzygy_dim("H", 2, 1) == 0
     assert syzygy_dim("H", 2, 2) == 8
     assert compat_rows_rank("H", 2) == 8
+
+
+@pytest.mark.parametrize("algebra,n,top",
+                         [("H", 1, 3), ("O", 1, 1), ("H", 2, 2), ("O", 2, 0)])
+def test_syzygy_dims_match_the_kernel_count(algebra, n, top):
+    """Independent count: the syzygies of degree k are the unknowns minus the
+    rank of dbar on degree k + 1, whose nullity is the regular kernel that
+    ``regular_kernel_basis`` finds (and checks through ``fueter_dbar``)."""
+    d = DIM[algebra]
+    big_n = n * d
+    sizes = [len(regular_kernel_basis(algebra, n, k)) for k in range(top + 2)]
+    for k in range(top + 1):
+        kernel = sizes[k + 1] - sizes[k]
+        assert syzygy_dim(algebra, n, k) == (
+            n * d * comb(big_n + k - 1, k) - d * comb(big_n + k, k + 1)
+            + kernel)
 
 
 def test_quaternion_three_variables_compat_rows_independent():
