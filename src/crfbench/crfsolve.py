@@ -78,14 +78,16 @@ def _factorial_prod(exp):
 
 
 def _poly_from_columns(algebra, n, columns, values):
-    """The polynomial sum of values[j] x^[mu] i_beta over the columns
-    j = (mu, beta), which are sorted and distinct."""
+    """The polynomial sum of values[j] x^[mu] i_beta over the sparse map
+    ``values`` {j: Fraction}, read in increasing j, where columns[j] =
+    (mu, beta) are sorted and distinct; mu! divides once per monomial."""
     zero = Fraction(0)
     coeffs = {}
-    for (mu, beta), c in zip(columns, values):
-        if c:
-            coeffs.setdefault(mu, [zero] * DIM[algebra])[beta] = \
-                c / _factorial_prod(mu)
+    for j in sorted(values):
+        mu, beta = columns[j]
+        if mu not in coeffs:    # the columns of one mu are adjacent
+            coeffs[mu], scale = [zero] * DIM[algebra], _factorial_prod(mu)
+        coeffs[mu][beta] = values[j] / scale
     return _poly(algebra, n, {mu: _trusted(algebra, tuple(cs), "exact")
                               for mu, cs in coeffs.items()})
 
@@ -180,7 +182,7 @@ def _solve_homogeneous(rhs, k, algebra, n, max_unknowns):
         columns = [(mu, beta) for mu in sorted(_peel(monos, pinned, d, n))
                    for beta in range(d)]
         rows, values = _assemble(dbar_images(algebra, n, columns), rhs)
-        sol = solve_sparse(rows, values, len(columns))
+        sol = solve_sparse(rows, values)
         if sol is not None:
             return _poly_from_columns(algebra, n, columns, sol)
     return None
@@ -380,12 +382,14 @@ def _extend(f, S, m, budget, max_unknowns):
     monos = [mu for k in range(budget) for mu in monomials(8, k)]
     rhs = {k: -c for k, c in _dbar_digits(f, S, m).items()}
     rows, values = _assemble(_extension_images(S, m, monos), rhs)
-    sol = solve_sparse(rows, values, 4 * len(monos))
+    sol = solve_sparse(rows, values)
     if sol is None:
         return None
-    blocks = ((mu, tuple(sol[4 * i:4 * i + 4])) for i, mu in enumerate(monos))
-    P = _poly("H", 2, {mu: _trusted("H", coeffs, "exact")
-                       for mu, coeffs in blocks if any(coeffs)})
+    blocks = {}
+    for j in sorted(sol):
+        blocks.setdefault(monos[j // 4], [Fraction(0)] * 4)[j % 4] = sol[j]
+    P = _poly("H", 2, {mu: _trusted("H", tuple(coeffs), "exact")
+                       for mu, coeffs in blocks.items()})
     return f + S.rho * P
 
 

@@ -5,10 +5,10 @@ Rows are dicts mapping column index -> nonzero rational (``int`` or
 that eliminates fraction-free (Bareiss 1968, *Math. Comp.* 22): a fed row is
 cleared of denominators, reduced against the stored pivots in increasing
 column order with integer updates, made primitive (gcd 1, positive leading
-entry) and stored under its pivot column.  ``Fraction`` appears only at
-read-out, in :meth:`Echelon.solution` and :meth:`Echelon.back_substitute`.
-Everything is deterministic: the pivot columns depend only on the rows fed
-in and their order, and the read-outs are the unique exact answers.
+entry) and stored under its pivot column.  Results are sparse ``{column:
+Fraction}`` maps of the nonzero entries; :meth:`Echelon.back_substitute`
+stays integer.  Everything is deterministic: the pivot columns depend only
+on the rows fed in and their order, and each read-out is the unique answer.
 
 For solving, the right-hand side rides along as an extra entry under a
 pseudo-column that sorts after every real column, so inconsistency (a row
@@ -110,11 +110,10 @@ class Echelon:
         return True
 
     def back_substitute(self):
-        """Fully reduce the pivot rows against each other (RREF).
+        """Fully reduce the pivot rows against each other (RREF), in integers.
 
-        The reduction runs in integers; afterwards every row is divided by
-        its leading entry, so the pivot rows hold ``Fraction``s with leading
-        coefficient 1.  This is a read-out: feed no rows after it.
+        The rows stay primitive, so the reduced entry of column c is
+        row[c] / row[lead].  This is a read-out: feed no rows after it.
         """
         pivots = self.pivots
         for lead in sorted(pivots, reverse=True):
@@ -123,45 +122,40 @@ class Echelon:
             for other_lead, other in pivots.items():
                 if other_lead < lead and lead in other:
                     _eliminate(other, piv, lead)
-        self.pivots = {lead: {c: Fraction(v, row[lead])
-                              for c, v in row.items()}
-                       for lead, row in pivots.items()}
 
-    def solution(self, ncols):
-        """Particular solution with all free variables set to zero.
+    def solution(self):
+        """Particular solution with all free variables zero, as a map
+        {column: Fraction} of its nonzero entries.
 
         Call after feeding all rows; raises Inconsistent from add_row, never
         here.
         """
-        sol = [Fraction(0)] * ncols
-        # back-substitution in decreasing pivot order; free variables are
-        # zero, so only later pivot columns contribute (sol[lead] itself is
-        # still zero when its row is read).
+        sol = {}
+        # back-substitution in decreasing pivot order: free variables are
+        # zero, so only the later pivot columns already in sol contribute
         for lead in sorted(self.pivots, reverse=True):
             row = self.pivots[lead]
             acc = row.get(_RHS, 0) - sum(
-                v * sol[c] for c, v in row.items() if c != _RHS and sol[c])
-            sol[lead] = Fraction(acc, row[lead])
+                v * sol[c] for c, v in row.items() if c in sol)
+            if acc:
+                sol[lead] = Fraction(acc, row[lead])
         return sol
 
     def nullspace(self, ncols):
         """Basis of the solution space of the homogeneous system.
 
-        One basis vector per free column, deterministic order (increasing free
-        column), with the free variable set to 1.
+        One sparse map {column: Fraction} per free column, in increasing
+        free-column order, with 1 at that column, filled by one pass over the
+        reduced rows as a transpose.
         """
         self.back_substitute()
-        free = [c for c in range(ncols) if c not in self.pivots]
-        basis = []
-        for fc in free:
-            vec = [Fraction(0)] * ncols
-            vec[fc] = Fraction(1)
-            for lead, row in self.pivots.items():
-                v = row.get(fc)
-                if v:
-                    vec[lead] = -v
-            basis.append(vec)
-        return basis
+        basis = {c: {c: Fraction(1)} for c in range(ncols)
+                 if c not in self.pivots}
+        for lead, row in self.pivots.items():
+            for c, v in row.items():
+                if c in basis:      # not the lead, nor a right-hand side
+                    basis[c][lead] = Fraction(-v, row[lead])
+        return list(basis.values())
 
 
 def _assemble(images, rhs):
@@ -186,12 +180,13 @@ def rank_of(rows):
     return ech.rank
 
 
-def solve_sparse(rows, rhs_values, ncols):
+def solve_sparse(rows, rhs_values):
     """Solve A x = b for one particular exact solution, or None.
 
     ``rows`` and ``rhs_values`` are parallel sequences.  Free variables are
     zero, which makes the answer the minimal one in the sense that every
-    non-pivot coordinate (in increasing column order) vanishes.
+    non-pivot coordinate (in increasing column order) vanishes.  The answer is
+    a {column: Fraction} map of its nonzero entries, ``{}`` when it is zero.
     """
     ech = Echelon()
     try:
@@ -199,11 +194,11 @@ def solve_sparse(rows, rhs_values, ncols):
             ech.add_row(row, rhs)
     except Inconsistent:
         return None
-    return ech.solution(ncols)
+    return ech.solution()
 
 
 def nullspace_sparse(rows, ncols):
-    """Basis of the right nullspace of the matrix given by sparse rows."""
+    """Basis of the right nullspace of sparse rows, as Echelon.nullspace."""
     ech = Echelon()
     for row in rows:
         ech.add_row(row)

@@ -508,8 +508,9 @@ def compat_pbar(g):
     Quaternionic input must have n == 2 and returns the pair described in the
     module docstring; octonionic input may have any n >= 2 and returns the
     n(n-1) residuals over ordered pairs (l, m) in lexicographic order.
-    All vanish identically iff g is in the image of ``dbar_system``
-    (for polynomial data this is the exact obstruction).
+    All vanish when g is in the image of ``dbar_system``; the converse holds
+    for n == 2 only (for O with n == 3 the pairwise rows of degree 2 have
+    rank 48, the syzygies of degree 2 number 64).
     """
     if not g:
         raise ValueError("empty system")

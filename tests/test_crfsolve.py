@@ -1,5 +1,7 @@
 """Exact solvers: graded conjugate-Fueter solve, kernels, extensions, jumps."""
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -239,7 +241,7 @@ def unpeeled_solve(g):
                       for beta in range(d))
         for columns in (candidates, full):
             rows, values = _assemble(dbar_images(algebra, n, columns), rhs)
-            sol = solve_sparse(rows, values, len(columns))
+            sol = solve_sparse(rows, values)
             if sol is not None:
                 u = u + cs._poly_from_columns(algebra, n, columns, sol)
                 break
@@ -399,6 +401,20 @@ def test_one_variable_kernel_dimensions_closed_form(algebra, top):
                    for k in range(top + 1)]
     for k in range(top + 1):
         assert sizes[k + 1] - sizes[k] == d * math.comb(k + d - 2, d - 2)
+
+
+@pytest.mark.parametrize("algebra,n,degree,size,digest", [
+    ("O", 2, 2, 952, "eb98e9b2c3e6e934"),
+    ("H", 3, 2, 208, "ba3dec563c4c217b"),
+    ("O", 1, 3, 960, "e803ff5d971391d3"),
+])
+def test_kernel_bases_are_byte_stable(algebra, n, degree, size, digest):
+    """Kernel bases past the benchmark goldens, pinned by the sha256 prefix
+    of their canonical JSON: the basis, its order and every coefficient."""
+    basis = cs.regular_kernel_basis(algebra, n, degree)
+    text = json.dumps([p.to_json() for p in basis], sort_keys=True)
+    assert len(basis) == size
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_kernel_budget_guard():

@@ -32,15 +32,16 @@ def test_solve_consistent_system():
         mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
         x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
         b = [sum(Fraction(mat[i][j]) * x[j] for j in range(n)) for i in range(m)]
-        sol = solve_sparse(dense_to_rows(mat), b, n)
+        sol = solve_sparse(dense_to_rows(mat), b)
         assert sol is not None
         for i in range(m):
-            assert sum(Fraction(mat[i][j]) * sol[j] for j in range(n)) == b[i]
+            assert sum(Fraction(mat[i][j]) * sol.get(j, 0)
+                       for j in range(n)) == b[i]
 
 
 def test_solve_detects_inconsistency():
     rows = dense_to_rows([[1, 1], [2, 2]])
-    assert solve_sparse(rows, [Fraction(1), Fraction(3)], 2) is None
+    assert solve_sparse(rows, [Fraction(1), Fraction(3)]) is None
 
 
 def test_inconsistency_raised_incrementally():
@@ -60,16 +61,16 @@ def test_nullspace_annihilates_and_has_right_dimension():
         assert len(basis) == n - rank_of(dense_to_rows(mat))
         for vec in basis:
             for row in mat:
-                assert sum(Fraction(a) * v for a, v in zip(row, vec)) == 0
+                assert sum(Fraction(a) * vec.get(j, 0)
+                           for j, a in enumerate(row)) == 0
         # basis vectors are independent: each has a 1 in a distinct free column
-        assert rank_of([{j: v for j, v in enumerate(vec) if v} for vec in basis]) \
-            == len(basis)
+        assert rank_of(basis) == len(basis)
 
 
 def test_free_variables_are_zero_in_particular_solution():
     # x + y = 2 with free y: solution must be (2, 0)
-    sol = solve_sparse([{0: Fraction(1), 1: Fraction(1)}], [Fraction(2)], 2)
-    assert sol == [Fraction(2), Fraction(0)]
+    sol = solve_sparse([{0: Fraction(1), 1: Fraction(1)}], [Fraction(2)])
+    assert sol == {0: Fraction(2)}
     # the random consistent systems: back-substitution is zero off the
     # pivots and agrees with the read-out of the reduced row echelon form
     rng = random.Random(101)
@@ -81,13 +82,13 @@ def test_free_variables_are_zero_in_particular_solution():
         ech = Echelon()
         for row, rhs in zip(dense_to_rows(mat), b):
             ech.add_row(row, rhs)
-        sol = ech.solution(n)
-        assert all(sol[c] == 0 for c in range(n) if c not in ech.pivots)
+        sol = ech.solution()
+        assert all(sol.get(c, 0) == 0 for c in range(n) if c not in ech.pivots)
         ech.back_substitute()
         rref = [Fraction(0)] * n
         for lead, row in ech.pivots.items():
-            rref[lead] = row.get(_RHS, Fraction(0))
-        assert sol == rref
+            rref[lead] = Fraction(row.get(_RHS, 0), row[lead])
+        assert [sol.get(c, 0) for c in range(n)] == rref
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +141,16 @@ def test_solve_rational_rows_exact_and_zero_off_pivots():
         b = [sum(v * x[j] for j, v in row.items()) for row in rows]
         b = [int(v) if v.denominator == 1 and rng.random() < 0.5 else v
              for v in map(Fraction, b)]
-        sol = solve_sparse(rows, b, n)
+        sol = solve_sparse(rows, b)
         assert sol is not None
         for row, rhs in zip(rows, b):
-            assert sum(v * sol[j] for j, v in row.items()) == rhs
+            assert sum(v * sol.get(j, 0) for j, v in row.items()) == rhs
         ech = Echelon()
         for row, rhs in zip(rows, b):
             ech.add_row(row, rhs)
-        assert ech.solution(n) == sol
-        assert all(sol[c] == 0 for c in range(n) if c not in ech.pivots)
-        assert all(type(v) is Fraction for v in sol)
+        assert ech.solution() == sol
+        assert all(sol.get(c, 0) == 0 for c in range(n) if c not in ech.pivots)
+        assert all(type(v) is Fraction for v in sol.values())
 
 
 def test_nullspace_of_rational_rows_annihilates():
@@ -163,13 +164,13 @@ def test_nullspace_of_rational_rows_annihilates():
         assert len(basis) == n - rank
         for vec in basis:
             for row in rows:
-                assert sum(v * vec[j] for j, v in row.items()) == 0
+                assert sum(v * vec.get(j, 0) for j, v in row.items()) == 0
 
 
 def test_inconsistency_with_rational_rhs():
     # x + y/2 = 1/3 and 2x + y = 3/4 contradict each other
     rows = [{0: 1, 1: Fraction(1, 2)}, {0: Fraction(2), 1: 1}]
-    assert solve_sparse(rows, [Fraction(1, 3), Fraction(3, 4)], 2) is None
+    assert solve_sparse(rows, [Fraction(1, 3), Fraction(3, 4)]) is None
     ech = Echelon()
     ech.add_row(rows[0], Fraction(1, 3))
     with pytest.raises(Inconsistent):
@@ -191,3 +192,72 @@ def test_pivot_rows_are_primitive_integer_dicts():
                 ech.add_row(row, sum(v * x[j] for j, v in row.items())
                             if with_rhs else None)
                 assert_primitive_integer_pivots(ech)
+
+
+# ---------------------------------------------------------------------------
+# sparse read-out against a dense reference
+# ---------------------------------------------------------------------------
+
+def dense_rref(rows, b, n):
+    """Reduced row echelon form of [A | b] by dense ``Fraction``
+    Gauss-Jordan elimination: (pivot columns, reduced rows of length n + 1),
+    or None when some row reduces to 0 = nonzero."""
+    mat = [[Fraction(row.get(j, 0)) for j in range(n)] + [Fraction(rhs)]
+           for row, rhs in zip(rows, b)]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if hit is None:
+            continue
+        mat[r], mat[hit] = mat[hit], mat[r]
+        mat[r] = [v / mat[r][col] for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [v - f * p for v, p in zip(mat[i], mat[r])]
+        pivots.append(col)
+    if any(row[n] for row in mat[len(pivots):]):
+        return None
+    return pivots, mat[:len(pivots)]
+
+
+def test_sparse_read_out_matches_dense_gauss_jordan():
+    rng = random.Random(107)
+    for _ in range(80):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        mat = random_matrix(rng, m, n)
+        for _ in range(rng.randint(0, 2)):     # force rank deficiency
+            mat.append(list(mat[rng.randrange(len(mat))]))
+        rows = scaled_rows(rng, mat)
+        if rng.random() < 0.5:
+            x = [Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+                 for _ in range(n)]
+            b = [sum(v * x[j] for j, v in row.items()) for row in rows]
+        else:
+            b = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in rows]
+        ref = dense_rref(rows, b, n)
+        sol = solve_sparse(rows, b)
+        if ref is None:
+            assert sol is None
+            continue
+        pivots, rref = ref
+        free = set(range(n)) - set(pivots)
+        want = {c: row[n] for c, row in zip(pivots, rref) if row[n]}
+        assert sol == want
+        assert all(v != 0 for v in sol.values())
+        assert not free & set(sol)
+        # an all-zero right-hand side is feasible with the zero answer
+        assert solve_sparse(rows, [0] * len(rows)) == {}
+        basis = nullspace_sparse(rows, n)
+        assert len(basis) == len(free)
+        for f, vec in zip(sorted(free), basis):
+            assert vec[f] == 1 and free & set(vec) == {f}
+            assert all(v != 0 for v in vec.values())
+            assert vec == {f: 1, **{c: -row[f] for c, row in zip(pivots, rref)
+                                    if row[f]}}
+        # right-hand sides fed along do not change the nullspace
+        ech = Echelon()
+        for row, rhs in zip(rows, b):
+            ech.add_row(row, rhs)
+        assert ech.nullspace(n) == basis

@@ -28,11 +28,11 @@ KEPT = {
     "syzygy.block_key": "an oracle of the block-diagonal syzygy count",
     "syzygy.shift_certificate": "an oracle of the block-diagonal syzygy count",
     "hypersurface.levi_h_convexity":
-        "the Levi-convexity table of ROADMAP direction 3 calls it",
+        "the extension table of ROADMAP direction 5 calls it",
     "hypersurface.tangent_h_line":
-        "the Levi-convexity table of ROADMAP direction 3 calls it",
+        "the extension table of ROADMAP direction 5 calls it",
     "hypersurface.Hypersurface.hessian_at":
-        "the Levi-convexity table of ROADMAP direction 3 calls it",
+        "the extension table of ROADMAP direction 5 calls it",
     "polycalc.HPoly.component":
         "the independent rank_matrix_from_scratch oracle reads components",
     "hypersurface.f_perp": "the normal component the acceptance tests check",
