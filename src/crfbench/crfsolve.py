@@ -17,7 +17,9 @@ rationals:
   order).  Feasibility at m = 2 characterizes admissible boundary functions.
   Vanishing order is read off rho-adic digits, found by repeated synthetic
   division by rho; the columns of this system are digits of monomials,
-  written down by exponent arithmetic.
+  written down by exponent arithmetic.  The same presolve as the graded
+  solve drops the monomials that digit equations with zero right-hand side
+  force to 0, and only the survivors' columns are assembled.
 
 * ``jump_split``: produce a two-sided regular decomposition (F+, F-) of a
   boundary function that admits a global polynomial regular extension; the
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 
 from .hypercomplex import DIM, MUL_TABLE, _trusted
 from .linalg import (BudgetExceeded, _assemble, nullspace_sparse,
@@ -97,47 +100,64 @@ def _rhs_by_degree(g):
     nu! x^[nu]), grouped by the degree of nu: {k: {(h, nu, gamma): value}}."""
     out = {}
     for h, gh in enumerate(g):
-        for nu, gamma, c in _nonzero_coefficients(gh):
-            out.setdefault(sum(nu), {})[(h, nu, gamma)] = c * _factorial_prod(nu)
+        for nu, coef in gh.terms.items():
+            scale = _factorial_prod(nu)
+            part = out.setdefault(sum(nu), {})
+            for gamma, c in enumerate(coef.coeffs):
+                if c:
+                    part[(h, nu, gamma)] = c * scale
     return out
 
 
-def _peel(monos, pinned, d, n):
-    """``monos`` less the monomials that zero right-hand sides force to 0.
+def _peel(neighbours, pinned):
+    """The monomials of ``neighbours`` that zero right-hand sides do not
+    force to 0, in the order of ``neighbours``.
 
-    Block (h, nu) is the d equations of dbar_h u on x^[nu] i_gamma, one per
-    gamma.  Its neighbours are the monomials nu + e_{d*h+alpha}, and the d
-    columns (mu, beta) of a neighbour mu enter it as a signed permutation.
+    ``neighbours`` maps each candidate monomial to the blocks of equations it
+    touches, each block once; a block's neighbours are the monomials that
+    touch it.  The columns of one monomial (its d units) enter each of its
+    blocks through an invertible d x d matrix:
+
+    * in the graded solve, block (h, nu) is the d equations of dbar_h u on
+      x^[nu] i_gamma; its neighbours are the monomials nu + e_{d*h+alpha},
+      whose columns enter it as a signed permutation;
+    * in the extension, block (h, j, exp) is the 4 equations of digit j of
+      dbar_h on x^exp i_gamma.  dbar and the digits are right H-linear, so
+      the columns x^mu i_beta enter it as left multiplication by q, the
+      image of x^mu on the block read as a quaternion; that map is
+      invertible exactly when q != 0, so the neighbours of the block are the
+      monomials whose image has a key in it.
+
     So a block outside ``pinned`` (the blocks where the right-hand side is
-    nonzero) with one neighbour mu left forces mu's d coefficients to 0.
-    Removing mu lowers the neighbour counts of mu's own blocks; a worklist of
-    the blocks whose count drops to 1 repeats this until none is left.
+    nonzero) with one neighbour left forces that neighbour's coefficients to
+    0, and the monomial is dropped.  Each block keeps a count and a sum of
+    the ids of its neighbours left; when the count reaches 1, the sum is the
+    id of the last one.  Dropping a monomial lowers the counts of its own
+    blocks; a worklist of the blocks whose count drops to 1 repeats this
+    until none is left.  The result is the least fixed point of this rule,
+    so it does not depend on the order of ``neighbours``.
     """
-    def blocks(mu):
-        return [(i // d, mu[:i] + (mu[i] - 1,) + mu[i + 1:])
-                for i in range(d * n) if mu[i]]
-
-    count = {}
-    for mu in monos:
-        for block in blocks(mu):
+    monos = list(neighbours)
+    touched = list(neighbours.values())
+    count, ids = {}, {}
+    for i, blocks in enumerate(touched):
+        for block in blocks:
             count[block] = count.get(block, 0) + 1
-    left = set(monos)
+            ids[block] = ids.get(block, 0) + i
+    left = [True] * len(monos)
     work = [b for b, c in count.items() if c == 1 and b not in pinned]
     while work:
-        h, nu = block = work.pop()
+        block = work.pop()
         if count[block] != 1:
             continue        # its one neighbour went through another block
-        for alpha in range(d):
-            i = d * h + alpha
-            mu = nu[:i] + (nu[i] + 1,) + nu[i + 1:]
-            if mu in left:
-                break
-        left.remove(mu)
-        for b in blocks(mu):
+        i = ids[block]
+        left[i] = False
+        for b in touched[i]:
             count[b] -= 1
+            ids[b] -= i
             if count[b] == 1 and b not in pinned:
                 work.append(b)
-    return left
+    return [mu for mu, kept in zip(monos, left) if kept]
 
 
 def _solve_homogeneous(rhs, k, algebra, n, max_unknowns):
@@ -179,7 +199,11 @@ def _solve_homogeneous(rhs, k, algebra, n, max_unknowns):
                 f"homogeneous solve needs {d * size} unknowns "
                 f"(cap {max_unknowns})")
         monos = monomials(width, k + 1) if attempt else candidates
-        columns = [(mu, beta) for mu in sorted(_peel(monos, pinned, d, n))
+        # block (h, nu) of mu: the equations of dbar_h on x^[nu], nu = mu - e_i
+        neighbours = {mu: [(i // d, mu[:i] + (mu[i] - 1,) + mu[i + 1:])
+                           for i in range(width) if mu[i]]
+                      for mu in monos}
+        columns = [(mu, beta) for mu in sorted(_peel(neighbours, pinned))
                    for beta in range(d)]
         rows, values = _assemble(dbar_images(algebra, n, columns), rhs)
         sol = solve_sparse(rows, values)
@@ -298,56 +322,75 @@ def _exact(c):
 
 
 def _extension_images(S, m, monos):
-    """Image of each column (mu, beta) of the extension system on affine S,
-    mu-major in the order of ``monos``, beta = 0..3: the nonzero coefficients
-    of the rho-adic digits 0..m-1 of dbar_h(rho x^mu i_beta), h = 0, 1, keyed
-    like :func:`_dbar_digits`, by the identities in :func:`_extend`.
-    Integral values are ``int``; i_beta multiplies on the right."""
-    grad, piv, s = S.affine_form()
-    grad = [_exact(g) for g in grad]
-    inv = 1 / Fraction(grad[piv])
-    powers = [HPoly.constant("H", 2, 1)]    # s^k
-    for _ in range(max((mu[piv] for mu in monos), default=0)):
-        powers.append(powers[-1] * s)
-    digits = {}     # (nu, j) -> the terms (exponent, value) of D_j(x^nu)
+    """Image of each monomial of ``monos``, in order, in the extension system
+    on affine S: the nonzero coefficients of the rho-adic digits 0..m-1 of
+    dbar_h(rho x^mu), h = 0, 1, keyed like :func:`_dbar_digits`, by the
+    identities in :func:`_extend`.  Integral values are ``int``; the images
+    of its four columns come from :func:`_right_multiples`.
 
-    def digit(nu, j):
-        out = digits.get((nu, j))
+    The values add up as integers over one common denominator: ``den_d``
+    clears every digit scale C(e, j) g_p^-j s^(e-j) and ``den_g`` the
+    gradient, so each entry becomes a fraction once, at the end."""
+    grad, piv, s = S.affine_form()
+    top = max((mu[piv] for mu in monos), default=0)
+    powers = [HPoly.constant("H", 2, 1)]    # s^k
+    for _ in range(top):
+        powers.append(powers[-1] * s)
+    # scales[e][j]: the terms of C(e, j) g_p^-j s^(e-j), so that D_j(x^nu)
+    # is scales[nu_p][j] times x^nu'; empty for j > e
+    scales = [[[(exp, math.comb(e, j) * coef.coeffs[0] / grad[piv] ** j)
+                for exp, coef in powers[e - j].terms.items()] if j <= e else []
+               for j in range(m)]
+              for e in range(top + 1)]
+    den_d = math.lcm(*(c.denominator for row in scales for terms in row
+                       for _, c in terms))
+    den_g = math.lcm(*(g.denominator for g in grad))
+    den = den_d * den_g
+    scales = [[[(exp, (c * den_d).numerator) for exp, c in terms]
+               for terms in row] for row in scales]
+    gints = [(g * den_g).numerator for g in grad]
+    digits = {}     # nu -> [the terms (exponent, value) of D_j(x^nu) * den_d]
+
+    def digits_of(nu):
+        out = digits.get(nu)
         if out is None:
-            e = nu[piv]
-            out = digits[nu, j] = []
-            if j <= e:
-                flat = nu[:piv] + (0,) + nu[piv + 1:]
-                scale = math.comb(e, j) * inv ** j
-                out += [(tuple(a + b for a, b in zip(exp, flat)),
-                         _exact(scale * coef.coeffs[0]))
-                        for exp, coef in powers[e - j].terms.items()]
+            flat = nu[:piv] + (0,) + nu[piv + 1:]
+            out = digits[nu] = [[(tuple(map(add, exp, flat)), c)
+                                 for exp, c in terms]
+                                for terms in scales[nu[piv]]]
         return out
 
-    table = MUL_TABLE["H"]
     for mu in monos:
+        # row block h, unit a of coordinate i = 4h + a:
+        # g_i D_j(x^mu) + mu_i D_{j-1}(x^(mu - e_i))
         image = {}
-        for h in range(2):
-            units = [(a, 4 * h + a) for a in range(4)]
-            for j in range(m):
-                # G_h D_j(x^mu) + sum_a mu_{4h+a} i_a D_{j-1}(x^(mu - e_{4h+a}))
-                own = digit(mu, j)
-                parts = [(grad[i], a, own) for a, i in units if grad[i]]
-                if j:
-                    parts += [(mu[i], a, digit(mu[:i] + (mu[i] - 1,) + mu[i + 1:],
-                                               j - 1))
-                              for a, i in units if mu[i]]
-                for k, a, terms in parts:
+        own = digits_of(mu)
+        for i, g in enumerate(gints):
+            h, a = divmod(i, 4)
+            if g:       # the first terms of (h, a): no key is there yet
+                for j, terms in enumerate(own):
+                    for exp, c in terms:
+                        image[h, j, exp, a] = g * c
+            if mu[i]:
+                k = mu[i] * den_g
+                lower = digits_of(mu[:i] + (mu[i] - 1,) + mu[i + 1:])
+                for j, terms in zip(range(1, m), lower):
                     for exp, c in terms:
                         key = (h, j, exp, a)
                         image[key] = image.get(key, 0) + k * c
-        image = {k: _exact(c) for k, c in image.items() if c}
-        # dbar and the digits are right H-linear, so the image of
-        # rho x^mu i_beta is that of rho x^mu with i_gamma -> i_gamma i_beta.
-        for beta in range(4):
-            yield {(h, j, exp, table[gamma][beta][0]):
-                   c if table[gamma][beta][1] > 0 else -c
-                   for (h, j, exp, gamma), c in image.items()}
+        yield {key: c if den == 1 else _exact(Fraction(c, den))
+               for key, c in image.items() if c}
+
+
+def _right_multiples(image):
+    """The images of the columns x^mu i_beta, beta = 0..3, from the image of
+    x^mu: dbar and the digits are right H-linear, so i_gamma -> i_gamma
+    i_beta."""
+    table = MUL_TABLE["H"]
+    for beta in range(4):
+        yield {(h, j, exp, table[gamma][beta][0]):
+               c if table[gamma][beta][1] > 0 else -c
+               for (h, j, exp, gamma), c in image.items()}
 
 
 def _extend(f, S, m, budget, max_unknowns):
@@ -362,6 +405,21 @@ def _extend(f, S, m, budget, max_unknowns):
     * D_j(rho w) = D_{j-1}(w);
     * D_j(x^nu) = C(e, j) g_p^-j s^(e-j) x^nu', with e = nu_p and nu' = nu
       with its pivot entry set to 0.
+
+    Each monomial's image is computed once, and :func:`_peel` drops the
+    monomials that blocks (h, j, exp) outside the right-hand-side support
+    force to 0.  Those rows are left multiplication by the monomial's image
+    q on the block, read as a quaternion, since dbar and the digits are
+    right H-linear; so they force all four coefficients exactly when
+    q != 0.  Only the survivors' columns, in the order of the monomials, are
+    assembled and eliminated.  By the pivot-set argument of
+    :func:`_solve_homogeneous`, the free-variables-zero answer and every
+    infeasible verdict are those of the whole system; the unknown cap counts
+    the monomials before the presolve.  An infeasibility certificate y of
+    the peeled system (yA = 0, y.b != 0) is one of the whole system only
+    after multiples of the forcing blocks, in the reverse order of the peel,
+    cancel its products with the dropped columns; their right-hand side is
+    zero, so y.b is kept.
 
     The right-hand side and the callers' checks of the answer stay on the
     polynomial route, independent of these identities.
@@ -381,13 +439,19 @@ def _extend(f, S, m, budget, max_unknowns):
         raise BudgetExceeded(f"extension needs {size} unknowns")
     monos = [mu for k in range(budget) for mu in monomials(8, k)]
     rhs = {k: -c for k, c in _dbar_digits(f, S, m).items()}
-    rows, values = _assemble(_extension_images(S, m, monos), rhs)
+    images = dict(zip(monos, _extension_images(S, m, monos)))
+    kept = _peel({mu: {key[:3] for key in image}
+                  for mu, image in images.items()},
+                 {key[:3] for key in rhs})
+    rows, values = _assemble((column for mu in kept
+                              for column in _right_multiples(images[mu])),
+                             rhs)
     sol = solve_sparse(rows, values)
     if sol is None:
         return None
     blocks = {}
     for j in sorted(sol):
-        blocks.setdefault(monos[j // 4], [Fraction(0)] * 4)[j % 4] = sol[j]
+        blocks.setdefault(kept[j // 4], [Fraction(0)] * 4)[j % 4] = sol[j]
     P = _poly("H", 2, {mu: _trusted("H", tuple(coeffs), "exact")
                        for mu, coeffs in blocks.items()})
     return f + S.rho * P

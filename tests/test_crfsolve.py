@@ -482,10 +482,12 @@ def test_rho_adic_digits_is_one_change_of_coordinates(flat, monkeypatch):
                          ids=AFFINE_IDS)
 def test_extension_images_match_the_polynomial_route(rho, m):
     """The closed-form column images of the extension system are the digits
-    of dbar_h(rho x^mu i_beta), for every mu of degree <= 2."""
+    of dbar_h(rho x^mu i_beta), for every mu of degree <= 2, with the four
+    columns of a monomial relabelled from its one image as in ``_extend``."""
     S = Hypersurface(rho)
     monos = [mu for k in range(3) for mu in monomials(8, k)]
-    images = cs._extension_images(S, m, monos)
+    images = (column for image in cs._extension_images(S, m, monos)
+              for column in cs._right_multiples(image))
     for mu in monos:
         for beta in range(4):
             image = next(images)
@@ -589,6 +591,106 @@ def test_extend_columns_make_no_polynomial_calls(flat, monkeypatch):
         seen.append(dict(calls))
     # two each for the right-hand side and two each for the check
     assert seen == [{"rho_adic_digits": 4, "fueter_dbar": 4}] * 2
+
+
+def unpeeled_extend(f, S, m, budget):
+    """``_extend`` without the presolve: every column x^mu i_beta with
+    deg mu < budget, assembled whole and eliminated by solve_sparse; the
+    F = f + rho P it gives, or None when the system is infeasible."""
+    monos = [mu for k in range(budget) for mu in monomials(8, k)]
+    columns = [column for image in cs._extension_images(S, m, monos)
+               for column in cs._right_multiples(image)]
+    rhs = {k: -c for k, c in cs._dbar_digits(f, S, m).items()}
+    sol = solve_sparse(*_assemble(columns, rhs))
+    if sol is None:
+        return None
+    blocks = {}
+    for j in sorted(sol):
+        blocks.setdefault(monos[j // 4], [Fraction(0)] * 4)[j % 4] = sol[j]
+    P = HPoly("H", 2, {mu: HNumber("H", coeffs)
+                       for mu, coeffs in blocks.items()})
+    return f + S.rho * P
+
+
+def extension_outcome(F):
+    """A feasible answer as its JSON and its term order, or None."""
+    return None if F is None else (F.to_json(), list(F.terms.items()))
+
+
+@pytest.mark.parametrize("rho", [case[0] for case in AFFINE_CASES],
+                         ids=AFFINE_IDS)
+def test_presolved_extension_gives_the_unpeeled_answer(rho, counterexample):
+    """crf_extend at m = 1, 2, 3 and jump_split (full order) return the F
+    of the whole system, term order included, or are infeasible with it, for
+    every budget 0..3 and for admissible and non-admissible data."""
+    S = Hypersurface(rho)
+    rng = random.Random(54)
+    data = [regular_poly(rng) + S.rho * rand_poly(rng, "H", 2, deg=1,
+                                                  terms=3),
+            counterexample, HPoly.variable_conj("H", 2, 0), coord(0, 0) ** 2]
+    kinds = set()
+    for f in data:
+        for budget in range(4):
+            top = max(f.degree(), budget)
+            for m in (1, 2, 3, None):
+                try:
+                    if m is None:
+                        F = cs.jump_split(f, S, budget=budget)[0]
+                    else:
+                        F = cs.crf_extend(f, S, m=m, budget=budget)
+                except (cs.NoPolynomialExtensionWithinBudget,
+                        cs.NotAdmissibleOrBudget):
+                    F = None
+                want = unpeeled_extend(f, S, top if m is None
+                                       else min(m, top), budget)
+                assert extension_outcome(F) == extension_outcome(want)
+                kinds.add(F is None)
+    assert kinds == {True, False}
+
+
+@pytest.mark.parametrize("surface, counts", [
+    ("wall", {2: ((165, 10), 8, 768), "full": ((165, 1), 8, 840)}),
+    ("tilted", {2: ((165, 46), 296, 1248), "full": ((165, 1), 12, 1320)}),
+])
+def test_extension_presolve_counts_are_pinned(surface, counts, monkeypatch):
+    """(candidate, kept) monomials and rows fed for one admissible item per
+    surface at m = 2 and at full order (budget 4, the default), printed when
+    the presolve went in, against the rows the whole system feeds.  A cap
+    between the kept and the candidate unknowns still raises, and the kept
+    set does not depend on the order of the neighbours."""
+    S = Hypersurface(AFFINE_CASES[AFFINE_IDS.index(surface)][0])
+    f = regular_poly(random.Random(55)) + S.rho * coord(0, 1)
+    peeled, rows = [], [0]
+    peel, add_row = cs._peel, Echelon.add_row
+
+    def spy_peel(neighbours, pinned):
+        out = peel(neighbours, pinned)
+        peeled.append((neighbours, pinned, out))
+        return out
+
+    def spy_add_row(self, *args):
+        rows[0] += 1
+        return add_row(self, *args)
+    monkeypatch.setattr(cs, "_peel", spy_peel)
+    monkeypatch.setattr(Echelon, "add_row", spy_add_row)
+    for m, (pair, fed, whole) in counts.items():
+        order = 4 if m == "full" else m
+        peeled.clear()
+        rows[0] = 0
+        F = cs.jump_split(f, S)[0] if m == "full" else cs.crf_extend(f, S, m)
+        [(neighbours, pinned, kept)] = peeled
+        assert (len(neighbours), len(kept)) == pair
+        assert rows[0] == fed
+        rows[0] = 0
+        assert extension_outcome(unpeeled_extend(f, S, order, 4)) == \
+            extension_outcome(F)
+        assert rows[0] == whole
+        for cap in (4 * len(kept), 4 * len(neighbours) - 1):
+            with pytest.raises(cs.BudgetExceeded):
+                cs.crf_extend(f, S, m=order, max_unknowns=cap)
+        shuffled = list(neighbours.items())
+        random.Random(56).shuffle(shuffled)
+        assert set(peel(dict(shuffled), pinned)) == set(kept)
 
 
 def test_extend_validation(flat):
