@@ -441,7 +441,7 @@ def _build_parser():
     p.add_argument("--algebra", choices=("H", "O", "both"), default="both")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--count", type=int, default=10)
-    common(p)
+    common(p, with_tol=False)
 
     p = sub.add_parser("check", help="CRF/admissibility report "
                        "(exit 0 only for admissible data)")

@@ -23,7 +23,7 @@ rationals:
 
 * ``jump_split``: produce a two-sided regular decomposition (F+, F-) of a
   boundary function that admits a global polynomial regular extension; the
-  pair returned is (F, 0) with dbar F = 0 exactly.  This is the extension to
+  pair returned is (F, 0) with dbar F = 0 exactly.  It is ``crf_extend`` at
   full order: deg dbar F < max(deg f, budget), so vanishing to that order
   means dbar F = 0.
 
@@ -43,8 +43,8 @@ from operator import add
 from .hypercomplex import DIM, MUL_TABLE, _trusted
 from .linalg import (BudgetExceeded, _assemble, nullspace_sparse,
                      solve_sparse)
-from .polycalc import (HPoly, _poly, compat_pbar, dbar_images, dbar_system,
-                       fueter_dbar, monomials)
+from .polycalc import (HPoly, _poly, compat_pbar, dbar_images, fueter_dbar,
+                       monomials)
 
 
 class CompatibilityViolation(ValueError):
@@ -227,7 +227,8 @@ def solve_crf(g, max_unknowns=200000):
     algebra, n = g[0].algebra, g[0].n
     if len(g) != n:
         raise ValueError("right-hand side must have one entry per variable")
-    residuals = compat_pbar(g)
+    # one variable has no pairs, so no pairwise residuals
+    residuals = compat_pbar(g) if n > 1 else []
     for idx, res in enumerate(residuals):
         if not res.is_zero():
             raise CompatibilityViolation(
@@ -466,7 +467,9 @@ def crf_extend(f, S, m=2, budget=None, max_unknowns=200000):
     :class:`NoPolynomialExtensionWithinBudget` when the linear problem is
     infeasible within the budget.  m = 2 is feasible exactly for admissible
     boundary data; m = 1 for tangentially CRF data.  Any m at or above
-    max(deg f, budget) asks for dbar F = 0, the problem of :func:`jump_split`.
+    max(deg f, budget) asks for dbar F = 0, the problem of :func:`jump_split`:
+    the answer's digits are verified to order max(deg f, budget) >
+    deg dbar F, and a polynomial of degree e has no digit past digit e.
     """
     if m < 1:
         raise ValueError("vanishing order m must be at least 1")
@@ -478,10 +481,8 @@ def crf_extend(f, S, m=2, budget=None, max_unknowns=200000):
     if F is None:
         raise NoPolynomialExtensionWithinBudget(
             f"no extension with vanishing order {m} and degree <= {budget}")
-    for h in range(2):
-        digits = rho_adic_digits(fueter_dbar(F, h), S, order)
-        if any(not dgt.is_zero() for dgt in digits):
-            raise AssertionError("extension failed verification")
+    if _dbar_digits(F, S, order):
+        raise AssertionError("extension failed verification")
     return F
 
 
@@ -490,18 +491,16 @@ def jump_split(f, S, budget=None, max_unknowns=200000):
 
     Seeks a global polynomial F with F = f on S and dbar F = 0 exactly; the
     splitting is then (F, 0).  Since deg dbar F < max(deg f, budget), this is
-    the extension to order max(deg f, budget).  Raises
+    :func:`crf_extend` to that order, whose check proves dbar F = 0.  Raises
     :class:`NotAdmissibleOrBudget` if no such polynomial exists within the
     degree budget: the data is either not admissible, or admissible with no
     polynomial realization this small.
     """
     if budget is None:
         budget = max(f.degree(), 0) + 2
-    F = _extend(f, S, max(f.degree(), budget), budget, max_unknowns)
-    if F is None:
+    try:
+        F = crf_extend(f, S, max(f.degree(), budget, 1), budget, max_unknowns)
+    except NoPolynomialExtensionWithinBudget:
         raise NotAdmissibleOrBudget(
             f"no regular polynomial extension with degree <= {budget}")
-    u1, u2 = dbar_system(F)
-    if not (u1.is_zero() and u2.is_zero()):
-        raise AssertionError("jump solution not regular")
     return F, HPoly.zero("H", 2)

@@ -27,10 +27,13 @@ constructor and skip that re-validation.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from math import lcm
 
 ALGEBRAS = ("H", "O")
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")   # "1.5e-3" -> -3
 
 #: Realified matrix of the octonionic conjugate-Fueter operator: entry
 #: ``OCT_DBAR_MATRIX[gamma][beta] = (sign, alpha)`` means the gamma-component
@@ -341,6 +344,13 @@ class HNumber:
             return cls(obj["algebra"], comps, "float")
         if not all(type(c) in (str, int) for c in comps):   # no JSON true
             raise ValueError("exact components are rational strings or integers")
+        # Fraction expands 10^e in full: cap |e| where Python caps digits
+        limit = sys.get_int_max_str_digits()
+        for c in comps:
+            exp = isinstance(c, str) and _EXPONENT.search(c)
+            if exp and limit and abs(int(exp[1])) > limit:
+                raise ValueError("a component's decimal exponent exceeds "
+                                 f"the integer string limit {limit}")
         try:
             comps = [Fraction(c) for c in comps]
         except ZeroDivisionError:

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -270,8 +271,7 @@ def test_check_judges_crf_once_at_the_given_tolerance(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-6"])
-@pytest.mark.parametrize("command", ["check", "cf-integral",
-                                     "verify-identities"])
+@pytest.mark.parametrize("command", ["check", "cf-integral"])
 def test_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, command,
                                                   tol):
     """A nan or inf tolerance passed every check of the near-CRF data and
@@ -286,6 +286,17 @@ def test_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, command,
     assert out.out == ""
     assert "argument --tol: tolerance must be finite and nonnegative" \
         in out.err
+
+
+@pytest.mark.parametrize("tol", ["1e-10", "nan", "inf", "-inf", "-1e-6"])
+def test_verify_identities_takes_no_tolerance(capsys, tol):
+    """verify-identities has no float check, so it has no --tol."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-identities", "--tol=" + tol])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "unrecognized arguments: --tol" in out.err
 
 
 def test_check_survives_float_overflow_on_a_curved_surface(tmp_path, capsys):
@@ -334,6 +345,22 @@ def test_solve_incompatible(tmp_path, capsys):
     assert rep["checks"][0]["name"] == "solvable"
     assert rep["checks"][0]["status"] == "fail"
     assert "result" not in rep
+
+
+@pytest.mark.parametrize("algebra", ["H", "O"])
+def test_solve_one_variable_system(tmp_path, capsys, algebra):
+    """One variable has no pairwise compatibility residuals to check."""
+    x = [HPoly.coordinate(algebra, 1, 0, a) for a in range(3)]
+    g = [(x[1] * x[2]).mul_const_left(HNumber.unit(algebra, 1)) + x[0]]
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(
+        {"schema_version": 1, "g": [c.to_json() for c in g]}))
+    code, out, _ = run(capsys, ["solve", "--input", str(path)])
+    assert code == 0
+    rep = json.loads(out)
+    assert [(c["name"], c["status"]) for c in rep["checks"]] == [
+        ("solvable", "pass"), ("verified_exactly", "pass")]
+    assert list(dbar_system(HPoly.from_json(rep["result"]["u"]))) == g
 
 
 def test_extend_feasible_and_infeasible(tmp_path, capsys):
@@ -530,6 +557,27 @@ def test_malformed_payloads_are_invalid_input(case):
     assert out.getvalue() == ""
     assert err.getvalue().startswith("error: invalid input")
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("component, code", [
+    ("1e300000", 2), ("1e-300000", 2), ("1e3", 1), ("1/2", 1)])
+def test_exponent_past_the_digit_limit_is_invalid_input(tmp_path, capsys,
+                                                        component, code):
+    """A component whose decimal exponent is past Python's integer string
+    limit is rejected at once, as its digit form is; Fraction would expand
+    10^e in full."""
+    payload = _function_surface_payload()
+    payload["f"]["terms"][0]["coef"]["c"][0] = component
+    path = tmp_path / "fs.json"
+    path.write_text(json.dumps(payload))
+    t0 = time.perf_counter()
+    got, out, err = run(capsys, ["check", "--input", str(path)])
+    assert time.perf_counter() - t0 < 1.0
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: invalid input: a component's decimal "
+                              "exponent exceeds")
 
 
 def test_program_key_error_is_not_invalid_input(tmp_path, monkeypatch):

@@ -743,6 +743,45 @@ def test_jump_is_the_extension_to_full_order(flat, counterexample):
             cs.crf_extend(counterexample, S, m=counterexample.degree() + 2)
 
 
+def test_jump_agrees_with_the_full_order_extension_at_every_budget(
+        flat, counterexample):
+    """For each kind of boundary data of the benchmark's rhoadic workload
+    (admissible on the wall and the tilted plane, multiples and regular
+    perturbations of the counterexample, conj q1 on both planes, x0^2),
+    plus constant and zero data, at budgets 0..3: jump_split's F is
+    crf_extend's at order max(deg f, budget, 1), or both are infeasible
+    with the same budget in the message."""
+    tilted = Hypersurface(
+        coord(0, 0) + coord(1, 1).scale(2) - HPoly.constant("H", 2, 1))
+    rng = random.Random(57)
+    qbar1 = HPoly.variable_conj("H", 2, 0)
+    data = [(S, regular_poly(rng) + S.rho * rand_poly(rng, "H", 2, deg=1,
+                                                      terms=3))
+            for S in (flat, tilted)]
+    data += [(flat, counterexample.scale(Fraction(-1, 3))),
+             (flat, counterexample + regular_poly(rng)),
+             (flat, counterexample), (flat, qbar1), (tilted, qbar1),
+             (flat, coord(0, 0) ** 2),
+             (flat, HPoly.constant("H", 2, 3)), (tilted, HPoly.zero("H", 2))]
+    outcomes = set()
+    for S, f in data:
+        for budget in range(4):
+            m = max(f.degree(), budget, 1)
+            try:
+                want = cs.crf_extend(f, S, m, budget).to_json()
+            except cs.NoPolynomialExtensionWithinBudget:
+                want = None
+            try:
+                got = cs.jump_split(f, S, budget=budget)[0].to_json()
+            except cs.NotAdmissibleOrBudget as exc:
+                got = None
+                assert str(exc) == \
+                    f"no regular polynomial extension with degree <= {budget}"
+            assert got == want
+            outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
 def test_jump_split_rejects_counterexample(flat, counterexample):
     with pytest.raises(cs.NotAdmissibleOrBudget):
         cs.jump_split(counterexample, flat)

@@ -254,6 +254,34 @@ def test_derived_polys_match_pointwise_values(mixed, counterexample):
             assert packed == td.f_qbar[h]
 
 
+def test_affine_crf_witness_is_the_first_pointwise_failure(
+        flat, tilted, mixed, counterexample):
+    """is_crf's witness on affine S is the first of its 50 seeded points
+    where the pointwise tangential pair is nonzero, with that pair as its
+    value; a point where the pair vanishes (f = l^2 conj q1 at a zero of l)
+    is passed over."""
+    rng = random.Random(29)
+    qbar1 = HPoly.variable_conj("H", 2, 0)
+    witnesses = []
+    for S in (flat, tilted, mixed):
+        pts = S.sample_points(50, seed=20240601)
+        line = coord(0, 2) - const(pts[0][2])
+        for f in (qbar1, coord(0, 0) ** 2,
+                  counterexample + random_regular(rng), line * line * qbar1):
+            res = hs.is_crf(f, S)
+            bad = [p for p in pts
+                   if not all(v.is_zero()
+                              for v in hs.derived_at(f, S, p).f_qbar)]
+            assert res.holds == (not bad)
+            if bad:
+                assert res.witness_point == bad[0]
+                assert res.witness_value == \
+                    hs.derived_at(f, S, bad[0]).f_qbar
+                witnesses.append(pts.index(bad[0]))
+    # counterexample + regular is CRF on the wall only
+    assert witnesses == [0, 0, 1] + [0, 0, 0, 1] * 2
+
+
 def test_derived_polys_require_affine(sphere, counterexample):
     with pytest.raises(ValueError):
         hs.derived_polys(counterexample, sphere)
@@ -291,16 +319,14 @@ def test_regular_restrictions_are_admissible_affine(flat, tilted, mixed):
 def test_regular_restriction_admissible_on_sphere(sphere):
     rng = random.Random(11)
     F = random_regular(rng)
-    samples = sphere.sample_points(5, seed=77)
-    rep = hs.is_admissible(F, sphere, samples=samples, tol=1e-6)
+    rep = hs.is_admissible(F, sphere, tol=1e-6)
     assert rep.admissible
     assert set(rep.derived) == set(hs.COORD_NAMES)
 
 
 def test_conjugate_variable_not_admissible_on_sphere(sphere):
     qbar1 = HPoly.variable_conj("H", 2, 0)
-    samples = sphere.sample_points(5, seed=78)
-    rep = hs.is_admissible(qbar1, sphere, samples=samples)
+    rep = hs.is_admissible(qbar1, sphere)
     assert not rep.admissible
     assert not rep.crf.holds
 

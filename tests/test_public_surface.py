@@ -35,7 +35,6 @@ KEPT = {
         "the extension table of ROADMAP direction 5 calls it",
     "polycalc.HPoly.component":
         "the independent rank_matrix_from_scratch oracle reads components",
-    "hypersurface.f_perp": "the normal component the acceptance tests check",
     "forms.OMEGA2_PREFACTOR": "documents the kernel form's normalisation",
 }
 
