@@ -11,6 +11,7 @@ import argparse
 import time
 
 from crfbench import syzygy as sz
+from crfbench.hypercomplex import DIM
 
 
 def report(algebra, n, degrees, verify_span):
@@ -25,7 +26,7 @@ def report(algebra, n, degrees, verify_span):
               f"({time.perf_counter() - t0:.2f}s)")
     rank = sz.compat_rows_rank(algebra, n)
     pairs = n * (n - 1)
-    d = 8 if algebra == "O" else 4
+    d = DIM[algebra]
     print(f"  compatibility rows: rank {rank} of {pairs * d} "
           f"({'independent' if rank == pairs * d else 'dependent'})")
     if verify_span and 2 in degrees:

@@ -34,15 +34,13 @@ from fractions import Fraction
 from . import __version__
 from .hypercomplex import DIM, HNumber
 from .linalg import BudgetExceeded
-from .polycalc import (HPoly, _from_int_terms, compat_pbar, dbar_system,
-                       fueter_d, fueter_dbar, laplacian)
+from .polycalc import (SCHEMA_VERSION, HPoly, _from_int_terms, compat_pbar,
+                       dbar_system, fueter_d, fueter_dbar, laplacian)
 from . import forms
 from . import hypersurface as hsur
 from . import integrate as ig
 from . import crfsolve as cs
 from . import syzygy as sz
-
-SCHEMA_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +66,7 @@ def _check(name, ok, value=None, tol=None, backend="exact"):
     return entry
 
 
-def _report(command, inputs, seed, checks, result=None):
+def _report(command, inputs, checks, result=None, seed=0):
     status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
     rep = {
         "schema_version": SCHEMA_VERSION,
@@ -105,10 +103,6 @@ def _emit(rep, fmt, timings=None):
     if timings is not None:
         for k, v in timings.items():
             print(f"time  {k}  {v:.3f}s")
-
-
-def _exit_code(rep):
-    return 0 if rep["status"] == "pass" else 1
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +246,7 @@ def cmd_verify_identities(args):
             forms.pole_fueter_dbar(K, 0).num.is_zero()
             and forms.pole_fueter_dbar_right(K, 0).num.is_zero()))
     inputs = {"algebra": args.algebra, "n": args.n, "count": args.count}
-    return _report("verify-identities", inputs, args.seed, checks)
+    return _report("verify-identities", inputs, checks, seed=args.seed)
 
 
 def cmd_check(args):
@@ -272,7 +266,7 @@ def cmd_check(args):
         ok = all(hsur.rank_condition(f, S, p, tol=args.tol) for p in pts)
         checks.append(_check("pointwise_rank_condition", ok,
                              tol=args.tol, backend=backend))
-    return _report("check", payload, args.seed, checks, result=result)
+    return _report("check", payload, checks, result=result, seed=args.seed)
 
 
 def cmd_solve(args):
@@ -281,11 +275,11 @@ def cmd_solve(args):
         u = cs.solve_crf(g, max_unknowns=args.max_unknowns)
     except cs.CompatibilityViolation as exc:
         checks = [_check("solvable", False, value=str(exc))]
-        return _report("solve", payload, args.seed, checks)
+        return _report("solve", payload, checks)
     checks = [_check("solvable", True),
               _check("verified_exactly",
                      list(dbar_system(u)) == list(g))]
-    return _report("solve", payload, args.seed, checks,
+    return _report("solve", payload, checks,
                    result={"u": u.to_json()})
 
 
@@ -296,11 +290,11 @@ def cmd_extend(args):
                           max_unknowns=args.max_unknowns)
     except cs.NoPolynomialExtensionWithinBudget as exc:
         checks = [_check("extension_exists", False, value=str(exc))]
-        return _report("extend", payload, args.seed, checks)
+        return _report("extend", payload, checks)
     checks = [_check("extension_exists", True),
               _check("restriction_matches",
                      cs.rho_adic_digits(F - f, S, 1)[0].is_zero())]
-    return _report("extend", payload, args.seed, checks,
+    return _report("extend", payload, checks,
                    result={"F": F.to_json(), "m": args.order_m})
 
 
@@ -311,12 +305,12 @@ def cmd_jump(args):
                                max_unknowns=args.max_unknowns)
     except cs.NotAdmissibleOrBudget as exc:
         checks = [_check("splittable", False, value=str(exc))]
-        return _report("jump", payload, args.seed, checks)
+        return _report("jump", payload, checks)
     u = dbar_system(Fp)
     checks = [_check("splittable", True),
               _check("plus_side_regular",
                      all(c.is_zero() for c in u))]
-    return _report("jump", payload, args.seed, checks,
+    return _report("jump", payload, checks,
                    result={"F_plus": Fp.to_json(), "F_minus": Fm.to_json()})
 
 
@@ -340,7 +334,7 @@ def cmd_syzygy(args):
                              value=rank))
         checks.append(_check("compat_rows_span_degree_two", spans,
                              value={"rank": rank, "dim": dims[2]}))
-    return _report("syzygy", inputs, args.seed, checks, result=result)
+    return _report("syzygy", inputs, checks, result=result)
 
 
 def _worst(errors):
@@ -403,7 +397,7 @@ def cmd_cf_integral(args):
     ext_err = _worst([abs(c) for c in ext.coeffs])
     checks.append(_check("exterior_vanishing", ext_err < args.tol,
                          value=ext_err, tol=args.tol, backend="float"))
-    return _report("cf-integral", inputs, args.seed, checks)
+    return _report("cf-integral", inputs, checks, seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +423,6 @@ def _build_parser():
         return value
 
     def common(p, with_tol=True):
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--timings", action="store_true",
                        help="include wall-clock timings (non-deterministic)")
@@ -441,12 +434,14 @@ def _build_parser():
     p.add_argument("--algebra", choices=("H", "O", "both"), default="both")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--count", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
     common(p, with_tol=False)
 
     p = sub.add_parser("check", help="CRF/admissibility report "
                        "(exit 0 only for admissible data)")
     p.add_argument("--input", required=True)
     p.add_argument("--samples", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
     common(p)
 
     p = sub.add_parser("solve", help="solve dbar u = g exactly")
@@ -479,6 +474,7 @@ def _build_parser():
     p.add_argument("--order", type=int, default=40)
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--points", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(tol=1e-8)
 
@@ -502,6 +498,8 @@ def main(argv=None):
     handler = _COMMANDS[args.command]
     t0 = time.perf_counter()
     try:
+        if getattr(args, "max_unknowns", 1) < 1:
+            raise ValueError("max-unknowns must be at least 1")
         rep = handler(args)
     except (BudgetExceeded, MemoryError) as exc:
         print(f"error: resource budget exhausted: {exc}", file=sys.stderr)
@@ -514,7 +512,7 @@ def main(argv=None):
         return 4
     timings = {"total": time.perf_counter() - t0} if args.timings else None
     _emit(rep, args.format, timings)
-    return _exit_code(rep)
+    return 0 if rep["status"] == "pass" else 1
 
 
 if __name__ == "__main__":

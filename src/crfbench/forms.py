@@ -112,12 +112,6 @@ class PoleRingElement:
         a, b, pole, m = self._common(other)
         return PoleRingElement(a + b, pole, m)
 
-    def __sub__(self, other):
-        other = _lift(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
     def __neg__(self):
         return PoleRingElement(-self.num, self.pole, self.m)
 
@@ -161,9 +155,7 @@ class PoleRingElement:
         den = r2.coeffs[0] ** self.m
         if den == 0:
             raise ZeroDivisionError("evaluation at the pole")
-        if v.backend == "float":
-            return v.scale(1.0 / den)
-        return v.scale(Fraction(1, 1) / den)
+        return v.scale(1 / den)
 
     def __eq__(self, other):
         other = _lift(other)
@@ -174,9 +166,6 @@ class PoleRingElement:
         except ValueError:
             return False
         return a == b
-
-    def __hash__(self):
-        raise TypeError("unhashable (non-canonical representation)")
 
     def __repr__(self):
         if self.m == 0:
@@ -346,9 +335,6 @@ class Form:
             return NotImplemented
         self._check(other)
         return (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("unhashable")
 
     def __repr__(self):
         keys = sorted(self.terms)

@@ -243,10 +243,6 @@ class HNumber:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        if isinstance(other, float):
-            if self.backend != "float":
-                return NotImplemented
-            return self.scale(other)
         if not isinstance(other, HNumber):
             return NotImplemented
         self._check_compatible(other)
@@ -265,8 +261,6 @@ class HNumber:
     def __rmul__(self, other):
         # scalar * HNumber (real scalars are central, so order is immaterial)
         if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if isinstance(other, float) and self.backend == "float":
             return self.scale(other)
         return NotImplemented
 

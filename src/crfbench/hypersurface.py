@@ -80,11 +80,6 @@ def _exact_sqrt(fr):
     return None
 
 
-def _pack(vals, backend):
-    """Pack four scalars into a quaternion."""
-    return HNumber("H", vals, backend)
-
-
 class AffineForm(NamedTuple):
     """Data of an affine rho = g_p (x_p - s): the constant gradient, the
     pivot p (largest |gradient[i]|, first on ties) and s, the value of x_p
@@ -107,6 +102,12 @@ class Hypersurface:
                 raise ValueError("rho must be scalar (real-valued)")
         if rho.degree() < 1:
             raise ValueError("rho must be nonconstant")
+        if rho.degree() > 1:
+            # {c rho = 0} is one surface for every c != 0, and the float
+            # lanes of a curved S use absolute thresholds: they see rho over
+            # its largest |coefficient|
+            top = max(abs(c.coeffs[0]) for c in rho.terms.values())
+            rho = rho.scale(1 / top)
         self.rho = rho
         self.gradient = [rho.partial_flat(i) for i in range(8)]
         self._affine = None
@@ -150,11 +151,12 @@ class Hypersurface:
             if root is not None:
                 inv = Fraction(1) / root
                 vals = [c * inv for c in g]
-                return (_pack(vals[:4], "exact"), _pack(vals[4:], "exact"))
+                return (HNumber("H", vals[:4]), HNumber("H", vals[4:]))
         gn = [float(c) for c in g]
         inv = 1.0 / math.sqrt(float(nsq))
         vals = [c * inv for c in gn]
-        return (_pack(vals[:4], "float"), _pack(vals[4:], "float"))
+        return (HNumber("H", vals[:4], "float"),
+                HNumber("H", vals[4:], "float"))
 
     # -- frames and orientation ------------------------------------------------
 
@@ -267,7 +269,7 @@ def _tangential(partials, g):
     units = [HNumber.unit("H", a, backend) for a in range(4)]
     dbar = [reduce(add, (units[a] * partials[4 * h + a] for a in range(4)))
             for h in range(2)]
-    g1, g2 = _pack(g[:4], backend), _pack(g[4:], backend)
+    g1, g2 = HNumber("H", g[:4], backend), HNumber("H", g[4:], backend)
     pairing = g1.conj() * dbar[0] + g2.conj() * dbar[1]          # <g, Df>
     inv = 1 / sum(c * c for c in g)
     f_coord = tuple(d - pairing.scale(c * inv) for d, c in zip(partials, g))
@@ -335,9 +337,6 @@ class AdmissibilityReport:
     admissible: bool
     crf: CrfResult
     derived: dict = field(default_factory=dict)   # coord name -> CrfResult
-
-    def __bool__(self):
-        return self.admissible
 
 
 def _max_abs(pair):
@@ -519,7 +518,10 @@ def rank_matrix(f, S, p):
 
 def rank_condition(f, S, p, tol=1e-9):
     """True iff the pointwise tangential system for f is solvable at p
-    (matrix rank < 3).  Exact at rational points, SVD with ``tol`` otherwise."""
+    (matrix rank < 3).  Exact at rational points, SVD with ``tol`` otherwise;
+    the SVD divides the two rho columns by |grad rho(p)|, so its verdict does
+    not depend on the size of grad rho at p, and keeps the f column as it
+    is."""
     pt = tuple(p)
     if _is_exact_point(pt):
         return _complex_rank(rank_matrix(f, S, pt)) < 3
@@ -528,6 +530,7 @@ def rank_condition(f, S, p, tol=1e-9):
     rows = rank_matrix(f, S, frac_pt)
     mat = np.array([[complex(float(re), float(im)) for (re, im) in row]
                     for row in rows])
+    mat[:, 1:] /= math.hypot(*(float(c) for c in S.gradient_at(frac_pt)))
     s = np.linalg.svd(mat, compute_uv=False)
     return int((s > tol * max(1.0, s[0])).sum()) < 3
 

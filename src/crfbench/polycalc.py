@@ -319,6 +319,9 @@ class HPoly:
         for any other malformed shape."""
         if not isinstance(obj, dict):
             raise ValueError("a polynomial is a JSON object")
+        version = obj.get("schema_version", SCHEMA_VERSION)
+        if isinstance(version, bool) or version != SCHEMA_VERSION:
+            raise ValueError("unsupported polynomial schema_version")
         n, items = obj["n"], obj["terms"]
         if type(n) is not int:      # a JSON true is not an integer
             raise ValueError("n must be an integer")

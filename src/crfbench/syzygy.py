@@ -87,9 +87,6 @@ class OperatorPoly:
     def is_zero(self):
         return not self.terms
 
-    def degree(self):
-        return max((sum(e) for e in self.terms), default=-1)
-
     def __add__(self, other):
         if not isinstance(other, OperatorPoly):
             return NotImplemented
@@ -104,21 +101,7 @@ class OperatorPoly:
         out.nsyms, out.terms = self.nsyms, terms
         return out
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        out = OperatorPoly.__new__(OperatorPoly)
-        out.nsyms = self.nsyms
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            out = OperatorPoly.__new__(OperatorPoly)
-            out.nsyms = self.nsyms
-            out.terms = {e: c * other for e, c in self.terms.items()} if other else {}
-            return out
         if not isinstance(other, OperatorPoly):
             return NotImplemented
         acc = {}
@@ -131,15 +114,10 @@ class OperatorPoly:
         out.terms = {e: c for e, c in acc.items() if c}
         return out
 
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if not isinstance(other, OperatorPoly):
             return NotImplemented
         return self.nsyms == other.nsyms and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nsyms, frozenset(self.terms.items())))
 
     def __repr__(self):
         items = sorted(self.terms.items())
@@ -186,12 +164,9 @@ def build_dbar_matrix(algebra, n):
 def laplace_operator(algebra, n, h):
     d = DIM[algebra]
     nsyms = d * n
-    out = OperatorPoly.zero(nsyms)
-    for alpha in range(d):
-        exp = [0] * nsyms
-        exp[d * h + alpha] = 2
-        out = out + OperatorPoly(nsyms, {tuple(exp): 1})
-    return out
+    return OperatorPoly(nsyms, {
+        tuple(2 if i == d * h + alpha else 0 for i in range(nsyms)): 1
+        for alpha in range(d)})
 
 
 def _compat_terms(l, m, algebra, n):

@@ -146,11 +146,21 @@ def test_syzygy_rejects_invalid_sizes(capsys, argv):
     # admissible data on the wall: zero samples would pass the rank check
     ["check", "--input", "PAYLOAD", "--samples", "0"],
     ["check", "--input", "PAYLOAD", "--samples", "-5"],
+    # zero g is solved without elimination, so no unknown cap is ever hit
+    ["solve", "--input", "ZERO_G", "--max-unknowns", "0"],
+    ["solve", "--input", "ZERO_G", "--max-unknowns", "-5"],
+    ["extend", "--input", "PAYLOAD", "--max-unknowns", "0"],
+    ["jump", "--input", "PAYLOAD", "--max-unknowns", "0"],
+    ["syzygy", "--algebra", "H", "--max-unknowns", "0"],
 ])
 def test_degenerate_counts_are_invalid_input(tmp_path, capsys, argv):
     f = coord(0, 1) - coord(0, 0).mul_const_left(HNumber.unit("H", 1))
-    path = write_function_surface(tmp_path / "fs.json", f, coord(1, 3))
-    code, out, err = run(capsys, [path if a == "PAYLOAD" else a for a in argv])
+    paths = {"PAYLOAD": write_function_surface(tmp_path / "fs.json", f,
+                                               coord(1, 3)),
+             "ZERO_G": str(tmp_path / "g.json")}
+    Path(paths["ZERO_G"]).write_text(json.dumps(
+        {"schema_version": 1, "g": [HPoly.zero("H", 2).to_json()] * 2}))
+    code, out, err = run(capsys, [paths.get(a, a) for a in argv])
     assert code == 2
     assert out == ""
     assert err.startswith("error: invalid input")
@@ -297,6 +307,105 @@ def test_verify_identities_takes_no_tolerance(capsys, tol):
     out = capsys.readouterr()
     assert out.out == ""
     assert "unrecognized arguments: --tol" in out.err
+
+
+@pytest.mark.parametrize("command", ["solve", "extend", "jump", "syzygy"])
+def test_deterministic_commands_take_no_seed(tmp_path, capsys, command):
+    """solve, extend, jump and syzygy draw nothing at random: they reject
+    --seed and report seed 0."""
+    f = coord(0, 1) - coord(0, 0).mul_const_left(HNumber.unit("H", 1))
+    if command == "solve":
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(
+            {"schema_version": 1,
+             "g": [c.to_json() for c in dbar_system(f)]}))
+        argv = [command, "--input", str(path)]
+    elif command == "syzygy":
+        argv = [command, "--algebra", "H", "--degree", "1"]
+    else:
+        argv = [command, "--input",
+                write_function_surface(tmp_path / "fs.json", f, coord(1, 3))]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "1"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "unrecognized arguments: --seed" in out.err
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["seed"] == 0
+
+
+def _scaled_sphere(tmp_path, f, scale):
+    """f on the unit sphere of H^2, with rho = scale * (|q|^2 - 1)."""
+    rho = HPoly.constant("H", 2, -1)
+    for h in range(2):
+        for a in range(4):
+            rho = rho + coord(h, a) * coord(h, a)
+    return write_function_surface(tmp_path / "fs.json", f, rho.scale(scale))
+
+
+@pytest.mark.parametrize("scale", [
+    Fraction(1, 10 ** 400), Fraction(1, 10 ** 14), Fraction(1, 10 ** 8),
+    10 ** 6, 10 ** 16, 10 ** 400],
+    ids=["1e-400", "1e-14", "1e-8", "1e6", "1e16", "1e400"])
+@pytest.mark.parametrize("data", ["regular", "conjugate"])
+def test_check_does_not_depend_on_the_scale_of_rho(tmp_path, capsys, scale,
+                                                   data):
+    """{c rho = 0} is one surface for every c != 0.  Absolute thresholds
+    once made scales 1e-14 and 1e-8 exit 2 (a singular point, no real
+    points), 1e16 take seconds of failed Newton runs, and scales past the
+    float range exit 2."""
+    f = (coord(0, 1) - coord(0, 0).mul_const_left(HNumber.unit("H", 1))
+         if data == "regular" else HPoly.variable_conj("H", 2, 0))
+    code, out, _ = run(capsys, ["check", "--input",
+                                _scaled_sphere(tmp_path, f, 1)])
+    want = [(c["name"], c["status"]) for c in json.loads(out)["checks"]]
+    assert code == (0 if data == "regular" else 1)
+    t0 = time.perf_counter()
+    got_code, out, _ = run(capsys, ["check", "--input",
+                                    _scaled_sphere(tmp_path, f, scale)])
+    assert time.perf_counter() - t0 < 2.0
+    assert got_code == code
+    assert [(c["name"], c["status"])
+            for c in json.loads(out)["checks"]] == want
+
+
+@pytest.mark.parametrize("target, wrong, check", [
+    ("crfbench.cli.laplacian", lambda p, h: HPoly.constant(p.algebra, p.n, 1),
+     "laplacian_factorization_H"),
+    ("crfbench.cli.compat_pbar", lambda g: [HPoly.constant("H", 2, 1)],
+     "compatibility_of_images_H"),
+    ("crfbench.forms.identity_lu1", lambda F: (0, 1),
+     "volume_identity_one_variable"),
+    ("crfbench.forms.identity_lub", lambda F: (0, 1),
+     "seven_form_identity_two_variables"),
+], ids=["laplacian", "compat_pbar", "identity_lu1", "identity_lub"])
+def test_verify_identities_reports_a_failed_identity(capsys, monkeypatch,
+                                                     target, wrong, check):
+    """Each identity check fails, and the command exits 1, when the code it
+    checks returns a wrong value."""
+    monkeypatch.setattr(target, wrong)
+    code, out, _ = run(capsys, ["verify-identities", "--algebra", "H",
+                                "--count", "2"])
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["status"] == "fail"
+    assert {c["name"]: c["status"] for c in rep["checks"]}[check] == "fail"
+
+
+def test_table_format_prints_values_tolerances_and_timings(capsys):
+    code, out, _ = run(capsys, ["cf-integral", "--order", "8", "--points", "1",
+                                "--format", "table", "--timings"])
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "# cf-integral  status=fail"
+    assert lines[1].startswith("PASS  weights_sum_to_area  value=")
+    assert lines[1].endswith("  tol=1e-10")
+    assert lines[2].startswith("FAIL  interior_reproduction  value=")
+    assert lines[2].endswith("  tol=1e-08")
+    assert lines[-1].startswith("time  total  ")
+    assert lines[-1].endswith("s")
 
 
 def test_check_survives_float_overflow_on_a_curved_surface(tmp_path, capsys):
@@ -472,6 +581,24 @@ MALFORMED_PAYLOADS = {
         lambda p: p["terms"][0]["exp"].__setitem__(0, True))),
     "boolean-component": ("solve", _system(
         lambda p: p["terms"][0]["coef"]["c"].__setitem__(0, True))),
+    "poly-schema-version-2": ("solve", _system(
+        lambda p: p.update(schema_version=2))),
+    "poly-schema-version-a-string": ("solve", _system(
+        lambda p: p.update(schema_version="x"))),
+    "poly-schema-version-true": ("solve", _system(
+        lambda p: p.update(schema_version=True))),
+    "negative-exponent": ("solve", _system(
+        lambda p: p["terms"][0]["exp"].__setitem__(0, -1))),
+    "exponent-of-width-3": ("solve", _system(
+        lambda p: p["terms"][0].update(exp=[1, 0, 0]))),
+    "octonionic-coefficient": ("solve", _system(
+        lambda p: p["terms"][0].update(
+            coef=HNumber.unit("O", 1).to_json()))),
+    "float-components": ("solve", _system(
+        lambda p: p["terms"][0]["coef"].update(c=[1.5, 0.0, 0.0, 0.0]))),
+    "n-zero": ("solve", _system(lambda p: p.update(n=0))),
+    "zero-denominator": ("solve", _system(
+        lambda p: p["terms"][0]["coef"]["c"].__setitem__(0, "1/0"))),
 }
 
 

@@ -93,6 +93,16 @@ def test_pole_ring_equality_across_representations():
     assert r2 == lifted
 
 
+def test_forms_and_pole_ring_elements_are_unhashable():
+    """Equal values have more than one representation (r^2 / r^2 == 1), so
+    neither type has a hash."""
+    one = HPoly.constant("H", 1, 1)
+    for value in (PoleRingElement(one, (0, 0, 0, 0), 1),
+                  Form("H", 1, 1, {(0,): one})):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
 # ---------------------------------------------------------------------------
 # wedge / d / star mechanics
 # ---------------------------------------------------------------------------

@@ -374,6 +374,42 @@ def test_rank_condition_float_path(flat, counterexample):
     assert not hs.rank_condition(HPoly.variable_conj("H", 2, 0), flat, p)
 
 
+def _sphere_rho(r_squared):
+    rho = const(-r_squared)
+    for h in range(2):
+        for a in range(4):
+            rho = rho + coord(h, a) * coord(h, a)
+    return rho
+
+
+def test_rank_condition_float_path_does_not_depend_on_the_scale_of_rho():
+    """On the unit sphere scaled by 1e-9 the exact rank of conj(q1)'s matrix
+    is 3 at every sample point, and the float test must say so too."""
+    rho = _sphere_rho(1)
+    unit_sphere = hs.Hypersurface(rho)
+    scaled = hs.Hypersurface(rho.scale(Fraction(1, 10 ** 9)))
+    qbar1 = HPoly.variable_conj("H", 2, 0)
+    pts = unit_sphere.sample_points(5)
+    assert scaled.sample_points(5) == pts
+    for p in pts:
+        exact = tuple(Fraction(c).limit_denominator(10 ** 12) for c in p)
+        assert hs._complex_rank(hs.rank_matrix(qbar1, scaled, exact)) == 3
+        assert hs.rank_condition(qbar1, scaled, p) is False
+        assert hs.rank_condition(qbar1, unit_sphere, p) is False
+
+
+def test_rank_condition_float_path_does_not_depend_on_the_size_of_grad_rho():
+    """On the sphere of radius 1e-10, |grad rho| = 2e-10: the float test must
+    still see the rank 3 of conj(q1)'s matrix at p."""
+    r = Fraction(1, 10 ** 10)
+    S = hs.Hypersurface(_sphere_rho(r * r))
+    p = (0.0,) * 4 + (0.6 * float(r), 0.0, 0.8 * float(r), 0.0)
+    exact = tuple(Fraction(c).limit_denominator(10 ** 12) for c in p)
+    qbar1 = HPoly.variable_conj("H", 2, 0)
+    assert hs._complex_rank(hs.rank_matrix(qbar1, S, exact)) == 3
+    assert hs.rank_condition(qbar1, S, p) is False
+
+
 # ---------------------------------------------------------------------------
 # restriction identities (orientation-sensitive)
 # ---------------------------------------------------------------------------

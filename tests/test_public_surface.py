@@ -7,6 +7,12 @@ definition.  A reference is a name that is read, an attribute, or an
 imported name.  The scan matches bare names, so a dead definition that
 shares its name with a live one goes unseen; it never flags a live one.
 ``KEPT`` lists the names kept on purpose without such a caller.
+
+A name scan cannot see an operator or a branch that no route runs: a
+dunder method such as ``__sub__`` is called through syntax, and a branch
+has no name.  Those need a line trace.  The last one covered the tier-1
+suite, the three scripts and two passes of every benchmark workload, and
+the value-type operators and branches it found unreached were deleted.
 """
 
 import ast
