@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from operator import add
 
 from .hypercomplex import DIM, MUL_TABLE, _trusted
@@ -317,23 +318,26 @@ def _dbar_digits(poly, S, m):
             for exp, gamma, c in _nonzero_coefficients(digit)}
 
 
-def _exact(c):
-    """c as an ``int`` when it is integral."""
-    return c.numerator if c.denominator == 1 else c
+@lru_cache(maxsize=32)
+def _extension_images(form, m, budget):
+    """The extension system's column images on the affine S of ``form``
+    (its :class:`~crfbench.hypersurface.AffineForm`), for every monomial of
+    degree < budget, as (den, {mu: image}) in the order of :func:`_extend`:
+    image maps each key of :func:`_dbar_digits` to an ``int``, and the
+    nonzero coefficients of the rho-adic digits 0..m-1 of dbar_h(rho x^mu),
+    h = 0, 1, are those ints over ``den``, by the identities in
+    :func:`_extend`.  The images of its four columns come from
+    :func:`_right_multiples`.
 
-
-def _extension_images(S, m, monos):
-    """Image of each monomial of ``monos``, in order, in the extension system
-    on affine S: the nonzero coefficients of the rho-adic digits 0..m-1 of
-    dbar_h(rho x^mu), h = 0, 1, keyed like :func:`_dbar_digits`, by the
-    identities in :func:`_extend`.  Integral values are ``int``; the images
-    of its four columns come from :func:`_right_multiples`.
-
-    The values add up as integers over one common denominator: ``den_d``
-    clears every digit scale C(e, j) g_p^-j s^(e-j) and ``den_g`` the
-    gradient, so each entry becomes a fraction once, at the end."""
-    grad, piv, s = S.affine_form()
-    top = max((mu[piv] for mu in monos), default=0)
+    ``den_d`` clears every digit scale C(e, j) g_p^-j s^(e-j) with e up to
+    the largest pivot exponent, budget - 1, and ``den_g`` the gradient, so
+    every image is integral over den = den_d * den_g and no entry is ever a
+    ``Fraction``.  ``den`` depends on the budget, so the memo is keyed by
+    (surface, order, budget).  Its value is shared by every later call:
+    callers read it and never write it."""
+    monos = [mu for k in range(budget) for mu in monomials(8, k)]
+    grad, piv, s = form
+    top = max(budget - 1, 0)
     powers = [HPoly.constant("H", 2, 1)]    # s^k
     for _ in range(top):
         powers.append(powers[-1] * s)
@@ -346,7 +350,6 @@ def _extension_images(S, m, monos):
     den_d = math.lcm(*(c.denominator for row in scales for terms in row
                        for _, c in terms))
     den_g = math.lcm(*(g.denominator for g in grad))
-    den = den_d * den_g
     scales = [[[(exp, (c * den_d).numerator) for exp, c in terms]
                for terms in row] for row in scales]
     gints = [(g * den_g).numerator for g in grad]
@@ -361,6 +364,7 @@ def _extension_images(S, m, monos):
                                 for terms in scales[nu[piv]]]
         return out
 
+    images = {}
     for mu in monos:
         # row block h, unit a of coordinate i = 4h + a:
         # g_i D_j(x^mu) + mu_i D_{j-1}(x^(mu - e_i))
@@ -379,8 +383,8 @@ def _extension_images(S, m, monos):
                     for exp, c in terms:
                         key = (h, j, exp, a)
                         image[key] = image.get(key, 0) + k * c
-        yield {key: c if den == 1 else _exact(Fraction(c, den))
-               for key, c in image.items() if c}
+        images[mu] = {key: c for key, c in image.items() if c}
+    return den_d * den_g, images
 
 
 def _right_multiples(image):
@@ -407,20 +411,27 @@ def _extend(f, S, m, budget, max_unknowns):
     * D_j(x^nu) = C(e, j) g_p^-j s^(e-j) x^nu', with e = nu_p and nu' = nu
       with its pivot entry set to 0.
 
-    Each monomial's image is computed once, and :func:`_peel` drops the
-    monomials that blocks (h, j, exp) outside the right-hand-side support
-    force to 0.  Those rows are left multiplication by the monomial's image
-    q on the block, read as a quaternion, since dbar and the digits are
-    right H-linear; so they force all four coefficients exactly when
-    q != 0.  Only the survivors' columns, in the order of the monomials, are
-    assembled and eliminated.  By the pivot-set argument of
-    :func:`_solve_homogeneous`, the free-variables-zero answer and every
-    infeasible verdict are those of the whole system; the unknown cap counts
-    the monomials before the presolve.  An infeasibility certificate y of
-    the peeled system (yA = 0, y.b != 0) is one of the whole system only
-    after multiples of the forcing blocks, in the reverse order of the peel,
-    cancel its products with the dropped columns; their right-hand side is
-    zero, so y.b is kept.
+    Each monomial's image is computed once per (surface, m, budget) and
+    memoised (:func:`_extension_images`), as integers over one common
+    denominator den: the system eliminated is A' = den A, so its solution
+    is the wanted one over den, and the answer is multiplied by den.
+    Scaling every column by den changes neither the pivot set nor any
+    infeasible verdict.  :func:`_peel` drops the monomials that blocks
+    (h, j, exp) outside the right-hand-side support force to 0.  Those rows
+    are left multiplication by the monomial's image q on the block, read as
+    a quaternion, since dbar and the digits are right H-linear; so they
+    force all four coefficients exactly when q != 0.  Only the survivors'
+    columns, in the order of the monomials, are assembled and eliminated.
+    By the pivot-set argument of :func:`_solve_homogeneous`, the
+    free-variables-zero answer and every infeasible verdict are those of
+    the whole system; the unknown cap counts the monomials before the
+    presolve.  An infeasibility certificate y of the peeled system
+    (yA' = 0, y.b != 0) is one of the whole system only after multiples of
+    the forcing blocks, in the reverse order of the peel, cancel its
+    products with the dropped columns; their right-hand side is zero, so
+    y.b is kept.  The columns are integral as fed, so the fraction-free
+    elimination gives such a left-null witness y in integers, with no
+    rescaling of A.
 
     The right-hand side and the callers' checks of the answer stay on the
     polynomial route, independent of these identities.
@@ -438,9 +449,8 @@ def _extend(f, S, m, budget, max_unknowns):
     size = 4 * math.comb(budget + 7, 8)
     if size > max_unknowns:
         raise BudgetExceeded(f"extension needs {size} unknowns")
-    monos = [mu for k in range(budget) for mu in monomials(8, k)]
     rhs = {k: -c for k, c in _dbar_digits(f, S, m).items()}
-    images = dict(zip(monos, _extension_images(S, m, monos)))
+    den, images = _extension_images(S.affine_form(), m, budget)
     kept = _peel({mu: {key[:3] for key in image}
                   for mu, image in images.items()},
                  {key[:3] for key in rhs})
@@ -452,7 +462,8 @@ def _extend(f, S, m, budget, max_unknowns):
         return None
     blocks = {}
     for j in sorted(sol):
-        blocks.setdefault(kept[j // 4], [Fraction(0)] * 4)[j % 4] = sol[j]
+        blocks.setdefault(kept[j // 4], [Fraction(0)] * 4)[j % 4] = \
+            sol[j] * den
     P = _poly("H", 2, {mu: _trusted("H", tuple(coeffs), "exact")
                        for mu, coeffs in blocks.items()})
     return f + S.rho * P

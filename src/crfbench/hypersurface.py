@@ -59,7 +59,7 @@ import numpy as np
 
 from .crfsolve import rho_adic_digits
 from .hypercomplex import HNumber
-from .polycalc import HPoly
+from .polycalc import HPoly, _int_gradient
 
 COORD_NAMES = ("x0", "x1", "x2", "x3", "y0", "y1", "y2", "y3")
 
@@ -110,6 +110,7 @@ class Hypersurface:
             rho = rho.scale(1 / top)
         self.rho = rho
         self.gradient = [rho.partial_flat(i) for i in range(8)]
+        self._hessian = None
         self._affine = None
         if self.is_affine:
             origin = (0,) * 8
@@ -132,12 +133,21 @@ class Hypersurface:
         return self._affine
 
     def gradient_at(self, p):
-        return [g.evaluate(p).coeffs[0] for g in self.gradient]
+        """grad rho at p: floats at a float point, exact otherwise; on an
+        affine S the stored constant gradient."""
+        if self._affine is None:
+            return [g.evaluate(p).coeffs[0] for g in self.gradient]
+        grad = self._affine.gradient
+        if _is_exact_point(p):
+            return list(grad)
+        return [float(c) for c in grad]
 
     def hessian_at(self, p):
-        return np.array(
-            [[float(g.partial_flat(j).evaluate(p).coeffs[0]) for j in range(8)]
-             for g in self.gradient])
+        if self._hessian is None:
+            self._hessian = [[g.partial_flat(j) for j in range(8)]
+                             for g in self.gradient]
+        return np.array([[float(h.evaluate(p).coeffs[0]) for h in row]
+                         for row in self._hessian])
 
     def normal_at(self, p):
         """Unit normal as a quaternion pair; exact when |grad|^2 is a perfect
@@ -200,7 +210,16 @@ class Hypersurface:
     def sample_points(self, count, seed=0):
         """Points on S: exact rationals for affine surfaces, Newton-projected
         floats otherwise; an attempt fails where rho or its gradient is not
-        finite."""
+        finite.
+
+        Both float tests are scale-free, so they do not change when S and
+        the points are dilated about the origin.  A point is on S once the
+        Newton correction |rho| / |grad rho| is below 5e-14 |p| (on the unit
+        sphere, |rho| < 1e-13, the old absolute test).  rho is singular
+        there when |grad rho| is at most 1e-6 |H| |p|, with |H| the
+        Frobenius norm of the Hessian of rho: grad rho vanishes against its
+        own variation over the length |p|.
+        """
         rng = random.Random(seed)
         if self.is_affine:
             _, piv, s = self.affine_form()
@@ -226,13 +245,18 @@ class Hypersurface:
                         nsq = float(g @ g)
                         if not (math.isfinite(val) and math.isfinite(nsq)):
                             break
-                        if abs(val) < 1e-13:
-                            if nsq < 1e-12:
+                        size = float(np.linalg.norm(p))
+                        if abs(val) < 5e-14 * math.sqrt(nsq) * size:
+                            spread = float(np.linalg.norm(
+                                self.hessian_at(tuple(p)))) * size
+                            if not math.isfinite(spread):
+                                break
+                            if math.sqrt(nsq) <= 1e-6 * spread:
                                 raise ValueError("rho is singular at a point "
                                                  "of S: its gradient vanishes")
                             out.append(tuple(float(x) for x in p))
                             break
-                        if nsq < 1e-12:
+                        if nsq == 0:
                             break
                         p = p - val * g / nsq
             except (OverflowError, FloatingPointError):
@@ -344,6 +368,20 @@ def _max_abs(pair):
     return max(abs(c) for v in pair for c in v.to_float().coeffs)
 
 
+def _affine_crf(f_qbar, S):
+    """The :func:`is_crf` verdict on affine S from the tangential pair."""
+    restricted = [rho_adic_digits(t, S, 1)[0] for t in f_qbar]
+    if all(r.is_zero() for r in restricted):
+        return CrfResult(True)
+    pts = S.sample_points(50, seed=20240601)
+    for p in pts:
+        value = tuple(r.evaluate(p) for r in restricted)
+        if not (value[0].is_zero() and value[1].is_zero()):
+            return CrfResult(False, p, value)
+    # identically nonzero but vanishing on all samples: still not CRF
+    return CrfResult(False, pts[0], None)
+
+
 def is_crf(f, S, tol=1e-10):
     """Does f satisfy the tangential conjugate-Fueter system on S?
 
@@ -354,17 +392,7 @@ def is_crf(f, S, tol=1e-10):
     float points is compared against ``tol``.
     """
     if S.is_affine:
-        restricted = [rho_adic_digits(t, S, 1)[0]
-                      for t in tangential_qbar_polys(f, S)]
-        if all(r.is_zero() for r in restricted):
-            return CrfResult(True)
-        pts = S.sample_points(50, seed=20240601)
-        for p in pts:
-            value = tuple(r.evaluate(p) for r in restricted)
-            if not (value[0].is_zero() and value[1].is_zero()):
-                return CrfResult(False, p, value)
-        # identically nonzero but vanishing on all samples: still not CRF
-        return CrfResult(False, pts[0], None)
+        return _affine_crf(tangential_qbar_polys(f, S), S)
     for p in S.sample_points(25, seed=20240602):
         pair = derived_at(f, S, p).f_qbar
         if _max_abs(pair) > tol:
@@ -376,18 +404,30 @@ def is_admissible(f, S, tol=1e-10):
     """CRF plus CRF of all eight derived functions.
 
     Affine surfaces: fully exact (global derived polynomials, identical
-    reduction).  Curved surfaces: CRF is judged at ``tol``; the derived
+    reduction); f's tangential projection is formed once, by
+    :func:`derived_polys`, and its pair packed from the derived functions.
+    Curved surfaces: CRF is judged at ``tol``; the derived
     functions' tangential pairs are formed with second-order central
     differences of their ambient extensions (one ``derived_at`` per stencil
     point serves all eight) and compared against ``max(tol, 1e-6)`` at 10
     seeded float points of S.
     """
-    crf = is_crf(f, S, tol=tol)
+    if S.is_affine:
+        # one projection: the pair packs the derived functions with left
+        # units, f_(qbar_h) = sum_a i_a f_(x_{h,a})
+        derived = derived_polys(f, S)
+        coords = list(derived.values())
+        units = [HNumber.unit("H", a) for a in range(4)]
+        crf = _affine_crf([reduce(add, (coords[4 * h + a].mul_const_left(u)
+                                        for a, u in enumerate(units)))
+                           for h in range(2)], S)
+    else:
+        crf = is_crf(f, S, tol=tol)
     report = AdmissibilityReport(admissible=bool(crf), crf=crf)
     if not crf.holds:
         return report
     if S.is_affine:
-        for name, g in derived_polys(f, S).items():
+        for name, g in derived.items():
             report.derived[name] = is_crf(g, S)
     else:
         step = 1e-4
@@ -430,47 +470,47 @@ def _cmul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
-def _cinv(a):
-    n = a[0] * a[0] + a[1] * a[1]
-    return (a[0] / n, -a[1] / n)
-
-
 def _complex_rank(rows):
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0])
+    """Rank of a matrix of complex pairs (re, im) of rationals.
+
+    Each row is cleared of its denominators, so its entries become Gaussian
+    integers, and elimination stays fraction-free: a row r with entry a
+    under the pivot p of row P becomes p r - a P.  p != 0 in a domain, so
+    the rank is kept."""
+    work = []
+    for row in rows:
+        den = math.lcm(*[x.denominator for entry in row for x in entry])
+        work.append([tuple(x.numerator * (den // x.denominator)
+                           for x in entry) for entry in row])
     rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != (0, 0):
-                piv = r
-                break
+    for col in range(len(work[0])):
+        piv = next((r for r in range(rank, len(work))
+                    if work[r][col] != (0, 0)), None)
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = _cinv(rows[rank][col])
-        rows[rank] = [_cmul(inv, x) for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != (0, 0):
-                fct = rows[r][col]
-                rows[r] = [_csub(x, _cmul(fct, y))
-                           for x, y in zip(rows[r], rows[rank])]
+        work[rank], work[piv] = work[piv], work[rank]
+        top = work[rank]
+        p = top[col]
+        for r in range(rank + 1, len(work)):
+            a = work[r][col]
+            if a != (0, 0):
+                work[r] = [_csub(_cmul(p, x), _cmul(a, y))
+                           for x, y in zip(work[r], top)]
         rank += 1
     return rank
 
 
 def _wirtinger(d_a, d_b, conjugate):
-    """Value of the Wirtinger derivative of re + i*im along xi_a + i xi_b.
+    """Twice the Wirtinger derivative of re + i*im along xi_a + i xi_b.
 
     ``d_a`` = (d re/d xi_a, d im/d xi_a) and ``d_b`` = (d re/d xi_b,
-    d im/d xi_b) are the partial pairs along the two real directions.
-    conjugate=False: 1/2 (d/dxi_a - i d/dxi_b); True flips the sign of i.
-    Returns a complex pair of exact scalars (the partials must be exact).
+    d im/d xi_b) are the partial pairs along the two real directions, as
+    integer numerators over one denominator.
+    conjugate=False: (d/dxi_a - i d/dxi_b); True flips the sign of i.
     """
     s = 1 if conjugate else -1
-    # (d_a + s*i*d_b)(re + i*im)/2
-    return (Fraction(d_a[0] - s * d_b[1], 1) / 2,
-            Fraction(d_a[1] + s * d_b[0], 1) / 2)
+    # (d_a + s*i*d_b)(re + i*im)
+    return (d_a[0] - s * d_b[1], d_a[1] + s * d_b[0])
 
 
 def rank_matrix(f, S, p):
@@ -479,21 +519,26 @@ def rank_matrix(f, S, p):
     Columns: [second-kind derivative combination of f, and two Wirtinger
     derivatives of rho], rows indexed by the four complex directions.  The
     tangential system for f at p is solvable iff this matrix has rank < 3.
-    Exact complex pairs at exact points.
+    Exact complex pairs of ``Fraction`` at exact points.
 
     Every entry comes from one gradient of f and one of rho at p: the eight
-    values of ``f.partial_flat(i)`` (component b is d f_b/d xi_i) and
-    ``S.gradient_at(p)``.  The tangential lane (``_tangential``) is not
-    used, so the two stay independent checks of each other.
+    partial values of f, in one pass over its integer form
+    (``polycalc._int_gradient``; component b is d f_b/d xi_i), and
+    ``S.gradient_at(p)``, stored on affine S.  Each column is built in
+    integers over its gradient's denominator and becomes ``Fraction`` pairs
+    once, at the end.  The tangential lane (``_tangential``) is not used,
+    so the two stay independent checks of each other.
     """
     pt = tuple(p)
     if not _is_exact_point(pt):
         raise ValueError("rank matrix wants exact rational points")
-    df = [f.partial_flat(i).evaluate(pt).coeffs for i in range(8)]
+    f_den, df = _int_gradient(f, pt)
+    grad = S.gradient_at(pt)
+    g_den = math.lcm(*[c.denominator for c in grad])
     # partial pairs of U = f0 + i f1, Vbar = f2 - i f3 and rho = rho + i 0
     U = [(d[0], d[1]) for d in df]
     Vb = [(d[2], -d[3]) for d in df]
-    rho = [(g, 0) for g in S.gradient_at(pt)]
+    rho = [(c.numerator * (g_den // c.denominator), 0) for c in grad]
 
     def W(d, pair, conj):
         return _wirtinger(d[pair[0]], d[pair[1]], conj)
@@ -513,7 +558,9 @@ def rank_matrix(f, S, p):
          W(rho, w2, False),
          W(rho, z2, False)],
     ]
-    return rows
+    dens = (2 * f_den, 2 * g_den, 2 * g_den)
+    return [[(Fraction(re, den), Fraction(im, den))
+             for (re, im), den in zip(row, dens)] for row in rows]
 
 
 def rank_condition(f, S, p, tol=1e-9):

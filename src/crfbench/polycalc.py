@@ -263,26 +263,40 @@ class HPoly:
         return _poly(self.algebra, self.n, terms)
 
     def evaluate(self, point):
-        """Value at a point (flat coordinates); exact in, exact out."""
+        """Value at a point (flat coordinates); exact in, exact out.
+
+        At an exact point x = X / D (D the common denominator of its
+        coordinates) the sum runs over the integer form, each term padded to
+        the top degree t: the value is sum_e c_e X^e D^(t - |e|) over
+        den D^t, one ``Fraction`` per component."""
         point = tuple(point)
         if len(point) != self.width:
             raise ValueError("point width mismatch")
         if any(isinstance(x, float) for x in point):
-            pt, zero, one, backend = [float(x) for x in point], 0.0, 1.0, "float"
-        else:
-            pt = [x if isinstance(x, Fraction) else Fraction(x) for x in point]
-            zero, one = Fraction(0), Fraction(1)
-            backend = "exact"
-        acc = [zero] * self.dim
-        for exp, coef in self.terms.items():
-            m = one
-            for x, e in zip(pt, exp):
+            pt = [float(x) for x in point]
+            acc = [0.0] * self.dim
+            for exp, coef in self.terms.items():
+                m = 1.0
+                for x, e in zip(pt, exp):
+                    if e:
+                        m *= x ** e
+                for idx, c in enumerate(coef.coeffs):
+                    if c:
+                        acc[idx] += c * m    # Fraction * float is float(c) * m
+            return HNumber(self.algebra, acc, "float")
+        scale, xs = _integer_point(point)
+        den, rows = _int_terms(self)
+        top = self.degree()
+        acc = [0] * self.dim
+        for exp, row in rows.items():
+            m = scale ** (top - sum(exp))
+            for x, e in zip(xs, exp):
                 if e:
                     m *= x ** e
-            for idx, c in enumerate(coef.coeffs):
+            for idx, c in enumerate(row):
                 if c:
-                    acc[idx] += c * m    # Fraction * float is float(c) * m
-        return HNumber(self.algebra, acc, backend)
+                    acc[idx] += c * m
+        return _from_ints(self.algebra, acc, den * scale ** max(top, 0))
 
     # -- comparison / io ------------------------------------------------------------
 
@@ -383,6 +397,41 @@ def _from_int_terms(algebra, n, acc, den):
                              for e, v in rows.items()})
     out._ints = (den, rows)
     return out
+
+
+def _integer_point(point):
+    """(D, X) with point = X / D: D is the lcm of the coordinates'
+    denominators and X lists integers."""
+    pt = [x if isinstance(x, (int, Fraction)) else Fraction(x)
+          for x in point]
+    scale = lcm(*[x.denominator for x in pt])
+    return scale, [x.numerator * (scale // x.denominator) for x in pt]
+
+
+def _int_gradient(p, point):
+    """The values of every partial d p / d xi_i at an exact point, in one
+    pass over p's integer form, as (den, rows): component b of the value of
+    d p / d xi_i is rows[i][b] / den.  Each term's derivatives are padded to
+    degree deg p - 1, as :meth:`HPoly.evaluate` pads to deg p."""
+    if len(point) != p.width:
+        raise ValueError("point width mismatch")
+    scale, xs = _integer_point(point)
+    den, terms = _int_terms(p)
+    top = p.degree()
+    rows = [[0] * p.dim for _ in xs]
+    for exp, c in terms.items():
+        pad = scale ** (top - sum(exp))
+        powers = [(i, xs[i], e) for i, e in enumerate(exp) if e]
+        for i, x, e in powers:
+            m = e * pad * x ** (e - 1)
+            for k, y, f in powers:
+                if k != i:
+                    m *= y ** f
+            row = rows[i]
+            for b, v in enumerate(c):
+                if v:
+                    row[b] += v * m
+    return den * scale ** max(top - 1, 0), rows
 
 
 # ---------------------------------------------------------------------------

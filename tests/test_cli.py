@@ -408,6 +408,31 @@ def test_table_format_prints_values_tolerances_and_timings(capsys):
     assert lines[-1].endswith("s")
 
 
+@pytest.mark.parametrize("radius", [Fraction(1, 10 ** 2), Fraction(1, 10 ** 6),
+                                    Fraction(1, 10 ** 10)],
+                         ids=["1e-2", "1e-6", "1e-10"])
+@pytest.mark.parametrize("data", ["regular", "conjugate"])
+def test_check_does_not_depend_on_the_size_of_the_surface(tmp_path, capsys,
+                                                          radius, data):
+    """The sphere |q|^2 = r^2 gets the unit sphere's verdicts.  Absolute
+    sampling thresholds once made r = 1e-10 exit 2 (its gradient 2e-10
+    looked singular)."""
+    f = (coord(0, 1) - coord(0, 0).mul_const_left(HNumber.unit("H", 1))
+         if data == "regular" else HPoly.variable_conj("H", 2, 0))
+    rho = HPoly.constant("H", 2, -radius * radius)
+    for h in range(2):
+        for a in range(4):
+            rho = rho + coord(h, a) * coord(h, a)
+    code, out, _ = run(capsys, ["check", "--input",
+                                _scaled_sphere(tmp_path, f, 1)])
+    want = [(c["name"], c["status"]) for c in json.loads(out)["checks"]]
+    got_code, out, _ = run(capsys, ["check", "--input", write_function_surface(
+        tmp_path / "small.json", f, rho)])
+    assert got_code == code == (0 if data == "regular" else 1)
+    assert [(c["name"], c["status"])
+            for c in json.loads(out)["checks"]] == want
+
+
 def test_check_survives_float_overflow_on_a_curved_surface(tmp_path, capsys):
     """rho = x0^2000 - 1 overflows floats off the planes x0 = +-1: those
     Newton attempts fail, and sampling goes on without a numpy warning."""
@@ -728,6 +753,22 @@ def test_failed_self_check_exits_4(tmp_path, capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: internal check failed: ")
     assert "Traceback" not in err
+
+
+def test_wrong_solve_answer_exits_4(tmp_path, capsys, monkeypatch):
+    """The report's verified_exactly line rests on solve_crf's own exact
+    check: a wrong homogeneous part still exits 4."""
+    def wrong(rhs, k, algebra, n, max_unknowns):
+        return HPoly.constant(algebra, n, 1)
+
+    monkeypatch.setattr("crfbench.crfsolve._solve_homogeneous", wrong)
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(_system(lambda p: None)))
+    code, out, err = run(capsys, ["solve", "--input", str(path)])
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal check failed: solution failed " \
+        "verification\n"
 
 
 def test_memory_error_is_a_resource_exit(capsys, monkeypatch):

@@ -486,16 +486,18 @@ def test_extension_images_match_the_polynomial_route(rho, m):
     columns of a monomial relabelled from its one image as in ``_extend``."""
     S = Hypersurface(rho)
     monos = [mu for k in range(3) for mu in monomials(8, k)]
-    images = (column for image in cs._extension_images(S, m, monos)
-              for column in cs._right_multiples(image))
+    den, images = cs._extension_images(S.affine_form(), m, 3)
+    assert list(images) == monos
+    columns = (column for image in images.values()
+               for column in cs._right_multiples(image))
     for mu in monos:
         for beta in range(4):
-            image = next(images)
+            image = next(columns)
             column = HPoly("H", 2, {mu: HNumber.unit("H", beta)})
-            assert image == cs._dbar_digits(S.rho * column, S, m)
-            assert all(type(c) is int for c in image.values()
-                       if c.denominator == 1)
-    assert next(images, None) is None
+            assert {key: Fraction(c, den) for key, c in image.items()} == \
+                cs._dbar_digits(S.rho * column, S, m)
+            assert all(type(c) is int for c in image.values())
+    assert next(columns, None) is None
 
 
 def test_rho_adic_digits_golden(flat):
@@ -594,11 +596,13 @@ def test_extend_columns_make_no_polynomial_calls(flat, monkeypatch):
 
 
 def unpeeled_extend(f, S, m, budget):
-    """``_extend`` without the presolve: every column x^mu i_beta with
-    deg mu < budget, assembled whole and eliminated by solve_sparse; the
-    F = f + rho P it gives, or None when the system is infeasible."""
+    """``_extend`` without the presolve and the memo: every column
+    x^mu i_beta with deg mu < budget, computed afresh, assembled whole and
+    eliminated by solve_sparse; the F = f + rho P it gives, or None when the
+    system is infeasible."""
     monos = [mu for k in range(budget) for mu in monomials(8, k)]
-    columns = [column for image in cs._extension_images(S, m, monos)
+    den, images = cs._extension_images.__wrapped__(S.affine_form(), m, budget)
+    columns = [column for image in images.values()
                for column in cs._right_multiples(image)]
     rhs = {k: -c for k, c in cs._dbar_digits(f, S, m).items()}
     sol = solve_sparse(*_assemble(columns, rhs))
@@ -606,7 +610,8 @@ def unpeeled_extend(f, S, m, budget):
         return None
     blocks = {}
     for j in sorted(sol):
-        blocks.setdefault(monos[j // 4], [Fraction(0)] * 4)[j % 4] = sol[j]
+        blocks.setdefault(monos[j // 4], [Fraction(0)] * 4)[j % 4] = \
+            sol[j] * den
     P = HPoly("H", 2, {mu: HNumber("H", coeffs)
                        for mu, coeffs in blocks.items()})
     return f + S.rho * P
@@ -646,6 +651,45 @@ def test_presolved_extension_gives_the_unpeeled_answer(rho, counterexample):
                 assert extension_outcome(F) == extension_outcome(want)
                 kinds.add(F is None)
     assert kinds == {True, False}
+
+
+def test_memoised_columns_give_the_unmemoised_answers(counterexample):
+    """crf_extend at m = 1..4 and jump_split, interleaved over the wall, the
+    tilted plane, the rational plane and 2 * wall (same surface, another
+    rho, so another den) at budgets 0..5: every answer equals the one of a
+    run with the memo cleared and the one of the unpeeled whole system, and
+    a second round of the same calls gives the same answers, so no caller
+    writes into the memoised columns."""
+    rng = random.Random(58)
+    data = []
+    for rho in [case[0] for case in AFFINE_CASES] + [coord(1, 3).scale(2)]:
+        S = Hypersurface(rho)
+        admissible = regular_poly(rng) + S.rho * rand_poly(rng, "H", 2,
+                                                           deg=1, terms=2)
+        f = admissible if len(data) % 2 == 0 else counterexample
+        data.append((S, f))
+    calls = [(S, f, budget, m) for budget in range(6)
+             for m in (1, 2, 3, 4, None) for S, f in data]
+
+    def outcome(S, f, budget, m):
+        try:
+            if m is None:
+                return extension_outcome(cs.jump_split(f, S, budget)[0])
+            return extension_outcome(cs.crf_extend(f, S, m, budget))
+        except (cs.NoPolynomialExtensionWithinBudget,
+                cs.NotAdmissibleOrBudget):
+            return None
+
+    cs._extension_images.cache_clear()
+    first = [outcome(*call) for call in calls]
+    assert [outcome(*call) for call in calls] == first
+    for (S, f, budget, m), got in zip(calls, first):
+        cs._extension_images.cache_clear()
+        assert outcome(S, f, budget, m) == got
+        top = max(f.degree(), budget)
+        order = top if m is None else min(m, top)
+        assert extension_outcome(unpeeled_extend(f, S, order, budget)) == got
+    assert {got is None for got in first} == {True, False}
 
 
 @pytest.mark.parametrize("surface, counts", [

@@ -121,6 +121,29 @@ def test_sample_points_lie_on_surface(flat, mixed, sphere):
         assert abs(S_val) < 1e-11, S_val
 
 
+@pytest.mark.parametrize("radius", [Fraction(1, 10 ** 2), Fraction(1, 10 ** 6),
+                                    Fraction(1, 10 ** 10)],
+                         ids=["1e-2", "1e-6", "1e-10"])
+def test_sampling_does_not_depend_on_the_size_of_s(radius):
+    """Both float tests are scale-free: on the sphere |q|^2 = r^2 the points
+    are the unit sphere's points times r up to rounding, each within 1e-13 r
+    of S, and none is called singular."""
+    S = hs.Hypersurface(_sphere_rho(radius * radius))
+    unit_pts = hs.Hypersurface(_sphere_rho(1)).sample_points(8, seed=7)
+    pts = S.sample_points(8, seed=7)
+    for p, q in zip(pts, unit_pts):
+        assert abs(math.hypot(*p) - float(radius)) < 1e-13 * float(radius)
+        assert max(abs(a / float(radius) - b) for a, b in zip(p, q)) < 1e-6
+
+
+def test_sampling_still_finds_a_singular_surface():
+    """rho = x0^2 vanishes to second order on S, so grad rho vanishes there
+    against its variation H p."""
+    S = hs.Hypersurface(coord(0, 0) * coord(0, 0))
+    with pytest.raises(ValueError, match="gradient vanishes"):
+        S.sample_points(1)
+
+
 def test_affine_sample_points_golden(tilted):
     """Seeded exact sampling: the draws and the pivot value are pinned."""
     rational = hs.Hypersurface(
@@ -617,21 +640,96 @@ def test_rank_matrix_matches_entrywise_derivatives(flat, tilted,
 
 
 def test_rank_matrix_takes_one_gradient_of_f_per_point(flat, monkeypatch):
-    """Eight ``partial_flat`` calls per point, all of them on f: rho's
-    partials come from the surface's stored gradient."""
+    """One gradient pass per point, on f, and no ``partial_flat`` call at
+    all: rho's partials come from the surface, stored on affine S."""
     f = coord(0, 1) * coord(1, 0) + coord(0, 0).mul_const_left(unit(2))
     cases = [(flat, p) for p in flat.sample_points(4, seed=3)]
     cases.append((unit_sphere(), (Fraction(3, 5), Fraction(4, 5)) + (0,) * 6))
-    original = HPoly.partial_flat
-    calls = []
+    gradient, partial_flat = hs._int_gradient, HPoly.partial_flat
+    passes, partials = [], []
 
-    def counted(self, i):
-        calls.append(self)
-        return original(self, i)
+    def counted_gradient(poly, point):
+        passes.append(poly)
+        return gradient(poly, point)
 
-    monkeypatch.setattr(HPoly, "partial_flat", counted)
+    def counted_partial(self, i):
+        partials.append(self)
+        return partial_flat(self, i)
+
+    monkeypatch.setattr(hs, "_int_gradient", counted_gradient)
+    monkeypatch.setattr(HPoly, "partial_flat", counted_partial)
     for S, p in cases:
-        calls.clear()
+        passes.clear()
         hs.rank_matrix(f, S, p)
-        assert len(calls) == 8
-        assert all(poly is f for poly in calls)
+        assert len(passes) == 1
+        assert passes[0] is f
+    assert partials == []
+
+
+def rank_by_gauss_jordan(rows):
+    """Rank of a matrix of complex pairs by Gauss-Jordan in Fractions: each
+    pivot row divided by its pivot, every other row cleared."""
+    rows = [[complex_pair(e) for e in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        piv = next((r for r in range(rank, len(rows))
+                    if rows[r][col] != (0, 0)), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        a, b = rows[rank][col]
+        n = a * a + b * b
+        inv = (a / n, -b / n)
+        rows[rank] = [cmul(inv, x) for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != (0, 0):
+                fct = rows[r][col]
+                rows[r] = [(x[0] - y[0], x[1] - y[1])
+                           for x, y in zip(rows[r],
+                                           (cmul(fct, z) for z in rows[rank]))]
+        rank += 1
+    return rank
+
+
+def complex_pair(e):
+    return (Fraction(e[0]), Fraction(e[1]))
+
+
+def cmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def test_fraction_free_rank_matches_gauss_jordan():
+    """The Gaussian-integer engine of the rank test against a Fraction
+    Gauss-Jordan reference, on random 4x3 matrices of every rank 0..3:
+    full rank, a third column in the complex span of the first two, rank-one
+    outer products, zero columns and the zero matrix."""
+    rng = random.Random(61)
+
+    def entry():
+        return (Fraction(rng.randint(-6, 6), rng.randint(1, 9)),
+                Fraction(rng.randint(-6, 6), rng.randint(1, 9)))
+
+    seen = set()
+    for trial in range(400):
+        kind = trial % 5
+        if kind == 0:
+            rows = [[entry() for _ in range(3)] for _ in range(4)]
+        elif kind == 1:
+            a, b = entry(), entry()
+            rows = [[x, y, (cmul(a, x)[0] + cmul(b, y)[0],
+                            cmul(a, x)[1] + cmul(b, y)[1])]
+                    for x, y in (([entry(), entry()]) for _ in range(4))]
+        elif kind == 2:
+            col = [entry() for _ in range(4)]
+            row = [entry() for _ in range(3)]
+            rows = [[cmul(c, r) for r in row] for c in col]
+        elif kind == 3:
+            rows = [[entry(), (0, 0), entry()] for _ in range(4)]
+        else:
+            rows = [[(0, 0)] * 3 for _ in range(4)]
+        rng.shuffle(rows)
+        want = rank_by_gauss_jordan(rows)
+        assert hs._complex_rank(rows) == want
+        seen.add(want)
+    assert seen == {0, 1, 2, 3}

@@ -307,6 +307,38 @@ def test_exact_evaluation_keeps_fractions_for_int_fraction_and_mixed_points(
 
 
 @pytest.mark.parametrize("algebra", ["H", "O"])
+def test_integer_evaluation_and_gradient_match_the_partials(algebra):
+    """The integer ``evaluate`` and the one-pass gradient equal
+    ``partial_flat(i).evaluate`` (and the Fraction term sum) at int points
+    and at points with mixed denominators, for random, zero and constant
+    polynomials."""
+    rng = random.Random(23)
+    polys = [rand_poly(rng, algebra, 2, 4, 6, den=5) for _ in range(25)]
+    polys += [HPoly.zero(algebra, 2), HPoly.constant(algebra, 2, 0),
+              HPoly.constant(algebra, 2, Fraction(-7, 3))]
+    for p in polys:
+        ints = [rng.randint(-3, 3) for _ in range(p.width)]
+        mixed = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 7)))
+                 if i % 3 else rng.randint(-3, 3) for i in range(p.width)]
+        for pt in (ints, mixed):
+            want = [Fraction(0)] * p.dim
+            for exp, coef in p.terms.items():
+                m = math.prod(Fraction(x) ** e for x, e in zip(pt, exp))
+                for idx, c in enumerate(coef.coeffs):
+                    want[idx] += c * m
+            got = p.evaluate(pt)
+            assert list(got.coeffs) == want
+            assert all(type(c) is Fraction for c in got.coeffs)
+            den, rows = polycalc._int_gradient(p, pt)
+            assert len(rows) == p.width
+            for i, row in enumerate(rows):
+                assert [Fraction(v, den) for v in row] == \
+                    list(p.partial_flat(i).evaluate(pt).coeffs)
+    with pytest.raises(ValueError):
+        polycalc._int_gradient(polys[0], (0,) * 3)
+
+
+@pytest.mark.parametrize("algebra", ["H", "O"])
 def test_float_evaluation_is_the_insertion_order_sum(algebra):
     """Float points sum float(c) * m over the terms in insertion order, bit
     for bit."""

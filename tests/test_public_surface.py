@@ -37,8 +37,6 @@ KEPT = {
         "the extension table of ROADMAP direction 5 calls it",
     "hypersurface.tangent_h_line":
         "the extension table of ROADMAP direction 5 calls it",
-    "hypersurface.Hypersurface.hessian_at":
-        "the extension table of ROADMAP direction 5 calls it",
     "polycalc.HPoly.component":
         "the independent rank_matrix_from_scratch oracle reads components",
     "forms.OMEGA2_PREFACTOR": "documents the kernel form's normalisation",
