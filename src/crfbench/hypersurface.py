@@ -80,6 +80,23 @@ def _exact_sqrt(fr):
     return None
 
 
+def _log2(c):
+    """log2 |c| of a nonzero Fraction, past the float range too."""
+    return math.log2(abs(c.numerator)) - math.log2(c.denominator)
+
+
+def _length_scale(rho):
+    """k with 2^k an estimate of the size of {rho = 0}, rounded to a power
+    of two: the largest (|c_0| / |c_e|)^(1/|e|) over the terms c_e x^e of
+    rho with e != 0, c_0 its constant term (r on the sphere |q|^2 = r^2);
+    k = 0 when c_0 = 0."""
+    c0 = rho.coefficient((0,) * rho.width).coeffs[0]
+    if not c0:
+        return 0
+    return round(max((_log2(c0) - _log2(coef.coeffs[0])) / sum(e)
+                     for e, coef in rho.terms.items() if any(e)))
+
+
 class AffineForm(NamedTuple):
     """Data of an affine rho = g_p (x_p - s): the constant gradient, the
     pivot p (largest |gradient[i]|, first on ties) and s, the value of x_p
@@ -112,6 +129,9 @@ class Hypersurface:
         self.gradient = [rho.partial_flat(i) for i in range(8)]
         self._hessian = None
         self._affine = None
+        # curved S: Newton starts and float points are read at the scale
+        # 2^k of S; affine S samples exact points, at any scale
+        self._size_exp = 0 if self.is_affine else _length_scale(rho)
         if self.is_affine:
             origin = (0,) * 8
             grad = tuple(g.coefficient(origin).coeffs[0] for g in self.gradient)
@@ -213,10 +233,12 @@ class Hypersurface:
         finite.
 
         Both float tests are scale-free, so they do not change when S and
-        the points are dilated about the origin.  A point is on S once the
-        Newton correction |rho| / |grad rho| is below 5e-14 |p| (on the unit
-        sphere, |rho| < 1e-13, the old absolute test).  rho is singular
-        there when |grad rho| is at most 1e-6 |H| |p|, with |H| the
+        the points are dilated about the origin, and each Newton run starts
+        from a point of uniform(-2, 2)^8 times 2^k, 2^k the size of S from
+        :func:`_length_scale` (k = 0 on the unit sphere).  A point is on S
+        once the Newton correction |rho| / |grad rho| is below 5e-14 |p| (on
+        the unit sphere, |rho| < 1e-13, the old absolute test).  rho is
+        singular there when |grad rho| is at most 1e-6 |H| |p|, with |H| the
         Frobenius norm of the Hessian of rho: grad rho vanishes against its
         own variation over the length |p|.
         """
@@ -229,6 +251,7 @@ class Hypersurface:
                 p[piv] = s.evaluate(p).coeffs[0]
                 out.append(tuple(p))
             return out
+        k = self._size_exp
         out = []
         attempts = 0
         while len(out) < count:
@@ -236,8 +259,9 @@ class Hypersurface:
             if attempts > 200 * (len(out) + 1):
                 raise ValueError("sampling failed to converge: S may have "
                                  "no real points")
-            p = np.array([rng.uniform(-2, 2) for _ in range(8)])
             try:
+                p = np.array([math.ldexp(rng.uniform(-2, 2), k)
+                              for _ in range(8)])
                 with np.errstate(over="raise", invalid="raise"):
                     for _ in range(80):
                         val = float(self.rho.evaluate(tuple(p)).coeffs[0])
@@ -568,12 +592,15 @@ def rank_condition(f, S, p, tol=1e-9):
     (matrix rank < 3).  Exact at rational points, SVD with ``tol`` otherwise;
     the SVD divides the two rho columns by |grad rho(p)|, so its verdict does
     not depend on the size of grad rho at p, and keeps the f column as it
-    is."""
+    is.  A float point is read as rationals of denominator at most 10^12
+    in units of the size 2^k of curved S (k = 0 on the unit sphere)."""
     pt = tuple(p)
     if _is_exact_point(pt):
         return _complex_rank(rank_matrix(f, S, pt)) < 3
     # float path: evaluate the same matrix numerically
-    frac_pt = tuple(Fraction(c).limit_denominator(10 ** 12) for c in pt)
+    k = S._size_exp
+    frac_pt = tuple(Fraction(math.ldexp(c, -k)).limit_denominator(10 ** 12)
+                    * Fraction(2) ** k for c in pt)
     rows = rank_matrix(f, S, frac_pt)
     mat = np.array([[complex(float(re), float(im)) for (re, im) in row]
                     for row in rows])

@@ -5,6 +5,12 @@ coefficients.  A polynomial in n quaternionic (octonionic) variables lives on
 4n (8n) real coordinates; the real coordinate ``alpha`` of variable ``h``
 has flat index ``dim*h + alpha``.  Variable indices ``h`` are 0-based.
 
+The ring arithmetic (``+ - neg * scale conj mul_const_*``), ``partial_flat``
+and the Fueter operators all run on one integer form per polynomial,
+(den, {exp: integer numerators}) (see ``_int_terms``), and hand that form
+to their results.  The map of ``HNumber`` coefficients, ``HPoly.terms``, is
+a read-only view of it, built the first time something reads it.
+
 Operators (all left-multiplication convention; ``i_a`` are the imaginary
 units, ``bar`` is conjugation):
 
@@ -36,6 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import gcd, lcm
+from numbers import Rational
 from operator import add
 
 from .hypercomplex import (ALGEBRAS, DIM, MUL_TABLE, SPLIT_TABLE,
@@ -52,12 +59,14 @@ class HPoly:
     coefficients with exact backend.  Real scalars embed as coefficients with
     only component 0.
 
-    A polynomial is immutable: nothing writes ``terms`` after construction.
-    Its integer form (see ``_int_terms``) is therefore computed at most once
-    and cached; the integer kernels hand theirs to their results.
+    A polynomial is immutable and holds one or both of two equal forms: the
+    ``HNumber`` map ``terms`` the constructor validates, and the integer form
+    (see ``_int_terms``) every kernel reads and hands to its result.  Each
+    is computed from the other at most once and cached; both list the terms
+    in the same order, the order the operations gave them.
     """
 
-    __slots__ = ("algebra", "n", "terms", "_ints")
+    __slots__ = ("algebra", "n", "_terms", "_ints")
 
     def __init__(self, algebra, n, terms=None):
         if algebra not in ALGEBRAS:
@@ -83,7 +92,7 @@ class HPoly:
                     raise ValueError("HPoly coefficients must be exact")
                 if not coef.is_zero():
                     clean[exp] = clean[exp] + coef if exp in clean else coef
-        self.terms = {e: c for e, c in clean.items() if not c.is_zero()}
+        self._terms = {e: c for e, c in clean.items() if not c.is_zero()}
         self._ints = None
 
     # -- constructors -------------------------------------------------------
@@ -137,14 +146,30 @@ class HPoly:
     def width(self):
         return self.dim * self.n
 
+    @property
+    def terms(self):
+        """{exp: HNumber}, built from the integer form on first read."""
+        terms = self._terms
+        if terms is None:
+            den, rows = self._ints
+            algebra = self.algebra
+            terms = self._terms = {e: _from_ints(algebra, v, den)
+                                   for e, v in rows.items()}
+        return terms
+
+    def _exponents(self):
+        """The exponents of the terms, from whichever form is at hand."""
+        return self._ints[1] if self._terms is None else self._terms
+
     def is_zero(self):
-        return not self.terms
+        return not self._exponents()
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        exps = self._exponents()
+        if not exps:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in exps)
 
     def component(self, beta):
         """The real-coefficient polynomial of unit component beta."""
@@ -167,26 +192,17 @@ class HPoly:
     def __add__(self, other):
         if not isinstance(other, HPoly):
             return NotImplemented
-        self._check(other)
-        terms = dict(self.terms)
-        for exp, coef in other.terms.items():
-            if exp in terms:
-                s = terms[exp] + coef
-                if s.is_zero():
-                    del terms[exp]
-                else:
-                    terms[exp] = s
-            else:
-                terms[exp] = coef
-        return _poly(self.algebra, self.n, terms)
+        return _add(self, other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, HPoly):
             return NotImplemented
-        return self + (-other)
+        return _add(self, other, -1)
 
     def __neg__(self):
-        return _poly(self.algebra, self.n, {e: -c for e, c in self.terms.items()})
+        den, rows = _int_terms(self)
+        return _int_poly(self.algebra, self.n,
+                         {e: [-x for x in v] for e, v in rows.items()}, den)
 
     def __mul__(self, other):
         """Polynomial product; coefficients multiply in left-to-right order.
@@ -230,24 +246,32 @@ class HPoly:
         return out
 
     def scale(self, s):
-        terms = {e: c.scale(s) for e, c in self.terms.items()} if s else {}
-        return _poly(self.algebra, self.n, terms)
+        """s * p for a rational s; TypeError for any other nonzero s,
+        unless p is zero."""
+        den, rows = _int_terms(self)
+        if not s or not rows:
+            return _int_poly(self.algebra, self.n, {}, 1)
+        if not isinstance(s, Rational):
+            raise TypeError(f"cannot scale an exact polynomial by "
+                            f"{type(s).__name__}")
+        num = int(s.numerator)
+        return _int_poly(self.algebra, self.n,
+                         {e: [num * x for x in v] for e, v in rows.items()},
+                         den * int(s.denominator))
 
     def mul_const_left(self, c):
         """c * p, multiplying every coefficient by c on the left."""
-        out = ((e, c * a) for e, a in self.terms.items())
-        return _poly(self.algebra, self.n,
-                     {e: a for e, a in out if not a.is_zero()})
+        return _mul_const(self, c, True)
 
     def mul_const_right(self, c):
         """p * c, multiplying every coefficient by c on the right."""
-        out = ((e, a * c) for e, a in self.terms.items())
-        return _poly(self.algebra, self.n,
-                     {e: a for e, a in out if not a.is_zero()})
+        return _mul_const(self, c, False)
 
     def conj(self):
-        return _poly(self.algebra, self.n,
-                     {e: c.conj() for e, c in self.terms.items()})
+        den, rows = _int_terms(self)
+        return _int_poly(self.algebra, self.n,
+                         {e: v[:1] + [-x for x in v[1:]]
+                          for e, v in rows.items()}, den)
 
     # -- calculus -----------------------------------------------------------------
 
@@ -255,12 +279,14 @@ class HPoly:
         """d/d xi_i for a flat real-coordinate index."""
         if not (0 <= i < self.width):
             raise IndexError("coordinate index out of range")
-        terms = {}
-        for exp, coef in self.terms.items():
+        den, rows = _int_terms(self)
+        out = {}
+        for exp, v in rows.items():
             e = exp[i]
             if e:   # distinct exponents stay distinct, so nothing collides
-                terms[exp[:i] + (e - 1,) + exp[i + 1:]] = coef.scale(e)
-        return _poly(self.algebra, self.n, terms)
+                out[exp[:i] + (e - 1,) + exp[i + 1:]] = \
+                    v if e == 1 else [e * x for x in v]
+        return _int_poly(self.algebra, self.n, out, den)
 
     def evaluate(self, point):
         """Value at a point (flat coordinates); exact in, exact out.
@@ -301,13 +327,16 @@ class HPoly:
     # -- comparison / io ------------------------------------------------------------
 
     def __eq__(self, other):
+        """The integer form is canonical, so equal forms are equal terms."""
         if not isinstance(other, HPoly):
             return NotImplemented
         return (self.algebra == other.algebra and self.n == other.n
-                and self.terms == other.terms)
+                and _int_terms(self) == _int_terms(other))
 
     def __hash__(self):
-        return hash((self.algebra, self.n, frozenset(self.terms.items())))
+        den, rows = _int_terms(self)
+        return hash((self.algebra, self.n, den,
+                     frozenset((e, tuple(v)) for e, v in rows.items())))
 
     def __repr__(self):
         items = sorted(self.terms.items())
@@ -359,7 +388,7 @@ def _poly(algebra, n, terms):
     """An ``HPoly`` without validation, for results whose ``terms`` already
     map exponents of the right width to nonzero exact coefficients."""
     out = HPoly.__new__(HPoly)
-    out.algebra, out.n, out.terms, out._ints = algebra, n, terms, None
+    out.algebra, out.n, out._terms, out._ints = algebra, n, terms, None
     return out
 
 
@@ -372,7 +401,7 @@ def _int_terms(p):
     caller, so they are read, never written."""
     form = p._ints
     if form is None:
-        terms = p.terms
+        terms = p._terms
         den = lcm(*[c.denominator for coef in terms.values()
                     for c in coef.coeffs])
         form = p._ints = (den, {e: _numerators(coef.coeffs, den)
@@ -382,21 +411,86 @@ def _int_terms(p):
 
 def _from_int_terms(algebra, n, acc, den):
     """The polynomial with coefficients acc[exp][i] / den; zero rows drop.
+    The result owns the rows that stay, so the caller must not write
+    ``acc`` afterwards."""
+    return _int_poly(algebra, n, {e: v for e, v in acc.items() if any(v)},
+                     den)
 
-    The rows that stay, divided with ``den`` by their common gcd, become the
-    result's cached integer form: exactly the canonical pair ``_int_terms``
-    would compute from its coefficients.  The result owns those lists, so
-    the caller must not write ``acc`` afterwards."""
-    rows = {e: v for e, v in acc.items() if any(v)}
+
+def _int_poly(algebra, n, rows, den):
+    """The polynomial with coefficients rows[exp][i] / den, every row
+    nonzero, held in its integer form alone.
+
+    The rows, divided with ``den`` by their common gcd, become the result's
+    integer form: exactly the canonical pair ``_int_terms`` would compute
+    from its coefficients.  Rows are shared, never written: they may be an
+    operand's."""
     if den != 1:
-        g = gcd(den, *[x for v in rows.values() for x in v])
+        g = den
+        for v in rows.values():
+            g = gcd(g, *v)
+            if g == 1:
+                break
         if g != 1:
             den //= g
             rows = {e: [x // g for x in v] for e, v in rows.items()}
-    out = _poly(algebra, n, {e: _from_ints(algebra, v, den)
-                             for e, v in rows.items()})
-    out._ints = (den, rows)
+    out = HPoly.__new__(HPoly)
+    out.algebra, out.n, out._terms, out._ints = algebra, n, None, (den, rows)
     return out
+
+
+def _add(p, q, sign):
+    """p + sign * q for sign = +-1, term by term over the integer forms: p's
+    terms in order, then q's new exponents; a cancelled term drops in
+    place.  Rows that need no rescaling are shared with the operands."""
+    p._check(q)
+    den1, a = _int_terms(p)
+    den2, b = _int_terms(q)
+    den = lcm(den1, den2)
+    f1, f2 = den // den1, sign * (den // den2)
+    rows = dict(a) if f1 == 1 else \
+        {e: [f1 * x for x in v] for e, v in a.items()}
+    for e, y in b.items():
+        x = rows.get(e)
+        if x is None:
+            rows[e] = y if f2 == 1 else [f2 * v for v in y]
+        else:
+            s = [u + f2 * v for u, v in zip(x, y)]
+            if any(s):
+                rows[e] = s
+            else:
+                del rows[e]
+    return _int_poly(p.algebra, p.n, rows, den)
+
+
+def _mul_const(p, c, left):
+    """c * p (left) or p * c, each coefficient times c in ints.  A rational
+    c scales; other operands raise what the term-wise ``HNumber`` product
+    raises, unless p is zero."""
+    if isinstance(c, (int, Fraction)):
+        return p.scale(c)
+    den, rows = _int_terms(p)
+    if not rows:
+        return _int_poly(p.algebra, p.n, {}, 1)
+    if not isinstance(c, HNumber):
+        raise TypeError(f"cannot multiply an exact polynomial by "
+                        f"{type(c).__name__}")
+    if c.algebra != p.algebra or c.backend != "exact":
+        raise AlgebraMismatch(f"cannot multiply an exact {p.algebra} "
+                              f"polynomial by a {c.backend} {c.algebra} "
+                              "number")
+    dc = lcm(*[x.denominator for x in c.coeffs])
+    z = _numerators(c.coeffs, dc)
+    split = SPLIT_TABLE[p.algebra]
+    d = p.dim
+    acc = {}
+    for e, v in rows.items():
+        row = acc[e] = [0] * d
+        if left:
+            _mul_into(split, z, v, row)
+        else:
+            _mul_into(split, v, z, row)
+    return _from_int_terms(p.algebra, p.n, acc, den * dc)
 
 
 def _integer_point(point):

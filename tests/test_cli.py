@@ -409,14 +409,16 @@ def test_table_format_prints_values_tolerances_and_timings(capsys):
 
 
 @pytest.mark.parametrize("radius", [Fraction(1, 10 ** 2), Fraction(1, 10 ** 6),
-                                    Fraction(1, 10 ** 10)],
-                         ids=["1e-2", "1e-6", "1e-10"])
+                                    Fraction(1, 10 ** 10),
+                                    Fraction(1, 10 ** 40)],
+                         ids=["1e-2", "1e-6", "1e-10", "1e-40"])
 @pytest.mark.parametrize("data", ["regular", "conjugate"])
 def test_check_does_not_depend_on_the_size_of_the_surface(tmp_path, capsys,
                                                           radius, data):
     """The sphere |q|^2 = r^2 gets the unit sphere's verdicts.  Absolute
     sampling thresholds once made r = 1e-10 exit 2 (its gradient 2e-10
-    looked singular)."""
+    looked singular), and Newton runs started in (-2, 2)^8 made r = 1e-40
+    exit 2 (no real points found)."""
     f = (coord(0, 1) - coord(0, 0).mul_const_left(HNumber.unit("H", 1))
          if data == "regular" else HPoly.variable_conj("H", 2, 0))
     rho = HPoly.constant("H", 2, -radius * radius)

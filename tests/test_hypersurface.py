@@ -122,12 +122,14 @@ def test_sample_points_lie_on_surface(flat, mixed, sphere):
 
 
 @pytest.mark.parametrize("radius", [Fraction(1, 10 ** 2), Fraction(1, 10 ** 6),
-                                    Fraction(1, 10 ** 10)],
-                         ids=["1e-2", "1e-6", "1e-10"])
+                                    Fraction(1, 10 ** 10),
+                                    Fraction(1, 10 ** 40), Fraction(10 ** 40)],
+                         ids=["1e-2", "1e-6", "1e-10", "1e-40", "1e40"])
 def test_sampling_does_not_depend_on_the_size_of_s(radius):
-    """Both float tests are scale-free: on the sphere |q|^2 = r^2 the points
-    are the unit sphere's points times r up to rounding, each within 1e-13 r
-    of S, and none is called singular."""
+    """Both float tests are scale-free and Newton starts at the size of S:
+    on the sphere |q|^2 = r^2 the points are the unit sphere's points times
+    r up to rounding, each within 1e-13 r of S, and none is called
+    singular.  Starts in (-2, 2)^8 found no point for r = 1e-40."""
     S = hs.Hypersurface(_sphere_rho(radius * radius))
     unit_pts = hs.Hypersurface(_sphere_rho(1)).sample_points(8, seed=7)
     pts = S.sample_points(8, seed=7)

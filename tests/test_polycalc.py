@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from crfbench import polycalc
+from crfbench import hypercomplex, polycalc
 from crfbench.cli import _rand_poly
 from crfbench.forms import PoleRingElement, pole_fueter_dbar_right
-from crfbench.hypercomplex import DIM, HNumber
+from crfbench.hypercomplex import DIM, AlgebraMismatch, HNumber
 from crfbench.polycalc import (
     HPoly,
     _int_terms,
@@ -476,3 +476,172 @@ def test_each_polynomial_is_converted_once(monkeypatch, algebra):
     u = _rand_poly(random.Random(23), algebra, n)
     laplacian(u, 0)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the ring operations on the integer form, against their term-wise
+# Fraction definitions
+# ---------------------------------------------------------------------------
+
+def ref_add(p, q):
+    """p's terms in order, q's new exponents appended, a cancelled sum
+    dropped in place."""
+    terms = dict(p.terms)
+    for exp, coef in q.terms.items():
+        if exp in terms:
+            s = terms[exp] + coef
+            if s.is_zero():
+                del terms[exp]
+            else:
+                terms[exp] = s
+        else:
+            terms[exp] = coef
+    return terms
+
+
+def ref_neg(p):
+    return {e: -c for e, c in p.terms.items()}
+
+
+def ref_sub(p, q):
+    return ref_add(p, HPoly(q.algebra, q.n, ref_neg(q)))
+
+
+def ref_scale(p, s):
+    return {e: c.scale(s) for e, c in p.terms.items()} if s else {}
+
+
+def ref_mul_const(p, c, left):
+    out = ((e, c * a if left else a * c) for e, a in p.terms.items())
+    return {e: a for e, a in out if not a.is_zero()}
+
+
+def ref_conj(p):
+    return {e: c.conj() for e, c in p.terms.items()}
+
+
+def ref_partial(p, i):
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: c.scale(e[i])
+            for e, c in p.terms.items() if e[i]}
+
+
+def rand_rational(rng, span=4, den=6):
+    return Fraction(rng.randint(-span, span), rng.randint(1, den))
+
+
+def rand_partner(rng, p):
+    """A random polynomial that shares exponents with p: some terms of p
+    negated (their sum cancels), some perturbed, and new ones."""
+    terms = {}
+    for exp, coef in p.terms.items():
+        roll = rng.random()
+        if roll < 0.3:
+            terms[exp] = -coef
+        elif roll < 0.5:
+            terms[exp] = coef.scale(rand_rational(rng)) + \
+                HNumber(p.algebra, [rand_rational(rng) for _ in range(p.dim)])
+    extra = rand_poly(rng, p.algebra, p.n, 3, 3, span=4, den=6)
+    for exp, coef in extra.terms.items():
+        terms.setdefault(exp, coef)
+    return HPoly(p.algebra, p.n, terms)
+
+
+def lazy(p):
+    """p held in its integer form alone, as a kernel result is."""
+    out = p + HPoly.zero(p.algebra, p.n)
+    assert out._terms is None
+    return out
+
+
+def assert_matches_reference(got, want):
+    """Same terms, in the same order, and the integer form of a freshly
+    constructed polynomial; == and hash agree with the eager one."""
+    assert got._ints is not None and got._terms is None
+    eager = HPoly(got.algebra, got.n, want)
+    assert got._ints == _int_terms(eager)
+    assert got == eager and hash(got) == hash(eager)
+    assert list(got.terms.items()) == list(want.items())
+    assert got == eager and hash(got) == hash(eager)
+
+
+@pytest.mark.parametrize("algebra", ["H", "O"])
+def test_ring_operations_match_their_term_wise_definitions(algebra):
+    rng = random.Random(27)
+    zero = HPoly.zero(algebra, 2)
+    for trial in range(40):
+        p = rand_poly(rng, algebra, 2, 3, 5, span=4, den=6)
+        q = rand_partner(rng, p)
+        c = HNumber(algebra, [rand_rational(rng) for _ in range(p.dim)])
+        s = rng.choice([0, 1, -1, 3, Fraction(1, 2), rand_rational(rng)])
+        i = rng.randrange(p.width)
+        for a, b in ((p, q), (lazy(p), q), (p, lazy(q)), (q, p), (p, p),
+                     (p, zero), (zero, p)):
+            assert_matches_reference(a + b, ref_add(a, b))
+            assert_matches_reference(a - b, ref_sub(a, b))
+        for a in (p, lazy(p), zero):
+            assert_matches_reference(-a, ref_neg(a))
+            assert_matches_reference(a.scale(s), ref_scale(a, s))
+            assert_matches_reference(a * s, ref_scale(a, s))
+            assert_matches_reference(a.conj(), ref_conj(a))
+            assert_matches_reference(a.partial_flat(i), ref_partial(a, i))
+            for const in (c, HNumber.zero(algebra), s):
+                assert_matches_reference(a.mul_const_left(const),
+                                         ref_mul_const(a, const, True))
+                assert_matches_reference(a.mul_const_right(const),
+                                         ref_mul_const(a, const, False))
+            assert_matches_reference(c * a, ref_mul_const(a, c, True))
+            assert_matches_reference(a * c, ref_mul_const(a, c, False))
+
+
+def test_ring_operations_keep_the_term_wise_errors():
+    """The term-wise HNumber operations raised these on a nonzero
+    polynomial and nothing on the zero one."""
+    p = HPoly.coordinate("H", 2, 0, 1)
+    zero = HPoly.zero("H", 2)
+    bad = [
+        (lambda a: a.scale(0.5), TypeError),
+        (lambda a: a.scale("x"), TypeError),
+        (lambda a: a * HNumber("H", [1, 0, 0, 0], "float"), AlgebraMismatch),
+        (lambda a: HNumber("H", [1, 0, 0, 0], "float") * a, AlgebraMismatch),
+        (lambda a: a.mul_const_left(HNumber.one("O")), AlgebraMismatch),
+        (lambda a: a.mul_const_right(HNumber.one("O")), AlgebraMismatch),
+        (lambda a: a.mul_const_left(0.5), TypeError),
+    ]
+    for op, error in bad:
+        with pytest.raises(error):
+            op(p)
+        assert op(zero).is_zero()
+    assert p.scale(0.0).is_zero()
+    with pytest.raises(TypeError):
+        p * 0.5
+    with pytest.raises(AlgebraMismatch):
+        p - HPoly.zero("O", 2)
+
+
+@pytest.mark.parametrize("algebra,n", [("H", 2), ("O", 2), ("O", 3)])
+def test_identity_checks_build_no_hnumber(monkeypatch, algebra, n):
+    """The factorisation dbar then d = Laplacian and the zero test of the
+    compatibility residuals of an image run on integer forms alone: no
+    coefficient is ever built as an HNumber."""
+    rng = random.Random(28)
+    polys = [rand_poly(rng, algebra, n, 4, 5, den=4) for _ in range(3)]
+    polys.append(_rand_poly(rng, algebra, n))
+    calls = []
+    from_ints = hypercomplex._from_ints
+
+    def counting(*args):
+        calls.append(args)
+        return from_ints(*args)
+
+    monkeypatch.setattr(hypercomplex, "_from_ints", counting)
+    monkeypatch.setattr(polycalc, "_from_ints", counting)
+    for p in polys:
+        for h in range(n):
+            assert fueter_d(fueter_dbar(p, h), h) == laplacian(p, h)
+        assert all(r.is_zero() for r in compat_pbar(dbar_system(p)))
+    assert calls == []
+    # reading the coefficients builds them, once
+    lap = laplacian(polys[0], 0)
+    lap.terms
+    lap.terms
+    assert len(calls) == len(lap._ints[1]) > 0
