@@ -41,11 +41,11 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from .hypercomplex import DIM, MUL_TABLE, _trusted
+from .hypercomplex import DIM, MUL_TABLE
 from .linalg import (BudgetExceeded, _assemble, nullspace_sparse,
                      solve_sparse)
-from .polycalc import (HPoly, _poly, compat_pbar, dbar_images, fueter_dbar,
-                       monomials)
+from .polycalc import (HPoly, _int_poly, _int_terms, compat_pbar,
+                       dbar_images, fueter_dbar, monomials)
 
 
 class CompatibilityViolation(ValueError):
@@ -62,18 +62,11 @@ class NotAdmissibleOrBudget(RuntimeError):
     budget (the data may be non-admissible, or the budget too small)."""
 
 
-def _nonzero_coefficients(poly):
-    """(exponent, unit index, coefficient) for every nonzero coefficient."""
-    for exp, coef in poly.terms.items():
-        for gamma, c in enumerate(coef.coeffs):
-            if c != 0:
-                yield exp, gamma, c
-
-
 # ---------------------------------------------------------------------------
 # homogeneous graded solve in the divided-power basis
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1 << 14)
 def _factorial_prod(exp):
     p = 1
     for e in exp:
@@ -81,33 +74,36 @@ def _factorial_prod(exp):
     return p
 
 
-def _poly_from_columns(algebra, n, columns, values):
-    """The polynomial sum of values[j] x^[mu] i_beta over the sparse map
-    ``values`` {j: Fraction}, read in increasing j, where columns[j] =
-    (mu, beta) are sorted and distinct; mu! divides once per monomial."""
-    zero = Fraction(0)
-    coeffs = {}
+def _poly_from_columns(algebra, n, columns, sol):
+    """The polynomial sum of values[j] / den x^[mu] i_beta over a read-out
+    sol = (den, {j: int}), read in increasing j, where columns[j] = (mu,
+    beta) are sorted and distinct; the mu! divide over their one lcm."""
+    den, values = sol
+    rows = {}
     for j in sorted(values):
         mu, beta = columns[j]
-        if mu not in coeffs:    # the columns of one mu are adjacent
-            coeffs[mu], scale = [zero] * DIM[algebra], _factorial_prod(mu)
-        coeffs[mu][beta] = values[j] / scale
-    return _poly(algebra, n, {mu: _trusted(algebra, tuple(cs), "exact")
-                              for mu, cs in coeffs.items()})
+        rows.setdefault(mu, [0] * DIM[algebra])[beta] = values[j]
+    scale = math.lcm(*map(_factorial_prod, rows))
+    return _int_poly(algebra, n, {mu: [scale // _factorial_prod(mu) * x
+                                       for x in v] for mu, v in rows.items()},
+                     den * scale)
 
 
 def _rhs_by_degree(g):
-    """Right-hand side keyed like the rows of ``dbar_images`` (x^nu =
-    nu! x^[nu]), grouped by the degree of nu: {k: {(h, nu, gamma): value}}."""
+    """g over one common denominator, keyed like the rows of ``dbar_images``
+    (x^nu = nu! x^[nu]) and grouped by the degree of nu: (den, {k: {(h, nu,
+    gamma): den times the coefficient of x^[nu] i_gamma in g_h}})."""
+    den = math.lcm(*[_int_terms(gh)[0] for gh in g])
     out = {}
     for h, gh in enumerate(g):
-        for nu, coef in gh.terms.items():
-            scale = _factorial_prod(nu)
+        dh, rows = _int_terms(gh)
+        for nu, v in rows.items():
+            scale = den // dh * _factorial_prod(nu)
             part = out.setdefault(sum(nu), {})
-            for gamma, c in enumerate(coef.coeffs):
+            for gamma, c in enumerate(v):
                 if c:
                     part[(h, nu, gamma)] = c * scale
-    return out
+    return den, out
 
 
 def _peel(neighbours, pinned):
@@ -162,8 +158,8 @@ def _peel(neighbours, pinned):
 
 
 def _solve_homogeneous(rhs, k, algebra, n, max_unknowns):
-    """Solve dbar u = g with u homogeneous of degree k + 1, or None; ``rhs``
-    is g's degree-k part as one entry of :func:`_rhs_by_degree`.
+    """Solve dbar u = b with u homogeneous of degree k + 1, or None; ``rhs``
+    is b, the degree-k entry of :func:`_rhs_by_degree` (den times g's part).
 
     Each attempt (the shifts of the right-hand-side support, then the full
     monomial space) is presolved by :func:`_peel`, and the answer is the one
@@ -234,7 +230,7 @@ def solve_crf(g, max_unknowns=200000):
         if not res.is_zero():
             raise CompatibilityViolation(
                 f"compatibility residual #{idx} is nonzero")
-    rhs = _rhs_by_degree(g)
+    den, rhs = _rhs_by_degree(g)
     u = HPoly.zero(algebra, n)
     for k in sorted(rhs):
         part = _solve_homogeneous(rhs[k], k, algebra, n, max_unknowns)
@@ -243,6 +239,7 @@ def solve_crf(g, max_unknowns=200000):
                 "right-hand side passes the pairwise residual check but hits "
                 f"a higher-order obstruction at degree {k}")
         u = u + part
+    u = u.scale(Fraction(1, den))   # the parts solve dbar u = den g
     for h in range(n):
         if fueter_dbar(u, h) != g[h]:
             raise AssertionError("solution failed verification")
@@ -292,10 +289,11 @@ def rho_adic_digits(poly, S, count):
     """
     grad, piv, s = S.affine_form()
     algebra, n = poly.algebra, poly.n
+    den, rows = _int_terms(poly)
     slices = {}
-    for exp, coef in poly.terms.items():
-        slices.setdefault(exp[piv], {})[exp[:piv] + (0,) + exp[piv + 1:]] = coef
-    quotient = [_poly(algebra, n, slices.get(k, {}))
+    for exp, v in rows.items():
+        slices.setdefault(exp[piv], {})[exp[:piv] + (0,) + exp[piv + 1:]] = v
+    quotient = [_int_poly(algebra, n, slices.get(k, {}), den)
                 for k in range(max(slices, default=-1) + 1)]
     digits = []
     for j in range(count):
@@ -312,21 +310,24 @@ def rho_adic_digits(poly, S, count):
 def _dbar_digits(poly, S, m):
     """{(h, digit, exponent, gamma): Fraction} for the nonzero coefficients of
     rho-adic digits 0..m-1 of dbar_h poly, h = 0, 1."""
-    return {(h, j, exp, gamma): c
+    return {(h, j, exp, gamma): Fraction(c, den)
             for h in range(2)
             for j, digit in enumerate(rho_adic_digits(fueter_dbar(poly, h), S, m))
-            for exp, gamma, c in _nonzero_coefficients(digit)}
+            for den, rows in [_int_terms(digit)]
+            for exp, v in rows.items()
+            for gamma, c in enumerate(v) if c}
 
 
 @lru_cache(maxsize=32)
 def _extension_images(form, m, budget):
     """The extension system's column images on the affine S of ``form``
     (its :class:`~crfbench.hypersurface.AffineForm`), for every monomial of
-    degree < budget, as (den, {mu: image}) in the order of :func:`_extend`:
-    image maps each key of :func:`_dbar_digits` to an ``int``, and the
-    nonzero coefficients of the rho-adic digits 0..m-1 of dbar_h(rho x^mu),
-    h = 0, 1, are those ints over ``den``, by the identities in
-    :func:`_extend`.  The images of its four columns come from
+    degree < budget, as (den, {mu: image}, {mu: blocks}) in the order of
+    :func:`_extend`: image maps each key of :func:`_dbar_digits` to an
+    ``int``, and the nonzero coefficients of the rho-adic digits 0..m-1 of
+    dbar_h(rho x^mu), h = 0, 1, are those ints over ``den``, by the
+    identities in :func:`_extend`; blocks, :func:`_peel`'s neighbours, are
+    the (h, j, exp) it touches.  The images of its four columns come from
     :func:`_right_multiples`.
 
     ``den_d`` clears every digit scale C(e, j) g_p^-j s^(e-j) with e up to
@@ -341,10 +342,12 @@ def _extension_images(form, m, budget):
     powers = [HPoly.constant("H", 2, 1)]    # s^k
     for _ in range(top):
         powers.append(powers[-1] * s)
+    powers = [_int_terms(p) for p in powers]
     # scales[e][j]: the terms of C(e, j) g_p^-j s^(e-j), so that D_j(x^nu)
     # is scales[nu_p][j] times x^nu'; empty for j > e
-    scales = [[[(exp, math.comb(e, j) * coef.coeffs[0] / grad[piv] ** j)
-                for exp, coef in powers[e - j].terms.items()] if j <= e else []
+    scales = [[[(exp, Fraction(math.comb(e, j) * v[0], powers[e - j][0])
+                 / grad[piv] ** j)
+                for exp, v in powers[e - j][1].items()] if j <= e else []
                for j in range(m)]
               for e in range(top + 1)]
     den_d = math.lcm(*(c.denominator for row in scales for terms in row
@@ -364,7 +367,7 @@ def _extension_images(form, m, budget):
                                 for terms in scales[nu[piv]]]
         return out
 
-    images = {}
+    images, neighbours = {}, {}
     for mu in monos:
         # row block h, unit a of coordinate i = 4h + a:
         # g_i D_j(x^mu) + mu_i D_{j-1}(x^(mu - e_i))
@@ -383,8 +386,9 @@ def _extension_images(form, m, budget):
                     for exp, c in terms:
                         key = (h, j, exp, a)
                         image[key] = image.get(key, 0) + k * c
-        images[mu] = {key: c for key, c in image.items() if c}
-    return den_d * den_g, images
+        images[mu] = image = {key: c for key, c in image.items() if c}
+        neighbours[mu] = {key[:3] for key in image}
+    return den_d * den_g, images, neighbours
 
 
 def _right_multiples(image):
@@ -450,23 +454,19 @@ def _extend(f, S, m, budget, max_unknowns):
     if size > max_unknowns:
         raise BudgetExceeded(f"extension needs {size} unknowns")
     rhs = {k: -c for k, c in _dbar_digits(f, S, m).items()}
-    den, images = _extension_images(S.affine_form(), m, budget)
-    kept = _peel({mu: {key[:3] for key in image}
-                  for mu, image in images.items()},
-                 {key[:3] for key in rhs})
+    den, images, neighbours = _extension_images(S.affine_form(), m, budget)
+    kept = _peel(neighbours, {key[:3] for key in rhs})
     rows, values = _assemble((column for mu in kept
                               for column in _right_multiples(images[mu])),
                              rhs)
     sol = solve_sparse(rows, values)
     if sol is None:
         return None
+    sden, nums = sol
     blocks = {}
-    for j in sorted(sol):
-        blocks.setdefault(kept[j // 4], [Fraction(0)] * 4)[j % 4] = \
-            sol[j] * den
-    P = _poly("H", 2, {mu: _trusted("H", tuple(coeffs), "exact")
-                       for mu, coeffs in blocks.items()})
-    return f + S.rho * P
+    for j in sorted(nums):
+        blocks.setdefault(kept[j // 4], [0] * 4)[j % 4] = nums[j] * den
+    return f + S.rho * _int_poly("H", 2, blocks, sden)
 
 
 def crf_extend(f, S, m=2, budget=None, max_unknowns=200000):

@@ -282,7 +282,10 @@ class Hypersurface:
                             break
                         if nsq == 0:
                             break
-                        p = p - val * g / nsq
+                        # lift val * g by an exact 2^t where it would underflow
+                        t = max(0, -960 - math.frexp(val)[1]
+                                - math.frexp(float(np.abs(g).max()))[1])
+                        p = p - np.ldexp(math.ldexp(val, t) * g / nsq, -t)
             except (OverflowError, FloatingPointError):
                 pass
         return out

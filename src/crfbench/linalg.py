@@ -5,10 +5,10 @@ Rows are dicts mapping column index -> nonzero rational (``int`` or
 that eliminates fraction-free (Bareiss 1968, *Math. Comp.* 22): a fed row is
 cleared of denominators, reduced against the stored pivots in increasing
 column order with integer updates, made primitive (gcd 1, positive leading
-entry) and stored under its pivot column.  Results are sparse ``{column:
-Fraction}`` maps of the nonzero entries; :meth:`Echelon.back_substitute`
-stays integer.  Everything is deterministic: the pivot columns depend only
-on the rows fed in and their order, and each read-out is the unique answer.
+entry) and stored under its pivot column.  Results stay integer: pairs
+``(den, {column: int})``, the numerators of the nonzero entries over one
+den > 0.  Everything is deterministic: the pivot columns depend only on
+the rows fed in and their order, and each read-out is the unique answer.
 
 For solving, the right-hand side rides along as an extra entry under a
 pseudo-column that sorts after every real column, so inconsistency (a row
@@ -21,7 +21,6 @@ the image of each unknown enter elimination through one routine,
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, inf, lcm
 
 _RHS = inf  # pseudo-column of the right-hand side, after every real column
@@ -98,9 +97,10 @@ class Echelon:
         work = {c: v for c, v in row.items() if v}
         if rhs:
             work[_RHS] = rhs
-        den = lcm(*(v.denominator for v in work.values()))
-        work = {c: v.numerator * (den // v.denominator)
-                for c, v in work.items()}
+        if any(type(v) is not int for v in work.values()):
+            den = lcm(*(v.denominator for v in work.values()))
+            work = {c: v.numerator * (den // v.denominator)
+                    for c, v in work.items()}
         lead = self._reduce(work)
         if lead is None:
             return False
@@ -124,38 +124,45 @@ class Echelon:
                     _eliminate(other, piv, lead)
 
     def solution(self):
-        """Particular solution with all free variables zero, as a map
-        {column: Fraction} of its nonzero entries.
+        """Particular solution with all free variables zero, as (den,
+        {column: int}) in lowest terms.
 
         Call after feeding all rows; raises Inconsistent from add_row, never
         here.
         """
-        sol = {}
+        den, sol = 1, {}
         # back-substitution in decreasing pivot order: free variables are
         # zero, so only the later pivot columns already in sol contribute
         for lead in sorted(self.pivots, reverse=True):
             row = self.pivots[lead]
-            acc = row.get(_RHS, 0) - sum(
+            acc = row.get(_RHS, 0) * den - sum(
                 v * sol[c] for c, v in row.items() if c in sol)
             if acc:
-                sol[lead] = Fraction(acc, row[lead])
-        return sol
+                g = gcd(acc, row[lead])
+                if g != row[lead]:  # den grows by what the pivot leaves over
+                    den *= row[lead] // g
+                    sol = {c: v * (row[lead] // g) for c, v in sol.items()}
+                sol[lead] = acc // g
+        return den, sol
 
     def nullspace(self, ncols):
         """Basis of the solution space of the homogeneous system.
 
-        One sparse map {column: Fraction} per free column, in increasing
-        free-column order, with 1 at that column, filled by one pass over the
-        reduced rows as a transpose.
+        One (den, {column: int}) per free column, in increasing free-column
+        order, in lowest terms with den at that column, filled by one pass
+        over the reduced rows as a transpose.
         """
         self.back_substitute()
-        basis = {c: {c: Fraction(1)} for c in range(ncols)
-                 if c not in self.pivots}
+        basis = {c: {} for c in range(ncols) if c not in self.pivots}
         for lead, row in self.pivots.items():
             for c, v in row.items():
                 if c in basis:      # not the lead, nor a right-hand side
-                    basis[c][lead] = Fraction(-v, row[lead])
-        return list(basis.values())
+                    g = gcd(v, row[lead])
+                    basis[c][lead] = (-v // g, row[lead] // g)
+        dens = {c: lcm(*[q for _, q in e.values()]) for c, e in basis.items()}
+        return [(den, {c: den, **{lead: v * (den // q)
+                                  for lead, (v, q) in basis[c].items()}})
+                for c, den in dens.items()]
 
 
 def _assemble(images, rhs):
@@ -186,7 +193,7 @@ def solve_sparse(rows, rhs_values):
     ``rows`` and ``rhs_values`` are parallel sequences.  Free variables are
     zero, which makes the answer the minimal one in the sense that every
     non-pivot coordinate (in increasing column order) vanishes.  The answer is
-    a {column: Fraction} map of its nonzero entries, ``{}`` when it is zero.
+    :meth:`Echelon.solution`'s (den, {column: int}), ``(1, {})`` when zero.
     """
     ech = Echelon()
     try:

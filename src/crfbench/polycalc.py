@@ -346,9 +346,18 @@ class HPoly:
         return f"HPoly[{self.algebra}, n={self.n}]({body or '0'})"
 
     def to_json(self):
+        """From the integer form, each coefficient as :meth:`HNumber.to_json`
+        writes it: v / den in lowest terms, "p/q", or "p" when q is 1."""
+        den, rows = _int_terms(self)
         terms = []
-        for exp in sorted(self.terms):
-            terms.append({"exp": list(exp), "coef": self.terms[exp].to_json()})
+        for exp in sorted(rows):
+            comps = []
+            for v in rows[exp]:
+                g = gcd(v, den)
+                comps.append(f"{v // g}/{den // g}" if g != den else
+                             str(v // g))
+            terms.append({"exp": list(exp),
+                          "coef": {"algebra": self.algebra, "c": comps}})
         return {
             "schema_version": SCHEMA_VERSION,
             "algebra": self.algebra,
@@ -382,14 +391,6 @@ class HPoly:
                 raise ValueError("HPoly coefficients must be exact")
             terms[tuple(exp)] = coef
         return cls(obj["algebra"], n, terms)
-
-
-def _poly(algebra, n, terms):
-    """An ``HPoly`` without validation, for results whose ``terms`` already
-    map exponents of the right width to nonzero exact coefficients."""
-    out = HPoly.__new__(HPoly)
-    out.algebra, out.n, out._terms, out._ints = algebra, n, terms, None
-    return out
 
 
 def _int_terms(p):

@@ -17,6 +17,7 @@ from crfbench.polycalc import (HPoly, compat_pbar, dbar_images, dbar_system,
                                fueter_dbar, monomials)
 from crfbench.hypersurface import Hypersurface, is_admissible
 from crfbench import crfsolve as cs
+from crfbench import hypercomplex, polycalc
 
 
 def rand_poly(rng, algebra, n, deg=3, terms=5):
@@ -232,8 +233,9 @@ def unpeeled_solve(g):
         if not res.is_zero():
             raise cs.CompatibilityViolation(
                 f"compatibility residual #{idx} is nonzero")
+    den, parts = cs._rhs_by_degree(g)
     u = HPoly.zero(algebra, n)
-    for k, rhs in sorted(cs._rhs_by_degree(g).items()):
+    for k, rhs in sorted(parts.items()):
         candidates = sorted({(nu[:i] + (nu[i] + 1,) + nu[i + 1:], beta)
                              for _, nu, _ in rhs for i in range(width)
                              for beta in range(d)})
@@ -249,7 +251,7 @@ def unpeeled_solve(g):
             raise cs.CompatibilityViolation(
                 "right-hand side passes the pairwise residual check but hits "
                 f"a higher-order obstruction at degree {k}")
-    return u
+    return u.scale(Fraction(1, den))
 
 
 def outcome(solver, g):
@@ -486,8 +488,10 @@ def test_extension_images_match_the_polynomial_route(rho, m):
     columns of a monomial relabelled from its one image as in ``_extend``."""
     S = Hypersurface(rho)
     monos = [mu for k in range(3) for mu in monomials(8, k)]
-    den, images = cs._extension_images(S.affine_form(), m, 3)
+    den, images, neighbours = cs._extension_images(S.affine_form(), m, 3)
     assert list(images) == monos
+    assert neighbours == {mu: {key[:3] for key in image}
+                          for mu, image in images.items()}
     columns = (column for image in images.values()
                for column in cs._right_multiples(image))
     for mu in monos:
@@ -595,23 +599,54 @@ def test_extend_columns_make_no_polynomial_calls(flat, monkeypatch):
     assert seen == [{"rho_adic_digits": 4, "fueter_dbar": 4}] * 2
 
 
+def test_solves_build_no_hnumber(flat, monkeypatch):
+    """solve_crf, the kernel basis and a feasible extension (columns built
+    afresh) read elimination's answers into integer forms, check them and
+    write their JSON from those forms: no coefficient is ever built as an
+    HNumber."""
+    rng = random.Random(61)
+    g = dbar_system(rand_poly(rng, "O", 2))
+    f = regular_poly(rng) + flat.rho * rand_poly(rng, "H", 2, deg=1, terms=3)
+    calls = []
+    for module in (hypercomplex, polycalc, cs):
+        for name in ("_from_ints", "_trusted"):
+            if hasattr(module, name):
+                def counting(*args, _orig=getattr(module, name)):
+                    calls.append(args)
+                    return _orig(*args)
+
+                monkeypatch.setattr(module, name, counting)
+    cs._extension_images.cache_clear()
+    u = cs.solve_crf(g)
+    u.to_json()
+    for p in cs.regular_kernel_basis("H", 2, 2):
+        p.to_json()
+    cs.crf_extend(f, flat, m=2).to_json()
+    assert calls == []
+    # reading the coefficients builds them
+    u.terms
+    assert calls
+
+
 def unpeeled_extend(f, S, m, budget):
     """``_extend`` without the presolve and the memo: every column
     x^mu i_beta with deg mu < budget, computed afresh, assembled whole and
     eliminated by solve_sparse; the F = f + rho P it gives, or None when the
     system is infeasible."""
     monos = [mu for k in range(budget) for mu in monomials(8, k)]
-    den, images = cs._extension_images.__wrapped__(S.affine_form(), m, budget)
+    den, images, _ = cs._extension_images.__wrapped__(S.affine_form(), m,
+                                                      budget)
     columns = [column for image in images.values()
                for column in cs._right_multiples(image)]
     rhs = {k: -c for k, c in cs._dbar_digits(f, S, m).items()}
     sol = solve_sparse(*_assemble(columns, rhs))
     if sol is None:
         return None
+    sden, values = sol
     blocks = {}
-    for j in sorted(sol):
+    for j in sorted(values):
         blocks.setdefault(monos[j // 4], [Fraction(0)] * 4)[j % 4] = \
-            sol[j] * den
+            Fraction(values[j] * den, sden)
     P = HPoly("H", 2, {mu: HNumber("H", coeffs)
                        for mu, coeffs in blocks.items()})
     return f + S.rho * P

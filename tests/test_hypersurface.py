@@ -1,6 +1,7 @@
 """Tangential calculus on hypersurfaces: derived functions, CRF/admissibility
 decisions, the pointwise rank test, restriction identities, and convexity."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -123,19 +124,37 @@ def test_sample_points_lie_on_surface(flat, mixed, sphere):
 
 @pytest.mark.parametrize("radius", [Fraction(1, 10 ** 2), Fraction(1, 10 ** 6),
                                     Fraction(1, 10 ** 10),
-                                    Fraction(1, 10 ** 40), Fraction(10 ** 40)],
-                         ids=["1e-2", "1e-6", "1e-10", "1e-40", "1e40"])
+                                    Fraction(1, 10 ** 40), Fraction(10 ** 40),
+                                    Fraction(1, 10 ** 150),
+                                    Fraction(10 ** 150)],
+                         ids=["1e-2", "1e-6", "1e-10", "1e-40", "1e40",
+                              "1e-150", "1e150"])
 def test_sampling_does_not_depend_on_the_size_of_s(radius):
     """Both float tests are scale-free and Newton starts at the size of S:
     on the sphere |q|^2 = r^2 the points are the unit sphere's points times
     r up to rounding, each within 1e-13 r of S, and none is called
-    singular.  Starts in (-2, 2)^8 found no point for r = 1e-40."""
+    singular.  Starts in (-2, 2)^8 found no point for r = 1e-40, and a
+    Newton step whose val * grad rho underflows never moved for
+    r = 1e-150."""
     S = hs.Hypersurface(_sphere_rho(radius * radius))
     unit_pts = hs.Hypersurface(_sphere_rho(1)).sample_points(8, seed=7)
     pts = S.sample_points(8, seed=7)
     for p, q in zip(pts, unit_pts):
         assert abs(math.hypot(*p) - float(radius)) < 1e-13 * float(radius)
         assert max(abs(a / float(radius) - b) for a, b in zip(p, q)) < 1e-6
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "4ada7549f60bf7405451c5742e22bf21c64aff0ed809befaf8567a65762bb184"),
+    (7, "93df1debd64fda7a6d2bde1291e55f88647369e29488eac0ad07dcfff49e36bb"),
+])
+def test_unit_sphere_points_are_pinned(seed, digest):
+    """The underflow guard of the Newton step changes no bit at the unit
+    scale: 300 points of the unit sphere, pinned by the sha256 of their
+    float.hex digits."""
+    pts = hs.Hypersurface(_sphere_rho(1)).sample_points(300, seed=seed)
+    text = repr([[x.hex() for x in p] for p in pts])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_sampling_still_finds_a_singular_surface():

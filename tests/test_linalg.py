@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crfbench.linalg import (_RHS, Echelon, Inconsistent, nullspace_sparse,
                              rank_of, solve_sparse)
@@ -13,6 +15,17 @@ from crfbench.linalg import (_RHS, Echelon, Inconsistent, nullspace_sparse,
 
 def dense_to_rows(mat):
     return [{j: Fraction(v) for j, v in enumerate(row) if v} for row in mat]
+
+
+def as_fractions(result):
+    """A read-out (den, {column: int}) as the {column: Fraction} map it
+    stands for; den is a positive int, every entry a nonzero int, and the
+    pair is in lowest terms."""
+    den, ints = result
+    assert type(den) is int and den > 0
+    assert all(type(v) is int and v for v in ints.values())
+    assert math.gcd(den, *ints.values()) == 1
+    return {c: Fraction(v, den) for c, v in ints.items()}
 
 
 def test_rank_matches_numpy_on_random_integer_matrices():
@@ -34,6 +47,7 @@ def test_solve_consistent_system():
         b = [sum(Fraction(mat[i][j]) * x[j] for j in range(n)) for i in range(m)]
         sol = solve_sparse(dense_to_rows(mat), b)
         assert sol is not None
+        sol = as_fractions(sol)
         for i in range(m):
             assert sum(Fraction(mat[i][j]) * sol.get(j, 0)
                        for j in range(n)) == b[i]
@@ -57,7 +71,7 @@ def test_nullspace_annihilates_and_has_right_dimension():
         m, n = rng.randint(1, 6), rng.randint(2, 8)
         mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
         rows = dense_to_rows(mat)
-        basis = nullspace_sparse(rows, n)
+        basis = [as_fractions(v) for v in nullspace_sparse(rows, n)]
         assert len(basis) == n - rank_of(dense_to_rows(mat))
         for vec in basis:
             for row in mat:
@@ -70,7 +84,7 @@ def test_nullspace_annihilates_and_has_right_dimension():
 def test_free_variables_are_zero_in_particular_solution():
     # x + y = 2 with free y: solution must be (2, 0)
     sol = solve_sparse([{0: Fraction(1), 1: Fraction(1)}], [Fraction(2)])
-    assert sol == {0: Fraction(2)}
+    assert as_fractions(sol) == {0: Fraction(2)}
     # the random consistent systems: back-substitution is zero off the
     # pivots and agrees with the read-out of the reduced row echelon form
     rng = random.Random(101)
@@ -82,7 +96,7 @@ def test_free_variables_are_zero_in_particular_solution():
         ech = Echelon()
         for row, rhs in zip(dense_to_rows(mat), b):
             ech.add_row(row, rhs)
-        sol = ech.solution()
+        sol = as_fractions(ech.solution())
         assert all(sol.get(c, 0) == 0 for c in range(n) if c not in ech.pivots)
         ech.back_substitute()
         rref = [Fraction(0)] * n
@@ -141,16 +155,16 @@ def test_solve_rational_rows_exact_and_zero_off_pivots():
         b = [sum(v * x[j] for j, v in row.items()) for row in rows]
         b = [int(v) if v.denominator == 1 and rng.random() < 0.5 else v
              for v in map(Fraction, b)]
-        sol = solve_sparse(rows, b)
-        assert sol is not None
+        raw = solve_sparse(rows, b)
+        assert raw is not None
+        sol = as_fractions(raw)
         for row, rhs in zip(rows, b):
             assert sum(v * sol.get(j, 0) for j, v in row.items()) == rhs
         ech = Echelon()
         for row, rhs in zip(rows, b):
             ech.add_row(row, rhs)
-        assert ech.solution() == sol
+        assert ech.solution() == raw
         assert all(sol.get(c, 0) == 0 for c in range(n) if c not in ech.pivots)
-        assert all(type(v) is Fraction for v in sol.values())
 
 
 def test_nullspace_of_rational_rows_annihilates():
@@ -159,7 +173,7 @@ def test_nullspace_of_rational_rows_annihilates():
         m, n = rng.randint(1, 6), rng.randint(2, 8)
         mat = random_matrix(rng, m, n)
         rows = scaled_rows(rng, mat)
-        basis = nullspace_sparse(rows, n)
+        basis = [as_fractions(v) for v in nullspace_sparse(rows, n)]
         rank = np.linalg.matrix_rank(np.array(mat, dtype=float))
         assert len(basis) == n - rank
         for vec in basis:
@@ -244,12 +258,14 @@ def test_sparse_read_out_matches_dense_gauss_jordan():
         pivots, rref = ref
         free = set(range(n)) - set(pivots)
         want = {c: row[n] for c, row in zip(pivots, rref) if row[n]}
+        sol = as_fractions(sol)
         assert sol == want
         assert all(v != 0 for v in sol.values())
         assert not free & set(sol)
         # an all-zero right-hand side is feasible with the zero answer
-        assert solve_sparse(rows, [0] * len(rows)) == {}
-        basis = nullspace_sparse(rows, n)
+        assert solve_sparse(rows, [0] * len(rows)) == (1, {})
+        raw = nullspace_sparse(rows, n)
+        basis = [as_fractions(v) for v in raw]
         assert len(basis) == len(free)
         for f, vec in zip(sorted(free), basis):
             assert vec[f] == 1 and free & set(vec) == {f}
@@ -260,4 +276,54 @@ def test_sparse_read_out_matches_dense_gauss_jordan():
         ech = Echelon()
         for row, rhs in zip(rows, b):
             ech.add_row(row, rhs)
-        assert ech.nullspace(n) == basis
+        assert ech.nullspace(n) == raw
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def rational_systems(draw):
+    """(rows, b, n): a random rational system, consistent (b = A x),
+    arbitrary (mostly inconsistent once m exceeds the rank) or rank-deficient
+    (a row repeated as a rational combination of two others), with entries
+    fed as ``int`` or ``Fraction``."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(-3, 3), rationals)
+    mat = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                        min_size=m, max_size=m))
+    kind = draw(st.sampled_from(["consistent", "arbitrary", "deficient"]))
+    if kind == "deficient":
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        a, c = draw(rationals), draw(rationals)
+        mat.append([a * u + c * v for u, v in zip(mat[i], mat[j])])
+    if kind == "arbitrary":
+        b = draw(st.lists(rationals, min_size=len(mat), max_size=len(mat)))
+    else:
+        x = draw(st.lists(rationals, min_size=n, max_size=n))
+        b = [sum(Fraction(v) * y for v, y in zip(row, x)) for row in mat]
+    return [{j: v for j, v in enumerate(row) if v} for row in mat], b, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_systems())
+def test_integer_read_out_equals_rational_gauss_jordan(system):
+    """(den, ints) read-outs are exactly the dense Fraction Gauss-Jordan
+    answer with free variables zero, and its nullspace basis: den > 0, and
+    each nullspace vector carries den at its free column."""
+    rows, b, n = system
+    ref = dense_rref(rows, b, n)
+    sol = solve_sparse(rows, b)
+    if ref is None:
+        assert sol is None
+        return
+    pivots, rref = ref
+    assert as_fractions(sol) == {c: row[n] for c, row in zip(pivots, rref)
+                                 if row[n]}
+    free = sorted(set(range(n)) - set(pivots))
+    basis = nullspace_sparse(rows, n)
+    assert len(basis) == len(free)
+    for f, (den, ints) in zip(free, basis):
+        assert ints[f] == den
+        assert as_fractions((den, ints)) == {
+            f: 1, **{c: -row[f] for c, row in zip(pivots, rref) if row[f]}}

@@ -645,3 +645,27 @@ def test_identity_checks_build_no_hnumber(monkeypatch, algebra, n):
     lap.terms
     lap.terms
     assert len(calls) == len(lap._ints[1]) > 0
+
+
+@pytest.mark.parametrize("algebra", ["H", "O"])
+def test_to_json_is_the_term_wise_number_json(algebra):
+    """to_json, written from the integer form, is the term-wise
+    HNumber.to_json output, for eager and lazy polynomials with and without
+    denominators, negative numerators, zero components and components above
+    2^64; from_json inverts it."""
+    rng = random.Random(29)
+    d = DIM[algebra]
+    big = HNumber(algebra, [Fraction(2 ** 70 + 1, 3), 0, -5, 2 ** 66]
+                  + [Fraction(-1, 2 ** 65)] * (d - 4))
+    cases = [rand_poly(rng, algebra, 2, 3, 5, span=4, den=den)
+             for den in (1, 6) for _ in range(5)]
+    cases += [HPoly(algebra, 2, {(1,) + (0,) * (2 * d - 1): big,
+                                 (0,) * (2 * d): Fraction(-7, 4)}),
+              HPoly.constant(algebra, 2, 2 ** 80), HPoly.zero(algebra, 2)]
+    for p in cases:
+        want = {"schema_version": 1, "algebra": algebra, "n": 2,
+                "terms": [{"exp": list(e), "coef": p.terms[e].to_json()}
+                          for e in sorted(p.terms)]}
+        for q in (p, lazy(p)):
+            assert q.to_json() == want
+            assert HPoly.from_json(q.to_json()) == p
