@@ -6,7 +6,7 @@ Subpackages are organized by what they compute:
 * :mod:`crfbench.hypercomplex` -- exact quaternion/octonion arithmetic,
 * :mod:`crfbench.polycalc` -- polynomial Fueter calculus,
 * :mod:`crfbench.linalg` -- exact sparse fraction-free elimination with
-  results over the rationals,
+  results as integer pairs ``(den, {column: int})``,
 * :mod:`crfbench.forms` -- differential forms with pole coefficients,
 * :mod:`crfbench.integrate` -- sphere quadrature and the reproducing integral,
 * :mod:`crfbench.hypersurface` -- tangential operators and convexity on

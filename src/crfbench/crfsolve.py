@@ -44,8 +44,8 @@ from operator import add
 from .hypercomplex import DIM, MUL_TABLE
 from .linalg import (BudgetExceeded, _assemble, nullspace_sparse,
                      solve_sparse)
-from .polycalc import (HPoly, _int_poly, _int_terms, compat_pbar,
-                       dbar_images, fueter_dbar, monomials)
+from .polycalc import (HPoly, _int_poly, compat_pbar, dbar_images,
+                       fueter_dbar, monomials)
 
 
 class CompatibilityViolation(ValueError):
@@ -93,10 +93,10 @@ def _rhs_by_degree(g):
     """g over one common denominator, keyed like the rows of ``dbar_images``
     (x^nu = nu! x^[nu]) and grouped by the degree of nu: (den, {k: {(h, nu,
     gamma): den times the coefficient of x^[nu] i_gamma in g_h}})."""
-    den = math.lcm(*[_int_terms(gh)[0] for gh in g])
+    den = math.lcm(*[gh._ints[0] for gh in g])
     out = {}
     for h, gh in enumerate(g):
-        dh, rows = _int_terms(gh)
+        dh, rows = gh._ints
         for nu, v in rows.items():
             scale = den // dh * _factorial_prod(nu)
             part = out.setdefault(sum(nu), {})
@@ -289,7 +289,7 @@ def rho_adic_digits(poly, S, count):
     """
     grad, piv, s = S.affine_form()
     algebra, n = poly.algebra, poly.n
-    den, rows = _int_terms(poly)
+    den, rows = poly._ints
     slices = {}
     for exp, v in rows.items():
         slices.setdefault(exp[piv], {})[exp[:piv] + (0,) + exp[piv + 1:]] = v
@@ -313,7 +313,7 @@ def _dbar_digits(poly, S, m):
     return {(h, j, exp, gamma): Fraction(c, den)
             for h in range(2)
             for j, digit in enumerate(rho_adic_digits(fueter_dbar(poly, h), S, m))
-            for den, rows in [_int_terms(digit)]
+            for den, rows in [digit._ints]
             for exp, v in rows.items()
             for gamma, c in enumerate(v) if c}
 
@@ -342,7 +342,7 @@ def _extension_images(form, m, budget):
     powers = [HPoly.constant("H", 2, 1)]    # s^k
     for _ in range(top):
         powers.append(powers[-1] * s)
-    powers = [_int_terms(p) for p in powers]
+    powers = [p._ints for p in powers]
     # scales[e][j]: the terms of C(e, j) g_p^-j s^(e-j), so that D_j(x^nu)
     # is scales[nu_p][j] times x^nu'; empty for j > e
     scales = [[[(exp, Fraction(math.comb(e, j) * v[0], powers[e - j][0])

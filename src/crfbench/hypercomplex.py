@@ -102,11 +102,6 @@ def _split_rows(table):
 #: SPLIT_TABLE[algebra][alpha] == (pos, neg): ``MUL_TABLE`` split by sign.
 SPLIT_TABLE = {a: _split_rows(MUL_TABLE[a]) for a in ALGEBRAS}
 
-#: Shared Fractions for small integers: integral results are looked up here
-#: instead of being constructed.
-_SMALL = 64
-_INT_FRACTIONS = tuple(Fraction(v) for v in range(-_SMALL, _SMALL + 1))
-
 
 def _as_fraction(x):
     if isinstance(x, Fraction):
@@ -365,9 +360,4 @@ def _trusted(algebra, coeffs, backend):
 
 def _from_ints(algebra, ints, den):
     """The exact ``HNumber`` with components ints[i] / den."""
-    if den == 1:
-        coeffs = tuple([_INT_FRACTIONS[v + _SMALL] if -_SMALL <= v <= _SMALL
-                        else Fraction(v) for v in ints])
-    else:
-        coeffs = tuple([Fraction(v, den) for v in ints])
-    return _trusted(algebra, coeffs, "exact")
+    return _trusted(algebra, tuple([Fraction(v, den) for v in ints]), "exact")

@@ -114,17 +114,17 @@ class Hypersurface:
             raise TypeError("rho must be an HPoly")
         if rho.algebra != "H" or rho.n != 2:
             raise ValueError("hypersurfaces live in two quaternionic variables")
-        for coef in rho.terms.values():
-            if any(c != 0 for c in coef.coeffs[1:]):
-                raise ValueError("rho must be scalar (real-valued)")
+        den, rows = rho._ints
+        if any(any(v[1:]) for v in rows.values()):
+            raise ValueError("rho must be scalar (real-valued)")
         if rho.degree() < 1:
             raise ValueError("rho must be nonconstant")
         if rho.degree() > 1:
             # {c rho = 0} is one surface for every c != 0, and the float
             # lanes of a curved S use absolute thresholds: they see rho over
             # its largest |coefficient|
-            top = max(abs(c.coeffs[0]) for c in rho.terms.values())
-            rho = rho.scale(1 / top)
+            top = max(abs(v[0]) for v in rows.values())
+            rho = rho.scale(Fraction(den, top))
         self.rho = rho
         self.gradient = [rho.partial_flat(i) for i in range(8)]
         self._hessian = None

@@ -78,14 +78,14 @@ def batch_evaluate(poly, points):
     if poly.algebra != "H" or poly.n != 1:
         raise ValueError("batch evaluation wants a one-variable H polynomial")
     out = np.zeros((points.shape[0], 4), order="F")
-    for exp in sorted(poly.terms):
-        coef = poly.terms[exp]
+    den, rows = poly._ints
+    for exp in sorted(rows):
         mono = np.ones(points.shape[0])
         for i, e in enumerate(exp):
             if e:
                 mono = mono * points[:, i] ** e
-        for c, value in enumerate(coef.coeffs):
-            out[:, c] += mono * float(value)
+        for c, v in enumerate(rows[exp]):
+            out[:, c] += mono * (v / den)   # rounds once, as float(Fraction)
     return out
 
 

@@ -1,15 +1,16 @@
 """Polynomial calculus for the conjugate-Fueter operators.
 
 Polynomials are sparse maps from exponent tuples to exact hypercomplex
-coefficients.  A polynomial in n quaternionic (octonionic) variables lives on
-4n (8n) real coordinates; the real coordinate ``alpha`` of variable ``h``
-has flat index ``dim*h + alpha``.  Variable indices ``h`` are 0-based.
+coefficients, each polynomial held in one integer form.  A polynomial in n
+quaternionic (octonionic) variables lives on 4n (8n) real coordinates; the
+real coordinate ``alpha`` of variable ``h`` has flat index ``dim*h + alpha``.
+Variable indices ``h`` are 0-based.
 
 The ring arithmetic (``+ - neg * scale conj mul_const_*``), ``partial_flat``
-and the Fueter operators all run on one integer form per polynomial,
-(den, {exp: integer numerators}) (see ``_int_terms``), and hand that form
-to their results.  The map of ``HNumber`` coefficients, ``HPoly.terms``, is
-a read-only view of it, built the first time something reads it.
+and the Fueter operators all run on that one integer form,
+(den, {exp: integer numerators}), and hand it to their results.  The map of
+``HNumber`` coefficients, ``HPoly.terms``, is a view built from it on each
+read.
 
 Operators (all left-multiplication convention; ``i_a`` are the imaginary
 units, ``bar`` is conjugation):
@@ -59,14 +60,17 @@ class HPoly:
     coefficients with exact backend.  Real scalars embed as coefficients with
     only component 0.
 
-    A polynomial is immutable and holds one or both of two equal forms: the
-    ``HNumber`` map ``terms`` the constructor validates, and the integer form
-    (see ``_int_terms``) every kernel reads and hands to its result.  Each
-    is computed from the other at most once and cached; both list the terms
-    in the same order, the order the operations gave them.
+    A polynomial is immutable and holds one integer form, ``_ints`` =
+    (den, {exp: integer numerators}): ``den`` is the lcm of the denominators
+    of every coefficient component (1 for the zero polynomial) and each row
+    holds the components of one term times ``den``.  Every kernel reads it
+    and hands its result one; ``terms`` is a view built from it on each
+    read.  Terms keep the order the constructor or the operations gave
+    them.  Rows are shared between polynomials, so they are read, never
+    written.
     """
 
-    __slots__ = ("algebra", "n", "_terms", "_ints")
+    __slots__ = ("algebra", "n", "_ints")
 
     def __init__(self, algebra, n, terms=None):
         if algebra not in ALGEBRAS:
@@ -91,9 +95,10 @@ class HPoly:
                 if coef.backend != "exact":
                     raise ValueError("HPoly coefficients must be exact")
                 if not coef.is_zero():
-                    clean[exp] = clean[exp] + coef if exp in clean else coef
-        self._terms = {e: c for e, c in clean.items() if not c.is_zero()}
-        self._ints = None
+                    clean[exp] = coef.coeffs
+        den = lcm(*[c.denominator for cs in clean.values() for c in cs])
+        self._ints = (den, {e: _numerators(cs, den)
+                            for e, cs in clean.items()})
 
     # -- constructors -------------------------------------------------------
 
@@ -148,28 +153,16 @@ class HPoly:
 
     @property
     def terms(self):
-        """{exp: HNumber}, built from the integer form on first read."""
-        terms = self._terms
-        if terms is None:
-            den, rows = self._ints
-            algebra = self.algebra
-            terms = self._terms = {e: _from_ints(algebra, v, den)
-                                   for e, v in rows.items()}
-        return terms
-
-    def _exponents(self):
-        """The exponents of the terms, from whichever form is at hand."""
-        return self._ints[1] if self._terms is None else self._terms
+        """{exp: HNumber}, built from the integer form on each read."""
+        den, rows = self._ints
+        return {e: _from_ints(self.algebra, v, den) for e, v in rows.items()}
 
     def is_zero(self):
-        return not self._exponents()
+        return not self._ints[1]
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        exps = self._exponents()
-        if not exps:
-            return -1
-        return max(sum(e) for e in exps)
+        return max(map(sum, self._ints[1]), default=-1)
 
     def component(self, beta):
         """The real-coefficient polynomial of unit component beta."""
@@ -181,7 +174,11 @@ class HPoly:
         return HPoly(self.algebra, self.n, out)
 
     def coefficient(self, exp):
-        return self.terms.get(tuple(exp), HNumber.zero(self.algebra))
+        den, rows = self._ints
+        row = rows.get(tuple(exp))
+        if row is None:
+            return HNumber.zero(self.algebra)
+        return _from_ints(self.algebra, row, den)
 
     def _check(self, other):
         if self.algebra != other.algebra or self.n != other.n:
@@ -200,15 +197,15 @@ class HPoly:
         return _add(self, other, -1)
 
     def __neg__(self):
-        den, rows = _int_terms(self)
+        den, rows = self._ints
         return _int_poly(self.algebra, self.n,
                          {e: [-x for x in v] for e, v in rows.items()}, den)
 
     def __mul__(self, other):
         """Polynomial product; coefficients multiply in left-to-right order.
 
-        Each side's integer form (``_int_terms``) is read, and every term
-        product accumulates through ``MUL_TABLE`` in ints."""
+        Each side's integer form is read, and every term product
+        accumulates through ``MUL_TABLE`` in ints."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if isinstance(other, HNumber):
@@ -216,8 +213,8 @@ class HPoly:
         if not isinstance(other, HPoly):
             return NotImplemented
         self._check(other)
-        den1, a = _int_terms(self)
-        den2, b = _int_terms(other)
+        den1, a = self._ints
+        den2, b = other._ints
         rows = SPLIT_TABLE[self.algebra]
         d = self.dim
         acc = {}
@@ -248,7 +245,7 @@ class HPoly:
     def scale(self, s):
         """s * p for a rational s; TypeError for any other nonzero s,
         unless p is zero."""
-        den, rows = _int_terms(self)
+        den, rows = self._ints
         if not s or not rows:
             return _int_poly(self.algebra, self.n, {}, 1)
         if not isinstance(s, Rational):
@@ -268,7 +265,7 @@ class HPoly:
         return _mul_const(self, c, False)
 
     def conj(self):
-        den, rows = _int_terms(self)
+        den, rows = self._ints
         return _int_poly(self.algebra, self.n,
                          {e: v[:1] + [-x for x in v[1:]]
                           for e, v in rows.items()}, den)
@@ -279,7 +276,7 @@ class HPoly:
         """d/d xi_i for a flat real-coordinate index."""
         if not (0 <= i < self.width):
             raise IndexError("coordinate index out of range")
-        den, rows = _int_terms(self)
+        den, rows = self._ints
         out = {}
         for exp, v in rows.items():
             e = exp[i]
@@ -301,17 +298,19 @@ class HPoly:
         if any(isinstance(x, float) for x in point):
             pt = [float(x) for x in point]
             acc = [0.0] * self.dim
-            for exp, coef in self.terms.items():
+            den, rows = self._ints
+            for exp, row in rows.items():
                 m = 1.0
                 for x, e in zip(pt, exp):
                     if e:
                         m *= x ** e
-                for idx, c in enumerate(coef.coeffs):
-                    if c:
-                        acc[idx] += c * m    # Fraction * float is float(c) * m
+                for idx, v in enumerate(row):
+                    if v:
+                        # int / int rounds once, as float(Fraction(v, den))
+                        acc[idx] += v / den * m
             return HNumber(self.algebra, acc, "float")
         scale, xs = _integer_point(point)
-        den, rows = _int_terms(self)
+        den, rows = self._ints
         top = self.degree()
         acc = [0] * self.dim
         for exp, row in rows.items():
@@ -331,10 +330,10 @@ class HPoly:
         if not isinstance(other, HPoly):
             return NotImplemented
         return (self.algebra == other.algebra and self.n == other.n
-                and _int_terms(self) == _int_terms(other))
+                and self._ints == other._ints)
 
     def __hash__(self):
-        den, rows = _int_terms(self)
+        den, rows = self._ints
         return hash((self.algebra, self.n, den,
                      frozenset((e, tuple(v)) for e, v in rows.items())))
 
@@ -348,7 +347,7 @@ class HPoly:
     def to_json(self):
         """From the integer form, each coefficient as :meth:`HNumber.to_json`
         writes it: v / den in lowest terms, "p/q", or "p" when q is 1."""
-        den, rows = _int_terms(self)
+        den, rows = self._ints
         terms = []
         for exp in sorted(rows):
             comps = []
@@ -389,25 +388,10 @@ class HPoly:
             coef = HNumber.from_json(t["coef"])
             if coef.backend != "exact":
                 raise ValueError("HPoly coefficients must be exact")
+            if tuple(exp) in terms:
+                raise ValueError(f"repeated exponent {exp}")
             terms[tuple(exp)] = coef
         return cls(obj["algebra"], n, terms)
-
-
-def _int_terms(p):
-    """p's integer form (den, {exp: integer numerators}), cached on p.
-
-    The canonical pair: ``den`` is the lcm of the denominators of every
-    coefficient component (1 for the zero polynomial) and each row holds the
-    components of one term times ``den``.  Rows are shared with every later
-    caller, so they are read, never written."""
-    form = p._ints
-    if form is None:
-        terms = p._terms
-        den = lcm(*[c.denominator for coef in terms.values()
-                    for c in coef.coeffs])
-        form = p._ints = (den, {e: _numerators(coef.coeffs, den)
-                                for e, coef in terms.items()})
-    return form
 
 
 def _from_int_terms(algebra, n, acc, den):
@@ -420,10 +404,10 @@ def _from_int_terms(algebra, n, acc, den):
 
 def _int_poly(algebra, n, rows, den):
     """The polynomial with coefficients rows[exp][i] / den, every row
-    nonzero, held in its integer form alone.
+    nonzero.
 
     The rows, divided with ``den`` by their common gcd, become the result's
-    integer form: exactly the canonical pair ``_int_terms`` would compute
+    integer form: exactly the canonical pair the constructor would compute
     from its coefficients.  Rows are shared, never written: they may be an
     operand's."""
     if den != 1:
@@ -436,7 +420,7 @@ def _int_poly(algebra, n, rows, den):
             den //= g
             rows = {e: [x // g for x in v] for e, v in rows.items()}
     out = HPoly.__new__(HPoly)
-    out.algebra, out.n, out._terms, out._ints = algebra, n, None, (den, rows)
+    out.algebra, out.n, out._ints = algebra, n, (den, rows)
     return out
 
 
@@ -445,8 +429,8 @@ def _add(p, q, sign):
     terms in order, then q's new exponents; a cancelled term drops in
     place.  Rows that need no rescaling are shared with the operands."""
     p._check(q)
-    den1, a = _int_terms(p)
-    den2, b = _int_terms(q)
+    den1, a = p._ints
+    den2, b = q._ints
     den = lcm(den1, den2)
     f1, f2 = den // den1, sign * (den // den2)
     rows = dict(a) if f1 == 1 else \
@@ -470,7 +454,7 @@ def _mul_const(p, c, left):
     raises, unless p is zero."""
     if isinstance(c, (int, Fraction)):
         return p.scale(c)
-    den, rows = _int_terms(p)
+    den, rows = p._ints
     if not rows:
         return _int_poly(p.algebra, p.n, {}, 1)
     if not isinstance(c, HNumber):
@@ -511,7 +495,7 @@ def _int_gradient(p, point):
     if len(point) != p.width:
         raise ValueError("point width mismatch")
     scale, xs = _integer_point(point)
-    den, terms = _int_terms(p)
+    den, terms = p._ints
     top = p.degree()
     rows = [[0] * p.dim for _ in xs]
     for exp, c in terms.items():
@@ -553,14 +537,14 @@ def _derive(p, h, op):
     """The operator ``op`` of ``_STENCILS`` in variable h.
 
     The term c x^exp with e = exp[i] >= k, i = d*h + alpha, adds e * u_alpha c
-    (e(e-1) c for the Laplacian) to x^(exp - k e_i), in ints over p's cached
+    (e(e-1) c for the Laplacian) to x^(exp - k e_i), in ints over p's
     integer form, whose rows it only reads.  The loop runs alpha by alpha, as
     the sum is written."""
     if not 0 <= h < p.n:
         raise IndexError("variable index out of range")
     d = DIM[p.algebra]
     k, stencil = _STENCILS[p.algebra][op]
-    den, ints = _int_terms(p)
+    den, ints = p._ints
     acc = {}
     for alpha in range(d):
         i = d * h + alpha

@@ -626,6 +626,9 @@ MALFORMED_PAYLOADS = {
     "n-zero": ("solve", _system(lambda p: p.update(n=0))),
     "zero-denominator": ("solve", _system(
         lambda p: p["terms"][0]["coef"]["c"].__setitem__(0, "1/0"))),
+    "repeated-exponent": ("solve", _system(
+        lambda p: p["terms"].append({"exp": p["terms"][0]["exp"],
+                                     "coef": HNumber.one("H").to_json()}))),
 }
 
 

@@ -139,6 +139,44 @@ def test_batch_evaluate_matches_scalar():
         assert max(abs(x - y) for x, y in zip(got[i], want.coeffs)) < 1e-11
 
 
+def test_batch_evaluate_is_the_sorted_term_wise_sum():
+    """batch_evaluate adds float(c) * mono for every component c of every
+    term, in sorted exponent order, bit for bit; components are fractional,
+    negative and above 2^53."""
+    rng = random.Random(31)
+
+    def component():
+        roll = rng.random()
+        if roll < 0.2:
+            return 0
+        if roll < 0.5:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        if roll < 0.8:
+            return Fraction(rng.randint(-2 ** 70, 2 ** 70),
+                            rng.randint(1, 2 ** 40))
+        return rng.choice([-1, 1]) * rng.randint(2 ** 53, 2 ** 64)
+
+    for _ in range(20):
+        terms = {}
+        for _ in range(rng.randint(1, 7)):
+            exp = tuple(rng.randint(0, 3) for _ in range(4))
+            terms[exp] = HNumber("H", [component() for _ in range(4)])
+        poly = HPoly("H", 1, terms)
+        pts = np.array([[rng.uniform(-1.5, 1.5) for _ in range(4)]
+                        for _ in range(9)])
+        want = np.zeros((pts.shape[0], 4))
+        for exp in sorted(poly.terms):
+            mono = np.ones(pts.shape[0])
+            for i, e in enumerate(exp):
+                if e:
+                    mono = mono * pts[:, i] ** e
+            for c, value in enumerate(poly.terms[exp].coeffs):
+                want[:, c] += mono * float(value)
+        got = ig.batch_evaluate(poly, pts)
+        assert [x.hex() for x in got.ravel().tolist()] == \
+            [x.hex() for x in want.ravel().tolist()]
+
+
 def test_batch_evaluate_validates_shape():
     with pytest.raises(ValueError):
         ig.batch_evaluate(HPoly.constant("H", 2, 1), np.zeros((3, 8)))

@@ -12,7 +12,6 @@ from crfbench.forms import PoleRingElement, pole_fueter_dbar_right
 from crfbench.hypercomplex import DIM, AlgebraMismatch, HNumber
 from crfbench.polycalc import (
     HPoly,
-    _int_terms,
     compat_pbar,
     dbar_system,
     fueter_d,
@@ -342,10 +341,7 @@ def test_integer_evaluation_and_gradient_match_the_partials(algebra):
 def test_float_evaluation_is_the_insertion_order_sum(algebra):
     """Float points sum float(c) * m over the terms in insertion order, bit
     for bit."""
-    rng = random.Random(21)
-    for _ in range(50):
-        p = rand_poly(rng, algebra, 2, 4, 6, den=3)
-        pt = [rng.uniform(-2, 2) for _ in range(p.width)]
+    def check(p, pt):
         want = [0.0] * p.dim
         for exp, coef in p.terms.items():
             m = 1.0
@@ -358,6 +354,24 @@ def test_float_evaluation_is_the_insertion_order_sum(algebra):
         got = p.evaluate(pt)
         assert got.backend == "float"
         assert [v.hex() for v in got.coeffs] == [v.hex() for v in want]
+
+    rng = random.Random(21)
+    for _ in range(50):
+        p = rand_poly(rng, algebra, 2, 4, 6, den=3)
+        pt = [rng.uniform(-2, 2) for _ in range(p.width)]
+        check(p, pt)
+    # components above 2^64 over large denominators
+    big = random.Random(32)
+    d = DIM[algebra]
+    for _ in range(20):
+        terms = {}
+        for _ in range(5):
+            exp = tuple(big.randint(0, 2) for _ in range(2 * d))
+            terms[exp] = HNumber(algebra, [
+                Fraction(big.randint(-2 ** 90, 2 ** 90),
+                         big.randint(1, 2 ** 70)) for _ in range(d)])
+        p = HPoly(algebra, 2, terms)
+        check(p, [big.uniform(-2, 2) for _ in range(p.width)])
 
 
 def test_json_roundtrip():
@@ -377,7 +391,7 @@ def test_compat_pbar_input_validation():
 
 
 # ---------------------------------------------------------------------------
-# the cached integer form
+# the integer form
 # ---------------------------------------------------------------------------
 
 def scratch_form(p):
@@ -416,6 +430,78 @@ def test_kernel_results_carry_the_canonical_integer_form(algebra):
         assert_carries_form(q)
 
 
+def assert_form(p, want):
+    """p holds exactly the pair ``want``, its terms in want's order."""
+    assert_carries_form(p)
+    assert p._ints == want
+    assert list(p._ints[1]) == list(want[1])
+
+
+def input_form(algebra, terms):
+    """The canonical pair of a constructor's input {exp: coefficient}, real
+    scalars embedded and zero coefficients dropped, in the input's order."""
+    coefs = {}
+    for exp, c in terms.items():
+        if not isinstance(c, HNumber):
+            c = HNumber.from_real(algebra, c)
+        if not c.is_zero():
+            coefs[tuple(exp)] = c.coeffs
+    den = math.lcm(*[x.denominator for cs in coefs.values() for x in cs])
+    return den, {e: [x.numerator * (den // x.denominator) for x in cs]
+                 for e, cs in coefs.items()}
+
+
+@pytest.mark.parametrize("algebra", ["H", "O"])
+def test_constructors_store_the_canonical_integer_form(algebra):
+    """HPoly(...), the named constructors and from_json store the canonical
+    pair of their input, its terms in the input's order: fractional and
+    integral components, real-scalar coefficients, zero coefficients
+    dropped."""
+    rng = random.Random(30)
+    d, n = DIM[algebra], 2
+    for _ in range(30):
+        terms = {}
+        for _ in range(6):
+            exp = tuple(rng.randint(0, 2) for _ in range(d * n))
+            roll = rng.random()
+            if roll < 0.2:
+                terms[exp] = HNumber.zero(algebra)
+            elif roll < 0.35:
+                terms[exp] = rand_rational(rng)
+            elif roll < 0.45:
+                terms[exp] = rng.randint(-2, 2)
+            else:
+                terms[exp] = HNumber(algebra, [rand_rational(rng)
+                                               for _ in range(d)])
+        p = HPoly(algebra, n, terms)
+        assert_form(p, input_form(algebra, terms))
+        # from_json keeps the payload's term order, sorted or not
+        blob = p.to_json()
+        rng.shuffle(blob["terms"])
+        q = HPoly.from_json(blob)
+        assert_form(q, input_form(algebra, {
+            tuple(t["exp"]): HNumber.from_json(t["coef"])
+            for t in blob["terms"]}))
+        assert q == p
+    width = d * n
+    zero = (0,) * width
+    unit = [tuple(int(i == k) for i in range(width)) for k in range(d)]
+    cases = [
+        (HPoly.constant(algebra, n, Fraction(-6, 4)),
+         (2, {zero: [-3] + [0] * (d - 1)})),
+        (HPoly.constant(algebra, n, 0), (1, {})),
+        (HPoly.constant(algebra, n, HNumber(algebra, [Fraction(1, 6)] * d)),
+         (6, {zero: [1] * d})),
+        (HPoly.coordinate(algebra, n, 0, d - 1),
+         (1, {unit[d - 1]: [1] + [0] * (d - 1)})),
+        (HPoly.variable(algebra, n, 0),
+         (1, {unit[k]: [int(i == k) for i in range(d)] for k in range(d)})),
+        (HPoly.zero(algebra, n), (1, {})),
+    ]
+    for p, want in cases:
+        assert_form(p, want)
+
+
 @pytest.mark.parametrize("algebra,n", [("H", 2), ("O", 2), ("O", 3)])
 def test_compat_pbar_leaves_cached_forms_canonical(algebra, n):
     rng = random.Random(21)
@@ -424,7 +510,7 @@ def test_compat_pbar_leaves_cached_forms_canonical(algebra, n):
     for comp in g:
         assert_carries_form(comp)
     for r in first:
-        assert _int_terms(r) == scratch_form(r)
+        assert r._ints == scratch_form(r)
     # a second pass reads the cached forms and agrees with the first
     assert compat_pbar(g) == first
 
@@ -433,7 +519,7 @@ def test_derivative_dropping_every_fraction_normalises_the_form():
     one, third = HNumber.one("H"), HNumber.from_real("H", Fraction(1, 3))
     p = HPoly("H", 2, {(2, 0, 0, 0, 0, 0, 0, 0): one,
                        (0, 0, 0, 0, 1, 0, 0, 0): third})
-    assert _int_terms(p)[0] == 3
+    assert p._ints[0] == 3
     out = fueter_dbar(p, 0)
     assert out == HPoly.coordinate("H", 2, 0, 0).scale(2)
     assert out._ints == (1, {(1, 0, 0, 0, 0, 0, 0, 0): [2, 0, 0, 0]})
@@ -547,18 +633,15 @@ def rand_partner(rng, p):
 
 
 def lazy(p):
-    """p held in its integer form alone, as a kernel result is."""
-    out = p + HPoly.zero(p.algebra, p.n)
-    assert out._terms is None
-    return out
+    """p as a kernel result, p + 0, rather than a constructor's."""
+    return p + HPoly.zero(p.algebra, p.n)
 
 
 def assert_matches_reference(got, want):
     """Same terms, in the same order, and the integer form of a freshly
     constructed polynomial; == and hash agree with the eager one."""
-    assert got._ints is not None and got._terms is None
     eager = HPoly(got.algebra, got.n, want)
-    assert got._ints == _int_terms(eager)
+    assert got._ints == eager._ints
     assert got == eager and hash(got) == hash(eager)
     assert list(got.terms.items()) == list(want.items())
     assert got == eager and hash(got) == hash(eager)
@@ -640,11 +723,11 @@ def test_identity_checks_build_no_hnumber(monkeypatch, algebra, n):
             assert fueter_d(fueter_dbar(p, h), h) == laplacian(p, h)
         assert all(r.is_zero() for r in compat_pbar(dbar_system(p)))
     assert calls == []
-    # reading the coefficients builds them, once
+    # reading the coefficients builds them, on each read
     lap = laplacian(polys[0], 0)
     lap.terms
     lap.terms
-    assert len(calls) == len(lap._ints[1]) > 0
+    assert len(calls) == 2 * len(lap._ints[1]) > 0
 
 
 @pytest.mark.parametrize("algebra", ["H", "O"])

@@ -34,9 +34,9 @@ KEPT = {
     "syzygy.block_key": "an oracle of the block-diagonal syzygy count",
     "syzygy.shift_certificate": "an oracle of the block-diagonal syzygy count",
     "hypersurface.levi_h_convexity":
-        "the extension table of ROADMAP direction 5 calls it",
+        "the extension table of ROADMAP direction 3 calls it",
     "hypersurface.tangent_h_line":
-        "the extension table of ROADMAP direction 5 calls it",
+        "the extension table of ROADMAP direction 3 calls it",
     "polycalc.HPoly.component":
         "the independent rank_matrix_from_scratch oracle reads components",
     "forms.OMEGA2_PREFACTOR": "documents the kernel form's normalisation",
