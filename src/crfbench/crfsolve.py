@@ -44,8 +44,7 @@ from operator import add
 from .hypercomplex import DIM, MUL_TABLE
 from .linalg import (BudgetExceeded, _assemble, nullspace_sparse,
                      solve_sparse)
-from .polycalc import (HPoly, _int_poly, compat_pbar, dbar_images,
-                       fueter_dbar, monomials)
+from .polycalc import HPoly, _int_poly, compat_pbar, fueter_dbar, monomials
 
 
 class CompatibilityViolation(ValueError):
@@ -77,7 +76,8 @@ def _factorial_prod(exp):
 def _poly_from_columns(algebra, n, columns, sol):
     """The polynomial sum of values[j] / den x^[mu] i_beta over a read-out
     sol = (den, {j: int}), read in increasing j, where columns[j] = (mu,
-    beta) are sorted and distinct; the mu! divide over their one lcm."""
+    beta) for every j of sol (a sequence or a mapping), increasing and
+    distinct in j; the mu! divide over their one lcm."""
     den, values = sol
     rows = {}
     for j in sorted(values):
@@ -104,6 +104,92 @@ def _rhs_by_degree(g):
                 if c:
                     part[(h, nu, gamma)] = c * scale
     return den, out
+
+
+# The graded systems run on monomials packed into one int: exponent fields
+# of a fixed bit width, coordinate 0 the most significant, so int order is
+# tuple order.  Block (h, nu), the d equations of dbar_h on x^[nu] i_gamma,
+# is the int h << (width * bits) | nu, so sorted blocks are in (h, nu) order.
+
+def _pack(exp, bits):
+    """The exponent tuple ``exp`` as one int of ``bits``-bit fields; every
+    entry must be below 2**bits."""
+    key = 0
+    for e in exp:
+        key = key << bits | e
+    return key
+
+
+def _unpack(key, bits, width):
+    """The exponent tuple of ``width`` coordinates packed in ``key``."""
+    mask = (1 << bits) - 1
+    return tuple(key >> s & mask for s in range(bits * (width - 1), -1, -bits))
+
+
+def _solve_for(row):
+    """Per gamma, the (beta, sign) with i_alpha i_beta = sign i_gamma, for
+    the row alpha of ``MUL_TABLE``: a signed permutation, so beta is
+    unique."""
+    out = [None] * len(row)
+    for beta, (gamma, sign) in enumerate(row):
+        out[gamma] = (beta, sign)
+    return tuple(out)
+
+
+#: _SOLVE_FOR[algebra][alpha][gamma] == (beta, sign)  with
+#: i_alpha i_beta = sign i_gamma
+_SOLVE_FOR = {a: tuple(map(_solve_for, table))
+              for a, table in MUL_TABLE.items()}
+
+
+def _coordinates(algebra, n, bits):
+    """Per coordinate i = d*h + alpha of a monomial packed with ``bits``-bit
+    fields: (the mask of field i, its unit, h << (width * bits),
+    ``_SOLVE_FOR[algebra][alpha]``).  For a monomial mu with field i nonzero,
+    (h << (width * bits)) + mu - unit is the block that column (mu, beta)
+    enters through alpha."""
+    d = DIM[algebra]
+    width = d * n
+    field = (1 << bits) - 1
+    return [(field << s, 1 << s, i // d << width * bits,
+             _SOLVE_FOR[algebra][i % d])
+            for i, s in enumerate(range(bits * (width - 1), -1, -bits))]
+
+
+def _dbar_rows(algebra, coords, monos, rhs):
+    """The rows and right-hand side values of the graded system on the
+    columns x^[mu] i_beta, numbered pos*d + beta for mu = monos[pos], in the
+    order and with the values of ``_assemble(dbar_images(algebra, n,
+    columns), b)``.
+
+    ``monos`` are packed monomials in increasing order, ``coords`` their
+    :func:`_coordinates`, and ``rhs`` maps each block of b to {gamma:
+    value}.  A block's members are the monomials mu = nu + e_{d*h+alpha};
+    the row (h, nu, gamma) has sign at column pos*d + beta, where
+    i_alpha i_beta = sign i_gamma, for each member (alpha, pos).  Rows are
+    made per sorted block, gamma inner: all d gammas where the block has a
+    member, and only the gammas b holds where it has none (those rows are
+    empty, as in ``_assemble``)."""
+    d = DIM[algebra]
+    members = {}
+    for col, mu in zip(range(0, d * len(monos), d), monos):
+        for field, one, h, solve_for in coords:
+            if mu & field:
+                members.setdefault(h + mu - one, []).append((col, solve_for))
+    rows, values = [], []
+    for block in sorted(members.keys() | rhs.keys()):
+        b = rhs.get(block, {})
+        held = members.get(block)
+        if held is None:
+            for gamma in sorted(b):
+                rows.append({})
+                values.append(b[gamma])
+            continue
+        for gamma in range(d):
+            rows.append({col + solve_for[gamma][0]: solve_for[gamma][1]
+                         for col, solve_for in held})
+            values.append(b.get(gamma, 0))
+    return rows, values
 
 
 def _peel(neighbours, pinned):
@@ -161,29 +247,38 @@ def _solve_homogeneous(rhs, k, algebra, n, max_unknowns):
     """Solve dbar u = b with u homogeneous of degree k + 1, or None; ``rhs``
     is b, the degree-k entry of :func:`_rhs_by_degree` (den times g's part).
 
-    Each attempt (the shifts of the right-hand-side support, then the full
-    monomial space) is presolved by :func:`_peel`, and the answer is the one
-    the whole attempt gives.  (In the full space every block keeps all d
-    neighbours, so only the shifts lose monomials.)  Elimination returns the
-    solution whose free variables (the non-pivot columns) are zero, and its
-    pivot set P is the set of leading columns of the row space, right-hand
-    side included as the last column.  A column c forced by a singleton row
-    is in P, since e_c is in the row space.  That row space is span(e_c)
-    plus its vectors with a zero c entry, which are the row space of the
-    system with c and its forcing rows removed; so that system has pivot set
-    P - {c}, and its free-variables-zero solution is the old one without c,
-    which was 0.  It is consistent exactly when the whole attempt is, so the
-    fallback to the full space fires as before.  The unknown cap and the test
-    for the fallback count the monomials before the presolve.
+    The monomials of degree k + 1 are packed (:func:`_pack`) in fields of
+    the bit length of k + 1, and b's rows are grouped by packed block.  Each
+    attempt (the shifts of the right-hand-side support, then the full
+    monomial space) is presolved by :func:`_peel` on the packed blocks, its
+    rows are built by :func:`_dbar_rows`, and only the nonzero columns of
+    the answer are unpacked.  The answer is the one the whole attempt
+    gives.  (In the full space every block keeps all d neighbours, so only
+    the shifts lose monomials.)  Elimination returns the solution whose free
+    variables (the non-pivot columns) are zero, and its pivot set P is the
+    set of leading columns of the row space, right-hand side included as the
+    last column.  A column c forced by a singleton row is in P, since e_c is
+    in the row space.  That row space is span(e_c) plus its vectors with a
+    zero c entry, which are the row space of the system with c and its
+    forcing rows removed; so that system has pivot set P - {c}, and its
+    free-variables-zero solution is the old one without c, which was 0.  It
+    is consistent exactly when the whole attempt is, so the fallback to the
+    full space fires as before.  The unknown cap and the test for the
+    fallback count the monomials before the presolve.
     """
-    width = DIM[algebra] * n
     d = DIM[algebra]
-    pinned = {(h, nu) for h, nu, _ in rhs}
+    width = d * n
+    bits = (k + 1).bit_length()
+    coords = _coordinates(algebra, n, bits)
+    blocks = {}     # the pinned blocks: {block: {gamma: value}}
+    for (h, nu, gamma), c in rhs.items():
+        blocks.setdefault(h << width * bits | _pack(nu, bits), {})[gamma] = c
     # support-restricted candidates: shifts of the right-hand-side support.
     # They cover every rhs row (h, nu, gamma): alpha = 0 maps the column
     # (nu + e_{d*h}, gamma) onto it.
-    candidates = {nu[:i] + (nu[i] + 1,) + nu[i + 1:]
-                  for _, nu in pinned for i in range(width)}
+    low = (1 << width * bits) - 1
+    candidates = {(block & low) + one
+                  for block in blocks for _, one, _, _ in coords}
     # the attempts: the candidates, then the full monomial space, listed
     # only when the candidates fail and its count passes the cap.  The
     # candidates are a subset of it, so they are all of it exactly when
@@ -195,16 +290,17 @@ def _solve_homogeneous(rhs, k, algebra, n, max_unknowns):
             raise BudgetExceeded(
                 f"homogeneous solve needs {d * size} unknowns "
                 f"(cap {max_unknowns})")
-        monos = monomials(width, k + 1) if attempt else candidates
+        monos = ([_pack(mu, bits) for mu in monomials(width, k + 1)]
+                 if attempt else candidates)
         # block (h, nu) of mu: the equations of dbar_h on x^[nu], nu = mu - e_i
-        neighbours = {mu: [(i // d, mu[:i] + (mu[i] - 1,) + mu[i + 1:])
-                           for i in range(width) if mu[i]]
+        neighbours = {mu: [h + mu - one for field, one, h, _ in coords
+                           if mu & field]
                       for mu in monos}
-        columns = [(mu, beta) for mu in sorted(_peel(neighbours, pinned))
-                   for beta in range(d)]
-        rows, values = _assemble(dbar_images(algebra, n, columns), rhs)
-        sol = solve_sparse(rows, values)
+        kept = sorted(_peel(neighbours, blocks))
+        sol = solve_sparse(*_dbar_rows(algebra, coords, kept, blocks))
         if sol is not None:
+            columns = {j: (_unpack(kept[j // d], bits, width), j % d)
+                       for j in sol[1]}
             return _poly_from_columns(algebra, n, columns, sol)
     return None
 
@@ -259,11 +355,11 @@ def regular_kernel_basis(algebra, n, degree, max_unknowns=200000):
     size = d * math.comb(width + degree, degree)
     if size > max_unknowns:
         raise BudgetExceeded(f"kernel basis needs {size} unknowns")
-    columns = sorted((mu, beta)
-                     for k in range(degree + 1)
-                     for mu in monomials(width, k)
-                     for beta in range(d))
-    rows, _ = _assemble(dbar_images(algebra, n, columns), {})
+    monos = sorted(mu for k in range(degree + 1) for mu in monomials(width, k))
+    bits = max(degree, 1).bit_length()
+    rows, _ = _dbar_rows(algebra, _coordinates(algebra, n, bits),
+                         [_pack(mu, bits) for mu in monos], {})
+    columns = [(mu, beta) for mu in monos for beta in range(d)]
     out = [_poly_from_columns(algebra, n, columns, vec)
            for vec in nullspace_sparse(rows, len(columns))]
     for p in out:

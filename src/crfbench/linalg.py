@@ -15,8 +15,9 @@ pseudo-column that sorts after every real column, so inconsistency (a row
 whose leading entry is its right-hand side: 0 = nonzero) is detected the
 moment it appears.  So a row with a right-hand side needs numeric column
 keys; a rank-only row may carry any mutually ordered keys.  Systems given as
-the image of each unknown enter elimination through one routine,
-:func:`_assemble`, which turns column images into rows.
+the image of each unknown (the syzygy ranks, the extension system) become
+rows through :func:`_assemble`; the graded systems of
+:mod:`crfbench.crfsolve` build their rows directly, in the same order.
 """
 
 from __future__ import annotations
@@ -114,14 +115,24 @@ class Echelon:
 
         The rows stay primitive, so the reduced entry of column c is
         row[c] / row[lead].  This is a read-out: feed no rows after it.
+
+        Each lead is cleared from only the rows that hold it, read from a
+        map built once before the loop.  The map stays exact: leads are
+        taken in decreasing order, so the row of the lead being cleared
+        holds only its lead, free columns and the right-hand side, and
+        subtracting it never gives a row a pivot column.
         """
         pivots = self.pivots
+        holders = {}    # pivot column -> the leads of the other rows with it
+        for lead, row in pivots.items():
+            for c in row:
+                if c != lead and c in pivots:
+                    holders.setdefault(c, []).append(lead)
         for lead in sorted(pivots, reverse=True):
             # earlier steps may have scaled this row; drop the common factor
             piv = pivots[lead] = _primitive(pivots[lead], lead)
-            for other_lead, other in pivots.items():
-                if other_lead < lead and lead in other:
-                    _eliminate(other, piv, lead)
+            for other in holders.get(lead, ()):
+                _eliminate(pivots[other], piv, lead)
 
     def solution(self):
         """Particular solution with all free variables zero, as (den,

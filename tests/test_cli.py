@@ -1,5 +1,6 @@
 """Command-line interface: reports, formats, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import math
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 import crfbench
 from crfbench.cli import _rand_poly, main
-from crfbench.hypercomplex import HNumber
+from crfbench.hypercomplex import DIM, HNumber
 from crfbench.polycalc import HPoly, compat_pbar, dbar_system
 from crfbench.hypersurface import Hypersurface
 
@@ -497,6 +498,61 @@ def test_solve_one_variable_system(tmp_path, capsys, algebra):
     assert [(c["name"], c["status"]) for c in rep["checks"]] == [
         ("solvable", "pass"), ("verified_exactly", "pass")]
     assert list(dbar_system(HPoly.from_json(rep["result"]["u"]))) == g
+
+
+def _graded_one_variable(algebra, top, seed):
+    """g = dbar u for a u in one variable with one term of every degree
+    1..top+1 and two more of lower degree: g has every degree 0..top."""
+    rng = random.Random(seed)
+    d = DIM[algebra]
+    u = HPoly.zero(algebra, 1)
+    for t in [*range(1, top + 2), rng.randint(0, top), rng.randint(0, top)]:
+        exp = [0] * d
+        for _ in range(t):
+            exp[rng.randrange(d)] += 1
+        c = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)]
+        c[rng.randrange(d)] = Fraction(rng.choice([-2, 1, 5]), 3)
+        u = u + HPoly(algebra, 1, {tuple(exp): HNumber(algebra, c)})
+    g = dbar_system(u)
+    assert g[0].degree() == top
+    return g
+
+
+def _obstructed_o3():
+    """(0, a x_{0,2}, b x_{1,5} x_{0,2}) on (O, 3): every pairwise residual
+    vanishes, and degree 2 is not in the image of dbar."""
+    x = HPoly.coordinate
+    a = HNumber.unit("O", 6).scale(Fraction(2, 3))
+    return [HPoly.zero("O", 3), x("O", 3, 0, 2).mul_const_left(a),
+            (x("O", 3, 1, 5) * x("O", 3, 0, 2)).mul_const_left(
+                HNumber.unit("O", 3))]
+
+
+SOLVE_PINS = {
+    "H1-degree-8": (lambda: _graded_one_variable("H", 8, "pin/H1"), 0,
+                    "525d6e0f90cdeae8"),
+    "O1-degree-4": (lambda: _graded_one_variable("O", 4, "pin/O1"), 0,
+                    "85bd27c7a4fe1db7"),
+    "full-space": (lambda: [
+        coord(1, 1).mul_const_left(HNumber.unit("H", 2)),
+        coord(0, 2).mul_const_left(-HNumber.unit("H", 1))], 0,
+        "0e940477d040e4ad"),
+    "obstructed-o3": (_obstructed_o3, 1, "a50caa7862b15ef5"),
+}
+
+
+@pytest.mark.parametrize("build, code, digest", SOLVE_PINS.values(),
+                         ids=SOLVE_PINS.keys())
+def test_solve_reports_are_pinned(tmp_path, capsys, build, code, digest):
+    """solve reports on payloads the benchmark pool lacks (one variable up
+    to degree 8, the fallback to the full monomial space, a higher-order
+    obstruction), pinned by the sha256 prefix of the printed bytes."""
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(
+        {"schema_version": 1, "g": [c.to_json() for c in build()]}))
+    got, out, err = run(capsys, ["solve", "--input", str(path)])
+    assert (got, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 def test_extend_feasible_and_infeasible(tmp_path, capsys):

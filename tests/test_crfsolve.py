@@ -360,6 +360,153 @@ def test_presolve_counts_are_pinned(monkeypatch):
     assert rows[0] == 384
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 24), st.integers(1, 20), st.data())
+def test_packing_round_trips_and_keeps_tuple_order(width, top, data):
+    """Exponents with entries up to ``top`` packed in fields of the bit
+    length of ``top`` unpack to themselves and compare as their tuples."""
+    bits = top.bit_length()
+    exps = st.lists(st.integers(0, top), min_size=width, max_size=width)
+    a, b = tuple(data.draw(exps)), tuple(data.draw(exps))
+    for exp in (a, b):
+        assert cs._unpack(cs._pack(exp, bits), bits, width) == exp
+    assert (cs._pack(a, bits) < cs._pack(b, bits)) == (a < b)
+    assert (cs._pack(a, bits) == cs._pack(b, bits)) == (a == b)
+
+
+def packed_blocks(algebra, n, k, rhs):
+    """rhs {(h, nu, gamma): value} as the builder's {block: {gamma: value}},
+    with block (h, nu) the int h << (width * bits) | nu."""
+    width, bits = DIM[algebra] * n, (k + 1).bit_length()
+    blocks = {}
+    for (h, nu, gamma), c in sorted(rhs.items()):
+        block = h << width * bits | cs._pack(nu, bits)
+        blocks.setdefault(block, {})[gamma] = c
+    return blocks
+
+
+def assert_rows_are_assembled(algebra, n, bits, monos, rhs, blocks):
+    """The builder's rows and values on the packed ``monos`` are those of
+    _assemble over dbar_images of the unpacked columns: the same lists, with
+    each row's entries in the same order.  Returns the number of empty rows,
+    the rows of pinned blocks that keep no monomial."""
+    d, width = DIM[algebra], DIM[algebra] * n
+    columns = [(cs._unpack(mu, bits, width), beta)
+               for mu in monos for beta in range(d)]
+    rows, values = _assemble(dbar_images(algebra, n, columns), rhs)
+    got_rows, got_values = cs._dbar_rows(
+        algebra, cs._coordinates(algebra, n, bits), monos, blocks)
+    assert [list(row.items()) for row in got_rows] == \
+        [list(row.items()) for row in rows]
+    assert got_values == values
+    return sum(not row for row in rows)
+
+
+GRADED_CASES = [("H", 1, 8), ("O", 1, 4), ("H", 2, 4), ("O", 2, 3),
+                ("O", 3, 2)]
+
+
+@pytest.mark.parametrize("algebra,n,deg", GRADED_CASES)
+def test_graded_rows_are_the_assembled_rows(algebra, n, deg, monkeypatch):
+    """Every system ``_solve_homogeneous`` builds, on the candidates and on
+    the full space, equals _assemble(dbar_images(...), rhs) on the same
+    columns; so do the full degree-(k+1) space and random subsets of it,
+    where some pinned block keeps no monomial.  The degrees run through k + 1
+    = 2, 4 (and 8 for (H, 1)), where the field width grows by one bit."""
+    d, width = DIM[algebra], DIM[algebra] * n
+    systems, built = [], []
+    solve_homogeneous, dbar_rows = cs._solve_homogeneous, cs._dbar_rows
+
+    def spy_solve(rhs, k, *args):
+        systems.append((rhs, k))
+        return solve_homogeneous(rhs, k, *args)
+
+    def spy_rows(algebra_, coords, monos, blocks):
+        built.append((len(systems) - 1, list(monos), blocks))
+        return dbar_rows(algebra_, coords, monos, blocks)
+    monkeypatch.setattr(cs, "_solve_homogeneous", spy_solve)
+    monkeypatch.setattr(cs, "_dbar_rows", spy_rows)
+    rng = random.Random(f"rows/{algebra}{n}")
+    cases = []
+    for _ in range(3):
+        # one term of each degree 1..deg+1, so every k = 0..deg is solved
+        u = rational_poly(rng, algebra, n, deg + 1, 3)
+        for t in range(1, deg + 2):
+            exp = [0] * width
+            for _ in range(t):
+                exp[rng.randrange(width)] += 1
+            u = u + HPoly(algebra, n, {tuple(exp): HNumber.unit(
+                algebra, rng.randrange(d)).scale(rng.choice([-2, 1, 3]))})
+        cases.append(dbar_system(u))
+    if n == 2 and algebra == "H":
+        i, j = HNumber.unit("H", 1), HNumber.unit("H", 2)
+        cases.append([coord(1, 1).mul_const_left(j),
+                      coord(0, 2).mul_const_left(-i)])
+    if n == 3:
+        cases.append(obstructed_o3(HNumber.unit("O", 6),
+                                   HNumber.unit("O", 3)))
+    for g in cases:
+        try:
+            cs.solve_crf(g)
+        except cs.CompatibilityViolation:
+            pass
+    monkeypatch.undo()
+    attempts = [0] * len(systems)
+    memberless = 0
+    for index, monos, blocks in built:
+        rhs, k = systems[index]
+        attempts[index] += 1
+        assert blocks == packed_blocks(algebra, n, k, rhs)
+        assert monos == sorted(set(monos))
+        memberless += assert_rows_are_assembled(
+            algebra, n, (k + 1).bit_length(), monos, rhs, blocks)
+    if n == 2 and algebra == "H" or n == 3:
+        assert 2 in attempts        # a full-space attempt was built
+    if n == 3:
+        # the obstruction's candidates peel every neighbour of a pinned block
+        assert memberless
+    assert {k + 1 for _, k in systems} == set(range(1, deg + 2))
+    memberless = 0      # now over random subsets of the full space
+    for rhs, k in systems:
+        bits = (k + 1).bit_length()
+        blocks = packed_blocks(algebra, n, k, rhs)
+        full = sorted(cs._pack(mu, bits) for mu in monomials(width, k + 1))
+        assert_rows_are_assembled(algebra, n, bits, full, rhs, blocks)
+        for _ in range(3):
+            monos = sorted(rng.sample(full, rng.randint(0, min(len(full),
+                                                                12))))
+            memberless += assert_rows_are_assembled(algebra, n, bits, monos,
+                                                    rhs, blocks)
+    assert memberless
+
+
+@pytest.mark.parametrize("algebra,n,top", [("H", 1, 3), ("H", 2, 3),
+                                           ("H", 3, 3), ("O", 1, 3),
+                                           ("O", 2, 3), ("O", 3, 2)])
+def test_kernel_rows_are_the_assembled_rows(algebra, n, top, monkeypatch):
+    """The rows of the kernel-basis system of each degree <= top are those
+    of _assemble over dbar_images of its sorted columns."""
+    d, width = DIM[algebra], DIM[algebra] * n
+    built = []
+    dbar_rows = cs._dbar_rows
+
+    def spy_rows(*args):
+        built.append(dbar_rows(*args))
+        return built[-1]
+    monkeypatch.setattr(cs, "_dbar_rows", spy_rows)
+    monkeypatch.setattr(cs, "nullspace_sparse", lambda rows, ncols: [])
+    for degree in range(top + 1):
+        assert cs.regular_kernel_basis(algebra, n, degree) == []
+        [(rows, values)] = built
+        built.clear()
+        columns = sorted((mu, beta) for k in range(degree + 1)
+                         for mu in monomials(width, k) for beta in range(d))
+        want, _ = _assemble(dbar_images(algebra, n, columns), {})
+        assert [list(row.items()) for row in rows] == \
+            [list(row.items()) for row in want]
+        assert values == [0] * len(want)
+
+
 # ---------------------------------------------------------------------------
 # kernel bases
 # ---------------------------------------------------------------------------
@@ -413,6 +560,24 @@ def test_one_variable_kernel_dimensions_closed_form(algebra, top):
 def test_kernel_bases_are_byte_stable(algebra, n, degree, size, digest):
     """Kernel bases past the benchmark goldens, pinned by the sha256 prefix
     of their canonical JSON: the basis, its order and every coefficient."""
+    basis = cs.regular_kernel_basis(algebra, n, degree)
+    text = json.dumps([p.to_json() for p in basis], sort_keys=True)
+    assert len(basis) == size
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("algebra,n,degree,size,digest", [
+    ("H", 2, 0, 4, "13a3b2773d0bb12e"),
+    ("H", 2, 1, 28, "06c5490630f48224"),
+    ("H", 2, 2, 108, "f7a3fa5b6ad9303b"),
+    ("H", 2, 3, 308, "c0cfc07b93562968"),
+    ("O", 2, 1, 120, "d78f9f9f9b617043"),
+])
+def test_small_kernel_bases_are_byte_stable(algebra, n, degree, size,
+                                            digest):
+    """The kernel bases of (H, 2) up to degree 3 and of (O, 2) at degree 1,
+    pinned by the sha256 prefix of their canonical JSON as printed before
+    the graded rows were built on packed monomials."""
     basis = cs.regular_kernel_basis(algebra, n, degree)
     text = json.dumps([p.to_json() for p in basis], sort_keys=True)
     assert len(basis) == size

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crfbench.linalg import (_RHS, Echelon, Inconsistent, nullspace_sparse,
-                             rank_of, solve_sparse)
+from crfbench.linalg import (_RHS, Echelon, Inconsistent, _eliminate,
+                             _primitive, nullspace_sparse, rank_of,
+                             solve_sparse)
 
 
 def dense_to_rows(mat):
@@ -327,3 +328,51 @@ def test_integer_read_out_equals_rational_gauss_jordan(system):
         assert ints[f] == den
         assert as_fractions((den, ints)) == {
             f: 1, **{c: -row[f] for c, row in zip(pivots, rref) if row[f]}}
+
+
+def all_pairs_back_substitute(pivots):
+    """Back-substitution as first written: for each lead, in decreasing
+    order, every other pivot row is scanned for it."""
+    for lead in sorted(pivots, reverse=True):
+        piv = pivots[lead] = _primitive(pivots[lead], lead)
+        for other_lead, other in pivots.items():
+            if other_lead < lead and lead in other:
+                _eliminate(other, piv, lead)
+
+
+@st.composite
+def deficient_systems(draw):
+    """(rows, b): m rows that are integer combinations of r < min(m, n)
+    random rational rows, with right-hand sides b = A x, so every row is
+    fed and some reduce to nothing."""
+    n = draw(st.integers(2, 9))
+    m = draw(st.integers(2, 10))
+    r = draw(st.integers(1, min(m, n) - 1))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3), rationals)
+    base = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=r, max_size=r))
+    weights = draw(st.lists(st.lists(st.integers(-2, 2), min_size=r,
+                                     max_size=r), min_size=m, max_size=m))
+    mat = [[sum(w * row[j] for w, row in zip(ws, base)) for j in range(n)]
+           for ws in weights]
+    x = draw(st.lists(rationals, min_size=n, max_size=n))
+    b = [sum(Fraction(v) * y for v, y in zip(row, x)) for row in mat]
+    return [{j: v for j, v in enumerate(row) if v} for row in mat], b
+
+
+@settings(max_examples=200, deadline=None)
+@given(deficient_systems())
+def test_back_substitute_matches_the_all_pairs_loop(system):
+    """Clearing each lead from only the rows that hold it gives the pivot
+    rows, entry order included, that scanning every row for it gives."""
+    rows, b = system
+    ech = Echelon()
+    for row, rhs in zip(rows, b):
+        ech.add_row(row, rhs)
+    assert ech.rank < len(rows)
+    want = {lead: dict(row) for lead, row in ech.pivots.items()}
+    all_pairs_back_substitute(want)
+    ech.back_substitute()
+    assert list(ech.pivots) == list(want)
+    for lead, row in ech.pivots.items():
+        assert list(row.items()) == list(want[lead].items())
