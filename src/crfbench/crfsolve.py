@@ -90,9 +90,9 @@ def _poly_from_columns(algebra, n, columns, sol):
 
 
 def _rhs_by_degree(g):
-    """g over one common denominator, keyed like the rows of ``dbar_images``
-    (x^nu = nu! x^[nu]) and grouped by the degree of nu: (den, {k: {(h, nu,
-    gamma): den times the coefficient of x^[nu] i_gamma in g_h}})."""
+    """g over one common denominator, keyed by the equation (h, nu, gamma)
+    it feeds (x^nu = nu! x^[nu]) and grouped by the degree of nu: (den, {k:
+    {(h, nu, gamma): den times the coefficient of x^[nu] i_gamma in g_h}})."""
     den = math.lcm(*[gh._ints[0] for gh in g])
     out = {}
     for h, gh in enumerate(g):
@@ -158,9 +158,8 @@ def _coordinates(algebra, n, bits):
 
 def _dbar_rows(algebra, coords, monos, rhs):
     """The rows and right-hand side values of the graded system on the
-    columns x^[mu] i_beta, numbered pos*d + beta for mu = monos[pos], in the
-    order and with the values of ``_assemble(dbar_images(algebra, n,
-    columns), b)``.
+    columns x^[mu] i_beta, numbered pos*d + beta for mu = monos[pos], one row
+    per equation (h, nu, gamma) in sorted order, as ``_assemble`` orders them.
 
     ``monos`` are packed monomials in increasing order, ``coords`` their
     :func:`_coordinates`, and ``rhs`` maps each block of b to {gamma:

@@ -14,10 +14,10 @@ For solving, the right-hand side rides along as an extra entry under a
 pseudo-column that sorts after every real column, so inconsistency (a row
 whose leading entry is its right-hand side: 0 = nonzero) is detected the
 moment it appears.  So a row with a right-hand side needs numeric column
-keys; a rank-only row may carry any mutually ordered keys.  Systems given as
-the image of each unknown (the syzygy ranks, the extension system) become
-rows through :func:`_assemble`; the graded systems of
-:mod:`crfbench.crfsolve` build their rows directly, in the same order.
+keys; a rank-only row may carry any mutually ordered keys.  Only the
+extension system, given as the image of each unknown, becomes rows through
+:func:`_assemble`; the graded systems of :mod:`crfbench.crfsolve` and the
+syzygy ranks build their rows directly, in the same order.
 """
 
 from __future__ import annotations

@@ -46,9 +46,8 @@ from math import gcd, lcm
 from numbers import Rational
 from operator import add
 
-from .hypercomplex import (ALGEBRAS, DIM, MUL_TABLE, SPLIT_TABLE,
-                           AlgebraMismatch, HNumber, _from_ints, _mul_into,
-                           _numerators)
+from .hypercomplex import (ALGEBRAS, DIM, SPLIT_TABLE, AlgebraMismatch,
+                           HNumber, _from_ints, _mul_into, _numerators)
 
 SCHEMA_VERSION = 1
 
@@ -598,39 +597,6 @@ def monomials(width, k):
             exp[i] += 1
         out.append(tuple(exp))
     return out
-
-
-def dbar_images(algebra, n, columns):
-    """Image of each column (mu, beta) under the conjugate-Fueter system,
-    generated lazily in column order.
-
-    Column (mu, beta) is x^[mu] i_beta in the divided-power basis
-    x^[mu] = x^mu / mu!, where d/dx_i x^[mu] = x^[mu - e_i].  Its image is
-    {(h, nu, gamma): sign}: dbar_h x^[mu] i_beta has coefficient sign on
-    x^[nu] i_gamma, with nu = mu - e_{d*h + alpha} and
-    i_alpha * i_beta = sign * i_gamma.  Distinct alpha give distinct nu, so
-    entries never collide and every one is -1 or +1.  The shifted
-    exponents (h, alpha, nu) of a monomial serve every consecutive column
-    with that mu.
-    """
-    d = DIM[algebra]
-    table = MUL_TABLE[algebra]
-    last = shifts = None
-    for mu, beta in columns:
-        if mu != last:
-            last = mu
-            shifts = []
-            for h in range(n):
-                for alpha in range(d):
-                    i = d * h + alpha
-                    if mu[i]:
-                        shifts.append(
-                            (h, alpha, mu[:i] + (mu[i] - 1,) + mu[i + 1:]))
-        image = {}
-        for h, alpha, nu in shifts:
-            gamma, sign = table[alpha][beta]
-            image[(h, nu, gamma)] = sign
-        yield image
 
 
 def compat_pbar(g):

@@ -31,14 +31,19 @@ conj(i_a2) i_beta = s2 i_t and i_a1 i_t = s1 i_gamma.
 ``syzygy_dim`` counts all degree-k syzygies by exact linear algebra over Q.
 The equations v . M = 0 are the transpose of dbar on degree k+1: the
 coefficient of d^mu in column beta of v . M is the image of x^[mu] i_beta
-under :func:`crfbench.polycalc.dbar_images`, read with row (h, nu, gamma)
-as the unknown "coefficient of d^nu in v[(h, gamma)]".  A matrix and its
-transpose have equal rank, so ``linalg._assemble`` turns the images into
-one row per unknown and those rows are ranked.  Since
+under dbar, read with its equation (h, nu, gamma) as the unknown
+"coefficient of d^nu in v[(h, gamma)]".  A matrix and its transpose have
+equal rank, so :func:`_rank_rows` builds one row per unknown and those
+rows are ranked.  Since
 i_a i_b = +-i_{a XOR b}, the system is block diagonal by
 :func:`block_key`, and ``syzygy_dim`` ranks one block per orbit of the
 variable permutations and of the class shifts certified by
 :func:`shift_certificate`.
+
+``linalg.Echelon`` pivots on the smallest column key, so the columns are
+keyed to put the largest mu first: in increasing mu the largest block of
+``syzygy_dim("O", 2, 5)`` fills to 1,702,606 echelon nonzeros, in
+decreasing mu to 101,088.  Ranks do not depend on the column order.
 """
 
 from __future__ import annotations
@@ -49,9 +54,10 @@ from functools import lru_cache
 from itertools import product
 from math import comb
 
+from .crfsolve import _coordinates, _pack
 from .hypercomplex import DIM, MUL_TABLE
-from .linalg import BudgetExceeded, _assemble, rank_of
-from .polycalc import HPoly, compat_pbar, dbar_images, monomials
+from .linalg import BudgetExceeded, rank_of
+from .polycalc import HPoly, compat_pbar, monomials
 
 
 class OperatorPoly:
@@ -244,8 +250,8 @@ def block_key(d, mu, beta):
     """Block of column (mu, beta): the multidegree (deg_0 mu, ..., deg_{n-1}
     mu) and the class beta XOR (XOR of i mod d over the i with mu_i odd).
 
-    Under the index rule i_a i_b = +-i_{a XOR b}, ``dbar_images`` keeps it:
-    unknown (h, nu, gamma) has the key of column (nu + e_{d*h}, gamma).
+    Under the index rule i_a i_b = +-i_{a XOR b}, dbar keeps it: an unknown
+    (h, nu, gamma) has the key of column (nu + e_{d*h}, gamma).
     """
     return (tuple(sum(mu[i:i + d]) for i in range(0, len(mu), d)),
             beta ^ _odd_xor(d, mu))
@@ -265,6 +271,29 @@ def _block_columns(d, md, kappa):
     for parts in product(*(sorted(monomials(d, e)) for e in md)):
         mu = sum(parts, ())
         yield mu, kappa ^ _odd_xor(d, mu)
+
+
+def _rank_rows(algebra, n, k, columns):
+    """The rows of the degree-k system on ``columns`` ((mu, beta) pairs),
+    one per unknown (h, nu, gamma), in sorted order, on monomials packed by
+    :func:`crfbench.crfsolve._pack`.  Column (mu, beta) with packed mu m is
+    keyed -(m*d + beta), so the largest mu is pivoted first; through
+    coordinate d*h + alpha it enters row (h, mu - unit, gamma) with the sign
+    of i_alpha i_beta = sign i_gamma."""
+    d = DIM[algebra]
+    bits = (k + 1).bit_length()
+    table = MUL_TABLE[algebra]
+    coords = [(one, h, table[i % d]) for i, (_, one, h, _)
+              in enumerate(_coordinates(algebra, n, bits))]
+    rows = {}
+    for mu, beta in columns:
+        m = _pack(mu, bits)
+        for e, (one, h, products) in zip(mu, coords):
+            if e:
+                gamma, sign = products[beta]
+                rows.setdefault((h + m - one) * d + gamma, {})[
+                    -(m * d + beta)] = sign
+    return [rows[key] for key in sorted(rows)]
 
 
 def shift_certificate(algebra, c):
@@ -321,8 +350,9 @@ def syzygy_dim(algebra, n, k, max_unknowns=None):
     vanishes coefficientwise.  The equation system is the transpose of dbar
     on degree k+1: equation (beta, mu) is the image of the column
     (mu, beta), with entry (h, nu, gamma) on the coefficient of d^nu in row
-    entry (h, gamma).  Each block is ranked as the rows of its column
-    images under ``_assemble``, the transpose of the equations.
+    entry (h, gamma).  Each block is ranked as the rows of its transpose,
+    built by :func:`_rank_rows` with the largest mu as the first pivot, which
+    fills in far less (module docstring); ranks do not depend on that order.
     ``max_unknowns`` guards runaway sizes (raises :class:`BudgetExceeded`).
 
     Each block of :func:`block_key` is ranked on its own.  Permuting
@@ -353,7 +383,7 @@ def syzygy_dim(algebra, n, k, max_unknowns=None):
         blocks = [(md_orbit * class_orbit, _block_columns(d, md, kappa))
                   for md, md_orbit in md_orbits.items() for kappa in classes]
     return nunknowns - sum(
-        weight * rank_of(_assemble(dbar_images(algebra, n, columns), {})[0])
+        weight * rank_of(_rank_rows(algebra, n, k, columns))
         for weight, columns in blocks)
 
 

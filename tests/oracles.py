@@ -1,0 +1,40 @@
+"""Reference constructions the tests check the solvers against.
+
+Not collected by pytest (no ``test_`` prefix); the tests import it from
+their own directory.
+"""
+
+from crfbench.hypercomplex import DIM, MUL_TABLE
+
+
+def dbar_images(algebra, n, columns):
+    """Image of each column (mu, beta) under the conjugate-Fueter system,
+    generated lazily in column order.
+
+    Column (mu, beta) is x^[mu] i_beta in the divided-power basis
+    x^[mu] = x^mu / mu!, where d/dx_i x^[mu] = x^[mu - e_i].  Its image is
+    {(h, nu, gamma): sign}: dbar_h x^[mu] i_beta has coefficient sign on
+    x^[nu] i_gamma, with nu = mu - e_{d*h + alpha} and
+    i_alpha * i_beta = sign * i_gamma.  Distinct alpha give distinct nu, so
+    entries never collide and every one is -1 or +1.  The shifted
+    exponents (h, alpha, nu) of a monomial serve every consecutive column
+    with that mu.
+    """
+    d = DIM[algebra]
+    table = MUL_TABLE[algebra]
+    last = shifts = None
+    for mu, beta in columns:
+        if mu != last:
+            last = mu
+            shifts = []
+            for h in range(n):
+                for alpha in range(d):
+                    i = d * h + alpha
+                    if mu[i]:
+                        shifts.append(
+                            (h, alpha, mu[:i] + (mu[i] - 1,) + mu[i + 1:]))
+        image = {}
+        for h, alpha, nu in shifts:
+            gamma, sign = table[alpha][beta]
+            image[(h, nu, gamma)] = sign
+        yield image

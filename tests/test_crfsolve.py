@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 from crfbench.hypercomplex import DIM, HNumber
 from crfbench.linalg import Echelon, _assemble, solve_sparse
-from crfbench.polycalc import (HPoly, compat_pbar, dbar_images, dbar_system,
-                               fueter_dbar, monomials)
+from crfbench.polycalc import (HPoly, compat_pbar, dbar_system, fueter_dbar,
+                               monomials)
 from crfbench.hypersurface import Hypersurface, is_admissible
 from crfbench import crfsolve as cs
 from crfbench import hypercomplex, polycalc
+
+from oracles import dbar_images
 
 
 def rand_poly(rng, algebra, n, deg=3, terms=5):
