@@ -95,10 +95,12 @@ class Echelon:
 
         Raises Inconsistent when the row reduces to an impossible equation.
         """
-        work = {c: v for c, v in row.items() if v}
+        work = dict(row)
+        if 0 in work.values():
+            work = {c: v for c, v in work.items() if v}
         if rhs:
             work[_RHS] = rhs
-        if any(type(v) is not int for v in work.values()):
+        if not {int}.issuperset(map(type, work.values())):
             den = lcm(*(v.denominator for v in work.values()))
             work = {c: v.numerator * (den // v.denominator)
                     for c, v in work.items()}

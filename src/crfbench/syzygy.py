@@ -33,12 +33,14 @@ The equations v . M = 0 are the transpose of dbar on degree k+1: the
 coefficient of d^mu in column beta of v . M is the image of x^[mu] i_beta
 under dbar, read with its equation (h, nu, gamma) as the unknown
 "coefficient of d^nu in v[(h, gamma)]".  A matrix and its transpose have
-equal rank, so :func:`_rank_rows` builds one row per unknown and those
-rows are ranked.  Since
-i_a i_b = +-i_{a XOR b}, the system is block diagonal by
-:func:`block_key`, and ``syzygy_dim`` ranks one block per orbit of the
-variable permutations and of the class shifts certified by
-:func:`shift_certificate`.
+equal rank, so :func:`_rank_rows` builds the row of each unknown straight
+from ``MUL_TABLE`` and those rows are ranked.  Since i_a i_b =
++-i_{a XOR b}, the system is block diagonal: column (mu, beta) lies in
+block (multidegree of mu, beta XOR the odd class of mu), the odd class
+being the XOR of i mod d over the i with mu_i odd, and unknown
+(h, nu, gamma) in the block of column (nu + e_{d*h}, gamma).
+``syzygy_dim`` ranks one block per orbit of the variable permutations and
+of the class shifts certified by :func:`_certificate`.
 
 ``linalg.Echelon`` pivots on the smallest column key, so the columns are
 keyed to put the largest mu first: in increasing mu the largest block of
@@ -50,11 +52,11 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, reduce
 from math import comb
+from operator import xor
 
-from .crfsolve import _coordinates, _pack
+from .crfsolve import _pack, _solve_for, _unpack
 from .hypercomplex import DIM, MUL_TABLE
 from .linalg import BudgetExceeded, rank_of
 from .polycalc import HPoly, compat_pbar, monomials
@@ -167,30 +169,18 @@ def build_dbar_matrix(algebra, n):
     return out
 
 
-def laplace_operator(algebra, n, h):
-    d = DIM[algebra]
-    nsyms = d * n
-    return OperatorPoly(nsyms, {
-        tuple(2 if i == d * h + alpha else 0 for i in range(nsyms)): 1
-        for alpha in range(d)})
-
-
 def _compat_terms(l, m, algebra, n):
     """The d rows of pair (l, m) as {slot: {exponent: coefficient}}, slot
-    d*h + beta for entry (h, beta); see the module docstring."""
+    d*h + beta for entry (h, beta) and the degree-2 exponent packed in
+    2-bit fields by :func:`crfbench.crfsolve._pack`; see the module
+    docstring."""
     if l == m or not (0 <= l < n and 0 <= m < n):
         raise ValueError("need an ordered pair of distinct variable indices")
     d = DIM[algebra]
     table = MUL_TABLE[algebra]
     sign = -1 if algebra == "H" else 1
-
-    def exponent(i, j):
-        exp = [0] * (d * n)
-        exp[i] += 1
-        exp[j] += 1
-        return tuple(exp)
-
-    lap_m = dict.fromkeys(laplace_operator(algebra, n, m).terms, sign)
+    unit = [1 << 2 * i for i in reversed(range(d * n))]
+    lap_m = {2 * unit[d * m + alpha]: sign for alpha in range(d)}
     rows = [{d * l + gamma: lap_m} for gamma in range(d)]
     for beta in range(d):
         slot = d * m + beta
@@ -201,7 +191,7 @@ def _compat_terms(l, m, algebra, n):
             for a1 in range(d):
                 gamma, s1 = table[a1][t]
                 rows[gamma].setdefault(slot, {})[
-                    exponent(d * l + a1, d * m + a2)] = -sign * s1 * s2
+                    unit[d * l + a1] + unit[d * m + a2]] = -sign * s1 * s2
     return rows
 
 
@@ -213,7 +203,9 @@ def compat_syzygy_rows(l, m, algebra, n):
     octonionic z-form); see the module docstring.
     """
     nsyms = DIM[algebra] * n
-    return [[OperatorPoly(nsyms, row.get(slot)) for slot in range(nsyms)]
+    return [[OperatorPoly(nsyms, {_unpack(exp, 2, nsyms): c
+                                  for exp, c in row.get(slot, {}).items()})
+             for slot in range(nsyms)]
             for row in _compat_terms(l, m, algebra, n)]
 
 
@@ -246,59 +238,63 @@ def verify_syzygy(row, matrix):
 # graded dimension count
 # ---------------------------------------------------------------------------
 
-def block_key(d, mu, beta):
-    """Block of column (mu, beta): the multidegree (deg_0 mu, ..., deg_{n-1}
-    mu) and the class beta XOR (XOR of i mod d over the i with mu_i odd).
+def _walk(d, n, bits, md, parts):
+    """(packed nu, odd class of nu) for every nu of multidegree ``md``, in
+    increasing nu, from per-variable lists cached in ``parts``."""
+    walk = [(0, 0)]
+    for g, e in enumerate(md):
+        part = parts.get((g, e))
+        if part is None:
+            shift = bits * d * (n - 1 - g)
+            part = parts[g, e] = [
+                (_pack(mu, bits) << shift,
+                 reduce(xor, (a for a, x in enumerate(mu) if x & 1), 0))
+                for mu in reversed(monomials(d, e))]
+        walk = [(p | q, c ^ x) for p, c in walk for q, x in part]
+    return walk
 
-    Under the index rule i_a i_b = +-i_{a XOR b}, dbar keeps it: an unknown
-    (h, nu, gamma) has the key of column (nu + e_{d*h}, gamma).
+
+def _rank_rows(algebra, n, k, block, parts):
+    """The rows of the degree-k system, one per unknown (h, nu, gamma), in
+    sorted order, on monomials packed by :func:`crfbench.crfsolve._pack`.
+
+    Column (mu, beta) with packed mu m is keyed -(m*d + beta), so the
+    largest mu is pivoted first; the row of (h, nu, gamma) holds, for each
+    alpha, the column (nu + e_{d*h+alpha}, beta) with i_alpha i_beta =
+    sign i_gamma in the live ``MUL_TABLE``.  ``block`` = (md, kappa) takes
+    the unknowns of the columns of multidegree md and class kappa: the
+    (h, nu, kappa XOR odd class of nu) with nu of multidegree md - e_h
+    (:func:`_walk`, caching in ``parts``).  ``block`` None takes every
+    unknown of degree k.
     """
-    return (tuple(sum(mu[i:i + d]) for i in range(0, len(mu), d)),
-            beta ^ _odd_xor(d, mu))
-
-
-def _odd_xor(d, mu):
-    x = 0
-    for i, e in enumerate(mu):
-        if e & 1:
-            x ^= i % d
-    return x
-
-
-def _block_columns(d, md, kappa):
-    """The columns of block (md, kappa), one per monomial mu of multidegree
-    md, in increasing mu."""
-    for parts in product(*(sorted(monomials(d, e)) for e in md)):
-        mu = sum(parts, ())
-        yield mu, kappa ^ _odd_xor(d, mu)
-
-
-def _rank_rows(algebra, n, k, columns):
-    """The rows of the degree-k system on ``columns`` ((mu, beta) pairs),
-    one per unknown (h, nu, gamma), in sorted order, on monomials packed by
-    :func:`crfbench.crfsolve._pack`.  Column (mu, beta) with packed mu m is
-    keyed -(m*d + beta), so the largest mu is pivoted first; through
-    coordinate d*h + alpha it enters row (h, mu - unit, gamma) with the sign
-    of i_alpha i_beta = sign i_gamma."""
     d = DIM[algebra]
+    width = d * n
     bits = (k + 1).bit_length()
-    table = MUL_TABLE[algebra]
-    coords = [(one, h, table[i % d]) for i, (_, one, h, _)
-              in enumerate(_coordinates(algebra, n, bits))]
-    rows = {}
-    for mu, beta in columns:
-        m = _pack(mu, bits)
-        for e, (one, h, products) in zip(mu, coords):
-            if e:
-                gamma, sign = products[beta]
-                rows.setdefault((h + m - one) * d + gamma, {})[
-                    -(m * d + beta)] = sign
-    return [rows[key] for key in sorted(rows)]
+    solve = [_solve_for(row) for row in MUL_TABLE[algebra]]
+    for h in range(n):
+        # per gamma, the row of (h, 0, gamma); (h, nu, gamma) shifts its keys
+        stencil = [[(-((1 << bits * (width - 1 - d * h - a)) * d + beta), s)
+                    for a, (beta, s) in enumerate(row[gamma] for row in solve)]
+                   for gamma in range(d)]
+        if block is None:
+            unknowns = ((nu, gamma) for nu in [
+                _pack(nu, bits) for nu in reversed(monomials(width, k))]
+                for gamma in range(d))
+        elif block[0][h]:
+            md, kappa = block
+            unknowns = ((nu, kappa ^ odd) for nu, odd in _walk(
+                d, n, bits, md[:h] + (md[h] - 1,) + md[h + 1:], parts))
+        else:
+            continue
+        for nu, gamma in unknowns:
+            m = nu * d
+            yield {key - m: sign for key, sign in stencil[gamma]}
 
 
-def shift_certificate(algebra, c):
+@lru_cache(maxsize=None)
+def _certificate(table, c):
     """Signs (v, eps) showing that class blocks kappa and kappa XOR c have
-    equal rank, or None.
+    equal rank under the multiplication table ``table``, or None.
 
     They satisfy sigma(a, b XOR c) = sigma(a, b) (-1)^(v_a + v_0) eps(b)
     eps(a XOR b) for all a, b, where i_a i_b = sigma(a, b) i_{a XOR b}.
@@ -307,11 +303,6 @@ def shift_certificate(algebra, c):
     (-1)^(v_0 + <v, nu>), where <v, mu> sums v_{i mod d} mu_i: a signed
     permutation of the two blocks, for every n, k and multidegree.
     """
-    return _certificate(MUL_TABLE[algebra], c)
-
-
-@lru_cache(maxsize=None)
-def _certificate(table, c):
     # Multiplying eps by -1, or adding 1 to every v_a, keeps the equations,
     # so v_0 = 0 and eps(0) = 1; as i_a 1 = i_a, the equations at b = 0
     # then fix eps by v, and the search over v is exhaustive.
@@ -351,11 +342,12 @@ def syzygy_dim(algebra, n, k, max_unknowns=None):
     on degree k+1: equation (beta, mu) is the image of the column
     (mu, beta), with entry (h, nu, gamma) on the coefficient of d^nu in row
     entry (h, gamma).  Each block is ranked as the rows of its transpose,
-    built by :func:`_rank_rows` with the largest mu as the first pivot, which
-    fills in far less (module docstring); ranks do not depend on that order.
-    ``max_unknowns`` guards runaway sizes (raises :class:`BudgetExceeded`).
+    which :func:`_rank_rows` builds one per unknown, with the largest mu as
+    the first pivot, which fills in far less (module docstring); ranks do
+    not depend on that order.  ``max_unknowns`` guards runaway sizes (raises
+    :class:`BudgetExceeded`).
 
-    Each block of :func:`block_key` is ranked on its own.  Permuting
+    Each block (module docstring) is ranked on its own.  Permuting
     the variables permutes multidegrees, so only non-increasing ones are
     ranked, weighted by their number of permutations; a class is ranked
     once per orbit of the certified shifts, weighted by its size.  A table
@@ -374,23 +366,24 @@ def syzygy_dim(algebra, n, k, max_unknowns=None):
 
     orbits = _class_orbits(MUL_TABLE[algebra])
     if orbits is None:
-        targets = sorted(monomials(nsyms, k + 1))
-        blocks = [(1, [(mu, beta) for beta in range(d) for mu in targets])]
+        blocks = [(1, None)]
     else:
         classes, class_orbit = orbits
         md_orbits = Counter(tuple(sorted(md, reverse=True))
                             for md in monomials(n, k + 1))
-        blocks = [(md_orbit * class_orbit, _block_columns(d, md, kappa))
+        blocks = [(md_orbit * class_orbit, (md, kappa))
                   for md, md_orbit in md_orbits.items() for kappa in classes]
+    parts = {}
     return nunknowns - sum(
-        weight * rank_of(_rank_rows(algebra, n, k, columns))
-        for weight, columns in blocks)
+        weight * rank_of(_rank_rows(algebra, n, k, block, parts))
+        for weight, block in blocks)
 
 
 def compat_rows_rank(algebra, n):
     """Rank of the compat syzygy rows as degree-2 coefficient vectors, keyed
-    (slot, exponent)."""
-    return rank_of({(slot, exp): c
+    slot << 2*n*d | packed exponent, in (slot, exponent) order."""
+    shift = 2 * DIM[algebra] * n
+    return rank_of({slot << shift | exp: c
                     for slot, entry in row.items() for exp, c in entry.items()}
                    for l, m in _ordered_pairs(n)
                    for row in _compat_terms(l, m, algebra, n))

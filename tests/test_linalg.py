@@ -376,3 +376,54 @@ def test_back_substitute_matches_the_all_pairs_loop(system):
     assert list(ech.pivots) == list(want)
     for lead, row in ech.pivots.items():
         assert list(row.items()) == list(want[lead].items())
+
+
+def add_row_as_first_written(ech, row, rhs=None):
+    """Echelon.add_row with the copy, the zero drop and the type test as
+    first written, one Python-level pass each."""
+    work = {c: v for c, v in row.items() if v}
+    if rhs:
+        work[_RHS] = rhs
+    if any(type(v) is not int for v in work.values()):
+        den = math.lcm(*(v.denominator for v in work.values()))
+        work = {c: v.numerator * (den // v.denominator)
+                for c, v in work.items()}
+    lead = ech._reduce(work)
+    if lead is None:
+        return False
+    if lead == _RHS:
+        raise Inconsistent("0 = nonzero after reduction")
+    ech.pivots[lead] = _primitive(work, lead)
+    return True
+
+
+def feed(add, rows):
+    """What each fed row returns or raises, and the pivot rows after."""
+    ech = Echelon()
+    out = []
+    for row, rhs in rows:
+        before = dict(row)
+        try:
+            out.append(add(ech, row, rhs))
+        except Inconsistent:
+            out.append(Inconsistent)
+        assert row == before and list(row.items()) == list(before.items())
+    return out, [(lead, list(row.items()))
+                 for lead, row in ech.pivots.items()]
+
+
+mixed_entries = st.one_of(st.just(0), st.just(Fraction(0)),
+                          st.integers(-3, 3), rationals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(
+    st.dictionaries(st.integers(0, 6), mixed_entries, max_size=6),
+    st.one_of(st.none(), st.just(0), st.just(Fraction(0)),
+              st.integers(-3, 3), rationals)), max_size=8))
+def test_add_row_feeds_as_first_written(rows):
+    """Rows of int, Fraction and zero entries, with or without a
+    right-hand side: each returns or raises what it did, the pivot rows
+    are the same, entry order included, and the fed row is left as it
+    was."""
+    assert feed(Echelon.add_row, rows) == feed(add_row_as_first_written, rows)

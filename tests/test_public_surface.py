@@ -31,8 +31,6 @@ KEPT = {
         "the independent cross-check that the README's design constant keeps",
     "integrate.quaternion_batch_mul":
         "the bit reference of the blocked reproducing-integral tests",
-    "syzygy.block_key": "an oracle of the block-diagonal syzygy count",
-    "syzygy.shift_certificate": "an oracle of the block-diagonal syzygy count",
     "hypersurface.levi_h_convexity":
         "the extension table of ROADMAP direction 3 calls it",
     "hypersurface.tangent_h_line":

@@ -8,25 +8,31 @@ import numpy as np
 import pytest
 
 from crfbench import syzygy
-from crfbench.crfsolve import _pack, regular_kernel_basis
+from crfbench.crfsolve import _pack, _unpack, regular_kernel_basis
 from crfbench.hypercomplex import DIM, MUL_TABLE, OCT_DBAR_MATRIX, HNumber
 from crfbench.linalg import BudgetExceeded, Echelon, _assemble, rank_of
 from crfbench.polycalc import HPoly, compat_pbar, dbar_system, monomials
 from crfbench.syzygy import (
     OperatorPoly,
     all_compat_rows,
-    block_key,
     build_dbar_matrix,
     compat_rows_rank,
     compat_syzygy_rows,
     independence_witness,
-    laplace_operator,
-    shift_certificate,
     syzygy_dim,
     verify_syzygy,
 )
 
 from oracles import dbar_images
+
+
+def laplace_operator(algebra, n, h):
+    """The Laplacian of variable h as an OperatorPoly."""
+    d = DIM[algebra]
+    nsyms = d * n
+    return OperatorPoly(nsyms, {
+        tuple(2 if i == d * h + alpha else 0 for i in range(nsyms)): 1
+        for alpha in range(d)})
 
 
 def rand_poly(rng, algebra, n, max_deg, n_terms):
@@ -232,6 +238,31 @@ def test_syzygy_dim_rejects_invalid_sizes(n, k):
 # block decomposition of the degree-k system
 # ---------------------------------------------------------------------------
 
+def block_key(d, mu, beta):
+    """Block of column (mu, beta): the multidegree (deg_0 mu, ..., deg_{n-1}
+    mu) and the class beta XOR (XOR of i mod d over the i with mu_i odd).
+
+    Under the index rule i_a i_b = +-i_{a XOR b}, dbar keeps it: an unknown
+    (h, nu, gamma) has the key of column (nu + e_{d*h}, gamma).
+    """
+    return (tuple(sum(mu[i:i + d]) for i in range(0, len(mu), d)),
+            beta ^ odd_xor(d, mu))
+
+
+def odd_xor(d, mu):
+    x = 0
+    for i, e in enumerate(mu):
+        if e & 1:
+            x ^= i % d
+    return x
+
+
+def shift_certificate(algebra, c):
+    """The signs certifying that class blocks kappa and kappa XOR c of the
+    live table have equal rank, or None (``syzygy._certificate``)."""
+    return syzygy._certificate(MUL_TABLE[algebra], c)
+
+
 def columns(algebra, n, k):
     """Every column (mu, beta) of the degree-k syzygy system."""
     d = DIM[algebra]
@@ -365,15 +396,14 @@ def test_independence_witness_rejects_equal_indices():
 # the rows syzygy_dim ranks
 # ---------------------------------------------------------------------------
 
-def assert_rows_are_assembled(algebra, n, k, cols):
-    """syzygy's rows on ``cols`` are _assemble's rows of their images, in
-    the same order, with column j keyed -(packed mu * d + beta)."""
+def assert_rows_are_assembled(algebra, n, k, cols, rows):
+    """``rows`` are _assemble's rows of the images of ``cols``, in the same
+    order, with column j keyed -(packed mu * d + beta)."""
     d = DIM[algebra]
     bits = (k + 1).bit_length()
     keys = [-(_pack(mu, bits) * d + beta) for mu, beta in cols]
     want, _ = _assemble(dbar_images(algebra, n, cols), {})
-    assert syzygy._rank_rows(algebra, n, k, cols) == [
-        {keys[j]: v for j, v in row.items()} for row in want]
+    assert list(rows) == [{keys[j]: v for j, v in row.items()} for row in want]
 
 
 @pytest.mark.parametrize("algebra,n,top", [("H", 2, 4), ("H", 3, 3),
@@ -382,10 +412,15 @@ def test_block_rows_are_the_assembled_rows(algebra, n, top):
     # top = 4 for (H, 2) runs k + 1 = 4, where the packed fields widen
     d = DIM[algebra]
     for k in range(top + 1):
-        for md in monomials(n, k + 1):
-            for kappa in range(d):
-                cols = list(syzygy._block_columns(d, md, kappa))
-                assert_rows_are_assembled(algebra, n, k, cols)
+        blocks = {}
+        for mu, beta in columns(algebra, n, k):
+            blocks.setdefault(block_key(d, mu, beta), []).append((mu, beta))
+        assert len(blocks) == d * len(monomials(n, k + 1))
+        parts = {}
+        for block, cols in blocks.items():
+            assert_rows_are_assembled(
+                algebra, n, k, cols,
+                syzygy._rank_rows(algebra, n, k, block, parts))
 
 
 def test_whole_system_rows_are_the_assembled_rows(monkeypatch):
@@ -395,15 +430,61 @@ def test_whole_system_rows_are_the_assembled_rows(monkeypatch):
     built = syzygy._rank_rows
     calls = []
 
-    def spy(algebra, n, k, columns):
-        columns = list(columns)
-        calls.append((algebra, n, k, columns))
-        return built(algebra, n, k, columns)
+    def spy(algebra, n, k, block, parts):
+        rows = list(built(algebra, n, k, block, parts))
+        calls.append((block, rows))
+        return rows
 
     monkeypatch.setattr(syzygy, "_rank_rows", spy)
     assert syzygy_dim("H", 2, 2) == flat_dim("H", 2, 2)
-    assert len(calls) == 1 and len(calls[0][3]) == 4 * len(monomials(8, 3))
-    assert_rows_are_assembled(*calls[0])
+    [(block, rows)] = calls
+    assert block is None and len(rows) == 2 * 4 * len(monomials(8, 2))
+    assert_rows_are_assembled("H", 2, 2, columns("H", 2, 2), rows)
+
+
+@pytest.mark.parametrize("algebra,n,rank", [("H", 2, 8), ("H", 3, 24),
+                                            ("O", 2, 16), ("O", 3, 48)])
+def test_packed_compat_rows_are_the_operator_rows(algebra, n, rank):
+    """The packed rows, unpacked, are the rows of the module docstring
+    composed as OperatorPolys: Lap_m on (l, gamma) and -(A_l . B_m) on
+    (m, .), with the quaternionic sign; packed or as exponent tuples, they
+    have the same rank."""
+    d = DIM[algebra]
+    nsyms = d * n
+    sign = -1 if algebra == "H" else 1
+    matrix = build_dbar_matrix(algebra, n)
+    zero = OperatorPoly.zero(nsyms)
+    want = []
+    for l, m in syzygy._ordered_pairs(n):
+        # B_m[t][beta]: conj(i_a) i_beta = s i_t, conj(i_a) = -i_a for a > 0
+        b = [[zero] * d for _ in range(d)]
+        for a in range(d):
+            for beta in range(d):
+                t, s = MUL_TABLE[algebra][a][beta]
+                b[t][beta] = b[t][beta] + OperatorPoly.symbol(
+                    nsyms, d * m + a, s if a == 0 else -s)
+        lap = laplace_operator(algebra, n, m)
+        for gamma in range(d):
+            row = [zero] * nsyms
+            row[d * l + gamma] = OperatorPoly(
+                nsyms, {e: sign * c for e, c in lap.terms.items()})
+            for beta in range(d):
+                acc = zero
+                for t in range(d):
+                    acc = acc + matrix[d * l + gamma][t] * b[t][beta]
+                row[d * m + beta] = OperatorPoly(
+                    nsyms, {e: -sign * c for e, c in acc.terms.items()})
+            want.append([entry.terms for entry in row])
+    packed = [row for l, m in syzygy._ordered_pairs(n)
+              for row in syzygy._compat_terms(l, m, algebra, n)]
+    assert [[{_unpack(e, 2, nsyms): c for e, c in row.get(slot, {}).items()}
+             for slot in range(nsyms)] for row in packed] == want
+    assert [[entry.terms for entry in row]
+            for row in all_compat_rows(algebra, n)] == want
+    assert compat_rows_rank(algebra, n) == rank == rank_of(
+        {(slot, e): c
+         for slot, entry in enumerate(row) for e, c in entry.items()}
+        for row in want)
 
 
 def test_largest_mu_first_keeps_the_fill_small(monkeypatch):
