@@ -9,8 +9,8 @@ Subpackages are organized by what they compute:
   results as integer pairs ``(den, {column: int})``,
 * :mod:`crfbench.forms` -- differential forms with pole coefficients,
 * :mod:`crfbench.integrate` -- sphere quadrature and the reproducing integral,
-* :mod:`crfbench.hypersurface` -- tangential operators and convexity on
-  real hypersurfaces,
+* :mod:`crfbench.hypersurface` -- tangential operators, admissibility and
+  the rank test on real hypersurfaces,
 * :mod:`crfbench.crfsolve` -- exact graded solver for the conjugate-Fueter
   system, polynomial extensions, jump splittings,
 * :mod:`crfbench.syzygy` -- operator matrices and syzygy dimensions,

@@ -197,16 +197,19 @@ def _peel(neighbours, pinned):
 
     ``neighbours`` maps each candidate monomial to the blocks of equations it
     touches, each block once; a block's neighbours are the monomials that
-    touch it.  The columns of one monomial (its d units) enter each of its
-    blocks through an invertible d x d matrix:
+    touch it.  Both systems label their blocks by ints, so the counts below
+    hash no tuple.  The columns of one monomial (its d units) enter each of
+    its blocks through an invertible d x d matrix:
 
     * in the graded solve, block (h, nu) is the d equations of dbar_h u on
-      x^[nu] i_gamma; its neighbours are the monomials nu + e_{d*h+alpha},
-      whose columns enter it as a signed permutation;
+      x^[nu] i_gamma, labelled by its packed int; its neighbours are the
+      monomials nu + e_{d*h+alpha}, whose columns enter it as a signed
+      permutation;
     * in the extension, block (h, j, exp) is the 4 equations of digit j of
-      dbar_h on x^exp i_gamma.  dbar and the digits are right H-linear, so
-      the columns x^mu i_beta enter it as left multiplication by q, the
-      image of x^mu on the block read as a quaternion; that map is
+      dbar_h on x^exp i_gamma, labelled by the id that
+      :func:`_extension_images` gives it.  dbar and the digits are right
+      H-linear, so the columns x^mu i_beta enter it as left multiplication
+      by q, the image of x^mu on the block read as a quaternion; that map is
       invertible exactly when q != 0, so the neighbours of the block are the
       monomials whose image has a key in it.
 
@@ -217,7 +220,8 @@ def _peel(neighbours, pinned):
     id of the last one.  Dropping a monomial lowers the counts of its own
     blocks; a worklist of the blocks whose count drops to 1 repeats this
     until none is left.  The result is the least fixed point of this rule,
-    so it does not depend on the order of ``neighbours``.
+    so it does not depend on the order of ``neighbours`` nor on the labels
+    of the blocks.
     """
     monos = list(neighbours)
     touched = list(neighbours.values())
@@ -417,12 +421,14 @@ def _dbar_digits(poly, S, m):
 def _extension_images(form, m, budget):
     """The extension system's column images on the affine S of ``form``
     (its :class:`~crfbench.hypersurface.AffineForm`), for every monomial of
-    degree < budget, as (den, {mu: image}, {mu: blocks}) in the order of
-    :func:`_extend`: image maps each key of :func:`_dbar_digits` to an
-    ``int``, and the nonzero coefficients of the rho-adic digits 0..m-1 of
-    dbar_h(rho x^mu), h = 0, 1, are those ints over ``den``, by the
-    identities in :func:`_extend`; blocks, :func:`_peel`'s neighbours, are
-    the (h, j, exp) it touches.  The images of its four columns come from
+    degree < budget, as (den, {mu: image}, ({mu: blocks}, ids)) in the
+    order of :func:`_extend`: image maps each key of :func:`_dbar_digits`
+    to an ``int``, and the nonzero coefficients of the rho-adic digits
+    0..m-1 of dbar_h(rho x^mu), h = 0, 1, are those ints over ``den``, by
+    the identities in :func:`_extend`.  ``ids`` numbers each block
+    (h, j, exp) once, in first-seen order, in the loop that builds the
+    images; blocks, :func:`_peel`'s neighbours, lists the ids of the blocks
+    x^mu touches, each once.  The images of its four columns come from
     :func:`_right_multiples`.
 
     ``den_d`` clears every digit scale C(e, j) g_p^-j s^(e-j) with e up to
@@ -462,7 +468,7 @@ def _extension_images(form, m, budget):
                                 for terms in scales[nu[piv]]]
         return out
 
-    images, neighbours = {}, {}
+    images, neighbours, ids = {}, {}, {}    # ids: {(h, j, exp): int}
     for mu in monos:
         # row block h, unit a of coordinate i = 4h + a:
         # g_i D_j(x^mu) + mu_i D_{j-1}(x^(mu - e_i))
@@ -482,8 +488,10 @@ def _extension_images(form, m, budget):
                         key = (h, j, exp, a)
                         image[key] = image.get(key, 0) + k * c
         images[mu] = image = {key: c for key, c in image.items() if c}
-        neighbours[mu] = {key[:3] for key in image}
-    return den_d * den_g, images, neighbours
+        # blocks numbered in first-seen order; each listed once per monomial
+        neighbours[mu] = list({ids.setdefault(key[:3], len(ids))
+                               for key in image})
+    return den_d * den_g, images, (neighbours, ids)
 
 
 def _right_multiples(image):
@@ -516,11 +524,14 @@ def _extend(f, S, m, budget, max_unknowns):
     is the wanted one over den, and the answer is multiplied by den.
     Scaling every column by den changes neither the pivot set nor any
     infeasible verdict.  :func:`_peel` drops the monomials that blocks
-    (h, j, exp) outside the right-hand-side support force to 0.  Those rows
-    are left multiplication by the monomial's image q on the block, read as
-    a quaternion, since dbar and the digits are right H-linear; so they
-    force all four coefficients exactly when q != 0.  Only the survivors'
-    columns, in the order of the monomials, are assembled and eliminated.
+    (h, j, exp) outside the right-hand-side support force to 0; it runs on
+    the memoised block ids, with the right-hand side's blocks mapped
+    through ``ids`` (a block that no monomial touches is left out: it has
+    no count to pin).  Those rows are left multiplication by the monomial's
+    image q on the block, read as a quaternion, since dbar and the digits
+    are right H-linear; so they force all four coefficients exactly when
+    q != 0.  Only the survivors' columns, in the order of the monomials,
+    are assembled and eliminated.
     By the pivot-set argument of :func:`_solve_homogeneous`, the
     free-variables-zero answer and every infeasible verdict are those of
     the whole system; the unknown cap counts the monomials before the
@@ -549,8 +560,11 @@ def _extend(f, S, m, budget, max_unknowns):
     if size > max_unknowns:
         raise BudgetExceeded(f"extension needs {size} unknowns")
     rhs = {k: -c for k, c in _dbar_digits(f, S, m).items()}
-    den, images, neighbours = _extension_images(S.affine_form(), m, budget)
-    kept = _peel(neighbours, {key[:3] for key in rhs})
+    den, images, (neighbours, ids) = _extension_images(S.affine_form(), m,
+                                                       budget)
+    pinned = {ids.get(key[:3]) for key in rhs}
+    pinned.discard(None)
+    kept = _peel(neighbours, pinned)
     rows, values = _assemble((column for mu in kept
                               for column in _right_multiples(images[mu])),
                              rhs)

@@ -611,70 +611,3 @@ def rank_condition(f, S, p, tol=1e-9):
     s = np.linalg.svd(mat, compute_uv=False)
     return int((s > tol * max(1.0, s[0])).sum()) < 3
 
-
-# ---------------------------------------------------------------------------
-# tangent H-line and Levi-type convexity
-# ---------------------------------------------------------------------------
-
-def tangent_h_line(S, p):
-    """Direction v = (v_1, v_2) of the unique tangent right H-line at p:
-    <nu, v> = 0 normalized with v_2 = 1 (or v = (1, 0) when nu_1 = 0)."""
-    nu1, nu2 = S.normal_at(p)
-    if nu1.is_zero():
-        one = HNumber.one("H", nu1.backend)
-        zero = HNumber.zero("H", nu1.backend)
-        return (one, zero)
-    v1 = -(nu1.conj().inverse() * nu2.conj())
-    return (v1, HNumber.one("H", nu1.backend))
-
-
-@dataclass
-class LeviResult:
-    classification: str
-    eigenvalues: tuple
-    direction: tuple          # (v_1, v_2)
-    side: str
-
-
-def levi_h_convexity(S, p, side="negative", tol=1e-9):
-    """Classification of the normalized second fundamental form restricted to
-    the tangent right H-line at p.
-
-    ``side`` names the domain whose convexity is judged: "negative" for
-    {rho < 0} (e.g. the open ball for rho = |q|^2 - r^2), "positive" for
-    {rho > 0}.  Returns eigenvalues of the restricted form and one of
-    "positive-definite", "negative-definite", "indefinite", "degenerate".
-    """
-    if side not in ("negative", "positive"):
-        raise ValueError("side is 'negative' or 'positive'")
-    pt = tuple(p)
-    g = [float(c) for c in S.gradient_at(pt)]
-    norm = math.sqrt(sum(c * c for c in g))
-    if norm == 0:
-        raise ZeroDivisionError("singular point of rho")
-    hess = S.hessian_at(pt)
-    sign = 1.0 if side == "negative" else -1.0
-    v1, v2 = tangent_h_line(S, pt)
-    v1, v2 = v1.to_float(), v2.to_float()
-    basis = []
-    for a in range(4):
-        e = HNumber.unit("H", a).to_float()
-        basis.append(np.array(list((v1 * e).coeffs) + list((v2 * e).coeffs)))
-    mat = np.zeros((4, 4))
-    for a in range(4):
-        for b in range(4):
-            mat[a, b] = sign * float(basis[a] @ hess @ basis[b]) / norm
-    eigs = np.linalg.eigvalsh(mat)
-    scale = max(1.0, float(np.abs(eigs).max()))
-    pos = bool((eigs > tol * scale).any())
-    neg = bool((eigs < -tol * scale).any())
-    has_zero = bool((np.abs(eigs) <= tol * scale).any())
-    if pos and neg:
-        cls = "indefinite"
-    elif has_zero:
-        cls = "degenerate"
-    elif pos:
-        cls = "positive-definite"
-    else:
-        cls = "negative-definite"
-    return LeviResult(cls, tuple(float(e) for e in eigs), (v1, v2), side)

@@ -45,16 +45,6 @@ class PointOutsideDomain(ValueError):
     """Evaluation point is not strictly inside the integration sphere."""
 
 
-def quaternion_batch_mul(a, b):
-    """Componentwise quaternion product of (N, 4) arrays: the 16 column
-    products of ``MUL_TABLE["H"]`` with their fixed signs, accumulated
-    alpha-major (the summation order of the former structure-tensor
-    ``einsum``, so results agree bit for bit)."""
-    out = np.zeros((a.shape[0], 4), order="F")
-    _mul_into(a.T, b.T, out.T, np.empty(a.shape[0]))
-    return out
-
-
 def _mul_into(a, b, out, tmp, conj_a=False):
     """Add a * b, or conj(a) * b, into ``out``: quaternions stored as the
     four rows of a, b and out, with ``tmp`` one row of scratch.
@@ -242,8 +232,9 @@ def _cf_block(nodes, normals, vals, weights, q0, out, buf):
     These are the operations of the whole-array formula, node by node:
     diff = node - q0, nsq = d0^2 + d1^2 + d2^2 + d3^2 in that order, the
     kernel conj(diff) / nsq^2 (the conj folded into the first product),
-    the two products as ``quaternion_batch_mul`` forms them (zero start,
-    alpha-major, so signs of zero agree) and the weight.
+    the two products by ``_mul_into`` from a zero start (alpha-major, so
+    signs of zero agree with the structure-tensor contraction) and the
+    weight.
     """
     diff, prod, nsq, tmp = buf[0:4], buf[4:8], buf[8], buf[9]
     for c in range(4):

@@ -5,9 +5,11 @@ Rows are dicts mapping column index -> nonzero rational (``int`` or
 that eliminates fraction-free (Bareiss 1968, *Math. Comp.* 22): a fed row is
 cleared of denominators, reduced against the stored pivots in increasing
 column order with integer updates, made primitive (gcd 1, positive leading
-entry) and stored under its pivot column.  Results stay integer: pairs
-``(den, {column: int})``, the numerators of the nonzero entries over one
-den > 0.  Everything is deterministic: the pivot columns depend only on
+entry) and stored under its pivot column.  The columns to clear come from
+a heap of the row's columns once the first is cleared, so the row is not
+rescanned for its least column after every update.  Results stay integer:
+pairs ``(den, {column: int})``, the numerators of the nonzero entries over
+one den > 0.  Everything is deterministic: the pivot columns depend only on
 the rows fed in and their order, and each read-out is the unique answer.
 
 For solving, the right-hand side rides along as an extra entry under a
@@ -22,6 +24,7 @@ syzygy ranks build their rows directly, in the same order.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd, inf, lcm
 
 _RHS = inf  # pseudo-column of the right-hand side, after every real column
@@ -35,9 +38,10 @@ class Inconsistent(Exception):
     """A row reduced to 0 = nonzero."""
 
 
-def _eliminate(row, piv, col):
+def _eliminate(row, piv, col, heap=None):
     """Cancel ``row[col]`` in place: row <- b*row - a*piv, where a/b is
-    row[col]/piv[col] in lowest terms (b > 0), so integer rows stay integer."""
+    row[col]/piv[col] in lowest terms (b > 0), so integer rows stay integer.
+    Each column it inserts into ``row`` is pushed on ``heap``, if given."""
     a, b = row[col], piv[col]
     if b != 1:
         g = gcd(a, b)
@@ -47,11 +51,16 @@ def _eliminate(row, piv, col):
             for c in row:
                 row[c] *= b
     for c, v in piv.items():
-        nv = row.get(c, 0) - a * v
-        if nv:
-            row[c] = nv
+        if c in row:
+            nv = row[c] - a * v
+            if nv:
+                row[c] = nv
+            else:
+                del row[c]
         else:
-            del row[c]      # nv == 0 needs c in row, since a * v != 0
+            row[c] = -a * v
+            if heap is not None:
+                heappush(heap, c)
 
 
 def _primitive(row, lead):
@@ -79,14 +88,31 @@ class Echelon:
 
         Returns its leading column afterwards (``_RHS`` for 0 = nonzero), or
         None when the row vanished.
+
+        The first lead is ``min(row)``: most fed rows stop there.  After
+        the first elimination the leads come from a heap of the row's
+        columns, which each elimination extends by only the columns it
+        inserts; a popped column no longer in the row is skipped.  A pivot
+        row's columns all follow its lead, so the leads rise and each is the
+        least column left, as ``min`` would give.
         """
+        if not row:
+            return None
         pivots = self.pivots
-        while row:
-            lead = min(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                return lead
-            _eliminate(row, piv, lead)
+        lead = min(row)
+        piv = pivots.get(lead)
+        if piv is None:
+            return lead
+        _eliminate(row, piv, lead)
+        heap = list(row)
+        heapify(heap)
+        while heap:
+            lead = heappop(heap)
+            if lead in row:
+                piv = pivots.get(lead)
+                if piv is None:
+                    return lead
+                _eliminate(row, piv, lead, heap)
         return None
 
     def add_row(self, row, rhs=None):

@@ -655,10 +655,19 @@ def test_extension_images_match_the_polynomial_route(rho, m):
     columns of a monomial relabelled from its one image as in ``_extend``."""
     S = Hypersurface(rho)
     monos = [mu for k in range(3) for mu in monomials(8, k)]
-    den, images, neighbours = cs._extension_images(S.affine_form(), m, 3)
+    den, images, (neighbours, ids) = cs._extension_images(S.affine_form(),
+                                                          m, 3)
     assert list(images) == monos
-    assert neighbours == {mu: {key[:3] for key in image}
-                          for mu, image in images.items()}
+    # ids number the blocks 0, 1, ... in first-seen order, each block once
+    assert list(ids.values()) == list(range(len(ids)))
+    block = list(ids)
+    assert block == list(dict.fromkeys(key[:3] for image in images.values()
+                                       for key in image))
+    assert all(len(set(touched)) == len(touched)
+               for touched in neighbours.values())
+    assert {mu: {block[i] for i in touched}
+            for mu, touched in neighbours.items()} == \
+        {mu: {key[:3] for key in image} for mu, image in images.items()}
     columns = (column for image in images.values()
                for column in cs._right_multiples(image))
     for mu in monos:
@@ -853,6 +862,44 @@ def test_presolved_extension_gives_the_unpeeled_answer(rho, counterexample):
                 assert extension_outcome(F) == extension_outcome(want)
                 kinds.add(F is None)
     assert kinds == {True, False}
+
+
+@pytest.mark.parametrize("rho", [case[0] for case in AFFINE_CASES],
+                         ids=AFFINE_IDS)
+def test_extension_peels_int_blocks_as_it_would_tuple_blocks(
+        rho, counterexample, monkeypatch):
+    """_extend hands _peel only ints (lists of block ids per monomial and a
+    set of pinned ids), and the peel keeps the monomials, in order, that it
+    keeps on the (h, j, exp) blocks of the images with the right-hand side's
+    blocks pinned, at m = 1, 2, 3 and budgets 0..4 for the data of
+    test_presolved_extension_gives_the_unpeeled_answer."""
+    S = Hypersurface(rho)
+    rng = random.Random(54)
+    data = [regular_poly(rng) + S.rho * rand_poly(rng, "H", 2, deg=1,
+                                                  terms=3),
+            counterexample, HPoly.variable_conj("H", 2, 0), coord(0, 0) ** 2]
+    peel, peeled = cs._peel, []
+
+    def spy(neighbours, pinned):
+        out = peel(neighbours, pinned)
+        peeled.append((neighbours, pinned, out))
+        return out
+    monkeypatch.setattr(cs, "_peel", spy)
+    for f in data:
+        for budget in range(5):
+            for m in (1, 2, 3):
+                peeled.clear()
+                cs._extend(f, S, m, budget, 200000)
+                [(neighbours, pinned, kept)] = peeled
+                assert all(type(i) is int for touched in neighbours.values()
+                           for i in touched)
+                assert all(type(i) is int for i in pinned)
+                _, images, _ = cs._extension_images(S.affine_form(), m,
+                                                    budget)
+                blocks = {mu: {key[:3] for key in image}
+                          for mu, image in images.items()}
+                rhs = {key[:3] for key in cs._dbar_digits(f, S, m)}
+                assert kept == peel(blocks, rhs)
 
 
 def test_memoised_columns_give_the_unmemoised_answers(counterexample):

@@ -522,60 +522,6 @@ def test_tangential_restriction_identity_exact(mixed):
 
 
 # ---------------------------------------------------------------------------
-# tangent H-line and convexity
-# ---------------------------------------------------------------------------
-
-def test_tangent_h_line_is_tangent(mixed, sphere):
-    for S in (mixed, sphere):
-        p = S.sample_points(1, seed=19)[0]
-        nu1, nu2 = (v.to_float() for v in S.normal_at(p))
-        v1, v2 = hs.tangent_h_line(S, p)
-        v1, v2 = v1.to_float(), v2.to_float()
-        pair = nu1.conj() * v1 + nu2.conj() * v2
-        assert max(abs(c) for c in pair.coeffs) < 1e-12
-
-
-def test_levi_sphere_interior_positive(sphere):
-    for p in sphere.sample_points(4, seed=29):
-        res = hs.levi_h_convexity(sphere, p, side="negative")
-        assert res.classification == "positive-definite"
-        assert all(e > 0 for e in res.eigenvalues)
-    # the exterior side flips the sign
-    p = sphere.sample_points(1, seed=30)[0]
-    assert hs.levi_h_convexity(
-        sphere, p, side="positive").classification == "negative-definite"
-
-
-def test_levi_signature_difference_surface():
-    """rho = |q1|^2 - |q2|^2 - 1 at a point with nu_2 = 0: the tangent
-    H-line sits inside the concave block, so {rho < 0} is negative-definite."""
-    rho = HPoly.zero("H", 2)
-    for a in range(4):
-        rho = rho + coord(0, a) ** 2 - coord(1, a) ** 2
-    S = hs.Hypersurface(rho - const(1))
-    p = tuple(Fraction(c) for c in (1, 0, 0, 0, 0, 0, 0, 0))
-    res = hs.levi_h_convexity(S, p, side="negative")
-    assert res.classification == "negative-definite"
-    assert np.allclose(res.eigenvalues, [-1.0] * 4)
-
-
-def test_levi_degenerate_and_indefinite():
-    # rho = x0 + y0^2 - y1^2: flat normal direction, saddle along the line
-    S = hs.Hypersurface(coord(0, 0) + coord(1, 0) ** 2 - coord(1, 1) ** 2)
-    p = tuple(Fraction(0) for _ in range(8))
-    assert hs.levi_h_convexity(S, p).classification == "indefinite"
-    # rho = x0 + y0^2: rank-one form
-    S2 = hs.Hypersurface(coord(0, 0) + coord(1, 0) ** 2)
-    assert hs.levi_h_convexity(S2, p).classification == "degenerate"
-
-
-def test_levi_side_validation(sphere):
-    p = sphere.sample_points(1, seed=2)[0]
-    with pytest.raises(ValueError):
-        hs.levi_h_convexity(sphere, p, side="inside")
-
-
-# ---------------------------------------------------------------------------
 # the rank matrix from one gradient per point
 # ---------------------------------------------------------------------------
 

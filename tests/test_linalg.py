@@ -397,9 +397,9 @@ def add_row_as_first_written(ech, row, rhs=None):
     return True
 
 
-def feed(add, rows):
+def feed(add, rows, echelon=Echelon):
     """What each fed row returns or raises, and the pivot rows after."""
-    ech = Echelon()
+    ech = echelon()
     out = []
     for row, rhs in rows:
         before = dict(row)
@@ -427,3 +427,30 @@ def test_add_row_feeds_as_first_written(rows):
     are the same, entry order included, and the fed row is left as it
     was."""
     assert feed(Echelon.add_row, rows) == feed(add_row_as_first_written, rows)
+
+
+class MinEchelon(Echelon):
+    """Echelon with ``_reduce`` as first written: ``min(row)`` rescans the
+    whole working row after every elimination."""
+
+    def _reduce(self, row):
+        pivots = self.pivots
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                return lead
+            _eliminate(row, piv, lead)
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(
+    st.dictionaries(st.integers(0, 9), mixed_entries, max_size=8),
+    st.one_of(st.none(), st.integers(-3, 3), rationals)), max_size=14))
+def test_heap_leads_reduce_as_min_rescans(rows):
+    """Taking the leads after the first from a heap of the row's columns
+    feeds every row as min(row) does: the same returns and the same
+    Inconsistent, and the same pivot rows, entry order included."""
+    assert feed(Echelon.add_row, rows) == \
+        feed(Echelon.add_row, rows, MinEchelon)

@@ -29,12 +29,9 @@ CORPUS = [*sorted((ROOT / "src").rglob("*.py")),
 KEPT = {
     "syzygy.OperatorPoly.apply":
         "the independent cross-check that the README's design constant keeps",
-    "integrate.quaternion_batch_mul":
-        "the bit reference of the blocked reproducing-integral tests",
-    "hypersurface.levi_h_convexity":
-        "the extension table of ROADMAP direction 3 calls it",
-    "hypersurface.tangent_h_line":
-        "the extension table of ROADMAP direction 3 calls it",
+    "hypercomplex.HNumber.inverse":
+        "the division-algebra inverse of the public arithmetic, pinned by "
+        "its own tests; ROADMAP direction 8 weighs its removal",
     "polycalc.HPoly.component":
         "the independent rank_matrix_from_scratch oracle reads components",
     "forms.OMEGA2_PREFACTOR": "documents the kernel form's normalisation",
