@@ -19,7 +19,10 @@ rationals:
   division by rho; the columns of this system are digits of monomials,
   written down by exponent arithmetic.  The same presolve as the graded
   solve drops the monomials that digit equations with zero right-hand side
-  force to 0, and only the survivors' columns are assembled.
+  force to 0.  Both systems build their rows with one builder: each block of
+  equations takes a monomial's columns as left multiplication by a
+  hypercomplex number, i_alpha for dbar and the quaternion of its digits
+  for the extension.
 
 * ``jump_split``: produce a two-sided regular decomposition (F+, F-) of a
   boundary function that admits a global polynomial regular extension; the
@@ -42,8 +45,7 @@ from functools import lru_cache
 from operator import add
 
 from .hypercomplex import DIM, MUL_TABLE
-from .linalg import (BudgetExceeded, _assemble, nullspace_sparse,
-                     solve_sparse)
+from .linalg import BudgetExceeded, nullspace_sparse, solve_sparse
 from .polycalc import HPoly, _int_poly, compat_pbar, fueter_dbar, monomials
 
 
@@ -126,68 +128,62 @@ def _unpack(key, bits, width):
     return tuple(key >> s & mask for s in range(bits * (width - 1), -1, -bits))
 
 
-def _solve_for(row):
-    """Per gamma, the (beta, sign) with i_alpha i_beta = sign i_gamma, for
-    the row alpha of ``MUL_TABLE``: a signed permutation, so beta is
-    unique."""
-    out = [None] * len(row)
-    for beta, (gamma, sign) in enumerate(row):
-        out[gamma] = (beta, sign)
-    return tuple(out)
-
-
-#: _SOLVE_FOR[algebra][alpha][gamma] == (beta, sign)  with
-#: i_alpha i_beta = sign i_gamma
-_SOLVE_FOR = {a: tuple(map(_solve_for, table))
-              for a, table in MUL_TABLE.items()}
-
-
 def _coordinates(algebra, n, bits):
     """Per coordinate i = d*h + alpha of a monomial packed with ``bits``-bit
-    fields: (the mask of field i, its unit, h << (width * bits),
-    ``_SOLVE_FOR[algebra][alpha]``).  For a monomial mu with field i nonzero,
+    fields: (the mask of field i, its unit, h << (width * bits), the unit
+    image ((alpha, 1),)).  For a monomial mu with field i nonzero,
     (h << (width * bits)) + mu - unit is the block that column (mu, beta)
-    enters through alpha."""
+    enters through left multiplication by i_alpha."""
     d = DIM[algebra]
     width = d * n
     field = (1 << bits) - 1
-    return [(field << s, 1 << s, i // d << width * bits,
-             _SOLVE_FOR[algebra][i % d])
+    return [(field << s, 1 << s, i // d << width * bits, ((i % d, 1),))
             for i, s in enumerate(range(bits * (width - 1), -1, -bits))]
 
 
-def _dbar_rows(algebra, coords, monos, rhs):
-    """The rows and right-hand side values of the graded system on the
-    columns x^[mu] i_beta, numbered pos*d + beta for mu = monos[pos], one row
-    per equation (h, nu, gamma) in sorted order, as ``_assemble`` orders them.
+def _touched(coords, mu):
+    """The (block, q) pairs of the packed monomial mu, for :func:`_peel` and
+    :func:`_block_rows`: block (h, nu) for each nu = mu - e_{d*h+alpha},
+    with q = i_alpha."""
+    return [(h + mu - one, q) for field, one, h, q in coords if mu & field]
 
-    ``monos`` are packed monomials in increasing order, ``coords`` their
-    :func:`_coordinates`, and ``rhs`` maps each block of b to {gamma:
-    value}.  A block's members are the monomials mu = nu + e_{d*h+alpha};
-    the row (h, nu, gamma) has sign at column pos*d + beta, where
-    i_alpha i_beta = sign i_gamma, for each member (alpha, pos).  Rows are
-    made per sorted block, gamma inner: all d gammas where the block has a
-    member, and only the gammas b holds where it has none (those rows are
-    empty, as in ``_assemble``)."""
+
+def _block_rows(algebra, touched, rhs):
+    """The rows and right-hand side values of a system whose equations come
+    in blocks of d, one row per equation (block, delta), on the columns
+    pos*d + beta of the monomials listed in ``touched``.
+
+    ``touched[pos]`` lists the (block, q) pairs of the monomial at pos, each
+    block once, with q the tuple of its nonzero (gamma, c): its d columns
+    enter the block as left multiplication by q = sum c i_gamma, so column
+    pos*d + beta has c * sign in row (block, delta) where i_gamma i_beta =
+    sign i_delta.  For a fixed (delta, beta) one gamma alone gives i_delta,
+    so no entry is written twice.  ``rhs`` maps blocks to {delta: value}.
+    Rows are made per sorted block, delta inner: all d deltas where the
+    block has a member, and only the deltas ``rhs`` holds where it has none
+    (those rows are empty)."""
     d = DIM[algebra]
+    table = MUL_TABLE[algebra]
     members = {}
-    for col, mu in zip(range(0, d * len(monos), d), monos):
-        for field, one, h, solve_for in coords:
-            if mu & field:
-                members.setdefault(h + mu - one, []).append((col, solve_for))
+    for col, pairs in zip(range(0, d * len(touched), d), touched):
+        for block, q in pairs:
+            held = members.get(block)
+            if held is None:
+                held = members[block] = [{} for _ in range(d)]
+            for gamma, c in q:
+                for beta, (delta, sign) in enumerate(table[gamma]):
+                    held[delta][col + beta] = sign * c
     rows, values = [], []
     for block in sorted(members.keys() | rhs.keys()):
         b = rhs.get(block, {})
         held = members.get(block)
         if held is None:
-            for gamma in sorted(b):
+            for delta in sorted(b):
                 rows.append({})
-                values.append(b[gamma])
+                values.append(b[delta])
             continue
-        for gamma in range(d):
-            rows.append({col + solve_for[gamma][0]: solve_for[gamma][1]
-                         for col, solve_for in held})
-            values.append(b.get(gamma, 0))
+        rows += held
+        values += [b.get(delta, 0) for delta in range(d)]
     return rows, values
 
 
@@ -195,23 +191,18 @@ def _peel(neighbours, pinned):
     """The monomials of ``neighbours`` that zero right-hand sides do not
     force to 0, in the order of ``neighbours``.
 
-    ``neighbours`` maps each candidate monomial to the blocks of equations it
-    touches, each block once; a block's neighbours are the monomials that
-    touch it.  Both systems label their blocks by ints, so the counts below
-    hash no tuple.  The columns of one monomial (its d units) enter each of
-    its blocks through an invertible d x d matrix:
-
-    * in the graded solve, block (h, nu) is the d equations of dbar_h u on
-      x^[nu] i_gamma, labelled by its packed int; its neighbours are the
-      monomials nu + e_{d*h+alpha}, whose columns enter it as a signed
-      permutation;
-    * in the extension, block (h, j, exp) is the 4 equations of digit j of
-      dbar_h on x^exp i_gamma, labelled by the id that
-      :func:`_extension_images` gives it.  dbar and the digits are right
-      H-linear, so the columns x^mu i_beta enter it as left multiplication
-      by q, the image of x^mu on the block read as a quaternion; that map is
-      invertible exactly when q != 0, so the neighbours of the block are the
-      monomials whose image has a key in it.
+    ``neighbours`` maps each candidate monomial to its (block, q) pairs, the
+    ``touched`` list of :func:`_block_rows`; q is not read here.  A block's
+    neighbours are the monomials that touch it.  Both systems label their
+    blocks by ints, so the counts below hash no tuple.  The d columns of a
+    monomial enter each of its blocks as left multiplication by its q there:
+    q = i_alpha in the graded solve, where block (h, nu), labelled by its
+    packed int, is the d equations of dbar_h u on x^[nu] i_gamma; and q =
+    the image of x^mu on the block, read as a quaternion, in the extension,
+    where block (h, j, exp), labelled by the id that
+    :func:`_extension_images` gives it, is the 4 equations of digit j of
+    dbar_h on x^exp i_gamma (dbar and the digits are right H-linear).  Left
+    multiplication by q != 0 is invertible, and every listed q is nonzero.
 
     So a block outside ``pinned`` (the blocks where the right-hand side is
     nonzero) with one neighbour left forces that neighbour's coefficients to
@@ -226,8 +217,8 @@ def _peel(neighbours, pinned):
     monos = list(neighbours)
     touched = list(neighbours.values())
     count, ids = {}, {}
-    for i, blocks in enumerate(touched):
-        for block in blocks:
+    for i, pairs in enumerate(touched):
+        for block, _ in pairs:
             count[block] = count.get(block, 0) + 1
             ids[block] = ids.get(block, 0) + i
     left = [True] * len(monos)
@@ -238,7 +229,7 @@ def _peel(neighbours, pinned):
             continue        # its one neighbour went through another block
         i = ids[block]
         left[i] = False
-        for b in touched[i]:
+        for b, _ in touched[i]:
             count[b] -= 1
             ids[b] -= i
             if count[b] == 1 and b not in pinned:
@@ -254,8 +245,8 @@ def _solve_homogeneous(rhs, k, algebra, n, max_unknowns):
     the bit length of k + 1, and b's rows are grouped by packed block.  Each
     attempt (the shifts of the right-hand-side support, then the full
     monomial space) is presolved by :func:`_peel` on the packed blocks, its
-    rows are built by :func:`_dbar_rows`, and only the nonzero columns of
-    the answer are unpacked.  The answer is the one the whole attempt
+    rows are built by :func:`_block_rows` from the same (block, q) pairs,
+    and only the nonzero columns of the answer are unpacked.  The answer is the one the whole attempt
     gives.  (In the full space every block keeps all d neighbours, so only
     the shifts lose monomials.)  Elimination returns the solution whose free
     variables (the non-pivot columns) are zero, and its pivot set P is the
@@ -295,12 +286,10 @@ def _solve_homogeneous(rhs, k, algebra, n, max_unknowns):
                 f"(cap {max_unknowns})")
         monos = ([_pack(mu, bits) for mu in monomials(width, k + 1)]
                  if attempt else candidates)
-        # block (h, nu) of mu: the equations of dbar_h on x^[nu], nu = mu - e_i
-        neighbours = {mu: [h + mu - one for field, one, h, _ in coords
-                           if mu & field]
-                      for mu in monos}
+        neighbours = {mu: _touched(coords, mu) for mu in monos}
         kept = sorted(_peel(neighbours, blocks))
-        sol = solve_sparse(*_dbar_rows(algebra, coords, kept, blocks))
+        sol = solve_sparse(*_block_rows(
+            algebra, [neighbours[mu] for mu in kept], blocks))
         if sol is not None:
             columns = {j: (_unpack(kept[j // d], bits, width), j % d)
                        for j in sol[1]}
@@ -360,8 +349,9 @@ def regular_kernel_basis(algebra, n, degree, max_unknowns=200000):
         raise BudgetExceeded(f"kernel basis needs {size} unknowns")
     monos = sorted(mu for k in range(degree + 1) for mu in monomials(width, k))
     bits = max(degree, 1).bit_length()
-    rows, _ = _dbar_rows(algebra, _coordinates(algebra, n, bits),
-                         [_pack(mu, bits) for mu in monos], {})
+    coords = _coordinates(algebra, n, bits)
+    rows, _ = _block_rows(algebra, [_touched(coords, _pack(mu, bits))
+                                    for mu in monos], {})
     columns = [(mu, beta) for mu in monos for beta in range(d)]
     out = [_poly_from_columns(algebra, n, columns, vec)
            for vec in nullspace_sparse(rows, len(columns))]
@@ -421,15 +411,14 @@ def _dbar_digits(poly, S, m):
 def _extension_images(form, m, budget):
     """The extension system's column images on the affine S of ``form``
     (its :class:`~crfbench.hypersurface.AffineForm`), for every monomial of
-    degree < budget, as (den, {mu: image}, ({mu: blocks}, ids)) in the
-    order of :func:`_extend`: image maps each key of :func:`_dbar_digits`
-    to an ``int``, and the nonzero coefficients of the rho-adic digits
-    0..m-1 of dbar_h(rho x^mu), h = 0, 1, are those ints over ``den``, by
-    the identities in :func:`_extend`.  ``ids`` numbers each block
-    (h, j, exp) once, in first-seen order, in the loop that builds the
-    images; blocks, :func:`_peel`'s neighbours, lists the ids of the blocks
-    x^mu touches, each once.  The images of its four columns come from
-    :func:`_right_multiples`.
+    degree < budget, as (den, {mu: [(block, q), ...]}, ids) in the order of
+    :func:`_extend`.  ``ids`` numbers each block (h, j, exp) of the keys of
+    :func:`_dbar_digits` once, in first-seen order; mu lists each block it
+    touches once, with q the tuple of the nonzero (gamma, c) such that the
+    coefficient of x^exp i_gamma in the rho-adic digit j of dbar_h(rho x^mu)
+    is c over ``den``, by the identities in :func:`_extend`.  These are the
+    ``touched`` lists that :func:`_peel` and :func:`_block_rows` read: the
+    four columns x^mu i_beta enter each block as left multiplication by q.
 
     ``den_d`` clears every digit scale C(e, j) g_p^-j s^(e-j) with e up to
     the largest pivot exponent, budget - 1, and ``den_g`` the gradient, so
@@ -468,7 +457,7 @@ def _extension_images(form, m, budget):
                                 for terms in scales[nu[piv]]]
         return out
 
-    images, neighbours, ids = {}, {}, {}    # ids: {(h, j, exp): int}
+    images, ids = {}, {}    # ids: {(h, j, exp): int}
     for mu in monos:
         # row block h, unit a of coordinate i = 4h + a:
         # g_i D_j(x^mu) + mu_i D_{j-1}(x^(mu - e_i))
@@ -487,22 +476,14 @@ def _extension_images(form, m, budget):
                     for exp, c in terms:
                         key = (h, j, exp, a)
                         image[key] = image.get(key, 0) + k * c
-        images[mu] = image = {key: c for key, c in image.items() if c}
         # blocks numbered in first-seen order; each listed once per monomial
-        neighbours[mu] = list({ids.setdefault(key[:3], len(ids))
-                               for key in image})
-    return den_d * den_g, images, (neighbours, ids)
-
-
-def _right_multiples(image):
-    """The images of the columns x^mu i_beta, beta = 0..3, from the image of
-    x^mu: dbar and the digits are right H-linear, so i_gamma -> i_gamma
-    i_beta."""
-    table = MUL_TABLE["H"]
-    for beta in range(4):
-        yield {(h, j, exp, table[gamma][beta][0]):
-               c if table[gamma][beta][1] > 0 else -c
-               for (h, j, exp, gamma), c in image.items()}
+        touched = {}
+        for (h, j, exp, a), c in image.items():
+            if c:
+                touched.setdefault(ids.setdefault((h, j, exp), len(ids)),
+                                   []).append((a, c))
+        images[mu] = [(block, tuple(q)) for block, q in touched.items()]
+    return den_d * den_g, images, ids
 
 
 def _extend(f, S, m, budget, max_unknowns):
@@ -523,18 +504,16 @@ def _extend(f, S, m, budget, max_unknowns):
     denominator den: the system eliminated is A' = den A, so its solution
     is the wanted one over den, and the answer is multiplied by den.
     Scaling every column by den changes neither the pivot set nor any
-    infeasible verdict.  :func:`_peel` drops the monomials that blocks
-    (h, j, exp) outside the right-hand-side support force to 0; it runs on
-    the memoised block ids, with the right-hand side's blocks mapped
-    through ``ids`` (a block that no monomial touches is left out: it has
-    no count to pin).  Those rows are left multiplication by the monomial's
-    image q on the block, read as a quaternion, since dbar and the digits
-    are right H-linear; so they force all four coefficients exactly when
-    q != 0.  Only the survivors' columns, in the order of the monomials,
-    are assembled and eliminated.
-    By the pivot-set argument of :func:`_solve_homogeneous`, the
+    infeasible verdict.  The right-hand side is mapped through ``ids``; a
+    block of it that no monomial touches is an equation 0 = c != 0, so the
+    answer is None at once.  :func:`_peel` drops the monomials that blocks
+    (h, j, exp) outside the right-hand-side support force to 0, and
+    :func:`_block_rows` builds the rows of the survivors, in the order of
+    the monomials, from the same memoised (block, q) pairs, per block in id
+    order.  By the pivot-set argument of :func:`_solve_homogeneous`, the
     free-variables-zero answer and every infeasible verdict are those of
-    the whole system; the unknown cap counts the monomials before the
+    the whole system, in any row order, since the pivot set depends on the
+    row space alone; the unknown cap counts the monomials before the
     presolve.  An infeasibility certificate y of the peeled system
     (yA' = 0, y.b != 0) is one of the whole system only after multiples of
     the forcing blocks, in the reverse order of the peel, cancel its
@@ -559,16 +538,15 @@ def _extend(f, S, m, budget, max_unknowns):
     size = 4 * math.comb(budget + 7, 8)
     if size > max_unknowns:
         raise BudgetExceeded(f"extension needs {size} unknowns")
-    rhs = {k: -c for k, c in _dbar_digits(f, S, m).items()}
-    den, images, (neighbours, ids) = _extension_images(S.affine_form(), m,
-                                                       budget)
-    pinned = {ids.get(key[:3]) for key in rhs}
-    pinned.discard(None)
-    kept = _peel(neighbours, pinned)
-    rows, values = _assemble((column for mu in kept
-                              for column in _right_multiples(images[mu])),
-                             rhs)
-    sol = solve_sparse(rows, values)
+    den, images, ids = _extension_images(S.affine_form(), m, budget)
+    rhs = {}
+    for (h, j, exp, gamma), c in _dbar_digits(f, S, m).items():
+        block = ids.get((h, j, exp))
+        if block is None:
+            return None
+        rhs.setdefault(block, {})[gamma] = -c
+    kept = _peel(images, rhs)
+    sol = solve_sparse(*_block_rows("H", [images[mu] for mu in kept], rhs))
     if sol is None:
         return None
     sden, nums = sol

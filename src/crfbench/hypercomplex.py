@@ -274,14 +274,6 @@ class HNumber:
     def norm_sq(self):
         return sum(c * c for c in self.coeffs)
 
-    def inverse(self):
-        n = self.norm_sq()
-        if n == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        if self.backend == "exact":
-            return self.conj().scale(Fraction(1, 1) / n)
-        return self.conj().scale(1.0 / n)
-
     # -- comparison / hashing ------------------------------------------------
 
     def __eq__(self, other):

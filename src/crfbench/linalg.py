@@ -9,17 +9,22 @@ entry) and stored under its pivot column.  The columns to clear come from
 a heap of the row's columns once the first is cleared, so the row is not
 rescanned for its least column after every update.  Results stay integer:
 pairs ``(den, {column: int})``, the numerators of the nonzero entries over
-one den > 0.  Everything is deterministic: the pivot columns depend only on
-the rows fed in and their order, and each read-out is the unique answer.
+one den > 0.  Everything is deterministic.  The pivot columns are the
+leading columns of the row space, right-hand side included, so they depend
+on the rows fed in but not on their order; so do every read-out, each the
+unique answer, and every infeasible verdict.  Only the fill, and so the
+cost, depends on the order.
 
 For solving, the right-hand side rides along as an extra entry under a
 pseudo-column that sorts after every real column, so inconsistency (a row
 whose leading entry is its right-hand side: 0 = nonzero) is detected the
 moment it appears.  So a row with a right-hand side needs numeric column
-keys; a rank-only row may carry any mutually ordered keys.  Only the
-extension system, given as the image of each unknown, becomes rows through
-:func:`_assemble`; the graded systems of :mod:`crfbench.crfsolve` and the
-syzygy ranks build their rows directly, in the same order.
+keys; a rank-only row may carry any mutually ordered keys.  The callers
+build their rows directly.  The graded systems and the extension of
+:mod:`crfbench.crfsolve` share one builder of block rows.  The syzygy ranks
+of :mod:`crfbench.syzygy` build theirs apart: each ranks one class block per
+orbit on reversed column keys, a sub-selection that a generic builder would
+build d times over and then filter.
 """
 
 from __future__ import annotations
@@ -202,20 +207,6 @@ class Echelon:
         return [(den, {c: den, **{lead: v * (den // q)
                                   for lead, (v, q) in basis[c].items()}})
                 for c, den in dens.items()]
-
-
-def _assemble(images, rhs):
-    """Sparse rows, in sorted row-key order, of the system whose column j has
-    image ``images[j]`` ({row key: value}); also the matching right-hand side
-    values from ``rhs`` ({row key: value}, missing keys are 0)."""
-    row_map = {}
-    for j, image in enumerate(images):
-        for key, c in image.items():
-            row_map.setdefault(key, {})[j] = c
-    for key in rhs:
-        row_map.setdefault(key, {})
-    keys = sorted(row_map)
-    return [row_map[k] for k in keys], [rhs.get(k, 0) for k in keys]
 
 
 def rank_of(rows):

@@ -56,7 +56,7 @@ from functools import lru_cache, reduce
 from math import comb
 from operator import xor
 
-from .crfsolve import _pack, _solve_for, _unpack
+from .crfsolve import _pack, _unpack
 from .hypercomplex import DIM, MUL_TABLE
 from .linalg import BudgetExceeded, rank_of
 from .polycalc import HPoly, compat_pbar, monomials
@@ -252,6 +252,16 @@ def _walk(d, n, bits, md, parts):
                 for mu in reversed(monomials(d, e))]
         walk = [(p | q, c ^ x) for p, c in walk for q, x in part]
     return walk
+
+
+def _solve_for(row):
+    """Per gamma, the (beta, sign) with i_alpha i_beta = sign i_gamma, for
+    the row alpha of ``MUL_TABLE``: a signed permutation, so beta is
+    unique."""
+    out = [None] * len(row)
+    for beta, (gamma, sign) in enumerate(row):
+        out[gamma] = (beta, sign)
+    return tuple(out)
 
 
 def _rank_rows(algebra, n, k, block, parts):

@@ -38,3 +38,17 @@ def dbar_images(algebra, n, columns):
             gamma, sign = table[alpha][beta]
             image[(h, nu, gamma)] = sign
         yield image
+
+
+def _assemble(images, rhs):
+    """Sparse rows, in sorted row-key order, of the system whose column j has
+    image ``images[j]`` ({row key: value}); also the matching right-hand side
+    values from ``rhs`` ({row key: value}, missing keys are 0)."""
+    row_map = {}
+    for j, image in enumerate(images):
+        for key, c in image.items():
+            row_map.setdefault(key, {})[j] = c
+    for key in rhs:
+        row_map.setdefault(key, {})
+    keys = sorted(row_map)
+    return [row_map[k] for k in keys], [rhs.get(k, 0) for k in keys]

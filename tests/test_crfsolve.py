@@ -11,15 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crfbench.hypercomplex import DIM, HNumber
-from crfbench.linalg import Echelon, _assemble, solve_sparse
+from crfbench.hypercomplex import DIM, MUL_TABLE, HNumber
+from crfbench.linalg import Echelon, solve_sparse
 from crfbench.polycalc import (HPoly, compat_pbar, dbar_system, fueter_dbar,
                                monomials)
 from crfbench.hypersurface import Hypersurface, is_admissible
 from crfbench import crfsolve as cs
 from crfbench import hypercomplex, polycalc
 
-from oracles import dbar_images
+from oracles import _assemble, dbar_images
 
 
 def rand_poly(rng, algebra, n, deg=3, terms=5):
@@ -387,17 +387,28 @@ def packed_blocks(algebra, n, k, rhs):
     return blocks
 
 
-def assert_rows_are_assembled(algebra, n, bits, monos, rhs, blocks):
-    """The builder's rows and values on the packed ``monos`` are those of
-    _assemble over dbar_images of the unpacked columns: the same lists, with
-    each row's entries in the same order.  Returns the number of empty rows,
-    the rows of pinned blocks that keep no monomial."""
+def graded_touched(algebra, n, bits, monos):
+    """The (block, q) pairs of each packed monomial of ``monos``."""
+    coords = cs._coordinates(algebra, n, bits)
+    return [cs._touched(coords, mu) for mu in monos]
+
+
+def graded_rows(algebra, n, bits, monos, blocks):
+    """The builder's rows and values on the packed ``monos``."""
+    return cs._block_rows(algebra, graded_touched(algebra, n, bits, monos),
+                          blocks)
+
+
+def assert_rows_are_assembled(algebra, n, bits, monos, rhs, built):
+    """``built``, the builder's rows and values on the packed ``monos``, are
+    those of _assemble over dbar_images of the unpacked columns: the same
+    lists, with each row's entries in the same order.  Returns the number of
+    empty rows, the rows of pinned blocks that keep no monomial."""
     d, width = DIM[algebra], DIM[algebra] * n
     columns = [(cs._unpack(mu, bits, width), beta)
                for mu in monos for beta in range(d)]
     rows, values = _assemble(dbar_images(algebra, n, columns), rhs)
-    got_rows, got_values = cs._dbar_rows(
-        algebra, cs._coordinates(algebra, n, bits), monos, blocks)
+    got_rows, got_values = built
     assert [list(row.items()) for row in got_rows] == \
         [list(row.items()) for row in rows]
     assert got_values == values
@@ -416,18 +427,26 @@ def test_graded_rows_are_the_assembled_rows(algebra, n, deg, monkeypatch):
     where some pinned block keeps no monomial.  The degrees run through k + 1
     = 2, 4 (and 8 for (H, 1)), where the field width grows by one bit."""
     d, width = DIM[algebra], DIM[algebra] * n
-    systems, built = [], []
-    solve_homogeneous, dbar_rows = cs._solve_homogeneous, cs._dbar_rows
+    systems, peeled, built = [], [], []
+    solve_homogeneous, peel = cs._solve_homogeneous, cs._peel
+    block_rows = cs._block_rows
 
     def spy_solve(rhs, k, *args):
         systems.append((rhs, k))
         return solve_homogeneous(rhs, k, *args)
 
-    def spy_rows(algebra_, coords, monos, blocks):
-        built.append((len(systems) - 1, list(monos), blocks))
-        return dbar_rows(algebra_, coords, monos, blocks)
+    def spy_peel(neighbours, pinned):
+        peeled.append(peel(neighbours, pinned))
+        return peeled[-1]
+
+    def spy_rows(algebra_, touched, blocks):
+        out = block_rows(algebra_, touched, blocks)
+        built.append((len(systems) - 1, sorted(peeled[-1]), touched, blocks,
+                      out))
+        return out
     monkeypatch.setattr(cs, "_solve_homogeneous", spy_solve)
-    monkeypatch.setattr(cs, "_dbar_rows", spy_rows)
+    monkeypatch.setattr(cs, "_peel", spy_peel)
+    monkeypatch.setattr(cs, "_block_rows", spy_rows)
     rng = random.Random(f"rows/{algebra}{n}")
     cases = []
     for _ in range(3):
@@ -455,13 +474,15 @@ def test_graded_rows_are_the_assembled_rows(algebra, n, deg, monkeypatch):
     monkeypatch.undo()
     attempts = [0] * len(systems)
     memberless = 0
-    for index, monos, blocks in built:
+    for index, monos, touched, blocks, out in built:
         rhs, k = systems[index]
+        bits = (k + 1).bit_length()
         attempts[index] += 1
         assert blocks == packed_blocks(algebra, n, k, rhs)
         assert monos == sorted(set(monos))
-        memberless += assert_rows_are_assembled(
-            algebra, n, (k + 1).bit_length(), monos, rhs, blocks)
+        assert touched == graded_touched(algebra, n, bits, monos)
+        memberless += assert_rows_are_assembled(algebra, n, bits, monos, rhs,
+                                                out)
     if n == 2 and algebra == "H" or n == 3:
         assert 2 in attempts        # a full-space attempt was built
     if n == 3:
@@ -473,12 +494,14 @@ def test_graded_rows_are_the_assembled_rows(algebra, n, deg, monkeypatch):
         bits = (k + 1).bit_length()
         blocks = packed_blocks(algebra, n, k, rhs)
         full = sorted(cs._pack(mu, bits) for mu in monomials(width, k + 1))
-        assert_rows_are_assembled(algebra, n, bits, full, rhs, blocks)
+        assert_rows_are_assembled(algebra, n, bits, full, rhs,
+                                  graded_rows(algebra, n, bits, full, blocks))
         for _ in range(3):
             monos = sorted(rng.sample(full, rng.randint(0, min(len(full),
                                                                 12))))
-            memberless += assert_rows_are_assembled(algebra, n, bits, monos,
-                                                    rhs, blocks)
+            memberless += assert_rows_are_assembled(
+                algebra, n, bits, monos, rhs,
+                graded_rows(algebra, n, bits, monos, blocks))
     assert memberless
 
 
@@ -490,12 +513,12 @@ def test_kernel_rows_are_the_assembled_rows(algebra, n, top, monkeypatch):
     of _assemble over dbar_images of its sorted columns."""
     d, width = DIM[algebra], DIM[algebra] * n
     built = []
-    dbar_rows = cs._dbar_rows
+    block_rows = cs._block_rows
 
     def spy_rows(*args):
-        built.append(dbar_rows(*args))
+        built.append(block_rows(*args))
         return built[-1]
-    monkeypatch.setattr(cs, "_dbar_rows", spy_rows)
+    monkeypatch.setattr(cs, "_block_rows", spy_rows)
     monkeypatch.setattr(cs, "nullspace_sparse", lambda rows, ncols: [])
     for degree in range(top + 1):
         assert cs.regular_kernel_basis(algebra, n, degree) == []
@@ -646,30 +669,43 @@ def test_rho_adic_digits_is_one_change_of_coordinates(flat, monkeypatch):
     assert calls == {"partial_flat": 0}
 
 
+def right_multiples(touched, block):
+    """The images {(h, j, exp, delta): value} of the four columns
+    x^mu i_beta of a monomial with (id, q) pairs ``touched``, where
+    block[id] = (h, j, exp): dbar and the digits are right H-linear, so
+    c i_gamma on a block becomes c i_gamma i_beta."""
+    table = MUL_TABLE["H"]
+    for beta in range(4):
+        yield {block[i] + (table[gamma][beta][0],):
+               table[gamma][beta][1] * c for i, q in touched for gamma, c in q}
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("rho", [case[0] for case in AFFINE_CASES],
                          ids=AFFINE_IDS)
 def test_extension_images_match_the_polynomial_route(rho, m):
     """The closed-form column images of the extension system are the digits
-    of dbar_h(rho x^mu i_beta), for every mu of degree <= 2, with the four
-    columns of a monomial relabelled from its one image as in ``_extend``."""
+    of dbar_h(rho x^mu i_beta), for every mu of degree <= 2: each monomial's
+    (block, q) pairs, right-multiplied by i_beta, with the block ids read
+    back through ``ids``."""
     S = Hypersurface(rho)
     monos = [mu for k in range(3) for mu in monomials(8, k)]
-    den, images, (neighbours, ids) = cs._extension_images(S.affine_form(),
-                                                          m, 3)
+    den, images, ids = cs._extension_images(S.affine_form(), m, 3)
     assert list(images) == monos
     # ids number the blocks 0, 1, ... in first-seen order, each block once
     assert list(ids.values()) == list(range(len(ids)))
+    assert list(dict.fromkeys(i for touched in images.values()
+                              for i, _ in touched)) == list(range(len(ids)))
+    # each monomial lists a block once, with a nonzero q of distinct units
+    for touched in images.values():
+        assert len({i for i, _ in touched}) == len(touched)
+        for _, q in touched:
+            assert type(q) is tuple and q
+            assert len({gamma for gamma, _ in q}) == len(q)
+            assert all(type(c) is int and c for _, c in q)
     block = list(ids)
-    assert block == list(dict.fromkeys(key[:3] for image in images.values()
-                                       for key in image))
-    assert all(len(set(touched)) == len(touched)
-               for touched in neighbours.values())
-    assert {mu: {block[i] for i in touched}
-            for mu, touched in neighbours.items()} == \
-        {mu: {key[:3] for key in image} for mu, image in images.items()}
-    columns = (column for image in images.values()
-               for column in cs._right_multiples(image))
+    columns = (column for touched in images.values()
+               for column in right_multiples(touched, block))
     for mu in monos:
         for beta in range(4):
             image = next(columns)
@@ -810,10 +846,10 @@ def unpeeled_extend(f, S, m, budget):
     eliminated by solve_sparse; the F = f + rho P it gives, or None when the
     system is infeasible."""
     monos = [mu for k in range(budget) for mu in monomials(8, k)]
-    den, images, _ = cs._extension_images.__wrapped__(S.affine_form(), m,
-                                                      budget)
-    columns = [column for image in images.values()
-               for column in cs._right_multiples(image)]
+    den, images, ids = cs._extension_images.__wrapped__(S.affine_form(), m,
+                                                        budget)
+    columns = [column for touched in images.values()
+               for column in right_multiples(touched, list(ids))]
     rhs = {k: -c for k, c in cs._dbar_digits(f, S, m).items()}
     sol = solve_sparse(*_assemble(columns, rhs))
     if sol is None:
@@ -868,11 +904,13 @@ def test_presolved_extension_gives_the_unpeeled_answer(rho, counterexample):
                          ids=AFFINE_IDS)
 def test_extension_peels_int_blocks_as_it_would_tuple_blocks(
         rho, counterexample, monkeypatch):
-    """_extend hands _peel only ints (lists of block ids per monomial and a
-    set of pinned ids), and the peel keeps the monomials, in order, that it
-    keeps on the (h, j, exp) blocks of the images with the right-hand side's
-    blocks pinned, at m = 1, 2, 3 and budgets 0..4 for the data of
-    test_presolved_extension_gives_the_unpeeled_answer."""
+    """_extend hands _peel int blocks (the (id, q) pairs of each monomial
+    and the pinned ids), and the peel keeps the monomials, in order, that it
+    keeps on the same pairs with the ids read back as their (h, j, exp)
+    blocks and the right-hand side's blocks pinned, at m = 1, 2, 3 and
+    budgets 0..4 for the data of
+    test_presolved_extension_gives_the_unpeeled_answer.  When a block of the
+    right-hand side has no id, _extend is infeasible without a peel."""
     S = Hypersurface(rho)
     rng = random.Random(54)
     data = [regular_poly(rng) + S.rho * rand_poly(rng, "H", 2, deg=1,
@@ -889,17 +927,98 @@ def test_extension_peels_int_blocks_as_it_would_tuple_blocks(
         for budget in range(5):
             for m in (1, 2, 3):
                 peeled.clear()
-                cs._extend(f, S, m, budget, 200000)
-                [(neighbours, pinned, kept)] = peeled
-                assert all(type(i) is int for touched in neighbours.values()
-                           for i in touched)
-                assert all(type(i) is int for i in pinned)
-                _, images, _ = cs._extension_images(S.affine_form(), m,
-                                                    budget)
-                blocks = {mu: {key[:3] for key in image}
-                          for mu, image in images.items()}
+                F = cs._extend(f, S, m, budget, 200000)
+                _, images, ids = cs._extension_images(S.affine_form(), m,
+                                                      budget)
                 rhs = {key[:3] for key in cs._dbar_digits(f, S, m)}
+                if not peeled:
+                    assert F is None and not rhs <= ids.keys()
+                    continue
+                [(neighbours, pinned, kept)] = peeled
+                assert neighbours is images
+                assert all(type(i) is int for touched in neighbours.values()
+                           for i, _ in touched)
+                assert all(type(i) is int for i in pinned)
+                block = list(ids)
+                blocks = {mu: [(block[i], q) for i, q in touched]
+                          for mu, touched in images.items()}
                 assert kept == peel(blocks, rhs)
+
+
+def row_multiset(rows, values):
+    """The rows with their values, as a sorted list of (entries, value)."""
+    return sorted((sorted(row.items()), value)
+                  for row, value in zip(rows, values))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("rho", [case[0] for case in AFFINE_CASES],
+                         ids=AFFINE_IDS)
+def test_extension_rows_are_the_polynomial_route_rows(rho, m, counterexample,
+                                                      monkeypatch):
+    """The rows and values that _block_rows builds for _extend at budget 3
+    are, as a multiset, those of _assemble over the polynomial-route images
+    den * _dbar_digits(rho x^mu i_beta) of the kept columns, with the
+    right-hand side keyed by (h, j, exp, gamma) again.  Only a multiset:
+    the builder orders rows by block id, _assemble by key."""
+    S = Hypersurface(rho)
+    rng = random.Random(54)
+    data = [regular_poly(rng) + S.rho * rand_poly(rng, "H", 2, deg=1,
+                                                  terms=3),
+            counterexample, HPoly.variable_conj("H", 2, 0), coord(0, 0) ** 2]
+    peel, block_rows, built = cs._peel, cs._block_rows, []
+
+    def spy_peel(neighbours, pinned):
+        built.append(peel(neighbours, pinned))
+        return built[-1]
+
+    def spy_rows(algebra, touched, rhs):
+        out = block_rows(algebra, touched, rhs)
+        built.append((rhs, out))
+        return out
+    monkeypatch.setattr(cs, "_peel", spy_peel)
+    monkeypatch.setattr(cs, "_block_rows", spy_rows)
+    den, _, ids = cs._extension_images(S.affine_form(), m, 3)
+    block = list(ids)
+    compared = 0
+    for f in data:
+        built.clear()
+        cs._extend(f, S, m, 3, 200000)
+        if not built:       # a right-hand-side block with no column
+            assert not {key[:3] for key in cs._dbar_digits(f, S, m)} \
+                <= ids.keys()
+            continue
+        [kept, (rhs, (rows, values))] = built
+        compared += 1
+        want_rhs = {block[i] + (gamma,): c for i, b in rhs.items()
+                    for gamma, c in b.items()}
+        assert want_rhs == {key: -c for key, c in
+                            cs._dbar_digits(f, S, m).items()}
+        images = [{key: c * den for key, c in cs._dbar_digits(
+                       S.rho * HPoly("H", 2, {mu: HNumber.unit("H", beta)}),
+                       S, m).items()}
+                  for mu in kept for beta in range(4)]
+        assert row_multiset(rows, values) == \
+            row_multiset(*_assemble(images, want_rhs))
+    assert compared
+
+
+def test_unreached_right_hand_side_is_infeasible_before_elimination(
+        flat, monkeypatch):
+    """At budget 0 there is no column, and conj(q1) has a nonzero digit 0
+    of its dbar: _extend answers None before any row is fed, as the whole
+    system does."""
+    add_row, fed = Echelon.add_row, [0]
+
+    def spy(self, *args):
+        fed[0] += 1
+        return add_row(self, *args)
+    monkeypatch.setattr(Echelon, "add_row", spy)
+    f = HPoly.variable_conj("H", 2, 0)
+    with pytest.raises(cs.NoPolynomialExtensionWithinBudget):
+        cs.crf_extend(f, flat, m=1, budget=0)
+    assert fed == [0]
+    assert unpeeled_extend(f, flat, 1, 0) is None
 
 
 def test_memoised_columns_give_the_unmemoised_answers(counterexample):

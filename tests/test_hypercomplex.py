@@ -65,14 +65,6 @@ def test_conj_and_norm_golden():
     assert HNumber("H", (1, 1, 1, 1)).norm_sq() == 4
 
 
-def test_inverse_golden():
-    a = HNumber.unit("O", 5).scale(2)
-    inv = a.inverse()
-    assert inv == HNumber("O", (0, 0, 0, 0, 0, -Fraction(1, 2), 0, 0))
-    assert a * inv == HNumber.one("O")
-    assert inv * a == HNumber.one("O")
-
-
 def test_octonion_matrix_defines_total_product():
     # every (alpha, beta) pair appears exactly once in the derived table
     table = MUL_TABLE["O"]
@@ -153,17 +145,6 @@ def test_conjugation_is_antiautomorphism(algebra):
         a = rand_hnumber(rng, algebra, span=5)
         b = rand_hnumber(rng, algebra, span=5)
         assert (a * b).conj() == b.conj() * a.conj()
-
-
-@pytest.mark.parametrize("algebra", ALGEBRAS)
-def test_inverse_roundtrip(algebra):
-    rng = random.Random(20240506)
-    for _ in range(500):
-        a = rand_hnumber(rng, algebra, span=5)
-        if a.is_zero():
-            continue
-        assert a * a.inverse() == HNumber.one(algebra)
-        assert a.inverse() * a == HNumber.one(algebra)
 
 
 small_fracs = st.fractions(min_value=-10, max_value=10, max_denominator=12)
@@ -269,11 +250,6 @@ def test_public_constructor_still_validates():
     # a float scalar cannot slip into the exact backend through scale
     with pytest.raises(TypeError):
         HNumber.one("H").scale(0.5)
-
-
-def test_zero_inverse_raises():
-    with pytest.raises(ZeroDivisionError):
-        HNumber.zero("H").inverse()
 
 
 def test_json_roundtrip_exact():

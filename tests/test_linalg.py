@@ -454,3 +454,18 @@ def test_heap_leads_reduce_as_min_rescans(rows):
     Inconsistent, and the same pivot rows, entry order included."""
     assert feed(Echelon.add_row, rows) == \
         feed(Echelon.add_row, rows, MinEchelon)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_systems(), st.randoms(use_true_random=False))
+def test_read_outs_do_not_depend_on_the_row_order(system, rng):
+    """The pivot set depends on the row space alone, right-hand side
+    included: permuting the rows, each with its right-hand side, leaves the
+    solution, the infeasible verdict and the nullspace basis unchanged."""
+    rows, b, n = system
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    shuffled = [rows[i] for i in order]
+    assert solve_sparse(shuffled, [b[i] for i in order]) == \
+        solve_sparse(rows, b)
+    assert nullspace_sparse(shuffled, n) == nullspace_sparse(rows, n)

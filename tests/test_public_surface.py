@@ -8,6 +8,11 @@ imported name.  The scan matches bare names, so a dead definition that
 shares its name with a live one goes unseen; it never flags a live one.
 ``KEPT`` lists the names kept on purpose without such a caller.
 
+Private names are held to more: each private module-level function and
+each private method (dunders aside) must be referenced from ``src/``,
+``scripts/`` or ``bench/``.  A helper that only tests call belongs with the
+tests, as the reference rows of ``tests/oracles.py`` do.
+
 A name scan cannot see an operator or a branch that no route runs: a
 dunder method such as ``__sub__`` is called through syntax, and a branch
 has no name.  Those need a line trace.  The last one covered the tier-1
@@ -24,14 +29,14 @@ CORPUS = [*sorted((ROOT / "src").rglob("*.py")),
           *sorted((ROOT / "scripts").rglob("*.py")),
           *sorted((ROOT / "bench").rglob("*.py")),
           ROOT / "tests" / "test_acceptance.py"]
+PROGRAM = CORPUS[:-1]
 
 # "module.qualified name" -> why it stays without a caller in the corpus
 KEPT = {
     "syzygy.OperatorPoly.apply":
         "the independent cross-check that the README's design constant keeps",
-    "hypercomplex.HNumber.inverse":
-        "the division-algebra inverse of the public arithmetic, pinned by "
-        "its own tests; ROADMAP direction 8 weighs its removal",
+    "hypercomplex.HNumber.norm_sq":
+        "the composition-algebra norm the multiplicativity tests pin",
     "polycalc.HPoly.component":
         "the independent rank_matrix_from_scratch oracle reads components",
     "forms.OMEGA2_PREFACTOR": "documents the kernel form's normalisation",
@@ -60,6 +65,24 @@ def public_definitions(path):
                     yield target.id, target.id
 
 
+def is_private(name):
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def private_definitions(path):
+    """(qualified name, bare name) of the module's private functions and of
+    the private methods of its classes."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef) and is_private(node.name):
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) \
+                        and is_private(member.name):
+                    yield f"{node.name}.{member.name}", member.name
+
+
 def references(path):
     """Every name the file reads, every attribute and every imported name."""
     for node in ast.walk(ast.parse(path.read_text())):
@@ -86,3 +109,12 @@ def test_every_public_name_has_a_caller():
 
 def test_every_kept_name_is_still_defined():
     assert sorted(set(KEPT) - set(definitions())) == []
+
+
+def test_every_private_name_has_a_caller_in_the_program():
+    used = {name for path in PROGRAM for name in references(path)}
+    orphans = [f"{path.stem}.{qual}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for qual, bare in private_definitions(path)
+               if bare not in used]
+    assert orphans == []

@@ -10,7 +10,7 @@ import pytest
 from crfbench import syzygy
 from crfbench.crfsolve import _pack, _unpack, regular_kernel_basis
 from crfbench.hypercomplex import DIM, MUL_TABLE, OCT_DBAR_MATRIX, HNumber
-from crfbench.linalg import BudgetExceeded, Echelon, _assemble, rank_of
+from crfbench.linalg import BudgetExceeded, Echelon, rank_of
 from crfbench.polycalc import HPoly, compat_pbar, dbar_system, monomials
 from crfbench.syzygy import (
     OperatorPoly,
@@ -23,7 +23,7 @@ from crfbench.syzygy import (
     verify_syzygy,
 )
 
-from oracles import dbar_images
+from oracles import _assemble, dbar_images
 
 
 def laplace_operator(algebra, n, h):
