@@ -191,22 +191,15 @@ def cmd_verify_identities(args):
     count = args.count
     for algebra in algebras:
         n = args.n
-        ok = True
-        for _ in range(count):
-            p = _rand_poly(rng, algebra, n)
-            for h in range(n):
-                lap = laplacian(p, h)
-                if fueter_d(fueter_dbar(p, h), h) != lap or \
-                        fueter_dbar(fueter_d(p, h), h) != lap:
-                    ok = False
-        checks.append(_check(f"laplacian_factorization_{algebra}", ok))
-        ok = True
-        for _ in range(count):
-            u = _rand_poly(rng, algebra, n)
-            residuals = compat_pbar(dbar_system(u))
-            if any(not r.is_zero() for r in residuals):
-                ok = False
-        checks.append(_check(f"compatibility_of_images_{algebra}", ok))
+        # lists, not generators: every draw is made whatever the verdicts
+        checks.append(_check(f"laplacian_factorization_{algebra}", all([
+            fueter_d(fueter_dbar(p, h), h) == laplacian(p, h)
+            == fueter_dbar(fueter_d(p, h), h)
+            for p in [_rand_poly(rng, algebra, n) for _ in range(count)]
+            for h in range(n)])))
+        checks.append(_check(f"compatibility_of_images_{algebra}", all([
+            all(r.is_zero() for r in compat_pbar(dbar_system(
+                _rand_poly(rng, algebra, n)))) for _ in range(count)])))
         # cube law: Laplacian of q^3 equals -2(d-2)(2q + conj q)
         q = HPoly.variable(algebra, 1, 0)
         lap = laplacian(q * q * q, 0)
@@ -220,20 +213,14 @@ def cmd_verify_identities(args):
             "nonassociative_witness_O", (a * b) * c == -(a * (b * c))
             and (a * b) * c == HNumber.unit("O", 7)))
     if "H" in algebras:
-        ok = True
-        for _ in range(count):
-            F = _rand_poly(rng, "H", 1)
-            lhs, rhs = forms.identity_lu1(F)
-            if lhs != rhs:
-                ok = False
-        checks.append(_check("volume_identity_one_variable", ok))
-        ok = True
-        for _ in range(max(2, count // 2)):
-            F = _rand_poly(rng, "H", 2, deg=2, terms=4)
-            lhs, rhs = forms.identity_lub(F)
-            if lhs != rhs:
-                ok = False
-        checks.append(_check("seven_form_identity_two_variables", ok))
+        checks.append(_check("volume_identity_one_variable", all([
+            lhs == rhs for lhs, rhs in (
+                forms.identity_lu1(_rand_poly(rng, "H", 1))
+                for _ in range(count))])))
+        checks.append(_check("seven_form_identity_two_variables", all([
+            lhs == rhs for lhs, rhs in (
+                forms.identity_lub(_rand_poly(rng, "H", 2, deg=2, terms=4))
+                for _ in range(max(2, count // 2)))])))
         pole = tuple(Fraction(rng.randint(-2, 2)) for _ in range(8))
         w2 = forms.omega2(pole)
         checks.append(_check(

@@ -8,7 +8,10 @@ numerator divided by an even power of the distance to a marked point,
     N / r^(2m),     r^2 = sum_i (xi_i - p_i)^2,
 
 closed under derivatives.  ``m = 0`` elements are plain polynomials and
-combine with any pole.
+combine with any pole.  The ring has one quotient rule,
+``PoleRingElement.partial_flat``; the pole-ring Fueter operators
+(``pole_fueter_dbar``, ``pole_fueter_dbar_right``) sum its results against
+the units, and r^2 is memoised per pole.
 
 Conventions, fixed once and validated by the identity suites:
 
@@ -33,15 +36,18 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 from .hypercomplex import DIM, HNumber
-from .polycalc import HPoly, fueter_d, fueter_dbar
+from .polycalc import HPoly, fueter_dbar
 
 
+@functools.lru_cache(maxsize=64)
 def _r_squared(pole, algebra, n):
     """The squared distance polynomial to the pole point,
-    sum_i x_i^2 - 2 p_i x_i + |p|^2."""
+    sum_i x_i^2 - 2 p_i x_i + |p|^2; memoised, so every caller shares one
+    (immutable) polynomial per pole."""
     width = DIM[algebra] * n
     if len(pole) != width:
         raise ValueError("pole width mismatch")
@@ -534,24 +540,16 @@ def cf_kernel_quaternion(q0):
 
 
 def _pole_fueter(g, h, right):
-    """sum_a i_a * d(N / r^2m)/dx_{h,a} (units on the right when ``right``,
-    quaternionic only) by the quotient rule on the numerator: d(r^2)/dx_{h,a}
-    = 2 (x_{h,a} - p_{h,a}) is real, so with s = q_h - p_h = sum_a (x_{h,a} -
-    p_{h,a}) i_a the result is (dbar_h N * r^2 - 2m s N) / r^(2m+2), and N s
-    for right units, where sum_a dN/dx_{h,a} i_a = conj(fueter_d(conj N))
-    since conj(x y) = conj(y) conj(x)."""
+    """sum_a i_a * d g/dx_{h,a}, or sum_a d g/dx_{h,a} * i_a for right units
+    (quaternionic only), through the pole ring's quotient rule
+    (:meth:`PoleRingElement.partial_flat`)."""
     if right and g.algebra != "H":
         raise ValueError("right-module operators are quaternionic only")
-    dn = fueter_d(g.num.conj(), h).conj() if right else fueter_dbar(g.num, h)
-    if g.m == 0:
-        return PoleRingElement(dn, g.pole, 0)
-    algebra, n = g.algebra, g.n
-    d = DIM[algebra]
-    s = HPoly.variable(algebra, n, h) - HPoly.constant(
-        algebra, n, HNumber(algebra, g.pole[d * h:d * h + d]))
-    lin = g.num * s if right else s * g.num
-    num = dn * _r_squared(g.pole, algebra, n) - lin.scale(2 * g.m)
-    return PoleRingElement(num, g.pole, g.m + 1)
+    d = DIM[g.algebra]
+    parts = [g.partial_flat(d * h + a) for a in range(d)]
+    return functools.reduce(operator.add, (
+        part * u if right else u * part
+        for part, u in zip(parts, _units(g.algebra, False))))
 
 
 def pole_fueter_dbar(g, h=0):

@@ -304,18 +304,13 @@ class HNumber:
 
     # -- serialization --------------------------------------------------------
 
-    def to_json(self):
-        """Portable dict form: exact components as "p/q" strings, floats as-is."""
-        if self.backend == "exact":
-            comps = [str(c) for c in self.coeffs]
-        else:
-            comps = list(self.coeffs)
-        return {"algebra": self.algebra, "c": comps}
-
     @classmethod
     def from_json(cls, obj):
-        """Inverse of :meth:`to_json`: KeyError for a missing key, ValueError
-        for any other malformed shape."""
+        """A number from its payload form ``{"algebra": ..., "c": [...]}``,
+        exact components as rational strings or integers (as
+        ``HPoly.to_json`` writes each coefficient), float components as
+        numbers: KeyError for a missing key, ValueError for any other
+        malformed shape."""
         if not isinstance(obj, dict) or not isinstance(obj.get("c"), list):
             raise ValueError("a number is an object with a component list 'c'")
         comps = obj["c"]

@@ -9,6 +9,9 @@ for q0 in the open ball, with outward unit normal nu and kernel
 
     G(q) = conj(q) / |q|^4.
 
+The integrand F is a one-variable quaternion ``HPoly`` or its values on the
+rule's nodes as an (N, 4) array.
+
 The sphere is parameterized by hyperspherical angles (psi, theta, phi) with
 surface measure r^3 sin^2(psi) sin(theta); each angle carries a Gauss-Legendre
 rule, so the total weight is exactly the sphere area 2 pi^2 r^3 in the limit
@@ -32,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypercomplex import MUL_TABLE, HNumber
-from .polycalc import HPoly
 
 TWO_PI_SQ = 2.0 * math.pi ** 2
 
@@ -136,23 +138,14 @@ def sphere_rule(center, radius, order):
 
 
 def _values_on_nodes(F, rule):
-    """F on the rule's nodes as an (N, 4) array.  F is an ``HPoly``, a
-    callable of a node tuple, or already that array (so a caller that
-    integrates one F against many kernels evaluates it once)."""
+    """F on the rule's nodes as an (N, 4) array.  F is an ``HPoly`` or
+    already that array (so a caller that integrates one F against many
+    kernels evaluates it once)."""
     if isinstance(F, np.ndarray):
         if F.shape != (rule.size, 4):
             raise ValueError("node values must have shape (rule.size, 4)")
         return F
-    if isinstance(F, HPoly):
-        return batch_evaluate(F, rule.nodes)
-    vals = np.empty((rule.size, 4), order="F")
-    for i in range(rule.size):
-        v = F(tuple(rule.nodes[i]))
-        if isinstance(v, HNumber):
-            vals[i] = [float(c) for c in v.coeffs]
-        else:
-            vals[i] = np.asarray(v, dtype=float)
-    return vals
+    return batch_evaluate(F, rule.nodes)
 
 
 def _exact_sums(rows):

@@ -344,8 +344,8 @@ class HPoly:
         return f"HPoly[{self.algebra}, n={self.n}]({body or '0'})"
 
     def to_json(self):
-        """From the integer form, each coefficient as :meth:`HNumber.to_json`
-        writes it: v / den in lowest terms, "p/q", or "p" when q is 1."""
+        """From the integer form, each coefficient as ``{"algebra", "c"}``
+        with component v / den in lowest terms, "p/q", or "p" when q is 1."""
         den, rows = self._ints
         terms = []
         for exp in sorted(rows):

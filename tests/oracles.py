@@ -7,6 +7,12 @@ their own directory.
 from crfbench.hypercomplex import DIM, MUL_TABLE
 
 
+def number_json(x):
+    """The payload form of an exact number, as ``HPoly.to_json`` writes each
+    coefficient: its algebra and each component's ``str``."""
+    return {"algebra": x.algebra, "c": [str(c) for c in x.coeffs]}
+
+
 def dbar_images(algebra, n, columns):
     """Image of each column (mu, beta) under the conjugate-Fueter system,
     generated lazily in column order.

@@ -24,6 +24,7 @@ from crfbench.cli import _rand_poly, main
 from crfbench.hypercomplex import DIM, HNumber
 from crfbench.polycalc import HPoly, compat_pbar, dbar_system
 from crfbench.hypersurface import Hypersurface
+from oracles import number_json
 
 
 def coord(h, a):
@@ -409,19 +410,34 @@ def test_table_format_prints_values_tolerances_and_timings(capsys):
     assert lines[-1].endswith("s")
 
 
+def _size_case(data):
+    """(f, c) of ``test_check_does_not_depend_on_the_size_of_the_surface``:
+    the unit sphere judges f, the small sphere c f."""
+    regular = coord(0, 1) - coord(0, 0).mul_const_left(HNumber.unit("H", 1))
+    return {"regular": (regular, 1),
+            "conjugate": (HPoly.variable_conj("H", 2, 0), 1),
+            "x0^2": (coord(0, 0) * coord(0, 0), 1),
+            "counterexample": (counterexample_poly(), 1),
+            "1e-12*x0^2": (coord(0, 0) * coord(0, 0),
+                           Fraction(1, 10 ** 12))}[data]
+
+
 @pytest.mark.parametrize("radius", [Fraction(1, 10 ** 2), Fraction(1, 10 ** 6),
                                     Fraction(1, 10 ** 10),
                                     Fraction(1, 10 ** 40)],
                          ids=["1e-2", "1e-6", "1e-10", "1e-40"])
-@pytest.mark.parametrize("data", ["regular", "conjugate"])
+@pytest.mark.parametrize("data", ["regular", "conjugate", "x0^2",
+                                  "counterexample", "1e-12*x0^2"])
 def test_check_does_not_depend_on_the_size_of_the_surface(tmp_path, capsys,
                                                           radius, data):
-    """The sphere |q|^2 = r^2 gets the unit sphere's verdicts.  Absolute
-    sampling thresholds once made r = 1e-10 exit 2 (its gradient 2e-10
-    looked singular), and Newton runs started in (-2, 2)^8 made r = 1e-40
-    exit 2 (no real points found)."""
-    f = (coord(0, 1) - coord(0, 0).mul_const_left(HNumber.unit("H", 1))
-         if data == "regular" else HPoly.variable_conj("H", 2, 0))
+    """The sphere |q|^2 = r^2 gets the unit sphere's verdicts, and c f gets
+    f's.  Absolute sampling thresholds once made r = 1e-10 exit 2 (its
+    gradient 2e-10 looked singular), and Newton runs started in (-2, 2)^8
+    made r = 1e-40 exit 2 (no real points found).  An absolute bound on
+    the tangential pair once passed x0^2 and the counterexample as CRF on
+    the small spheres, whose pairs are small with f's partials, and
+    1e-12 x0^2 on every sphere."""
+    f, scale = _size_case(data)
     rho = HPoly.constant("H", 2, -radius * radius)
     for h in range(2):
         for a in range(4):
@@ -430,7 +446,7 @@ def test_check_does_not_depend_on_the_size_of_the_surface(tmp_path, capsys,
                                 _scaled_sphere(tmp_path, f, 1)])
     want = [(c["name"], c["status"]) for c in json.loads(out)["checks"]]
     got_code, out, _ = run(capsys, ["check", "--input", write_function_surface(
-        tmp_path / "small.json", f, rho)])
+        tmp_path / "small.json", f.scale(scale), rho)])
     assert got_code == code == (0 if data == "regular" else 1)
     assert [(c["name"], c["status"])
             for c in json.loads(out)["checks"]] == want
@@ -676,7 +692,7 @@ MALFORMED_PAYLOADS = {
         lambda p: p["terms"][0].update(exp=[1, 0, 0]))),
     "octonionic-coefficient": ("solve", _system(
         lambda p: p["terms"][0].update(
-            coef=HNumber.unit("O", 1).to_json()))),
+            coef=number_json(HNumber.unit("O", 1))))),
     "float-components": ("solve", _system(
         lambda p: p["terms"][0]["coef"].update(c=[1.5, 0.0, 0.0, 0.0]))),
     "n-zero": ("solve", _system(lambda p: p.update(n=0))),
@@ -684,7 +700,7 @@ MALFORMED_PAYLOADS = {
         lambda p: p["terms"][0]["coef"]["c"].__setitem__(0, "1/0"))),
     "repeated-exponent": ("solve", _system(
         lambda p: p["terms"].append({"exp": p["terms"][0]["exp"],
-                                     "coef": HNumber.one("H").to_json()}))),
+                                     "coef": number_json(HNumber.one("H"))}))),
 }
 
 

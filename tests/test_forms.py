@@ -280,20 +280,32 @@ def test_cf_kernel_two_sided_regular():
 
 
 def test_pole_fueter_matches_definition():
-    # the quotient rule on the numerator equals sum_a u_a * d/dx_a computed
-    # through the pole ring's own partial derivative
+    """The quotient rule in closed form: d(r^2)/dx_a = 2 (x_a - p_a) is
+    real, so with s = q - p and r^2 = |s|^2,
+    sum_a i_a d(N / r^2m)/dx_a = (dbar N r^2 - 2m s N) / r^(2m+2), and with
+    right units (sum_a dN/dx_a i_a r^2 - 2m N s) / r^(2m+2)."""
     rng = random.Random(308)
+    units = [HNumber.unit("H", a) for a in range(4)]
     for m in (0, 1, 2):
         for _ in range(3):
             pole = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                          for _ in range(4))
-            g = PoleRingElement(rand_poly(rng, 1, 2, 4), pole, m)
-            left = right = PoleRingElement.from_poly(HPoly.zero("H", 1))
-            for alpha in range(4):
-                u = HNumber.unit("H", alpha)
-                part = g.partial_flat(alpha)
-                left = left + u * part
-                right = right + part * u
+            N = rand_poly(rng, 1, 2, 4)
+            g = PoleRingElement(N, pole, m)
+            s = HPoly.variable("H", 1, 0) - HPoly.constant(
+                "H", 1, HNumber("H", pole))
+            r2 = HPoly.zero("H", 1)
+            for a, p in enumerate(pole):
+                x = HPoly.coordinate("H", 1, 0, a) - HPoly.constant("H", 1, p)
+                r2 = r2 + x * x
+            dbar_n = dn_right = HPoly.zero("H", 1)
+            for a, u in enumerate(units):
+                dbar_n = dbar_n + N.partial_flat(a).mul_const_left(u)
+                dn_right = dn_right + N.partial_flat(a).mul_const_right(u)
+            left = PoleRingElement(dbar_n * r2 - (s * N).scale(2 * m),
+                                   pole, m + 1)
+            right = PoleRingElement(dn_right * r2 - (N * s).scale(2 * m),
+                                    pole, m + 1)
             assert pole_fueter_dbar(g) == left
             assert pole_fueter_dbar_right(g) == right
 

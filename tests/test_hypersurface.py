@@ -282,13 +282,12 @@ def test_extension_independence(flat, mixed, counterexample):
             assert a.f_coord == b.f_coord
 
 
-def test_derived_polys_match_pointwise_values(mixed, counterexample):
-    polys = hs.derived_polys(counterexample, mixed)
-    qbar = hs.tangential_qbar_polys(counterexample, mixed)
+def test_tangential_polys_match_pointwise_values(mixed, counterexample):
+    polys, qbar = hs.tangential_polys(counterexample, mixed)
     for p in mixed.sample_points(4, seed=31):
         td = hs.derived_at(counterexample, mixed, p)
-        for i, name in enumerate(hs.COORD_NAMES):
-            assert polys[name].evaluate(p) == td.f_coord[i]
+        for i in range(8):
+            assert polys[i].evaluate(p) == td.f_coord[i]
         for h in range(2):
             assert qbar[h].evaluate(p) == td.f_qbar[h]
             # f_(qbar_h) = sum_a i_a f_(x_{h,a})
@@ -326,9 +325,9 @@ def test_affine_crf_witness_is_the_first_pointwise_failure(
     assert witnesses == [0, 0, 1] + [0, 0, 0, 1] * 2
 
 
-def test_derived_polys_require_affine(sphere, counterexample):
+def test_tangential_polys_require_affine(sphere, counterexample):
     with pytest.raises(ValueError):
-        hs.derived_polys(counterexample, sphere)
+        hs.tangential_polys(counterexample, sphere)
 
 
 @settings(max_examples=25, deadline=None)
@@ -373,6 +372,73 @@ def test_conjugate_variable_not_admissible_on_sphere(sphere):
     rep = hs.is_admissible(qbar1, sphere)
     assert not rep.admissible
     assert not rep.crf.holds
+
+
+def test_curved_crf_bound_is_relative_to_the_partials_of_f():
+    """The float CRF test bounds the pair by tol times f's largest partial
+    at the point: a zero gradient gives a zero pair, which passes; a tiny
+    non-CRF f fails as its unit-size multiple does; and a pair that is not
+    finite (10^250 x0^2 overflows on a sphere of radius 10^100) fails."""
+    x0sq = coord(0, 0) * coord(0, 0)
+    unit_s = hs.Hypersurface(_sphere_rho(1))
+    big = hs.Hypersurface(_sphere_rho(10 ** 200))
+    for f in (HPoly.zero("H", 2), const(5)):
+        assert hs.is_crf(f, unit_s).holds
+    for c in (Fraction(1, 10 ** 12), 1, 10 ** 12):
+        assert not hs.is_crf(x0sq.scale(c), unit_s).holds
+    res = hs.is_crf(x0sq.scale(10 ** 250), big)
+    assert not res.holds
+    assert not all(math.isfinite(c) for v in res.witness_value
+                   for c in v.coeffs)
+
+
+def test_affine_admissibility_judges_the_projections_own_pair(
+        flat, mixed, counterexample, monkeypatch):
+    """On affine S every CRF verdict of is_admissible, f's first, reads the
+    very pair object that _tangential returned for that function: f's pair
+    is not packed again from its derived functions."""
+    tangential, affine_crf = hs._tangential, hs._affine_crf
+    made, judged = [], []
+
+    def spy_tangential(partials, g):
+        made.append(tangential(partials, g))
+        return made[-1]
+
+    def spy_affine_crf(f_qbar, S):
+        judged.append(f_qbar)
+        return affine_crf(f_qbar, S)
+
+    monkeypatch.setattr(hs, "_tangential", spy_tangential)
+    monkeypatch.setattr(hs, "_affine_crf", spy_affine_crf)
+    for S in (flat, mixed):
+        for f in (counterexample, HPoly.variable_conj("H", 2, 0)):
+            made.clear()
+            judged.clear()
+            hs.is_admissible(f, S)
+            assert len(judged) == len(made) > 0
+            assert all(q is pair for q, (_, pair) in zip(judged, made))
+    assert len(judged) == 1     # conj(q1) is not CRF on mixed
+
+
+def test_curved_decisions_form_the_partials_of_f_once(sphere, monkeypatch):
+    """On curved S, is_crf forms f's eight partials once and evaluates them
+    at its 25 points (not 8 per point), and is_admissible forms one more
+    set for its 160 stencil points."""
+    f = random_regular(random.Random(11))
+    partial_flat = HPoly.partial_flat
+    calls = []
+
+    def counted(self, i):
+        if self is f:
+            calls.append(i)
+        return partial_flat(self, i)
+
+    monkeypatch.setattr(HPoly, "partial_flat", counted)
+    assert hs.is_crf(f, sphere)
+    assert calls == list(range(8))
+    calls.clear()
+    assert hs.is_admissible(f, sphere, tol=1e-6).admissible
+    assert calls == list(range(8)) * 2
 
 
 # ---------------------------------------------------------------------------
