@@ -11,12 +11,13 @@ jump                two-sided regular splitting across an affine hypersurface
 syzygy              syzygy dimensions and the compatibility-row span check
 cf-integral         reproducing-integral convergence report on a sphere
 
-Reports are JSON (default) or aligned text via ``--format table``.  Default
-output is deterministic byte for byte for fixed inputs; ``--timings`` adds
-wall-clock data and waives that guarantee.  Exit codes: 0 all checks passed,
-1 a check failed or the problem is infeasible, 2 invalid input, 3 resource
-budget exhausted (an unknown cap, or memory), 4 an exact self-check of a
-computed answer failed (a program fault, never a verdict on the input).
+Reports are JSON (default), exactly ``json.dumps(report, indent=2,
+sort_keys=True)``, or aligned text via ``--format table``.  Default output is
+deterministic byte for byte for fixed inputs; ``--timings`` adds wall-clock
+data and waives that guarantee.  Exit codes: 0 all checks passed, 1 a check
+failed or the problem is infeasible, 2 invalid input, 3 resource budget
+exhausted (an unknown cap, or memory), 4 an exact self-check of a computed
+answer failed (a program fault, never a verdict on the input).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .hypercomplex import DIM, HNumber
@@ -83,12 +85,29 @@ def _report(command, inputs, checks, result=None, seed=0):
     return rep
 
 
+def _dumps(obj, pad):
+    """``json.dumps(obj, indent=2, sort_keys=True)`` at indent ``pad``, byte
+    for byte; a list of only strs or only ints (no bool) joins at C speed."""
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        return "{\n" + ",\n".join(
+            f"{inner}{_quote(k)}: {_dumps(v, inner)}"
+            for k, v in sorted(obj.items())) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)) and obj:
+        kinds = set(map(type, obj))
+        items = (map(_quote, obj) if kinds == {str} else
+                 map(int.__repr__, obj) if kinds == {int} else
+                 [_dumps(x, inner) for x in obj])
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    return json.dumps(obj)
+
+
 def _emit(rep, fmt, timings=None):
     if timings is not None:
         rep = dict(rep)
         rep["timings"] = timings
     if fmt == "json":
-        print(json.dumps(rep, indent=2, sort_keys=True))
+        print(_dumps(rep, ""))
         return
     print(f"# {rep['command']}  status={rep['status']}")
     for c in rep["checks"]:

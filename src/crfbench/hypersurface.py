@@ -53,6 +53,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import islice
 from operator import add
 from typing import NamedTuple
 
@@ -243,15 +244,10 @@ class Hypersurface:
         Frobenius norm of the Hessian of rho: grad rho vanishes against its
         own variation over the length |p|.
         """
-        rng = random.Random(seed)
         if self.is_affine:
-            _, piv, s = self.affine_form()
-            out = []
-            for _ in range(count):
-                p = [Fraction(rng.randint(-8, 8), 4) for _ in range(8)]
-                p[piv] = s.evaluate(p).coeffs[0]
-                out.append(tuple(p))
-            return out
+            points = self._affine_points(seed)
+            return [next(points) for _ in range(count)]
+        rng = random.Random(seed)
         k = self._size_exp
         out = []
         attempts = 0
@@ -290,6 +286,15 @@ class Hypersurface:
             except (OverflowError, FloatingPointError):
                 pass
         return out
+
+    def _affine_points(self, seed):
+        """The seeded exact points of affine S, drawn one at a time."""
+        rng = random.Random(seed)
+        _, piv, s = self.affine_form()
+        while True:
+            p = [Fraction(rng.randint(-8, 8), 4) for _ in range(8)]
+            p[piv] = s.evaluate(p).coeffs[0]
+            yield tuple(p)
 
     def __repr__(self):
         return f"Hypersurface({self.rho!r})"
@@ -393,13 +398,12 @@ def _affine_crf(f_qbar, S):
     restricted = [rho_adic_digits(t, S, 1)[0] for t in f_qbar]
     if all(r.is_zero() for r in restricted):
         return CrfResult(True)
-    pts = S.sample_points(50, seed=20240601)
-    for p in pts:
+    for p in islice(S._affine_points(20240601), 50):
         value = tuple(r.evaluate(p) for r in restricted)
         if not (value[0].is_zero() and value[1].is_zero()):
             return CrfResult(False, p, value)
     # identically nonzero but vanishing on all samples: still not CRF
-    return CrfResult(False, pts[0], None)
+    return CrfResult(False, next(S._affine_points(20240601)), None)
 
 
 def is_crf(f, S, tol=1e-10):
@@ -407,9 +411,10 @@ def is_crf(f, S, tol=1e-10):
 
     Affine S: decided *identically* by digit 0 of the tangential polynomials,
     their restriction to S; a nonzero restriction, equal on S to
-    ``derived_at(f, S, p).f_qbar``, has its first nonzero value at 50 seeded
-    points as the witness.  Curved S: f's eight partials are formed once and
-    evaluated at 25 seeded float points; a point fails unless its
+    ``derived_at(f, S, p).f_qbar``, has its first nonzero value at the
+    points of ``S.sample_points(50, seed=20240601)``, drawn one at a time
+    up to it, as the witness.  Curved S: f's eight partials are formed once
+    and evaluated at 25 seeded float points; a point fails unless its
     tangential pair is finite and at most ``tol`` times the largest
     component of those partials there.  The system is linear in f and
     dilation-invariant, and so is this test: the verdict depends on neither

@@ -40,6 +40,7 @@ family is equivalent to vanishing of the other.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import gcd, lcm
@@ -50,6 +51,7 @@ from .hypercomplex import (ALGEBRAS, DIM, SPLIT_TABLE, AlgebraMismatch,
                            HNumber, _from_ints, _mul_into, _numerators)
 
 SCHEMA_VERSION = 1
+_RATIO = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")  # "p", "p/q"; q > 0
 
 
 class HPoly:
@@ -83,14 +85,11 @@ class HPoly:
             width = DIM[algebra] * n
             for exp, coef in terms.items():
                 exp = tuple(exp)
-                if len(exp) != width:
-                    raise ValueError(f"exponent width {len(exp)} != {width}")
-                if any(e < 0 for e in exp):
-                    raise ValueError("negative exponent")
-                if not isinstance(coef, HNumber):
+                is_h = isinstance(coef, HNumber)
+                _check_term(exp, width, algebra,
+                            coef.algebra if is_h else algebra)
+                if not is_h:
                     coef = HNumber.from_real(algebra, coef)
-                if coef.algebra != algebra:
-                    raise AlgebraMismatch("coefficient algebra mismatch")
                 if coef.backend != "exact":
                     raise ValueError("HPoly coefficients must be exact")
                 if not coef.is_zero():
@@ -366,7 +365,8 @@ class HPoly:
     @classmethod
     def from_json(cls, obj):
         """Inverse of :meth:`to_json`: KeyError for a missing key, ValueError
-        for any other malformed shape."""
+        for any other malformed shape.  The integer form is read straight
+        from the components (:func:`_read_coef`), not through ``HNumber``."""
         if not isinstance(obj, dict):
             raise ValueError("a polynomial is a JSON object")
         version = obj.get("schema_version", SCHEMA_VERSION)
@@ -384,13 +384,52 @@ class HPoly:
             if not isinstance(exp, list) or \
                     not all(type(e) is int for e in exp):
                 raise ValueError("an exponent is a list of integers")
-            coef = HNumber.from_json(t["coef"])
-            if coef.backend != "exact":
-                raise ValueError("HPoly coefficients must be exact")
+            coef = _read_coef(t["coef"])
             if tuple(exp) in terms:
                 raise ValueError(f"repeated exponent {exp}")
             terms[tuple(exp)] = coef
-        return cls(obj["algebra"], n, terms)
+        zero = cls(obj["algebra"], n)   # checks the algebra and n
+        for exp, (algebra, _) in terms.items():
+            _check_term(exp, zero.width, zero.algebra, algebra)
+        den = lcm(*[q for _, pq in terms.values() for _, q in pq])
+        return _from_int_terms(zero.algebra, n, {
+            e: [p * (den // q) for p, q in pq]
+            for e, (_, pq) in terms.items()}, den)
+
+
+def _check_term(exp, width, algebra, coef_algebra):
+    """The per-term checks of the constructor, shared with from_json."""
+    if len(exp) != width:
+        raise ValueError(f"exponent width {len(exp)} != {width}")
+    if any(e < 0 for e in exp):
+        raise ValueError("negative exponent")
+    if coef_algebra != algebra:
+        raise AlgebraMismatch("coefficient algebra mismatch")
+
+
+def _read_coef(obj):
+    """(algebra, [(p, q), ...]) of an exact payload coefficient, component i
+    being p / q.  JSON ints and ASCII "p" or "p/q" are read with ``int()``;
+    any other coefficient, or one past the integer string limit, goes the
+    :meth:`HNumber.from_json` route, with its checks and messages."""
+    if type(obj) is dict and obj.get("algebra") in ALGEBRAS \
+            and type(obj.get("c")) is list \
+            and len(obj["c"]) == DIM[obj["algebra"]]:
+        pq = []
+        try:
+            for c in obj["c"]:
+                m = type(c) is str and _RATIO.fullmatch(c)
+                if not (m or type(c) is int):
+                    break
+                pq.append((int(m[1]), int(m[2] or 1)) if m else (c, 1))
+            else:
+                return obj["algebra"], pq
+        except ValueError:              # digits past the integer string limit
+            pass
+    c = HNumber.from_json(obj)
+    if c.backend != "exact":
+        raise ValueError("HPoly coefficients must be exact")
+    return c.algebra, [(v.numerator, v.denominator) for v in c.coeffs]
 
 
 def _from_int_terms(algebra, n, acc, den):

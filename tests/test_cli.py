@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crfbench
-from crfbench.cli import _rand_poly, main
+from crfbench.cli import _dumps, _rand_poly, main
 from crfbench.hypercomplex import DIM, HNumber
 from crfbench.polycalc import HPoly, compat_pbar, dbar_system
 from crfbench.hypersurface import Hypersurface
@@ -99,6 +99,56 @@ def test_timings_are_opt_in(capsys):
     _, out, _ = run(capsys, ["verify-identities", "--count", "2",
                              "--timings"])
     assert "timings" in json.loads(out)
+
+
+DUMPS_CORPUS = [
+    {}, [], {"a": {}, "b": [], "c": [[], [{}], {"d": [[]]}]},
+    [{"a": 1}, 2, "x", None, [3, "y"], []],
+    [-0.0, 1e-320, 1e300, 0.1, math.nan, math.inf, -math.inf],
+    10 ** 40, [10 ** 40, -10 ** 40, 0], ("a", "b"), (1, 2),
+    [1, True, 2], [False, 0], [None, 1], [1, 2.0], [True], ["a", None],
+    "\u00e9\u2028\x00\x1f\"\\\ud800",
+    {"k\u00e9\"y\\\n\x01": ["\x07", "\u00fc", "\ud83d\ude00"]},
+    {"b": 1, "a": [1, 2], "\u00e9": "x", "A": None, "": -1},
+]
+
+
+def _report_argv(tmp_path):
+    """One argument list per subcommand, and one with ``--timings``."""
+    f = coord(0, 1) - coord(0, 0).mul_const_left(HNumber.unit("H", 1))
+    fs = write_function_surface(tmp_path / "fs.json", f, coord(1, 3))
+    bad = write_function_surface(tmp_path / "bad.json",
+                                 counterexample_poly(), coord(1, 3))
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"schema_version": 1, "g": [
+        c.to_json() for c in dbar_system(
+            HPoly.variable("H", 2, 0) ** 2 * coord(1, 2).scale(
+                Fraction(-3, 7)))]}))
+    return [["verify-identities", "--count", "1"],
+            ["check", "--input", bad], ["solve", "--input", str(g)],
+            ["extend", "--input", fs], ["jump", "--input", fs],
+            ["syzygy", "--algebra", "H", "--degree", "2"],
+            ["cf-integral", "--order", "8", "--points", "2", "--tol", "1"],
+            ["syzygy", "--algebra", "O", "--degree", "1", "--timings"]]
+
+
+def test_json_reports_are_the_stdlib_indent_2_encoding(tmp_path, capsys):
+    """``_dumps`` writes exactly ``json.dumps(obj, indent=2,
+    sort_keys=True)``, which stays here as the oracle, on nested empty
+    containers, mixed lists, edge floats, big ints, bools and None among
+    ints, escapes in values and keys, and a real report of every
+    subcommand (the printed report is that encoding of itself)."""
+    reports = []
+    for argv in _report_argv(tmp_path):
+        _, out, _ = run(capsys, argv)
+        reports.append(json.loads(out))
+        assert out == json.dumps(reports[-1], indent=2, sort_keys=True) + "\n"
+    assert "timings" in reports[-1]
+    assert {r["command"] for r in reports} == {
+        "verify-identities", "check", "solve", "extend", "jump", "syzygy",
+        "cf-integral"}
+    for obj in DUMPS_CORPUS + reports:
+        assert _dumps(obj, "") == json.dumps(obj, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -655,6 +705,32 @@ def _system(edit):
     return {"schema_version": 1, "g": g}
 
 
+# components the payload parser must still reject, with the message
+COMPONENT_ERRORS = [
+    ("abc", "abc", "Invalid literal for Fraction: 'abc'"),
+    ("nan", "nan", "Invalid literal for Fraction: 'nan'"),
+    ("exponent-guard", "1e999999", "a component's decimal exponent exceeds "
+     f"the integer string limit {sys.get_int_max_str_digits()}"),
+    ("digit-limit-denominator", "1/" + "7" * 5000,
+     f"Exceeds the limit ({sys.get_int_max_str_digits()} digits) for "
+     "integer string conversion: value has 5000 digits; use "
+     "sys.set_int_max_str_digits() to increase the limit"),
+    ("zero-denominator", "-3/00", "zero denominator in a component"),
+]
+
+
+@pytest.mark.parametrize("component, message",
+                         [case[1:] for case in COMPONENT_ERRORS],
+                         ids=[case[0] for case in COMPONENT_ERRORS])
+def test_component_errors_keep_their_message(tmp_path, capsys, component,
+                                             message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_system(
+        lambda p: p["terms"][0]["coef"]["c"].__setitem__(0, component))))
+    code, out, err = run(capsys, ["solve", "--input", str(path)])
+    assert (code, out, err) == (2, "", f"error: invalid input: {message}\n")
+
+
 MALFORMED_PAYLOADS = {
     "not-an-object": ("solve", []),
     "g-not-a-list": ("solve", {"schema_version": 1, "g": {"a": 1}}),
@@ -701,6 +777,9 @@ MALFORMED_PAYLOADS = {
     "repeated-exponent": ("solve", _system(
         lambda p: p["terms"].append({"exp": p["terms"][0]["exp"],
                                      "coef": number_json(HNumber.one("H"))}))),
+    **{f"component-{name}": ("solve", _system(
+        lambda p, c=component: p["terms"][0]["coef"]["c"].__setitem__(0, c)))
+       for name, component, _ in COMPONENT_ERRORS},
 }
 
 

@@ -4,6 +4,7 @@ decisions, the pointwise rank test, restriction identities, and convexity."""
 import hashlib
 import math
 import random
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -323,6 +324,65 @@ def test_affine_crf_witness_is_the_first_pointwise_failure(
                 witnesses.append(pts.index(bad[0]))
     # counterexample + regular is CRF on the wall only
     assert witnesses == [0, 0, 1] + [0, 0, 0, 1] * 2
+
+
+def test_affine_crf_draws_no_point_after_its_witness(flat, monkeypatch):
+    """On the wall, the witness of conj(q1) (and of l^2 conj(q1), which
+    vanishes at the first point) is the first failing point of
+    ``sample_points(50, seed=20240601)``, and is_crf draws the seeded points
+    one at a time: eight draws per point, none after the witness."""
+    pts = flat.sample_points(50, seed=20240601)
+    qbar1 = HPoly.variable_conj("H", 2, 0)
+    line = coord(0, 2) - const(pts[0][2])
+    draws = []
+
+    class CountingRandom(random.Random):
+        def randint(self, a, b):
+            draws.append((a, b))
+            return super().randint(a, b)
+
+    monkeypatch.setattr(hs, "random",
+                        types.SimpleNamespace(Random=CountingRandom))
+    for f, index in ((qbar1, 0), (line * line * qbar1, 1)):
+        first = next(p for p in pts if not all(
+            v.is_zero() for v in hs.derived_at(f, flat, p).f_qbar))
+        assert pts.index(first) == index
+        draws.clear()
+        assert hs.is_crf(f, flat).witness_point == first
+        assert len(draws) == 8 * (index + 1)
+
+
+def test_affine_crf_witness_when_every_sample_vanishes(flat):
+    """P(x0)^2 conj(q1), with P vanishing at every quarter-integer x0 in
+    [-2, 2], is not CRF on the wall, yet its tangential pair vanishes at
+    all 50 seeded points: the witness is the first of them, with no value."""
+    x0 = coord(0, 0)
+    P = const(1)
+    for k in range(-8, 9):
+        P = P * (x0.scale(4) - const(k))
+    res = hs.is_crf(P * P * HPoly.variable_conj("H", 2, 0), flat)
+    assert not res.holds and res.witness_value is None
+    assert res.witness_point == flat.sample_points(1, seed=20240601)[0]
+
+
+def _eager_affine_samples(S, count, seed):
+    """The affine branch of ``sample_points`` as it was before the points
+    were drawn lazily: every point drawn and completed in one loop."""
+    rng = random.Random(seed)
+    _, piv, s = S.affine_form()
+    out = []
+    for _ in range(count):
+        p = [Fraction(rng.randint(-8, 8), 4) for _ in range(8)]
+        p[piv] = s.evaluate(p).coeffs[0]
+        out.append(tuple(p))
+    return out
+
+
+def test_affine_sample_points_are_unchanged(flat, tilted, mixed):
+    for S in (flat, tilted, mixed):
+        for count, seed in ((50, 20240601), (7, 3), (1, 0), (0, 5), (-2, 5)):
+            assert S.sample_points(count, seed=seed) == \
+                _eager_affine_samples(S, count, seed)
 
 
 def test_tangential_polys_require_affine(sphere, counterexample):

@@ -452,6 +452,32 @@ def input_form(algebra, terms):
                  for e, cs in coefs.items()}
 
 
+@pytest.mark.parametrize("comps", [
+    ["1", "-2/3", 0, 7],                    # canonical strings and ints
+    ["2/4", "-0", "+3", " 1 "],             # read by Fraction or reduced
+    ["1.5", "1e2", "1_000", "-6/8"],
+    [0, "0", "-0", "0/5"],                  # a zero coefficient drops
+])
+def test_from_json_builds_the_integer_form_of_the_constructor(comps):
+    """HPoly.from_json builds ``_ints`` straight from the payload; it equals
+    the constructor's, fed the components through ``Fraction``, term order
+    included."""
+    blob = {"algebra": "H", "n": 1, "terms": [
+        {"exp": [1, 0, 0, 0], "coef": {"algebra": "H", "c": comps}},
+        {"exp": [0, 2, 0, 0],
+         "coef": {"algebra": "H", "c": ["1/6", 0, "-5", "3/9"]}},
+        {"exp": [0, 0, 0, 1],
+         "coef": {"algebra": "H", "c": [0, "0/7", "-0", "0"]}},
+        {"exp": [0, 0, 0, 0],
+         "coef": {"algebra": "H", "c": ["-7/21", "4", 0, "10/4"]}}]}
+    want = HPoly("H", 1, {
+        tuple(t["exp"]): HNumber("H", [Fraction(c) for c in t["coef"]["c"]])
+        for t in blob["terms"]})
+    got = HPoly.from_json(blob)
+    assert got._ints == want._ints
+    assert list(got._ints[1]) == list(want._ints[1])
+
+
 @pytest.mark.parametrize("algebra", ["H", "O"])
 def test_constructors_store_the_canonical_integer_form(algebra):
     """HPoly(...), the named constructors and from_json store the canonical
