@@ -430,15 +430,16 @@ def test_whole_system_rows_are_the_assembled_rows(monkeypatch):
     built = syzygy._rank_rows
     calls = []
 
-    def spy(algebra, n, k, block, parts):
-        rows = list(built(algebra, n, k, block, parts))
-        calls.append((block, rows))
+    def spy(algebra, n, k, block, parts, drop):
+        rows = list(built(algebra, n, k, block, parts, drop))
+        calls.append((block, drop, rows))
         return rows
 
     monkeypatch.setattr(syzygy, "_rank_rows", spy)
     assert syzygy_dim("H", 2, 2) == flat_dim("H", 2, 2)
-    [(block, rows)] = calls
-    assert block is None and len(rows) == 2 * 4 * len(monomials(8, 2))
+    [(block, drop, rows)] = calls
+    assert block is None and not drop
+    assert len(rows) == 2 * 4 * len(monomials(8, 2))
     assert_rows_are_assembled("H", 2, 2, columns("H", 2, 2), rows)
 
 
@@ -475,9 +476,11 @@ def test_packed_compat_rows_are_the_operator_rows(algebra, n, rank):
                 row[d * m + beta] = OperatorPoly(
                     nsyms, {e: -sign * c for e, c in acc.terms.items()})
             want.append([entry.terms for entry in row])
-    packed = [row for l, m in syzygy._ordered_pairs(n)
-              for row in syzygy._compat_terms(l, m, algebra, n)]
-    assert [[{_unpack(e, 2, nsyms): c for e, c in row.get(slot, {}).items()}
+    packed = syzygy._compat_rows(MUL_TABLE[algebra], sign, n,
+                                 syzygy._ordered_pairs(n))
+    shift = 2 * nsyms
+    assert [[{_unpack(key & ((1 << shift) - 1), 2, nsyms): c
+              for key, c in row.items() if key >> shift == slot}
              for slot in range(nsyms)] for row in packed] == want
     assert [[entry.terms for entry in row]
             for row in all_compat_rows(algebra, n)] == want
@@ -507,6 +510,105 @@ def test_largest_mu_first_keeps_the_fill_small(monkeypatch):
 
 @pytest.mark.parametrize("algebra,n,k,dim", [("O", 2, 4, 2048),
                                              ("H", 3, 4, 2436),
-                                             ("H", 3, 5, 10304)])
+                                             ("H", 3, 5, 10304),
+                                             ("O", 2, 5, 11968),
+                                             ("H", 2, 7, 5016),
+                                             ("O", 3, 3, 1488),
+                                             ("H", 3, 7, 105300)])
 def test_syzygy_dims_at_higher_degree(algebra, n, k, dim):
     assert syzygy_dim(algebra, n, k) == dim
+
+
+# ---------------------------------------------------------------------------
+# rows left out as leads of the compat syzygies
+# ---------------------------------------------------------------------------
+
+def full_and_kept(algebra, n, k, block):
+    """Every row of ``block`` in feed order, and per row whether
+    ``_rank_rows`` keeps it when it drops the compat leads."""
+    full = list(syzygy._rank_rows(algebra, n, k, block, {}))
+    kept = syzygy._rank_rows(algebra, n, k, block, {}, True)
+    head = next(kept, None)
+    flags = []
+    for row in full:
+        flags.append(row == head)
+        if flags[-1]:
+            head = next(kept, None)
+    assert head is None     # the kept rows are a subsequence of the full feed
+    return full, flags
+
+
+def dropped_count(algebra, n, k):
+    """Rows left out over the blocks syzygy_dim ranks, each block weighted
+    as syzygy_dim weights its rank."""
+    return sum(weight * full_and_kept(algebra, n, k, block)[1].count(False)
+               for weight, block in syzygy._ranked_blocks(algebra, n, k))
+
+
+@pytest.mark.parametrize("algebra,n,k", [
+    ("H", 2, 4), ("H", 3, 3), ("O", 2, 2), ("O", 3, 2),
+    ("H", 2, 5), ("O", 2, 3), ("H", 3, 4)])
+def test_dropped_rows_change_no_pivot(algebra, n, k):
+    assert syzygy._leads_certified(MUL_TABLE[algebra])
+    for _, block in syzygy._ranked_blocks(algebra, n, k):
+        full, flags = full_and_kept(algebra, n, k, block)
+        every, kept = Echelon(), Echelon()
+        for row, keep in zip(full, flags):
+            grew = every.add_row(row)
+            assert keep or not grew     # a dropped row reduces to zero
+            if keep:
+                kept.add_row(row)
+        assert kept.pivots == every.pivots
+
+
+@pytest.mark.parametrize("algebra,top", [("H", 6), ("O", 4)])
+def test_n2_drops_every_dependent_row(algebra, top):
+    """At n = 2 the left-out rows number d (C(2d+k-3, k-2) + C(2d+k-4,
+    k-2)), the leads x_{0,0}^2 x^rho and x_{0,0} x_{1,0} x^rho in
+    variable 1, and that is the syzygy dimension: only independent rows are
+    fed."""
+    d = DIM[algebra]
+    for k in range(top + 1):
+        closed = d * (comb(2 * d + k - 3, k - 2) + comb(2 * d + k - 4, k - 2)
+                      if k >= 2 else 0)
+        assert dropped_count(algebra, 2, k) == syzygy_dim(algebra, 2, k) \
+            == closed
+
+
+@pytest.mark.parametrize("algebra,k,dropped,dim", [
+    ("H", 2, 24, 40), ("O", 2, 48, 64), ("H", 4, 1716, 2436),
+    ("O", 3, 1128, 1488)])
+def test_n3_drops_most_dependent_rows(algebra, k, dropped, dim):
+    # the rest lead the extra degree-2 generators, at (2, x_{0,0} x_{1,a})
+    assert dropped_count(algebra, 3, k) == dropped
+    assert syzygy_dim(algebra, 3, k) == dim
+
+
+def compat_rows_verify(algebra):
+    """verify_syzygy over the compat rows of pairs (0, 1) and (1, 0) at
+    n = 2, under the live table."""
+    matrix = build_dbar_matrix(algebra, 2)
+    return all(verify_syzygy(row, matrix) for pair in ((0, 1), (1, 0))
+               for row in compat_syzygy_rows(*pair, algebra, 2))
+
+
+@pytest.mark.parametrize("algebra", ["H", "O"])
+def test_leads_certified_on_the_shipped_table_only(monkeypatch, algebra):
+    d = DIM[algebra]
+    table = MUL_TABLE[algebra]
+    assert syzygy._leads_certified(table) and compat_rows_verify(algebra)
+    for a in range(d):
+        for b in range(d):
+            flipped = with_sign_flipped(table, a, b)
+            monkeypatch.setitem(MUL_TABLE, algebra, flipped)
+            assert not syzygy._leads_certified(flipped)
+            assert not compat_rows_verify(algebra)
+
+
+def test_leads_not_certified_off_the_index_rule(monkeypatch):
+    rows = [list(row) for row in MUL_TABLE["H"]]
+    rows[1][2], rows[1][3] = rows[1][3], rows[1][2]
+    table = tuple(tuple(row) for row in rows)
+    monkeypatch.setitem(MUL_TABLE, "H", table)
+    assert not syzygy._leads_certified(table)
+    assert not compat_rows_verify("H")
