@@ -9,7 +9,15 @@ rationals:
   at a time in the divided-power basis, where every matrix entry of the
   operator is -1, 0, or +1.  Before assembly a presolve drops the candidate
   monomials that equations with zero right-hand side force to 0 (singleton
-  rows, as in the presolve of sparse solvers), with the same answer.
+  rows, as in the presolve of sparse solvers), with the same answer.  Since
+  i_a i_b = +-i_{a XOR b}, each degree's system is block diagonal in d
+  classes, and the shifts that the multiplication table certifies map
+  class 0 onto every class by a signed permutation.  So only class 0 is
+  eliminated, one row per block of d equations, with the right-hand sides
+  of all d classes riding along, and the answer of each class is read off
+  its own right-hand side.  ``regular_kernel_basis`` eliminates class 0
+  of the homogeneous system the same way and moves its nullspace into
+  every class.
 
 * ``crf_extend``: given a polynomial f and an affine hypersurface S = {rho=0},
   find an extension F = f + rho P whose conjugate-Fueter image vanishes to
@@ -19,10 +27,10 @@ rationals:
   division by rho; the columns of this system are digits of monomials,
   written down by exponent arithmetic.  The same presolve as the graded
   solve drops the monomials that digit equations with zero right-hand side
-  force to 0.  Both systems build their rows with one builder: each block of
-  equations takes a monomial's columns as left multiplication by a
-  hypercomplex number, i_alpha for dbar and the quaternion of its digits
-  for the extension.
+  force to 0.  Each block of equations takes a monomial's columns as left
+  multiplication by a quaternion, the image of the monomial on that digit
+  block; these quaternions mix the classes, so the extension assembles and
+  eliminates every row.
 
 * ``jump_split``: produce a two-sided regular decomposition (F+, F-) of a
   boundary function that admits a global polynomial regular extension; the
@@ -44,7 +52,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from .hypercomplex import DIM, MUL_TABLE
+from .hypercomplex import DIM, MUL_TABLE, _certificate, _class_orbits
 from .linalg import BudgetExceeded, nullspace_sparse, solve_sparse
 from .polycalc import HPoly, _int_poly, compat_pbar, fueter_dbar, monomials
 
@@ -143,9 +151,72 @@ def _coordinates(algebra, n, bits):
 
 def _touched(coords, mu):
     """The (block, q) pairs of the packed monomial mu, for :func:`_peel` and
-    :func:`_block_rows`: block (h, nu) for each nu = mu - e_{d*h+alpha},
-    with q = i_alpha."""
+    :func:`_class_rows`: block (h, nu) for each nu = mu - e_{d*h+alpha},
+    with q = ((alpha, 1),), standing for i_alpha."""
     return [(h + mu - one, q) for field, one, h, q in coords if mu & field]
+
+
+# The graded systems split into d classes (crfbench.hypercomplex): column
+# x^[mu] i_beta lies in class beta XOR odd(mu), and the certified shift c
+# maps class 0 onto class c by a signed permutation.  Both parities below
+# are read off a packed monomial by masking the low bit of its fields.
+
+def _parity_mask(weights, width, bits):
+    """The low bit of each field i, of ``width`` coordinates packed in
+    ``bits``-bit fields, with weights[i mod len(weights)] = 1: the popcount
+    of key & mask is odd exactly when the sum of weights[i mod d] mu_i is,
+    for the monomial mu packed in key."""
+    d = len(weights)
+    shifts = range(bits * (width - 1), -1, -bits)
+    return sum(1 << s for i, s in enumerate(shifts) if weights[i % d])
+
+
+@lru_cache(maxsize=64)
+def _class_masks(d, width, bits):
+    """The masks of :func:`_odd_class`: per bit j of a unit index, from the
+    highest, the parity mask of the fields i with bit j of i mod d set."""
+    return tuple(_parity_mask([a >> j & 1 for a in range(d)], width, bits)
+                 for j in reversed(range(d.bit_length() - 1)))
+
+
+def _odd_class(key, masks):
+    """The odd class of the packed monomial ``key``, the XOR of i mod d over
+    the coordinates i with an odd exponent: each bit, from the highest, is
+    the parity of its odd fields under its mask (:func:`_class_masks`)."""
+    odd = 0
+    for m in masks:
+        odd = odd << 1 | (key & m).bit_count() & 1
+    return odd
+
+
+@lru_cache(maxsize=64)
+def _class_frame(table, width, bits):
+    """(masks, shifts) for the graded systems under ``table`` on monomials
+    of ``width`` coordinates packed in ``bits``-bit fields: the masks of
+    :func:`_odd_class`, and per class c, shifts[c] = (parity mask of v,
+    eps) from the certificate (v, eps) of shift c
+    (:func:`crfbench.hypercomplex._certificate`; shift 0 is the identity).
+
+    Row (h, nu, odd(nu)) and column (mu, odd(mu)) of class 0 map to row
+    (h, nu, odd(nu) XOR c) and column (mu, odd(mu) XOR c) of class c with
+    the signs :func:`_shift_sign` of nu and of mu: the certificate has
+    v_0 = 0.  The shipped tables certify every shift; a table that does
+    not has no such frame, and the graded systems refuse it."""
+    d = len(table)
+    certs = [_certificate(table, c) for c in range(d)]
+    if _class_orbits(table) is None or None in certs:
+        raise AssertionError("the multiplication table does not map class 0 "
+                             "onto every class")
+    return (_class_masks(d, width, bits),
+            [(_parity_mask(v, width, bits), eps) for v, eps in certs])
+
+
+def _shift_sign(key, odd, shift):
+    """eps(odd) (-1)^<v, mu> for the monomial mu packed in ``key``, of odd
+    class ``odd``, and the entry shift = (parity mask of v, eps) of
+    :func:`_class_frame`."""
+    mask, eps = shift
+    return -eps[odd] if (key & mask).bit_count() & 1 else eps[odd]
 
 
 def _block_rows(algebra, touched, rhs):
@@ -191,18 +262,19 @@ def _peel(neighbours, pinned):
     """The monomials of ``neighbours`` that zero right-hand sides do not
     force to 0, in the order of ``neighbours``.
 
-    ``neighbours`` maps each candidate monomial to its (block, q) pairs, the
-    ``touched`` list of :func:`_block_rows`; q is not read here.  A block's
-    neighbours are the monomials that touch it.  Both systems label their
-    blocks by ints, so the counts below hash no tuple.  The d columns of a
-    monomial enter each of its blocks as left multiplication by its q there:
-    q = i_alpha in the graded solve, where block (h, nu), labelled by its
-    packed int, is the d equations of dbar_h u on x^[nu] i_gamma; and q =
-    the image of x^mu on the block, read as a quaternion, in the extension,
-    where block (h, j, exp), labelled by the id that
-    :func:`_extension_images` gives it, is the 4 equations of digit j of
-    dbar_h on x^exp i_gamma (dbar and the digits are right H-linear).  Left
-    multiplication by q != 0 is invertible, and every listed q is nonzero.
+    ``neighbours`` maps each candidate monomial to its (block, q) pairs, as
+    :func:`_class_rows` and :func:`_block_rows` read them; q is not read
+    here.  A block's neighbours are the monomials that touch it.  Both
+    systems label their blocks by ints, so the counts below hash no tuple.
+    The d columns of a monomial enter each of its blocks as left
+    multiplication by its q there: q = i_alpha in the graded solve, where
+    block (h, nu), labelled by its packed int, is the d equations of dbar_h
+    u on x^[nu] i_gamma; and q = the image of x^mu on the block, read as a
+    quaternion, in the extension, where block (h, j, exp), labelled by the
+    id that :func:`_extension_images` gives it, is the 4 equations of digit
+    j of dbar_h on x^exp i_gamma (dbar and the digits are right H-linear).
+    Left multiplication by q != 0 is invertible, and every listed q is
+    nonzero.
 
     So a block outside ``pinned`` (the blocks where the right-hand side is
     nonzero) with one neighbour left forces that neighbour's coefficients to
@@ -237,6 +309,83 @@ def _peel(neighbours, pinned):
     return [mu for mu, kept in zip(monos, left) if kept]
 
 
+def _class_rows(algebra, monos, neighbours, pinned, frame):
+    """The class-0 rows of a graded system, with their right-hand sides in
+    every class: one row per block (h, nu), in sorted order, on one column
+    per monomial, the position of its packed key in ``monos``.
+
+    The class-0 column of mu is (mu, odd(mu)).  It enters each block of
+    ``neighbours[mu]`` (:func:`_touched`), nu = mu - e_{d*h+alpha}, in row
+    (h, nu, alpha XOR odd(mu)) = (h, nu, odd(nu)), with entry sigma(alpha,
+    odd(mu)), where i_a i_b = sigma(a, b) i_{a XOR b}.  ``pinned`` maps
+    blocks to {gamma: value}.  The value of row (h, nu, gamma) lies in
+    class c = gamma XOR odd(nu); it becomes right-hand side c of the class-0
+    row of its block, times the sign that shift c gives that row
+    (:func:`_class_frame`).  The right-hand sides of a row are the tuple
+    of its d classes, or None when its block is not pinned.  A pinned
+    block that keeps no monomial gives an empty row with its right-hand
+    sides."""
+    sigma = [[sign for _, sign in row] for row in MUL_TABLE[algebra]]
+    masks, shifts = frame
+    members = {}
+    for pos, mu in enumerate(monos):
+        odd = _odd_class(mu, masks)
+        for block, ((alpha, _),) in neighbours[mu]:
+            row = members.get(block)
+            if row is None:
+                row = members[block] = {}
+            row[pos] = sigma[alpha][odd]
+    rows, values = [], []
+    for block in sorted(members.keys() | pinned.keys()):
+        rows.append(members.get(block, {}))
+        b = pinned.get(block)
+        if b is None:
+            values.append(None)
+            continue
+        odd = _odd_class(block, masks)      # the masks see nu, not h
+        sides = [0] * len(sigma)
+        for gamma, value in b.items():
+            c = gamma ^ odd
+            sides[c] = _shift_sign(block, odd, shifts[c]) * value
+        values.append(tuple(sides))
+    return rows, values
+
+
+def _class_solve(algebra, monos, neighbours, pinned, frame):
+    """The free-variables-zero solution (den, {pos*d + beta: int}) of the
+    graded system on the sorted packed ``monos``, column pos*d + beta being
+    (monos[pos], beta), or None when the system is inconsistent.
+
+    The system is block diagonal in the d classes, and the certified shift
+    c maps class 0 onto class c: A_c = R A_0 C, with R and C the diagonal
+    signs of :func:`_class_frame` on rows and columns.  So A_c x = b_c
+    exactly when A_0 (C x) = R b_c.  The class-0 rows of
+    :func:`_class_rows` are eliminated once, with the d right-hand sides
+    R b_c as d pseudo-columns after every real column
+    (:func:`crfbench.linalg.solve_sparse`).  Class c's columns, in
+    increasing order, are those of class 0 in increasing order, so the
+    pivot set of A_c is that of A_0.  Its free-variables-zero solution is
+    then C times read-out c.  The whole system's pivot set is the union
+    of the classes' ones, so its free-variables-zero solution is these d
+    read-outs together.  It is consistent exactly when every class is."""
+    d = DIM[algebra]
+    masks, shifts = frame
+    rows, values = _class_rows(algebra, monos, neighbours, pinned, frame)
+    sols = solve_sparse(rows, values, range(len(monos), len(monos) + d))
+    if sols is None:
+        return None
+    den = math.lcm(*[dc for dc, _ in sols])
+    out = {}
+    for c, (dc, sol) in enumerate(sols):
+        scale = den // dc
+        for pos, v in sol.items():
+            mu = monos[pos]
+            odd = _odd_class(mu, masks)
+            out[pos * d + (odd ^ c)] = (_shift_sign(mu, odd, shifts[c])
+                                        * scale * v)
+    return den, out
+
+
 def _solve_homogeneous(rhs, k, algebra, n, max_unknowns):
     """Solve dbar u = b with u homogeneous of degree k + 1, or None; ``rhs``
     is b, the degree-k entry of :func:`_rhs_by_degree` (den times g's part).
@@ -244,26 +393,29 @@ def _solve_homogeneous(rhs, k, algebra, n, max_unknowns):
     The monomials of degree k + 1 are packed (:func:`_pack`) in fields of
     the bit length of k + 1, and b's rows are grouped by packed block.  Each
     attempt (the shifts of the right-hand-side support, then the full
-    monomial space) is presolved by :func:`_peel` on the packed blocks, its
-    rows are built by :func:`_block_rows` from the same (block, q) pairs,
-    and only the nonzero columns of the answer are unpacked.  The answer is the one the whole attempt
-    gives.  (In the full space every block keeps all d neighbours, so only
-    the shifts lose monomials.)  Elimination returns the solution whose free
-    variables (the non-pivot columns) are zero, and its pivot set P is the
-    set of leading columns of the row space, right-hand side included as the
-    last column.  A column c forced by a singleton row is in P, since e_c is
-    in the row space.  That row space is span(e_c) plus its vectors with a
-    zero c entry, which are the row space of the system with c and its
-    forcing rows removed; so that system has pivot set P - {c}, and its
-    free-variables-zero solution is the old one without c, which was 0.  It
-    is consistent exactly when the whole attempt is, so the fallback to the
-    full space fires as before.  The unknown cap and the test for the
-    fallback count the monomials before the presolve.
+    monomial space) is presolved by :func:`_peel` on the packed blocks.
+    :func:`_class_solve` then eliminates one class-0 row per block, from
+    the same (block, q) pairs, with the d classes' right-hand sides riding
+    along, and only the nonzero columns of the answer are unpacked.  The
+    answer is the one the whole attempt gives.  (In the full space every
+    block keeps all d neighbours, so only the shifts lose monomials.)
+    Elimination returns the solution whose free variables (the non-pivot
+    columns) are zero, and its pivot set P is the set of leading columns of
+    the row space, right-hand side included as the last column.  A column c
+    forced by a singleton row is in P, since e_c is in the row space.  That
+    row space is span(e_c) plus its vectors with a zero c entry, which are
+    the row space of the system with c and its forcing rows removed; so
+    that system has pivot set P - {c}, and its free-variables-zero solution
+    is the old one without c, which was 0.  It is consistent exactly when
+    the whole attempt is, so the fallback to the full space fires as
+    before.  The unknown cap and the test for the fallback count the
+    monomials before the presolve.
     """
     d = DIM[algebra]
     width = d * n
     bits = (k + 1).bit_length()
     coords = _coordinates(algebra, n, bits)
+    frame = _class_frame(MUL_TABLE[algebra], width, bits)
     blocks = {}     # the pinned blocks: {block: {gamma: value}}
     for (h, nu, gamma), c in rhs.items():
         blocks.setdefault(h << width * bits | _pack(nu, bits), {})[gamma] = c
@@ -288,8 +440,7 @@ def _solve_homogeneous(rhs, k, algebra, n, max_unknowns):
                  if attempt else candidates)
         neighbours = {mu: _touched(coords, mu) for mu in monos}
         kept = sorted(_peel(neighbours, blocks))
-        sol = solve_sparse(*_block_rows(
-            algebra, [neighbours[mu] for mu in kept], blocks))
+        sol = _class_solve(algebra, kept, neighbours, blocks, frame)
         if sol is not None:
             columns = {j: (_unpack(kept[j // d], bits, width), j % d)
                        for j in sol[1]}
@@ -340,9 +491,26 @@ def solve_crf(g, max_unknowns=200000):
 
 def regular_kernel_basis(algebra, n, degree, max_unknowns=200000):
     """Basis of polynomials of total degree <= degree annihilated by every
-    conjugate-Fueter operator.  Deterministic order."""
-    width = DIM[algebra] * n
+    conjugate-Fueter operator.  Deterministic order: one vector per free
+    column (mu, beta) of the whole system, in increasing column order.
+
+    The system is block diagonal in the d classes, and class c is class 0
+    under the signs of :func:`_class_frame`, so only the class-0 rows of
+    :func:`_class_rows` are eliminated.  Column (mu, odd(mu) XOR c) is free
+    exactly when (mu, odd(mu)) is.  The nullspace vector of free column pos
+    of class 0, moved by the column signs of shift c and signed so that
+    its free column holds +den, lies in the kernel of class c and is 0 on
+    every other free column.  So it is the nullspace vector of that free
+    column of the whole system, which is unique.
+    """
+    if algebra not in DIM:
+        raise ValueError(f"unknown algebra {algebra!r}")
+    if n < 1:
+        raise ValueError("need at least one variable")
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
     d = DIM[algebra]
+    width = d * n
     # the monomials of degree <= degree number C(width + degree, degree)
     size = d * math.comb(width + degree, degree)
     if size > max_unknowns:
@@ -350,11 +518,26 @@ def regular_kernel_basis(algebra, n, degree, max_unknowns=200000):
     monos = sorted(mu for k in range(degree + 1) for mu in monomials(width, k))
     bits = max(degree, 1).bit_length()
     coords = _coordinates(algebra, n, bits)
-    rows, _ = _block_rows(algebra, [_touched(coords, _pack(mu, bits))
-                                    for mu in monos], {})
+    keys = [_pack(mu, bits) for mu in monos]
+    frame = _class_frame(MUL_TABLE[algebra], width, bits)
+    masks, shifts = frame
+    rows, _ = _class_rows(algebra, keys,
+                          {key: _touched(coords, key) for key in keys}, {},
+                          frame)
+    odd = [_odd_class(key, masks) for key in keys]
+    signs = [[_shift_sign(key, o, shift) for key, o in zip(keys, odd)]
+             for shift in shifts]
     columns = [(mu, beta) for mu in monos for beta in range(d)]
-    out = [_poly_from_columns(algebra, n, columns, vec)
-           for vec in nullspace_sparse(rows, len(columns))]
+    out = []
+    for den, vec in nullspace_sparse(rows, len(keys)):
+        free = max(vec)     # the other entries sit at pivots before it
+        for beta in range(d):
+            c = beta ^ odd[free]
+            sign = signs[c]
+            flip = sign[free]
+            out.append(_poly_from_columns(algebra, n, columns, (den, {
+                pos * d + (odd[pos] ^ c): flip * sign[pos] * v
+                for pos, v in vec.items()})))
     for p in out:
         for h in range(n):
             if not fueter_dbar(p, h).is_zero():

@@ -30,6 +30,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 ALGEBRAS = ("H", "O")
@@ -101,6 +102,57 @@ def _split_rows(table):
 
 #: SPLIT_TABLE[algebra][alpha] == (pos, neg): ``MUL_TABLE`` split by sign.
 SPLIT_TABLE = {a: _split_rows(MUL_TABLE[a]) for a in ALGEBRAS}
+
+
+# The index rule i_a i_b = +-i_{a XOR b} makes every conjugate-Fueter system
+# in the divided-power basis block diagonal in d classes: column x^[mu] i_b
+# and equation (h, nu, g), the coefficient of x^[nu] i_g in dbar_h, lie in
+# class b XOR odd(mu) and g XOR odd(nu), odd(mu) being the XOR of i mod d
+# over the coordinates i with mu_i odd.  Both the graded solve
+# (:mod:`crfbench.crfsolve`) and the syzygy count (:mod:`crfbench.syzygy`)
+# read these blocks from the table through the two functions below.
+
+@lru_cache(maxsize=None)
+def _certificate(table, c):
+    """Signs (v, eps), with v_0 = 0, showing that class blocks kappa and
+    kappa XOR c of the conjugate-Fueter systems are signed copies of each
+    other under the multiplication table ``table``, or None.
+
+    They satisfy sigma(a, b XOR c) = sigma(a, b) (-1)^(v_a + v_0) eps(b)
+    eps(a XOR b) for all a, b, where i_a i_b = sigma(a, b) i_{a XOR b}.
+    Column (mu, b) then maps to (mu, b XOR c) with sign eps(b) (-1)^<v, mu>
+    and unknown (h, nu, g) to (h, nu, g XOR c) with sign eps(g)
+    (-1)^(v_0 + <v, nu>), where <v, mu> sums v_{i mod d} mu_i: a signed
+    permutation of the two blocks, for every n, k and multidegree.
+    """
+    # Multiplying eps by -1, or adding 1 to every v_a, keeps the equations,
+    # so v_0 = 0 and eps(0) = 1; as i_a 1 = i_a, the equations at b = 0
+    # then fix eps by v, and the search over v is exhaustive.
+    d = len(table)
+    sigma = [[sign for _, sign in row] for row in table]
+    for bits in range(0, 1 << d, 2):
+        flip = [(-1) ** (bits >> a & 1) for a in range(d)]    # (-1)^v_a
+        eps = [sigma[a][c] * flip[a] for a in range(d)]
+        if all(sigma[a][b ^ c] == sigma[a][b] * flip[a] * eps[b] * eps[a ^ b]
+               for a in range(d) for b in range(d)):
+            return tuple(bits >> a & 1 for a in range(d)), tuple(eps)
+    return None
+
+
+@lru_cache(maxsize=None)
+def _class_orbits(table):
+    """(representative classes, orbit size) under the certified shifts, or
+    None when ``table`` breaks the index rule and the systems have no class
+    blocks."""
+    d = len(table)
+    if any(table[a][b][0] != a ^ b for a in range(d) for b in range(d)):
+        return None
+    span = {0}
+    for c in range(1, d):
+        if c not in span and _certificate(table, c):
+            span |= {x ^ c for x in span}
+    classes = {min(kappa ^ x for x in span) for kappa in range(d)}
+    return tuple(sorted(classes)), len(span)
 
 
 def _as_fraction(x):

@@ -19,12 +19,18 @@ For solving, the right-hand side rides along as an extra entry under a
 pseudo-column that sorts after every real column, so inconsistency (a row
 whose leading entry is its right-hand side: 0 = nonzero) is detected the
 moment it appears.  So a row with a right-hand side needs numeric column
-keys; a rank-only row may carry any mutually ordered keys.  The callers
-build their rows directly.  The graded systems and the extension of
-:mod:`crfbench.crfsolve` share one builder of block rows.  The syzygy ranks
-of :mod:`crfbench.syzygy` build theirs apart: each ranks one class block per
-orbit on reversed column keys, a sub-selection that a generic builder would
-build d times over and then filter.
+keys; a rank-only row may carry any mutually ordered keys.  Several
+right-hand sides ride along at once under as many pseudo-columns, all
+after every real column: one elimination then serves them all, a read-out
+per right-hand side, and any one of them inconsistent makes the system
+inconsistent.
+
+The callers build their rows directly.  The graded solve and the kernel
+basis of :mod:`crfbench.crfsolve` eliminate one class of their block
+diagonal systems, with the right-hand sides of every class riding along;
+the extension builds block rows from quaternion images.  The syzygy ranks
+of :mod:`crfbench.syzygy` rank one class block per orbit on reversed
+column keys.
 """
 
 from __future__ import annotations
@@ -79,10 +85,15 @@ def _primitive(row, lead):
 
 
 class Echelon:
-    """Incremental sparse row echelon form over Q, on integer rows."""
+    """Incremental sparse row echelon form over Q, on integer rows.
 
-    def __init__(self):
-        self.pivots = {}    # col -> primitive integer row (may carry _RHS)
+    ``rhs_columns`` are the pseudo-columns of the right-hand sides, in
+    order, each after every real column: by default the one ``_RHS``.
+    """
+
+    def __init__(self, rhs_columns=(_RHS,)):
+        self.pivots = {}    # col -> primitive integer row (may carry rhs)
+        self.rhs = rhs_columns
 
     @property
     def rank(self):
@@ -91,8 +102,8 @@ class Echelon:
     def _reduce(self, row):
         """Reduce an integer row dict in place against the stored pivots.
 
-        Returns its leading column afterwards (``_RHS`` for 0 = nonzero), or
-        None when the row vanished.
+        Returns its leading column afterwards (a right-hand side's
+        pseudo-column for 0 = nonzero), or None when the row vanished.
 
         The first lead is ``min(row)``: most fed rows stop there.  After
         the first elimination the leads come from a heap of the row's
@@ -122,15 +133,18 @@ class Echelon:
 
     def add_row(self, row, rhs=None):
         """Feed one row (dict col->rational) with its right-hand side ``rhs``
-        (None or 0 for a homogeneous row).  Returns True if rank grew.
+        (None or 0 for a homogeneous row), or with a tuple of its values in
+        each right-hand side of ``rhs_columns``.  Returns True if rank grew.
 
         Raises Inconsistent when the row reduces to an impossible equation.
         """
         work = dict(row)
         if 0 in work.values():
             work = {c: v for c, v in work.items() if v}
-        if rhs:
-            work[_RHS] = rhs
+        if type(rhs) is tuple:
+            work.update((c, v) for c, v in zip(self.rhs, rhs) if v)
+        elif rhs:
+            work[self.rhs[0]] = rhs
         if not {int}.issuperset(map(type, work.values())):
             den = lcm(*(v.denominator for v in work.values()))
             work = {c: v.numerator * (den // v.denominator)
@@ -138,7 +152,7 @@ class Echelon:
         lead = self._reduce(work)
         if lead is None:
             return False
-        if lead == _RHS:
+        if lead in self.rhs:
             raise Inconsistent("0 = nonzero after reduction")
         self.pivots[lead] = _primitive(work, lead)
         return True
@@ -167,19 +181,23 @@ class Echelon:
             for other in holders.get(lead, ()):
                 _eliminate(pivots[other], piv, lead)
 
-    def solution(self):
-        """Particular solution with all free variables zero, as (den,
-        {column: int}) in lowest terms.
+    def solution(self, r=0):
+        """Particular solution for right-hand side ``r`` with all free
+        variables zero, as (den, {column: int}) in lowest terms.
 
         Call after feeding all rows; raises Inconsistent from add_row, never
         here.
         """
+        rhs = self.rhs[r]
         den, sol = 1, {}
         # back-substitution in decreasing pivot order: free variables are
-        # zero, so only the later pivot columns already in sol contribute
+        # zero, so only the later pivot columns already in sol contribute,
+        # and a row adds nothing while sol is empty and b_r is 0 there
         for lead in sorted(self.pivots, reverse=True):
             row = self.pivots[lead]
-            acc = row.get(_RHS, 0) * den - sum(
+            if not sol and rhs not in row:
+                continue
+            acc = row.get(rhs, 0) * den - sum(
                 v * sol[c] for c, v in row.items() if c in sol)
             if acc:
                 g = gcd(acc, row[lead])
@@ -217,21 +235,29 @@ def rank_of(rows):
     return ech.rank
 
 
-def solve_sparse(rows, rhs_values):
+def solve_sparse(rows, rhs_values, rhs_columns=None):
     """Solve A x = b for one particular exact solution, or None.
 
     ``rows`` and ``rhs_values`` are parallel sequences.  Free variables are
     zero, which makes the answer the minimal one in the sense that every
     non-pivot coordinate (in increasing column order) vanishes.  The answer is
     :meth:`Echelon.solution`'s (den, {column: int}), ``(1, {})`` when zero.
+
+    With ``rhs_columns``, the pseudo-columns of r right-hand sides b_0, ...,
+    b_{r-1} (ints after every column of ``rows``), each value is None or the
+    tuple of the row's values in b_0, ..., b_{r-1}: the rows are eliminated
+    once, and the answer is the list of the r read-outs, read-out s being
+    the answer for b_s alone, or None when any b_s is inconsistent.
     """
-    ech = Echelon()
+    ech = Echelon() if rhs_columns is None else Echelon(rhs_columns)
     try:
         for row, rhs in zip(rows, rhs_values):
             ech.add_row(row, rhs)
     except Inconsistent:
         return None
-    return ech.solution()
+    if rhs_columns is None:
+        return ech.solution()
+    return [ech.solution(r) for r in range(len(rhs_columns))]
 
 
 def nullspace_sparse(rows, ncols):

@@ -40,7 +40,8 @@ block (multidegree of mu, beta XOR the odd class of mu), the odd class
 being the XOR of i mod d over the i with mu_i odd, and unknown
 (h, nu, gamma) in the block of column (nu + e_{d*h}, gamma).
 ``syzygy_dim`` ranks one block per orbit of the variable permutations and
-of the class shifts certified by :func:`_certificate`.
+of the class shifts certified by
+:func:`crfbench.hypercomplex._certificate`.
 
 Most rows of a ranked block reduce to zero, and the compat syzygies name
 them (the initial-module view of a syzygy computation: Adams, Berenstein,
@@ -70,12 +71,11 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import comb
-from operator import xor
 
-from .crfsolve import _pack, _unpack
-from .hypercomplex import DIM, MUL_TABLE
+from .crfsolve import _class_masks, _odd_class, _pack, _unpack
+from .hypercomplex import DIM, MUL_TABLE, _class_orbits
 from .linalg import BudgetExceeded, rank_of
 from .polycalc import HPoly, compat_pbar, monomials
 
@@ -284,10 +284,10 @@ def _walk(d, n, bits, md, parts):
         part = parts.get((g, e))
         if part is None:
             shift = bits * d * (n - 1 - g)
-            part = parts[g, e] = [
-                (_pack(mu, bits) << shift,
-                 reduce(xor, (a for a, x in enumerate(mu) if x & 1), 0))
-                for mu in reversed(monomials(d, e))]
+            masks = _class_masks(d, d, bits)    # one variable's fields
+            keys = [_pack(mu, bits) for mu in reversed(monomials(d, e))]
+            part = parts[g, e] = [(key << shift, _odd_class(key, masks))
+                                  for key in keys]
         walk = [(p | q, c ^ x) for p, c in walk for q, x in part]
     return walk
 
@@ -351,48 +351,6 @@ def _rank_rows(algebra, n, k, block, parts, drop=False):
 
 
 @lru_cache(maxsize=None)
-def _certificate(table, c):
-    """Signs (v, eps) showing that class blocks kappa and kappa XOR c have
-    equal rank under the multiplication table ``table``, or None.
-
-    They satisfy sigma(a, b XOR c) = sigma(a, b) (-1)^(v_a + v_0) eps(b)
-    eps(a XOR b) for all a, b, where i_a i_b = sigma(a, b) i_{a XOR b}.
-    Column (mu, b) then maps to (mu, b XOR c) with sign eps(b) (-1)^<v, mu>
-    and unknown (h, nu, g) to (h, nu, g XOR c) with sign eps(g)
-    (-1)^(v_0 + <v, nu>), where <v, mu> sums v_{i mod d} mu_i: a signed
-    permutation of the two blocks, for every n, k and multidegree.
-    """
-    # Multiplying eps by -1, or adding 1 to every v_a, keeps the equations,
-    # so v_0 = 0 and eps(0) = 1; as i_a 1 = i_a, the equations at b = 0
-    # then fix eps by v, and the search over v is exhaustive.
-    d = len(table)
-    sigma = [[sign for _, sign in row] for row in table]
-    for bits in range(0, 1 << d, 2):
-        flip = [(-1) ** (bits >> a & 1) for a in range(d)]    # (-1)^v_a
-        eps = [sigma[a][c] * flip[a] for a in range(d)]
-        if all(sigma[a][b ^ c] == sigma[a][b] * flip[a] * eps[b] * eps[a ^ b]
-               for a in range(d) for b in range(d)):
-            return tuple(bits >> a & 1 for a in range(d)), tuple(eps)
-    return None
-
-
-@lru_cache(maxsize=None)
-def _class_orbits(table):
-    """(representative classes, orbit size) under the certified shifts, or
-    None when ``table`` breaks the index rule and the system has no
-    blocks."""
-    d = len(table)
-    if any(table[a][b][0] != a ^ b for a in range(d) for b in range(d)):
-        return None
-    span = {0}
-    for c in range(1, d):
-        if c not in span and _certificate(table, c):
-            span |= {x ^ c for x in span}
-    classes = {min(kappa ^ x for x in span) for kappa in range(d)}
-    return tuple(sorted(classes)), len(span)
-
-
-@lru_cache(maxsize=None)
 def _leads_certified(table):
     """Whether ``table`` makes the rule of the module docstring exact.
 
@@ -451,6 +409,8 @@ def syzygy_dim(algebra, n, k, max_unknowns=None):
     compat syzygies are left out before elimination (module docstring); at
     n = 2 only independent rows are fed.
     """
+    if algebra not in DIM:
+        raise ValueError(f"unknown algebra {algebra!r}")
     if k < 0:
         raise ValueError("degree must be nonnegative")
     if n < 1:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crfbench.hypercomplex import DIM, MUL_TABLE, HNumber
-from crfbench.linalg import Echelon, solve_sparse
+from crfbench.linalg import Echelon, nullspace_sparse, solve_sparse
 from crfbench.polycalc import (HPoly, compat_pbar, dbar_system, fueter_dbar,
                                monomials)
 from crfbench.hypersurface import Hypersurface, is_admissible
@@ -335,7 +335,10 @@ def test_budget_counts_the_candidates_before_the_presolve(monkeypatch):
 def test_presolve_counts_are_pinned(monkeypatch):
     """Monomials kept by the presolve and rows fed to elimination for a fixed
     (O, 2) right-hand side of degree 5, printed when the presolve went in;
-    without the presolve every candidate is kept and more rows are fed."""
+    without the presolve every candidate is kept and more rows are fed.
+    Each block feeds its class-0 row alone: its d = 8 rows are signed
+    copies of the class-0 rows of the other classes, so 384 / 8 = 48 rows
+    are fed, with the right-hand sides of all eight classes riding along."""
     counts, rows = [], [0]
     peel, add_row = cs._peel, Echelon.add_row
 
@@ -357,9 +360,10 @@ def test_presolve_counts_are_pinned(monkeypatch):
     g = dbar_system(u)
     assert max(gh.degree() for gh in g) == 5
     assert list(dbar_system(cs.solve_crf(g))) == list(g)
-    # (candidates, kept) per degree 0..4, then the rows fed (8208 unpeeled)
+    # (candidates, kept) per degree 0..4, then the rows fed (8208 unpeeled,
+    # 384 when every class was fed)
     assert counts == [(16, 16), (106, 23), (61, 1), (61, 1), (198, 3)]
-    assert rows[0] == 384
+    assert rows[0] == 48
 
 
 @settings(max_examples=200, deadline=None)
@@ -393,22 +397,82 @@ def graded_touched(algebra, n, bits, monos):
     return [cs._touched(coords, mu) for mu in monos]
 
 
+def class_frame(algebra, n, bits):
+    return cs._class_frame(MUL_TABLE[algebra], DIM[algebra] * n, bits)
+
+
 def graded_rows(algebra, n, bits, monos, blocks):
-    """The builder's rows and values on the packed ``monos``."""
-    return cs._block_rows(algebra, graded_touched(algebra, n, bits, monos),
-                          blocks)
+    """The class-0 rows and right-hand sides on the packed ``monos``."""
+    neighbours = dict(zip(monos, graded_touched(algebra, n, bits, monos)))
+    return cs._class_rows(algebra, monos, neighbours, blocks,
+                          class_frame(algebra, n, bits))
 
 
-def assert_rows_are_assembled(algebra, n, bits, monos, rhs, built):
-    """``built``, the builder's rows and values on the packed ``monos``, are
-    those of _assemble over dbar_images of the unpacked columns: the same
-    lists, with each row's entries in the same order.  Returns the number of
-    empty rows, the rows of pinned blocks that keep no monomial."""
+def odd_xor(d, mu):
+    x = 0
+    for i, e in enumerate(mu):
+        if e & 1:
+            x ^= i % d
+    return x
+
+
+def parity(v, mu):
+    """<v, mu> mod 2, with <v, mu> the sum of v_{i mod d} mu_i."""
+    return sum(v[i % len(v)] * e for i, e in enumerate(mu)) % 2
+
+
+def expand_class_rows(algebra, n, bits, monos, blocks, built):
+    """The rows and values that the class-0 rows and right-hand sides
+    ``built`` stand for, d interleaved rows per block in sorted order, by
+    the certificates of the live table read on unpacked exponents.
+
+    Row (h, nu, delta) lies in class c = delta XOR odd(nu).  Its entry on
+    column (mu, odd(mu) XOR c), at pos * d + odd(mu) XOR c for mu =
+    monos[pos], is the class-0 entry of its block on pos times the row sign
+    eps_c(odd(nu)) (-1)^(v_0 + <v, nu>) and the column sign eps_c(odd(mu))
+    (-1)^<v, mu>; its value is right-hand side c times the row sign.  A
+    block with no member keeps only its rows of nonzero value."""
+    d, width = DIM[algebra], DIM[algebra] * n
+    rows, values = built
+    mus = [cs._unpack(mu, bits, width) for mu in monos]
+    members = {block for pairs in graded_touched(algebra, n, bits, monos)
+               for block, _ in pairs}
+    order = sorted(members | blocks.keys())
+    assert len(rows) == len(values) == len(order)
+    out_rows, out_values = [], []
+    for block, row, sides in zip(order, rows, values):
+        nu = cs._unpack(block & (1 << width * bits) - 1, bits, width)
+        assert (sides is None) == (block not in blocks)
+        assert bool(row) == (block in members)
+        for delta in range(d):
+            c = delta ^ odd_xor(d, nu)
+            v, eps = hypercomplex._certificate(MUL_TABLE[algebra], c)
+            row_sign = eps[odd_xor(d, nu)] * (-1) ** (v[0] + parity(v, nu))
+            value = row_sign * sides[c] if sides else 0
+            if not row and not value:
+                continue
+            out_rows.append({
+                pos * d + (odd_xor(d, mus[pos]) ^ c):
+                    row_sign * eps[odd_xor(d, mus[pos])]
+                    * (-1) ** parity(v, mus[pos]) * entry
+                for pos, entry in row.items()})
+            out_values.append(value)
+    return out_rows, out_values
+
+
+def assert_rows_are_assembled(algebra, n, bits, monos, rhs, blocks, built):
+    """``built``, the class-0 rows and right-hand sides on the packed
+    ``monos`` and the pinned ``blocks`` (rhs packed), expanded into every
+    class, are the rows and values of _assemble over dbar_images of the
+    unpacked columns: the same lists, with each row's entries in the same
+    order.  Returns the number of empty rows, the rows of pinned blocks
+    that keep no monomial."""
     d, width = DIM[algebra], DIM[algebra] * n
     columns = [(cs._unpack(mu, bits, width), beta)
                for mu in monos for beta in range(d)]
     rows, values = _assemble(dbar_images(algebra, n, columns), rhs)
-    got_rows, got_values = built
+    got_rows, got_values = expand_class_rows(algebra, n, bits, monos,
+                                             blocks, built)
     assert [list(row.items()) for row in got_rows] == \
         [list(row.items()) for row in rows]
     assert got_values == values
@@ -422,14 +486,16 @@ GRADED_CASES = [("H", 1, 8), ("O", 1, 4), ("H", 2, 4), ("O", 2, 3),
 @pytest.mark.parametrize("algebra,n,deg", GRADED_CASES)
 def test_graded_rows_are_the_assembled_rows(algebra, n, deg, monkeypatch):
     """Every system ``_solve_homogeneous`` builds, on the candidates and on
-    the full space, equals _assemble(dbar_images(...), rhs) on the same
-    columns; so do the full degree-(k+1) space and random subsets of it,
-    where some pinned block keeps no monomial.  The degrees run through k + 1
-    = 2, 4 (and 8 for (H, 1)), where the field width grows by one bit."""
+    the full space, is one class-0 row per block whose expansion into the d
+    classes by the certified signs equals _assemble(dbar_images(...), rhs)
+    on the same columns, entry for entry; so do the full degree-(k+1)
+    space and random subsets of it, where some pinned block keeps no
+    monomial.  The degrees run through k + 1 = 2, 4 (and 8 for (H, 1)),
+    where the field width grows by one bit."""
     d, width = DIM[algebra], DIM[algebra] * n
     systems, peeled, built = [], [], []
     solve_homogeneous, peel = cs._solve_homogeneous, cs._peel
-    block_rows = cs._block_rows
+    class_rows = cs._class_rows
 
     def spy_solve(rhs, k, *args):
         systems.append((rhs, k))
@@ -439,14 +505,15 @@ def test_graded_rows_are_the_assembled_rows(algebra, n, deg, monkeypatch):
         peeled.append(peel(neighbours, pinned))
         return peeled[-1]
 
-    def spy_rows(algebra_, touched, blocks):
-        out = block_rows(algebra_, touched, blocks)
-        built.append((len(systems) - 1, sorted(peeled[-1]), touched, blocks,
-                      out))
+    def spy_rows(algebra_, monos, neighbours, blocks, frame):
+        out = class_rows(algebra_, monos, neighbours, blocks, frame)
+        assert monos == sorted(peeled[-1])
+        built.append((len(systems) - 1, monos,
+                      [neighbours[mu] for mu in monos], blocks, out))
         return out
     monkeypatch.setattr(cs, "_solve_homogeneous", spy_solve)
     monkeypatch.setattr(cs, "_peel", spy_peel)
-    monkeypatch.setattr(cs, "_block_rows", spy_rows)
+    monkeypatch.setattr(cs, "_class_rows", spy_rows)
     rng = random.Random(f"rows/{algebra}{n}")
     cases = []
     for _ in range(3):
@@ -482,7 +549,7 @@ def test_graded_rows_are_the_assembled_rows(algebra, n, deg, monkeypatch):
         assert monos == sorted(set(monos))
         assert touched == graded_touched(algebra, n, bits, monos)
         memberless += assert_rows_are_assembled(algebra, n, bits, monos, rhs,
-                                                out)
+                                                blocks, out)
     if n == 2 and algebra == "H" or n == 3:
         assert 2 in attempts        # a full-space attempt was built
     if n == 3:
@@ -494,13 +561,13 @@ def test_graded_rows_are_the_assembled_rows(algebra, n, deg, monkeypatch):
         bits = (k + 1).bit_length()
         blocks = packed_blocks(algebra, n, k, rhs)
         full = sorted(cs._pack(mu, bits) for mu in monomials(width, k + 1))
-        assert_rows_are_assembled(algebra, n, bits, full, rhs,
+        assert_rows_are_assembled(algebra, n, bits, full, rhs, blocks,
                                   graded_rows(algebra, n, bits, full, blocks))
         for _ in range(3):
             monos = sorted(rng.sample(full, rng.randint(0, min(len(full),
                                                                 12))))
             memberless += assert_rows_are_assembled(
-                algebra, n, bits, monos, rhs,
+                algebra, n, bits, monos, rhs, blocks,
                 graded_rows(algebra, n, bits, monos, blocks))
     assert memberless
 
@@ -509,27 +576,118 @@ def test_graded_rows_are_the_assembled_rows(algebra, n, deg, monkeypatch):
                                            ("H", 3, 3), ("O", 1, 3),
                                            ("O", 2, 3), ("O", 3, 2)])
 def test_kernel_rows_are_the_assembled_rows(algebra, n, top, monkeypatch):
-    """The rows of the kernel-basis system of each degree <= top are those
-    of _assemble over dbar_images of its sorted columns."""
+    """The class-0 rows of the kernel-basis system of each degree <= top,
+    expanded into the d classes by the certified signs, are those of
+    _assemble over dbar_images of its sorted columns."""
     d, width = DIM[algebra], DIM[algebra] * n
     built = []
-    block_rows = cs._block_rows
+    class_rows = cs._class_rows
 
-    def spy_rows(*args):
-        built.append(block_rows(*args))
-        return built[-1]
-    monkeypatch.setattr(cs, "_block_rows", spy_rows)
+    def spy_rows(algebra_, monos, neighbours, blocks, frame):
+        built.append((monos, class_rows(algebra_, monos, neighbours, blocks,
+                                        frame)))
+        return built[-1][1]
+    monkeypatch.setattr(cs, "_class_rows", spy_rows)
     monkeypatch.setattr(cs, "nullspace_sparse", lambda rows, ncols: [])
     for degree in range(top + 1):
         assert cs.regular_kernel_basis(algebra, n, degree) == []
-        [(rows, values)] = built
+        [(monos, (rows, values))] = built
         built.clear()
+        bits = max(degree, 1).bit_length()
         columns = sorted((mu, beta) for k in range(degree + 1)
                          for mu in monomials(width, k) for beta in range(d))
+        assert [(cs._unpack(mu, bits, width), beta)
+                for mu in monos for beta in range(d)] == columns
+        assert values == [None] * len(rows)
         want, _ = _assemble(dbar_images(algebra, n, columns), {})
-        assert [list(row.items()) for row in rows] == \
+        got, _ = expand_class_rows(algebra, n, bits, monos, {},
+                                   (rows, values))
+        assert [list(row.items()) for row in got] == \
             [list(row.items()) for row in want]
-        assert values == [0] * len(want)
+
+
+@pytest.mark.parametrize("algebra,n", [("H", 2), ("O", 2), ("O", 3)])
+def test_class_solve_is_the_assembled_solve(algebra, n):
+    """_class_solve on random subsets of the candidates and of the full
+    space, and on both whole, gives solve_sparse's answer on the whole
+    system _assemble(dbar_images(...), rhs): the same read-out, or None.
+    The right-hand sides include candidates that are inconsistent where
+    the full space is not, and the obstruction of (O, 3)."""
+    d, width = DIM[algebra], DIM[algebra] * n
+    rng = random.Random(f"class-solve/{algebra}{n}")
+    deg = 3 if n == 2 else 2
+    cases = [dbar_system(rational_poly(rng, algebra, n, deg, 4))
+             for _ in range(3)]
+    if algebra == "H":
+        i, j = HNumber.unit("H", 1), HNumber.unit("H", 2)
+        cases.append([coord(1, 1).mul_const_left(j),
+                      coord(0, 2).mul_const_left(-i)])
+    if n == 3:
+        cases.append(obstructed_o3(HNumber.unit("O", 6),
+                                   HNumber.unit("O", 3)))
+    outcomes = set()
+    for g in cases:
+        _, parts = cs._rhs_by_degree(g)
+        for k, rhs in parts.items():
+            bits = (k + 1).bit_length()
+            blocks = packed_blocks(algebra, n, k, rhs)
+            coords = cs._coordinates(algebra, n, bits)
+            low = (1 << width * bits) - 1
+            candidates = sorted({(block & low) + one for block in blocks
+                                 for _, one, _, _ in coords})
+            full = sorted(cs._pack(mu, bits)
+                          for mu in monomials(width, k + 1))
+            sets = [candidates, full] + [
+                sorted(rng.sample(pool, rng.randint(1, len(pool))))
+                for pool in (candidates, full) for _ in range(3)]
+            for monos in sets:
+                neighbours = dict(zip(monos, graded_touched(
+                    algebra, n, bits, monos)))
+                got = cs._class_solve(algebra, monos, neighbours, blocks,
+                                      class_frame(algebra, n, bits))
+                columns = [(cs._unpack(mu, bits, width), beta)
+                           for mu in monos for beta in range(d)]
+                want = solve_sparse(*_assemble(
+                    dbar_images(algebra, n, columns), rhs))
+                assert got == want
+                outcomes.add((monos is candidates, monos is full,
+                              got is None))
+    assert (False, False, True) in outcomes and \
+        (False, False, False) in outcomes
+    # the candidates fail where the full space solves
+    if algebra == "H" or n == 3:
+        assert (True, False, True) in outcomes
+    if algebra == "H":
+        assert (False, True, False) in outcomes
+    if n == 3:
+        assert (False, True, True) in outcomes      # the obstruction
+
+
+@pytest.mark.parametrize("algebra,n,degree", [("H", 1, 3), ("H", 2, 2),
+                                              ("O", 1, 2), ("O", 2, 1),
+                                              ("O", 3, 1)])
+def test_kernel_basis_is_the_assembled_nullspace(algebra, n, degree):
+    """The kernel basis is nullspace_sparse of the whole system
+    _assemble(dbar_images(...)) on the sorted columns, one polynomial per
+    free column in increasing order."""
+    d, width = DIM[algebra], DIM[algebra] * n
+    columns = sorted((mu, beta) for k in range(degree + 1)
+                     for mu in monomials(width, k) for beta in range(d))
+    rows, _ = _assemble(dbar_images(algebra, n, columns), {})
+    want = [cs._poly_from_columns(algebra, n, columns, vec)
+            for vec in nullspace_sparse(rows, len(columns))]
+    assert cs.regular_kernel_basis(algebra, n, degree) == want
+
+
+@pytest.mark.parametrize("args,message", [
+    (("H", 0, 1), "at least one variable"),
+    (("O", -1, 2), "at least one variable"),
+    (("H", 2, -1), "degree must be nonnegative"),
+    (("X", 2, 1), "unknown algebra 'X'"),
+])
+def test_kernel_basis_validates_its_arguments(args, message):
+    with pytest.raises(ValueError, match=message):
+        cs.regular_kernel_basis(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -469,3 +469,52 @@ def test_read_outs_do_not_depend_on_the_row_order(system, rng):
     assert solve_sparse(shuffled, [b[i] for i in order]) == \
         solve_sparse(rows, b)
     assert nullspace_sparse(shuffled, n) == nullspace_sparse(rows, n)
+
+
+@st.composite
+def multi_rhs_systems(draw):
+    """(rows, [b_0, ..., b_{r-1}], n): a random rational system with r
+    right-hand sides, each consistent (b = A x) or arbitrary."""
+    rows, b, n = draw(rational_systems())
+    sides = [b]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            x = draw(st.lists(rationals, min_size=n, max_size=n))
+            sides.append([sum(Fraction(v) * x[j] for j, v in row.items())
+                          for row in rows])
+        else:
+            sides.append(draw(st.lists(rationals, min_size=len(rows),
+                                       max_size=len(rows))))
+    return rows, draw(st.permutations(sides)), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(multi_rhs_systems(), st.integers(0, 5))
+def test_multi_rhs_read_outs_are_the_single_rhs_solves(system, gap):
+    """One feed with r right-hand sides under pseudo-columns after every
+    real column gives, for each b_s, the read-out of its own single-rhs
+    solve; when any b_s is inconsistent it gives None.  A row whose
+    right-hand sides are all 0 may be fed with None."""
+    rows, sides, n = system
+    r = len(sides)
+    values = [tuple(b[i] for b in sides) for i in range(len(rows))]
+    values = [None if not any(v) else v for v in values]
+    singles = [solve_sparse(rows, b) for b in sides]
+    got = solve_sparse(rows, values, range(n + gap, n + gap + r))
+    if None in singles:
+        assert got is None
+    else:
+        assert got == singles
+
+
+def test_multi_rhs_inconsistency_in_one_side_is_none():
+    # x + y = 1, 2x + 2y = 2 is consistent; with 3 instead of 2 it is not
+    rows = [{0: 1, 1: 1}, {0: 2, 1: 2}]
+    assert solve_sparse(rows, [(1, 1), (2, 2)], range(2, 4)) == \
+        [(1, {0: 1}), (1, {0: 1})]
+    for values in ([(1, 1), (3, 2)], [(1, 1), (2, 3)]):
+        assert solve_sparse(rows, values, range(2, 4)) is None
+    ech = Echelon(range(2, 4))
+    ech.add_row(rows[0], (1, 1))
+    with pytest.raises(Inconsistent):
+        ech.add_row(rows[1], (2, 3))

@@ -7,7 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from crfbench import syzygy
+from crfbench import hypercomplex, syzygy
 from crfbench.crfsolve import _pack, _unpack, regular_kernel_basis
 from crfbench.hypercomplex import DIM, MUL_TABLE, OCT_DBAR_MATRIX, HNumber
 from crfbench.linalg import BudgetExceeded, Echelon, rank_of
@@ -234,6 +234,11 @@ def test_syzygy_dim_rejects_invalid_sizes(n, k):
         syzygy_dim("H", n, k)
 
 
+def test_syzygy_dim_rejects_an_unknown_algebra():
+    with pytest.raises(ValueError, match="unknown algebra 'X'"):
+        syzygy_dim("X", 2, 1)
+
+
 # ---------------------------------------------------------------------------
 # block decomposition of the degree-k system
 # ---------------------------------------------------------------------------
@@ -259,8 +264,8 @@ def odd_xor(d, mu):
 
 def shift_certificate(algebra, c):
     """The signs certifying that class blocks kappa and kappa XOR c of the
-    live table have equal rank, or None (``syzygy._certificate``)."""
-    return syzygy._certificate(MUL_TABLE[algebra], c)
+    live table have equal rank, or None (``hypercomplex._certificate``)."""
+    return hypercomplex._certificate(MUL_TABLE[algebra], c)
 
 
 def columns(algebra, n, k):
