@@ -54,7 +54,9 @@ from operator import add
 
 from .hypercomplex import DIM, MUL_TABLE, _certificate, _class_orbits
 from .linalg import BudgetExceeded, nullspace_sparse, solve_sparse
-from .polycalc import HPoly, _int_poly, compat_pbar, fueter_dbar, monomials
+from .polycalc import (HPoly, _class_masks, _int_poly, _odd_class, _pack,
+                       _parity_mask, _units, _unpack, compat_pbar, fueter_dbar,
+                       monomials)
 
 
 class CompatibilityViolation(ValueError):
@@ -116,90 +118,39 @@ def _rhs_by_degree(g):
     return den, out
 
 
-# The graded systems run on monomials packed into one int: exponent fields
-# of a fixed bit width, coordinate 0 the most significant, so int order is
-# tuple order.  Block (h, nu), the d equations of dbar_h on x^[nu] i_gamma,
-# is the int h << (width * bits) | nu, so sorted blocks are in (h, nu) order.
-
-def _pack(exp, bits):
-    """The exponent tuple ``exp`` as one int of ``bits``-bit fields; every
-    entry must be below 2**bits."""
-    key = 0
-    for e in exp:
-        key = key << bits | e
-    return key
-
-
-def _unpack(key, bits, width):
-    """The exponent tuple of ``width`` coordinates packed in ``key``."""
-    mask = (1 << bits) - 1
-    return tuple(key >> s & mask for s in range(bits * (width - 1), -1, -bits))
-
+# Block (h, nu), the d equations of dbar_h on x^[nu] i_gamma, is the int
+# h << (width * bits) | nu, nu packed by crfbench.polycalc._pack, so sorted
+# blocks are in (h, nu) order.
 
 def _coordinates(algebra, n, bits):
     """Per coordinate i = d*h + alpha of a monomial packed with ``bits``-bit
-    fields: (the mask of field i, its unit, h << (width * bits), the unit
-    image ((alpha, 1),)).  For a monomial mu with field i nonzero,
-    (h << (width * bits)) + mu - unit is the block that column (mu, beta)
-    enters through left multiplication by i_alpha."""
+    fields: (the mask of field i, its unit, h << (width * bits), alpha).
+    For a monomial mu with field i nonzero, (h << (width * bits)) + mu -
+    unit is the block that i_alpha times column (mu, beta) enters."""
     d = DIM[algebra]
     width = d * n
     field = (1 << bits) - 1
-    return [(field << s, 1 << s, i // d << width * bits, ((i % d, 1),))
-            for i, s in enumerate(range(bits * (width - 1), -1, -bits))]
+    return [(field * one, one, i // d << width * bits, i % d)
+            for i, one in enumerate(_units(width, bits))]
 
 
 def _touched(coords, mu):
-    """The (block, q) pairs of the packed monomial mu, for :func:`_peel` and
-    :func:`_class_rows`: block (h, nu) for each nu = mu - e_{d*h+alpha},
-    with q = ((alpha, 1),), standing for i_alpha."""
-    return [(h + mu - one, q) for field, one, h, q in coords if mu & field]
-
-
-# The graded systems split into d classes (crfbench.hypercomplex): column
-# x^[mu] i_beta lies in class beta XOR odd(mu), and the certified shift c
-# maps class 0 onto class c by a signed permutation.  Both parities below
-# are read off a packed monomial by masking the low bit of its fields.
-
-def _parity_mask(weights, width, bits):
-    """The low bit of each field i, of ``width`` coordinates packed in
-    ``bits``-bit fields, with weights[i mod len(weights)] = 1: the popcount
-    of key & mask is odd exactly when the sum of weights[i mod d] mu_i is,
-    for the monomial mu packed in key."""
-    d = len(weights)
-    shifts = range(bits * (width - 1), -1, -bits)
-    return sum(1 << s for i, s in enumerate(shifts) if weights[i % d])
-
-
-@lru_cache(maxsize=64)
-def _class_masks(d, width, bits):
-    """The masks of :func:`_odd_class`: per bit j of a unit index, from the
-    highest, the parity mask of the fields i with bit j of i mod d set."""
-    return tuple(_parity_mask([a >> j & 1 for a in range(d)], width, bits)
-                 for j in reversed(range(d.bit_length() - 1)))
-
-
-def _odd_class(key, masks):
-    """The odd class of the packed monomial ``key``, the XOR of i mod d over
-    the coordinates i with an odd exponent: each bit, from the highest, is
-    the parity of its odd fields under its mask (:func:`_class_masks`)."""
-    odd = 0
-    for m in masks:
-        odd = odd << 1 | (key & m).bit_count() & 1
-    return odd
+    """The (block, alpha) pairs of the packed monomial mu, for :func:`_peel`
+    and :func:`_class_rows`: block (h, nu), nu = mu - e_{d*h+alpha}."""
+    return [(h + mu - one, a) for field, one, h, a in coords if mu & field]
 
 
 @lru_cache(maxsize=64)
 def _class_frame(table, width, bits):
     """(masks, shifts) for the graded systems under ``table`` on monomials
     of ``width`` coordinates packed in ``bits``-bit fields: the masks of
-    :func:`_odd_class`, and per class c, shifts[c] = (parity mask of v,
-    eps) from the certificate (v, eps) of shift c
+    :func:`crfbench.polycalc._odd_class`, and per class c, shifts[c] =
+    (parity mask of v, eps) from the certificate (v, eps) of shift c
     (:func:`crfbench.hypercomplex._certificate`; shift 0 is the identity).
 
     Row (h, nu, odd(nu)) and column (mu, odd(mu)) of class 0 map to row
     (h, nu, odd(nu) XOR c) and column (mu, odd(mu) XOR c) of class c with
-    the signs :func:`_shift_sign` of nu and of mu: the certificate has
+    the signs that :func:`_class_map` gives nu and mu: the certificate has
     v_0 = 0.  The shipped tables certify every shift; a table that does
     not has no such frame, and the graded systems refuse it."""
     d = len(table)
@@ -211,12 +162,25 @@ def _class_frame(table, width, bits):
             [(_parity_mask(v, width, bits), eps) for v, eps in certs])
 
 
-def _shift_sign(key, odd, shift):
-    """eps(odd) (-1)^<v, mu> for the monomial mu packed in ``key``, of odd
-    class ``odd``, and the entry shift = (parity mask of v, eps) of
-    :func:`_class_frame`."""
-    mask, eps = shift
-    return -eps[odd] if (key & mask).bit_count() & 1 else eps[odd]
+def _class_map(labelled, frame):
+    """{label: (odd, signs)} for each (label, packed mu) of ``labelled``:
+    the odd class of mu, and per class c the sign eps(odd) (-1)^<v, mu>
+    that shift c = (parity mask of v, eps) of ``frame`` gives mu's rows
+    and columns (:func:`_class_frame`)."""
+    masks, shifts = frame
+    out = {}
+    for label, key in labelled:
+        odd = _odd_class(key, masks)
+        out[label] = odd, [-eps[odd] if (key & mask).bit_count() & 1
+                           else eps[odd] for mask, eps in shifts]
+    return out
+
+
+def _moved(vec, c, d, classes, scale):
+    """The class-0 vector ``vec`` {pos: v} moved into class c, in its
+    order: scale * v signed by shift c at column pos*d + odd XOR c."""
+    return {pos * d + (classes[pos][0] ^ c): scale * classes[pos][1][c] * v
+            for pos, v in vec.items()}
 
 
 def _block_rows(algebra, touched, rhs):
@@ -262,19 +226,19 @@ def _peel(neighbours, pinned):
     """The monomials of ``neighbours`` that zero right-hand sides do not
     force to 0, in the order of ``neighbours``.
 
-    ``neighbours`` maps each candidate monomial to its (block, q) pairs, as
-    :func:`_class_rows` and :func:`_block_rows` read them; q is not read
+    ``neighbours`` maps each candidate monomial to its (block, x) pairs, as
+    :func:`_class_rows` and :func:`_block_rows` read them; x is not read
     here.  A block's neighbours are the monomials that touch it.  Both
     systems label their blocks by ints, so the counts below hash no tuple.
     The d columns of a monomial enter each of its blocks as left
-    multiplication by its q there: q = i_alpha in the graded solve, where
-    block (h, nu), labelled by its packed int, is the d equations of dbar_h
-    u on x^[nu] i_gamma; and q = the image of x^mu on the block, read as a
-    quaternion, in the extension, where block (h, j, exp), labelled by the
-    id that :func:`_extension_images` gives it, is the 4 equations of digit
-    j of dbar_h on x^exp i_gamma (dbar and the digits are right H-linear).
-    Left multiplication by q != 0 is invertible, and every listed q is
-    nonzero.
+    multiplication by some q: in the graded solve x = alpha and q =
+    i_alpha, where block (h, nu), labelled by its packed int, is the d
+    equations of dbar_h u on x^[nu] i_gamma; in the extension x = q, the
+    image of x^mu on the block, read as a quaternion, where block (h, j,
+    exp), labelled by the id that :func:`_extension_images` gives it, is
+    the 4 equations of digit j of dbar_h on x^exp i_gamma (dbar and the
+    digits are right H-linear).  Left multiplication by q != 0 is
+    invertible, and every listed q is nonzero.
 
     So a block outside ``pinned`` (the blocks where the right-hand side is
     nonzero) with one neighbour left forces that neighbour's coefficients to
@@ -326,15 +290,16 @@ def _class_rows(algebra, monos, neighbours, pinned, frame):
     block that keeps no monomial gives an empty row with its right-hand
     sides."""
     sigma = [[sign for _, sign in row] for row in MUL_TABLE[algebra]]
-    masks, shifts = frame
+    masks = frame[0]
     members = {}
     for pos, mu in enumerate(monos):
         odd = _odd_class(mu, masks)
-        for block, ((alpha, _),) in neighbours[mu]:
+        for block, alpha in neighbours[mu]:
             row = members.get(block)
             if row is None:
                 row = members[block] = {}
             row[pos] = sigma[alpha][odd]
+    classes = _class_map(zip(pinned, pinned), frame)    # masks see nu, not h
     rows, values = [], []
     for block in sorted(members.keys() | pinned.keys()):
         rows.append(members.get(block, {}))
@@ -342,11 +307,10 @@ def _class_rows(algebra, monos, neighbours, pinned, frame):
         if b is None:
             values.append(None)
             continue
-        odd = _odd_class(block, masks)      # the masks see nu, not h
+        odd, signs = classes[block]
         sides = [0] * len(sigma)
         for gamma, value in b.items():
-            c = gamma ^ odd
-            sides[c] = _shift_sign(block, odd, shifts[c]) * value
+            sides[gamma ^ odd] = signs[gamma ^ odd] * value
         values.append(tuple(sides))
     return rows, values
 
@@ -369,20 +333,16 @@ def _class_solve(algebra, monos, neighbours, pinned, frame):
     of the classes' ones, so its free-variables-zero solution is these d
     read-outs together.  It is consistent exactly when every class is."""
     d = DIM[algebra]
-    masks, shifts = frame
     rows, values = _class_rows(algebra, monos, neighbours, pinned, frame)
     sols = solve_sparse(rows, values, range(len(monos), len(monos) + d))
     if sols is None:
         return None
+    classes = _class_map({pos: monos[pos] for _, sol in sols
+                          for pos in sol}.items(), frame)
     den = math.lcm(*[dc for dc, _ in sols])
     out = {}
     for c, (dc, sol) in enumerate(sols):
-        scale = den // dc
-        for pos, v in sol.items():
-            mu = monos[pos]
-            odd = _odd_class(mu, masks)
-            out[pos * d + (odd ^ c)] = (_shift_sign(mu, odd, shifts[c])
-                                        * scale * v)
+        out.update(_moved(sol, c, d, classes, den // dc))
     return den, out
 
 
@@ -395,10 +355,10 @@ def _solve_homogeneous(rhs, k, algebra, n, max_unknowns):
     attempt (the shifts of the right-hand-side support, then the full
     monomial space) is presolved by :func:`_peel` on the packed blocks.
     :func:`_class_solve` then eliminates one class-0 row per block, from
-    the same (block, q) pairs, with the d classes' right-hand sides riding
-    along, and only the nonzero columns of the answer are unpacked.  The
-    answer is the one the whole attempt gives.  (In the full space every
-    block keeps all d neighbours, so only the shifts lose monomials.)
+    the same pairs, with the d classes' right-hand sides riding along,
+    and each monomial of the answer's nonzero columns is unpacked once.
+    The answer is the one the whole attempt gives.  (In the full space
+    every block keeps all d neighbours, so only the shifts lose monomials.)
     Elimination returns the solution whose free variables (the non-pivot
     columns) are zero, and its pivot set P is the set of leading columns of
     the row space, right-hand side included as the last column.  A column c
@@ -442,8 +402,9 @@ def _solve_homogeneous(rhs, k, algebra, n, max_unknowns):
         kept = sorted(_peel(neighbours, blocks))
         sol = _class_solve(algebra, kept, neighbours, blocks, frame)
         if sol is not None:
-            columns = {j: (_unpack(kept[j // d], bits, width), j % d)
-                       for j in sol[1]}
+            mus = {pos: _unpack(kept[pos], bits, width)
+                   for pos in {j // d for j in sol[1]}}
+            columns = {j: (mus[j // d], j % d) for j in sol[1]}
             return _poly_from_columns(algebra, n, columns, sol)
     return None
 
@@ -520,24 +481,19 @@ def regular_kernel_basis(algebra, n, degree, max_unknowns=200000):
     coords = _coordinates(algebra, n, bits)
     keys = [_pack(mu, bits) for mu in monos]
     frame = _class_frame(MUL_TABLE[algebra], width, bits)
-    masks, shifts = frame
     rows, _ = _class_rows(algebra, keys,
                           {key: _touched(coords, key) for key in keys}, {},
                           frame)
-    odd = [_odd_class(key, masks) for key in keys]
-    signs = [[_shift_sign(key, o, shift) for key, o in zip(keys, odd)]
-             for shift in shifts]
+    classes = _class_map(enumerate(keys), frame)
     columns = [(mu, beta) for mu in monos for beta in range(d)]
     out = []
     for den, vec in nullspace_sparse(rows, len(keys)):
         free = max(vec)     # the other entries sit at pivots before it
+        odd, signs = classes[free]
         for beta in range(d):
-            c = beta ^ odd[free]
-            sign = signs[c]
-            flip = sign[free]
-            out.append(_poly_from_columns(algebra, n, columns, (den, {
-                pos * d + (odd[pos] ^ c): flip * sign[pos] * v
-                for pos, v in vec.items()})))
+            c = beta ^ odd
+            out.append(_poly_from_columns(algebra, n, columns, (
+                den, _moved(vec, c, d, classes, signs[c]))))
     for p in out:
         for h in range(n):
             if not fueter_dbar(p, h).is_zero():

@@ -423,7 +423,7 @@ def _block(algebra, h, skip=None):
     return tuple(d * h + a for a in range(d) if a != skip)
 
 
-def _units(algebra, conjugate):
+def _basis_units(algebra, conjugate):
     """i_0, ..., i_{d-1}, or their conjugates."""
     units = [HNumber.unit(algebra, a) for a in range(DIM[algebra])]
     return [u.conj() for u in units] if conjugate else units
@@ -431,13 +431,13 @@ def _units(algebra, conjugate):
 
 def _dq(algebra, n, h, conjugate):
     """sum_a u_a dx_{h,a} with u_a = i_a, or conj(i_a) when ``conjugate``."""
-    return Form(algebra, n, 1, {(i,): u for i, u in
-                                zip(_block(algebra, h), _units(algebra, conjugate))})
+    return Form(algebra, n, 1, {(i,): u for i, u in zip(
+        _block(algebra, h), _basis_units(algebra, conjugate))})
 
 
 def _Dq(algebra, n, h, conjugate):
     """sum_a (-1)^a u_a dX_{h,a-hat} with u_a as in :func:`_dq`."""
-    units = _units(algebra, conjugate)
+    units = _basis_units(algebra, conjugate)
     return Form(algebra, n, DIM[algebra] - 1,
                 {_block(algebra, h, a): -u if a % 2 else u
                  for a, u in enumerate(units)})
@@ -549,7 +549,7 @@ def _pole_fueter(g, h, right):
     parts = [g.partial_flat(d * h + a) for a in range(d)]
     return functools.reduce(operator.add, (
         part * u if right else u * part
-        for part, u in zip(parts, _units(g.algebra, False))))
+        for part, u in zip(parts, _basis_units(g.algebra, False))))
 
 
 def pole_fueter_dbar(g, h=0):

@@ -21,9 +21,12 @@ whose leading entry is its right-hand side: 0 = nonzero) is detected the
 moment it appears.  So a row with a right-hand side needs numeric column
 keys; a rank-only row may carry any mutually ordered keys.  Several
 right-hand sides ride along at once under as many pseudo-columns, all
-after every real column: one elimination then serves them all, a read-out
-per right-hand side, and any one of them inconsistent makes the system
-inconsistent.
+after every real column: one elimination then serves them all, and any
+one of them inconsistent makes the system inconsistent.  Every answer is
+read off the fully reduced rows by one transpose: the reduced column of a
+right-hand side is its solution with every free variable zero, and the
+reduced column of a free column, negated, is that column's nullspace
+vector, each unique and read in lowest terms.
 
 The callers build their rows directly.  The graded solve and the kernel
 basis of :mod:`crfbench.crfsolve` eliminate one class of their block
@@ -161,7 +164,8 @@ class Echelon:
         """Fully reduce the pivot rows against each other (RREF), in integers.
 
         The rows stay primitive, so the reduced entry of column c is
-        row[c] / row[lead].  This is a read-out: feed no rows after it.
+        row[c] / row[lead].  This is a read-out: feed no rows after it.  A
+        second call finds nothing left to clear and changes no row.
 
         Each lead is cleared from only the rows that hold it, read from a
         map built once before the loop.  The map stays exact: leads are
@@ -181,50 +185,37 @@ class Echelon:
             for other in holders.get(lead, ()):
                 _eliminate(pivots[other], piv, lead)
 
-    def solution(self, r=0):
-        """Particular solution for right-hand side ``r`` with all free
-        variables zero, as (den, {column: int}) in lowest terms.
+    def _reduced_columns(self, columns):
+        """The reduced column of each of ``columns``, none a pivot, as
+        (den, {lead: int}): row[c] / row[lead] over the fully reduced rows,
+        in lowest terms, read by one pass over the rows as a transpose."""
+        self.back_substitute()
+        reads = {c: {} for c in columns}
+        for lead, row in self.pivots.items():
+            for c, v in row.items():
+                if c in reads:
+                    g = gcd(v, row[lead])
+                    reads[c][lead] = (v // g, row[lead] // g)
+        dens = [lcm(*[q for _, q in read.values()]) for read in reads.values()]
+        return [(den, {lead: v * (den // q) for lead, (v, q) in read.items()})
+                for den, read in zip(dens, reads.values())]
 
-        Call after feeding all rows; raises Inconsistent from add_row, never
-        here.
-        """
-        rhs = self.rhs[r]
-        den, sol = 1, {}
-        # back-substitution in decreasing pivot order: free variables are
-        # zero, so only the later pivot columns already in sol contribute,
-        # and a row adds nothing while sol is empty and b_r is 0 there
-        for lead in sorted(self.pivots, reverse=True):
-            row = self.pivots[lead]
-            if not sol and rhs not in row:
-                continue
-            acc = row.get(rhs, 0) * den - sum(
-                v * sol[c] for c, v in row.items() if c in sol)
-            if acc:
-                g = gcd(acc, row[lead])
-                if g != row[lead]:  # den grows by what the pivot leaves over
-                    den *= row[lead] // g
-                    sol = {c: v * (row[lead] // g) for c, v in sol.items()}
-                sol[lead] = acc // g
-        return den, sol
+    def solutions(self):
+        """Per right-hand side, in order, its reduced column: its solution
+        with all free variables zero, as (den, {column: int}) in lowest
+        terms.  Call after feeding all rows; add_row raises Inconsistent."""
+        return self._reduced_columns(self.rhs)
 
     def nullspace(self, ncols):
         """Basis of the solution space of the homogeneous system.
 
         One (den, {column: int}) per free column, in increasing free-column
-        order, in lowest terms with den at that column, filled by one pass
-        over the reduced rows as a transpose.
+        order, in lowest terms with den at that column: the free column's
+        reduced column, negated.
         """
-        self.back_substitute()
-        basis = {c: {} for c in range(ncols) if c not in self.pivots}
-        for lead, row in self.pivots.items():
-            for c, v in row.items():
-                if c in basis:      # not the lead, nor a right-hand side
-                    g = gcd(v, row[lead])
-                    basis[c][lead] = (-v // g, row[lead] // g)
-        dens = {c: lcm(*[q for _, q in e.values()]) for c, e in basis.items()}
-        return [(den, {c: den, **{lead: v * (den // q)
-                                  for lead, (v, q) in basis[c].items()}})
-                for c, den in dens.items()]
+        free = [c for c in range(ncols) if c not in self.pivots]
+        return [(den, {c: den, **{lead: -v for lead, v in read.items()}})
+                for c, (den, read) in zip(free, self._reduced_columns(free))]
 
 
 def rank_of(rows):
@@ -241,7 +232,7 @@ def solve_sparse(rows, rhs_values, rhs_columns=None):
     ``rows`` and ``rhs_values`` are parallel sequences.  Free variables are
     zero, which makes the answer the minimal one in the sense that every
     non-pivot coordinate (in increasing column order) vanishes.  The answer is
-    :meth:`Echelon.solution`'s (den, {column: int}), ``(1, {})`` when zero.
+    :meth:`Echelon.solutions`' (den, {column: int}), ``(1, {})`` when zero.
 
     With ``rhs_columns``, the pseudo-columns of r right-hand sides b_0, ...,
     b_{r-1} (ints after every column of ``rows``), each value is None or the
@@ -255,9 +246,8 @@ def solve_sparse(rows, rhs_values, rhs_columns=None):
             ech.add_row(row, rhs)
     except Inconsistent:
         return None
-    if rhs_columns is None:
-        return ech.solution()
-    return [ech.solution(r) for r in range(len(rhs_columns))]
+    sols = ech.solutions()
+    return sols if rhs_columns is not None else sols[0]
 
 
 def nullspace_sparse(rows, ncols):

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from math import gcd, lcm
 from numbers import Rational
@@ -636,6 +637,58 @@ def monomials(width, k):
             exp[i] += 1
         out.append(tuple(exp))
     return out
+
+
+# Monomials packed into one int: exponent fields of a fixed bit width,
+# coordinate 0 the most significant, so int order is tuple order.  Column
+# x^[mu] i_beta of a graded system lies in class beta XOR odd(mu).
+
+def _units(width, bits):
+    """The packed e_i of ``width`` coordinates in ``bits``-bit fields."""
+    return [1 << bits * i for i in reversed(range(width))]
+
+
+def _pack(exp, bits):
+    """The exponent tuple ``exp`` as one int of ``bits``-bit fields; every
+    entry must be below 2**bits."""
+    key = 0
+    for e in exp:
+        key = key << bits | e
+    return key
+
+
+def _unpack(key, bits, width):
+    """The exponent tuple of ``width`` coordinates packed in ``key``."""
+    mask = (1 << bits) - 1
+    return tuple(key // one & mask for one in _units(width, bits))
+
+
+def _parity_mask(weights, width, bits):
+    """The low bit of each field i, of ``width`` coordinates packed in
+    ``bits``-bit fields, with weights[i mod len(weights)] = 1: the popcount
+    of key & mask is odd exactly when the sum of weights[i mod d] mu_i is,
+    for the monomial mu packed in key."""
+    d = len(weights)
+    return sum(one for i, one in enumerate(_units(width, bits))
+               if weights[i % d])
+
+
+@lru_cache(maxsize=64)
+def _class_masks(d, width, bits):
+    """The masks of :func:`_odd_class`: per bit j of a unit index, from the
+    highest, the parity mask of the fields i with bit j of i mod d set."""
+    return tuple(_parity_mask([a >> j & 1 for a in range(d)], width, bits)
+                 for j in reversed(range(d.bit_length() - 1)))
+
+
+def _odd_class(key, masks):
+    """The odd class of the packed monomial ``key``, the XOR of i mod d over
+    the coordinates i with an odd exponent: each bit, from the highest, is
+    the parity of its odd fields under its mask (:func:`_class_masks`)."""
+    odd = 0
+    for m in masks:
+        odd = odd << 1 | (key & m).bit_count() & 1
+    return odd
 
 
 def compat_pbar(g):

@@ -74,10 +74,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .crfsolve import _class_masks, _odd_class, _pack, _unpack
 from .hypercomplex import DIM, MUL_TABLE, _class_orbits
 from .linalg import BudgetExceeded, rank_of
-from .polycalc import HPoly, compat_pbar, monomials
+from .polycalc import (HPoly, _class_masks, _odd_class, _pack, _units,
+                       _unpack, compat_pbar, monomials)
 
 
 class OperatorPoly:
@@ -194,13 +194,13 @@ def _compat_rows(table, sign, n, pairs):
 
     Key slot << 2*n*d | exponent: slot d*h + beta for entry (h, beta), the
     degree-2 exponent packed in 2-bit fields by
-    :func:`crfbench.crfsolve._pack`.  ``table`` is walked once, for all the
+    :func:`crfbench.polycalc._pack`.  ``table`` is walked once, for all the
     pairs.
     """
     d = len(table)
     width = d * n
     shift = 2 * width
-    unit = [1 << 2 * i for i in reversed(range(width))]
+    unit = _units(width, 2)
     # per gamma, (beta, a1, a2, coefficient) of each term of row gamma's
     # entry (m, beta), -sign s1 s2 d_{l,a1} d_{m,a2}
     walk = [[] for _ in range(d)]
@@ -283,10 +283,10 @@ def _walk(d, n, bits, md, parts):
     for g, e in enumerate(md):
         part = parts.get((g, e))
         if part is None:
-            shift = bits * d * (n - 1 - g)
+            low = _units(d * n, bits)[d * g + d - 1]    # g's last field
             masks = _class_masks(d, d, bits)    # one variable's fields
             keys = [_pack(mu, bits) for mu in reversed(monomials(d, e))]
-            part = parts[g, e] = [(key << shift, _odd_class(key, masks))
+            part = parts[g, e] = [(key * low, _odd_class(key, masks))
                                   for key in keys]
         walk = [(p | q, c ^ x) for p, c in walk for q, x in part]
     return walk
@@ -304,7 +304,7 @@ def _solve_for(row):
 
 def _rank_rows(algebra, n, k, block, parts, drop=False):
     """The rows of the degree-k system, one per unknown (h, nu, gamma), in
-    sorted order, on monomials packed by :func:`crfbench.crfsolve._pack`.
+    sorted order, on monomials packed by :func:`crfbench.polycalc._pack`.
 
     Column (mu, beta) with packed mu m is keyed -(m*d + beta), so the
     largest mu is pivoted first; the row of (h, nu, gamma) holds, for each
@@ -321,10 +321,10 @@ def _rank_rows(algebra, n, k, block, parts, drop=False):
     bits = (k + 1).bit_length()
     solve = [_solve_for(row) for row in MUL_TABLE[algebra]]
     field = (1 << bits) - 1
-    lows = [1 << bits * (width - 1 - d * h) for h in range(n)]  # e_{d*h}
+    units = _units(width, bits)
     for h in range(n):
         # per gamma, the row of (h, 0, gamma); (h, nu, gamma) shifts its keys
-        stencil = [[(-((1 << bits * (width - 1 - d * h - a)) * d + beta), s)
+        stencil = [[(-(units[d * h + a] * d + beta), s)
                     for a, (beta, s) in enumerate(row[gamma] for row in solve)]
                    for gamma in range(d)]
         if block is None:
@@ -339,10 +339,10 @@ def _rank_rows(algebra, n, k, block, parts, drop=False):
             continue
         # nu is a lead when some nu_{d*l}, l < h, is >= 1 with nu_{d*h} >= 1
         # (a bit of ``ones``), or >= 2 (a bit of ``twos``)
-        below = lows[:h] if drop else []
+        below = units[:d * h:d] if drop else []     # e_{d*l}, l < h
         ones = field * sum(below)
         twos = ones - sum(below)
-        mine = field * lows[h]
+        mine = field * units[d * h]
         for nu, gamma in unknowns:
             if nu & (ones if nu & mine else twos):
                 continue
@@ -363,7 +363,7 @@ def _leads_certified(table):
     """
     d = len(table)
     shift = 4 * d
-    unit = [1 << 2 * i for i in reversed(range(2 * d))]
+    unit = _units(2 * d, 2)
     solve = [_solve_for(row) for row in table]
     leads = []
     for row in _compat_rows(table, 1, 2, [(0, 1), (1, 0)]):

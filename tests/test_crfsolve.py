@@ -370,7 +370,8 @@ def test_presolve_counts_are_pinned(monkeypatch):
 @given(st.integers(1, 24), st.integers(1, 20), st.data())
 def test_packing_round_trips_and_keeps_tuple_order(width, top, data):
     """Exponents with entries up to ``top`` packed in fields of the bit
-    length of ``top`` unpack to themselves and compare as their tuples."""
+    length of ``top`` unpack to themselves and compare as their tuples, and
+    the packed e_i are the units."""
     bits = top.bit_length()
     exps = st.lists(st.integers(0, top), min_size=width, max_size=width)
     a, b = tuple(data.draw(exps)), tuple(data.draw(exps))
@@ -378,6 +379,9 @@ def test_packing_round_trips_and_keeps_tuple_order(width, top, data):
         assert cs._unpack(cs._pack(exp, bits), bits, width) == exp
     assert (cs._pack(a, bits) < cs._pack(b, bits)) == (a < b)
     assert (cs._pack(a, bits) == cs._pack(b, bits)) == (a == b)
+    for i in range(width):
+        e_i = tuple(int(j == i) for j in range(width))
+        assert cs._pack(e_i, bits) == polycalc._units(width, bits)[i]
 
 
 def packed_blocks(algebra, n, k, rhs):

@@ -97,7 +97,7 @@ def test_free_variables_are_zero_in_particular_solution():
         ech = Echelon()
         for row, rhs in zip(dense_to_rows(mat), b):
             ech.add_row(row, rhs)
-        sol = as_fractions(ech.solution())
+        sol = as_fractions(ech.solutions()[0])
         assert all(sol.get(c, 0) == 0 for c in range(n) if c not in ech.pivots)
         ech.back_substitute()
         rref = [Fraction(0)] * n
@@ -164,7 +164,7 @@ def test_solve_rational_rows_exact_and_zero_off_pivots():
         ech = Echelon()
         for row, rhs in zip(rows, b):
             ech.add_row(row, rhs)
-        assert ech.solution() == raw
+        assert ech.solutions() == [raw]
         assert all(sol.get(c, 0) == 0 for c in range(n) if c not in ech.pivots)
 
 
@@ -505,6 +505,34 @@ def test_multi_rhs_read_outs_are_the_single_rhs_solves(system, gap):
         assert got is None
     else:
         assert got == singles
+
+
+@settings(max_examples=300, deadline=None)
+@given(multi_rhs_systems())
+def test_read_outs_are_stable(system):
+    """The read-outs come from the fully reduced rows, and reading them
+    changes nothing: the solutions read twice, with the nullspace read in
+    between, are equal, and a second back-substitution leaves every pivot
+    row as it was, entry order included."""
+    rows, sides, n = system
+    ech = Echelon(range(n, n + len(sides)))
+    try:
+        for i, row in enumerate(rows):
+            ech.add_row(row, tuple(b[i] for b in sides))
+    except Inconsistent:
+        return
+
+    def read(reads):
+        return [(den, list(ints.items())) for den, ints in reads]
+
+    first = read(ech.solutions())
+    basis = read(ech.nullspace(n))
+    assert read(ech.solutions()) == first
+    assert read(ech.nullspace(n)) == basis
+    reduced = [(lead, list(row.items())) for lead, row in ech.pivots.items()]
+    ech.back_substitute()
+    assert [(lead, list(row.items()))
+            for lead, row in ech.pivots.items()] == reduced
 
 
 def test_multi_rhs_inconsistency_in_one_side_is_none():

@@ -118,3 +118,28 @@ def test_every_private_name_has_a_caller_in_the_program():
                for qual, bare in private_definitions(path)
                if bare not in used]
     assert orphans == []
+
+
+PACKING = ("_pack", "_unpack", "_units", "_parity_mask", "_class_masks",
+           "_odd_class")
+
+
+def test_packing_and_parity_have_one_home():
+    """The packed-monomial format and the odd-class parity are defined
+    once under src/, in polycalc, and syzygy imports nothing from
+    crfsolve."""
+    homes = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in PACKING:
+                homes.setdefault(node.name, []).append(path.stem)
+    assert homes == {name: ["polycalc"] for name in PACKING}
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "syzygy.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rsplit(".", 1)[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rsplit(".", 1)[-1]
+                            for alias in node.names)
+    assert "crfsolve" not in imported
