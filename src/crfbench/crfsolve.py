@@ -12,10 +12,11 @@ rationals:
   rows, as in the presolve of sparse solvers), with the same answer.  Since
   i_a i_b = +-i_{a XOR b}, each degree's system is block diagonal in d
   classes, and the shifts that the multiplication table certifies map
-  class 0 onto every class by a signed permutation.  So only class 0 is
-  eliminated, one row per block of d equations, with the right-hand sides
-  of all d classes riding along, and the answer of each class is read off
-  its own right-hand side.  ``regular_kernel_basis`` eliminates class 0
+  class 0 onto every class by a signed permutation (a table that does not
+  certify them all is refused).  So only class 0 is eliminated, one row
+  per block of d equations, with the right-hand sides of all d classes
+  riding along, and the answer of each class is read off its own
+  right-hand side.  ``regular_kernel_basis`` eliminates class 0
   of the homogeneous system the same way and moves its nullspace into
   every class.
 
@@ -52,7 +53,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from .hypercomplex import DIM, MUL_TABLE, _certificate, _class_orbits
+from .hypercomplex import DIM, MUL_TABLE, _class_shifts
 from .linalg import BudgetExceeded, nullspace_sparse, solve_sparse
 from .polycalc import (HPoly, _class_masks, _int_poly, _odd_class, _pack,
                        _parity_mask, _units, _unpack, compat_pbar, fueter_dbar,
@@ -146,40 +147,34 @@ def _class_frame(table, width, bits):
     of ``width`` coordinates packed in ``bits``-bit fields: the masks of
     :func:`crfbench.polycalc._odd_class`, and per class c, shifts[c] =
     (parity mask of v, eps) from the certificate (v, eps) of shift c
-    (:func:`crfbench.hypercomplex._certificate`; shift 0 is the identity).
+    (:func:`crfbench.hypercomplex._class_shifts`, which raises
+    AssertionError for a table it cannot certify; shift 0 is the identity).
 
     Row (h, nu, odd(nu)) and column (mu, odd(mu)) of class 0 map to row
     (h, nu, odd(nu) XOR c) and column (mu, odd(mu) XOR c) of class c with
-    the signs that :func:`_class_map` gives nu and mu: the certificate has
-    v_0 = 0.  The shipped tables certify every shift; a table that does
-    not has no such frame, and the graded systems refuse it."""
-    d = len(table)
-    certs = [_certificate(table, c) for c in range(d)]
-    if _class_orbits(table) is None or None in certs:
-        raise AssertionError("the multiplication table does not map class 0 "
-                             "onto every class")
-    return (_class_masks(d, width, bits),
-            [(_parity_mask(v, width, bits), eps) for v, eps in certs])
+    the signs that :func:`_shift_sign` gives nu and mu under shifts[c]: the
+    certificate has v_0 = 0."""
+    return (_class_masks(len(table), width, bits),
+            [(_parity_mask(v, width, bits), eps)
+             for v, eps in _class_shifts(table)])
 
 
-def _class_map(labelled, frame):
-    """{label: (odd, signs)} for each (label, packed mu) of ``labelled``:
-    the odd class of mu, and per class c the sign eps(odd) (-1)^<v, mu>
-    that shift c = (parity mask of v, eps) of ``frame`` gives mu's rows
-    and columns (:func:`_class_frame`)."""
-    masks, shifts = frame
-    out = {}
-    for label, key in labelled:
-        odd = _odd_class(key, masks)
-        out[label] = odd, [-eps[odd] if (key & mask).bit_count() & 1
-                           else eps[odd] for mask, eps in shifts]
-    return out
+def _shift_sign(key, odd, shift):
+    """The sign eps(odd) (-1)^<v, mu> that ``shift`` = (parity mask of v,
+    eps) of a frame gives the rows or columns of the packed monomial mu in
+    ``key``, of odd class ``odd`` (:func:`_class_frame`)."""
+    mask, eps = shift
+    return -eps[odd] if (key & mask).bit_count() & 1 else eps[odd]
 
 
-def _moved(vec, c, d, classes, scale):
+def _moved(vec, c, keys, odds, frame, scale):
     """The class-0 vector ``vec`` {pos: v} moved into class c, in its
-    order: scale * v signed by shift c at column pos*d + odd XOR c."""
-    return {pos * d + (classes[pos][0] ^ c): scale * classes[pos][1][c] * v
+    order: scale * v at column pos*d + odds[pos] XOR c, signed by shift c
+    of ``frame`` at the packed keys[pos] of odd class odds[pos]."""
+    shift = frame[1][c]
+    d = len(frame[1])
+    return {pos * d + (odds[pos] ^ c):
+            scale * _shift_sign(keys[pos], odds[pos], shift) * v
             for pos, v in vec.items()}
 
 
@@ -285,12 +280,12 @@ def _class_rows(algebra, monos, neighbours, pinned, frame):
     blocks to {gamma: value}.  The value of row (h, nu, gamma) lies in
     class c = gamma XOR odd(nu); it becomes right-hand side c of the class-0
     row of its block, times the sign that shift c gives that row
-    (:func:`_class_frame`).  The right-hand sides of a row are the tuple
+    (:func:`_shift_sign`).  The right-hand sides of a row are the tuple
     of its d classes, or None when its block is not pinned.  A pinned
     block that keeps no monomial gives an empty row with its right-hand
     sides."""
     sigma = [[sign for _, sign in row] for row in MUL_TABLE[algebra]]
-    masks = frame[0]
+    masks, shifts = frame
     members = {}
     for pos, mu in enumerate(monos):
         odd = _odd_class(mu, masks)
@@ -299,7 +294,6 @@ def _class_rows(algebra, monos, neighbours, pinned, frame):
             if row is None:
                 row = members[block] = {}
             row[pos] = sigma[alpha][odd]
-    classes = _class_map(zip(pinned, pinned), frame)    # masks see nu, not h
     rows, values = [], []
     for block in sorted(members.keys() | pinned.keys()):
         rows.append(members.get(block, {}))
@@ -307,10 +301,11 @@ def _class_rows(algebra, monos, neighbours, pinned, frame):
         if b is None:
             values.append(None)
             continue
-        odd, signs = classes[block]
+        odd = _odd_class(block, masks)      # the masks see nu, not h
         sides = [0] * len(sigma)
         for gamma, value in b.items():
-            sides[gamma ^ odd] = signs[gamma ^ odd] * value
+            c = gamma ^ odd
+            sides[c] = _shift_sign(block, odd, shifts[c]) * value
         values.append(tuple(sides))
     return rows, values
 
@@ -337,12 +332,12 @@ def _class_solve(algebra, monos, neighbours, pinned, frame):
     sols = solve_sparse(rows, values, range(len(monos), len(monos) + d))
     if sols is None:
         return None
-    classes = _class_map({pos: monos[pos] for _, sol in sols
-                          for pos in sol}.items(), frame)
+    odds = {pos: _odd_class(monos[pos], frame[0])
+            for pos in set().union(*[sol for _, sol in sols])}
     den = math.lcm(*[dc for dc, _ in sols])
     out = {}
     for c, (dc, sol) in enumerate(sols):
-        out.update(_moved(sol, c, d, classes, den // dc))
+        out.update(_moved(sol, c, monos, odds, frame, den // dc))
     return den, out
 
 
@@ -484,16 +479,17 @@ def regular_kernel_basis(algebra, n, degree, max_unknowns=200000):
     rows, _ = _class_rows(algebra, keys,
                           {key: _touched(coords, key) for key in keys}, {},
                           frame)
-    classes = _class_map(enumerate(keys), frame)
+    odds = [_odd_class(key, frame[0]) for key in keys]
     columns = [(mu, beta) for mu in monos for beta in range(d)]
     out = []
     for den, vec in nullspace_sparse(rows, len(keys)):
         free = max(vec)     # the other entries sit at pivots before it
-        odd, signs = classes[free]
+        odd = odds[free]
         for beta in range(d):
             c = beta ^ odd
+            sign = _shift_sign(keys[free], odd, frame[1][c])
             out.append(_poly_from_columns(algebra, n, columns, (
-                den, _moved(vec, c, d, classes, signs[c]))))
+                den, _moved(vec, c, keys, odds, frame, sign))))
     for p in out:
         for h in range(n):
             if not fueter_dbar(p, h).is_zero():

@@ -110,7 +110,8 @@ SPLIT_TABLE = {a: _split_rows(MUL_TABLE[a]) for a in ALGEBRAS}
 # class b XOR odd(mu) and g XOR odd(nu), odd(mu) being the XOR of i mod d
 # over the coordinates i with mu_i odd.  Both the graded solve
 # (:mod:`crfbench.crfsolve`) and the syzygy count (:mod:`crfbench.syzygy`)
-# read these blocks from the table through the two functions below.
+# map class 0 onto every class by the shifts of :func:`_class_shifts`, the
+# one reader of :func:`_certificate`, and refuse a table it cannot certify.
 
 @lru_cache(maxsize=None)
 def _certificate(table, c):
@@ -140,19 +141,20 @@ def _certificate(table, c):
 
 
 @lru_cache(maxsize=None)
-def _class_orbits(table):
-    """(representative classes, orbit size) under the certified shifts, or
-    None when ``table`` breaks the index rule and the systems have no class
-    blocks."""
+def _class_shifts(table):
+    """The certificates (v, eps) of :func:`_certificate` for the shifts
+    c = 0, ..., d - 1 under ``table``, shift 0 the identity: the signed
+    permutations that map class 0 of every conjugate-Fueter system onto
+    class c.  Raises AssertionError when ``table`` breaks the index rule or
+    leaves a shift uncertified: its systems then have no such frame, and
+    every graded route refuses the table."""
     d = len(table)
-    if any(table[a][b][0] != a ^ b for a in range(d) for b in range(d)):
-        return None
-    span = {0}
-    for c in range(1, d):
-        if c not in span and _certificate(table, c):
-            span |= {x ^ c for x in span}
-    classes = {min(kappa ^ x for x in span) for kappa in range(d)}
-    return tuple(sorted(classes)), len(span)
+    shifts = tuple(_certificate(table, c) for c in range(d))
+    if None in shifts or any(table[a][b][0] != a ^ b
+                             for a in range(d) for b in range(d)):
+        raise AssertionError("the multiplication table does not map class 0 "
+                             "onto every class")
+    return shifts
 
 
 def _as_fraction(x):

@@ -660,7 +660,7 @@ def _pack(exp, bits):
 def _unpack(key, bits, width):
     """The exponent tuple of ``width`` coordinates packed in ``key``."""
     mask = (1 << bits) - 1
-    return tuple(key // one & mask for one in _units(width, bits))
+    return tuple(key >> bits * i & mask for i in reversed(range(width)))
 
 
 def _parity_mask(weights, width, bits):

@@ -39,9 +39,9 @@ from ``MUL_TABLE`` and those rows are ranked.  Since i_a i_b =
 block (multidegree of mu, beta XOR the odd class of mu), the odd class
 being the XOR of i mod d over the i with mu_i odd, and unknown
 (h, nu, gamma) in the block of column (nu + e_{d*h}, gamma).
-``syzygy_dim`` ranks one block per orbit of the variable permutations and
-of the class shifts certified by
-:func:`crfbench.hypercomplex._certificate`.
+``syzygy_dim`` ranks class 0 of one multidegree per orbit of the variable
+permutations: the class shifts of :func:`crfbench.hypercomplex._class_shifts`
+map it onto the other d - 1 classes, and a table without them is refused.
 
 Most rows of a ranked block reduce to zero, and the compat syzygies name
 them (the initial-module view of a syzygy computation: Adams, Berenstein,
@@ -74,7 +74,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .hypercomplex import DIM, MUL_TABLE, _class_orbits
+from .hypercomplex import DIM, MUL_TABLE, _class_shifts
 from .linalg import BudgetExceeded, rank_of
 from .polycalc import (HPoly, _class_masks, _odd_class, _pack, _units,
                        _unpack, compat_pbar, monomials)
@@ -312,9 +312,9 @@ def _rank_rows(algebra, n, k, block, parts, drop=False):
     sign i_gamma in the live ``MUL_TABLE``.  ``block`` = (md, kappa) takes
     the unknowns of the columns of multidegree md and class kappa: the
     (h, nu, kappa XOR odd class of nu) with nu of multidegree md - e_h
-    (:func:`_walk`, caching in ``parts``).  ``block`` None takes every
-    unknown of degree k.  ``drop`` leaves out the leads of the compat
-    syzygies (module docstring), rows that the earlier ones span.
+    (:func:`_walk`, caching in ``parts``).  ``drop`` leaves out the leads
+    of the compat syzygies (module docstring), rows that the earlier ones
+    span.
     """
     d = DIM[algebra]
     width = d * n
@@ -322,21 +322,16 @@ def _rank_rows(algebra, n, k, block, parts, drop=False):
     solve = [_solve_for(row) for row in MUL_TABLE[algebra]]
     field = (1 << bits) - 1
     units = _units(width, bits)
+    md, kappa = block
     for h in range(n):
+        if not md[h]:
+            continue
         # per gamma, the row of (h, 0, gamma); (h, nu, gamma) shifts its keys
         stencil = [[(-(units[d * h + a] * d + beta), s)
                     for a, (beta, s) in enumerate(row[gamma] for row in solve)]
                    for gamma in range(d)]
-        if block is None:
-            unknowns = ((nu, gamma) for nu in [
-                _pack(nu, bits) for nu in reversed(monomials(width, k))]
-                for gamma in range(d))
-        elif block[0][h]:
-            md, kappa = block
-            unknowns = ((nu, kappa ^ odd) for nu, odd in _walk(
-                d, n, bits, md[:h] + (md[h] - 1,) + md[h + 1:], parts))
-        else:
-            continue
+        unknowns = ((nu, kappa ^ odd) for nu, odd in _walk(
+            d, n, bits, md[:h] + (md[h] - 1,) + md[h + 1:], parts))
         # nu is a lead when some nu_{d*l}, l < h, is >= 1 with nu_{d*h} >= 1
         # (a bit of ``ones``), or >= 2 (a bit of ``twos``)
         below = units[:d * h:d] if drop else []     # e_{d*l}, l < h
@@ -402,12 +397,12 @@ def syzygy_dim(algebra, n, k, max_unknowns=None):
 
     Each block (module docstring) is ranked on its own.  Permuting
     the variables permutes multidegrees, so only non-increasing ones are
-    ranked, weighted by their number of permutations; a class is ranked
-    once per orbit of the certified shifts, weighted by its size.  A table
-    breaking the index rule has no blocks: the whole system is ranked.
-    Under a table that :func:`_leads_certified` accepts, the rows that lead
-    compat syzygies are left out before elimination (module docstring); at
-    n = 2 only independent rows are fed.
+    ranked, weighted by their number of permutations; the certified shifts
+    map class 0 onto every class, so class 0 alone is ranked, weighted by
+    d.  The rows that lead compat syzygies are left out before elimination
+    (module docstring); at n = 2 only independent rows are fed.  A table
+    without the certified shifts, or whose compat rows
+    :func:`_leads_certified` rejects, is refused with AssertionError.
     """
     if algebra not in DIM:
         raise ValueError(f"unknown algebra {algebra!r}")
@@ -422,24 +417,25 @@ def syzygy_dim(algebra, n, k, max_unknowns=None):
         raise BudgetExceeded(
             f"{nunknowns} unknowns exceed budget {max_unknowns}")
 
-    drop = _leads_certified(MUL_TABLE[algebra])
+    blocks = _ranked_blocks(algebra, n, k)
+    if not _leads_certified(MUL_TABLE[algebra]):
+        raise AssertionError("the compat rows are not syzygies of the "
+                             "multiplication table")
     parts = {}
     return nunknowns - sum(
-        weight * rank_of(_rank_rows(algebra, n, k, block, parts, drop))
-        for weight, block in _ranked_blocks(algebra, n, k))
+        weight * rank_of(_rank_rows(algebra, n, k, block, parts, True))
+        for weight, block in blocks)
 
 
 def _ranked_blocks(algebra, n, k):
     """(weight, block) for each block :func:`syzygy_dim` ranks at degree k,
-    ``block`` as :func:`_rank_rows` takes it."""
-    orbits = _class_orbits(MUL_TABLE[algebra])
-    if orbits is None:
-        return [(1, None)]
-    classes, class_orbit = orbits
+    ``block`` as :func:`_rank_rows` takes it: class 0 of each non-increasing
+    multidegree, weighted by its permutations times the d classes that the
+    shifts of :func:`crfbench.hypercomplex._class_shifts` map it onto."""
+    d = len(_class_shifts(MUL_TABLE[algebra]))
     md_orbits = Counter(tuple(sorted(md, reverse=True))
                         for md in monomials(n, k + 1))
-    return [(md_orbit * class_orbit, (md, kappa))
-            for md, md_orbit in md_orbits.items() for kappa in classes]
+    return [(md_orbit * d, (md, 0)) for md, md_orbit in md_orbits.items()]
 
 
 def compat_rows_rank(algebra, n):

@@ -58,3 +58,27 @@ def _assemble(images, rhs):
         row_map.setdefault(key, {})
     keys = sorted(row_map)
     return [row_map[k] for k in keys], [rhs.get(k, 0) for k in keys]
+
+
+# Tables no graded route can certify: the refusal every route raises, the
+# (algebra, a, b) whose table has the sign of i_a i_b flipped, and a table
+# off the index rule i_a i_b = +-i_{a XOR b}.
+CLASS_REFUSAL = ("the multiplication table does not map class 0 onto every "
+                 "class")
+FLIPPED = [("H", a, b) for a in range(1, 4) for b in range(1, 4)] + [
+    ("O", 2, 5), ("O", 7, 7)]
+
+
+def with_sign_flipped(table, a, b):
+    """``table`` with the sign of i_a i_b flipped."""
+    rows = [list(row) for row in table]
+    gamma, sign = rows[a][b]
+    rows[a][b] = (gamma, -sign)
+    return tuple(tuple(row) for row in rows)
+
+
+def with_index_rule_broken(table):
+    """``table`` with the products i_1 i_2 and i_1 i_3 swapped."""
+    rows = [list(row) for row in table]
+    rows[1][2], rows[1][3] = rows[1][3], rows[1][2]
+    return tuple(tuple(row) for row in rows)

@@ -21,10 +21,10 @@ from hypothesis import strategies as st
 
 import crfbench
 from crfbench.cli import _dumps, _rand_poly, main
-from crfbench.hypercomplex import DIM, HNumber
+from crfbench.hypercomplex import DIM, MUL_TABLE, HNumber
 from crfbench.polycalc import HPoly, compat_pbar, dbar_system
 from crfbench.hypersurface import Hypersurface
-from oracles import number_json
+from oracles import CLASS_REFUSAL, number_json, with_sign_flipped
 
 
 def coord(h, a):
@@ -925,6 +925,23 @@ def test_wrong_solve_answer_exits_4(tmp_path, capsys, monkeypatch):
     assert out == ""
     assert err == "error: internal check failed: solution failed " \
         "verification\n"
+
+
+@pytest.mark.parametrize("command", ["syzygy", "solve"])
+def test_uncertified_table_exits_4(tmp_path, capsys, monkeypatch, command):
+    """A multiplication table whose class shifts are not certified is a
+    program fault: the graded routes refuse it and the CLI exits 4."""
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(_system(lambda p: None)))
+    monkeypatch.setitem(MUL_TABLE, "H",
+                        with_sign_flipped(MUL_TABLE["H"], 1, 2))
+    argv = {"syzygy": ["syzygy", "--algebra", "H", "--n", "2", "--degree",
+                       "2"],
+            "solve": ["solve", "--input", str(path)]}[command]
+    code, out, err = run(capsys, argv)
+    assert code == 4
+    assert out == ""
+    assert err == f"error: internal check failed: {CLASS_REFUSAL}\n"
 
 
 def test_memory_error_is_a_resource_exit(capsys, monkeypatch):

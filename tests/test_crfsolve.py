@@ -19,7 +19,8 @@ from crfbench.hypersurface import Hypersurface, is_admissible
 from crfbench import crfsolve as cs
 from crfbench import hypercomplex, polycalc
 
-from oracles import _assemble, dbar_images
+from oracles import (CLASS_REFUSAL, FLIPPED, _assemble, dbar_images,
+                     with_index_rule_broken, with_sign_flipped)
 
 
 def rand_poly(rng, algebra, n, deg=3, terms=5):
@@ -692,6 +693,22 @@ def test_kernel_basis_is_the_assembled_nullspace(algebra, n, degree):
 def test_kernel_basis_validates_its_arguments(args, message):
     with pytest.raises(ValueError, match=message):
         cs.regular_kernel_basis(*args)
+
+
+@pytest.mark.parametrize("algebra,a,b", FLIPPED + [("H", None, None)])
+def test_graded_routes_refuse_an_uncertified_table(monkeypatch, algebra, a,
+                                                   b):
+    """The graded solve and the kernel basis refuse the tables that the
+    syzygy count refuses (a None: the table off the index rule).  The
+    constant right-hand side has no compatibility residual to fail first."""
+    table = MUL_TABLE[algebra]
+    monkeypatch.setitem(MUL_TABLE, algebra, with_index_rule_broken(table)
+                        if a is None else with_sign_flipped(table, a, b))
+    g = [HPoly.constant(algebra, 2, 1), HPoly.zero(algebra, 2)]
+    with pytest.raises(AssertionError, match=CLASS_REFUSAL):
+        cs.solve_crf(g)
+    with pytest.raises(AssertionError, match=CLASS_REFUSAL):
+        cs.regular_kernel_basis(algebra, 2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -83,15 +83,20 @@ def private_definitions(path):
                     yield f"{node.name}.{member.name}", member.name
 
 
-def references(path):
-    """Every name the file reads, every attribute and every imported name."""
-    for node in ast.walk(ast.parse(path.read_text())):
+def names_read(tree):
+    """Every name the tree reads, every attribute and every imported name."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
         elif isinstance(node, ast.alias):
             yield node.name.rsplit(".", 1)[-1]
+
+
+def references(path):
+    """Every name the file reads, every attribute and every imported name."""
+    return names_read(ast.parse(path.read_text()))
 
 
 def definitions():
@@ -143,3 +148,19 @@ def test_packing_and_parity_have_one_home():
             imported.update(alias.name.rsplit(".", 1)[-1]
                             for alias in node.names)
     assert "crfsolve" not in imported
+
+
+def test_class_certificates_have_one_reader():
+    """Under src/, the certificates of the class shifts are read in one
+    place, hypercomplex._class_shifts, and the partial class orbits and the
+    per-call class map are gone."""
+    readers, defined = [], set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined.update(node.name for node in ast.walk(tree)
+                       if isinstance(node, ast.FunctionDef))
+        readers += [f"{path.stem}.{getattr(node, 'name', '<module>')}"
+                    for node in tree.body
+                    if "_certificate" in names_read(node)]
+    assert readers == ["hypercomplex._class_shifts"]
+    assert defined.isdisjoint({"_class_orbits", "_class_map"})

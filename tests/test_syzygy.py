@@ -23,7 +23,8 @@ from crfbench.syzygy import (
     verify_syzygy,
 )
 
-from oracles import _assemble, dbar_images
+from oracles import (CLASS_REFUSAL, FLIPPED, _assemble, dbar_images,
+                     with_index_rule_broken, with_sign_flipped)
 
 
 def laplace_operator(algebra, n, h):
@@ -281,13 +282,6 @@ def flat_dim(algebra, n, k):
     return n * d * len(monomials(d * n, k)) - rank
 
 
-def with_sign_flipped(table, a, b):
-    rows = [list(row) for row in table]
-    gamma, sign = rows[a][b]
-    rows[a][b] = (gamma, -sign)
-    return tuple(tuple(row) for row in rows)
-
-
 @pytest.mark.parametrize("algebra,n,k", [("H", 2, 4), ("H", 3, 3),
                                          ("O", 2, 2), ("O", 3, 2)])
 def test_images_keep_their_block_key(algebra, n, k):
@@ -350,21 +344,21 @@ def test_one_flipped_sign_leaves_no_shift_certified(monkeypatch, algebra):
             assert not any(shift_certificate(algebra, c) for c in range(1, d))
 
 
-@pytest.mark.parametrize("algebra,a,b", [
-    ("H", a, b) for a in range(1, 4) for b in range(1, 4)] + [
-    ("O", 2, 5), ("O", 7, 7)])
+@pytest.mark.parametrize("algebra,a,b", FLIPPED)
 def test_corrupted_stencil_ranks_every_class(monkeypatch, algebra, a, b):
-    # the certified answer on the true table differs from this one
+    # no shift is certified, so no class may stand for another: refused
     monkeypatch.setitem(MUL_TABLE, algebra,
                         with_sign_flipped(MUL_TABLE[algebra], a, b))
-    assert syzygy_dim(algebra, 2, 2) == flat_dim(algebra, 2, 2)
+    with pytest.raises(AssertionError, match=CLASS_REFUSAL):
+        syzygy_dim(algebra, 2, 2)
 
 
 def test_table_breaking_the_index_rule_ranks_the_whole_system(monkeypatch):
-    rows = [list(row) for row in MUL_TABLE["H"]]
-    rows[1][2], rows[1][3] = rows[1][3], rows[1][2]
-    monkeypatch.setitem(MUL_TABLE, "H", tuple(tuple(row) for row in rows))
-    assert syzygy_dim("H", 2, 2) == flat_dim("H", 2, 2)
+    # the system has no class blocks: refused
+    monkeypatch.setitem(MUL_TABLE, "H",
+                        with_index_rule_broken(MUL_TABLE["H"]))
+    with pytest.raises(AssertionError, match=CLASS_REFUSAL):
+        syzygy_dim("H", 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -426,26 +420,6 @@ def test_block_rows_are_the_assembled_rows(algebra, n, top):
             assert_rows_are_assembled(
                 algebra, n, k, cols,
                 syzygy._rank_rows(algebra, n, k, block, parts))
-
-
-def test_whole_system_rows_are_the_assembled_rows(monkeypatch):
-    rows = [list(row) for row in MUL_TABLE["H"]]
-    rows[1][2], rows[1][3] = rows[1][3], rows[1][2]
-    monkeypatch.setitem(MUL_TABLE, "H", tuple(tuple(row) for row in rows))
-    built = syzygy._rank_rows
-    calls = []
-
-    def spy(algebra, n, k, block, parts, drop):
-        rows = list(built(algebra, n, k, block, parts, drop))
-        calls.append((block, drop, rows))
-        return rows
-
-    monkeypatch.setattr(syzygy, "_rank_rows", spy)
-    assert syzygy_dim("H", 2, 2) == flat_dim("H", 2, 2)
-    [(block, drop, rows)] = calls
-    assert block is None and not drop
-    assert len(rows) == 2 * 4 * len(monomials(8, 2))
-    assert_rows_are_assembled("H", 2, 2, columns("H", 2, 2), rows)
 
 
 @pytest.mark.parametrize("algebra,n,rank", [("H", 2, 8), ("H", 3, 24),
@@ -610,10 +584,14 @@ def test_leads_certified_on_the_shipped_table_only(monkeypatch, algebra):
             assert not compat_rows_verify(algebra)
 
 
+def test_syzygy_dim_refuses_uncertified_leads(monkeypatch):
+    monkeypatch.setattr(syzygy, "_leads_certified", lambda table: False)
+    with pytest.raises(AssertionError, match="compat rows are not syzygies"):
+        syzygy_dim("H", 2, 2)
+
+
 def test_leads_not_certified_off_the_index_rule(monkeypatch):
-    rows = [list(row) for row in MUL_TABLE["H"]]
-    rows[1][2], rows[1][3] = rows[1][3], rows[1][2]
-    table = tuple(tuple(row) for row in rows)
+    table = with_index_rule_broken(MUL_TABLE["H"])
     monkeypatch.setitem(MUL_TABLE, "H", table)
     assert not syzygy._leads_certified(table)
     assert not compat_rows_verify("H")
