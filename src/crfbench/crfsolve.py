@@ -17,8 +17,12 @@ rationals:
   per block of d equations, with the right-hand sides of all d classes
   riding along, and the answer of each class is read off its own
   right-hand side.  ``regular_kernel_basis`` eliminates class 0
-  of the homogeneous system the same way and moves its nullspace into
-  every class.
+  of the homogeneous system the same way, reads each class-0 nullspace
+  vector out once and writes its d class copies from that read-out with
+  the shift signs.  It verifies the d copies with one ``fueter_dbar`` per
+  variable on their integer rows packed as base-2^s digits, where 2^s
+  exceeds twice the largest coefficient a copy's dbar can have, so that
+  a packed zero is a zero of every copy.
 
 * ``crf_extend``: given a polynomial f and an affine hypersurface S = {rho=0},
   find an extension F = f + rho P whose conjugate-Fueter image vanishes to
@@ -51,13 +55,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from itertools import chain
+from operator import add, lshift
 
 from .hypercomplex import DIM, MUL_TABLE, _class_shifts
 from .linalg import BudgetExceeded, nullspace_sparse, solve_sparse
-from .polycalc import (HPoly, _class_masks, _int_poly, _odd_class, _pack,
-                       _parity_mask, _units, _unpack, compat_pbar, fueter_dbar,
-                       monomials)
+from .polycalc import (HPoly, _class_masks, _int_poly, _lowest_poly,
+                       _odd_class, _pack, _parity_mask, _units, _unpack,
+                       compat_pbar, fueter_dbar, monomials)
 
 
 class CompatibilityViolation(ValueError):
@@ -283,12 +288,13 @@ def _class_rows(algebra, monos, neighbours, pinned, frame):
     (:func:`_shift_sign`).  The right-hand sides of a row are the tuple
     of its d classes, or None when its block is not pinned.  A pinned
     block that keeps no monomial gives an empty row with its right-hand
-    sides."""
+    sides.  Returns (rows, values, odds), with odds[pos] the odd class of
+    monos[pos], from which the callers sign their read-outs."""
     sigma = [[sign for _, sign in row] for row in MUL_TABLE[algebra]]
     masks, shifts = frame
+    odds = [_odd_class(mu, masks) for mu in monos]
     members = {}
-    for pos, mu in enumerate(monos):
-        odd = _odd_class(mu, masks)
+    for pos, (mu, odd) in enumerate(zip(monos, odds)):
         for block, alpha in neighbours[mu]:
             row = members.get(block)
             if row is None:
@@ -307,7 +313,7 @@ def _class_rows(algebra, monos, neighbours, pinned, frame):
             c = gamma ^ odd
             sides[c] = _shift_sign(block, odd, shifts[c]) * value
         values.append(tuple(sides))
-    return rows, values
+    return rows, values, odds
 
 
 def _class_solve(algebra, monos, neighbours, pinned, frame):
@@ -328,12 +334,11 @@ def _class_solve(algebra, monos, neighbours, pinned, frame):
     of the classes' ones, so its free-variables-zero solution is these d
     read-outs together.  It is consistent exactly when every class is."""
     d = DIM[algebra]
-    rows, values = _class_rows(algebra, monos, neighbours, pinned, frame)
+    rows, values, odds = _class_rows(algebra, monos, neighbours, pinned,
+                                     frame)
     sols = solve_sparse(rows, values, range(len(monos), len(monos) + d))
     if sols is None:
         return None
-    odds = {pos: _odd_class(monos[pos], frame[0])
-            for pos in set().union(*[sol for _, sol in sols])}
     den = math.lcm(*[dc for dc, _ in sols])
     out = {}
     for c, (dc, sol) in enumerate(sols):
@@ -457,7 +462,17 @@ def regular_kernel_basis(algebra, n, degree, max_unknowns=200000):
     of class 0, moved by the column signs of shift c and signed so that
     its free column holds +den, lies in the kernel of class c and is 0 on
     every other free column.  So it is the nullspace vector of that free
-    column of the whole system, which is unique.
+    column of the whole system, which is unique.  The d copies of one
+    class-0 vector are the same values up to signs, so it is read out once
+    and the copies are written from that read-out (:func:`_class_copies`).
+
+    Every copy is checked on the polynomial route, from its own integer
+    form alone: the d copies of a vector are packed as the base-2^s digits
+    of one polynomial, 2^s above twice the bound d * deg * M on the
+    coefficients of a copy's dbar_h (M the largest entry of any copy), and
+    one ``fueter_dbar`` per variable decides them all exactly
+    (:func:`_all_regular`).  A copy that is not regular raises
+    AssertionError.
     """
     if algebra not in DIM:
         raise ValueError(f"unknown algebra {algebra!r}")
@@ -476,25 +491,91 @@ def regular_kernel_basis(algebra, n, degree, max_unknowns=200000):
     coords = _coordinates(algebra, n, bits)
     keys = [_pack(mu, bits) for mu in monos]
     frame = _class_frame(MUL_TABLE[algebra], width, bits)
-    rows, _ = _class_rows(algebra, keys,
-                          {key: _touched(coords, key) for key in keys}, {},
-                          frame)
-    odds = [_odd_class(key, frame[0]) for key in keys]
-    columns = [(mu, beta) for mu in monos for beta in range(d)]
+    rows, _, odds = _class_rows(algebra, keys,
+                                {key: _touched(coords, key) for key in keys},
+                                {}, frame)
     out = []
-    for den, vec in nullspace_sparse(rows, len(keys)):
-        free = max(vec)     # the other entries sit at pivots before it
-        odd = odds[free]
-        for beta in range(d):
-            c = beta ^ odd
-            sign = _shift_sign(keys[free], odd, frame[1][c])
-            out.append(_poly_from_columns(algebra, n, columns, (
-                den, _moved(vec, c, keys, odds, frame, sign))))
-    for p in out:
-        for h in range(n):
-            if not fueter_dbar(p, h).is_zero():
-                raise AssertionError("kernel vector not regular")
+    for sol in nullspace_sparse(rows, len(keys)):
+        copies = _class_copies(algebra, n, monos, keys, odds, frame[1], sol)
+        if not _all_regular(copies):
+            raise AssertionError("kernel vector not regular")
+        out += copies
     return out
+
+
+def _class_copies(algebra, n, monos, keys, odds, shifts, sol):
+    """The d kernel polynomials of the class-0 nullspace vector ``sol`` =
+    (den, {pos: int}), one per class copy, in increasing order of the free
+    column's unit beta: pos stands for x^[mu] i_odds[pos], mu = monos[pos]
+    packed in keys[pos], and the largest pos is the free column.
+
+    The vector is read out once: its sorted positions, their monomials,
+    the lcm of their mu!, the scaled values over den times that lcm, and
+    the gcd that brings them to lowest terms.  The copy of class c puts
+    value v of pos at x^mu i_(odds[pos] XOR c), signed by shift c
+    (:func:`_shift_sign`) and flipped so that its free column holds a
+    positive value.  Every copy is that value set up to signs, so one gcd
+    serves all d, and each copy is the polynomial that
+    :func:`_poly_from_columns` makes of the signed vector."""
+    den, vec = sol
+    d = len(shifts)
+    order = sorted(vec)
+    mus = [monos[pos] for pos in order]
+    facs = [_factorial_prod(mu) for mu in mus]
+    scale = math.lcm(*facs)
+    values = [scale // f * vec[pos] for f, pos in zip(facs, order)]
+    den *= scale
+    g = math.gcd(den, *values)
+    if g != 1:
+        den //= g
+        values = [v // g for v in values]
+    terms = [(mu, keys[pos], odds[pos], v)
+             for mu, pos, v in zip(mus, order, values)]
+    free = max(vec)     # the other entries sit at pivots before it
+    odd = odds[free]
+    copies = []
+    for beta in range(d):
+        c = beta ^ odd
+        shift = shifts[c]
+        sign = _shift_sign(keys[free], odd, shift)
+        rows = {}
+        for mu, key, o, v in terms:
+            row = rows[mu] = [0] * d
+            row[o ^ c] = sign * _shift_sign(key, o, shift) * v
+        copies.append(_lowest_poly(algebra, n, rows, den))
+    return copies
+
+
+def _all_regular(polys):
+    """Whether dbar_h p = 0 for every variable h and every p of ``polys``, a
+    nonempty list over one algebra and variable count, by one
+    :func:`~crfbench.polycalc.fueter_dbar` per variable.
+
+    It reads only the integer rows of each p_c = polys[c] (a den > 0 does
+    not change whether dbar_h p_c is 0) and packs them into P = sum_c B^c
+    p_c.  A coefficient of dbar_h p_c sums at most d terms e * x, one per
+    unit alpha, with e <= deg and |x| <= M, the largest entry of any p_c;
+    so it is at most d * deg * M in absolute value.  With B = 2^s > 2 * d *
+    deg * M, the coefficient of dbar_h P is sum_c B^c D_c with |D_c| < B/2,
+    and balanced base-B digits are unique: D_0 is that sum's balanced
+    residue mod B, then the rest follow after dividing by B.  So dbar_h P =
+    0 exactly when dbar_h p_c = 0 for every c."""
+    d, n = polys[0].dim, polys[0].n
+    forms = [p._ints[1] for p in polys]
+    exps = {}
+    for rows in forms:
+        exps.update(dict.fromkeys(rows))
+    top = max(max(map(sum, exps), default=0), 1)
+    big = max(map(abs, chain.from_iterable(
+        chain.from_iterable(map(dict.values, forms)))), default=0)
+    s = (2 * d * top * big).bit_length()
+    shifts = range(0, s * len(polys), s)        # B^c = 2^(s c)
+    zero = [0] * d
+    P = _lowest_poly(polys[0].algebra, n, {
+        exp: [sum(map(lshift, column, shifts)) for column in
+              zip(*[rows.get(exp, zero) for rows in forms])]
+        for exp in exps}, 1)
+    return all(fueter_dbar(P, h).is_zero() for h in range(n))
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,6 @@ SPLIT_TABLE = {a: _split_rows(MUL_TABLE[a]) for a in ALGEBRAS}
 # map class 0 onto every class by the shifts of :func:`_class_shifts`, the
 # one reader of :func:`_certificate`, and refuse a table it cannot certify.
 
-@lru_cache(maxsize=None)
 def _certificate(table, c):
     """Signs (v, eps), with v_0 = 0, showing that class blocks kappa and
     kappa XOR c of the conjugate-Fueter systems are signed copies of each

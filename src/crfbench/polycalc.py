@@ -458,6 +458,13 @@ def _int_poly(algebra, n, rows, den):
         if g != 1:
             den //= g
             rows = {e: [x // g for x in v] for e, v in rows.items()}
+    return _lowest_poly(algebra, n, rows, den)
+
+
+def _lowest_poly(algebra, n, rows, den):
+    """The polynomial whose integer form is (den, rows), already in lowest
+    terms: den > 0, every row nonzero, and no prime divides den and every
+    entry.  The rows become the result's, shared, never written."""
     out = HPoly.__new__(HPoly)
     out.algebra, out.n, out._ints = algebra, n, (den, rows)
     return out

@@ -174,6 +174,25 @@ def test_solve_validation():
         cs.solve_crf([HPoly.zero("H", 2)])   # wrong component count
 
 
+@pytest.mark.parametrize("algebra", ["H", "O"])
+def test_solve_refuses_a_read_out_that_fails_verification(monkeypatch,
+                                                          algebra):
+    """A class solve whose read-out has one integer value moved by 1 gives
+    a u off by x^[mu] i_beta / den, deg mu >= 1, so dbar u != g and the
+    exact check of solve_crf raises."""
+    g = dbar_system(rand_poly(random.Random(47), algebra, 2))
+    cs.solve_crf(g)
+    class_solve = cs._class_solve
+
+    def perturbed(*args):
+        den, out = class_solve(*args)
+        j = min(out)
+        return den, {**out, j: out[j] + 1}
+    monkeypatch.setattr(cs, "_class_solve", perturbed)
+    with pytest.raises(AssertionError, match="solution failed verification"):
+        cs.solve_crf(g)
+
+
 def test_budget_guard():
     rng = random.Random(46)
     u = rand_poly(rng, "H", 2, deg=3)
@@ -436,10 +455,14 @@ def expand_class_rows(algebra, n, bits, monos, blocks, built):
     monos[pos], is the class-0 entry of its block on pos times the row sign
     eps_c(odd(nu)) (-1)^(v_0 + <v, nu>) and the column sign eps_c(odd(mu))
     (-1)^<v, mu>; its value is right-hand side c times the row sign.  A
-    block with no member keeps only its rows of nonzero value."""
+    block with no member keeps only its rows of nonzero value.  The odd
+    classes that ``built`` hands out must be those of the unpacked monos."""
     d, width = DIM[algebra], DIM[algebra] * n
-    rows, values = built
+    rows, values, odds = built
     mus = [cs._unpack(mu, bits, width) for mu in monos]
+    assert odds == [odd_xor(d, mu) for mu in mus]
+    certificates = [hypercomplex._certificate(MUL_TABLE[algebra], c)
+                    for c in range(d)]
     members = {block for pairs in graded_touched(algebra, n, bits, monos)
                for block, _ in pairs}
     order = sorted(members | blocks.keys())
@@ -451,7 +474,7 @@ def expand_class_rows(algebra, n, bits, monos, blocks, built):
         assert bool(row) == (block in members)
         for delta in range(d):
             c = delta ^ odd_xor(d, nu)
-            v, eps = hypercomplex._certificate(MUL_TABLE[algebra], c)
+            v, eps = certificates[c]
             row_sign = eps[odd_xor(d, nu)] * (-1) ** (v[0] + parity(v, nu))
             value = row_sign * sides[c] if sides else 0
             if not row and not value:
@@ -596,7 +619,7 @@ def test_kernel_rows_are_the_assembled_rows(algebra, n, top, monkeypatch):
     monkeypatch.setattr(cs, "nullspace_sparse", lambda rows, ncols: [])
     for degree in range(top + 1):
         assert cs.regular_kernel_basis(algebra, n, degree) == []
-        [(monos, (rows, values))] = built
+        [(monos, (rows, values, odds))] = built
         built.clear()
         bits = max(degree, 1).bit_length()
         columns = sorted((mu, beta) for k in range(degree + 1)
@@ -606,7 +629,7 @@ def test_kernel_rows_are_the_assembled_rows(algebra, n, top, monkeypatch):
         assert values == [None] * len(rows)
         want, _ = _assemble(dbar_images(algebra, n, columns), {})
         got, _ = expand_class_rows(algebra, n, bits, monos, {},
-                                   (rows, values))
+                                   (rows, values, odds))
         assert [list(row.items()) for row in got] == \
             [list(row.items()) for row in want]
 
@@ -794,6 +817,88 @@ def test_kernel_budget_guard():
     # far too many columns to list: the cap is checked on their count
     with pytest.raises(cs.BudgetExceeded):
         cs.regular_kernel_basis("O", 3, 40)
+
+
+def with_coefficient_moved(p, delta):
+    """p with the first integer entry of its first term of degree >= 1
+    moved by delta: dbar of that one term is nonzero, so the result is not
+    regular when p is."""
+    den, rows = p._ints
+    exp = next(e for e in rows if sum(e))
+    rows = dict(rows)
+    rows[exp] = [rows[exp][0] + delta] + rows[exp][1:]
+    return polycalc._int_poly(p.algebra, p.n, rows, den)
+
+
+def is_regular(p):
+    return all(fueter_dbar(p, h).is_zero() for h in range(p.n))
+
+
+def corrupted_groups(group):
+    """Every copy c of ``group`` with one integer coefficient moved by +-1,
+    the other copies as they are."""
+    return [group[:c] + [with_coefficient_moved(group[c], delta)]
+            + group[c + 1:]
+            for c in range(len(group)) for delta in (1, -1)]
+
+
+@pytest.mark.parametrize("algebra,n,degree", [("H", 2, 2), ("O", 2, 1)])
+def test_kernel_basis_refuses_a_corrupted_class_copy(monkeypatch, algebra, n,
+                                                     degree):
+    """With one integer coefficient of one class copy moved by +-1, in the
+    first group of degree >= 1, for every copy c and both signs, the packed
+    check fails and the kernel basis raises."""
+    d = DIM[algebra]
+    class_copies = cs._class_copies
+    for c in range(d):
+        for delta in (1, -1):
+            seen = []
+
+            def spy_copies(*args):
+                copies = class_copies(*args)
+                if not seen and max(p.degree() for p in copies) >= 1:
+                    copies[c] = with_coefficient_moved(copies[c], delta)
+                    seen.append(copies)
+                    assert not cs._all_regular(copies)
+                return copies
+            monkeypatch.setattr(cs, "_class_copies", spy_copies)
+            with pytest.raises(AssertionError,
+                               match="kernel vector not regular"):
+                cs.regular_kernel_basis(algebra, n, degree)
+            assert len(seen) == 1
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("algebra,n,degree", [("H", 2, 2), ("O", 2, 1),
+                                              ("H", 3, 2)])
+def test_packed_check_agrees_with_fueter_dbar(algebra, n, degree):
+    """The packed check of a group of d class copies is True exactly when
+    fueter_dbar(p, h) is zero for every copy p and variable h: on every
+    group of the basis, where both hold, and on every corruption of the
+    groups of degree >= 1, where both fail."""
+    d = DIM[algebra]
+    basis = cs.regular_kernel_basis(algebra, n, degree)
+    groups = [basis[i:i + d] for i in range(0, len(basis), d)]
+    corrupted = [bad for group in groups
+                 if max(p.degree() for p in group) >= 1
+                 for bad in corrupted_groups(group)]
+    assert len(corrupted) > len(groups)
+    for group in groups:
+        assert cs._all_regular(group) and all(map(is_regular, group))
+    for group in corrupted:
+        assert cs._all_regular(group) == all(map(is_regular, group)) is False
+
+
+@pytest.mark.parametrize("algebra", ["H", "O"])
+def test_packed_check_is_not_fooled_by_cancelling_copies(algebra):
+    """Copies 2^t r and -r pack to 0 in base 2^t: the base the check takes
+    from the copies' own entries is larger, for every t."""
+    r = HPoly(algebra, 2, {(1,) + (0,) * (2 * DIM[algebra] - 1):
+                           HNumber.unit(algebra, 1)})
+    assert not is_regular(r)
+    for t in range(40):
+        assert not cs._all_regular([r.scale(2 ** t), -r])
+        assert not cs._all_regular([r.scale(2 ** t), -r, r.scale(3)])
 
 
 # ---------------------------------------------------------------------------

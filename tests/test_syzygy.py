@@ -187,7 +187,8 @@ def test_syzygy_dims_quaternion_n2():
 
 
 @pytest.mark.parametrize("algebra,n,top",
-                         [("H", 1, 3), ("O", 1, 1), ("H", 2, 2), ("O", 2, 0)])
+                         [("H", 1, 3), ("O", 1, 1), ("H", 2, 2), ("O", 2, 0),
+                          ("O", 3, 2)])
 def test_syzygy_dims_match_the_kernel_count(algebra, n, top):
     """Independent count: the syzygies of degree k are the unknowns minus the
     rank of dbar on degree k + 1, whose nullity is the regular kernel that
