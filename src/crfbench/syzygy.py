@@ -33,12 +33,14 @@ The equations v . M = 0 are the transpose of dbar on degree k+1: the
 coefficient of d^mu in column beta of v . M is the image of x^[mu] i_beta
 under dbar, read with its equation (h, nu, gamma) as the unknown
 "coefficient of d^nu in v[(h, gamma)]".  A matrix and its transpose have
-equal rank, so :func:`_rank_rows` builds the row of each unknown straight
-from ``MUL_TABLE`` and those rows are ranked.  Since i_a i_b =
-+-i_{a XOR b}, the system is block diagonal: column (mu, beta) lies in
-block (multidegree of mu, beta XOR the odd class of mu), the odd class
-being the XOR of i mod d over the i with mu_i odd, and unknown
-(h, nu, gamma) in the block of column (nu + e_{d*h}, gamma).
+equal rank, so :func:`_rank_rows` builds the row of each unknown by
+shifting its variable's d x d stencil, and those rows are ranked.  The
+stencils are per table: built once for each (table, n, field width, h),
+keyed on the table's value, so a replaced ``MUL_TABLE`` gets stencils of
+its own.  Since i_a i_b = +-i_{a XOR b}, the system is block diagonal:
+column (mu, beta) lies in block (multidegree of mu, beta XOR the odd class
+of mu), the odd class being the XOR of i mod d over the i with mu_i odd,
+and unknown (h, nu, gamma) in the block of column (nu + e_{d*h}, gamma).
 ``syzygy_dim`` ranks class 0 of one multidegree per orbit of the variable
 permutations: the class shifts of :func:`crfbench.hypercomplex._class_shifts`
 map it onto the other d - 1 classes, and a table without them is refused.
@@ -76,8 +78,8 @@ from math import comb
 
 from .hypercomplex import DIM, MUL_TABLE, _class_shifts
 from .linalg import BudgetExceeded, rank_of
-from .polycalc import (HPoly, _class_masks, _odd_class, _pack, _units,
-                       _unpack, compat_pbar, monomials)
+from .polycalc import (HPoly, _class_masks, _odd_class, _pack, _unit,
+                       _units, _unpack, compat_pbar, monomials)
 
 
 class OperatorPoly:
@@ -276,19 +278,24 @@ def verify_syzygy(row, matrix):
 # graded dimension count
 # ---------------------------------------------------------------------------
 
-def _walk(d, n, bits, md, parts):
+@lru_cache(maxsize=256)
+def _part(d, n, bits, g, e):
+    """(packed nu, odd class of nu) for every nu of degree e > 0 in the
+    fields of variable g alone, in increasing nu."""
+    low = _unit(d * n, bits, d * g + d - 1)     # g's last field
+    masks = _class_masks(d, d, bits)    # one variable's fields
+    keys = [_pack(mu, bits) for mu in reversed(monomials(d, e))]
+    return tuple((key * low, _odd_class(key, masks)) for key in keys)
+
+
+def _walk(d, n, bits, md):
     """(packed nu, odd class of nu) for every nu of multidegree ``md``, in
-    increasing nu, from per-variable lists cached in ``parts``."""
+    increasing nu, from the parts of its variables of nonzero degree."""
     walk = [(0, 0)]
     for g, e in enumerate(md):
-        part = parts.get((g, e))
-        if part is None:
-            low = _units(d * n, bits)[d * g + d - 1]    # g's last field
-            masks = _class_masks(d, d, bits)    # one variable's fields
-            keys = [_pack(mu, bits) for mu in reversed(monomials(d, e))]
-            part = parts[g, e] = [(key * low, _odd_class(key, masks))
-                                  for key in keys]
-        walk = [(p | q, c ^ x) for p, c in walk for q, x in part]
+        if e:
+            walk = [(p | q, c ^ x) for p, c in walk
+                    for q, x in _part(d, n, bits, g, e)]
     return walk
 
 
@@ -302,42 +309,51 @@ def _solve_for(row):
     return tuple(out)
 
 
-def _rank_rows(algebra, n, k, block, parts, drop=False):
+@lru_cache(maxsize=256)
+def _stencil(table, n, bits, h):
+    """Per gamma, the row of unknown (h, 0, gamma) under ``table`` as
+    (key, sign) pairs: for each alpha, column (e_{d*h+alpha}, beta) with
+    i_alpha i_beta = sign i_gamma, keyed as :func:`_rank_rows` keys it.
+    Keyed on the table's value, so every table gets its own."""
+    d = len(table)
+    solve = [_solve_for(row) for row in table]
+    units = [_unit(d * n, bits, d * h + a) for a in range(d)]
+    return tuple(tuple((-(units[a] * d + beta), s)
+                       for a, (beta, s) in enumerate(r[gamma] for r in solve))
+                 for gamma in range(d))
+
+
+def _rank_rows(algebra, n, k, block, drop=False):
     """The rows of the degree-k system, one per unknown (h, nu, gamma), in
     sorted order, on monomials packed by :func:`crfbench.polycalc._pack`.
 
     Column (mu, beta) with packed mu m is keyed -(m*d + beta), so the
-    largest mu is pivoted first; the row of (h, nu, gamma) holds, for each
-    alpha, the column (nu + e_{d*h+alpha}, beta) with i_alpha i_beta =
-    sign i_gamma in the live ``MUL_TABLE``.  ``block`` = (md, kappa) takes
-    the unknowns of the columns of multidegree md and class kappa: the
-    (h, nu, kappa XOR odd class of nu) with nu of multidegree md - e_h
-    (:func:`_walk`, caching in ``parts``).  ``drop`` leaves out the leads
-    of the compat syzygies (module docstring), rows that the earlier ones
-    span.
+    largest mu is pivoted first; the row of (h, nu, gamma) is the
+    :func:`_stencil` row of (h, 0, gamma) under the live ``MUL_TABLE``,
+    shifted by nu.  ``block`` = (md, kappa) takes the unknowns of the
+    columns of multidegree md and class kappa: the (h, nu, kappa XOR odd
+    class of nu) with nu of multidegree md - e_h (:func:`_walk`).  ``drop``
+    leaves out the leads of the compat syzygies (module docstring), rows
+    that the earlier ones span.
     """
     d = DIM[algebra]
     width = d * n
     bits = (k + 1).bit_length()
-    solve = [_solve_for(row) for row in MUL_TABLE[algebra]]
+    table = MUL_TABLE[algebra]
     field = (1 << bits) - 1
-    units = _units(width, bits)
     md, kappa = block
-    for h in range(n):
-        if not md[h]:
+    for h, e in enumerate(md):
+        if not e:
             continue
-        # per gamma, the row of (h, 0, gamma); (h, nu, gamma) shifts its keys
-        stencil = [[(-(units[d * h + a] * d + beta), s)
-                    for a, (beta, s) in enumerate(row[gamma] for row in solve)]
-                   for gamma in range(d)]
+        stencil = _stencil(table, n, bits, h)
         unknowns = ((nu, kappa ^ odd) for nu, odd in _walk(
-            d, n, bits, md[:h] + (md[h] - 1,) + md[h + 1:], parts))
+            d, n, bits, md[:h] + (e - 1,) + md[h + 1:]))
         # nu is a lead when some nu_{d*l}, l < h, is >= 1 with nu_{d*h} >= 1
         # (a bit of ``ones``), or >= 2 (a bit of ``twos``)
-        below = units[:d * h:d] if drop else []     # e_{d*l}, l < h
-        ones = field * sum(below)
-        twos = ones - sum(below)
-        mine = field * units[d * h]
+        below = sum(_unit(width, bits, d * l) for l in range(h if drop else 0))
+        ones = field * below
+        twos = ones - below
+        mine = field * _unit(width, bits, d * h)
         for nu, gamma in unknowns:
             if nu & (ones if nu & mine else twos):
                 continue
@@ -397,11 +413,13 @@ def syzygy_dim(algebra, n, k, max_unknowns=None):
 
     Each block (module docstring) is ranked on its own.  Permuting
     the variables permutes multidegrees, so only non-increasing ones are
-    ranked, weighted by their number of permutations; the certified shifts
-    map class 0 onto every class, so class 0 alone is ranked, weighted by
-    d.  The rows that lead compat syzygies are left out before elimination
-    (module docstring); at n = 2 only independent rows are fed.  A table
-    without the certified shifts, or whose compat rows
+    ranked, enumerated as the partitions of k + 1 and weighted by their
+    number of permutations; only their variables of nonzero degree get
+    stencils and walks, so no step is quadratic in n.  The certified
+    shifts map class 0 onto every class, so class 0 alone is ranked,
+    weighted by d.  The rows that lead compat syzygies are left out before
+    elimination (module docstring); at n = 2 only independent rows are fed.
+    A table without the certified shifts, or whose compat rows
     :func:`_leads_certified` rejects, is refused with AssertionError.
     """
     if algebra not in DIM:
@@ -421,21 +439,37 @@ def syzygy_dim(algebra, n, k, max_unknowns=None):
     if not _leads_certified(MUL_TABLE[algebra]):
         raise AssertionError("the compat rows are not syzygies of the "
                              "multiplication table")
-    parts = {}
     return nunknowns - sum(
-        weight * rank_of(_rank_rows(algebra, n, k, block, parts, True))
+        weight * rank_of(_rank_rows(algebra, n, k, block, True))
         for weight, block in blocks)
+
+
+def _partitions(total, most, top):
+    """The non-increasing tuples of at most ``most`` positive ints, each at
+    most ``top``, that sum to ``total``, in decreasing order."""
+    if not total:
+        yield ()
+    elif most:
+        for first in range(min(total, top), 0, -1):
+            for rest in _partitions(total - first, most - 1, first):
+                yield (first,) + rest
 
 
 def _ranked_blocks(algebra, n, k):
     """(weight, block) for each block :func:`syzygy_dim` ranks at degree k,
     ``block`` as :func:`_rank_rows` takes it: class 0 of each non-increasing
-    multidegree, weighted by its permutations times the d classes that the
-    shifts of :func:`crfbench.hypercomplex._class_shifts` map it onto."""
+    multidegree, in decreasing order, weighted by its permutations (a
+    multinomial) times the d classes that the shifts of
+    :func:`crfbench.hypercomplex._class_shifts` map it onto."""
     d = len(_class_shifts(MUL_TABLE[algebra]))
-    md_orbits = Counter(tuple(sorted(md, reverse=True))
-                        for md in monomials(n, k + 1))
-    return [(md_orbit * d, (md, 0)) for md, md_orbit in md_orbits.items()]
+    blocks = []
+    for head in _partitions(k + 1, n, k + 1):
+        weight, left = d, n
+        for count in Counter(head).values():
+            weight *= comb(left, count)
+            left -= count
+        blocks.append((weight, (head + (0,) * left, 0)))
+    return blocks
 
 
 def compat_rows_rank(algebra, n):

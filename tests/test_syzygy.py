@@ -416,11 +416,10 @@ def test_block_rows_are_the_assembled_rows(algebra, n, top):
         for mu, beta in columns(algebra, n, k):
             blocks.setdefault(block_key(d, mu, beta), []).append((mu, beta))
         assert len(blocks) == d * len(monomials(n, k + 1))
-        parts = {}
         for block, cols in blocks.items():
             assert_rows_are_assembled(
                 algebra, n, k, cols,
-                syzygy._rank_rows(algebra, n, k, block, parts))
+                syzygy._rank_rows(algebra, n, k, block))
 
 
 @pytest.mark.parametrize("algebra,n,rank", [("H", 2, 8), ("H", 3, 24),
@@ -464,6 +463,7 @@ def test_packed_compat_rows_are_the_operator_rows(algebra, n, rank):
              for slot in range(nsyms)] for row in packed] == want
     assert [[entry.terms for entry in row]
             for row in all_compat_rows(algebra, n)] == want
+    assert rank == n * (n - 1) * d
     assert compat_rows_rank(algebra, n) == rank == rank_of(
         {(slot, e): c
          for slot, entry in enumerate(row) for e, c in entry.items()}
@@ -485,7 +485,42 @@ def test_largest_mu_first_keeps_the_fill_small(monkeypatch):
 
     monkeypatch.setattr(syzygy, "rank_of", counting_rank_of)
     assert syzygy_dim("O", 2, 4) == 2048
+    assert len(fill) == len(syzygy._ranked_blocks("O", 2, 4))
     assert sum(fill) < 60_000
+
+
+def test_no_stencil_outlives_its_table(monkeypatch):
+    """Stencils are kept per table value: a flipped sign gets rows of its
+    own and is refused, and the shipped table, put back, counts as
+    before."""
+    table = MUL_TABLE["H"]
+    block = ((3, 0), 0)
+    shipped = list(syzygy._rank_rows("H", 2, 2, block))
+    assert syzygy_dim("H", 2, 2) == 8
+    monkeypatch.setitem(MUL_TABLE, "H", with_sign_flipped(table, 1, 2))
+    assert list(syzygy._rank_rows("H", 2, 2, block)) != shipped
+    with pytest.raises(AssertionError, match=CLASS_REFUSAL):
+        syzygy_dim("H", 2, 2)
+    monkeypatch.setitem(MUL_TABLE, "H", table)
+    assert list(syzygy._rank_rows("H", 2, 2, block)) == shipped
+    assert syzygy_dim("H", 2, 2) == 8
+
+
+def test_many_variables_build_only_the_ranked_ones(monkeypatch):
+    """At degree 0 the one ranked multidegree (1, 0, ..., 0) is enumerated
+    without a monomial list of width n, and only its variable's units are
+    built: a width of 1000 or more fails at once instead of taking time
+    quadratic in n."""
+    def narrow(build):
+        def guarded(width, arg):
+            if width >= 1000:
+                raise AssertionError(f"{build.__name__} of width {width}")
+            return build(width, arg)
+        return guarded
+
+    monkeypatch.setattr(syzygy, "monomials", narrow(syzygy.monomials))
+    monkeypatch.setattr(syzygy, "_units", narrow(syzygy._units))
+    assert syzygy_dim("H", 2000, 0) == 0
 
 
 @pytest.mark.parametrize("algebra,n,k,dim", [("O", 2, 4, 2048),
@@ -506,8 +541,8 @@ def test_syzygy_dims_at_higher_degree(algebra, n, k, dim):
 def full_and_kept(algebra, n, k, block):
     """Every row of ``block`` in feed order, and per row whether
     ``_rank_rows`` keeps it when it drops the compat leads."""
-    full = list(syzygy._rank_rows(algebra, n, k, block, {}))
-    kept = syzygy._rank_rows(algebra, n, k, block, {}, True)
+    full = list(syzygy._rank_rows(algebra, n, k, block))
+    kept = syzygy._rank_rows(algebra, n, k, block, True)
     head = next(kept, None)
     flags = []
     for row in full:
