@@ -45,23 +45,22 @@ and unknown (h, nu, gamma) in the block of column (nu + e_{d*h}, gamma).
 permutations: the class shifts of :func:`crfbench.hypercomplex._class_shifts`
 map it onto the other d - 1 classes, and a table without them is refused.
 
-Most rows of a ranked block reduce to zero, and the compat syzygies name
-them (the initial-module view of a syzygy computation: Adams, Berenstein,
-Loustaunau, Sabadini & Struppa, J. Geom. Anal. 9, 1999).  For l < h and
-d^rho of degree k-2, d^rho z_{l,h} row gamma and d^rho z_{h,l} row gamma
-are degree-k syzygies.  In the feed order, by h and then by packed nu,
-their last unknowns are (h, rho + e_{d*l} + e_{d*h}, gamma) and
-(h, rho + 2 e_{d*l}, gamma), each with coefficient +-1, so the row of that
-unknown lies in the span of the rows fed before it.  So :func:`_rank_rows`
-leaves out the row of (h, nu, gamma) when h >= 1 and, for some l < h,
-nu_{d*l} >= 2, or nu_{d*l} >= 1 and nu_{d*h} >= 1 (d*l is the flat index
-of d_{l,0}); every pivot, rank and fill stays the same.  This holds while
-the compat rows are syzygies of the live table with those last unknowns,
-which :func:`_leads_certified` checks once per table.  At n = 2 the rule
-leaves out every dependent row, d (C(2d+k-3, k-2) + C(2d+k-4, k-2)) of
-them, the syzygy dimension.  At n = 3 it leaves out 60% (H, 3, 2) to 77%
-(O, 3, 4) of them; the rest are led by the further degree-2 generators,
-at (2, d_{0,0} d_{1,a}, gamma).
+Most rows of a ranked block reduce to zero, and the elimination names them
+(the initial-module view of a syzygy computation: Adams, Berenstein,
+Loustaunau, Sabadini & Struppa, J. Geom. Anal. 9, 1999).  Rows are fed by h
+and then by packed nu, an order in which adding rho to every nu keeps the
+order.  A fed row that reduces to zero is the lead, the last unknown
+(h, nu, gamma), of a syzygy.  That syzygy times d^rho has the lead
+(h, nu + rho, gamma), and the certified class shifts carry it to every
+gamma.  So every (h, nu', gamma') with nu' >= nu componentwise, at every
+higher degree, is a lead too, and its row lies in the span of the rows fed
+before it: leaving it out changes no pivot and no rank.  This is the
+syzygy criterion of F5 (Faugere, ISSAC 2002).  :func:`_leads` finds the
+leads of class 0 degree by degree with this same rule, and
+:func:`_rank_rows` leaves out their multiples.  A ranked block lies on its
+first k + 1 variables, where its rows are those of the system in
+min(n, k + 1) variables padded with zeros, in the same order; so the leads
+are searched in those variables alone.
 
 ``linalg.Echelon`` pivots on the smallest column key, so the columns are
 keyed to put the largest mu first: in increasing mu the largest block of
@@ -77,7 +76,7 @@ from functools import lru_cache
 from math import comb
 
 from .hypercomplex import DIM, MUL_TABLE, _class_shifts
-from .linalg import BudgetExceeded, rank_of
+from .linalg import BudgetExceeded, Echelon, rank_of
 from .polycalc import (HPoly, _class_masks, _odd_class, _pack, _unit,
                        _units, _unpack, compat_pbar, monomials)
 
@@ -323,7 +322,36 @@ def _stencil(table, n, bits, h):
                  for gamma in range(d))
 
 
-def _rank_rows(algebra, n, k, block, drop=False):
+def _rows(table, n, bits, block, leads):
+    """(h, packed nu, row) for each unknown (h, nu, gamma) of ``block``
+    whose nu is not a multiple of a lead of ``leads``, in feed order, the
+    row as :func:`_rank_rows` builds it under ``table``."""
+    d = len(table)
+    md, kappa = block
+    for h, e in enumerate(md):
+        if not e:
+            continue
+        stencil = _stencil(table, n, bits, h)
+        rest = md[:h] + (e - 1,) + md[h + 1:]
+        # packing is additive: nu >= lead exactly when nu = lead + rho
+        skip = set()
+        for g, lead in leads:
+            if g != h:
+                continue
+            degs = [sum(lead[i:i + d]) for i in range(0, len(lead), d)]
+            left = tuple(a - b for a, b in zip(rest, degs))
+            if min(left) >= 0:
+                base = _pack(lead, bits) << bits * (d * n - len(lead))
+                skip.update(base + rho for rho, _ in _walk(
+                    d, n, bits, left + rest[len(degs):]))
+        for nu, odd in _walk(d, n, bits, rest):
+            if nu not in skip:
+                m = nu * d
+                yield h, nu, {key - m: sign
+                              for key, sign in stencil[kappa ^ odd]}
+
+
+def _rank_rows(algebra, n, k, block, leads=()):
     """The rows of the degree-k system, one per unknown (h, nu, gamma), in
     sorted order, on monomials packed by :func:`crfbench.polycalc._pack`.
 
@@ -332,69 +360,41 @@ def _rank_rows(algebra, n, k, block, drop=False):
     :func:`_stencil` row of (h, 0, gamma) under the live ``MUL_TABLE``,
     shifted by nu.  ``block`` = (md, kappa) takes the unknowns of the
     columns of multidegree md and class kappa: the (h, nu, kappa XOR odd
-    class of nu) with nu of multidegree md - e_h (:func:`_walk`).  ``drop``
-    leaves out the leads of the compat syzygies (module docstring), rows
-    that the earlier ones span.
+    class of nu) with nu of multidegree md - e_h (:func:`_walk`).  The
+    unknowns whose nu is a multiple of the nu of a lead (h, nu) of
+    ``leads`` (:func:`_leads`; its missing trailing fields are zero) are
+    left out, rows that the earlier ones span (module docstring).
     """
-    d = DIM[algebra]
-    width = d * n
     bits = (k + 1).bit_length()
-    table = MUL_TABLE[algebra]
-    field = (1 << bits) - 1
-    md, kappa = block
-    for h, e in enumerate(md):
-        if not e:
-            continue
-        stencil = _stencil(table, n, bits, h)
-        unknowns = ((nu, kappa ^ odd) for nu, odd in _walk(
-            d, n, bits, md[:h] + (e - 1,) + md[h + 1:]))
-        # nu is a lead when some nu_{d*l}, l < h, is >= 1 with nu_{d*h} >= 1
-        # (a bit of ``ones``), or >= 2 (a bit of ``twos``)
-        below = sum(_unit(width, bits, d * l) for l in range(h if drop else 0))
-        ones = field * below
-        twos = ones - below
-        mine = field * _unit(width, bits, d * h)
-        for nu, gamma in unknowns:
-            if nu & (ones if nu & mine else twos):
-                continue
-            m = nu * d
-            yield {key - m: sign for key, sign in stencil[gamma]}
+    return (row for _, _, row in _rows(MUL_TABLE[algebra], n, bits, block,
+                                       leads))
 
 
-@lru_cache(maxsize=None)
-def _leads_certified(table):
-    """Whether ``table`` makes the rule of the module docstring exact.
+@lru_cache(maxsize=256)
+def _leads(table, m, j):
+    """The leads (h, nu) of class 0 found up to degree j in m variables
+    under ``table``, nu unpacked to m*d fields, in the order found.
 
-    Checked on packed integers at n = 2: the compat rows of pairs (0, 1)
-    and (1, 0) annihilate the dbar stencil of ``table`` (the rows of
-    :func:`_rank_rows`), and their last unknowns in (h, nu) order are, one
-    per row, (1, d_{0,0} d_{1,0}, gamma) and (1, d_{0,0}^2, gamma) for
-    every gamma.  Renaming the variables and multiplying by d^rho carries
-    both to every pair l < h, every n and every degree.
+    Degree j ranks class 0 of every multidegree of degree j + 1 (not only
+    the non-increasing ones: permuting the variables reorders h), with the
+    multiples of the leads below j left out; each row that reduces to zero
+    is a new lead (module docstring).  The search stops after the first
+    j >= 3 that finds none; a lead it misses only means a dependent row is
+    fed.  Keyed on the table's value, as :func:`_stencil` is.
     """
-    d = len(table)
-    shift = 4 * d
-    unit = _units(2 * d, 2)
-    solve = [_solve_for(row) for row in table]
-    leads = []
-    for row in _compat_rows(table, 1, 2, [(0, 1), (1, 0)]):
-        image = Counter()
-        unknowns = []
-        for key, c in row.items():
-            slot, exp = divmod(key, 1 << shift)
-            h, gamma = divmod(slot, d)
-            unknowns.append((h, exp, gamma))
-            for a, (beta, s) in enumerate(r[gamma] for r in solve):
-                image[(exp + unit[d * h + a]) * d + beta] += c * s
-        if any(image.values()):
-            return False
-        unknowns.sort()
-        if unknowns[-1][:2] == unknowns[-2][:2]:
-            return False
-        leads.append(unknowns[-1])
-    return sorted(leads) == sorted(
-        (1, exp, gamma) for exp in (unit[0] + unit[d], 2 * unit[0])
-        for gamma in range(d))
+    if j < 2:
+        return ()
+    below = _leads(table, m, j - 1)
+    if j > 3 and len(below) == len(_leads(table, m, j - 2)):
+        return below
+    bits = (j + 1).bit_length()
+    found = []
+    for md in monomials(m, j + 1):
+        ech = Echelon()
+        for h, nu, row in _rows(table, m, bits, (md, 0), below):
+            if not ech.add_row(row):
+                found.append((h, _unpack(nu, bits, m * len(table))))
+    return below + tuple(found)
 
 
 def syzygy_dim(algebra, n, k, max_unknowns=None):
@@ -417,10 +417,11 @@ def syzygy_dim(algebra, n, k, max_unknowns=None):
     number of permutations; only their variables of nonzero degree get
     stencils and walks, so no step is quadratic in n.  The certified
     shifts map class 0 onto every class, so class 0 alone is ranked,
-    weighted by d.  The rows that lead compat syzygies are left out before
-    elimination (module docstring); at n = 2 only independent rows are fed.
-    A table without the certified shifts, or whose compat rows
-    :func:`_leads_certified` rejects, is refused with AssertionError.
+    weighted by d; a table without them is refused with AssertionError.
+    The rows fed are free of the known leads: the multiples of the leads
+    that :func:`_leads` finds below degree k, searched in the first
+    min(n, k + 1) variables, which hold every ranked block, are left out
+    before elimination (module docstring).
     """
     if algebra not in DIM:
         raise ValueError(f"unknown algebra {algebra!r}")
@@ -436,11 +437,9 @@ def syzygy_dim(algebra, n, k, max_unknowns=None):
             f"{nunknowns} unknowns exceed budget {max_unknowns}")
 
     blocks = _ranked_blocks(algebra, n, k)
-    if not _leads_certified(MUL_TABLE[algebra]):
-        raise AssertionError("the compat rows are not syzygies of the "
-                             "multiplication table")
+    leads = _leads(MUL_TABLE[algebra], min(n, k + 1), k - 1)
     return nunknowns - sum(
-        weight * rank_of(_rank_rows(algebra, n, k, block, True))
+        weight * rank_of(_rank_rows(algebra, n, k, block, leads))
         for weight, block in blocks)
 
 

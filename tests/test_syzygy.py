@@ -491,8 +491,11 @@ def test_largest_mu_first_keeps_the_fill_small(monkeypatch):
 
 def test_no_stencil_outlives_its_table(monkeypatch):
     """Stencils are kept per table value: a flipped sign gets rows of its
-    own and is refused, and the shipped table, put back, counts as
-    before."""
+    own and is refused, at degree 3 before any lead search, and the shipped
+    table, put back, counts as before."""
+    def unreachable(*args):
+        raise RuntimeError("lead search before the class refusal")
+
     table = MUL_TABLE["H"]
     block = ((3, 0), 0)
     shipped = list(syzygy._rank_rows("H", 2, 2, block))
@@ -501,15 +504,21 @@ def test_no_stencil_outlives_its_table(monkeypatch):
     assert list(syzygy._rank_rows("H", 2, 2, block)) != shipped
     with pytest.raises(AssertionError, match=CLASS_REFUSAL):
         syzygy_dim("H", 2, 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(syzygy, "_leads", unreachable)
+        with pytest.raises(AssertionError, match=CLASS_REFUSAL):
+            syzygy_dim("H", 2, 3)
     monkeypatch.setitem(MUL_TABLE, "H", table)
     assert list(syzygy._rank_rows("H", 2, 2, block)) == shipped
     assert syzygy_dim("H", 2, 2) == 8
+    assert syzygy_dim("H", 2, 3) == 60
 
 
 def test_many_variables_build_only_the_ranked_ones(monkeypatch):
     """At degree 0 the one ranked multidegree (1, 0, ..., 0) is enumerated
     without a monomial list of width n, and only its variable's units are
-    built: a width of 1000 or more fails at once instead of taking time
+    built; at degree 3 the leads are searched in the first 4 variables
+    alone: a width of 1000 or more fails at once instead of taking time
     quadratic in n."""
     def narrow(build):
         def guarded(width, arg):
@@ -521,6 +530,7 @@ def test_many_variables_build_only_the_ranked_ones(monkeypatch):
     monkeypatch.setattr(syzygy, "monomials", narrow(syzygy.monomials))
     monkeypatch.setattr(syzygy, "_units", narrow(syzygy._units))
     assert syzygy_dim("H", 2000, 0) == 0
+    assert syzygy_dim("H", 2000, 3) == 127_935_992_004_000
 
 
 @pytest.mark.parametrize("algebra,n,k,dim", [("O", 2, 4, 2048),
@@ -529,20 +539,29 @@ def test_many_variables_build_only_the_ranked_ones(monkeypatch):
                                              ("O", 2, 5, 11968),
                                              ("H", 2, 7, 5016),
                                              ("O", 3, 3, 1488),
-                                             ("H", 3, 7, 105300)])
+                                             ("H", 3, 7, 105300),
+                                             ("O", 3, 4, 18000),
+                                             ("O", 3, 5, 150912)])
 def test_syzygy_dims_at_higher_degree(algebra, n, k, dim):
     assert syzygy_dim(algebra, n, k) == dim
 
 
 # ---------------------------------------------------------------------------
-# rows left out as leads of the compat syzygies
+# rows left out as multiples of the leads the elimination found
 # ---------------------------------------------------------------------------
+
+def leads_below(algebra, n, k):
+    """The leads syzygy_dim leaves out the multiples of at degree k."""
+    return syzygy._leads(MUL_TABLE[algebra], min(n, k + 1), k - 1)
+
 
 def full_and_kept(algebra, n, k, block):
     """Every row of ``block`` in feed order, and per row whether
-    ``_rank_rows`` keeps it when it drops the compat leads."""
+    ``_rank_rows`` keeps it when it leaves out the multiples of the
+    leads."""
     full = list(syzygy._rank_rows(algebra, n, k, block))
-    kept = syzygy._rank_rows(algebra, n, k, block, True)
+    kept = syzygy._rank_rows(algebra, n, k, block,
+                             leads_below(algebra, n, k))
     head = next(kept, None)
     flags = []
     for row in full:
@@ -553,18 +572,35 @@ def full_and_kept(algebra, n, k, block):
     return full, flags
 
 
-def dropped_count(algebra, n, k):
-    """Rows left out over the blocks syzygy_dim ranks, each block weighted
-    as syzygy_dim weights its rank."""
-    return sum(weight * full_and_kept(algebra, n, k, block)[1].count(False)
-               for weight, block in syzygy._ranked_blocks(algebra, n, k))
+def left_out_and_fed(monkeypatch, algebra, n, k):
+    """syzygy_dim, with the rows it leaves out and the dependent rows it
+    feeds over its ranked blocks, each block weighted as it weights the
+    block's rank, read from the rows it hands to ``rank_of``."""
+    feeds = []
+
+    def counting_rank_of(rows):
+        ech = Echelon()
+        grew = [ech.add_row(row) for row in rows]
+        feeds.append((len(grew), grew.count(False)))
+        return ech.rank
+
+    with monkeypatch.context() as patch:
+        patch.setattr(syzygy, "rank_of", counting_rank_of)
+        dim = syzygy_dim(algebra, n, k)
+    blocks = syzygy._ranked_blocks(algebra, n, k)
+    assert len(feeds) == len(blocks)
+    left_out = fed = 0
+    for (weight, block), (rows, zeros) in zip(blocks, feeds):
+        every = sum(1 for _ in syzygy._rank_rows(algebra, n, k, block))
+        left_out += weight * (every - rows)
+        fed += weight * zeros
+    return dim, left_out, fed
 
 
 @pytest.mark.parametrize("algebra,n,k", [
     ("H", 2, 4), ("H", 3, 3), ("O", 2, 2), ("O", 3, 2),
-    ("H", 2, 5), ("O", 2, 3), ("H", 3, 4)])
+    ("H", 2, 5), ("O", 2, 3), ("H", 3, 4), ("O", 3, 3)])
 def test_dropped_rows_change_no_pivot(algebra, n, k):
-    assert syzygy._leads_certified(MUL_TABLE[algebra])
     for _, block in syzygy._ranked_blocks(algebra, n, k):
         full, flags = full_and_kept(algebra, n, k, block)
         every, kept = Echelon(), Echelon()
@@ -577,57 +613,64 @@ def test_dropped_rows_change_no_pivot(algebra, n, k):
 
 
 @pytest.mark.parametrize("algebra,top", [("H", 6), ("O", 4)])
-def test_n2_drops_every_dependent_row(algebra, top):
-    """At n = 2 the left-out rows number d (C(2d+k-3, k-2) + C(2d+k-4,
-    k-2)), the leads x_{0,0}^2 x^rho and x_{0,0} x_{1,0} x^rho in
-    variable 1, and that is the syzygy dimension: only independent rows are
-    fed."""
+def test_n2_drops_every_dependent_row(monkeypatch, algebra, top):
+    """From degree 3 on, the left-out rows at n = 2 number
+    d (C(2d+k-3, k-2) + C(2d+k-4, k-2)), the multiples of the two degree-2
+    leads x_{0,0}^2 and x_{0,0} x_{1,0} in variable 1, and that is the
+    syzygy dimension: only independent rows are fed.  At degree 2 those
+    leads are new, so nothing is left out."""
     d = DIM[algebra]
     for k in range(top + 1):
         closed = d * (comb(2 * d + k - 3, k - 2) + comb(2 * d + k - 4, k - 2)
                       if k >= 2 else 0)
-        assert dropped_count(algebra, 2, k) == syzygy_dim(algebra, 2, k) \
-            == closed
+        assert left_out_and_fed(monkeypatch, algebra, 2, k) == (
+            (closed, closed, 0) if k > 2 else (closed, 0, closed))
 
 
-@pytest.mark.parametrize("algebra,k,dropped,dim", [
-    ("H", 2, 24, 40), ("O", 2, 48, 64), ("H", 4, 1716, 2436),
-    ("O", 3, 1128, 1488)])
-def test_n3_drops_most_dependent_rows(algebra, k, dropped, dim):
-    # the rest lead the extra degree-2 generators, at (2, x_{0,0} x_{1,a})
-    assert dropped_count(algebra, 3, k) == dropped
-    assert syzygy_dim(algebra, 3, k) == dim
+@pytest.mark.parametrize("algebra,n,k,dropped,fed", [
+    ("H", 3, 2, 0, 40), ("O", 3, 2, 0, 64), ("H", 3, 4, 2436, 0),
+    ("O", 3, 3, 1464, 24), ("O", 2, 5, 11968, 0), ("H", 3, 6, 35472, 0),
+    ("O", 3, 5, 150912, 0)])
+def test_dependent_rows_left_out_or_fed(monkeypatch, algebra, n, k, dropped,
+                                        fed):
+    """Every dependent row is left out or fed and reduced to zero, counted
+    on the rows syzygy_dim feeds.  No lead lies below degree 2; (O, 3, 3)
+    feeds the 24 led by its new degree-3 leads, and the larger calls feed
+    none."""
+    assert left_out_and_fed(monkeypatch, algebra, n, k) == (
+        dropped + fed, dropped, fed)
 
 
-def compat_rows_verify(algebra):
-    """verify_syzygy over the compat rows of pairs (0, 1) and (1, 0) at
-    n = 2, under the live table."""
-    matrix = build_dbar_matrix(algebra, 2)
-    return all(verify_syzygy(row, matrix) for pair in ((0, 1), (1, 0))
-               for row in compat_syzygy_rows(*pair, algebra, 2))
-
-
-@pytest.mark.parametrize("algebra", ["H", "O"])
-def test_leads_certified_on_the_shipped_table_only(monkeypatch, algebra):
-    d = DIM[algebra]
+@pytest.mark.parametrize("algebra,m,found", [
+    ("H", 2, [2, 0]), ("O", 2, [2, 0]), ("H", 3, [10, 4, 0]),
+    ("O", 3, [8, 4, 3, 1, 0])], ids=["H2", "O2", "H3", "O3"])
+def test_leads_per_degree(monkeypatch, algebra, m, found):
+    """The new class-0 leads per degree from 2 until the search stops, each
+    one a row that the full feed of its block rejects; at n = 2 they are
+    the two compat leads (1, x_{0,0} x_{1,0}) and (1, x_{0,0}^2)."""
     table = MUL_TABLE[algebra]
-    assert syzygy._leads_certified(table) and compat_rows_verify(algebra)
-    for a in range(d):
-        for b in range(d):
-            flipped = with_sign_flipped(table, a, b)
-            monkeypatch.setitem(MUL_TABLE, algebra, flipped)
-            assert not syzygy._leads_certified(flipped)
-            assert not compat_rows_verify(algebra)
-
-
-def test_syzygy_dim_refuses_uncertified_leads(monkeypatch):
-    monkeypatch.setattr(syzygy, "_leads_certified", lambda table: False)
-    with pytest.raises(AssertionError, match="compat rows are not syzygies"):
-        syzygy_dim("H", 2, 2)
-
-
-def test_leads_not_certified_off_the_index_rule(monkeypatch):
-    table = with_index_rule_broken(MUL_TABLE["H"])
-    monkeypatch.setitem(MUL_TABLE, "H", table)
-    assert not syzygy._leads_certified(table)
-    assert not compat_rows_verify("H")
+    d = DIM[algebra]
+    counts = []
+    for j in range(2, 2 + len(found)):
+        below, leads = syzygy._leads(table, m, j - 1), syzygy._leads(table, m, j)
+        assert leads[:len(below)] == below
+        counts.append(len(leads) - len(below))
+        bits = (j + 1).bit_length()
+        for h, nu in leads[len(below):]:
+            md = [sum(nu[g * d:g * d + d]) for g in range(m)]
+            md[h] += 1
+            ech = Echelon()
+            rejected = {(g, _unpack(key, bits, m * d))
+                        for g, key, row in syzygy._rows(
+                            table, m, bits, (tuple(md), 0), ())
+                        if not ech.add_row(row)}
+            assert (h, nu) in rejected
+    assert counts == found
+    # stopped: the next degree is not searched
+    monkeypatch.setattr(syzygy, "monomials", None)
+    assert syzygy._leads.__wrapped__(table, m, 2 + len(found)) == leads
+    if m == 2:
+        units = [tuple(int(i == a) for i in range(2 * d)) for a in (0, d)]
+        assert sorted(leads) == sorted(
+            [(1, tuple(map(sum, zip(*units)))),
+             (1, tuple(2 * e for e in units[0]))])
