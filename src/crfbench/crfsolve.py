@@ -29,13 +29,14 @@ rationals:
   order m on S (m = 1 recovers tangential CRF, m = 2 is the admissibility
   order).  Feasibility at m = 2 characterizes admissible boundary functions.
   Vanishing order is read off rho-adic digits, found by repeated synthetic
-  division by rho; the columns of this system are digits of monomials,
-  written down by exponent arithmetic.  The same presolve as the graded
-  solve drops the monomials that digit equations with zero right-hand side
-  force to 0.  Each block of equations takes a monomial's columns as left
-  multiplication by a quaternion, the image of the monomial on that digit
-  block; these quaternions mix the classes, so the extension assembles and
-  eliminates every row.
+  division by rho; the columns of this system are digits of monomials, each
+  the digit of its pivot power, from that same division, times the rest of
+  the monomial.  The same presolve as the graded solve drops the monomials
+  that digit equations with zero right-hand side force to 0.  Each block of
+  equations takes a monomial's columns as left multiplication by a
+  quaternion, the image of the monomial on that digit block; these
+  quaternions mix the classes, so the extension assembles and eliminates
+  every row.
 
 * ``jump_split``: produce a two-sided regular decomposition (F+, F-) of a
   boundary function that admits a global polynomial regular extension; the
@@ -584,15 +585,22 @@ def _all_regular(polys):
 
 def rho_adic_digits(poly, S, count):
     """First ``count`` digits of the rho-adic expansion of poly on affine S:
-    poly = d_0 + rho d_1 + rho^2 d_2 + ... with pivot-free digits.
+    poly = d_0 + rho d_1 + rho^2 d_2 + ... with pivot-free digits."""
+    return _rho_digits(poly, S.affine_form(), count)
+
+
+def _rho_digits(poly, form, count):
+    """:func:`rho_adic_digits` on the affine form ``form``
+    (a :class:`~crfbench.hypersurface.AffineForm`).
 
     With rho = g_p (x_p - s), Horner's rule at x_p = s over the x_p-slices
     of poly divides it by x_p - s: the last value is the remainder, and the
     earlier ones are the slices of the quotient.  d_0 is the remainder, the
     restriction of poly to S; d_j is the remainder of the j-th quotient,
-    over g_p^j.
+    over g_p^j.  This loop is the only division by rho: the extension
+    columns read their digits from its divisions of the pivot powers.
     """
-    grad, piv, s = S.affine_form()
+    grad, piv, s = form
     algebra, n = poly.algebra, poly.n
     den, rows = poly._ints
     slices = {}
@@ -636,31 +644,26 @@ def _extension_images(form, m, budget):
     ``touched`` lists that :func:`_peel` and :func:`_block_rows` read: the
     four columns x^mu i_beta enter each block as left multiplication by q.
 
-    ``den_d`` clears every digit scale C(e, j) g_p^-j s^(e-j) with e up to
-    the largest pivot exponent, budget - 1, and ``den_g`` the gradient, so
-    every image is integral over den = den_d * den_g and no entry is ever a
-    ``Fraction``.  ``den`` depends on the budget, so the memo is keyed by
-    (surface, order, budget).  Its value is shared by every later call:
-    callers read it and never write it."""
+    ``den_d`` is the lcm of the denominators of the digits D_j(x_p^e),
+    e < max(budget, 1) and j < m, that :func:`_rho_digits` divides out of
+    the pivot powers, and ``den_g`` that of the gradient, so every image is
+    integral over den = den_d * den_g and no entry is ever a ``Fraction``.
+    ``den`` depends on the budget, so the memo is keyed by (surface, order,
+    budget), the surface by the value of its form: every job builds a new
+    :class:`~crfbench.hypersurface.Hypersurface`.  Its value is shared by
+    every later call: callers read it and never write it."""
     monos = [mu for k in range(budget) for mu in monomials(8, k)]
-    grad, piv, s = form
-    top = max(budget - 1, 0)
-    powers = [HPoly.constant("H", 2, 1)]    # s^k
-    for _ in range(top):
-        powers.append(powers[-1] * s)
-    powers = [p._ints for p in powers]
-    # scales[e][j]: the terms of C(e, j) g_p^-j s^(e-j), so that D_j(x^nu)
-    # is scales[nu_p][j] times x^nu'; empty for j > e
-    scales = [[[(exp, Fraction(math.comb(e, j) * v[0], powers[e - j][0])
-                 / grad[piv] ** j)
-                for exp, v in powers[e - j][1].items()] if j <= e else []
-               for j in range(m)]
-              for e in range(top + 1)]
-    den_d = math.lcm(*(c.denominator for row in scales for terms in row
-                       for _, c in terms))
+    grad, piv, _ = form
+    # pivot_digits[e][j]: the integer form of D_j(x_p^e), e < max(budget, 1)
+    pivot_digits = [[d._ints for d in _rho_digits(_lowest_poly("H", 2, {
+        (0,) * piv + (e,) + (0,) * (7 - piv): [1, 0, 0, 0]}, 1), form, m)]
+        for e in range(max(budget, 1))]
+    den_d = math.lcm(*(den for row in pivot_digits for den, _ in row))
     den_g = math.lcm(*(g.denominator for g in grad))
-    scales = [[[(exp, (c * den_d).numerator) for exp, c in terms]
-               for terms in row] for row in scales]
+    # scales[e][j]: the terms of D_j(x_p^e) * den_d, so that D_j(x^nu) is
+    # scales[nu_p][j] times x^nu'; empty for j > e
+    scales = [[[(exp, v[0] * (den_d // den)) for exp, v in rows.items()]
+               for den, rows in row] for row in pivot_digits]
     gints = [(g * den_g).numerator for g in grad]
     digits = {}     # nu -> [the terms (exponent, value) of D_j(x^nu) * den_d]
 
@@ -706,14 +709,15 @@ def _extend(f, S, m, budget, max_unknowns):
     """F = f + rho P with deg P < budget and dbar F vanishing to order m on
     S (zero rho-adic digits 0..m-1), or None when no such P exists.
 
-    Column (mu, beta) is the digits of dbar_h(rho x^mu i_beta), written down
-    by exponent arithmetic.  With rho = g_p (x_p - s), D_j the j-th digit
-    and dbar_h = sum_a i_a d/dx_{4h+a}:
+    Column (mu, beta) is the digits of dbar_h(rho x^mu i_beta), read off
+    the digits of the pivot powers.  With rho = g_p (x_p - s), D_j the j-th
+    digit and dbar_h = sum_a i_a d/dx_{4h+a}:
 
     * dbar_h(rho u) = G_h u + rho dbar_h u, with G_h = sum_a g_{4h+a} i_a;
     * D_j(rho w) = D_{j-1}(w);
-    * D_j(x^nu) = C(e, j) g_p^-j s^(e-j) x^nu', with e = nu_p and nu' = nu
-      with its pivot entry set to 0.
+    * D_j(x^nu) = x^nu' D_j(x_p^e), with e = nu_p and nu' = nu with its
+      pivot entry set to 0, since x^nu' is free of the pivot; D_j(x_p^e)
+      comes from the division of :func:`rho_adic_digits`.
 
     Each monomial's image is computed once per (surface, m, budget) and
     memoised (:func:`_extension_images`), as integers over one common

@@ -928,8 +928,10 @@ def test_divmod_affine_identity(rho, pivot, g_p):
     assert (x_p - s).scale(g_p) == rho
     rng = random.Random(47)
     points = S.sample_points(3, seed=5)
-    for _ in range(6):
-        p = rand_poly(rng, "H", 2, deg=3, terms=5)
+    # random data, and the pivot powers, whose digits the extension
+    # columns are built from
+    for p in [rand_poly(rng, "H", 2, deg=3, terms=5) for _ in range(6)] \
+            + [x_p ** e for e in range(7)]:
         digits = cs.rho_adic_digits(p, S, p.degree() + 1)
         rebuilt = HPoly.zero("H", 2)
         for j, d in enumerate(digits):
@@ -998,6 +1000,71 @@ def test_extension_images_match_the_polynomial_route(rho, m):
                 cs._dbar_digits(S.rho * column, S, m)
             assert all(type(c) is int for c in image.values())
     assert next(columns, None) is None
+
+
+@pytest.mark.parametrize("case, m, budget, den, blocks, digest", [
+    ("wall", 1, 0, 1, 0, "ced7490fb75fd6ad"),
+    ("wall", 1, 3, 1, 36, "60005941e438ff08"),
+    ("wall", 1, 6, 1, 792, "a93666668ad14b89"),
+    ("wall", 2, 0, 1, 0, "ced7490fb75fd6ad"),
+    ("wall", 2, 3, 1, 52, "b7a75cfc2a037380"),
+    ("wall", 2, 6, 1, 1452, "2868d34ceec8acd4"),
+    ("wall", 4, 0, 1, 0, "ced7490fb75fd6ad"),
+    ("wall", 4, 3, 1, 54, "2d7347ac30d614e7"),
+    ("wall", 4, 6, 1, 1764, "394df234c1204880"),
+    ("tilted", 1, 0, 1, 0, "ced7490fb75fd6ad"),
+    ("tilted", 1, 3, 4, 72, "0fb1b8846324b723"),
+    ("tilted", 1, 6, 32, 1584, "711ca438b66371bd"),
+    ("tilted", 2, 0, 1, 0, "ced7490fb75fd6ad"),
+    ("tilted", 2, 3, 4, 88, "4b6c1bfe7b50f503"),
+    ("tilted", 2, 6, 32, 2244, "93007c4d135f03bf"),
+    ("tilted", 4, 0, 1, 0, "ced7490fb75fd6ad"),
+    ("tilted", 4, 3, 4, 90, "18f201e472ddeac1"),
+    ("tilted", 4, 6, 32, 2556, "fd6bf6d0eb53e1cf"),
+    ("rational", 1, 0, 6, 0, "7bb852d822c1c85b"),
+    ("rational", 1, 3, 4704, 72, "a498cccd0e783715"),
+    ("rational", 1, 6, 103262208, 1584, "fe1973f16d0218f0"),
+    ("rational", 2, 0, 6, 0, "7bb852d822c1c85b"),
+    ("rational", 2, 3, 4704, 88, "16dc487b07791a78"),
+    ("rational", 2, 6, 103262208, 2244, "d30a31ad8319ae8f"),
+    ("rational", 4, 0, 6, 0, "7bb852d822c1c85b"),
+    ("rational", 4, 3, 4704, 90, "96689a072ab29938"),
+    ("rational", 4, 6, 103262208, 2556, "24d8d9367f206b66"),
+])
+def test_extension_images_are_byte_stable(case, m, budget, den, blocks,
+                                          digest):
+    """The memoised column images, pinned by their common denominator,
+    their block count and the sha256 prefix of their repr, term and id
+    order included, as printed when the digit scales were a closed form
+    in C(e, j), g_p and s."""
+    S = Hypersurface(AFFINE_CASES[AFFINE_IDS.index(case)][0])
+    got = cs._extension_images(S.affine_form(), m, budget)
+    text = repr((got[0], list(got[1].items()), list(got[2].items())))
+    assert (got[0], len(got[2])) == (den, blocks)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("budget", [0, 1, 3, 6])
+def test_extension_images_divide_each_pivot_power_once(budget, monkeypatch):
+    """A fresh build of the columns divides x_p^e by rho once for each
+    e < max(budget, 1), for m digits each, and takes no dbar."""
+    S = Hypersurface(AFFINE_CASES[2][0])
+    calls = []
+
+    def divided(poly, form, count, _orig=cs._rho_digits):
+        calls.append((poly, count))
+        return _orig(poly, form, count)
+
+    def dbar(*args):
+        calls.append(args)
+        return fueter_dbar(*args)
+
+    monkeypatch.setattr(cs, "_rho_digits", divided)
+    monkeypatch.setattr(cs, "fueter_dbar", dbar)
+    form = S.affine_form()
+    cs._extension_images.__wrapped__(form, 3, budget)
+    x_p = HPoly.coordinate("H", 2, form.pivot // 4, form.pivot % 4)
+    assert calls == [(x_p ** e, 3) for e in range(max(budget, 1))]
 
 
 def test_rho_adic_digits_golden(flat):
