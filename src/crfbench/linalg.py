@@ -32,8 +32,9 @@ The callers build their rows directly.  The graded solve and the kernel
 basis of :mod:`crfbench.crfsolve` eliminate one class of their block
 diagonal systems, with the right-hand sides of every class riding along;
 the extension builds block rows from quaternion images.  The syzygy ranks
-of :mod:`crfbench.syzygy` rank one class block per orbit on reversed
-column keys.
+of :mod:`crfbench.syzygy` feed one class block per orbit, on reversed
+column keys, to one echelon each (``syzygy._rank_block``), which also names
+the rows that reduce to zero: the leads of the block's syzygies.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ class Echelon:
         Raises Inconsistent when the row reduces to an impossible equation.
         """
         work = dict(row)
-        if 0 in work.values():
+        if not all(work.values()):
             work = {c: v for c, v in work.items() if v}
         if type(rhs) is tuple:
             work.update((c, v) for c, v in zip(self.rhs, rhs) if v)

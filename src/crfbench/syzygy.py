@@ -33,11 +33,12 @@ The equations v . M = 0 are the transpose of dbar on degree k+1: the
 coefficient of d^mu in column beta of v . M is the image of x^[mu] i_beta
 under dbar, read with its equation (h, nu, gamma) as the unknown
 "coefficient of d^nu in v[(h, gamma)]".  A matrix and its transpose have
-equal rank, so :func:`_rank_rows` builds the row of each unknown by
-shifting its variable's d x d stencil, and those rows are ranked.  The
-stencils are per table: built once for each (table, n, field width, h),
-keyed on the table's value, so a replaced ``MUL_TABLE`` gets stencils of
-its own.  Since i_a i_b = +-i_{a XOR b}, the system is block diagonal:
+equal rank, so :func:`_rows` builds the row of each unknown by shifting
+its variable's d x d stencil, and :func:`_rank_block` ranks a block's rows
+with one elimination.  The stencils are per table: built once for each
+(table, n, field width, h), keyed on the table's value, so a replaced
+``MUL_TABLE`` gets stencils of its own.  Since i_a i_b = +-i_{a XOR b},
+the system is block diagonal:
 column (mu, beta) lies in block (multidegree of mu, beta XOR the odd class
 of mu), the odd class being the XOR of i mod d over the i with mu_i odd,
 and unknown (h, nu, gamma) in the block of column (nu + e_{d*h}, gamma).
@@ -55,12 +56,13 @@ order.  A fed row that reduces to zero is the lead, the last unknown
 gamma.  So every (h, nu', gamma') with nu' >= nu componentwise, at every
 higher degree, is a lead too, and its row lies in the span of the rows fed
 before it: leaving it out changes no pivot and no rank.  This is the
-syzygy criterion of F5 (Faugere, ISSAC 2002).  :func:`_leads` finds the
-leads of class 0 degree by degree with this same rule, and
-:func:`_rank_rows` leaves out their multiples.  A ranked block lies on its
-first k + 1 variables, where its rows are those of the system in
-min(n, k + 1) variables padded with zeros, in the same order; so the leads
-are searched in those variables alone.
+syzygy criterion of F5 (Faugere, ISSAC 2002).  :func:`_rank_block`
+returns the rows it rejects with the block's rank; :func:`_leads` reads
+them as the leads of class 0, degree by degree, and :func:`_rows` leaves
+out their multiples.  A ranked block lies on its first k + 1 variables,
+where its rows are those of the system in min(n, k + 1) variables padded
+with zeros, in the same order; so the leads are searched in those
+variables alone.
 
 ``linalg.Echelon`` pivots on the smallest column key, so the columns are
 keyed to put the largest mu first: in increasing mu the largest block of
@@ -298,34 +300,38 @@ def _walk(d, n, bits, md):
     return walk
 
 
-def _solve_for(row):
-    """Per gamma, the (beta, sign) with i_alpha i_beta = sign i_gamma, for
-    the row alpha of ``MUL_TABLE``: a signed permutation, so beta is
-    unique."""
-    out = [None] * len(row)
-    for beta, (gamma, sign) in enumerate(row):
-        out[gamma] = (beta, sign)
-    return tuple(out)
-
-
 @lru_cache(maxsize=256)
 def _stencil(table, n, bits, h):
     """Per gamma, the row of unknown (h, 0, gamma) under ``table`` as
-    (key, sign) pairs: for each alpha, column (e_{d*h+alpha}, beta) with
-    i_alpha i_beta = sign i_gamma, keyed as :func:`_rank_rows` keys it.
-    Keyed on the table's value, so every table gets its own."""
+    (key, sign) pairs: for each alpha, column (e_{d*h+alpha}, alpha XOR
+    gamma) with the sign of i_alpha i_{alpha XOR gamma} = sign i_gamma,
+    keyed as :func:`_rows` keys it.  The index rule that this reads was
+    certified by :func:`crfbench.hypercomplex._class_shifts` before any
+    block is ranked.  Keyed on the table's value, so every table gets its
+    own."""
     d = len(table)
-    solve = [_solve_for(row) for row in table]
     units = [_unit(d * n, bits, d * h + a) for a in range(d)]
-    return tuple(tuple((-(units[a] * d + beta), s)
-                       for a, (beta, s) in enumerate(r[gamma] for r in solve))
+    return tuple(tuple((-(units[a] * d + (a ^ gamma)), table[a][a ^ gamma][1])
+                       for a in range(d))
                  for gamma in range(d))
 
 
 def _rows(table, n, bits, block, leads):
-    """(h, packed nu, row) for each unknown (h, nu, gamma) of ``block``
-    whose nu is not a multiple of a lead of ``leads``, in feed order, the
-    row as :func:`_rank_rows` builds it under ``table``."""
+    """(h, packed nu, row) for each unknown (h, nu, gamma) of ``block`` in
+    the degree-k system under ``table``, k + 1 the degree of the block's
+    multidegree, in feed order, on monomials packed by
+    :func:`crfbench.polycalc._pack` in ``bits``-bit fields.
+
+    Column (mu, beta) with packed mu m is keyed -(m*d + beta), so the
+    largest mu is pivoted first; the row of (h, nu, gamma) is the
+    :func:`_stencil` row of (h, 0, gamma) shifted by nu.  ``block`` =
+    (md, kappa) takes the unknowns of the columns of multidegree md and
+    class kappa: the (h, nu, kappa XOR odd class of nu) with nu of
+    multidegree md - e_h (:func:`_walk`), by h and then by packed nu.  The
+    unknowns whose nu is a multiple of the nu of a lead (h, nu) of
+    ``leads`` (:func:`_leads`; its missing trailing fields are zero) are
+    left out, rows that the earlier ones span (module docstring).
+    """
     d = len(table)
     md, kappa = block
     for h, e in enumerate(md):
@@ -351,23 +357,15 @@ def _rows(table, n, bits, block, leads):
                               for key, sign in stencil[kappa ^ odd]}
 
 
-def _rank_rows(algebra, n, k, block, leads=()):
-    """The rows of the degree-k system, one per unknown (h, nu, gamma), in
-    sorted order, on monomials packed by :func:`crfbench.polycalc._pack`.
-
-    Column (mu, beta) with packed mu m is keyed -(m*d + beta), so the
-    largest mu is pivoted first; the row of (h, nu, gamma) is the
-    :func:`_stencil` row of (h, 0, gamma) under the live ``MUL_TABLE``,
-    shifted by nu.  ``block`` = (md, kappa) takes the unknowns of the
-    columns of multidegree md and class kappa: the (h, nu, kappa XOR odd
-    class of nu) with nu of multidegree md - e_h (:func:`_walk`).  The
-    unknowns whose nu is a multiple of the nu of a lead (h, nu) of
-    ``leads`` (:func:`_leads`; its missing trailing fields are zero) are
-    left out, rows that the earlier ones span (module docstring).
-    """
-    bits = (k + 1).bit_length()
-    return (row for _, _, row in _rows(MUL_TABLE[algebra], n, bits, block,
-                                       leads))
+def _rank_block(table, n, bits, block, leads):
+    """(rank, dependent) of the rows :func:`_rows` gives ``block``, fed in
+    order to one :class:`crfbench.linalg.Echelon`: ``dependent`` lists the
+    (h, packed nu) of each fed row that reduces to zero, the leads of the
+    syzygies that the block's elimination finds (module docstring)."""
+    ech = Echelon()
+    dependent = [(h, nu) for h, nu, row in _rows(table, n, bits, block, leads)
+                 if not ech.add_row(row)]
+    return ech.rank, dependent
 
 
 @lru_cache(maxsize=256)
@@ -377,8 +375,8 @@ def _leads(table, m, j):
 
     Degree j ranks class 0 of every multidegree of degree j + 1 (not only
     the non-increasing ones: permuting the variables reorders h), with the
-    multiples of the leads below j left out; each row that reduces to zero
-    is a new lead (module docstring).  The search stops after the first
+    multiples of the leads below j left out; each row that
+    :func:`_rank_block` finds dependent is a new lead (module docstring).  The search stops after the first
     j >= 3 that finds none; a lead it misses only means a dependent row is
     fed.  Keyed on the table's value, as :func:`_stencil` is.
     """
@@ -388,13 +386,10 @@ def _leads(table, m, j):
     if j > 3 and len(below) == len(_leads(table, m, j - 2)):
         return below
     bits = (j + 1).bit_length()
-    found = []
-    for md in monomials(m, j + 1):
-        ech = Echelon()
-        for h, nu, row in _rows(table, m, bits, (md, 0), below):
-            if not ech.add_row(row):
-                found.append((h, _unpack(nu, bits, m * len(table))))
-    return below + tuple(found)
+    return below + tuple(
+        (h, _unpack(nu, bits, m * len(table)))
+        for md in monomials(m, j + 1)
+        for h, nu in _rank_block(table, m, bits, (md, 0), below)[1])
 
 
 def syzygy_dim(algebra, n, k, max_unknowns=None):
@@ -406,10 +401,10 @@ def syzygy_dim(algebra, n, k, max_unknowns=None):
     on degree k+1: equation (beta, mu) is the image of the column
     (mu, beta), with entry (h, nu, gamma) on the coefficient of d^nu in row
     entry (h, gamma).  Each block is ranked as the rows of its transpose,
-    which :func:`_rank_rows` builds one per unknown, with the largest mu as
-    the first pivot, which fills in far less (module docstring); ranks do
-    not depend on that order.  ``max_unknowns`` guards runaway sizes (raises
-    :class:`BudgetExceeded`).
+    which :func:`_rows` builds one per unknown and :func:`_rank_block`
+    ranks, with the largest mu as the first pivot, which fills in far less
+    (module docstring); ranks do not depend on that order.
+    ``max_unknowns`` guards runaway sizes (raises :class:`BudgetExceeded`).
 
     Each block (module docstring) is ranked on its own.  Permuting
     the variables permutes multidegrees, so only non-increasing ones are
@@ -436,10 +431,12 @@ def syzygy_dim(algebra, n, k, max_unknowns=None):
         raise BudgetExceeded(
             f"{nunknowns} unknowns exceed budget {max_unknowns}")
 
+    table = MUL_TABLE[algebra]
     blocks = _ranked_blocks(algebra, n, k)
-    leads = _leads(MUL_TABLE[algebra], min(n, k + 1), k - 1)
+    leads = _leads(table, min(n, k + 1), k - 1)
+    bits = (k + 1).bit_length()
     return nunknowns - sum(
-        weight * rank_of(_rank_rows(algebra, n, k, block, leads))
+        weight * _rank_block(table, n, bits, block, leads)[0]
         for weight, block in blocks)
 
 
@@ -456,7 +453,7 @@ def _partitions(total, most, top):
 
 def _ranked_blocks(algebra, n, k):
     """(weight, block) for each block :func:`syzygy_dim` ranks at degree k,
-    ``block`` as :func:`_rank_rows` takes it: class 0 of each non-increasing
+    ``block`` as :func:`_rows` takes it: class 0 of each non-increasing
     multidegree, in decreasing order, weighted by its permutations (a
     multinomial) times the d classes that the shifts of
     :func:`crfbench.hypercomplex._class_shifts` map it onto."""

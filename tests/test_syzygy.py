@@ -354,12 +354,19 @@ def test_corrupted_stencil_ranks_every_class(monkeypatch, algebra, a, b):
         syzygy_dim(algebra, 2, 2)
 
 
-def test_table_breaking_the_index_rule_ranks_the_whole_system(monkeypatch):
-    # the system has no class blocks: refused
+def test_table_breaking_the_index_rule_is_refused(monkeypatch):
+    """The system has no class blocks: refused before any stencil is built,
+    since the stencils read the column of i_alpha i_beta = +-i_gamma as
+    beta = alpha XOR gamma; at degree 3 also before the lead search."""
+    def unreachable(*args):
+        raise RuntimeError("stencil built before the class refusal")
+
     monkeypatch.setitem(MUL_TABLE, "H",
                         with_index_rule_broken(MUL_TABLE["H"]))
-    with pytest.raises(AssertionError, match=CLASS_REFUSAL):
-        syzygy_dim("H", 2, 2)
+    monkeypatch.setattr(syzygy, "_stencil", unreachable)
+    for k in (2, 3):
+        with pytest.raises(AssertionError, match=CLASS_REFUSAL):
+            syzygy_dim("H", 2, k)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +403,32 @@ def test_independence_witness_rejects_equal_indices():
 # the rows syzygy_dim ranks
 # ---------------------------------------------------------------------------
 
+def block_rows(algebra, n, k, block, leads=()):
+    """The rows of ``block`` of the degree-k system under the live table,
+    in feed order, as ``_rows`` builds them for ``_rank_block``, without
+    the multiples of ``leads``."""
+    bits = (k + 1).bit_length()
+    return [row for _, _, row in syzygy._rows(MUL_TABLE[algebra], n, bits,
+                                              block, leads)]
+
+
+def counting_echelon(made):
+    """An Echelon subclass that appends each instance to ``made`` and
+    records in its ``grew`` whether each fed row grew the rank."""
+    class Counting(Echelon):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.grew = []
+            made.append(self)
+
+        def add_row(self, row, rhs=None):
+            grew = super().add_row(row, rhs)
+            self.grew.append(grew)
+            return grew
+
+    return Counting
+
+
 def assert_rows_are_assembled(algebra, n, k, cols, rows):
     """``rows`` are _assemble's rows of the images of ``cols``, in the same
     order, with column j keyed -(packed mu * d + beta)."""
@@ -417,9 +450,8 @@ def test_block_rows_are_the_assembled_rows(algebra, n, top):
             blocks.setdefault(block_key(d, mu, beta), []).append((mu, beta))
         assert len(blocks) == d * len(monomials(n, k + 1))
         for block, cols in blocks.items():
-            assert_rows_are_assembled(
-                algebra, n, k, cols,
-                syzygy._rank_rows(algebra, n, k, block))
+            assert_rows_are_assembled(algebra, n, k, cols,
+                                      block_rows(algebra, n, k, block))
 
 
 @pytest.mark.parametrize("algebra,n,rank", [("H", 2, 8), ("H", 3, 24),
@@ -473,20 +505,14 @@ def test_packed_compat_rows_are_the_operator_rows(algebra, n, rank):
 def test_largest_mu_first_keeps_the_fill_small(monkeypatch):
     """Echelon pivots on the smallest column key; with the largest mu taken
     first the (O, 2, 4) blocks fill to 42,864 nonzeros, and to 238,268 in
-    increasing mu."""
-    fill = []
-
-    def counting_rank_of(rows):
-        ech = Echelon()
-        for row in rows:
-            ech.add_row(row)
-        fill.append(sum(map(len, ech.pivots.values())))
-        return ech.rank
-
-    monkeypatch.setattr(syzygy, "rank_of", counting_rank_of)
+    increasing mu.  The lead search runs first, so only the echelons of
+    the ranked blocks are counted."""
+    leads_below("O", 2, 4)
+    made = []
+    monkeypatch.setattr(syzygy, "Echelon", counting_echelon(made))
     assert syzygy_dim("O", 2, 4) == 2048
-    assert len(fill) == len(syzygy._ranked_blocks("O", 2, 4))
-    assert sum(fill) < 60_000
+    assert len(made) == len(syzygy._ranked_blocks("O", 2, 4))
+    assert sum(sum(map(len, ech.pivots.values())) for ech in made) < 60_000
 
 
 def test_no_stencil_outlives_its_table(monkeypatch):
@@ -498,10 +524,10 @@ def test_no_stencil_outlives_its_table(monkeypatch):
 
     table = MUL_TABLE["H"]
     block = ((3, 0), 0)
-    shipped = list(syzygy._rank_rows("H", 2, 2, block))
+    shipped = block_rows("H", 2, 2, block)
     assert syzygy_dim("H", 2, 2) == 8
     monkeypatch.setitem(MUL_TABLE, "H", with_sign_flipped(table, 1, 2))
-    assert list(syzygy._rank_rows("H", 2, 2, block)) != shipped
+    assert block_rows("H", 2, 2, block) != shipped
     with pytest.raises(AssertionError, match=CLASS_REFUSAL):
         syzygy_dim("H", 2, 2)
     with monkeypatch.context() as patch:
@@ -509,7 +535,7 @@ def test_no_stencil_outlives_its_table(monkeypatch):
         with pytest.raises(AssertionError, match=CLASS_REFUSAL):
             syzygy_dim("H", 2, 3)
     monkeypatch.setitem(MUL_TABLE, "H", table)
-    assert list(syzygy._rank_rows("H", 2, 2, block)) == shipped
+    assert block_rows("H", 2, 2, block) == shipped
     assert syzygy_dim("H", 2, 2) == 8
     assert syzygy_dim("H", 2, 3) == 60
 
@@ -556,12 +582,10 @@ def leads_below(algebra, n, k):
 
 
 def full_and_kept(algebra, n, k, block):
-    """Every row of ``block`` in feed order, and per row whether
-    ``_rank_rows`` keeps it when it leaves out the multiples of the
-    leads."""
-    full = list(syzygy._rank_rows(algebra, n, k, block))
-    kept = syzygy._rank_rows(algebra, n, k, block,
-                             leads_below(algebra, n, k))
+    """Every row of ``block`` in feed order, and per row whether ``_rows``
+    keeps it when it leaves out the multiples of the leads."""
+    full = block_rows(algebra, n, k, block)
+    kept = iter(block_rows(algebra, n, k, block, leads_below(algebra, n, k)))
     head = next(kept, None)
     flags = []
     for row in full:
@@ -575,25 +599,20 @@ def full_and_kept(algebra, n, k, block):
 def left_out_and_fed(monkeypatch, algebra, n, k):
     """syzygy_dim, with the rows it leaves out and the dependent rows it
     feeds over its ranked blocks, each block weighted as it weights the
-    block's rank, read from the rows it hands to ``rank_of``."""
-    feeds = []
-
-    def counting_rank_of(rows):
-        ech = Echelon()
-        grew = [ech.add_row(row) for row in rows]
-        feeds.append((len(grew), grew.count(False)))
-        return ech.rank
-
+    block's rank, read from the rows it feeds each block's ``Echelon``.
+    The lead search runs first, so only those echelons are counted."""
+    leads_below(algebra, n, k)
+    made = []
     with monkeypatch.context() as patch:
-        patch.setattr(syzygy, "rank_of", counting_rank_of)
+        patch.setattr(syzygy, "Echelon", counting_echelon(made))
         dim = syzygy_dim(algebra, n, k)
     blocks = syzygy._ranked_blocks(algebra, n, k)
-    assert len(feeds) == len(blocks)
+    assert len(made) == len(blocks)
     left_out = fed = 0
-    for (weight, block), (rows, zeros) in zip(blocks, feeds):
-        every = sum(1 for _ in syzygy._rank_rows(algebra, n, k, block))
-        left_out += weight * (every - rows)
-        fed += weight * zeros
+    for (weight, block), ech in zip(blocks, made):
+        every = len(block_rows(algebra, n, k, block))
+        left_out += weight * (every - len(ech.grew))
+        fed += weight * ech.grew.count(False)
     return dim, left_out, fed
 
 
@@ -674,3 +693,57 @@ def test_leads_per_degree(monkeypatch, algebra, m, found):
         assert sorted(leads) == sorted(
             [(1, tuple(map(sum, zip(*units)))),
              (1, tuple(2 * e for e in units[0]))])
+
+
+# ---------------------------------------------------------------------------
+# one block ranker for the count and the lead search
+# ---------------------------------------------------------------------------
+
+def solve_for(row):
+    """Per gamma, the (beta, sign) with i_alpha i_beta = sign i_gamma for
+    the row alpha of a multiplication table: the inverse of the signed
+    permutation, which assumes no index rule."""
+    out = [None] * len(row)
+    for beta, (gamma, sign) in enumerate(row):
+        out[gamma] = (beta, sign)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("algebra,n,k,dim", [("H", 3, 4, 2436),
+                                             ("O", 2, 4, 2048),
+                                             ("O", 3, 3, 1488)])
+def test_rank_block_is_one_hand_fed_echelon(monkeypatch, algebra, n, k, dim):
+    """Per ranked block, ``_rank_block`` gives the rank and the rejected
+    (h, packed nu) of feeding ``_rows`` to one Echelon by hand; syzygy_dim
+    answers without ``rank_of``; and the stencil's XOR rule is the general
+    inversion of the shipped table."""
+    table = MUL_TABLE[algebra]
+    d = DIM[algebra]
+    bits = (k + 1).bit_length()
+    leads = leads_below(algebra, n, k)
+    ranked = 0
+    for weight, block in syzygy._ranked_blocks(algebra, n, k):
+        ech = Echelon()
+        dependent = []
+        for h, nu, row in syzygy._rows(table, n, bits, block, leads):
+            if not ech.add_row(row):
+                dependent.append((h, nu))
+        assert syzygy._rank_block(table, n, bits, block, leads) == (
+            ech.rank, dependent)
+        ranked += weight * ech.rank
+    assert n * d * comb(d * n + k - 1, k) - ranked == dim
+
+    def unreachable(rows):
+        raise RuntimeError("syzygy_dim ranked through rank_of")
+
+    monkeypatch.setattr(syzygy, "rank_of", unreachable)
+    assert syzygy_dim(algebra, n, k) == dim
+
+    solve = [solve_for(row) for row in table]
+    for h in range(n):
+        keys = [_pack(tuple(int(i == d * h + a) for i in range(d * n)), bits)
+                for a in range(d)]
+        assert syzygy._stencil(table, n, bits, h) == tuple(
+            tuple((-(keys[a] * d + solve[a][gamma][0]), solve[a][gamma][1])
+                  for a in range(d))
+            for gamma in range(d))
