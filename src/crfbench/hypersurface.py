@@ -31,7 +31,11 @@ all eight derived functions f_(xi_i) are CRF on S.
 
 Everything is exact at rational points (the tangential derivatives only
 ever divide by |g|^2); the unit normal and f_perp are exact exactly when
-|g|^2 is a perfect rational square.
+|g|^2 is a perfect rational square.  numpy is imported only inside the float
+work: ``Hypersurface.hessian_at``, ``omega_value``,
+``oriented_tangent_frame``, the curved branch of ``sample_points`` and the
+SVD path of ``rank_condition``.  Affine surfaces sample exact points, so the
+exact lane never loads numpy.
 
 Orientation.  S carries the volume form
 
@@ -56,8 +60,6 @@ from functools import reduce
 from itertools import islice
 from operator import add
 from typing import NamedTuple
-
-import numpy as np
 
 from .crfsolve import rho_adic_digits
 from .hypercomplex import HNumber
@@ -165,6 +167,7 @@ class Hypersurface:
         return [float(c) for c in grad]
 
     def hessian_at(self, p):
+        import numpy as np
         if self._hessian is None:
             self._hessian = [[g.partial_flat(j) for j in range(8)]
                              for g in self.gradient]
@@ -194,6 +197,7 @@ class Hypersurface:
 
     def omega_value(self, p, frame):
         """Value of the oriented volume form of S on seven tangent vectors."""
+        import numpy as np
         g = [float(c) for c in self.gradient_at(p)]
         norm = math.sqrt(sum(c * c for c in g))
         nu = [c / norm for c in g]
@@ -202,6 +206,7 @@ class Hypersurface:
 
     def oriented_tangent_frame(self, p):
         """Orthonormal tangent frame with omega = +1 (float)."""
+        import numpy as np
         g = np.array([float(c) for c in self.gradient_at(p)])
         nu = g / np.linalg.norm(g)
         # rows 1.. of the right factor of the SVD of nu span its complement
@@ -247,6 +252,7 @@ class Hypersurface:
         if self.is_affine:
             points = self._affine_points(seed)
             return [next(points) for _ in range(count)]
+        import numpy as np
         rng = random.Random(seed)
         k = self._size_exp
         out = []
@@ -600,7 +606,8 @@ def rank_condition(f, S, p, tol=1e-9):
     the SVD divides the two rho columns by |grad rho(p)|, so its verdict does
     not depend on the size of grad rho at p, and keeps the f column as it
     is.  A float point is read as rationals of denominator at most 10^12
-    in units of the size 2^k of curved S (k = 0 on the unit sphere)."""
+    in units of the size 2^k of curved S (k = 0 on the unit sphere).  numpy
+    is imported on the float path alone; an exact point never loads it."""
     pt = tuple(p)
     if _is_exact_point(pt):
         return _complex_rank(rank_matrix(f, S, pt)) < 3
@@ -609,6 +616,7 @@ def rank_condition(f, S, p, tol=1e-9):
     frac_pt = tuple(Fraction(math.ldexp(c, -k)).limit_denominator(10 ** 12)
                     * Fraction(2) ** k for c in pt)
     rows = rank_matrix(f, S, frac_pt)
+    import numpy as np
     mat = np.array([[complex(float(re), float(im)) for (re, im) in row]
                     for row in rows])
     mat[:, 1:] /= math.hypot(*(float(c) for c in S.gradient_at(frac_pt)))

@@ -25,14 +25,17 @@ through the same elementwise operations whatever block it falls in.  Final
 sums are correctly rounded (the bits of ``math.fsum``) and so independent of
 the node order and of the block size, and results are reproducible
 bit-for-bit across runs.
+
+numpy is imported inside each function that does float work on nodes, not
+at module top, so importing this module (as ``cli`` does for every
+subcommand) does not load numpy; only the quadrature of ``cf-integral``
+does, and the exact subcommands never do.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .hypercomplex import MUL_TABLE, HNumber
 
@@ -55,6 +58,7 @@ def _mul_into(a, b, out, tmp, conj_a=False):
     subtracted from its row of ``out`` alpha-major.  Conjugating a flips
     the sign of its alpha > 0 terms, which is exact: (-x) y = -(x y), and
     IEEE defines u - v as u + (-v), signs of zero included."""
+    import numpy as np
     for alpha, row in enumerate(MUL_TABLE["H"]):
         flip = conj_a and alpha > 0
         for beta, (gamma, sign) in enumerate(row):
@@ -67,6 +71,7 @@ def _mul_into(a, b, out, tmp, conj_a=False):
 
 def batch_evaluate(poly, points):
     """Evaluate a one-variable quaternion polynomial on an (N, 4) array."""
+    import numpy as np
     if poly.algebra != "H" or poly.n != 1:
         raise ValueError("batch evaluation wants a one-variable H polynomial")
     out = np.zeros((points.shape[0], 4), order="F")
@@ -102,6 +107,7 @@ def sphere_rule(center, radius, order):
     ``order`` is the point count per angle (total order**3 nodes).  The weights
     sum to the sphere area 2 pi^2 r^3 up to rule precision.
     """
+    import numpy as np
     if order < 2:
         raise ValueError("order must be at least 2")
     if not (math.isfinite(radius) and radius > 0):
@@ -141,6 +147,7 @@ def _values_on_nodes(F, rule):
     """F on the rule's nodes as an (N, 4) array.  F is an ``HPoly`` or
     already that array (so a caller that integrates one F against many
     kernels evaluates it once)."""
+    import numpy as np
     if isinstance(F, np.ndarray):
         if F.shape != (rule.size, 4):
             raise ValueError("node values must have shape (rule.size, 4)")
@@ -164,6 +171,7 @@ def _exact_sums(rows):
     Extraction stops before 2^-53 sigma leaves the normal range and hands
     the remainders to ``fsum``.
     """
+    import numpy as np
     n = rows.shape[1]
     M = (n + 1).bit_length()
     buf = np.empty(n)
@@ -202,6 +210,7 @@ def cauchy_fueter_raw(F, rule, q0):
     Each node sees the same elementwise operations in any block and the
     sums are correctly rounded, so the bits do not depend on the block size.
     """
+    import numpy as np
     q0 = np.asarray(q0, dtype=float)
     if q0.shape != (4,):
         raise ValueError("q0 must have four components")
@@ -229,6 +238,7 @@ def _cf_block(nodes, normals, vals, weights, q0, out, buf):
     signs of zero agree with the structure-tensor contraction) and the
     weight.
     """
+    import numpy as np
     diff, prod, nsq, tmp = buf[0:4], buf[4:8], buf[8], buf[9]
     for c in range(4):
         np.subtract(nodes[:, c], q0[c], out=diff[c])
@@ -248,6 +258,7 @@ def _cf_block(nodes, normals, vals, weights, q0, out, buf):
 
 def cauchy_fueter_eval(F, rule, q0):
     """Reproducing integral with a strict interior check on q0."""
+    import numpy as np
     q0 = np.asarray(q0, dtype=float)
     if np.linalg.norm(q0 - rule.center) >= rule.radius:
         raise PointOutsideDomain(

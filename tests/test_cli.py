@@ -989,6 +989,66 @@ def test_console_script_runs():
     assert proc.returncode == 0
 
 
+LANE_CHILD = """
+import contextlib, io, json, sys
+from crfbench.cli import main
+
+def report(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return [code, out.getvalue()]
+
+exact, floats = json.loads(sys.argv[1])
+seen = {"exact": [report(argv) for argv in exact],
+        "numpy_after_exact": "numpy" in sys.modules}
+seen["float"] = [report(argv) for argv in floats]
+seen["numpy_after_float"] = "numpy" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_only_the_float_lane_loads_numpy(tmp_path, capsys):
+    """A fresh interpreter runs every exact subcommand through ``main``
+    without loading numpy; ``cf-integral`` and ``check`` on a curved
+    surface load it, and every report is the bytes this process prints."""
+    exact = [["--version"]] + [
+        argv for argv in _report_argv(tmp_path)
+        if argv[0] != "cf-integral" and "--timings" not in argv]
+    assert {argv[0] for argv in exact} == {
+        "--version", "verify-identities", "check", "solve", "extend",
+        "jump", "syzygy"}
+    rho = HPoly.constant("H", 2, -1)
+    for h in range(2):
+        for a in range(4):
+            rho = rho + coord(h, a) * coord(h, a)
+    f = coord(0, 1) - coord(0, 0).mul_const_left(HNumber.unit("H", 1))
+    sphere = write_function_surface(tmp_path / "sphere.json", f, rho)
+    floats = [["cf-integral", "--order", "8", "--points", "2", "--tol", "1"],
+              ["check", "--input", sphere, "--samples", "2"]]
+    src = str(Path(crfbench.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", LANE_CHILD, json.dumps([exact, floats])],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert not seen["numpy_after_exact"]
+    assert seen["numpy_after_float"]
+    for argv, got in zip(exact + floats, seen["exact"] + seen["float"]):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert got == [code, capsys.readouterr().out], argv
+    assert [code for code, _ in seen["exact"]] == [0, 0, 1, 0, 0, 0, 0]
+    assert [code for code, _ in seen["float"]] == [0, 0]
+
+
 # ---------------------------------------------------------------------------
 # one parser per process; the rank test's derivative count
 # ---------------------------------------------------------------------------
