@@ -655,12 +655,6 @@ def _units(width, bits):
     return [1 << bits * i for i in reversed(range(width))]
 
 
-def _unit(width, bits, i):
-    """Entry i of :func:`_units`, built alone: a caller that needs a few
-    units of many coordinates pays for those few."""
-    return 1 << bits * (width - 1 - i)
-
-
 def _pack(exp, bits):
     """The exponent tuple ``exp`` as one int of ``bits``-bit fields; every
     entry must be below 2**bits."""

@@ -61,8 +61,8 @@ returns the rows it rejects with the block's rank; :func:`_leads` reads
 them as the leads of class 0, degree by degree, and :func:`_rows` leaves
 out their multiples.  A ranked block lies on its first k + 1 variables,
 where its rows are those of the system in min(n, k + 1) variables padded
-with zeros, in the same order; so the leads are searched in those
-variables alone.
+with zeros, in the same order; so the count and the lead search both rank
+it in those variables alone, by the same call.
 
 ``linalg.Echelon`` pivots on the smallest column key, so the columns are
 keyed to put the largest mu first: in increasing mu the largest block of
@@ -79,8 +79,8 @@ from math import comb
 
 from .hypercomplex import DIM, MUL_TABLE, _class_shifts
 from .linalg import BudgetExceeded, Echelon, rank_of
-from .polycalc import (HPoly, _class_masks, _odd_class, _pack, _unit,
-                       _units, _unpack, compat_pbar, monomials)
+from .polycalc import (HPoly, _class_masks, _odd_class, _pack, _units,
+                       _unpack, compat_pbar, monomials)
 
 
 class OperatorPoly:
@@ -283,7 +283,7 @@ def verify_syzygy(row, matrix):
 def _part(d, n, bits, g, e):
     """(packed nu, odd class of nu) for every nu of degree e > 0 in the
     fields of variable g alone, in increasing nu."""
-    low = _unit(d * n, bits, d * g + d - 1)     # g's last field
+    low = _units(d * n, bits)[d * g + d - 1]    # g's last field
     masks = _class_masks(d, d, bits)    # one variable's fields
     keys = [_pack(mu, bits) for mu in reversed(monomials(d, e))]
     return tuple((key * low, _odd_class(key, masks)) for key in keys)
@@ -310,7 +310,7 @@ def _stencil(table, n, bits, h):
     block is ranked.  Keyed on the table's value, so every table gets its
     own."""
     d = len(table)
-    units = [_unit(d * n, bits, d * h + a) for a in range(d)]
+    units = _units(d * n, bits)[d * h:d * h + d]
     return tuple(tuple((-(units[a] * d + (a ^ gamma)), table[a][a ^ gamma][1])
                        for a in range(d))
                  for gamma in range(d))
@@ -329,7 +329,7 @@ def _rows(table, n, bits, block, leads):
     class kappa: the (h, nu, kappa XOR odd class of nu) with nu of
     multidegree md - e_h (:func:`_walk`), by h and then by packed nu.  The
     unknowns whose nu is a multiple of the nu of a lead (h, nu) of
-    ``leads`` (:func:`_leads`; its missing trailing fields are zero) are
+    ``leads`` (:func:`_leads`, found in these same n variables) are
     left out, rows that the earlier ones span (module docstring).
     """
     d = len(table)
@@ -347,9 +347,8 @@ def _rows(table, n, bits, block, leads):
             degs = [sum(lead[i:i + d]) for i in range(0, len(lead), d)]
             left = tuple(a - b for a, b in zip(rest, degs))
             if min(left) >= 0:
-                base = _pack(lead, bits) << bits * (d * n - len(lead))
-                skip.update(base + rho for rho, _ in _walk(
-                    d, n, bits, left + rest[len(degs):]))
+                base = _pack(lead, bits)
+                skip.update(base + rho for rho, _ in _walk(d, n, bits, left))
         for nu, odd in _walk(d, n, bits, rest):
             if nu not in skip:
                 m = nu * d
@@ -376,9 +375,11 @@ def _leads(table, m, j):
     Degree j ranks class 0 of every multidegree of degree j + 1 (not only
     the non-increasing ones: permuting the variables reorders h), with the
     multiples of the leads below j left out; each row that
-    :func:`_rank_block` finds dependent is a new lead (module docstring).  The search stops after the first
-    j >= 3 that finds none; a lead it misses only means a dependent row is
-    fed.  Keyed on the table's value, as :func:`_stencil` is.
+    :func:`_rank_block` finds dependent is a new lead (module docstring);
+    :func:`syzygy_dim` ranks its blocks by the same calls.  The search
+    stops after the first j >= 3 that finds none; a lead it misses only
+    means a dependent row is fed.  Keyed on the table's value, as
+    :func:`_stencil` is.
     """
     if j < 2:
         return ()
@@ -409,14 +410,12 @@ def syzygy_dim(algebra, n, k, max_unknowns=None):
     Each block (module docstring) is ranked on its own.  Permuting
     the variables permutes multidegrees, so only non-increasing ones are
     ranked, enumerated as the partitions of k + 1 and weighted by their
-    number of permutations; only their variables of nonzero degree get
-    stencils and walks, so no step is quadratic in n.  The certified
-    shifts map class 0 onto every class, so class 0 alone is ranked,
-    weighted by d; a table without them is refused with AssertionError.
-    The rows fed are free of the known leads: the multiples of the leads
-    that :func:`_leads` finds below degree k, searched in the first
-    min(n, k + 1) variables, which hold every ranked block, are left out
-    before elimination (module docstring).
+    number of permutations.  The certified shifts map class 0 onto every
+    class, so class 0 alone is ranked, weighted by d; a table without them
+    is refused with AssertionError.  Each block is ranked in its first
+    min(n, k + 1) variables, which hold it, as :func:`_leads` ranks it,
+    free of the multiples of the leads found below degree k (module
+    docstring); so n reaches only the count of unknowns and the weights.
     """
     if algebra not in DIM:
         raise ValueError(f"unknown algebra {algebra!r}")
@@ -433,11 +432,12 @@ def syzygy_dim(algebra, n, k, max_unknowns=None):
 
     table = MUL_TABLE[algebra]
     blocks = _ranked_blocks(algebra, n, k)
-    leads = _leads(table, min(n, k + 1), k - 1)
+    m = min(n, k + 1)
+    leads = _leads(table, m, k - 1)
     bits = (k + 1).bit_length()
     return nunknowns - sum(
-        weight * _rank_block(table, n, bits, block, leads)[0]
-        for weight, block in blocks)
+        weight * _rank_block(table, m, bits, (md[:m], 0), leads)[0]
+        for weight, (md, _) in blocks)
 
 
 def _partitions(total, most, top):
@@ -452,11 +452,12 @@ def _partitions(total, most, top):
 
 
 def _ranked_blocks(algebra, n, k):
-    """(weight, block) for each block :func:`syzygy_dim` ranks at degree k,
-    ``block`` as :func:`_rows` takes it: class 0 of each non-increasing
-    multidegree, in decreasing order, weighted by its permutations (a
-    multinomial) times the d classes that the shifts of
-    :func:`crfbench.hypercomplex._class_shifts` map it onto."""
+    """(weight, block) for each block :func:`syzygy_dim` ranks at degree k:
+    class 0 of each non-increasing multidegree of n variables, in
+    decreasing order, weighted by its permutations (a multinomial) times
+    the d classes that the shifts of
+    :func:`crfbench.hypercomplex._class_shifts` map it onto.  The count
+    and the lead search rank it in its first min(n, k + 1) variables."""
     d = len(_class_shifts(MUL_TABLE[algebra]))
     blocks = []
     for head in _partitions(k + 1, n, k + 1):

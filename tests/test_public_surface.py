@@ -125,8 +125,8 @@ def test_every_private_name_has_a_caller_in_the_program():
     assert orphans == []
 
 
-PACKING = ("_pack", "_unpack", "_unit", "_units", "_parity_mask",
-           "_class_masks", "_odd_class")
+PACKING = ("_pack", "_unpack", "_units", "_parity_mask", "_class_masks",
+           "_odd_class")
 
 
 def test_packing_and_parity_have_one_home():

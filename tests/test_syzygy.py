@@ -188,11 +188,13 @@ def test_syzygy_dims_quaternion_n2():
 
 @pytest.mark.parametrize("algebra,n,top",
                          [("H", 1, 3), ("O", 1, 1), ("H", 2, 2), ("O", 2, 0),
-                          ("O", 3, 2)])
+                          ("O", 3, 2), ("H", 4, 2), ("O", 4, 1)])
 def test_syzygy_dims_match_the_kernel_count(algebra, n, top):
     """Independent count: the syzygies of degree k are the unknowns minus the
     rank of dbar on degree k + 1, whose nullity is the regular kernel that
-    ``regular_kernel_basis`` finds (and checks through ``fueter_dbar``)."""
+    ``regular_kernel_basis`` finds (and checks through ``fueter_dbar``).
+    (H, 4, 2) and (O, 4, 1) reach n > k + 1, where syzygy_dim ranks its
+    blocks in fewer variables than the system has."""
     d = DIM[algebra]
     big_n = n * d
     sizes = [len(regular_kernel_basis(algebra, n, k)) for k in range(top + 2)]
@@ -201,6 +203,16 @@ def test_syzygy_dims_match_the_kernel_count(algebra, n, top):
         assert syzygy_dim(algebra, n, k) == (
             n * d * comb(big_n + k - 1, k) - d * comb(big_n + k, k + 1)
             + kernel)
+
+
+@pytest.mark.parametrize("algebra,c", [("H", 4), ("O", 2)])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_degree_two_dimension_is_the_block_count(algebra, n, c):
+    """A degree-2 block lies on at most 3 variables: each pair of variables
+    carries 2d syzygies and each triple's (1, 1, 1) block c_A d more, so
+    the dimension is d (2 C(n, 2) + c_A C(n, 3)), c_H = 4 and c_O = 2."""
+    assert syzygy_dim(algebra, n, 2) == DIM[algebra] * (
+        2 * comb(n, 2) + c * comb(n, 3))
 
 
 def test_quaternion_three_variables_compat_rows_independent():
@@ -542,10 +554,10 @@ def test_no_stencil_outlives_its_table(monkeypatch):
 
 def test_many_variables_build_only_the_ranked_ones(monkeypatch):
     """At degree 0 the one ranked multidegree (1, 0, ..., 0) is enumerated
-    without a monomial list of width n, and only its variable's units are
-    built; at degree 3 the leads are searched in the first 4 variables
-    alone: a width of 1000 or more fails at once instead of taking time
-    quadratic in n."""
+    without a monomial list of width n, and at degree 3 the blocks are
+    ranked, and the leads searched, in min(n, k + 1) = 4 variables alone:
+    a width of 1000 or more fails at once instead of taking time quadratic
+    in n."""
     def narrow(build):
         def guarded(width, arg):
             if width >= 1000:
@@ -747,3 +759,52 @@ def test_rank_block_is_one_hand_fed_echelon(monkeypatch, algebra, n, k, dim):
             tuple((-(keys[a] * d + solve[a][gamma][0]), solve[a][gamma][1])
                   for a in range(d))
             for gamma in range(d))
+
+
+def spied_rank_block(monkeypatch, calls):
+    """Patch ``syzygy._rank_block`` to append the arguments of each call to
+    ``calls`` before it ranks."""
+    rank_block = syzygy._rank_block
+
+    def spy(*args):
+        calls.append(args)
+        return rank_block(*args)
+
+    monkeypatch.setattr(syzygy, "_rank_block", spy)
+
+
+@pytest.mark.parametrize("algebra,n,k,dim", [
+    ("H", 6, 2, 440), ("O", 5, 3, 12_400),
+    ("H", 2000, 3, 127_935_992_004_000)])
+def test_count_ranks_in_the_search_variables(monkeypatch, algebra, n, k, dim):
+    """syzygy_dim ranks each block in m = min(n, k + 1) variables, with the
+    leads found in m variables, once per ranked multidegree cut to its
+    first m entries."""
+    m = min(n, k + 1)
+    leads = leads_below(algebra, n, k)
+    calls = []
+    spied_rank_block(monkeypatch, calls)
+    assert syzygy_dim(algebra, n, k) == dim
+    blocks = syzygy._ranked_blocks(algebra, n, k)
+    assert [(table, width, len(md), kappa, below)
+            for table, width, _, (md, kappa), below in calls] == [
+        (MUL_TABLE[algebra], m, m, 0, leads)] * len(blocks)
+    assert [md for _, _, _, (md, _), _ in calls] == [
+        md[:m] for _, (md, _) in blocks]
+
+
+@pytest.mark.parametrize("algebra", ["H", "O"])
+def test_count_ranks_by_the_search_calls(monkeypatch, algebra):
+    """At (A, 3, 3) every block that syzygy_dim ranks is ranked by a call,
+    argument for argument, of the lead search's step 3."""
+    table = MUL_TABLE[algebra]
+    leads_below(algebra, 3, 3)
+    counted, searched = [], []
+    with monkeypatch.context() as patch:
+        spied_rank_block(patch, counted)
+        syzygy_dim(algebra, 3, 3)
+    with monkeypatch.context() as patch:
+        spied_rank_block(patch, searched)
+        syzygy._leads.__wrapped__(table, 3, 3)
+    assert len(searched) == len(monomials(3, 4))
+    assert counted and all(call in searched for call in counted)
