@@ -16,13 +16,14 @@ rationals:
   certify them all is refused).  So only class 0 is eliminated, one row
   per block of d equations, with the right-hand sides of all d classes
   riding along, and the answer of each class is read off its own
-  right-hand side.  ``regular_kernel_basis`` eliminates class 0
-  of the homogeneous system the same way, reads each class-0 nullspace
-  vector out once and writes its d class copies from that read-out with
-  the shift signs.  It verifies the d copies with one ``fueter_dbar`` per
-  variable on their integer rows packed as base-2^s digits, where 2^s
-  exceeds twice the largest coefficient a copy's dbar can have, so that
-  a packed zero is a zero of every copy.
+  right-hand side and written with the shift signs.
+  ``regular_kernel_basis`` eliminates class 0 of the homogeneous system
+  the same way, reads each class-0 nullspace vector out once and writes
+  its d class copies from that read-out with the same writer.  It
+  verifies the d copies with one ``fueter_dbar`` per variable on their
+  integer rows packed as base-2^s digits, where 2^s exceeds twice the
+  largest coefficient a copy's dbar can have, so that a packed zero is a
+  zero of every copy.
 
 * ``crf_extend``: given a polynomial f and an affine hypersurface S = {rho=0},
   find an extension F = f + rho P whose conjugate-Fueter image vanishes to
@@ -92,22 +93,6 @@ def _factorial_prod(exp):
     return p
 
 
-def _poly_from_columns(algebra, n, columns, sol):
-    """The polynomial sum of values[j] / den x^[mu] i_beta over a read-out
-    sol = (den, {j: int}), read in increasing j, where columns[j] = (mu,
-    beta) for every j of sol (a sequence or a mapping), increasing and
-    distinct in j; the mu! divide over their one lcm."""
-    den, values = sol
-    rows = {}
-    for j in sorted(values):
-        mu, beta = columns[j]
-        rows.setdefault(mu, [0] * DIM[algebra])[beta] = values[j]
-    scale = math.lcm(*map(_factorial_prod, rows))
-    return _int_poly(algebra, n, {mu: [scale // _factorial_prod(mu) * x
-                                       for x in v] for mu, v in rows.items()},
-                     den * scale)
-
-
 def _rhs_by_degree(g):
     """g over one common denominator, keyed by the equation (h, nu, gamma)
     it feeds (x^nu = nu! x^[nu]) and grouped by the degree of nu: (den, {k:
@@ -173,15 +158,13 @@ def _shift_sign(key, odd, shift):
     return -eps[odd] if (key & mask).bit_count() & 1 else eps[odd]
 
 
-def _moved(vec, c, keys, odds, frame, scale):
-    """The class-0 vector ``vec`` {pos: v} moved into class c, in its
-    order: scale * v at column pos*d + odds[pos] XOR c, signed by shift c
-    of ``frame`` at the packed keys[pos] of odd class odds[pos]."""
-    shift = frame[1][c]
-    d = len(frame[1])
-    return {pos * d + (odds[pos] ^ c):
-            scale * _shift_sign(keys[pos], odds[pos], shift) * v
-            for pos, v in vec.items()}
+def _write_class(rows, terms, c, shift, sign):
+    """Write the class-c copy of the class-0 vector ``terms``, value v at
+    x^mu i_odd for each (mu, key, odd, v), mu packed in key, into ``rows``
+    {mu: [d ints]}: sign * v at x^mu i_(odd XOR c), signed by ``shift``,
+    shift c of a frame (:func:`_shift_sign`)."""
+    for mu, key, odd, v in terms:
+        rows[mu][odd ^ c] = sign * _shift_sign(key, odd, shift) * v
 
 
 def _block_rows(algebra, touched, rhs):
@@ -317,10 +300,10 @@ def _class_rows(algebra, monos, neighbours, pinned, frame):
     return rows, values, odds
 
 
-def _class_solve(algebra, monos, neighbours, pinned, frame):
-    """The free-variables-zero solution (den, {pos*d + beta: int}) of the
-    graded system on the sorted packed ``monos``, column pos*d + beta being
-    (monos[pos], beta), or None when the system is inconsistent.
+def _class_solve(algebra, n, bits, monos, neighbours, pinned, frame):
+    """The polynomial of the free-variables-zero solution of the graded
+    system on the sorted ``monos`` packed in ``bits``-bit fields, column
+    pos*d + beta being x^[monos[pos]] i_beta, or None when inconsistent.
 
     The system is block diagonal in the d classes, and the certified shift
     c maps class 0 onto class c: A_c = R A_0 C, with R and C the diagonal
@@ -333,18 +316,26 @@ def _class_solve(algebra, monos, neighbours, pinned, frame):
     pivot set of A_c is that of A_0.  Its free-variables-zero solution is
     then C times read-out c.  The whole system's pivot set is the union
     of the classes' ones, so its free-variables-zero solution is these d
-    read-outs together.  It is consistent exactly when every class is."""
+    read-outs together.  It is consistent exactly when every class is.
+    Read-out c is written by :func:`_write_class` into divided-power rows
+    seeded in increasing position, the whole system's column order."""
     d = DIM[algebra]
     rows, values, odds = _class_rows(algebra, monos, neighbours, pinned,
                                      frame)
     sols = solve_sparse(rows, values, range(len(monos), len(monos) + d))
     if sols is None:
         return None
+    mus = {pos: _unpack(monos[pos], bits, d * n)
+           for pos in sorted(set().union(*[sol for _, sol in sols]))}
     den = math.lcm(*[dc for dc, _ in sols])
-    out = {}
+    out = {mu: [0] * d for mu in mus.values()}
     for c, (dc, sol) in enumerate(sols):
-        out.update(_moved(sol, c, monos, odds, frame, den // dc))
-    return den, out
+        _write_class(out, [(mus[pos], monos[pos], odds[pos], den // dc * v)
+                           for pos, v in sol.items()], c, frame[1][c], 1)
+    scale = math.lcm(*map(_factorial_prod, out))
+    return _int_poly(algebra, n, {mu: [scale // _factorial_prod(mu) * x
+                                       for x in v] for mu, v in out.items()},
+                     den * scale)
 
 
 def _solve_homogeneous(rhs, k, algebra, n, max_unknowns):
@@ -357,9 +348,10 @@ def _solve_homogeneous(rhs, k, algebra, n, max_unknowns):
     monomial space) is presolved by :func:`_peel` on the packed blocks.
     :func:`_class_solve` then eliminates one class-0 row per block, from
     the same pairs, with the d classes' right-hand sides riding along,
-    and each monomial of the answer's nonzero columns is unpacked once.
-    The answer is the one the whole attempt gives.  (In the full space
-    every block keeps all d neighbours, so only the shifts lose monomials.)
+    and returns the polynomial part, each monomial of the answer's
+    nonzero columns unpacked once.  The answer is the one the whole
+    attempt gives.  (In the full space every block keeps all d
+    neighbours, so only the shifts lose monomials.)
     Elimination returns the solution whose free variables (the non-pivot
     columns) are zero, and its pivot set P is the set of leading columns of
     the row space, right-hand side included as the last column.  A column c
@@ -401,12 +393,9 @@ def _solve_homogeneous(rhs, k, algebra, n, max_unknowns):
                  if attempt else candidates)
         neighbours = {mu: _touched(coords, mu) for mu in monos}
         kept = sorted(_peel(neighbours, blocks))
-        sol = _class_solve(algebra, kept, neighbours, blocks, frame)
-        if sol is not None:
-            mus = {pos: _unpack(kept[pos], bits, width)
-                   for pos in {j // d for j in sol[1]}}
-            columns = {j: (mus[j // d], j % d) for j in sol[1]}
-            return _poly_from_columns(algebra, n, columns, sol)
+        part = _class_solve(algebra, n, bits, kept, neighbours, blocks, frame)
+        if part is not None:
+            return part
     return None
 
 
@@ -465,7 +454,8 @@ def regular_kernel_basis(algebra, n, degree, max_unknowns=200000):
     every other free column.  So it is the nullspace vector of that free
     column of the whole system, which is unique.  The d copies of one
     class-0 vector are the same values up to signs, so it is read out once
-    and the copies are written from that read-out (:func:`_class_copies`).
+    and the copies are written from that read-out (:func:`_class_copies`)
+    by :func:`_write_class`, which writes the graded solve's classes too.
 
     Every copy is checked on the polynomial route, from its own integer
     form alone: the d copies of a vector are packed as the base-2^s digits
@@ -513,11 +503,10 @@ def _class_copies(algebra, n, monos, keys, odds, shifts, sol):
     The vector is read out once: its sorted positions, their monomials,
     the lcm of their mu!, the scaled values over den times that lcm, and
     the gcd that brings them to lowest terms.  The copy of class c puts
-    value v of pos at x^mu i_(odds[pos] XOR c), signed by shift c
-    (:func:`_shift_sign`) and flipped so that its free column holds a
-    positive value.  Every copy is that value set up to signs, so one gcd
-    serves all d, and each copy is the polynomial that
-    :func:`_poly_from_columns` makes of the signed vector."""
+    value v of pos at x^mu i_(odds[pos] XOR c), signed by shift c and
+    flipped so that its free column holds a positive value
+    (:func:`_write_class`, the writer the graded solve uses too).  Every
+    copy is that value set up to signs, so one gcd serves all d."""
     den, vec = sol
     d = len(shifts)
     order = sorted(vec)
@@ -537,12 +526,9 @@ def _class_copies(algebra, n, monos, keys, odds, shifts, sol):
     copies = []
     for beta in range(d):
         c = beta ^ odd
-        shift = shifts[c]
-        sign = _shift_sign(keys[free], odd, shift)
-        rows = {}
-        for mu, key, o, v in terms:
-            row = rows[mu] = [0] * d
-            row[o ^ c] = sign * _shift_sign(key, o, shift) * v
+        rows = {mu: [0] * d for mu in mus}
+        _write_class(rows, terms, c, shifts[c],
+                     _shift_sign(keys[free], odd, shifts[c]))
         copies.append(_lowest_poly(algebra, n, rows, den))
     return copies
 

@@ -15,7 +15,9 @@ product as 1, i, j, k with i*j = k; the test suite pins its 16 entries.
 
 Scalars are kept exact (``fractions.Fraction``) by default.  A float backend
 with identical semantics exists for quadrature and other numeric work; the
-two never mix silently.
+two never mix silently.  A number has no payload reader of its own:
+``HPoly.from_json`` reads every coefficient's components
+(``crfbench.polycalc._read_coef``).
 
 Exact products clear each operand's denominators with one lcm, accumulate
 the d^2 signed products through ``MUL_TABLE`` in Python ints and build one
@@ -27,14 +29,11 @@ constructor and skip that re-validation.
 
 from __future__ import annotations
 
-import re
-import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
 ALGEBRAS = ("H", "O")
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")   # "1.5e-3" -> -3
 
 #: Realified matrix of the octonionic conjugate-Fueter operator: entry
 #: ``OCT_DBAR_MATRIX[gamma][beta] = (sign, alpha)`` means the gamma-component
@@ -354,37 +353,6 @@ class HNumber:
                 continue
             parts.append(f"{c}{('*' + name) if name else ''}")
         return " + ".join(parts) if parts else "0"
-
-    # -- serialization --------------------------------------------------------
-
-    @classmethod
-    def from_json(cls, obj):
-        """A number from its payload form ``{"algebra": ..., "c": [...]}``,
-        exact components as rational strings or integers (as
-        ``HPoly.to_json`` writes each coefficient), float components as
-        numbers: KeyError for a missing key, ValueError for any other
-        malformed shape."""
-        if not isinstance(obj, dict) or not isinstance(obj.get("c"), list):
-            raise ValueError("a number is an object with a component list 'c'")
-        comps = obj["c"]
-        if comps and isinstance(comps[0], float):
-            if not all(type(c) in (int, float) for c in comps):
-                raise ValueError("float components must be numbers")
-            return cls(obj["algebra"], comps, "float")
-        if not all(type(c) in (str, int) for c in comps):   # no JSON true
-            raise ValueError("exact components are rational strings or integers")
-        # Fraction expands 10^e in full: cap |e| where Python caps digits
-        limit = sys.get_int_max_str_digits()
-        for c in comps:
-            exp = isinstance(c, str) and _EXPONENT.search(c)
-            if exp and limit and abs(int(exp[1])) > limit:
-                raise ValueError("a component's decimal exponent exceeds "
-                                 f"the integer string limit {limit}")
-        try:
-            comps = [Fraction(c) for c in comps]
-        except ZeroDivisionError:
-            raise ValueError("zero denominator in a component") from None
-        return cls(obj["algebra"], comps, "exact")
 
 
 def _trusted(algebra, coeffs, backend):

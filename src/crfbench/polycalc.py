@@ -41,6 +41,7 @@ family is equivalent to vanishing of the other.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
@@ -53,6 +54,7 @@ from .hypercomplex import (ALGEBRAS, DIM, SPLIT_TABLE, AlgebraMismatch,
 
 SCHEMA_VERSION = 1
 _RATIO = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")  # "p", "p/q"; q > 0
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")   # "1.5e-3" -> -3
 
 
 class HPoly:
@@ -366,8 +368,8 @@ class HPoly:
     @classmethod
     def from_json(cls, obj):
         """Inverse of :meth:`to_json`: KeyError for a missing key, ValueError
-        for any other malformed shape.  The integer form is read straight
-        from the components (:func:`_read_coef`), not through ``HNumber``."""
+        for any other malformed shape.  :func:`_read_coef`, the one payload
+        reader, reads each coefficient exactly, refusing floats."""
         if not isinstance(obj, dict):
             raise ValueError("a polynomial is a JSON object")
         version = obj.get("schema_version", SCHEMA_VERSION)
@@ -409,28 +411,47 @@ def _check_term(exp, width, algebra, coef_algebra):
 
 
 def _read_coef(obj):
-    """(algebra, [(p, q), ...]) of an exact payload coefficient, component i
-    being p / q.  JSON ints and ASCII "p" or "p/q" are read with ``int()``;
-    any other coefficient, or one past the integer string limit, goes the
-    :meth:`HNumber.from_json` route, with its checks and messages."""
-    if type(obj) is dict and obj.get("algebra") in ALGEBRAS \
-            and type(obj.get("c")) is list \
-            and len(obj["c"]) == DIM[obj["algebra"]]:
-        pq = []
+    """(algebra, [(p, q), ...]) of a payload coefficient ``{"algebra": ...,
+    "c": [...]}``, component i being p / q, q > 0; KeyError for a missing
+    algebra, ValueError for any other malformed shape.  JSON ints and ASCII
+    "p" or "p/q" are read with ``int()``.  Otherwise a float anywhere, then
+    a component neither str nor int, then a decimal exponent past the
+    integer string limit is refused before ``Fraction`` reads the list."""
+    if type(obj) is not dict or type(obj.get("c")) is not list:
+        raise ValueError("a number is an object with a component list 'c'")
+    comps = obj["c"]
+    pq = []
+    try:
+        for c in comps:
+            m = type(c) is str and _RATIO.fullmatch(c)
+            if not (m or type(c) is int):
+                break
+            pq.append((int(m[1]), int(m[2] or 1)) if m else (c, 1))
+    except ValueError:                  # digits past the integer string limit
+        pass
+    if len(pq) < len(comps):
+        if any(type(c) is float for c in comps):
+            raise ValueError("HPoly coefficients must be exact")
+        if not all(type(c) in (str, int) for c in comps):   # no JSON true
+            raise ValueError("exact components are rational strings or "
+                             "integers")
+        limit = sys.get_int_max_str_digits()
+        for c in comps:
+            exp = type(c) is str and _EXPONENT.search(c)
+            if exp and limit and abs(int(exp[1])) > limit:
+                raise ValueError("a component's decimal exponent exceeds "
+                                 f"the integer string limit {limit}")
         try:
-            for c in obj["c"]:
-                m = type(c) is str and _RATIO.fullmatch(c)
-                if not (m or type(c) is int):
-                    break
-                pq.append((int(m[1]), int(m[2] or 1)) if m else (c, 1))
-            else:
-                return obj["algebra"], pq
-        except ValueError:              # digits past the integer string limit
-            pass
-    c = HNumber.from_json(obj)
-    if c.backend != "exact":
-        raise ValueError("HPoly coefficients must be exact")
-    return c.algebra, [(v.numerator, v.denominator) for v in c.coeffs]
+            pq = [(v.numerator, v.denominator) for v in map(Fraction, comps)]
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in a component") from None
+    algebra = obj["algebra"]
+    if algebra not in ALGEBRAS:
+        raise ValueError(f"unknown algebra {algebra!r}")
+    if len(pq) != DIM[algebra]:
+        raise ValueError(f"{algebra} needs {DIM[algebra]} components, "
+                         f"got {len(pq)}")
+    return algebra, pq
 
 
 def _from_int_terms(algebra, n, acc, den):

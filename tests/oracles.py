@@ -4,7 +4,11 @@ Not collected by pytest (no ``test_`` prefix); the tests import it from
 their own directory.
 """
 
-from crfbench.hypercomplex import DIM, MUL_TABLE
+from fractions import Fraction
+from math import factorial, prod
+
+from crfbench.hypercomplex import DIM, MUL_TABLE, HNumber
+from crfbench.polycalc import HPoly
 
 
 def number_json(x):
@@ -58,6 +62,21 @@ def _assemble(images, rhs):
         row_map.setdefault(key, {})
     keys = sorted(row_map)
     return [row_map[k] for k in keys], [rhs.get(k, 0) for k in keys]
+
+
+def poly_from_columns(algebra, n, columns, sol):
+    """The polynomial of a read-out sol = (den, {j: int}) of the whole
+    system on ``columns``: the sum of values[j] / den x^[mu] i_beta over
+    columns[j] = (mu, beta), x^[mu] = x^mu / mu!.  Its terms come in
+    increasing j, the order of the column that first holds each mu."""
+    den, values = sol
+    rows = {}
+    for j in sorted(values):
+        mu, beta = columns[j]
+        rows.setdefault(mu, [0] * DIM[algebra])[beta] = Fraction(
+            values[j], den * prod(map(factorial, mu)))
+    return HPoly(algebra, n, {mu: HNumber(algebra, c)
+                              for mu, c in rows.items()})
 
 
 # Tables no graded route can certify: the refusal every route raises, the

@@ -731,6 +731,25 @@ def test_component_errors_keep_their_message(tmp_path, capsys, component,
     assert (code, out, err) == (2, "", f"error: invalid input: {message}\n")
 
 
+@pytest.mark.parametrize("coef, message", [
+    pytest.param({"algebra": "H", "c": [1, 0.5, 0, 0]},
+                 "HPoly coefficients must be exact", id="float-not-first"),
+    pytest.param({"algebra": "H", "c": ["1", "0", "0"]},
+                 "H needs 4 components, got 3", id="three-components"),
+    pytest.param({"algebra": "X", "c": ["1", "0", "0", "0"]},
+                 "unknown algebra 'X'", id="unknown-algebra"),
+])
+def test_coefficient_errors_keep_their_message(tmp_path, capsys, coef,
+                                               message):
+    """A float component anywhere is not exact; the algebra and the
+    component count are checked once the components are read."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_system(
+        lambda p: p["terms"][0].update(coef=coef))))
+    code, out, err = run(capsys, ["solve", "--input", str(path)])
+    assert (code, out, err) == (2, "", f"error: invalid input: {message}\n")
+
+
 MALFORMED_PAYLOADS = {
     "not-an-object": ("solve", []),
     "g-not-a-list": ("solve", {"schema_version": 1, "g": {"a": 1}}),

@@ -20,7 +20,8 @@ from crfbench import crfsolve as cs
 from crfbench import hypercomplex, polycalc
 
 from oracles import (CLASS_REFUSAL, FLIPPED, _assemble, dbar_images,
-                     with_index_rule_broken, with_sign_flipped)
+                     poly_from_columns, with_index_rule_broken,
+                     with_sign_flipped)
 
 
 def rand_poly(rng, algebra, n, deg=3, terms=5):
@@ -177,17 +178,15 @@ def test_solve_validation():
 @pytest.mark.parametrize("algebra", ["H", "O"])
 def test_solve_refuses_a_read_out_that_fails_verification(monkeypatch,
                                                           algebra):
-    """A class solve whose read-out has one integer value moved by 1 gives
-    a u off by x^[mu] i_beta / den, deg mu >= 1, so dbar u != g and the
-    exact check of solve_crf raises."""
+    """A class solve whose polynomial has one integer entry of a term
+    x^mu, deg mu >= 1, moved by 1 gives a u off by x^mu i_beta / den, so
+    dbar u != g and the exact check of solve_crf raises."""
     g = dbar_system(rand_poly(random.Random(47), algebra, 2))
     cs.solve_crf(g)
     class_solve = cs._class_solve
 
     def perturbed(*args):
-        den, out = class_solve(*args)
-        j = min(out)
-        return den, {**out, j: out[j] + 1}
+        return with_coefficient_moved(class_solve(*args), 1)
     monkeypatch.setattr(cs, "_class_solve", perturbed)
     with pytest.raises(AssertionError, match="solution failed verification"):
         cs.solve_crf(g)
@@ -267,7 +266,7 @@ def unpeeled_solve(g):
             rows, values = _assemble(dbar_images(algebra, n, columns), rhs)
             sol = solve_sparse(rows, values)
             if sol is not None:
-                u = u + cs._poly_from_columns(algebra, n, columns, sol)
+                u = u + poly_from_columns(algebra, n, columns, sol)
                 break
         else:
             raise cs.CompatibilityViolation(
@@ -637,8 +636,9 @@ def test_kernel_rows_are_the_assembled_rows(algebra, n, top, monkeypatch):
 @pytest.mark.parametrize("algebra,n", [("H", 2), ("O", 2), ("O", 3)])
 def test_class_solve_is_the_assembled_solve(algebra, n):
     """_class_solve on random subsets of the candidates and of the full
-    space, and on both whole, gives solve_sparse's answer on the whole
-    system _assemble(dbar_images(...), rhs): the same read-out, or None.
+    space, and on both whole, gives the polynomial of solve_sparse's
+    answer on the whole system _assemble(dbar_images(...), rhs), term
+    order included, or None where that answer is None.
     The right-hand sides include candidates that are inconsistent where
     the full space is not, and the obstruction of (O, 3)."""
     d, width = DIM[algebra], DIM[algebra] * n
@@ -671,13 +671,17 @@ def test_class_solve_is_the_assembled_solve(algebra, n):
             for monos in sets:
                 neighbours = dict(zip(monos, graded_touched(
                     algebra, n, bits, monos)))
-                got = cs._class_solve(algebra, monos, neighbours, blocks,
-                                      class_frame(algebra, n, bits))
+                got = cs._class_solve(algebra, n, bits, monos, neighbours,
+                                      blocks, class_frame(algebra, n, bits))
                 columns = [(cs._unpack(mu, bits, width), beta)
                            for mu in monos for beta in range(d)]
                 want = solve_sparse(*_assemble(
                     dbar_images(algebra, n, columns), rhs))
+                if want is not None:
+                    want = poly_from_columns(algebra, n, columns, want)
                 assert got == want
+                if want is not None:
+                    assert list(got._ints[1]) == list(want._ints[1])
                 outcomes.add((monos is candidates, monos is full,
                               got is None))
     assert (False, False, True) in outcomes and \
@@ -702,7 +706,7 @@ def test_kernel_basis_is_the_assembled_nullspace(algebra, n, degree):
     columns = sorted((mu, beta) for k in range(degree + 1)
                      for mu in monomials(width, k) for beta in range(d))
     rows, _ = _assemble(dbar_images(algebra, n, columns), {})
-    want = [cs._poly_from_columns(algebra, n, columns, vec)
+    want = [poly_from_columns(algebra, n, columns, vec)
             for vec in nullspace_sparse(rows, len(columns))]
     assert cs.regular_kernel_basis(algebra, n, degree) == want
 

@@ -15,6 +15,7 @@ from crfbench.hypercomplex import (
     AlgebraMismatch,
     HNumber,
 )
+from crfbench.polycalc import HPoly
 
 
 def rand_hnumber(rng, algebra, span=9):
@@ -252,16 +253,15 @@ def test_public_constructor_still_validates():
 
 
 def test_json_roundtrip_exact():
+    """An octonion coefficient reads back exactly through HPoly.from_json,
+    the one payload reader."""
     a = HNumber("O", [Fraction(3, 7), -2, 0, 1, 0, 0, Fraction(-5, 2), 0])
     blob = {"algebra": "O", "c": ["3/7", "-2", "0", "1", "0", "0", "-5/2", "0"]}
-    assert HNumber.from_json(blob) == a
-
-
-def test_json_roundtrip_float():
-    a = HNumber("H", (0.5, -1.25, 0.0, 3.0), backend="float")
-    b = HNumber.from_json({"algebra": "H", "c": [0.5, -1.25, 0.0, 3.0]})
-    assert b.backend == "float"
-    assert b == a
+    exp = (1,) + (0,) * 7
+    p = HPoly.from_json({"algebra": "O", "n": 1,
+                         "terms": [{"exp": list(exp), "coef": blob}]})
+    assert p.coefficient(exp) == a
+    assert p == HPoly("O", 1, {exp: a})
 
 
 def test_float_backend_mul_matches_exact():

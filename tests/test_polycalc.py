@@ -507,7 +507,8 @@ def test_constructors_store_the_canonical_integer_form(algebra):
         rng.shuffle(blob["terms"])
         q = HPoly.from_json(blob)
         assert_form(q, input_form(algebra, {
-            tuple(t["exp"]): HNumber.from_json(t["coef"])
+            tuple(t["exp"]): HNumber(algebra, [Fraction(c)
+                                              for c in t["coef"]["c"]])
             for t in blob["terms"]}))
         assert q == p
     width = d * n

@@ -164,3 +164,30 @@ def test_class_certificates_have_one_reader():
                     if "_certificate" in names_read(node)]
     assert readers == ["hypercomplex._class_shifts"]
     assert defined.isdisjoint({"_class_orbits", "_class_map"})
+
+
+def test_payload_coefficients_and_class_copies_have_one_path():
+    """Under src/, payload coefficients have one reader and class copies
+    one writer: the only from_json is HPoly.from_json, the component
+    patterns _RATIO and _EXPONENT live in polycalc alone, and the second
+    class-copy route (_moved, _poly_from_columns) is gone."""
+    readers, patterns, defined = [], {}, []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                defined.append(node.name)
+            elif isinstance(node, ast.ClassDef):
+                readers += [f"{path.stem}.{node.name}.{member.name}"
+                            for member in node.body
+                            if isinstance(member, ast.FunctionDef)
+                            and member.name == "from_json"]
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) \
+                            and target.id in ("_RATIO", "_EXPONENT"):
+                        patterns.setdefault(target.id, []).append(path.stem)
+    assert readers == ["polycalc.HPoly.from_json"]
+    assert defined.count("from_json") == 1     # no module-level one
+    assert patterns == {"_RATIO": ["polycalc"], "_EXPONENT": ["polycalc"]}
+    assert {"_moved", "_poly_from_columns"}.isdisjoint(defined)
