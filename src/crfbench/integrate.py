@@ -18,13 +18,12 @@ rule, so the total weight is exactly the sphere area 2 pi^2 r^3 in the limit
 and to rule precision at finite order.  All quaternion arithmetic on nodes is
 vectorized through the same multiplication table as the scalar backend, on
 component-major (Fortran-order) ``(N, 4)`` arrays whose columns are
-contiguous.  The reproducing integral walks the nodes in blocks of
-``_BLOCK`` through scratch rows allocated once per call, so its working set
-stays in cache instead of streaming whole-array temporaries; every node goes
-through the same elementwise operations whatever block it falls in.  Final
-sums are correctly rounded (the bits of ``math.fsum``) and so independent of
-the node order and of the block size, and results are reproducible
-bit-for-bit across runs.
+contiguous.  The reproducing integral makes one pass over the rule for all
+its points: per block of ``_BLOCK`` nodes it forms the nodes, evaluates F
+and, per point, the weighted products and their exact partials, so no
+array of the rule's size is built.  Each node sees the same operations in
+any block and sums are correctly rounded (``math.fsum``'s bits), so no
+bit depends on the block size, the node order or the other points.
 
 numpy is imported inside each function that does float work on nodes, not
 at module top, so importing this module (as ``cli`` does for every
@@ -41,8 +40,8 @@ from .hypercomplex import MUL_TABLE, HNumber
 
 TWO_PI_SQ = 2.0 * math.pi ** 2
 
-# nodes per block of the reproducing integral: its ten scratch rows (640 KiB)
-# and the block's slices of the input and output columns fit in a 2 MiB L2
+# nodes per block of the reproducing integral: the block's nodes and F values,
+# ten scratch rows and four product rows (1.4 MiB) fit in a 2 MiB L2
 _BLOCK = 8192
 
 
@@ -88,17 +87,21 @@ def batch_evaluate(poly, points):
 
 @dataclass
 class SphereRule:
-    """Quadrature rule on the sphere |q - center| = radius."""
+    """Quadrature rule on the sphere |q - center| = radius; ``nodes`` is
+    derived from the stored normals on each read, which no integral makes."""
     center: np.ndarray
     radius: float
     order: int
-    nodes: np.ndarray      # (N, 4)
     weights: np.ndarray    # (N,)
     normals: np.ndarray    # (N, 4) outward unit
 
     @property
+    def nodes(self):
+        return self.center + self.radius * self.normals
+
+    @property
     def size(self):
-        return self.nodes.shape[0]
+        return self.weights.shape[0]
 
 
 def sphere_rule(center, radius, order):
@@ -115,17 +118,18 @@ def sphere_rule(center, radius, order):
     center = np.asarray(center, dtype=float)
     if center.shape != (4,):
         raise ValueError("center must have four components")
+    if not np.isfinite(center).all():
+        raise ValueError("center must be finite")
     x, w = np.polynomial.legendre.leggauss(order)
     # map [-1, 1] to [0, pi] twice and [0, 2 pi] once
     psi = 0.5 * math.pi * (x + 1.0)
     w_psi = 0.5 * math.pi * w
-    theta, w_theta = psi, w_psi
     phi = math.pi * (x + 1.0)
     w_phi = math.pi * w
 
     # the angles broadcast as (psi, theta, phi) axes of an order**3 grid
     sp, cp = np.sin(psi), np.cos(psi)
-    st, ct = np.sin(theta), np.cos(theta)
+    st, ct, w_theta = sp, cp, w_psi     # theta carries psi's rule
     sf, cf = np.sin(phi), np.cos(phi)
     spst = (sp[:, None] * st)[:, :, None]
     # filled component-first, so the transpose is a Fortran-order (N, 4)
@@ -138,132 +142,132 @@ def sphere_rule(center, radius, order):
     jac = ((radius ** 3) * (sp ** 2))[:, None] * st
     weights = ((jac * w_psi[:, None] * w_theta)[:, :, None]
                * w_phi).reshape(-1)
-    nodes = center[None, :] + radius * units
     return SphereRule(center=center, radius=float(radius), order=int(order),
-                      nodes=nodes, weights=weights, normals=units)
+                      weights=weights, normals=units)
 
 
-def _values_on_nodes(F, rule):
-    """F on the rule's nodes as an (N, 4) array.  F is an ``HPoly`` or
-    already that array (so a caller that integrates one F against many
-    kernels evaluates it once)."""
-    import numpy as np
-    if isinstance(F, np.ndarray):
-        if F.shape != (rule.size, 4):
-            raise ValueError("node values must have shape (rule.size, 4)")
-        return F
-    return batch_evaluate(F, rule.nodes)
-
-
-def _exact_sums(rows):
-    """``math.fsum`` of each row of a 2-D float array, bit for bit, by
-    error-free extraction (Rump, Ogita & Oishi, *Accurate floating-point
-    summation, part I*, SIAM J. Sci. Comput. 31, 2008).  Overwrites ``rows``.
-
-    With 2^M >= n + 2 for rows of length n, a pass splits every entry r at
-    sigma = 2^(k+M), where max|r| < 2^k: q = (r + sigma) - sigma and r - q
-    are both exact, and the q are multiples of 2^-53 sigma whose absolute
-    sum stays below sigma, so they add exactly in any order.  Passes repeat
-    until the row is zero, and ``math.fsum`` rounds the exact partials once;
-    it rounds correctly, so the result is that of ``fsum`` on the row.
-    Rows with a non-finite entry, all-zero rows (``fsum`` decides their sign
-    of zero) and rows whose sigma would overflow go to ``fsum`` whole.
-    Extraction stops before 2^-53 sigma leaves the normal range and hands
-    the remainders to ``fsum``.
+def _fsums(blocks, n, count, whole):
+    """``math.fsum`` of each of ``count`` rows of ``n`` entries, bit for
+    bit; ``blocks`` yields (i, r) for the blocks r of row i in order, at
+    most ``_BLOCK`` long and free to overwrite.  Error-free extraction
+    (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008): with 2^M >= b + 2
+    for a block of b entries, a pass splits each entry x at sigma =
+    2^(k+M), where max|x| < 2^k, into the exact q = (x + sigma) - sigma and
+    x - q; the q are multiples of 2^-53 sigma whose absolute sum stays
+    below sigma, so they add exactly.  Passes repeat until the block is
+    zero or 2^-53 sigma would leave the normal range (then the remainders
+    are kept), and one correctly rounded ``fsum`` of the row's partials is
+    ``fsum`` of the row.  A zero block adds its ``fsum`` (the sign of
+    zero); a row with an entry that is not finite or whose sigma could
+    overflow with the row's M gets ``fsum`` of ``whole(i)``, its entries.
     """
     import numpy as np
-    n = rows.shape[1]
-    M = (n + 1).bit_length()
-    buf = np.empty(n)
-    sums = []
-    for r in rows:
-        top = float(np.abs(r, out=buf).max()) if n else 0.0
-        if not math.isfinite(top) or top == 0.0 \
-                or math.frexp(top)[1] + M > 1023:
-            sums.append(math.fsum(r))
+    partials = [[] for _ in range(count)]
+    scratch = np.empty(min(n, _BLOCK))
+    for i, r in blocks:
+        parts, buf = partials[i], scratch[:r.shape[0]]
+        if parts is None:
             continue
-        partials = []
+        top = float(np.abs(r, out=buf).max())
+        if not math.isfinite(top) \
+                or math.frexp(top)[1] + (n + 1).bit_length() > 1023:
+            partials[i] = None
+            continue
+        if top == 0.0:
+            parts.append(math.fsum(r))
+        M = (r.shape[0] + 1).bit_length()
         while top:
             k = math.frexp(top)[1] + M
             if k - 53 < -1022:
-                partials.extend(r[r != 0.0].tolist())
+                parts.extend(r[r != 0.0].tolist())
                 break
             sigma = math.ldexp(1.0, k)
             q = np.subtract(np.add(r, sigma, out=buf), sigma, out=buf)
-            partials.append(float(q.sum()))
+            parts.append(float(q.sum()))
             np.subtract(r, q, out=r)
             top = float(np.abs(r, out=buf).max())
-        sums.append(math.fsum(partials))
-    return sums
+    return [math.fsum(whole(i) if parts is None else parts)
+            for i, parts in enumerate(partials)]
+
+
+def _exact_sums(rows):
+    """``math.fsum`` of each row of a 2-D float array, bit for bit."""
+    n = rows.shape[1]
+    blocks = ((i, r[s:s + _BLOCK].copy()) for s in range(0, n, _BLOCK)
+              for i, r in enumerate(rows))
+    return _fsums(blocks, n, len(rows), rows.__getitem__)
+
+
+def _weighted(F, rule, points):
+    """Yield (4 p + c, r) per block of ``_BLOCK`` nodes, point index p and
+    component c: r is row c of w_i G(node_i - q0) nu_i F(node_i) on the
+    block for q0 = points[p], in scratch that later steps overwrite.  Per
+    block the nodes are formed as ``SphereRule.nodes`` forms them and F is
+    evaluated or sliced once; per point, node by node: diff = node - q0,
+    nsq = d0^2 + ... + d3^2 in that order, the kernel conj(diff) / nsq^2
+    (the conj folded into the first product), the two products by
+    ``_mul_into`` from a zero start (alpha-major, so signs of zero agree
+    with the structure-tensor contraction) and the weight."""
+    import numpy as np
+    scratch = np.empty((14, min(rule.size, _BLOCK)))
+    for start in range(0, rule.size, _BLOCK):
+        stop = min(start + _BLOCK, rule.size)
+        normals = rule.normals[start:stop]
+        nodes = rule.radius * normals
+        nodes += rule.center
+        vals = F[start:stop] if isinstance(F, np.ndarray) \
+            else batch_evaluate(F, nodes)
+        buf = scratch[:, :stop - start]
+        diff, prod, out, nsq, tmp = buf[:4], buf[4:8], buf[8:12], *buf[12:]
+        for p, q0 in enumerate(points):
+            for c in range(4):
+                np.subtract(nodes[:, c], q0[c], out=diff[c])
+            np.multiply(diff[0], diff[0], out=nsq)
+            for c in (1, 2, 3):
+                np.add(nsq, np.multiply(diff[c], diff[c], out=tmp), out=nsq)
+            if not nsq.all():
+                raise ZeroDivisionError("q0 coincides with a quadrature node")
+            np.multiply(nsq, nsq, out=nsq)
+            np.divide(diff, nsq, out=diff)
+            prod[:] = 0.0
+            _mul_into(diff, normals.T, prod, tmp, conj_a=True)
+            out[:] = 0.0
+            _mul_into(prod, vals.T, out, tmp)
+            np.multiply(out, rule.weights[start:stop], out=out)
+            yield from enumerate(out, 4 * p)
+
+
+def cauchy_fueter_points(F, rule, inside, anywhere=()):
+    """(2 pi^2)^{-1} sum w_i G(node_i - q0) nu_i F(node_i), F an ``HPoly``
+    or its (N, 4) node values, as a float quaternion for each q0 of
+    ``inside`` (strictly inside the sphere, else ``PointOutsideDomain``)
+    and then of ``anywhere``: ``_fsums`` of one ``_weighted`` pass.  For
+    left-regular F it reproduces F(q0) inside and tends to 0 outside."""
+    import numpy as np
+    points = [np.asarray(q0, dtype=float) for q0 in (*inside, *anywhere)]
+    if any(q0.shape != (4,) for q0 in points):
+        raise ValueError("q0 must have four components")
+    if not all(np.linalg.norm(q0 - rule.center) < rule.radius
+               for q0 in points[:len(inside)]):
+        raise PointOutsideDomain(
+            "evaluation point must lie strictly inside the sphere")
+    if isinstance(F, np.ndarray) and F.shape != (rule.size, 4):
+        raise ValueError("node values must have shape (rule.size, 4)")
+    sums = _fsums(_weighted(F, rule, points), rule.size, 4 * len(points),
+                  lambda i: (x for j, r in _weighted(F, rule, [points[i // 4]])
+                             if j == i % 4 for x in r.tolist()))
+    return [HNumber("H", [s / TWO_PI_SQ for s in sums[i:i + 4]], "float")
+            for i in range(0, len(sums), 4)]
 
 
 def cauchy_fueter_raw(F, rule, q0):
-    """The reproducing integral without any location check on q0.
-
-    Returns (2 pi^2)^{-1} sum w_i G(node_i - q0) nu_i F(node_i) as a float
-    quaternion; F is taken as in ``_values_on_nodes``.  For q0 strictly
-    inside and F left-regular this reproduces F(q0); for q0 strictly outside
-    it tends to zero.
-
-    The weighted products are formed ``_BLOCK`` nodes at a time (see
-    ``_cf_block``) into one (4, N) array, which ``_exact_sums`` adds once.
-    Each node sees the same elementwise operations in any block and the
-    sums are correctly rounded, so the bits do not depend on the block size.
-    """
-    import numpy as np
-    q0 = np.asarray(q0, dtype=float)
-    if q0.shape != (4,):
-        raise ValueError("q0 must have four components")
-    vals = _values_on_nodes(F, rule)
-    size = rule.size
-    weighted = np.empty((4, size))
-    buf = np.empty((10, min(size, _BLOCK)))
-    for start in range(0, size, _BLOCK):
-        stop = min(start + _BLOCK, size)
-        _cf_block(rule.nodes[start:stop], rule.normals[start:stop],
-                  vals[start:stop], rule.weights[start:stop], q0,
-                  weighted[:, start:stop], buf[:, :stop - start])
-    sums = [s / TWO_PI_SQ for s in _exact_sums(weighted)]
-    return HNumber("H", sums, "float")
-
-
-def _cf_block(nodes, normals, vals, weights, q0, out, buf):
-    """w_i G(node_i - q0) nu_i F_i for one block of nodes into the rows of
-    ``out`` (4, b), in the scratch rows of ``buf`` (10, b).
-
-    These are the operations of the whole-array formula, node by node:
-    diff = node - q0, nsq = d0^2 + d1^2 + d2^2 + d3^2 in that order, the
-    kernel conj(diff) / nsq^2 (the conj folded into the first product),
-    the two products by ``_mul_into`` from a zero start (alpha-major, so
-    signs of zero agree with the structure-tensor contraction) and the
-    weight.
-    """
-    import numpy as np
-    diff, prod, nsq, tmp = buf[0:4], buf[4:8], buf[8], buf[9]
-    for c in range(4):
-        np.subtract(nodes[:, c], q0[c], out=diff[c])
-    np.multiply(diff[0], diff[0], out=nsq)
-    for c in (1, 2, 3):
-        np.add(nsq, np.multiply(diff[c], diff[c], out=tmp), out=nsq)
-    if not nsq.all():
-        raise ZeroDivisionError("q0 coincides with a quadrature node")
-    np.multiply(nsq, nsq, out=nsq)
-    np.divide(diff, nsq, out=diff)
-    prod[:] = 0.0
-    _mul_into(diff, normals.T, prod, tmp, conj_a=True)
-    out[:] = 0.0
-    _mul_into(prod, vals.T, out, tmp)
-    np.multiply(out, weights, out=out)
+    """One-point ``cauchy_fueter_points`` with no location check on q0."""
+    return cauchy_fueter_points(F, rule, (), [q0])[0]
 
 
 def cauchy_fueter_eval(F, rule, q0):
-    """Reproducing integral with a strict interior check on q0."""
-    import numpy as np
-    q0 = np.asarray(q0, dtype=float)
-    if np.linalg.norm(q0 - rule.center) >= rule.radius:
-        raise PointOutsideDomain(
-            "evaluation point must lie strictly inside the sphere")
-    return cauchy_fueter_raw(F, rule, q0)
+    """One-point ``cauchy_fueter_points`` with a strict interior check."""
+    return cauchy_fueter_points(F, rule, [q0])[0]
 
 
 def cf_kernel_value(q, q0):

@@ -2,7 +2,9 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -70,6 +72,22 @@ def test_rule_validation():
 def test_rule_rejects_a_radius_that_is_not_finite_and_positive(radius):
     with pytest.raises(ValueError, match="finite and positive"):
         ig.sphere_rule((0, 0, 0, 0), radius, 8)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rule_rejects_a_center_that_is_not_finite(bad):
+    for i in range(4):
+        center = [0.0] * 4
+        center[i] = bad
+        with pytest.raises(ValueError, match="center must be finite"):
+            ig.sphere_rule(center, 1.0, 8)
+
+
+def test_rule_stores_no_nodes():
+    rule = ig.sphere_rule((0.5, -1.0, 0.0, 2.0), 0.75, 8)
+    assert "nodes" not in vars(rule)
+    assert np.array_equal(rule.nodes, rule.center[None, :]
+                          + rule.radius * rule.normals)
 
 
 @pytest.mark.parametrize("radius", [1.0, 2.5])
@@ -280,6 +298,31 @@ def test_eval_rejects_non_interior_points():
     ig.cauchy_fueter_raw(one, rule, (1.5, 0, 0, 0))
 
 
+@pytest.mark.parametrize("q0", [(math.nan, 0.0, 0.0, 0.0),
+                                (0.1, 0.0, math.nan, 0.2),
+                                (math.inf, 0.0, 0.0, 0.0)])
+def test_eval_rejects_a_point_that_is_not_finite(q0):
+    rule = ig.sphere_rule((0, 0, 0, 0), 1.0, 8)
+    one = HPoly.constant("H", 1, 1)
+    with pytest.raises(ig.PointOutsideDomain):
+        ig.cauchy_fueter_eval(one, rule, q0)
+    with pytest.raises(ig.PointOutsideDomain):
+        ig.cauchy_fueter_points(one, rule, [(0.1, 0, 0, 0), q0])
+
+
+def test_points_check_only_the_inside_points():
+    rule = ig.sphere_rule((0, 0, 0, 0), 1.0, 8)
+    one = HPoly.constant("H", 1, 1)
+    got = ig.cauchy_fueter_points(one, rule, [(0.1, 0, 0, 0)],
+                                  [(1.5, 0, 0, 0), (0.2, 0, 0, 0)])
+    assert got == [ig.cauchy_fueter_eval(one, rule, (0.1, 0, 0, 0)),
+                   ig.cauchy_fueter_raw(one, rule, (1.5, 0, 0, 0)),
+                   ig.cauchy_fueter_eval(one, rule, (0.2, 0, 0, 0))]
+    with pytest.raises(ig.PointOutsideDomain):
+        ig.cauchy_fueter_points(one, rule, [(1.5, 0, 0, 0)])
+    assert ig.cauchy_fueter_points(one, rule, []) == []
+
+
 def test_node_coincidence_guard():
     rule = ig.sphere_rule((0, 0, 0, 0), 1.0, 8)
     one = HPoly.constant("H", 1, 1)
@@ -386,6 +429,21 @@ def test_exact_sums_has_the_bits_of_fsum(row):
 @example([math.inf, 1.0, HUGE])
 def test_exact_sums_matches_fsum_on_non_finite_rows(row):
     assert exact_sums_outcome(row) == fsum_outcome(row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows_with_cancellation(
+    summands | st.sampled_from([math.inf, -math.inf, math.nan])))
+@example([1.0] * 7 + [math.inf])
+@example([HUGE] + [0.0] * 7 + [HUGE])
+@example([HUGE, HUGE, -HUGE] * 5)
+@example([-0.0] * 15)
+@example([5e-324] * 9 + [-1e-323])
+@example([1e300, 1.0, -1e300, 1e-300] * 3)
+def test_exact_sums_has_the_bits_of_fsum_across_blocks(row):
+    """Blocks of 7 entries, so the rows span several blocks."""
+    with mock.patch.object(ig, "_BLOCK", 7):
+        assert exact_sums_outcome(row) == fsum_outcome(row)
 
 
 def test_exact_sums_of_long_rows_in_one_call():
@@ -585,3 +643,120 @@ def test_reproducing_integral_sums_no_node_column_with_fsum(monkeypatch):
     monkeypatch.setattr(math, "fsum", counting_fsum)
     ig.cauchy_fueter_raw(F, rule, PIN_POINTS[0])
     assert lengths and max(lengths) < rule.size
+
+
+def multi_point_hexes(F, rule, inside, anywhere):
+    return [hexes(v.coeffs)
+            for v in ig.cauchy_fueter_points(F, rule, inside, anywhere)]
+
+
+@pytest.mark.parametrize("block", [None, 7, 500, 4096])
+@pytest.mark.parametrize("order", BLOCK_ORDERS)
+def test_one_multi_point_pass_is_the_one_point_calls(monkeypatch, order,
+                                                     block):
+    if block is not None:
+        monkeypatch.setattr(ig, "_BLOCK", block)
+    rule = ig.sphere_rule((0, 0, 0, 0), 1.0, order)
+    F = regular_degree_one(order)
+    inside, outside = PIN_POINTS[:2], PIN_POINTS[2:]
+    want = [hexes(ig.cauchy_fueter_eval(F, rule, q0).coeffs)
+            for q0 in inside]
+    want += [hexes(ig.cauchy_fueter_raw(F, rule, q0).coeffs)
+             for q0 in outside]
+    assert multi_point_hexes(F, rule, inside, outside) == want
+
+
+def degree_three(seed):
+    rng = random.Random(seed)
+    terms = {}
+    for _ in range(8):
+        exp = [0, 0, 0, 0]
+        for _ in range(rng.randint(0, 3)):
+            exp[rng.randrange(4)] += 1
+        terms[tuple(exp)] = HNumber(
+            "H", [Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                  for _ in range(4)])
+    return HPoly("H", 1, terms)
+
+
+@pytest.mark.parametrize("block", [None, 7, 500])
+def test_blockwise_evaluation_gives_the_bits_of_whole_array_values(
+        monkeypatch, block):
+    F = degree_three(17)
+    assert F.degree() == 3
+    rule = ig.sphere_rule((0.3, -0.2, 0.1, 0.0), 0.8, 21)
+    vals = ig.batch_evaluate(F, rule.nodes)
+    if block is not None:
+        monkeypatch.setattr(ig, "_BLOCK", block)
+    points = [tuple(0.8 * c for c in p) for p in PIN_POINTS]
+    assert multi_point_hexes(F, rule, [], points) == \
+        multi_point_hexes(vals, rule, [], points)
+
+
+def raw_outcome(vals, rule, q0):
+    try:
+        return hexes(ig.cauchy_fueter_raw(vals, rule, q0).coeffs)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def reference_outcome(vals, nodes, weights, normals, q0):
+    try:
+        return hexes(reference_raw(vals, nodes, weights, normals, q0))
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("entries", [
+    {(150, 0): math.inf},
+    {(150, 1): -math.inf, (420, 1): math.inf},
+    {(150, 2): math.nan},
+    {(30, 0): 1.7e308, (300, 0): 1.7e308},
+    {(30, 3): 1.7e308, (300, 3): -1.7e308, (450, 2): 1.7e308},
+    {(i, c): 1.7e308 for i in (10, 120, 230, 340, 450) for c in range(4)},
+    {(i, 0): 1e307 for i in range(8 ** 3)},
+])
+def test_node_values_out_of_the_exact_range_get_fsum_of_the_row(monkeypatch,
+                                                                entries):
+    """Entries in different blocks of 100 nodes: rows with a non-finite
+    entry, or whose sigma would overflow, give the value or exception of
+    math.fsum on the whole row, as the row-major formula does."""
+    monkeypatch.setattr(ig, "_BLOCK", 100)
+    rule = ig.sphere_rule((0, 0, 0, 0), 1.0, 8)
+    nodes, weights, normals = reference_rule((0, 0, 0, 0), 1.0, 8)
+    vals = reference_evaluate(regular_degree_one(2), nodes)
+    for (i, c), value in entries.items():
+        vals[i, c] = value
+    with np.errstate(over="ignore", invalid="ignore"):
+        for q0 in PIN_POINTS:
+            assert raw_outcome(vals, rule, q0) == \
+                reference_outcome(vals, nodes, weights, normals, q0)
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+NODE_ARRAY_44 = 44 ** 3 * 4 * 8        # bytes of an (N, 4) float array
+
+
+def test_sphere_rule_builds_less_than_two_node_arrays():
+    ig.sphere_rule((0, 0, 0, 0), 1.0, 8)       # numpy's lazy imports
+    assert traced_peak(ig.sphere_rule, (0, 0, 0, 0), 1.0, 44) \
+        < 2 * NODE_ARRAY_44
+
+
+def test_reproducing_integral_builds_no_node_sized_array():
+    """At order 44 (85,184 nodes) one integral allocates less than one
+    (N, 4) float array at its peak."""
+    F = regular_degree_one(44)
+    ig.cauchy_fueter_raw(F, ig.sphere_rule((0, 0, 0, 0), 1.0, 8),
+                         PIN_POINTS[0])              # numpy's lazy imports
+    rule = ig.sphere_rule((0, 0, 0, 0), 1.0, 44)
+    assert traced_peak(ig.cauchy_fueter_raw, F, rule, PIN_POINTS[0]) \
+        < NODE_ARRAY_44
